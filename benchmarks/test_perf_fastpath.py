@@ -18,7 +18,6 @@ from repro.experiments.perfbench import (
     bench_bloom_ops,
     bench_end_to_end,
     bench_fault_overhead,
-    bench_scheduler,
     bench_st_match,
     bench_trace_overhead,
     default_output_path,
@@ -30,20 +29,6 @@ pytestmark = pytest.mark.perf
 def test_st_match_warm_speedup_at_least_3x():
     result = bench_st_match(probe_rounds=20)
     assert result["warm_speedup"] >= 3.0, result
-
-
-def test_scheduler_drain_events_per_s_at_least_2x():
-    """The calendar engine's gated figure: ≥2x events/s on batch drain.
-
-    The fan-out drain (multicast replication bursts, preloaded, run()
-    timed alone) is where one-pop-per-batch pays; the live arm is only
-    sanity-bounded — interleaved scheduling amortizes the win down to
-    roughly parity by design.
-    """
-    result = bench_scheduler(ticks=30)
-    assert result["drain_speedup"] >= 2.0, result
-    assert result["live_speedup"] >= 0.7, result
-    assert result["batch_occupancy"] >= result["burst"] * 0.9, result
 
 
 def test_packed_mask_beats_index_probes():

@@ -333,13 +333,9 @@ class ForwardingPlane:
     def replicate(self, mcast: MulticastPacket, exclude: Optional[Face]) -> None:
         """Copy ``mcast`` onto every ST-matching face (once per uid).
 
-        The two hot layers under this loop are co-designed for fan-out:
         ``st.match`` resolves every face in one pass over the table's
         bit-sliced column snapshot (k word ANDs per prefix, not a
-        per-face scan), and the back-to-back ``out.send`` calls — same
-        sender rank, and the same arrival tick wherever link delays are
-        equal — coalesce into link-batch calendar entries that the engine
-        later delivers with one pop for the whole burst.
+        per-face scan).
         """
         if not self.replicated.add(mcast.uid):
             self.stats.duplicate_multicasts_dropped += 1

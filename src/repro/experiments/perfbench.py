@@ -31,7 +31,6 @@ __all__ = [
     "bench_name_ops",
     "bench_bloom_ops",
     "bench_st_match",
-    "bench_scheduler",
     "bench_fault_overhead",
     "bench_trace_overhead",
     "bench_invariant_overhead",
@@ -192,143 +191,6 @@ def bench_st_match(
         "cold": _rate(cold, ops),
         "warm": _rate(warm, ops),
         "warm_speedup": round(cold / warm, 2),
-    }
-
-
-# ----------------------------------------------------------------------
-# Scheduler layer
-# ----------------------------------------------------------------------
-
-class _ReferenceHeapScheduler:
-    """The pre-calendar engine: one global heap, one pop per event.
-
-    The baseline arm of :func:`bench_scheduler` — semantically identical
-    to :class:`~repro.sim.engine.Simulator` (the equivalence suite in
-    ``tests/test_scheduler_equivalence.py`` pins that), kept here so the
-    speedup is measured against known-good history, not a strawman.
-    """
-
-    def __init__(self) -> None:
-        import heapq
-
-        self.now = 0.0
-        self._heap: list = []
-        self._seq = 0
-        self.events_processed = 0
-        self._push = heapq.heappush
-        self._pop = heapq.heappop
-
-    def schedule_link(self, delay, sort_origin, exec_origin, callback, *args):
-        seq = self._seq
-        self._seq = seq + 1
-        self._push(self._heap, (self.now + delay, sort_origin, seq, callback, args))
-
-    def schedule_arrival_at(self, time, sort_origin, exec_origin, callback, *args):
-        self.schedule_link(time - self.now, sort_origin, exec_origin, callback, *args)
-
-    def run(self) -> None:
-        heap = self._heap
-        pop = self._pop
-        processed = 0
-        while heap:
-            time, _origin, _seq, callback, args = pop(heap)
-            self.now = time
-            callback(*args)
-            processed += 1
-        self.events_processed += processed
-
-
-def bench_scheduler(
-    senders: int = 128,
-    burst: int = 32,
-    ticks: int = 60,
-    repeats: int = 3,
-) -> Dict[str, object]:
-    """Calendar engine vs reference heap on a fan-out delivery workload.
-
-    The workload mimics steady-state multicast replication: every tick,
-    each of ``senders`` nodes bursts ``burst`` same-(tick, sender) link
-    arrivals — the pattern ``ForwardingPlane.replicate`` produces.  Two
-    arms, each best-of-``repeats``:
-
-    * **drain** — the full schedule is preloaded, then ``run()`` is
-      timed alone.  This isolates pop + dispatch, the path the calendar
-      redesign targets: each burst is one coalesced batch entry popped
-      once, vs ``burst`` heappops with a log-factor over the whole
-      pending set.  ``drain_speedup`` is the gated events/s figure.
-    * **live** — senders re-arm themselves from inside callbacks, so the
-      loop interleaves scheduling with draining; it shows the combined
-      push+pop balance (the push side pays for coalescing checks, so
-      this ratio is modest by design).
-
-    ``batch_occupancy`` reports how many members the average popped
-    batch carried.
-    """
-    from repro.sim.engine import Simulator
-
-    perf = time.perf_counter
-    events = senders * burst * ticks
-
-    def drain_arm(sim) -> float:
-        def deliver():
-            pass
-
-        for t in range(1, ticks + 1):
-            tick = float(t)
-            for rank in range(senders):
-                for _ in range(burst):
-                    sim.schedule_arrival_at(tick, rank, rank, deliver)
-        start = perf()
-        sim.run()
-        return perf() - start
-
-    def live_arm(sim) -> float:
-        deliveries = [0]
-
-        def deliver():
-            deliveries[0] += 1
-
-        def sender(rank, remaining):
-            for _ in range(burst):
-                sim.schedule_link(1.0, rank, rank, deliver)
-            if remaining:
-                sim.schedule_link(1.0, rank, rank, sender, rank, remaining - 1)
-
-        for rank in range(senders):
-            sim.schedule_link(0.0, rank, rank, sender, rank, ticks - 1)
-        start = perf()
-        sim.run()
-        elapsed = perf() - start
-        assert deliveries[0] == events
-        return elapsed
-
-    def best(arm, make_sim):
-        times, sims = [], []
-        for _ in range(repeats):
-            sim = make_sim()
-            times.append(arm(sim))
-            sims.append(sim)
-        return min(times), sims[times.index(min(times))]
-
-    ref_drain_s, _ = best(drain_arm, _ReferenceHeapScheduler)
-    cal_drain_s, cal = best(drain_arm, Simulator)
-    ref_live_s, _ = best(live_arm, _ReferenceHeapScheduler)
-    cal_live_s, _ = best(live_arm, Simulator)
-
-    return {
-        "senders": senders,
-        "burst": burst,
-        "ticks": ticks,
-        "events": events,
-        "drain_reference_heap": _rate(ref_drain_s, events),
-        "drain_calendar": _rate(cal_drain_s, events),
-        "drain_speedup": round(ref_drain_s / cal_drain_s, 2),
-        "live_reference_heap": _rate(ref_live_s, events),
-        "live_calendar": _rate(cal_live_s, events),
-        "live_speedup": round(ref_live_s / cal_live_s, 2),
-        "batch_pops": cal.batch_pops,
-        "batch_members": cal.batch_members,
-        "batch_occupancy": round(cal.batch_members / max(1, cal.batch_pops), 2),
     }
 
 
@@ -667,7 +529,6 @@ def run_perfbench(
         "name_ops": bench_name_ops(rounds=rounds),
         "bloom_ops": bench_bloom_ops(rounds=rounds),
         "st_match": bench_st_match(probe_rounds=8 if quick else 40),
-        "scheduler": bench_scheduler(ticks=20 if quick else 60),
         "fault_overhead": bench_fault_overhead(sends=20_000 if quick else 100_000),
         "trace_overhead": bench_trace_overhead(
             sends=20_000 if quick else 100_000,
@@ -691,7 +552,6 @@ def run_perfbench(
 def render_perfbench(report: Dict[str, object]) -> str:
     """Human-readable summary of a perfbench report."""
     st = report["st_match"]
-    sched = report["scheduler"]
     e2e = report["end_to_end"]
     fault = report["fault_overhead"]
     trace = report["trace_overhead"]
@@ -704,10 +564,6 @@ def render_perfbench(report: Dict[str, object]) -> str:
         f"  ST match cold: {st['cold']['us_per_op']} us/op"
         f"  warm: {st['warm']['us_per_op']} us/op"
         f"  ({st['warm_speedup']}x warm speedup)",
-        f"  scheduler drain: calendar {sched['drain_calendar']['ops_per_s']} ev/s"
-        f" vs heap {sched['drain_reference_heap']['ops_per_s']} ev/s"
-        f" ({sched['drain_speedup']}x; live {sched['live_speedup']}x),"
-        f" batch occupancy {sched['batch_occupancy']}",
         f"  fault hook disabled: {fault['disabled']['us_per_op']} us/send"
         f"  armed (out of scope): {fault['armed_out_of_scope']['us_per_op']} us/send"
         f"  ({fault['armed_overhead_ratio']}x)",

@@ -194,13 +194,7 @@ class PacketTracer:
         )
 
     def on_forward(self, face: "Face", packet: "Packet", delay: float) -> None:
-        """A packet left ``face.node`` toward ``face.peer`` (Face.send).
-
-        Fires once per packet at send time, so traces stay per-packet even
-        when the engine later coalesces several same-(tick, sender)
-        arrivals into one link-batch calendar entry — batching is invisible
-        to the causal record.
-        """
+        """A packet left ``face.node`` toward ``face.peer`` (Face.send)."""
         self._emit(
             face.link.sim.now, packet, face.node.name, "forward", peer=face.peer.name
         )

@@ -23,14 +23,10 @@ ARCHITECTURE.md §6).
 
 **Determinism argument** (why serial and sharded runs are bit-identical):
 
-1. The engine executes events in ``(time, origin, seq)`` order, where
+1. The engine heap orders events by ``(time, origin, seq)`` where
    ``origin`` is the rank of the node whose activity scheduled the event
-   (for packet arrivals: the *sender's* rank).  The calendar-queue
-   engine realizes this order with per-timestamp buckets and link-batch
-   coalescing, but the total order — the only thing this argument needs
-   — is identical to the old global heap's (pinned by
-   ``tests/test_scheduler_equivalence.py``).  See
-   :mod:`repro.sim.engine`.
+   (for packet arrivals: the *sender's* rank); the same-tick cases are
+   pinned by ``tests/test_sim_engine.py``.  See :mod:`repro.sim.engine`.
 2. Every event's callback touches exactly one node (its queue, timers,
    roles) and that node's outgoing links — the fabric has no cross-node
    shared state.  So an event "belongs" to a node, and scheduling only

@@ -1,6 +1,7 @@
 """Event loop for the discrete-event simulator.
 
-A minimal, fast, deterministic engine.  Simulated time is in
+A minimal, fast, deterministic engine: events are ``(time, origin,
+sequence, callback)`` entries in a binary heap.  Simulated time is in
 milliseconds.
 
 Tie-breaking is **content-based**, not insertion-based: events at the
@@ -10,7 +11,7 @@ per-origin scheduling order.  This is what makes the sharded executor
 (:mod:`repro.parallel`) bit-identical to the serial engine: a shard
 reproduces each node's local scheduling order exactly, so the
 ``(time, origin, seq)`` total order over any one shard's events is the
-same whether the queue is global or shard-local.  Insertion-sequence
+same whether the heap is global or shard-local.  Insertion-sequence
 tie-breaking (the pre-shard scheme) cannot be reproduced in parallel,
 because the global interleaving of independent shards is an artifact of
 single-threaded execution.
@@ -18,69 +19,12 @@ single-threaded execution.
 Two runs with the same inputs still produce identical schedules; the
 ``origin`` field only changes *which* deterministic order ties resolve
 to.
-
-Queue layout — a calendar of per-timestamp buckets
---------------------------------------------------
-
-Game workloads schedule almost every event as ``now + delay`` with
-``delay`` drawn from the small set of distinct link delays and service
-times, so pending events cluster heavily onto few distinct timestamps
-(one multicast fan-out alone lands k arrivals on the same tick).  The
-pre-batch engine paid one global-heap push *and* one pop — each a
-``(time, origin, seq, handle)`` tuple comparison chain over the whole
-event population — per event.
-
-The queue is now bucketed by *exact* timestamp:
-
-* ``_buckets`` maps each distinct pending time to an append-ordered list
-  of ``(origin, seq, payload)`` entries;
-* ``_times`` is a small heap over the distinct times only — the overflow
-  lane that makes irregular timestamps (jitter, harness schedules)
-  exactly as correct as calendar hits, just one float-heap entry each;
-* the run loop activates the earliest bucket, sorts it once (C timsort
-  on ``(origin, seq)`` — unique keys, so payloads never compare), and
-  drains it by index.
-
-Per event that shares its timestamp with k-1 others, the old per-event
-``O(log n)`` push/pop pair becomes an O(1) dict append plus a 1/k share
-of one float-heap pop and one k·log k sort.  Keying buckets on exact
-float equality (rather than a bucket *width*) is what keeps the
-``(time, origin, seq)`` order bit-identical: distinct floats order via
-the time heap, equal floats collide into one bucket, and there is no
-epsilon anywhere.
-
-Zero-delay events scheduled *while their tick is draining* insert into
-the active bucket's sorted remainder (``bisect.insort``), reproducing
-exactly the heap's behavior of interleaving same-tick late arrivals by
-``(origin, seq)``.
-
-Link batches
-------------
-
-``schedule_link`` additionally coalesces seq-*contiguous* arrivals with
-the same ``(time, sort_origin)`` — the fan-out pattern: one node
-replicating a Multicast over equal-delay faces back-to-back — into one
-bucket entry whose payload is the list of member handles in send order.
-Coalescing keeps no chain state: an arrival joins the bucket's last
-entry exactly when it extends that entry's contiguous seq run, a
-condition read straight off the data.  Because the members occupy
-consecutive sequence numbers, nothing can sort between them, so
-delivering the whole batch at the first member's position is *provably*
-the same total order the heap produced; the run loop executes members
-in list order (= send order = seq order), skipping individually
-cancelled members and counting each member toward ``events_processed``
-and ``max_events``.  A batch interrupted mid-way (``stop()``, an
-exhausted event budget, or same-tick *preemption* — a member callback
-scheduling an event that sorts before the remaining members) re-queues
-its unexecuted tail at its ``(origin, seq)`` position, preserving
-single-event semantics exactly.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from heapq import heappop, heappush
-from typing import TYPE_CHECKING, Any, Callable, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.network import Network
@@ -93,22 +37,20 @@ __all__ = ["Simulator", "EventHandle", "SerialExecutor", "EXTERNAL_ORIGIN"]
 #: pre-run scheduling (smallest sequence numbers) executed first on ties.
 EXTERNAL_ORIGIN = -1
 
-#: Sentinel for "no active bucket": NaN compares unequal to every float,
-#: so ``time == self._cur_time`` can never spuriously hit it.
-_NO_TIME = float("nan")
-
 
 class EventHandle:
     """Handle returned by :meth:`Simulator.schedule`; allows cancellation.
 
-    Cancellation is lazy: the queue entry stays in place but is skipped
-    when reached.  This keeps ``cancel`` O(1) which matters for the large
-    PIT / timer populations in the NDN baseline.
+    Cancellation is lazy: the heap entry stays in place but is skipped when
+    popped.  This keeps ``cancel`` O(1) which matters for the large PIT /
+    timer populations in the NDN baseline.
 
-    ``exec_origin`` is the rank of the node *at* which the event executes
-    (the receiver for packet arrivals); the run loop installs it as
-    :attr:`Simulator.origin` so anything the callback schedules inherits
-    the right origin.
+    Heap entries are plain ``(time, origin, seq, handle)`` tuples so
+    ordering comparisons run in C — event comparison dominates large runs
+    otherwise.  ``exec_origin`` is the rank of the node *at* which the
+    event executes (the receiver for packet arrivals); the run loop
+    installs it as :attr:`Simulator.origin` so anything the callback
+    schedules inherits the right origin.
 
     ``loc`` is the rank of the node the event executes *at*, used only by
     :meth:`Simulator.earliest_output_bound` to look up how far that node
@@ -141,13 +83,6 @@ class EventHandle:
         self.cancelled = True
 
 
-#: A bucket entry: ``(origin, seq, payload)`` where payload is a single
-#: handle or — for coalesced link arrivals — a list of member handles in
-#: send order.  ``(origin, seq)`` is unique, so sorting never compares
-#: payloads.
-_Entry = Tuple[int, int, Union[EventHandle, List[EventHandle]]]
-
-
 class Simulator:
     """A deterministic discrete-event scheduler.
 
@@ -157,7 +92,7 @@ class Simulator:
         sim.schedule(5.0, my_callback, arg1, arg2)   # 5 ms from now
         sim.run()
 
-    ``run`` processes events until the queue is empty, an optional time
+    ``run`` processes events until the heap is empty, an optional time
     horizon is reached, or :meth:`stop` is called from inside a callback.
 
     In a sharded run each shard owns one ``Simulator`` — a shard-local
@@ -168,15 +103,7 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        # Calendar state: per-timestamp buckets + distinct-time heap
-        # (see module docstring for the layout argument).
-        self._buckets: dict[float, List[_Entry]] = {}
-        self._times: list[float] = []
-        # The activated (earliest) bucket: sorted, consumed by index.
-        self._cur: List[_Entry] = []
-        self._cur_idx: int = 0
-        self._cur_time: float = _NO_TIME
-        self._size: int = 0
+        self._heap: list[tuple[float, int, int, EventHandle]] = []
         self._seq: int = 0
         self._running = False
         self._stopped = False
@@ -185,59 +112,49 @@ class Simulator:
         #: :meth:`schedule` / :meth:`schedule_at` as the default origin of
         #: new events.  ``EXTERNAL_ORIGIN`` outside any callback.
         self.origin: int = EXTERNAL_ORIGIN
-        #: Batch-delivery occupancy counters (perfbench's ``scheduler``
-        #: section): entries delivered as multi-member batches, and the
-        #: total member events those batches carried.
+        # Read by bench/workloads.py; the heap delivers no batches, so 0.
         self.batch_pops: int = 0
         self.batch_members: int = 0
 
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def _enqueue(self, time: float, origin: int, handle: EventHandle) -> None:
-        """The single validated insertion point for non-arrival events.
-
-        Every ``schedule*`` path lands here except the two link-arrival
-        paths (:meth:`schedule_link`, :meth:`schedule_arrival_at`), which
-        add batch coalescing — and of which the per-hop ``schedule_link``
-        stays fully inlined.
-        """
+    def _push(
+        self,
+        time: float,
+        sort_origin: int,
+        exec_origin: int,
+        loc: Optional[int],
+        callback: Callable[..., Any],
+        args: tuple,
+    ) -> EventHandle:
+        """Validated insertion shared by the absolute-time entry points."""
         if time < self.now:
             raise ValueError(f"cannot schedule at {time} before now={self.now}")
-        if time == self._cur_time:
-            # Same-tick insert while that tick drains: keep the active
-            # bucket's unconsumed remainder sorted, exactly where the
-            # heap would have interleaved it.
-            insort(self._cur, (origin, handle.seq, handle), self._cur_idx)
-        else:
-            buckets = self._buckets
-            bucket = buckets.get(time)
-            if bucket is None:
-                buckets[time] = [(origin, handle.seq, handle)]
-                heappush(self._times, time)
-            else:
-                bucket.append((origin, handle.seq, handle))
-        self._size += 1
+        seq = self._seq
+        self._seq = seq + 1
+        handle = EventHandle(time, seq, callback, args, exec_origin, loc)
+        heappush(self._heap, (time, sort_origin, seq, handle))
+        return handle
 
     def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` to run ``delay`` ms from now."""
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
+        # Inlined rather than routed through _push: this runs once per
+        # service completion and timer, so the extra frame is measurable.
+        time = self.now + delay
         origin = self.origin
         seq = self._seq
         self._seq = seq + 1
-        handle = EventHandle(self.now + delay, seq, callback, args, origin)
-        self._enqueue(handle.time, origin, handle)
+        handle = EventHandle(time, seq, callback, args, origin)
+        heappush(self._heap, (time, origin, seq, handle))
         return handle
 
     def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` at absolute simulated time ``time``."""
         origin = self.origin
-        seq = self._seq
-        self._seq = seq + 1
-        handle = EventHandle(time, seq, callback, args, origin)
-        self._enqueue(time, origin, handle)
-        return handle
+        return self._push(time, origin, origin, None, callback, args)
 
     def schedule_at_node(
         self, time: float, rank: int, callback: Callable[..., Any], *args: Any
@@ -252,11 +169,7 @@ class Simulator:
         distance-to-boundary instead of the conservative zero.
         """
         origin = self.origin
-        seq = self._seq
-        self._seq = seq + 1
-        handle = EventHandle(time, seq, callback, args, origin, loc=rank)
-        self._enqueue(time, origin, handle)
-        return handle
+        return self._push(time, origin, origin, rank, callback, args)
 
     def schedule_link(
         self,
@@ -277,45 +190,12 @@ class Simulator:
         hot path — hence no validation and no helper call: link delays
         and fault jitter are validated non-negative at their sources, so
         ``time >= now`` holds by construction.
-
-        Consecutive calls with the same ``(time, sort_origin)`` — a node
-        fanning one Multicast out over equal-delay faces — coalesce into
-        one batch entry delivered with a single queue operation (see the
-        module docstring's ordering argument).
         """
         time = self.now + delay
         seq = self._seq
         self._seq = seq + 1
         handle = EventHandle(time, seq, callback, args, exec_origin)
-        if time == self._cur_time:
-            # Zero-delay arrival into the draining tick: ordered insert
-            # (the active bucket may be partially consumed).
-            insort(self._cur, (sort_origin, seq, handle), self._cur_idx)
-        else:
-            buckets = self._buckets
-            bucket = buckets.get(time)
-            if bucket is None:
-                buckets[time] = [(sort_origin, seq, handle)]
-                heappush(self._times, time)
-            else:
-                # Batch coalescing: seq-contiguity with the bucket's last
-                # entry *is* the validity condition (consecutive seqs at
-                # the same (time, origin) admit nothing between them), so
-                # no chain state is kept — the check reads the data.
-                last = bucket[-1]
-                if last[0] == sort_origin:
-                    payload = last[2]
-                    if type(payload) is list:
-                        if payload[-1].seq + 1 == seq:
-                            payload.append(handle)
-                            self._size += 1
-                            return handle
-                    elif last[1] + 1 == seq:
-                        bucket[-1] = (sort_origin, last[1], [payload, handle])
-                        self._size += 1
-                        return handle
-                bucket.append((sort_origin, seq, handle))
-        self._size += 1
+        heappush(self._heap, (time, sort_origin, seq, handle))
         return handle
 
     def schedule_arrival_at(
@@ -330,88 +210,13 @@ class Simulator:
 
         Used by the sharded executor's barrier to re-inject cross-shard
         transit arrivals with the sender's rank preserved, so the merged
-        order matches what the serial queue would have produced.  Batch
-        coalescing applies here too: the barrier injects one sender's
-        same-tick fan-out back-to-back, which re-forms the batch the
-        sending shard would have built locally.
+        order matches what the serial heap would have produced.
         """
-        if time < self.now:
-            raise ValueError(f"cannot schedule at {time} before now={self.now}")
-        seq = self._seq
-        self._seq = seq + 1
-        handle = EventHandle(time, seq, callback, args, exec_origin)
-        if time == self._cur_time:
-            insort(self._cur, (sort_origin, seq, handle), self._cur_idx)
-        else:
-            buckets = self._buckets
-            bucket = buckets.get(time)
-            if bucket is None:
-                buckets[time] = [(sort_origin, seq, handle)]
-                heappush(self._times, time)
-            else:
-                last = bucket[-1]
-                if last[0] == sort_origin:
-                    payload = last[2]
-                    if type(payload) is list:
-                        if payload[-1].seq + 1 == seq:
-                            payload.append(handle)
-                            self._size += 1
-                            return handle
-                    elif last[1] + 1 == seq:
-                        bucket[-1] = (sort_origin, last[1], [payload, handle])
-                        self._size += 1
-                        return handle
-                bucket.append((sort_origin, seq, handle))
-        self._size += 1
-        return handle
+        return self._push(time, sort_origin, exec_origin, None, callback, args)
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _activate_next(self) -> float:
-        """Pop the earliest bucket out of the calendar and sort it."""
-        time = heappop(self._times)
-        bucket = self._buckets.pop(time)
-        bucket.sort()
-        self._cur = bucket
-        self._cur_idx = 0
-        self._cur_time = time
-        return time
-
-    def _requeue_batch_rest(self, origin: int, members: List[EventHandle], start: int) -> None:
-        """Re-queue a batch's unexecuted tail into the active bucket.
-
-        Ordered insert rather than positional: batch seqs are consecutive,
-        so absent same-tick insertions the tail lands exactly at the drain
-        cursor where the original batch stood — and if a callback *did*
-        insert a same-tick event (the preemption case), insort places the
-        tail on whichever side of it ``(origin, seq)`` dictates, exactly
-        where the reference heap would resume it.
-        """
-        rest = members[start:]
-        insort(self._cur, (origin, rest[0].seq, rest), self._cur_idx)
-
-    def _requeue_batch_fast(
-        self, time: float, origin: int, members: List[EventHandle], start: int
-    ) -> None:
-        """Re-queue a batch tail when no drain cursor is installed.
-
-        The single-entry fast path executes batches straight off the popped
-        bucket; an interrupted tail goes back into the calendar at its own
-        tick.  If a member callback already re-created the bucket (the
-        preemption case), appending is enough — activation re-sorts the
-        tick, which is exactly the reference-heap order.
-        """
-        rest = members[start:]
-        entry = (origin, rest[0].seq, rest)
-        buckets = self._buckets
-        bucket = buckets.get(time)
-        if bucket is None:
-            buckets[time] = [entry]
-            heappush(self._times, time)
-        else:
-            bucket.append(entry)
-
     def run(
         self,
         until: Optional[float] = None,
@@ -429,123 +234,40 @@ class Simulator:
         than advancing to the horizon, so a fully drained shard reports
         the same final time the serial engine would.  ``max_events``
         bounds the number of callbacks executed, as a guard against
-        runaway feedback loops in experimental code; each member of a
-        delivered link batch counts as one event.
+        runaway feedback loops in experimental code; a run that exhausts
+        it returns at once, leaving the clock at the last executed event.
         """
+        if max_events is not None and max_events < 0:
+            raise ValueError(f"max_events must be non-negative (got {max_events})")
         if self._running:
             raise RuntimeError("simulator is already running")
         self._running = True
         self._stopped = False
         processed = 0
+        heap = self._heap
         budget = float("inf") if max_events is None else max_events
         # `horizon` folds the `until is None` test out of the loop: with no
         # horizon nothing compares greater than +inf, and `exclusive` is
         # forced off so an (absurd) event at literal +inf still runs.
         horizon = float("inf") if until is None else until
         exclusive = not inclusive and until is not None
-        times = self._times
-        buckets = self._buckets
         try:
-            while not self._stopped:
-                cur = self._cur
-                idx = self._cur_idx
-                active = idx < len(cur)
-                if active:
-                    time = self._cur_time
-                else:
-                    if cur:
-                        # Fully drained: drop the last bucket so its
-                        # executed handles (and their packets) can be
-                        # collected, like heap pops always did.
-                        self._cur = cur = []
-                        self._cur_idx = idx = 0
-                        self._cur_time = _NO_TIME
-                    if not times:
-                        break
-                    time = times[0]
+            while heap and not self._stopped and processed < budget:
+                time = heap[0][0]
                 if time > horizon or (exclusive and time == horizon):
                     if inclusive:
                         # max(): a shard already drained past `until` must
                         # not move its clock backwards on idle-advance.
                         self.now = max(self.now, until)
                     return
-                if active:
-                    entry = cur[idx]
-                    self._cur_idx = idx + 1
-                else:
-                    heappop(times)
-                    bucket = buckets.pop(time)
-                    if len(bucket) > 1:
-                        # Multi-entry tick: sort once, drain by index.
-                        bucket.sort()
-                        self._cur = cur = bucket
-                        self._cur_idx = 1
-                        self._cur_time = time
-                        active = True
-                        entry = bucket[0]
-                    else:
-                        # Single-entry tick — the sparse-calendar common
-                        # case: execute straight off the popped bucket,
-                        # never installing the drain cursor.
-                        entry = bucket[0]
-                payload = entry[2]
-                if type(payload) is not list:
-                    self._size -= 1
-                    if payload.cancelled:
-                        continue
-                    self.now = time
-                    self.origin = payload.exec_origin
-                    payload.callback(*payload.args)
-                    processed += 1
-                    if processed >= budget:
-                        return
+                handle = heappop(heap)[3]
+                if handle.cancelled:
                     continue
-                # Batch delivery.  Between member callbacks we must watch
-                # for *preemption*: a callback scheduling a same-tick event
-                # whose (origin, seq) sorts before the remaining members —
-                # the reference heap would pop it first, so we re-queue the
-                # unexecuted tail and let the outer loop re-order.
-                members = payload
-                k = len(members)
-                self.batch_pops += 1
-                self.batch_members += k
-                self._size -= k
-                origin = entry[0]
-                cur_len = len(cur)
-                i = 0
-                while i < k:
-                    handle = members[i]
-                    i += 1
-                    if handle.cancelled:
-                        continue
-                    self.now = time
-                    self.origin = handle.exec_origin
-                    handle.callback(*handle.args)
-                    processed += 1
-                    if i >= k:
-                        break
-                    if processed >= budget or self._stopped:
-                        self._size += k - i
-                        if active:
-                            self._requeue_batch_rest(origin, members, i)
-                        else:
-                            self._requeue_batch_fast(time, origin, members, i)
-                        break
-                    if active:
-                        if len(cur) != cur_len:
-                            # Same-tick insertion landed in the active
-                            # bucket during the callback.
-                            self._size += k - i
-                            self._requeue_batch_rest(origin, members, i)
-                            break
-                    elif times and times[0] == time:
-                        # Same-tick insertion re-created our bucket.
-                        self._size += k - i
-                        self._requeue_batch_fast(time, origin, members, i)
-                        break
-                if processed >= budget:
-                    return
-            if until is not None and inclusive and not self._stopped:
+                self.now = time
+                self.origin = handle.exec_origin
+                handle.callback(*handle.args)
+                processed += 1
+            if until is not None and inclusive and not self._stopped and processed < budget:
                 self.now = max(self.now, until)
         finally:
             self.events_processed += processed
@@ -554,42 +276,10 @@ class Simulator:
 
     def step(self) -> bool:
         """Process exactly one (non-cancelled) event.  Returns False if idle."""
-        while True:
-            cur = self._cur
-            idx = self._cur_idx
-            if idx >= len(cur):
-                if not self._times:
-                    return False
-                self._activate_next()
-                cur = self._cur
-                idx = 0
-            entry = cur[idx]
-            payload = entry[2]
-            time = self._cur_time
-            if type(payload) is not list:
-                self._cur_idx = idx + 1
-                self._size -= 1
-                if payload.cancelled:
-                    continue
-                handle = payload
-            else:
-                # Consume exactly one live member; the tail stays queued
-                # in place so the next step resumes inside the batch.
-                members = payload
-                start = 0
-                handle = None
-                for i, member in enumerate(members):
-                    self._size -= 1
-                    if not member.cancelled:
-                        handle = member
-                        start = i + 1
-                        break
-                else:
-                    self._cur_idx = idx + 1  # batch was all cancelled
-                    continue
-                self._cur_idx = idx + 1
-                if start < len(members):
-                    self._requeue_batch_rest(entry[0], members, start)
+        while self._heap:
+            time, _origin, _seq, handle = heappop(self._heap)
+            if handle.cancelled:
+                continue
             self.now = time
             self.origin = handle.exec_origin
             try:
@@ -598,6 +288,7 @@ class Simulator:
                 self.origin = EXTERNAL_ORIGIN
             self.events_processed += 1
             return True
+        return False
 
     def stop(self) -> None:
         """Stop the loop after the current callback returns."""
@@ -608,82 +299,26 @@ class Simulator:
     # ------------------------------------------------------------------
     def pending(self) -> int:
         """Number of events still queued (including lazily cancelled ones)."""
-        return self._size
+        return len(self._heap)
 
     def telemetry(self) -> dict:
         """Engine-level gauges for the metrics registry."""
         return {
             "now_ms": self.now,
             "events_processed": self.events_processed,
-            "events_pending": self._size,
+            "events_pending": len(self._heap),
         }
 
     def peek_time(self) -> Optional[float]:
-        """Time of the next live event, or None when idle.
-
-        Discards cancelled events (and fully cancelled buckets) it scans
-        past, mirroring the old heap's lazy head-pop.
-        """
-        cur = self._cur
-        idx = self._cur_idx
-        while idx < len(cur):
-            payload = cur[idx][2]
-            if type(payload) is not list:
-                if not payload.cancelled:
-                    break
-                idx += 1
-                self._size -= 1
-            else:
-                while payload and payload[0].cancelled:
-                    del payload[0]
-                    self._size -= 1
-                if payload:
-                    break
-                idx += 1
-        self._cur_idx = idx
-        if idx < len(cur):
-            return self._cur_time
-        times = self._times
-        buckets = self._buckets
-        while times:
-            time = times[0]
-            bucket = buckets[time]
-            for _origin, _seq, payload in bucket:
-                if type(payload) is not list:
-                    if not payload.cancelled:
-                        return time
-                elif any(not member.cancelled for member in payload):
-                    return time
-            # Every entry cancelled: drop the whole bucket lazily.
-            heappop(times)
-            del buckets[time]
-            for _origin, _seq, payload in bucket:
-                self._size -= len(payload) if type(payload) is list else 1
-        return None
-
-    def _iter_pending(self):
-        """Yield ``(time, handle)`` for every queued event (incl. cancelled)."""
-        cur = self._cur
-        cur_time = self._cur_time
-        for i in range(self._cur_idx, len(cur)):
-            payload = cur[i][2]
-            if type(payload) is list:
-                for handle in payload:
-                    yield cur_time, handle
-            else:
-                yield cur_time, payload
-        for time, bucket in self._buckets.items():
-            for _origin, _seq, payload in bucket:
-                if type(payload) is list:
-                    for handle in payload:
-                        yield time, handle
-                else:
-                    yield time, payload
+        """Time of the next live event, or None when idle."""
+        while self._heap and self._heap[0][3].cancelled:
+            heappop(self._heap)
+        return self._heap[0][0] if self._heap else None
 
     def earliest_output_bound(
         self, dist_by_rank: dict, default: float = 0.0
     ) -> float:
-        """Lower bound on when this queue can next influence another shard.
+        """Lower bound on when this heap can next influence another shard.
 
         ``dist_by_rank`` maps node rank to the delay-distance from that
         node to its nearest shard-boundary egress, *including* the boundary
@@ -695,19 +330,19 @@ class Simulator:
         land before ``event.time + dist(n)``.  Events whose locus is not in
         the map (``EXTERNAL_ORIGIN`` harness events, fault-plan arming)
         contribute ``time + default``; the conservative ``default=0.0``
-        keeps the bound sound for them.  Returns ``inf`` when the queue is
+        keeps the bound sound for them.  Returns ``inf`` when the heap is
         empty or no pending event can ever reach a boundary.
 
         This is the shard-local half of the conditional-lookahead protocol
         (an earliest-output-time estimate in the null-message sense): the
         executor takes the min across shards and runs everyone to it,
         batching multiple base windows per barrier when boundary queues are
-        quiet.  O(pending) per call — barriers are orders of magnitude
-        rarer than events, so the scan amortizes to noise.
+        quiet.  O(heap) per call — barriers are orders of magnitude rarer
+        than events, so the scan amortizes to noise.
         """
         bound = float("inf")
         get = dist_by_rank.get
-        for time, handle in self._iter_pending():
+        for time, _origin, _seq, handle in self._heap:
             if handle.cancelled:
                 continue
             candidate = time + get(handle.loc, default)
@@ -726,8 +361,7 @@ class SerialExecutor:
     * :meth:`schedule_external` to inject workload events at a named node,
     * :attr:`now` / :meth:`telemetry` for clock and accounting —
 
-    and never mind whether one event loop or N shard-local loops sit
-    behind it.
+    and never mind whether one heap or N shard-local heaps sit behind it.
     """
 
     def __init__(self, network: "Network") -> None:
@@ -745,7 +379,7 @@ class SerialExecutor:
     ) -> None:
         """Schedule a workload event targeting ``node`` at absolute ``time``.
 
-        The serial backend has one queue, so the node name is only an
+        The serial backend has one heap, so the node name is only an
         assertion that it exists; the sharded backend uses it to pick the
         owning shard.  External events carry ``EXTERNAL_ORIGIN`` and are
         order-stable per call sequence in both backends.

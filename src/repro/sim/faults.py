@@ -15,12 +15,7 @@ Design constraints:
   egress (no byte/packet counters accrue — it never touched the wire) or a
   non-negative float of extra propagation delay.  With no plan installed
   the hook slot is ``None`` and the fabric pays one attribute load — the
-  PR-1 perf gates are measured with that nil path.  Because the decision
-  is made at egress, *before* the arrival is scheduled, fault injection
-  composes transparently with the engine's link-batch coalescing: a drop
-  never enters the calendar at all, and a jitter changes the arrival tick
-  so the packet simply lands in a different bucket entry than its
-  unjittered siblings.
+  PR-1 perf gates are measured with that nil path.
 
 * **Determinism.**  Each armed link *direction* gets its own
   ``random.Random`` seeded with the *string*

@@ -162,15 +162,6 @@ class Face:
         pattern: a :class:`~repro.obs.tracer.PacketTracer` observes every
         forward (and every fault drop, with its reason) here.  Disabled
         tracing likewise costs one attribute load plus a ``None`` check.
-
-        Batch compatibility: both hooks fire *here, at send time*, before
-        the arrival is scheduled — so the engine's link-batch coalescing
-        (back-to-back ``schedule_link`` calls at the same (tick, sender)
-        merge into one calendar entry; see :mod:`repro.sim.engine`) never
-        has to re-run per-packet fault or trace logic inside a batch.  A
-        dropped packet is simply never scheduled, a jittered packet gets a
-        different arrival tick and naturally lands outside the batch, and
-        the tracer has already recorded the forward with its true delay.
         """
         link = self.link
         delay = link.delay

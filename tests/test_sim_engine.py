@@ -121,6 +121,28 @@ class TestRunControl:
         sim.run(max_events=25)
         assert len(count) == 25
 
+    def test_zero_max_events_runs_nothing(self):
+        sim = Simulator()
+        hit = []
+        for tag in ("a", "b", "c"):
+            sim.schedule(1.0, hit.append, tag)
+        sim.run(max_events=0)
+        assert hit == []
+        assert sim.pending() == 3
+        assert sim.events_processed == 0
+        sim.run()
+        assert hit == ["a", "b", "c"]
+
+    def test_negative_max_events_rejected(self):
+        sim = Simulator()
+        hit = []
+        sim.schedule(1.0, hit.append, "a")
+        with pytest.raises(ValueError):
+            sim.run(max_events=-5)
+        assert hit == []
+        sim.run()  # the rejected call must not leave the loop marked running
+        assert hit == ["a"]
+
     def test_step_processes_one_event(self):
         sim = Simulator()
         hit = []
@@ -147,3 +169,101 @@ class TestRunControl:
             sim.schedule(i, lambda: None)
         sim.run()
         assert sim.events_processed == 7
+
+
+def _burst(sim, k, delay, sort_origin, log, on_fire=None):
+    """k back-to-back arrivals from one sender on one tick (a fan-out)."""
+    handles = []
+    for i in range(k):
+        def cb(i=i):
+            log.append(f"m{i}")
+            if on_fire is not None:
+                on_fire(i)
+        handles.append(sim.schedule_link(delay, sort_origin, sort_origin, cb))
+    return handles
+
+
+class TestSameTickBurstOrder:
+    """The ``(time, origin, seq)`` contract on a same-(tick, sender) burst.
+
+    The sharded executor relies on exactly this order to reproduce the
+    serial schedule shard-locally.
+    """
+
+    def test_members_count_toward_max_events(self):
+        sim = Simulator()
+        log = []
+        _burst(sim, 4, 1.0, 5, log)
+        sim.run(max_events=2)
+        assert log == ["m0", "m1"]
+        assert sim.events_processed == 2
+        assert sim.pending() == 2
+        sim.run()
+        assert log == ["m0", "m1", "m2", "m3"]
+        assert sim.events_processed == 4
+        assert sim.pending() == 0
+
+    def test_cancelled_member_is_skipped_and_not_counted(self):
+        sim = Simulator()
+        log = []
+        handles = _burst(sim, 3, 1.0, 5, log)
+        handles[1].cancel()
+        sim.run()
+        assert log == ["m0", "m2"]
+        assert sim.events_processed == 2
+        assert sim.pending() == 0
+
+    def test_member_callback_can_cancel_later_member(self):
+        sim = Simulator()
+        log = []
+        handles = _burst(sim, 3, 1.0, 5, log, on_fire=lambda i: i == 0 and handles[2].cancel())
+        sim.run()
+        assert log == ["m0", "m1"]
+        assert sim.events_processed == 2
+
+    def test_same_tick_lower_origin_runs_before_remainder(self):
+        # A member callback schedules a zero-delay arrival whose sender
+        # rank sorts *before* the burst's: it runs next, mid-burst.
+        sim = Simulator()
+        log = []
+
+        def on_fire(i):
+            if i == 0:
+                sim.schedule_link(0.0, 0, 0, lambda: log.append("preempt"))
+
+        _burst(sim, 3, 1.0, 5, log, on_fire=on_fire)
+        sim.run()
+        assert log == ["m0", "preempt", "m1", "m2"]
+
+    def test_same_tick_higher_origin_runs_after_burst(self):
+        sim = Simulator()
+        log = []
+
+        def on_fire(i):
+            if i == 0:
+                sim.schedule_link(0.0, 9, 9, lambda: log.append("after"))
+
+        _burst(sim, 3, 1.0, 5, log, on_fire=on_fire)
+        sim.run()
+        assert log == ["m0", "m1", "m2", "after"]
+
+    def test_exclusive_horizon_excludes_tick(self):
+        sim = Simulator()
+        log = []
+        _burst(sim, 3, 1.0, 5, log)
+        sim.run(until=1.0, inclusive=False)
+        assert log == []
+        assert sim.pending() == 3
+        sim.run(until=1.0, inclusive=True)
+        assert log == ["m0", "m1", "m2"]
+
+    def test_stop_mid_burst_resumes_in_order(self):
+        sim = Simulator()
+        log = []
+        _burst(sim, 4, 1.0, 5, log, on_fire=lambda i: i == 1 and sim.stop())
+        sim.run()
+        assert log == ["m0", "m1"]
+        assert sim.pending() == 2
+        sim.run()
+        assert log == ["m0", "m1", "m2", "m3"]
+        assert sim.events_processed == 4
