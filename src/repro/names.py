@@ -13,13 +13,23 @@ from __future__ import annotations
 from functools import total_ordering
 from typing import Iterable, Iterator, Sequence
 
-__all__ = ["Name", "ROOT"]
+__all__ = ["Name", "ROOT", "register_intern_dependent"]
 
 #: Bounded intern table for parsed names (text form -> instance).  A game's
 #: CD universe is small and static, so in practice every hot name is a hit;
 #: the bound only guards pathological workloads with unbounded name churn.
 _INTERNED: "dict[str, Name]" = {}
 _INTERN_LIMIT = 1 << 16
+#: Caches held elsewhere whose values are interned instances (the wire
+#: codec's bytes -> Name table).  Cleared whenever the intern table evicts,
+#: so they never hand out an instance :meth:`Name.parse` no longer returns —
+#: and, holding only interned names, they inherit the table's bound.
+_INTERN_DEPENDENTS: "list[dict]" = []
+
+
+def register_intern_dependent(cache: dict) -> None:
+    """Have ``cache`` cleared whenever the intern table evicts."""
+    _INTERN_DEPENDENTS.append(cache)
 
 
 @total_ordering
@@ -88,6 +98,8 @@ class Name:
                 # the live CD universe re-interns on next parse.
                 for stale in list(_INTERNED)[: _INTERN_LIMIT // 2]:
                     del _INTERNED[stale]
+                for cache in _INTERN_DEPENDENTS:
+                    cache.clear()
             _INTERNED[text] = name
         return name
 

@@ -8,7 +8,8 @@ plane/role code over real sockets.  The process:
    rebinds clocks exactly the way the sharded executor does: owned
    nodes/links get the process's :class:`~repro.net.clock.LiveClock`,
    cross-process links get a :class:`~repro.net.transport.BoundaryClock`
-   that ships egress as codec frames, and everything foreign is poisoned;
+   that ships egress as codec frames (a cached per-link envelope plus the
+   packet, encoded once per fan-out), and everything foreign is poisoned;
 2. seeds the process-local uid/nonce counters into a disjoint range
    (``(router_index + 1) << 48``, the multiprocess executor's scheme) so
    host dedup and PIT identity behave exactly as in the one-process
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import functools
 import itertools
 import json
 import sys
@@ -52,6 +54,18 @@ from repro.net.transport import (
 from repro.net.world import build_world, collect_report
 
 DRIVER_NAME = "__driver__"
+
+
+@functools.lru_cache(maxsize=None)  # one entry per directed link
+def packet_envelope(dst: str, src: str) -> bytes:
+    """Everything of a peer-link message that precedes the packet.
+
+    A packet crosses a link as ``{"op": "packet", "dst", "src", "pkt"}``;
+    all but the last value is constant per directed link, so both ends
+    compute these bytes once.  The trailing byte dropped here is the tag
+    of the placeholder ``None`` — where the packet's own encoding goes.
+    """
+    return pack_message({"op": "packet", "dst": dst, "src": src, "pkt": None})[:-1]
 
 
 class NodeRunner:
@@ -83,6 +97,11 @@ class NodeRunner:
             elif b == node:
                 self.cross_peers.add(a)
         self.peer_conns: Dict[str, FrameConnection] = {}
+        # The packet shipped last and its encoding: a fan-out hands one
+        # packet object to every face, and nothing mutates a packet once
+        # it is sent, so consecutive egress of it is encoded once.
+        self._shipped: Any = None
+        self._shipped_body = b""
         self.peer_addrs: Dict[str, Dict[str, Any]] = {}
         self.executed: Set[int] = set()
         self.udp_received = 0
@@ -122,7 +141,10 @@ class NodeRunner:
                 f"{self.node_name}: egress toward {dst} before its peer link "
                 "is connected — driver must not inject traffic pre-ready"
             )
-        conn.send(pack_message({"op": "packet", "dst": dst, "src": src, "pkt": packet}))
+        if packet is not self._shipped:
+            self._shipped_body = pack_message(packet)
+            self._shipped = packet
+        conn.send(packet_envelope(dst, src) + self._shipped_body)
 
     def _deliver(self, msg: Dict[str, Any]) -> None:
         dst = self.world.network.nodes[msg["dst"]]
@@ -219,13 +241,25 @@ class NodeRunner:
                 self._shutdown.set()
                 break
 
-    async def _serve_peer(self, conn: FrameConnection) -> None:
+    async def _serve_peer(self, peer: str, conn: FrameConnection) -> None:
+        # What ``peer`` sends over this link is addressed to our router;
+        # a frame that opens with that link's envelope needs only its
+        # packet decoded.  Any other frame (another destination, keys in
+        # another order) takes the generic path.
+        nodes = self.world.network.nodes
+        router = nodes[self.node_name]
+        face = router.face_toward(nodes[peer])
+        envelope = packet_envelope(self.node_name, peer)
+        skip = len(envelope)
         try:
             while True:
                 frame = await conn.recv()
                 if frame is None:
                     break
-                self._deliver(unpack_message(frame))
+                if frame.startswith(envelope):
+                    router.receive(unpack_message(frame[skip:]), face)
+                else:
+                    self._deliver(unpack_message(frame))
         except Exception as exc:
             if not self._shutdown.is_set():
                 self.failure = f"{type(exc).__name__}: {exc}"
@@ -239,7 +273,7 @@ class NodeRunner:
         conn.send(pack_message({"op": "hello", "node": self.node_name}))
         await conn.drain()
         self.peer_conns[peer] = conn
-        self._tasks.append(asyncio.create_task(self._serve_peer(conn)))
+        self._tasks.append(asyncio.create_task(self._serve_peer(peer, conn)))
 
     async def _on_accept(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -255,7 +289,7 @@ class NodeRunner:
             await self._serve_driver(conn)
         elif who in self.cross_peers:
             self.peer_conns[who] = conn
-            await self._serve_peer(conn)
+            await self._serve_peer(who, conn)
         else:
             conn.close()
 

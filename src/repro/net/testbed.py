@@ -33,8 +33,9 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections import deque
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 import repro
 from repro.net.codec import FrameDecoder, encode_frame, pack_message, unpack_message
@@ -50,7 +51,7 @@ class DriverConn:
     def __init__(self, host: str, port: int, timeout: float = 30.0) -> None:
         self.sock = socket.create_connection((host, port), timeout=timeout)
         self._decoder = FrameDecoder()
-        self._ready: List[bytes] = []
+        self._ready: Deque[bytes] = deque()
         self.send({"op": "hello", "node": DRIVER_NAME})
 
     def send(self, msg: Dict[str, Any]) -> None:
@@ -63,7 +64,7 @@ class DriverConn:
             if not data:
                 raise ConnectionError("runner closed the control connection")
             self._ready.extend(self._decoder.feed(data))
-        return unpack_message(self._ready.pop(0))
+        return unpack_message(self._ready.popleft())
 
     def rpc(self, msg: Dict[str, Any]) -> Dict[str, Any]:
         self.send(msg)

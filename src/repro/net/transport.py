@@ -10,7 +10,9 @@ of plane/role code:
   :class:`~repro.net.clock.LiveClock` — delivery is a local timer;
 * links crossing a process boundary get a :class:`BoundaryClock`, whose
   ``schedule_link`` extracts (dst, src, packet) from the already-bound
-  callback and ships one codec frame over the peer's TCP connection;
+  callback and ships one codec frame over the peer's TCP connection
+  (:class:`FrameConnection` coalesces the frames of one event-loop turn
+  into a single socket write);
 * everything owned by *another* process gets a :class:`PoisonClock`, so
   foreign replica logic that accidentally runs fails loudly instead of
   silently double-counting (the same poisoning discipline
@@ -26,15 +28,22 @@ across processes counts every carried byte exactly once.
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Callable, List, Optional
+from collections import deque
+from typing import Any, Callable, Deque, List, Optional
 
-from repro.net.codec import FrameDecoder, FrameError, encode_frame
+from repro.net.codec import FrameDecoder, FrameError, decode_datagram, encode_frame
 
 __all__ = ["FrameConnection", "UdpEndpoint", "BoundaryClock", "PoisonClock"]
 
 
 class FrameConnection:
-    """One framed TCP stream (peer router or driver control channel)."""
+    """One framed TCP stream (peer router or driver control channel).
+
+    Frames sent within one event-loop turn leave in a single
+    ``writer.write``: :meth:`send` only buffers, and the first frame of a
+    turn schedules one :meth:`_flush` with ``loop.call_soon``.  Order per
+    connection is the order of the ``send`` calls.
+    """
 
     def __init__(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -42,13 +51,22 @@ class FrameConnection:
         self.reader = reader
         self.writer = writer
         self._decoder = FrameDecoder()
-        self._ready: List[bytes] = []
+        self._ready: Deque[bytes] = deque()
+        self._outgoing: List[bytes] = []
 
     def send(self, payload: bytes) -> None:
         """Queue one frame for transmission (no await — hot path)."""
-        self.writer.write(encode_frame(payload))
+        if not self._outgoing:
+            asyncio.get_running_loop().call_soon(self._flush)
+        self._outgoing.append(encode_frame(payload))
+
+    def _flush(self) -> None:
+        if self._outgoing:
+            self.writer.write(b"".join(self._outgoing))
+            self._outgoing.clear()
 
     async def drain(self) -> None:
+        self._flush()
         await self.writer.drain()
 
     async def recv(self) -> Optional[bytes]:
@@ -63,10 +81,11 @@ class FrameConnection:
                 self._decoder.check_eof()
                 return None
             self._ready.extend(self._decoder.feed(chunk))
-        return self._ready.pop(0)
+        return self._ready.popleft()
 
     def close(self) -> None:
         try:
+            self._flush()
             self.writer.close()
         except Exception:  # pragma: no cover - best-effort teardown
             pass
@@ -90,16 +109,13 @@ class UdpEndpoint(asyncio.DatagramProtocol):
 
     def datagram_received(self, data: bytes, addr) -> None:
         """Decode one frame and hand it up; corrupt datagrams are dropped."""
-        decoder = FrameDecoder()
         try:
-            payloads = decoder.feed(data)
-            if len(payloads) != 1 or decoder.buffered:
-                raise FrameError("datagram must contain exactly one frame")
+            payload = decode_datagram(data)
         except FrameError:
             # UDP is the lossy fast path; a corrupt datagram is dropped
             # like a lost one and the TCP drain pass re-delivers it.
             return
-        self.on_frame(payloads[0])
+        self.on_frame(payload)
 
     def close(self) -> None:
         if self.transport is not None:
