@@ -8,8 +8,6 @@ only run lengths change, so congestion behaviour and orderings are
 preserved).
 """
 
-import os
-
 import pytest
 
 from repro.experiments.benchutil import full_scale, run_once  # noqa: F401
@@ -19,20 +17,3 @@ from repro.experiments.benchutil import full_scale, run_once  # noqa: F401
 def paper_scale() -> bool:
     return full_scale()
 
-
-def pytest_collection_modifyitems(config, items):
-    """Keep ``perf``-marked benchmarks out of default runs.
-
-    They time wall-clock speedups, which are meaningless on loaded CI
-    workers; opt in with ``REPRO_PERF=1`` or an explicit ``-m perf``.
-    """
-    if os.environ.get("REPRO_PERF", "") not in ("", "0"):
-        return
-    if config.getoption("-m"):
-        return  # an explicit marker expression already decides
-    skip_perf = pytest.mark.skip(
-        reason="perf benchmark (set REPRO_PERF=1 or pass -m perf)"
-    )
-    for item in items:
-        if "perf" in item.keywords:
-            item.add_marker(skip_perf)

@@ -8,12 +8,18 @@ Usage::
     python -m repro.experiments fig6
     python -m repro.experiments table2 --sample 0.01
     python -m repro.experiments table3 --moves 80
-    python -m repro.experiments perfbench --quick
+    python -m repro.experiments chaos --plan rp-crash --seed 3 --scale 0.02
     python -m repro.experiments scenarios --scenarios churn --plans rp-crash
+    python -m repro.experiments scale --players 2000 --workers 1,2
+    python -m repro.experiments federation --quick
+    python -m repro.experiments live --routers 3 --events 80
+    python -m repro.experiments trace record --workload fig4 --out trace-out
     python -m repro.experiments all
 
 Each subcommand prints the regenerated table/figure in the same layout
-the benchmarks use.
+the benchmarks use and exits non-zero on a digest mismatch, a broken
+invariant or a failed gate.  None writes a file unless ``--out`` is
+given; wall-clock performance is measured by ``bench/run.py`` only.
 """
 
 from __future__ import annotations
@@ -125,26 +131,8 @@ def _cmd_table3(args: argparse.Namespace) -> None:
     )
 
 
-def _cmd_perfbench(args: argparse.Namespace) -> None:
-    from pathlib import Path
-
-    from repro.experiments.perfbench import render_perfbench, run_perfbench
-
-    out = Path(args.out) if args.out else None
-    report = run_perfbench(
-        out_path=out,
-        players=args.players,
-        updates=args.updates,
-        quick=args.quick,
-    )
-    print(render_perfbench(report))
-
-
 def _cmd_scale(args: argparse.Namespace) -> None:
-    import json
-    from pathlib import Path
-
-    from repro.parallel.scale import ScaleSpec, bench_scale, quick_spec
+    from repro.parallel.scale import ScaleSpec, run_scale
 
     spec = ScaleSpec(
         players=args.players,
@@ -154,95 +142,50 @@ def _cmd_scale(args: argparse.Namespace) -> None:
         seed=args.seed,
         world_fraction=args.world_fraction,
     )
-    if args.quick:
-        spec = quick_spec(spec)
-    worker_counts = tuple(int(x) for x in args.workers.split(","))
-    curve_arg = args.curve
-    if curve_arg is None:
-        # Quick runs are smoke tests; the full sweep gets the curve.
-        curve_arg = "" if args.quick else "100,1000,10000"
-    curve_players = tuple(int(x) for x in curve_arg.split(",") if x.strip())
-    report = bench_scale(
-        spec, worker_counts=worker_counts, curve_players=curve_players
-    )
-    out = Path(args.out) if args.out else Path("BENCH_scale.json")
-    out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-
-    def _arm_rows(arms):
-        return [
-            (
-                a["mode"],
-                a["shards"],
-                a["workers"],
-                a["wall_s"],
-                a["speedup"],
-                a["deliveries"],
-                "OK" if a["digest_match"] else "MISMATCH",
-            )
-            for a in arms
-        ]
-
-    headings = ("mode", "shards", "workers", "wall s", "speedup", "deliveries", "digest")
+    counts = sorted({int(x) for x in args.workers.split(",")} - {1})
+    # Serial is ground truth; the in-process sharded executor at the widest
+    # count checks the algorithm, one process per shard checks the plumbing.
+    arms = [run_scale(spec)]
+    if counts:
+        arms.append(run_scale(spec, shards=counts[-1]))
+    arms.extend(run_scale(spec, shards=n, workers=n) for n in counts)
+    mismatched = [a["mode"] for a in arms if a["digest"] != arms[0]["digest"]]
+    rows = [
+        (
+            arm["mode"],
+            arm["deliveries"],
+            arm["events_processed"],
+            arm["digest"][:16],
+            "MISMATCH" if arm["mode"] in mismatched else "OK",
+        )
+        for arm in arms
+    ]
     print(
         render_table(
-            f"Scale: {report['spec']['players']} players, "
-            f"{report['spec']['updates']} updates (digest-gated, "
-            f"{report['host']['cpus_usable']} usable cpus)",
-            headings,
-            _arm_rows(report["arms"]),
+            f"Scale: {spec.players} players, {spec.updates} updates",
+            ("mode", "deliveries", "events", "digest", "vs serial"),
+            rows,
         )
     )
-    for point in report.get("curve", []):
-        print()
-        print(
-            render_table(
-                f"Curve point: {point['players']} players",
-                headings,
-                _arm_rows(point["arms"]),
-            )
-        )
-    print(f"serial digest {report['serial_digest'][:16]}…  -> {out}")
-    if not report["equivalent"]:
-        print(f"DIGEST MISMATCH in arms: {report['mismatched_arms']}")
+    if mismatched:
+        print(f"DIGEST MISMATCH in arms: {mismatched}")
         raise SystemExit(1)
 
 
 def _cmd_federation(args: argparse.Namespace) -> None:
-    from pathlib import Path
+    from repro.experiments.federation import render_saturation, run_saturation
 
-    from repro.experiments.federation import (
-        bench_federation,
-        check_federation_regression,
-        render_federation,
-    )
-
-    out = Path(args.out) if args.out else Path("BENCH_federation.json")
-    report = bench_federation(
-        quick=args.quick,
-        slo_p95_ms=args.slo,
-        saturation=not args.no_saturation,
-        out_path=out,
-    )
+    report = run_saturation(quick=args.quick, slo_p95_ms=args.slo)
     print(
         render_table(
-            "Federation: digest differentials + autoscaler SLO "
-            f"({'quick' if args.quick else 'full'})",
+            f"Federation: saturation SLO ({'quick' if args.quick else 'full'})",
             ("metric", "value"),
-            render_federation(report),
+            render_saturation(report),
         )
     )
-    print(f"-> {out}")
     if not report["ok"]:
-        print("FEDERATION GATE FAILED (see report)")
+        print("FEDERATION SLO GATE FAILED")
         raise SystemExit(1)
-    if args.check:
-        problems = check_federation_regression(report, Path(args.check))
-        if problems:
-            print(f"DIGEST REGRESSION vs {args.check}:")
-            for line in problems:
-                print("  ", line)
-            raise SystemExit(1)
-        print(f"digests match {args.check}")
 
 
 def _cmd_chaos(args: argparse.Namespace) -> None:
@@ -355,66 +298,34 @@ def _cmd_scenarios(args: argparse.Namespace) -> None:
     if failed:
         print(f"INVARIANT VIOLATIONS in: {', '.join(sorted(failed))}")
         raise SystemExit(1)
-    if args.check:
-        committed = json.loads(Path(args.check).read_text())
-        mismatched = []
-        for key, cell in body["cells"].items():
-            want = committed.get("cells", {}).get(key)
-            if want is None:
-                mismatched.append(f"{key} (not in {args.check})")
-            elif want["digest"] != cell["digest"]:
-                mismatched.append(
-                    f"{key} (got {cell['digest'][:12]}, want {want['digest'][:12]})"
-                )
-        if mismatched:
-            print("DIGEST REGRESSION vs committed benchmark:")
-            for line in mismatched:
-                print("  ", line)
-            raise SystemExit(1)
-        print(f"digests match {args.check} for all {len(body['cells'])} cells")
 
 
 def _cmd_live(args: argparse.Namespace) -> None:
-    from pathlib import Path
+    from repro.net.testbed import run_differential
+    from repro.net.world import make_trace, spec_for
 
-    from repro.experiments.live import (
-        check_live_regression,
-        render_live,
-        run_live_experiment,
+    spec = spec_for(args.routers)
+    trace = make_trace(spec, seed=args.seed, events=args.events)
+    result = run_differential(spec, trace, time_scale=args.time_scale)
+    live, perf = result["live"], result["perf"]
+    rows = [
+        ("differential", "MATCH" if result["match"] else "MISMATCH"),
+        ("deliveries", live["deliveries_total"]),
+        ("drops", live["drops_total"]),
+        ("link packets", live["link_packets"]),
+        ("udp received / tcp resent",
+         f"{perf['udp_received']} / {perf['tcp_resent']}"),
+    ]
+    title = (
+        f"Live wire: {len(spec['routers'])} router processes, "
+        f"{len(spec['hosts'])} hosts, {args.events} events vs simulator"
     )
-
-    out = Path(args.out) if args.out else Path("BENCH_live.json")
-    report = run_live_experiment(
-        routers=args.routers,
-        events=args.events,
-        seed=args.seed,
-        time_scale=args.time_scale,
-        out_path=out,
-    )
-    print(
-        render_table(
-            f"Live wire: {report['spec']['routers']}-router localhost testbed "
-            "vs simulator",
-            ("metric", "value"),
-            render_live(report),
-        )
-    )
-    print(f"-> {out}")
-    if not report["match"]:
+    print(render_table(title, ("metric", "value"), rows))
+    if not result["match"]:
         print("DIFFERENTIAL MISMATCH:")
-        for line in report["mismatches"]:
+        for line in result["mismatches"]:
             print("  ", line)
         raise SystemExit(1)
-    if args.check:
-        problems = check_live_regression(
-            report, Path(args.check), tolerance=args.tolerance
-        )
-        if problems:
-            print(f"REGRESSION vs {args.check}:")
-            for line in problems:
-                print("  ", line)
-            raise SystemExit(1)
-        print(f"within budget of {args.check}")
 
 
 def _cmd_trace(args: argparse.Namespace) -> None:
@@ -475,7 +386,6 @@ _DISPATCH = {
     "fig6": _cmd_fig6,
     "table2": _cmd_table2,
     "table3": _cmd_table3,
-    "perfbench": _cmd_perfbench,
     "scale": _cmd_scale,
     "federation": _cmd_federation,
     "chaos": _cmd_chaos,
@@ -521,17 +431,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--moves", type=int, default=80)
 
     p = sub.add_parser(
-        "perfbench", help="forwarding fast-path benchmarks (BENCH_fastpath.json)"
-    )
-    p.add_argument("--players", type=int, default=414)
-    p.add_argument("--updates", type=int, default=1_200)
-    p.add_argument("--out", type=str, default="",
-                   help="output path (default: BENCH_fastpath.json at repo root)")
-    p.add_argument("--quick", action="store_true",
-                   help="shrunken loop counts for smoke tests")
-
-    p = sub.add_parser(
-        "scale", help="sharded-executor speedup sweep (BENCH_scale.json)"
+        "scale", help="serial / in-process sharded / multiprocess digest equivalence"
     )
     p.add_argument("--workers", type=str, default="1,2,4",
                    help="comma-separated worker counts; serial baseline always runs")
@@ -542,33 +442,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=11)
     p.add_argument("--world-fraction", type=float, default=0.02,
                    help="fraction of publishes on the world-visible CD")
-    p.add_argument("--out", type=str, default="",
-                   help="output path (default: BENCH_scale.json at repo root)")
-    p.add_argument("--quick", action="store_true",
-                   help="shrink to <=200 players / <=200 updates for smoke tests")
-    p.add_argument("--curve", type=str, default=None,
-                   help="comma-separated player counts for the speedup-vs-players "
-                        "curve (default 100,1000,10000; skipped under --quick; "
-                        "pass '' to skip explicitly)")
 
     p = sub.add_parser(
-        "federation",
-        help="federated RP layer: executor digest differentials + "
-             "autoscaler saturation SLO (BENCH_federation.json)",
+        "federation", help="federated RP layer: autoscaler saturation SLO"
     )
     p.add_argument("--quick", action="store_true",
-                   help="CI-sized populations (the committed benchmark "
-                        "is generated in this mode)")
+                   help="CI-sized populations (the arms pinned in "
+                        "tests/data/federation_saturation.json)")
     p.add_argument("--slo", type=float, default=30.0,
                    help="p95 delivery-latency SLO (ms) the federated "
                         "arms must hold")
-    p.add_argument("--no-saturation", action="store_true",
-                   help="skip the saturation arms (differentials only)")
-    p.add_argument("--out", type=str, default="",
-                   help="output path (default: BENCH_federation.json)")
-    p.add_argument("--check", type=str, default="",
-                   help="compare digests against this committed "
-                        "benchmark file; exit 1 on any mismatch")
 
     p = sub.add_parser(
         "chaos", help="fault-injection delivery-invariant check (lossless handover)"
@@ -594,8 +477,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "scenarios",
-        help="scenario × chaos matrix under the invariant monitor "
-             "(BENCH_scenarios.json)",
+        help="scenario × chaos matrix under the invariant monitor",
     )
     p.add_argument("--scenarios", type=str, default="all",
                    help=f"comma-separated subset of {SCENARIO_NAMES}, or 'all'")
@@ -608,10 +490,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--loss", type=float, default=0.05,
                    help="per-link loss probability for lossy plans")
     p.add_argument("--out", type=str, default="",
-                   help="write the matrix JSON (BENCH_scenarios.json schema)")
-    p.add_argument("--check", type=str, default="",
-                   help="compare cell digests against this committed "
-                        "benchmark file; exit 1 on any mismatch")
+                   help="write the matrix JSON (the format of "
+                        "tests/data/scenario_matrix.json)")
     p.add_argument("--no-monitor", action="store_true",
                    help="run without the invariant monitor installed "
                         "(digests must not change)")
@@ -619,7 +499,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "live",
         help="live-wire testbed: real processes over TCP/UDP, "
-             "differential-checked against the simulator (BENCH_live.json)",
+             "differential-checked against the simulator",
     )
     p.add_argument("--routers", type=int, default=3, choices=(3, 5),
                    help="3 = smoke star topology, 5 = benchmark tree")
@@ -628,14 +508,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--time-scale", type=float, default=0.0,
                    help="wall seconds per sim ms (0 = as fast as possible)")
-    p.add_argument("--out", type=str, default="",
-                   help="output path (default: BENCH_live.json at repo root)")
-    p.add_argument("--check", type=str, default="",
-                   help="gate against this committed benchmark: the "
-                        "differential must match and packets/s/core must "
-                        "stay above tolerance × committed")
-    p.add_argument("--tolerance", type=float, default=0.25,
-                   help="perf floor as a fraction of the committed value")
 
     p = sub.add_parser(
         "trace", help="causal packet tracing: record a run, query hop chains"

@@ -1,64 +1,31 @@
-"""Federation benchmark: digest differentials + the saturation/SLO story.
+"""Federation saturation experiment: flat drowns, federated holds the SLO.
 
-Three sections, one JSON report (``BENCH_federation.json``):
+At the target population the flat layout's one-RP-per-region design is
+past its service capacity (utilization > 1: the RP queue grows without
+bound and latency hockey-sticks); the federated layout spreads the same
+load over the region's owner members and stays flat.  A third arm starts
+from the worst-case *skewed* placement (every zone on one owner) with
+the autoscaler on, and must repair it — actions > 0 and p95 at most
+half of the fourth arm, the identical skewed run with the autoscaler
+disabled (the counterfactual that isolates the control loop's gain).
 
-* **equivalence** — a federated run (zones, cross-region traffic, live
-  autoscaler) executed serial / in-process sharded / multiprocess must
-  produce one delivery digest.  This is the same gate the plain scale
-  bench holds, now with the autoscaler's control loop in the event
-  stream — the proof that its decisions are a pure function of sim
-  state.
-* **flat_pin** — the degenerate ``FederationSpec(federated=False,
-  zones_per_region=0, autoscale=False)`` must reproduce the plain
-  :class:`~repro.parallel.scale.ScaleSpec` digest bit-for-bit: every
-  federation seam falls through to the base behaviour when disabled.
-* **saturation** — the headline experiment.  At the target population
-  the flat layout's one-RP-per-region design is past its service
-  capacity (utilization > 1: the RP queue grows without bound and
-  latency hockey-sticks); the federated layout spreads the same load
-  over the region's owner members and stays flat.  A third arm starts
-  from the worst-case *skewed* placement (every zone on one owner) with
-  the autoscaler on, and must repair it — actions > 0 and p95 at most
-  half of the fourth arm, the identical skewed run with the autoscaler
-  disabled (the counterfactual that isolates the control loop's gain).
-
-``--quick`` shrinks the populations but keeps every gate; the committed
-benchmark is generated in quick mode so CI replays it exactly
-(``--check`` compares digests cell by cell).
+``quick`` shrinks the populations but keeps every gate; the quick arms'
+digests and simulated p95s are pinned in
+``tests/data/federation_saturation.json`` and checked by tier-1
+(``tests/test_federation_differential.py``), which also holds the
+executor-equivalence and flat-pin differentials.
 """
 
 from __future__ import annotations
 
-import json
-import time
-from pathlib import Path
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.parallel.scale import FederationSpec, ScaleSpec, run_scale
 
-__all__ = [
-    "bench_federation",
-    "render_federation",
-    "check_federation_regression",
-    "EQUIVALENCE_SPEC",
-    "saturation_specs",
-]
+__all__ = ["saturation_specs", "run_saturation", "render_saturation"]
 
-#: The differential workload: small, but exercising every federated
-#: mechanism — zones, skew, cross-region redirects and the autoscaler.
-EQUIVALENCE_SPEC = FederationSpec(
-    players=240,
-    regions=4,
-    access_per_region=4,
-    updates=400,
-    seed=11,
-    world_fraction=0.02,
-    publish_interval_ms=0.5,
-    zones_per_region=4,
-    skewed_placement=True,
-    remote_fraction=0.2,
-    autoscale=True,
-)
+#: Arm names, in the order :func:`saturation_specs` returns their specs.
+ARM_NAMES = ("flat", "federated-spread", "federated-autoscale", "federated-unscaled")
 
 
 def saturation_specs(
@@ -123,215 +90,57 @@ def saturation_specs(
     return flat, spread, skewed, unscaled
 
 
-def _timed(spec: ScaleSpec, shards: int = 1, workers: int = 1) -> dict:
-    t0 = time.perf_counter()
-    result = run_scale(spec, shards=shards, workers=workers)
-    result["wall_s"] = round(time.perf_counter() - t0, 3)
-    return result
-
-
-def _arm_summary(result: dict) -> dict:
-    out = {
-        "mode": result["mode"],
-        "digest": result["digest"],
-        "deliveries": result["deliveries"],
-        "latency": result["latency"],
-        "wall_s": result["wall_s"],
-    }
-    if "federation" in result:
-        out["federation"] = result["federation"]
-    return out
-
-
-def bench_federation(
-    quick: bool = False,
-    worker_counts: Tuple[int, ...] = (2, 4),
-    slo_p95_ms: float = 30.0,
-    saturation: bool = True,
-    out_path: Optional[Path] = None,
-) -> dict:
-    """Run all three sections and (optionally) write the JSON report."""
-    spec = EQUIVALENCE_SPEC
-    # --- equivalence: one digest across every executor -----------------
-    serial = _timed(spec)
-    arms = [_arm_summary(serial)]
-    for shards in worker_counts:
-        if shards <= spec.regions:
-            arms.append(_arm_summary(_timed(spec, shards=shards)))
-    procs = max(w for w in worker_counts if w <= spec.regions)
-    arms.append(_arm_summary(_timed(spec, shards=procs, workers=procs)))
-    digests = {arm["digest"] for arm in arms}
-    equivalence = {
-        "arms": arms,
-        "serial_digest": serial["digest"],
-        "equivalent": len(digests) == 1,
-    }
-
-    # --- flat pin: disabled federation is byte-identical to flat -------
-    flat_small = ScaleSpec(
-        players=spec.players,
-        regions=spec.regions,
-        access_per_region=spec.access_per_region,
-        updates=spec.updates,
-        seed=spec.seed,
-        world_fraction=spec.world_fraction,
-        publish_interval_ms=spec.publish_interval_ms,
+def run_saturation(quick: bool = False, slo_p95_ms: float = 30.0) -> dict:
+    """Run the four saturation arms and judge the three SLO claims."""
+    specs = saturation_specs(quick=quick)
+    arms = {name: run_scale(spec) for name, spec in zip(ARM_NAMES, specs)}
+    flat_p95, spread_p95, skewed_p95, unscaled_p95 = (
+        arms[name]["latency"]["p95_ms"] for name in ARM_NAMES
     )
-    pin_spec = FederationSpec(
-        players=spec.players,
-        regions=spec.regions,
-        access_per_region=spec.access_per_region,
-        updates=spec.updates,
-        seed=spec.seed,
-        world_fraction=spec.world_fraction,
-        publish_interval_ms=spec.publish_interval_ms,
-        federated=False,
-        zones_per_region=0,
-        autoscale=False,
-    )
-    flat_run = _timed(flat_small)
-    pin_run = _timed(pin_spec)
-    flat_pin = {
-        "scale_digest": flat_run["digest"],
-        "federation_digest": pin_run["digest"],
-        "match": flat_run["digest"] == pin_run["digest"],
-    }
-
-    report = {
-        "quick": quick,
-        "spec": {
-            "players": spec.players,
-            "updates": spec.updates,
-            "zones_per_region": spec.zones_per_region,
-            "remote_fraction": spec.remote_fraction,
-        },
-        "equivalence": equivalence,
-        "flat_pin": flat_pin,
-        "slo_p95_ms": slo_p95_ms,
-        "ok": equivalence["equivalent"] and flat_pin["match"],
-    }
-
-    # --- saturation: flat drowns, federated holds the SLO --------------
-    if saturation:
-        flat, spread, skewed, unscaled = saturation_specs(quick=quick)
-        flat_arm = _arm_summary(_timed(flat))
-        spread_arm = _arm_summary(_timed(spread))
-        skewed_arm = _arm_summary(_timed(skewed))
-        unscaled_arm = _arm_summary(_timed(unscaled))
-        flat_p95 = flat_arm["latency"]["p95_ms"]
-        spread_p95 = spread_arm["latency"]["p95_ms"]
-        skewed_p95 = skewed_arm["latency"]["p95_ms"]
-        unscaled_p95 = unscaled_arm["latency"]["p95_ms"]
-        actions = skewed_arm.get("federation", {}).get("actions", 0)
-        slo = {
-            "flat_p95_ms": flat_p95,
-            "federated_spread_p95_ms": spread_p95,
-            "federated_autoscaled_p95_ms": skewed_p95,
-            "federated_unscaled_p95_ms": unscaled_p95,
-            "autoscaler_actions": actions,
-            # The three claims the gate holds: the flat layout is past
-            # the SLO (it saturated), the federated layout is inside it,
-            # and the autoscaler repaired the skewed cold start — halved
-            # p95 versus the identical skewed run with the loop disabled.
-            "flat_saturated": flat_p95 is not None and flat_p95 > slo_p95_ms,
-            "spread_within_slo": spread_p95 is not None and spread_p95 <= slo_p95_ms,
-            "autoscaler_repaired": (
-                actions > 0
-                and skewed_p95 is not None
-                and unscaled_p95 is not None
-                and skewed_p95 <= unscaled_p95 / 2
-            ),
-        }
-        slo["pass"] = bool(
-            slo["flat_saturated"]
-            and slo["spread_within_slo"]
-            and slo["autoscaler_repaired"]
-        )
-        report["saturation"] = {
-            "players": flat.players,
-            "arms": {
-                "flat": flat_arm,
-                "federated-spread": spread_arm,
-                "federated-autoscale": skewed_arm,
-                "federated-unscaled": unscaled_arm,
-            },
-            "slo": slo,
-        }
-        report["ok"] = report["ok"] and slo["pass"]
-
-    if out_path is not None:
-        out_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return report
-
-
-def render_federation(report: dict) -> list:
-    """(metric, value) rows for the CLI table."""
-
-    def _fmt(ms) -> str:
-        return "-" if ms is None else f"{ms:.2f}"
-
-    rows = [
-        ("equivalence arms", len(report["equivalence"]["arms"])),
-        (
-            "digests equivalent",
-            "OK" if report["equivalence"]["equivalent"] else "MISMATCH",
+    actions = arms["federated-autoscale"]["federation"]["actions"]
+    # The three claims the gate holds: the flat layout is past the SLO
+    # (it saturated), the federated layout is inside it, and the
+    # autoscaler repaired the skewed cold start — halved p95 versus the
+    # identical skewed run with the loop disabled.
+    slo = {
+        "flat_saturated": flat_p95 is not None and flat_p95 > slo_p95_ms,
+        "spread_within_slo": spread_p95 is not None and spread_p95 <= slo_p95_ms,
+        "autoscaler_repaired": (
+            actions > 0
+            and skewed_p95 is not None
+            and unscaled_p95 is not None
+            and skewed_p95 <= unscaled_p95 / 2
         ),
-        ("serial digest", report["equivalence"]["serial_digest"][:16]),
-        ("flat pin (federation off)", "OK" if report["flat_pin"]["match"] else "MISMATCH"),
-    ]
-    saturation = report.get("saturation")
-    if saturation:
-        slo = saturation["slo"]
-        fed = saturation["arms"]["federated-autoscale"].get("federation", {})
-        rows.extend(
-            [
-                ("saturation players", saturation["players"]),
-                ("flat p95 ms", _fmt(slo["flat_p95_ms"])),
-                ("federated spread p95 ms", _fmt(slo["federated_spread_p95_ms"])),
-                ("federated autoscaled p95 ms", _fmt(slo["federated_autoscaled_p95_ms"])),
-                ("federated unscaled p95 ms", _fmt(slo["federated_unscaled_p95_ms"])),
-                ("SLO p95 ms", report["slo_p95_ms"]),
-                ("autoscaler actions", slo["autoscaler_actions"]),
-                (
-                    "autoscaler splits/merges/migrates",
-                    f"{fed.get('splits', 0)}/{fed.get('merges', 0)}/{fed.get('migrates', 0)}",
-                ),
-                ("scoped floods absorbed", fed.get("scoped_floods", 0)),
-                ("flat saturated", "yes" if slo["flat_saturated"] else "NO"),
-                ("SLO gate", "PASS" if slo["pass"] else "FAIL"),
-            ]
-        )
-    rows.append(("overall", "OK" if report["ok"] else "FAIL"))
+    }
+    return {
+        "players": specs[0].players,
+        "slo_p95_ms": slo_p95_ms,
+        "arms": arms,
+        "slo": slo,
+        "ok": all(slo.values()),
+    }
+
+
+def render_saturation(report: dict) -> list:
+    """(metric, value) rows for the CLI table."""
+    arms = report["arms"]
+    rows = [("saturation players", report["players"])]
+    for name in ARM_NAMES:
+        p95 = arms[name]["latency"]["p95_ms"]
+        rows.append((f"{name} p95 ms", "-" if p95 is None else f"{p95:.2f}"))
+        rows.append((f"{name} digest", arms[name]["digest"][:16]))
+    fed = arms["federated-autoscale"]["federation"]
+    rows.extend(
+        [
+            ("SLO p95 ms", report["slo_p95_ms"]),
+            ("autoscaler actions", fed["actions"]),
+            (
+                "autoscaler splits/merges/migrates",
+                f"{fed['splits']}/{fed['merges']}/{fed['migrates']}",
+            ),
+            ("scoped floods absorbed", fed["scoped_floods"]),
+        ]
+    )
+    rows.extend((claim, "yes" if held else "NO") for claim, held in report["slo"].items())
+    rows.append(("SLO gate", "PASS" if report["ok"] else "FAIL"))
     return rows
-
-
-def check_federation_regression(report: dict, committed_path: Path) -> list:
-    """Digest regressions vs the committed benchmark, as problem strings.
-
-    Compares every digest-bearing cell present in both reports; latency
-    and wall-clock numbers are host-dependent and never gated here (the
-    SLO gate inside :func:`bench_federation` covers behaviour).
-    """
-    committed = json.loads(committed_path.read_text())
-    problems = []
-
-    def _digest_cells(body: dict) -> dict:
-        cells = {}
-        for arm in body.get("equivalence", {}).get("arms", []):
-            cells[f"equivalence:{arm['mode']}"] = arm["digest"]
-        pin = body.get("flat_pin", {})
-        if pin:
-            cells["flat_pin:scale"] = pin["scale_digest"]
-            cells["flat_pin:federation"] = pin["federation_digest"]
-        for name, arm in body.get("saturation", {}).get("arms", {}).items():
-            cells[f"saturation:{name}"] = arm["digest"]
-        return cells
-
-    want = _digest_cells(committed)
-    got = _digest_cells(report)
-    for key, digest in want.items():
-        if key not in got:
-            problems.append(f"{key}: missing from this run")
-        elif got[key] != digest:
-            problems.append(f"{key}: got {got[key][:12]}, want {digest[:12]}")
-    return problems

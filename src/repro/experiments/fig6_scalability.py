@@ -40,7 +40,7 @@ __all__ = [
 DEFAULT_PLAYER_SWEEP: Tuple[int, ...] = (62, 124, 414, 828, 1600, 2400)
 
 #: The federated extension sweeps two more decades — the flat RP layout
-#: saturates long before the last point (see BENCH_federation.json).
+#: saturates long before the last point (see :mod:`repro.experiments.federation`).
 FEDERATED_PLAYER_SWEEP: Tuple[int, ...] = (2_000, 10_000, 100_000)
 
 
@@ -141,8 +141,8 @@ def run_fig6_federated(
     telemetry-driven autoscaler live.  The per-publish load at any single
     RP stays bounded by the zone fan-out, so latency holds flat where the
     flat layout (one RP per region, fan-out = population/regions) is past
-    its service capacity — the point the saturation section of
-    ``BENCH_federation.json`` pins quantitatively.
+    its service capacity — the point
+    :func:`repro.experiments.federation.run_saturation` pins quantitatively.
     """
     from repro.parallel.scale import FederationSpec, run_scale
 

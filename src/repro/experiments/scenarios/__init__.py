@@ -7,8 +7,8 @@ Public surface:
   :func:`register_scenario` — the registry (battle-royale flash crowd,
   join/leave churn, day/night load curve, hotspot mobility);
 * :func:`run_scenario` — one (scenario, plan, seed) matrix cell;
-* :func:`run_matrix` — the full matrix, emitting the
-  ``BENCH_scenarios.json`` body;
+* :func:`run_matrix` — the full matrix, in the format of
+  ``tests/data/scenario_matrix.json``;
 * the data model (:class:`Scenario`, :class:`ScenarioScript`,
   :class:`ScenarioEvent`) for writing new generators.
 """

@@ -8,8 +8,8 @@ recovery stack, judged by the :class:`~repro.sim.invariants
 bookkeeping.  The report digest covers the checked miss set, delivery
 counts, injected drops, node counters and the script's own content
 hash, so a cell is reproducible byte-for-byte across processes and
-executor backends — ``BENCH_scenarios.json`` commits those digests and
-CI replays a slice of the matrix against them.
+executor backends — ``tests/data/scenario_matrix.json`` commits those
+digests and tier-1 replays the whole matrix against them.
 
 Division of labour with the monitor:
 
@@ -21,8 +21,8 @@ Division of labour with the monitor:
 * liveness is judged by the shared pure
   :func:`~repro.sim.invariants.expected_deliveries`, always fed the
   harness's delivery record — so a monitored and an unmonitored run
-  produce the identical digest, which the ``invariant_overhead``
-  perfbench section turns into a regression gate.
+  produce the identical digest (``test_cell_smoke_and_monitor_parity``
+  in ``tests/test_scenarios.py``).
 """
 
 from __future__ import annotations
@@ -637,9 +637,9 @@ def run_matrix(
     monitor: bool = True,
     progress: Optional[Callable[[str, dict], None]] = None,
 ) -> dict:
-    """Run the scenario × plan × seed matrix; return the benchmark body.
+    """Run the scenario × plan × seed matrix; return its JSON body.
 
-    The output is the ``BENCH_scenarios.json`` schema: deterministic
+    The output is the ``tests/data/scenario_matrix.json`` schema: deterministic
     (no timestamps), one cell per ``"<scenario>|<plan>|<seed>"`` key,
     each carrying the digest plus the recovery-SLO numbers.
     """

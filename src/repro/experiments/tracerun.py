@@ -16,8 +16,8 @@ The fig4 recorder mirrors
 :func:`repro.experiments.common.run_gcopss_testbed` but publishes through
 :meth:`GCopssHost.publish` so every update carries ``pub_seq`` and emits
 a ``publish`` root event; with ``telemetry=None`` it runs the identical
-schedule untraced, which the transparency tests and the ``trace_overhead``
-perfbench lean on.
+schedule untraced, which the transparency tests and the benchmark's
+``obs.tracer.recording_x`` driver lean on.
 """
 
 from __future__ import annotations

@@ -23,7 +23,8 @@ Overhead contract: everything here hangs off the same single-slot hook
 points the fault plane uses (``Link.trace_hook`` at egress,
 ``Node.trace_hook`` at enqueue/service/delivery).  With no tracer
 installed each hook site costs one attribute load plus a ``None`` check —
-pinned by the ``trace_overhead`` perfbench gate — and installed tracing
+measured by the benchmark's ``obs.tracer.recording_x`` and
+``sim.network.send_hooks_armed_x`` — and installed tracing
 is strictly read-only, so enabling it is bit-identical to legacy
 forwarding behavior.
 """

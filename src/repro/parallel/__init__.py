@@ -9,14 +9,13 @@ and sharded runs produce bit-identical delivery digests.
 from repro.parallel.digest import DeliveryLog, canonical_digest, delivery_digest
 from repro.parallel.executor import ShardedExecutor
 from repro.parallel.partition import ShardPlan, partition_by_anchors, partition_by_rp
-from repro.parallel.scale import ScaleSpec, bench_scale, run_scale
+from repro.parallel.scale import ScaleSpec, run_scale
 
 __all__ = [
     "DeliveryLog",
     "ScaleSpec",
     "ShardPlan",
     "ShardedExecutor",
-    "bench_scale",
     "canonical_digest",
     "delivery_digest",
     "partition_by_anchors",

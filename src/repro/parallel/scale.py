@@ -17,15 +17,15 @@ Three execution modes over the *same* build + workload:
 * ``workers=N`` — one OS process per shard
   (:mod:`repro.parallel.procpool`, the actual speedup).
 
-All three must produce the same delivery digest bit-for-bit; the bench
-harness (:func:`bench_scale`) asserts that before it reports any
-speedup number.
+All three must produce the same delivery digest bit-for-bit
+(``tests/test_scale_experiment.py`` and the ``scale`` CLI runner hold
+that).
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from repro.names import ROOT, Name
@@ -44,8 +44,6 @@ __all__ = [
     "scale_events",
     "scale_plan",
     "run_scale",
-    "bench_scale",
-    "scale_curve",
     "federation_summary",
     "latency_stats",
 ]
@@ -447,13 +445,18 @@ def federation_summary(state) -> dict:
 def run_scale(spec: ScaleSpec, shards: int = 1, workers: int = 1) -> dict:
     """Run the scenario under the requested execution mode.
 
-    ``workers > 1`` runs one process per shard (``shards`` is then the
-    worker count); ``workers == 1`` runs in-process, serial when
-    ``shards == 1`` and window-synchronized otherwise.
+    ``workers > 1`` runs one process per shard, so ``shards`` must be
+    left at 1 or equal ``workers``; ``workers == 1`` runs in-process,
+    serial when ``shards == 1`` and window-synchronized otherwise.
     """
     from repro.sim.engine import SerialExecutor
 
     if workers > 1:
+        if shards not in (1, workers):
+            raise ValueError(
+                f"workers={workers} runs one process per shard; "
+                f"shards must be 1 or {workers}, got {shards}"
+            )
         from repro.parallel.procpool import run_scale_proc
 
         result = run_scale_proc(spec, workers)
@@ -473,141 +476,3 @@ def run_scale(spec: ScaleSpec, shards: int = 1, workers: int = 1) -> dict:
     result = execute_scale_local(spec, SerialExecutor)
     result["mode"] = "serial"
     return result
-
-
-def _host_info() -> dict:
-    """Record where the numbers came from; speedups are meaningless without it."""
-    import os
-
-    try:
-        usable = len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        usable = os.cpu_count() or 1
-    return {"cpus": os.cpu_count() or 1, "cpus_usable": usable}
-
-
-def _timed_arm(spec: ScaleSpec, shards: int, workers: int, baseline: dict) -> dict:
-    """Run one mode and report it against the serial baseline.
-
-    ``shards`` and ``workers`` are recorded separately: an in-process arm
-    partitions the event loop into N shard clocks but still runs on one
-    worker, while a proc arm pairs each shard with its own OS process.
-    """
-    import time as _time
-
-    t0 = _time.perf_counter()
-    result = run_scale(spec, shards=shards, workers=workers)
-    wall = _time.perf_counter() - t0
-    serial_wall = baseline.get("wall_s", wall)
-    return {
-        "mode": result["mode"],
-        "shards": shards,
-        "workers": 1 if workers <= 1 else workers,
-        "wall_s": round(wall, 3),
-        "deliveries": result["deliveries"],
-        "digest": result["digest"],
-        "speedup": round(serial_wall / wall, 3) if wall else None,
-        "digest_match": result["digest"] == baseline.get("digest", result["digest"]),
-        "windows_run": result["executor"].get("windows_run"),
-        "transit_messages": result["executor"].get("transit_messages"),
-    }
-
-
-def bench_scale(
-    spec: ScaleSpec,
-    worker_counts: Tuple[int, ...] = (1, 2, 4),
-    check_inproc: bool = True,
-    curve_players: Tuple[int, ...] = (),
-) -> dict:
-    """Speedup-vs-workers sweep with the equivalence gates attached.
-
-    Every arm must reproduce the serial delivery digest before any
-    speedup number is reported — a parallel executor that is fast but
-    wrong is worthless.  ``workers=1`` arms run serially (the baseline);
-    ``check_inproc`` also runs the in-process sharded executor at the
-    largest worker count as an algorithm check.  ``curve_players`` adds a
-    speedup-vs-players curve (serial/inproc/proc per point) to the
-    report.
-    """
-    baseline = _timed_arm(spec, shards=1, workers=1, baseline={})
-    baseline["speedup"] = 1.0
-    arms = [baseline]
-    shards = max(w for w in worker_counts if w <= spec.regions)
-    if check_inproc and shards > 1:
-        arms.append(_timed_arm(spec, shards=shards, workers=1, baseline=baseline))
-    for workers in worker_counts:
-        if workers > 1:
-            arms.append(
-                _timed_arm(spec, shards=workers, workers=workers, baseline=baseline)
-            )
-    mismatched = [a["mode"] for a in arms if not a["digest_match"]]
-    report = {
-        "spec": {
-            "players": spec.players,
-            "regions": spec.regions,
-            "access_per_region": spec.access_per_region,
-            "updates": spec.updates,
-            "seed": spec.seed,
-            "world_fraction": spec.world_fraction,
-        },
-        "host": _host_info(),
-        "serial_digest": baseline["digest"],
-        "deliveries": baseline["deliveries"],
-        "arms": arms,
-        "equivalent": not mismatched,
-        "mismatched_arms": mismatched,
-    }
-    if curve_players:
-        curve = scale_curve(spec, player_counts=curve_players, workers=shards)
-        report["curve"] = curve
-        for point in curve:
-            if not point["equivalent"]:
-                report["equivalent"] = False
-                report["mismatched_arms"].extend(
-                    f"players={point['players']}:{mode}"
-                    for mode in point["mismatched_arms"]
-                )
-    return report
-
-
-def scale_curve(
-    spec: ScaleSpec,
-    player_counts: Tuple[int, ...] = (100, 1_000, 10_000),
-    workers: int = 4,
-) -> List[dict]:
-    """Speedup vs world size: serial / inproc / proc arms per player count.
-
-    Holds the workload (updates, seed, fractions) fixed and sweeps only
-    the population, so the curve isolates how the slice-built parallel
-    modes amortize the world as it grows.
-    """
-    workers = max(2, min(workers, spec.regions))
-    points: List[dict] = []
-    for players in player_counts:
-        pspec = replace(spec, players=max(players, spec.regions))
-        baseline = _timed_arm(pspec, shards=1, workers=1, baseline={})
-        baseline["speedup"] = 1.0
-        arms = [
-            baseline,
-            _timed_arm(pspec, shards=workers, workers=1, baseline=baseline),
-            _timed_arm(pspec, shards=workers, workers=workers, baseline=baseline),
-        ]
-        mismatched = [a["mode"] for a in arms if not a["digest_match"]]
-        points.append(
-            {
-                "players": pspec.players,
-                "arms": arms,
-                "equivalent": not mismatched,
-                "mismatched_arms": mismatched,
-            }
-        )
-    return points
-
-
-def quick_spec(spec: ScaleSpec) -> ScaleSpec:
-    """A CI-sized shrink of ``spec`` that keeps its structure."""
-    return replace(
-        spec,
-        players=min(spec.players, 200),
-        updates=min(spec.updates, 200),
-    )

@@ -43,9 +43,10 @@ held — a chaos run recording telemetry — the monitor chains behind the
 incumbent through a :class:`_TeeHook`, and :meth:`uninstall` restores
 the incumbent.  Like the tracer, the monitor never mutates packets,
 nodes or the schedule: a monitored run is bit-identical to an
-unmonitored one, which the ``invariant_overhead`` perfbench section
-asserts end-to-end.  Uninstalled, the fabric pays the usual single
-``None`` check per hook site — the monitor is nil-cost when disabled.
+unmonitored one, which ``test_cell_smoke_and_monitor_parity`` in
+``tests/test_scenarios.py`` asserts end-to-end.  Uninstalled, the fabric
+pays the usual single ``None`` check per hook site — the monitor is
+nil-cost when disabled.
 """
 
 from __future__ import annotations

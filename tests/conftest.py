@@ -58,7 +58,7 @@ def pytest_collection_modifyitems(config, items):
                 item.add_marker(pytest.mark.timeout(TEST_TIMEOUT_S))
     if os.environ.get("REPRO_SLOW", "") in ("", "0") and not config.getoption("-m"):
         skip_slow = pytest.mark.skip(
-            reason="slow differential/bench test (set REPRO_SLOW=1 or pass -m slow)"
+            reason="slow differential test (set REPRO_SLOW=1 or pass -m slow)"
         )
         for item in items:
             if "slow" in item.keywords:

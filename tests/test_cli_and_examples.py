@@ -1,21 +1,32 @@
 """Smoke tests: the CLI front end and the runnable examples."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from repro.experiments.__main__ import _build_parser, main
+from repro.experiments.__main__ import _DISPATCH, _build_parser, main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+SCENARIO_MATRIX = REPO_ROOT / "tests" / "data" / "scenario_matrix.json"
+
+SUBCOMMANDS = (
+    "fig3", "fig4", "table1", "fig6", "table2", "table3",
+    "scale", "federation", "chaos", "scenarios", "live", "trace", "all",
+)
+#: ``trace`` needs one of its own sub-subcommands to parse.
+EXTRA_ARGV = {"trace": ["record"]}
 
 
 class TestCliParser:
     def test_all_subcommands_registered(self):
         parser = _build_parser()
-        for command in ("fig3", "fig4", "table1", "fig6", "table2", "table3", "all"):
-            args = parser.parse_args([command])
+        (subparsers,) = parser._subparsers._group_actions
+        assert set(subparsers.choices) == set(_DISPATCH) == set(SUBCOMMANDS)
+        for command in SUBCOMMANDS:
+            args = parser.parse_args([command, *EXTRA_ARGV.get(command, [])])
             assert args.command == command
 
     def test_defaults(self):
@@ -39,6 +50,16 @@ class TestCliParser:
         assert main(["table2", "--sample", "0.002"]) == 0
         out = capsys.readouterr().out
         assert "hybrid-G-COPSS" in out
+
+    def test_main_runs_scenarios_and_writes_nothing(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main(["scenarios", "--scenarios", "churn", "--plans", "none"]) == 0
+        out = capsys.readouterr().out
+        cell = json.loads(SCENARIO_MATRIX.read_text())["cells"]["churn|none|1"]
+        assert "churn|none|1" in out and cell["digest"][:12] in out
+        assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(

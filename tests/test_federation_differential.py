@@ -6,11 +6,17 @@ stream, the serial, in-process-sharded and multiprocess executors still
 produce one delivery digest — the autoscaler's decisions are a pure
 function of sim state.  Plus the two pin-downs: disabling federation
 reproduces the flat :class:`~repro.parallel.scale.ScaleSpec` digest
-bit-for-bit, and an autoscaler-off federated run is deterministic.
+bit-for-bit, and an autoscaler-off federated run is deterministic.  Last,
+the quick saturation experiment reproduces its pinned digests and p95s
+and holds its three SLO claims.
 """
+
+import json
+from pathlib import Path
 
 import pytest
 
+from repro.experiments.federation import run_saturation
 from repro.parallel.scale import FederationSpec, ScaleSpec, run_scale
 
 # Small but complete: skew + remote redirects + autoscaler all active,
@@ -98,3 +104,21 @@ class TestAutoscalerOffDeterminism:
         # must not change what is delivered, only where it decapsulates.
         sharded = run_scale(spec, shards=2)
         assert sharded["digest"] == a["digest"]
+
+
+class TestSaturationPin:
+    def test_quick_arms_reproduce_fixture_and_hold_the_slo(self):
+        pinned = json.loads(
+            (Path(__file__).parent / "data" / "federation_saturation.json").read_text()
+        )
+        report = run_saturation(quick=True)
+        got = {
+            name: {"digest": arm["digest"], "p95_ms": arm["latency"]["p95_ms"]}
+            for name, arm in report["arms"].items()
+        }
+        assert got == pinned
+        assert report["slo"] == {
+            "flat_saturated": True,
+            "spread_within_slo": True,
+            "autoscaler_repaired": True,
+        }

@@ -3,21 +3,15 @@
 Tier-1 keeps a small multiprocess smoke (2 workers) — the cheapest
 end-to-end proof that the slice-building worker protocol reproduces
 the serial digest across real process boundaries.  The wider sweeps
-(4 workers, bench harness) are slow-marked.
+(4 workers, the multiprocess CLI run) are slow-marked.
 """
-
-import json
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
+from repro.experiments.__main__ import main
 from repro.parallel.scale import (
     ScaleSpec,
-    bench_scale,
     build_scale_world,
-    quick_spec,
     run_scale,
     scale_events,
     scale_plan,
@@ -74,80 +68,38 @@ class TestScaleEquivalence:
             other = run_scale(SPEC, **kwargs)
             assert other["digest"] == serial["digest"], kwargs
 
-    @pytest.mark.slow
-    def test_bench_scale_gates_on_digest(self):
-        report = bench_scale(quick_spec(SPEC), worker_counts=(1, 2))
-        assert report["equivalent"] is True
-        assert report["mismatched_arms"] == []
-        modes = [arm["mode"] for arm in report["arms"]]
-        assert modes[0] == "serial"
-        assert "proc:2" in modes
-        for arm in report["arms"]:
-            assert arm["digest_match"] is True
-            assert arm["wall_s"] >= 0
-            assert arm["deliveries"] == report["deliveries"]
-        # Shard count and worker count are separate facts: the in-process
-        # arm shards the event loop but still runs on one worker.
-        by_mode = {arm["mode"]: arm for arm in report["arms"]}
-        assert (by_mode["serial"]["shards"], by_mode["serial"]["workers"]) == (1, 1)
-        assert (by_mode["inproc:2"]["shards"], by_mode["inproc:2"]["workers"]) == (2, 1)
-        assert (by_mode["proc:2"]["shards"], by_mode["proc:2"]["workers"]) == (2, 2)
-        assert by_mode["inproc:2"]["windows_run"] > 0
-        assert report["host"]["cpus"] >= 1
+    def test_shards_must_agree_with_workers(self):
+        # workers > 1 is one process per shard: a differing shard count
+        # used to be dropped silently and the run labelled proc:2.
+        with pytest.raises(ValueError, match="shards must be 1 or 2"):
+            run_scale(SPEC, shards=4, workers=2)
 
-    @pytest.mark.slow
-    def test_bench_scale_curve_is_digest_gated(self):
-        spec = ScaleSpec(players=24, regions=4, access_per_region=2,
-                         updates=30, seed=3)
-        report = bench_scale(spec, worker_counts=(1, 2), curve_players=(24, 48))
-        assert [point["players"] for point in report["curve"]] == [24, 48]
-        for point in report["curve"]:
-            assert point["equivalent"] is True
-            modes = [arm["mode"] for arm in point["arms"]]
-            assert modes[0] == "serial"
-            assert any(m.startswith("inproc:") for m in modes)
-            assert any(m.startswith("proc:") for m in modes)
+
+CLI_SPEC = [
+    "scale", "--players", "64", "--regions", "4", "--access-per-region", "2",
+    "--updates", "80", "--seed", "9", "--world-fraction", "0.05",
+]  # == SPEC
 
 
 class TestScaleCli:
+    def test_serial_run_prints_table_and_writes_nothing(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main([*CLI_SPEC, "--workers", "1"]) == 0
+        out = capsys.readouterr().out
+        for heading in ("mode", "deliveries", "digest"):
+            assert heading in out
+        assert "serial" in out and run_scale(SPEC)["digest"][:16] in out
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.slow
-    def test_cli_quick_writes_gated_report(self, tmp_path):
-        out = tmp_path / "BENCH_scale.json"
-        proc = subprocess.run(
-            [
-                sys.executable,
-                "-m",
-                "repro.experiments",
-                "scale",
-                "--quick",
-                "--workers",
-                "1,2",
-                "--players",
-                "64",
-                "--regions",
-                "4",
-                "--access-per-region",
-                "2",
-                "--updates",
-                "80",
-                "--out",
-                str(out),
-            ],
-            capture_output=True,
-            text=True,
-            cwd=Path(__file__).resolve().parent.parent,
-            env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
-        )
-        assert proc.returncode == 0, proc.stderr
-        report = json.loads(out.read_text())
-        assert report["equivalent"] is True
-        assert "serial" in [arm["mode"] for arm in report["arms"]]
-
-
-def test_quick_spec_shrinks_but_keeps_structure():
-    big = ScaleSpec(players=10_000, regions=4, access_per_region=8, updates=5_000)
-    small = quick_spec(big)
-    assert small.players == 200
-    assert small.updates == 200
-    assert small.regions == big.regions
-    assert small.seed == big.seed
+    def test_every_mode_reproduces_the_serial_digest(self, capsys):
+        assert main([*CLI_SPEC, "--workers", "1,2"]) == 0
+        rows = [
+            line.split("|")[1:-1]
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("|")
+        ][1:]
+        assert [row[0].strip() for row in rows] == ["serial", "inproc:2", "proc:2"]
+        assert all(row[-1].strip() == "OK" for row in rows)

@@ -1,5 +1,8 @@
 """Scenario fleet tests: determinism, churn sanity, matrix smoke,
-serial/sharded digest equality."""
+serial/sharded digest equality, and the pinned 25-cell matrix."""
+
+import json
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +14,7 @@ from repro.experiments.scenarios import (
     ScenarioScript,
     get_scenario,
     register_scenario,
+    run_matrix,
     run_scenario,
 )
 from repro.parallel import ShardedExecutor, partition_by_anchors
@@ -155,3 +159,18 @@ class TestMatrixCell:
         assert serial.invariant_ok and sharded.invariant_ok
         assert serial.digest() == sharded.digest()
         assert serial.node_counters == sharded.node_counters
+
+
+def test_matrix_reproduces_the_pinned_cells():
+    """All 5 scenarios x 5 plans at seed 1 equal the committed fixture.
+
+    Regenerate after a declared behaviour change with
+    ``python -m repro.experiments scenarios --out tests/data/scenario_matrix.json``.
+    """
+    pinned = json.loads(
+        (Path(__file__).parent / "data" / "scenario_matrix.json").read_text()
+    )
+    got = run_matrix(seeds=(1,), scale=1.0)
+    for key, cell in pinned["cells"].items():
+        assert got["cells"][key] == cell, key
+    assert got == pinned
