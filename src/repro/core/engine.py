@@ -506,24 +506,12 @@ class GCopssNetworkBuilder:
 
     def install(self) -> None:
         """Populate CD routes, RP routes and RP roles on every router."""
-        rp_names = self.rp_table.all_rps()
-        for rp_name in rp_names:
+        for rp_name in self.rp_table.all_rps():
             node = self.network.nodes.get(rp_name)
             if not isinstance(node, GCopssRouter):
                 raise ValueError(f"RP {rp_name} is not a GCopssRouter in this network")
         for router in self.routers():
-            for prefix, rp_name in self.rp_table:
-                if router.cd_routes.has_prefix(prefix):
-                    router.cd_routes.remove_prefix(prefix)
-                router.cd_routes.add(prefix, rp_name)
-            for rp_name in rp_names:
-                if rp_name == router.name:
-                    continue
-                if self.next_hops is not None:
-                    next_hop = self.network.nodes[self.next_hops[router.name][rp_name]]
-                else:
-                    next_hop = self.network.next_hop(router.name, rp_name)
-                router.rp_route[rp_name] = router.face_toward(next_hop)
+            self.install_routes(router)
         for prefix, rp_name in self.rp_table:
             rp_router = self.network.nodes[rp_name]
             if not isinstance(rp_router, GCopssRouter):
@@ -535,3 +523,23 @@ class GCopssNetworkBuilder:
                     f"{type(rp_router).__name__}"
                 )
             rp_router.rp_prefixes.add(prefix)
+
+    def install_routes(self, router: GCopssRouter) -> None:
+        """One router's share: its CD routes and its face toward every RP.
+
+        Separate from :meth:`install` so a builder of one shard's slice,
+        where a foreign RP is not a router of the network it holds, can
+        install its real routers without the whole-network validation.
+        """
+        for prefix, rp_name in self.rp_table:
+            if router.cd_routes.has_prefix(prefix):
+                router.cd_routes.remove_prefix(prefix)
+            router.cd_routes.add(prefix, rp_name)
+        for rp_name in self.rp_table.all_rps():
+            if rp_name == router.name:
+                continue
+            if self.next_hops is not None:
+                next_hop = self.network.nodes[self.next_hops[router.name][rp_name]]
+            else:
+                next_hop = self.network.next_hop(router.name, rp_name)
+            router.rp_route[rp_name] = router.face_toward(next_hop)

@@ -94,7 +94,7 @@ class RecoveryConfig:
       (re-)Subscribe; a periodic sweep removes stale entries and propagates
       upstream Unsubscribes, cleaning up after lost Leaves, dead hosts and
       link flaps.  The TTL must comfortably exceed the refresh interval
-      (the chaos harness uses 8x) or ordinary refresh loss shows up as
+      (the chaos harness uses 12x) or ordinary refresh loss shows up as
       churn.
     * ``refresh`` — a periodic tick re-Subscribes every upstream-joined CD
       (hop-by-hop keep-alive for the whole tree) and, on RPs, re-floods a

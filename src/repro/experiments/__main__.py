@@ -230,9 +230,8 @@ def _cmd_chaos(args: argparse.Namespace) -> None:
         print()
         print("injected drop reasons:", body["trace"]["drop_reasons"] or "(none)")
         for item in body["trace"]["missed_chains"]:
-            index = item.get("event_index", item.get("sequence"))
             print(
-                f"\nmissed update #{index} -> {item['receiver']} "
+                f"\nmissed update #{item['sequence']} -> {item['receiver']} "
                 f"(trace id {item['trace_id']}):"
             )
             for line in item["chain"]:

@@ -41,28 +41,17 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.core.balancer import RpLoadBalancer, SplitPolicy, default_refiner
-from repro.core.engine import GCopssHost, GCopssNetworkBuilder, GCopssRouter
-from repro.core.planes import RecoveryConfig
-from repro.core.rp import RpTable
 from repro.experiments.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.experiments.common import subscribers_by_leaf_cd
 from repro.experiments.fig4_microbench import microbenchmark_placement
+from repro.experiments.testbed import build_testbed
 from repro.game.map import GameMap
-from repro.names import ROOT, Name
-from repro.sim.faults import (
-    FaultInjector,
-    FaultPlan,
-    GilbertElliott,
-    LinkFaults,
-    NodeFaults,
-)
+from repro.names import Name
+from repro.sim.faults import FaultPlan, GilbertElliott, LinkFaults, NodeFaults
 from repro.obs.session import TelemetrySession
-from repro.obs.tracer import render_chain
-from repro.sim.stats import LatencyRecorder, summarize
-from repro.topology.benchmark import build_benchmark_topology
+from repro.sim.stats import summarize
 from repro.trace.generator import CounterStrikeTraceGenerator, microbenchmark_spec
 
 __all__ = ["ChaosTimeline", "ChaosReport", "PLAN_NAMES", "build_plan", "run_chaos"]
@@ -304,105 +293,38 @@ def run_chaos(
     timeline = timeline if timeline is not None else ChaosTimeline()
     game_map = GameMap(seed=seed)
     placement = microbenchmark_placement(game_map)
-    hierarchy = game_map.hierarchy
     spec = microbenchmark_spec(scale=scale, seed=seed)
     events = CounterStrikeTraceGenerator(game_map, spec, placement=placement).generate()
 
-    topo = build_benchmark_topology(
-        router_factory=lambda net, name: GCopssRouter(
-            net,
-            name,
-            service_time=calibration.testbed_copss_forward_ms,
-            rp_service_time=calibration.rp_service_ms,
-        ),
-        host_factory=GCopssHost,
-        host_names=sorted(placement),
-        inter_router_delay_ms=calibration.testbed_router_delay_ms,
-        host_delay_ms=calibration.testbed_host_delay_ms,
+    testbed = build_testbed(
+        game_map.hierarchy, placement, calibration, executor_factory
     )
-    network = topo.network
-    rp_table = RpTable()
-    rp_table.assign(ROOT, "R1")
-    GCopssNetworkBuilder(network, rp_table).install()
-    from repro.sim.engine import SerialExecutor
-
-    # The executor must exist before anything schedules (recovery sweeps,
-    # refresh timers, the fault plan): sharding rebinds every node onto
-    # its shard clock, and later scheduling follows the rebinding.
-    executor = (
-        executor_factory(network) if executor_factory else SerialExecutor(network)
-    )
-
+    executor = testbed.executor
     refresh = timeline.refresh_interval_ms
-    recovery = RecoveryConfig.full(
-        # TTL of 12 refresh intervals: a soft-state entry dies only after
-        # 12 consecutive lost keep-alives — vanishingly unlikely under
-        # independent loss, and still rare under correlated bursts whose
-        # chain advances slowly on quiet access links.  Expiry then only
-        # reaps genuinely dead state instead of live-but-unlucky branches.
-        st_ttl_ms=12 * refresh,
-        sweep_interval_ms=refresh,
-        refresh_interval_ms=refresh,
-        retry_interval_ms=250.0,
-        max_retries=8,
-    )
-    routers = [n for n in network.nodes.values() if isinstance(n, GCopssRouter)]
-    for router in routers:
-        router.enable_recovery(recovery)
-
-    hosts: Dict[str, GCopssHost] = {h.name: h for h in topo.hosts}  # type: ignore[misc]
-    for player, host in hosts.items():
-        host.subscribe(hierarchy.subscriptions_for(placement[player]))
-        host.start_refresh(refresh)
-
-    executor.run(until=timeline.subscribe_ms)  # converge fault-free
-    network.reset_counters()
+    testbed.enable_recovery(refresh)
+    testbed.subscribe(refresh)
+    testbed.converge(until=timeline.subscribe_ms)  # fault-free
 
     # Arm the faults for the workload phase.
     plan = build_plan(plan_name, seed, loss, timeline)
-    injector = FaultInjector(network, plan).install()
-    if telemetry is not None:
-        # After the injector: fault drops then carry the injector's reason.
-        telemetry.install(network, fault_stats=injector.stats, executor=executor)
+    injector = testbed.arm(plan, telemetry)
 
     # Forced mid-trace split R1 -> R4 through the regular balancer path.
     splits: List[Tuple[str, Tuple[Name, ...]]] = []
-    balancer = RpLoadBalancer(
-        network.nodes["R1"],  # type: ignore[arg-type]
-        candidates=[NEW_RP],
-        queue_threshold=10**9,  # never auto-trigger; the schedule decides
-        policy=SplitPolicy.RANDOM,
-        refiner=default_refiner(hierarchy),
-        rng=random.Random(seed),
-        spawn_on_split=False,
-        on_split=lambda new_rp, moved: splits.append((new_rp, moved)),
+    balancer = testbed.scripted_balancer(
+        "R1",
+        [NEW_RP],
+        random.Random(seed),
+        lambda new_rp, moved: splits.append((new_rp, moved)),
     )
     executor.schedule_external("R1", timeline.split_at_ms, balancer.split)
 
     # Delivery bookkeeping: who should see event i, who did.
     subscribers = subscribers_by_leaf_cd(game_map, placement)
-    got: Set[Tuple[int, str]] = set()
-    latency = LatencyRecorder("chaos")
+    got, latency = testbed.record_deliveries("chaos")
+    testbed.replay(events)
 
-    def on_update(host: GCopssHost, packet) -> None:
-        if packet.sequence >= 0:
-            got.add((packet.sequence, host.name))
-            latency.record(host.sim.now - packet.created_at)
-
-    for host in hosts.values():
-        host.on_update.append(on_update)
-
-    offset = executor.now
-    uid_by_seq: Dict[int, int] = {}
-
-    def publish(i: int, event) -> None:
-        packet = hosts[event.player].publish(event.cd, event.size, sequence=i)
-        if telemetry is not None:
-            uid_by_seq[i] = packet.uid
-
-    for i, event in enumerate(events):
-        executor.schedule_external(event.player, offset + event.time_ms, publish, i, event)
-
+    offset = testbed.offset
     horizon = offset + (events[-1].time_ms if events else 0.0) + timeline.drain_ms
     if telemetry is not None:
         telemetry.schedule_metrics(horizon)
@@ -424,44 +346,6 @@ def run_chaos(
                 missed.append((i, receiver))
     missed.sort()
 
-    counters = {
-        "seq_gaps": sum(h.stats.seq_gaps for h in hosts.values()),
-        "seq_missing": sum(h.stats.seq_missing for h in hosts.values()),
-        "seq_late": sum(h.stats.seq_late for h in hosts.values()),
-        "control_retransmits": sum(r.stats.control_retransmits for r in routers),
-        "subscriptions_expired": sum(r.stats.subscriptions_expired for r in routers),
-        "subscription_refreshes": sum(r.stats.subscription_refreshes for r in routers)
-        + sum(h.stats.subscription_refreshes for h in hosts.values()),
-        "tunnel_bounces": sum(r.stats.tunnel_bounces for r in routers),
-        "handoff_rollbacks": sum(r.stats.handoff_rollbacks for r in routers),
-        "duplicates_suppressed": sum(
-            h.stats.duplicates_suppressed for h in hosts.values()
-        ),
-    }
-
-    trace_block: dict = {}
-    if telemetry is not None:
-        tracer = telemetry.tracer
-        chains = []
-        for i, receiver in missed[:3]:
-            tid = uid_by_seq.get(i)
-            if tid is None:
-                continue
-            chains.append(
-                {
-                    "event_index": i,
-                    "receiver": receiver,
-                    "trace_id": tid,
-                    "chain": render_chain(tracer.hop_chain(tid, receiver=receiver)),
-                }
-            )
-        trace_block = {
-            "events_recorded": len(tracer.events),
-            "drop_reasons": tracer.drop_summary(),
-            "missed_chains": chains,
-        }
-        telemetry.finish()
-
     return ChaosReport(
         plan=plan.describe(),
         seed=seed,
@@ -479,12 +363,12 @@ def run_chaos(
             (splits[0][0], [str(p) for p in splits[0][1]]) if splits else None
         ),
         fault_stats=injector.stats.as_dict(),
-        node_counters=counters,
+        node_counters=testbed.recovery_counters(),
         latency=summarize(latency),
         timeline={
             "subscribe_ms": timeline.subscribe_ms,
             "split_at_ms": timeline.split_at_ms,
             "horizon_ms": horizon,
         },
-        trace=trace_block,
+        trace=testbed.finish_trace(telemetry, missed),
     )

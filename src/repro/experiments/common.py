@@ -29,8 +29,10 @@ from repro.baselines.ndn_game import NdnGamePlayer
 from repro.core.balancer import RpLoadBalancer, SplitPolicy, default_refiner
 from repro.core.engine import GCopssHost, GCopssNetworkBuilder, GCopssRouter
 from repro.core.hierarchy import AIRSPACE, MapHierarchy
+from repro.core.packets import MulticastPacket
 from repro.core.rp import RpTable
 from repro.experiments.calibration import Calibration, DEFAULT_CALIBRATION
+from repro.experiments.testbed import build_testbed
 from repro.game.map import GameMap
 from repro.names import Name, ROOT
 from repro.ndn.engine import NdnRouter, install_routes
@@ -168,22 +170,33 @@ def _schedule_publishes(
     network: Network,
     events: Sequence[UpdateEvent],
     publish: Callable[[int, UpdateEvent], None],
-    executor=None,
 ) -> None:
     # Event times are trace-relative; the clock has already advanced
     # through the subscription-convergence phase, so offset by "now".
-    # With an executor (serial/sharded seam) each publish is injected at
-    # the publishing player's node, so it lands on the owning shard.
-    if executor is not None:
-        offset = executor.now
-        for i, event in enumerate(events):
-            executor.schedule_external(
-                event.player, offset + event.time_ms, publish, i, event
-            )
-        return
     offset = network.sim.now
     for i, event in enumerate(events):
         network.sim.schedule_at(offset + event.time_ms, publish, i, event)
+
+
+def _bare_publisher(
+    hosts: Dict[str, GCopssHost]
+) -> Callable[[int, UpdateEvent], None]:
+    """``publish(i, event)``: a bare Multicast from the event's player."""
+
+    def publish(i: int, event: UpdateEvent) -> None:
+        host = hosts[event.player]
+        packet = MulticastPacket(
+            cd=event.cd,
+            payload_size=event.size,
+            publisher=event.player,
+            sequence=i,
+            object_id=event.object_id,
+            created_at=host.sim.now,
+        )
+        host.published += 1
+        host.send(host.access_face, packet)
+
+    return publish
 
 
 # ----------------------------------------------------------------------
@@ -283,23 +296,7 @@ def run_gcopss_backbone(
     series = SeriesRecorder(bucket_width=series_bucket, name="gcopss")
     _wire_latency_recorders(hosts, latency, series)
 
-    def publish(i: int, event: UpdateEvent) -> None:
-        host = hosts[event.player]
-        packet_cd = event.cd
-        from repro.core.packets import MulticastPacket
-
-        packet = MulticastPacket(
-            cd=packet_cd,
-            payload_size=event.size,
-            publisher=event.player,
-            sequence=i,
-            object_id=event.object_id,
-            created_at=host.sim.now,
-        )
-        host.published += 1
-        host.send(host.access_face, packet)
-
-    _schedule_publishes(network, events, publish)
+    _schedule_publishes(network, events, _bare_publisher(hosts))
     network.sim.run()
 
     routers = [n for n in network.nodes.values() if isinstance(n, GCopssRouter)]
@@ -488,70 +485,30 @@ def run_gcopss_testbed(
 ) -> ScenarioResult:
     """G-COPSS microbenchmark: 62 players, RP at R1.
 
-    ``executor_factory`` plugs in an execution backend (built from the
-    installed network, before any event is scheduled); default is the
-    single-heap :class:`~repro.sim.engine.SerialExecutor`.  The
-    differential tests run this scenario under both backends and demand
-    identical results.
+    ``executor_factory`` plugs in an execution backend (see
+    :func:`~repro.experiments.testbed.build_testbed`).  The differential
+    tests run this scenario under both backends and demand identical
+    results.
     """
-    hierarchy = game_map.hierarchy
-    topo = build_benchmark_topology(
-        router_factory=lambda net, name: GCopssRouter(
-            net,
-            name,
-            service_time=calibration.testbed_copss_forward_ms,
-            rp_service_time=calibration.rp_service_ms,
-        ),
-        host_factory=GCopssHost,
-        host_names=sorted(placement),
-        inter_router_delay_ms=calibration.testbed_router_delay_ms,
-        host_delay_ms=calibration.testbed_host_delay_ms,
+    testbed = build_testbed(
+        game_map.hierarchy, placement, calibration, executor_factory
     )
-    network = topo.network
-    rp_table = RpTable()
-    rp_table.assign(ROOT, "R1")
-    GCopssNetworkBuilder(network, rp_table).install()
-    from repro.sim.engine import SerialExecutor
-
-    executor = (
-        executor_factory(network) if executor_factory else SerialExecutor(network)
-    )
-
-    hosts: Dict[str, GCopssHost] = {h.name: h for h in topo.hosts}  # type: ignore[misc]
-    for player, host in hosts.items():
-        host.subscribe(hierarchy.subscriptions_for(placement[player]))
-    executor.run()
-    network.reset_counters()
+    testbed.subscribe()
+    testbed.converge()
 
     latency = LatencyRecorder("gcopss-testbed")
     series = SeriesRecorder(name="gcopss-testbed")
-    _wire_latency_recorders(hosts, latency, series)
-
-    from repro.core.packets import MulticastPacket
-
-    def publish(i: int, event: UpdateEvent) -> None:
-        host = hosts[event.player]
-        packet = MulticastPacket(
-            cd=event.cd,
-            payload_size=event.size,
-            publisher=event.player,
-            sequence=i,
-            object_id=event.object_id,
-            created_at=host.sim.now,
-        )
-        host.published += 1
-        host.send(host.access_face, packet)
-
-    _schedule_publishes(network, events, publish, executor)
-    executor.run()
+    _wire_latency_recorders(testbed.hosts, latency, series)
+    testbed.replay(events, _bare_publisher(testbed.hosts))
+    testbed.executor.run()
     return ScenarioResult(
         label=label,
         latency=latency,
         series=series,
-        network_bytes=network.total_bytes,
+        network_bytes=testbed.network.total_bytes,
         updates_published=len(events),
         deliveries=latency.count,
-        extras={"executor": executor.telemetry()},
+        extras={"executor": testbed.executor.telemetry()},
     )
 
 

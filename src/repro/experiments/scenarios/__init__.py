@@ -21,7 +21,6 @@ from repro.experiments.scenarios.base import (
 )
 from repro.experiments.scenarios.generators import (
     BUILTIN_SCENARIOS,
-    initial_placement,
 )
 from repro.experiments.scenarios.harness import (
     SCENARIO_NAMES,
@@ -38,7 +37,6 @@ __all__ = [
     "ScenarioEvent",
     "ScenarioScript",
     "BUILTIN_SCENARIOS",
-    "initial_placement",
     "SCENARIO_NAMES",
     "ScenarioReport",
     "get_scenario",

@@ -36,13 +36,13 @@ import math
 import random
 from typing import Dict, List, Tuple
 
-from repro.core.hierarchy import MapHierarchy
+from repro.experiments.fig4_microbench import microbenchmark_placement
+from repro.game.map import GameMap
 from repro.names import Name
 
 from repro.experiments.scenarios.base import Scenario, ScenarioEvent, ScenarioScript
 
 __all__ = [
-    "initial_placement",
     "flash_crowd",
     "churn",
     "day_night",
@@ -51,26 +51,15 @@ __all__ = [
     "BUILTIN_SCENARIOS",
 ]
 
-#: The fleet's shared hierarchy (the paper's [5, 5] map).
-_HIERARCHY = MapHierarchy([5, 5])
+#: The fleet's shared hierarchy (the paper's [5, 5] map) and its fig-4
+#: placement — 62 players, two per area.  The harness places its hosts
+#: with the same function, so generator-side area tracking and
+#: harness-side subscription state cannot drift apart.
+_MAP = GameMap()
+_HIERARCHY = _MAP.hierarchy
 
 #: Update payload size band, bytes (Counter-Strike-like position deltas).
 _SIZE_RANGE = (48, 192)
-
-
-def initial_placement() -> Dict[str, Name]:
-    """62 players, two per area — identical to the fig-4 microbenchmark.
-
-    Kept here (and used by the harness) so generator-side area tracking
-    and harness-side subscription state can never drift apart.
-    """
-    placement: Dict[str, Name] = {}
-    index = 0
-    for area in _HIERARCHY.areas():
-        for _ in range(2):
-            placement[f"player{index:02d}"] = area
-            index += 1
-    return placement
 
 
 def _rng(name: str, seed: int) -> random.Random:
@@ -160,7 +149,7 @@ def _publish_events(
 def flash_crowd(seed: int, scale: float = 1.0) -> ScenarioScript:
     """Density collapse into one zone, forcing an RP split cascade."""
     rng = _rng("flash-crowd", seed)
-    placement = initial_placement()
+    placement = microbenchmark_placement(_MAP)
     duration = 4500.0
     target = rng.choice(_HIERARCHY.areas(_HIERARCHY.max_depth))
 
@@ -207,7 +196,7 @@ def churn(seed: int, scale: float = 1.0) -> ScenarioScript:
     verdict looks at the tables.
     """
     rng = _rng("churn", seed)
-    placement = initial_placement()
+    placement = microbenchmark_placement(_MAP)
     duration = 4200.0
 
     churners = rng.sample(sorted(placement), 12)
@@ -259,7 +248,7 @@ def churn(seed: int, scale: float = 1.0) -> ScenarioScript:
 def day_night(seed: int, scale: float = 1.0) -> ScenarioScript:
     """Sinusoidal publish intensity: night -> day peak -> night."""
     rng = _rng("day-night", seed)
-    placement = initial_placement()
+    placement = microbenchmark_placement(_MAP)
     duration = 4500.0
 
     def intensity(t: float) -> float:
@@ -288,7 +277,7 @@ def day_night(seed: int, scale: float = 1.0) -> ScenarioScript:
 def mobility(seed: int, scale: float = 1.0) -> ScenarioScript:
     """Squads trailing their leader between attractor zones."""
     rng = _rng("mobility", seed)
-    placement = initial_placement()
+    placement = microbenchmark_placement(_MAP)
     duration = 4500.0
     zones = _HIERARCHY.areas(_HIERARCHY.max_depth)
     hotspots = rng.sample(zones, 3)
@@ -355,7 +344,7 @@ def autoscale_storm(seed: int, scale: float = 1.0) -> ScenarioScript:
     zone so the shed prefixes carry real traffic throughout.
     """
     rng = _rng("autoscale-storm", seed)
-    placement = initial_placement()
+    placement = microbenchmark_placement(_MAP)
     duration = 4500.0
     target = rng.choice(_HIERARCHY.areas(_HIERARCHY.max_depth))
 

@@ -29,33 +29,30 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.core.balancer import RpLoadBalancer, SplitPolicy, default_refiner
-from repro.core.engine import GCopssHost, GCopssNetworkBuilder, GCopssRouter
+from repro.core.balancer import RpLoadBalancer
 from repro.core.federation import relay_safe
-from repro.core.planes import RecoveryConfig
-from repro.core.rp import RpTable
 from repro.core.snapshot import QrSnapshotFetcher, SnapshotBroker, snapshot_name
 from repro.experiments.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.experiments.chaos import ChaosTimeline, build_plan
 from repro.experiments.scenarios.base import Scenario, ScenarioScript
-from repro.experiments.scenarios.generators import BUILTIN_SCENARIOS, initial_placement
+from repro.experiments.fig4_microbench import microbenchmark_placement
+from repro.experiments.scenarios.generators import BUILTIN_SCENARIOS
+from repro.experiments.testbed import build_testbed
 from repro.game.map import GameMap
-from repro.names import ROOT, Name
+from repro.names import Name
 from repro.ndn.engine import install_routes
 from repro.obs.session import TelemetrySession
-from repro.obs.tracer import render_chain
-from repro.sim.faults import FaultInjector
 from repro.sim.invariants import (
     InvariantMonitor,
     SubscriptionLedger,
     Violation,
     refresh_budget,
 )
-from repro.sim.stats import LatencyRecorder, summarize
-from repro.topology.benchmark import build_benchmark_topology
+from repro.sim.stats import summarize
 
 __all__ = [
     "SCENARIO_NAMES",
@@ -210,60 +207,30 @@ def run_scenario(
 
     game_map = GameMap(seed=seed)
     hierarchy = game_map.hierarchy
-    placement = initial_placement()
 
-    topo = build_benchmark_topology(
-        router_factory=lambda net, name: GCopssRouter(
-            net,
-            name,
-            service_time=calibration.testbed_copss_forward_ms,
-            rp_service_time=calibration.rp_service_ms,
-        ),
-        host_factory=GCopssHost,
-        host_names=sorted(placement),
-        inter_router_delay_ms=calibration.testbed_router_delay_ms,
-        host_delay_ms=calibration.testbed_host_delay_ms,
-    )
-    network = topo.network
-
-    broker: Optional[SnapshotBroker] = None
-    if script.uses_broker:
-        # Broker joins the fabric before the builder stamps faces/RPs.
-        broker = SnapshotBroker(
+    def attach_broker(network) -> SnapshotBroker:
+        node = SnapshotBroker(
             network, "broker", objects_by_cd=game_map.objects_by_cd()
         )
-        network.connect(broker, network.nodes[_BROKER_ROUTER], _BROKER_DELAY_MS)
+        network.connect(node, network.nodes[_BROKER_ROUTER], _BROKER_DELAY_MS)
+        return node
 
-    rp_table = RpTable()
-    rp_table.assign(ROOT, "R1")
-    GCopssNetworkBuilder(network, rp_table).install()
-    from repro.sim.engine import SerialExecutor
-
-    # Same seam as run_chaos: the executor exists before any scheduling.
-    executor = (
-        executor_factory(network) if executor_factory else SerialExecutor(network)
+    testbed = build_testbed(
+        hierarchy,
+        microbenchmark_placement(game_map),
+        calibration,
+        executor_factory,
+        extra_node=attach_broker if script.uses_broker else None,
     )
-
-    recovery = RecoveryConfig.full(
-        st_ttl_ms=12 * refresh,
-        sweep_interval_ms=refresh,
-        refresh_interval_ms=refresh,
-        retry_interval_ms=250.0,
-        max_retries=8,
-    )
-    routers = [n for n in network.nodes.values() if isinstance(n, GCopssRouter)]
-    for router in routers:
-        router.enable_recovery(recovery)
+    network, executor, hosts = testbed.network, testbed.executor, testbed.hosts
+    broker: Optional[SnapshotBroker] = testbed.extra  # type: ignore[assignment]
+    recovery = testbed.enable_recovery(refresh)
 
     # Ground truth from the first instant: the ledger's t=0 epochs are
     # the initial placement, and every scripted move/offline/reconnect
     # below re-notes it from inside the scheduled callback.
     ledger = SubscriptionLedger()
-    hosts: Dict[str, GCopssHost] = {h.name: h for h in topo.hosts}  # type: ignore[misc]
-    for player, host in hosts.items():
-        subs = hierarchy.subscriptions_for(placement[player])
-        host.subscribe(subs)
-        host.start_refresh(refresh)
+    for player, subs in testbed.subscribe(refresh).items():
         ledger.note(player, 0.0, subs)
     if broker is not None:
         broker.start()
@@ -272,13 +239,10 @@ def run_scenario(
             install_routes(network, snapshot_name(cd, 0).parent, broker)
         ledger.note("broker", 0.0, broker.objects.keys())
 
-    executor.run(until=timeline.subscribe_ms)  # converge fault-free
-    network.reset_counters()
+    testbed.converge(until=timeline.subscribe_ms)  # fault-free
 
     plan = build_plan(plan_name, seed, loss, timeline)
-    injector = FaultInjector(network, plan).install()
-    if telemetry is not None:
-        telemetry.install(network, fault_stats=injector.stats, executor=executor)
+    injector = testbed.arm(plan, telemetry)
 
     # The monitor tees behind the telemetry tracer on the node slots, so
     # it must install last — after the injector and the tracer.  Phantom
@@ -292,8 +256,7 @@ def run_scenario(
         inv.install(network)
 
     # Balancers for every router the script splits; candidates follow
-    # the chaos cascade map.  spawn_on_split stays off: the sharded
-    # executor fixes the topology at construction.
+    # the chaos cascade map.
     split_events = [e for e in script.events if e.kind == "split"]
     on_split_log: List[Tuple[str, Tuple[Name, ...]]] = []
     balancers: Dict[str, RpLoadBalancer] = {}
@@ -303,44 +266,20 @@ def run_scenario(
             continue
         if router_name not in _SPLIT_CANDIDATES:
             raise ValueError(f"no split candidates declared for {router_name!r}")
-        import random as _random
-
-        balancers[router_name] = RpLoadBalancer(
-            network.nodes[router_name],  # type: ignore[arg-type]
-            candidates=list(_SPLIT_CANDIDATES[router_name]),
-            queue_threshold=10**9,  # the script decides, never the queue
-            policy=SplitPolicy.RANDOM,
-            refiner=default_refiner(hierarchy),
-            rng=_random.Random(f"balancer:{router_name}:{seed}"),
-            spawn_on_split=False,
-            on_split=lambda new_rp, moved: on_split_log.append((new_rp, moved)),
+        balancers[router_name] = testbed.scripted_balancer(
+            router_name,
+            _SPLIT_CANDIDATES[router_name],
+            random.Random(f"balancer:{router_name}:{seed}"),
+            lambda new_rp, moved: on_split_log.append((new_rp, moved)),
         )
 
     # Delivery bookkeeping (the harness's own, independent of the
     # monitor — see the module docstring on why both exist).
-    got: Dict[Tuple[int, str], float] = {}
-    latency = LatencyRecorder("scenario")
+    got, latency = testbed.record_deliveries("scenario")
 
-    def on_update(host: GCopssHost, packet) -> None:
-        if packet.sequence >= 0:
-            got.setdefault((packet.sequence, host.name), host.sim.now)
-            latency.record(host.sim.now - packet.created_at)
-
-    for host in hosts.values():
-        host.on_update.append(on_update)
-    if broker is not None:
-        broker.on_update.append(on_update)
-
-    offset = executor.now
-    uid_by_seq: Dict[int, int] = {}
     split_results: List[Tuple[str, Optional[str]]] = []
     fetch_stats = {"started": 0, "completed": 0}
     fetchers: List[QrSnapshotFetcher] = []
-
-    def do_publish(sequence: int, player: str, cd: str, size: int) -> None:
-        packet = hosts[player].publish(cd, size, sequence=sequence)
-        if telemetry is not None:
-            uid_by_seq[sequence] = packet.uid
 
     def do_move(player: str, area: str) -> None:
         host = hosts[player]
@@ -429,34 +368,33 @@ def run_scenario(
         split_results.append((router_name, target_name))
 
     for sequence, event in script.publishes():
-        executor.schedule_external(
+        testbed.schedule(
             event.player,
-            offset + event.at_ms,
-            do_publish,
+            event.at_ms,
+            testbed.publish,
             sequence,
             event.player,
             event.cd,
             event.size,
         )
     for event in script.events:
-        if event.kind == "publish":
-            continue
-        t = offset + event.at_ms
         if event.kind == "move":
-            executor.schedule_external(event.player, t, do_move, event.player, event.area)
+            testbed.schedule(event.player, event.at_ms, do_move, event.player, event.area)
         elif event.kind == "offline":
-            executor.schedule_external(event.player, t, do_offline, event.player)
+            testbed.schedule(event.player, event.at_ms, do_offline, event.player)
         elif event.kind == "reconnect":
-            executor.schedule_external(
-                event.player, t, do_reconnect, event.player, event.area
+            testbed.schedule(
+                event.player, event.at_ms, do_reconnect, event.player, event.area
             )
         elif event.kind == "split":
-            executor.schedule_external(event.player, t, do_split, event.player)
+            testbed.schedule(event.player, event.at_ms, do_split, event.player)
         elif event.kind in ("merge", "migrate"):
-            executor.schedule_external(
-                event.player, t, do_handoff, event.kind, event.player, event.area
+            testbed.schedule(
+                event.player, event.at_ms, do_handoff, event.kind, event.player,
+                event.area,
             )
 
+    offset = testbed.offset
     horizon = offset + script.duration_ms + timeline.drain_ms
     if telemetry is not None:
         telemetry.schedule_metrics(horizon)
@@ -504,13 +442,10 @@ def run_scenario(
         expected_cover=sorted({e.cd for e in script.events if e.kind == "publish"}),
     )
 
-    host_population = len(hosts) + (1 if broker is not None else 0)
-    all_hosts = list(hosts.values()) + ([broker] if broker is not None else [])
-    refreshes = sum(r.stats.subscription_refreshes for r in routers) + sum(
-        h.stats.subscription_refreshes for h in all_hosts
-    )
+    counters = testbed.recovery_counters()
+    refreshes = counters["subscription_refreshes"]
     budget = refresh_budget(
-        host_population, horizon, refresh, script.refresh_churn_factor
+        len(testbed.all_hosts), horizon, refresh, script.refresh_churn_factor
     )
     if refreshes > budget:
         inv.violations.append(
@@ -542,41 +477,6 @@ def run_scenario(
     splits_ok = len(split_results) == len(handoff_events) and all(
         new_rp is not None for _router, new_rp in split_results
     )
-
-    counters = {
-        "seq_gaps": sum(h.stats.seq_gaps for h in all_hosts),
-        "seq_missing": sum(h.stats.seq_missing for h in all_hosts),
-        "seq_late": sum(h.stats.seq_late for h in all_hosts),
-        "control_retransmits": sum(r.stats.control_retransmits for r in routers),
-        "subscriptions_expired": sum(r.stats.subscriptions_expired for r in routers),
-        "subscription_refreshes": refreshes,
-        "tunnel_bounces": sum(r.stats.tunnel_bounces for r in routers),
-        "handoff_rollbacks": sum(r.stats.handoff_rollbacks for r in routers),
-        "duplicates_suppressed": sum(h.stats.duplicates_suppressed for h in all_hosts),
-    }
-
-    trace_block: dict = {}
-    if telemetry is not None:
-        tracer = telemetry.tracer
-        chains = []
-        for sequence, receiver in verdict.missed_sample[:3]:
-            tid = uid_by_seq.get(sequence)
-            if tid is None:
-                continue
-            chains.append(
-                {
-                    "sequence": sequence,
-                    "receiver": receiver,
-                    "trace_id": tid,
-                    "chain": render_chain(tracer.hop_chain(tid, receiver=receiver)),
-                }
-            )
-        trace_block = {
-            "events_recorded": len(tracer.events),
-            "drop_reasons": tracer.drop_summary(),
-            "missed_chains": chains,
-        }
-        telemetry.finish()
 
     return ScenarioReport(
         scenario={
@@ -623,7 +523,7 @@ def run_scenario(
             "horizon_ms": horizon,
         },
         snapshot=dict(fetch_stats),
-        trace=trace_block,
+        trace=testbed.finish_trace(telemetry, verdict.missed_sample),
     )
 
 

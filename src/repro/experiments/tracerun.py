@@ -53,73 +53,38 @@ def run_fig4_traced(
     ``executor_factory`` plugs in the sharded execution backend; the
     differential suite compares its outcome against the serial default.
     """
-    from repro.core.engine import GCopssHost, GCopssNetworkBuilder, GCopssRouter
-    from repro.core.rp import RpTable
-    from repro.experiments.calibration import DEFAULT_CALIBRATION
     from repro.experiments.fig4_microbench import microbenchmark_placement
+    from repro.experiments.testbed import build_testbed
     from repro.game.map import GameMap
-    from repro.names import ROOT
     from repro.sim.stats import LatencyRecorder
-    from repro.topology.benchmark import build_benchmark_topology
     from repro.trace.generator import CounterStrikeTraceGenerator, microbenchmark_spec
 
-    calibration = DEFAULT_CALIBRATION
     game_map = GameMap(seed=seed)
     placement = microbenchmark_placement(game_map)
-    hierarchy = game_map.hierarchy
     events = CounterStrikeTraceGenerator(
         game_map, microbenchmark_spec(scale=scale, seed=seed), placement=placement
     ).generate()
 
-    topo = build_benchmark_topology(
-        router_factory=lambda net, name: GCopssRouter(
-            net,
-            name,
-            service_time=calibration.testbed_copss_forward_ms,
-            rp_service_time=calibration.rp_service_ms,
-        ),
-        host_factory=GCopssHost,
-        host_names=sorted(placement),
-        inter_router_delay_ms=calibration.testbed_router_delay_ms,
-        host_delay_ms=calibration.testbed_host_delay_ms,
+    testbed = build_testbed(
+        game_map.hierarchy, placement, executor_factory=executor_factory
     )
-    network = topo.network
-    rp_table = RpTable()
-    rp_table.assign(ROOT, "R1")
-    GCopssNetworkBuilder(network, rp_table).install()
-    from repro.sim.engine import SerialExecutor
+    network, executor, hosts = testbed.network, testbed.executor, testbed.hosts
+    testbed.subscribe()
+    testbed.converge()  # untraced
 
-    executor = (
-        executor_factory(network) if executor_factory else SerialExecutor(network)
-    )
-
-    hosts: Dict[str, GCopssHost] = {h.name: h for h in topo.hosts}  # type: ignore[misc]
-    for player, host in hosts.items():
-        host.subscribe(hierarchy.subscriptions_for(placement[player]))
-    executor.run()  # converge subscriptions untraced
-    network.reset_counters()
-
-    offset = executor.now
-    horizon = offset + (events[-1].time_ms if events else 0.0) + FIG4_DRAIN_MS
+    horizon = testbed.offset + (events[-1].time_ms if events else 0.0) + FIG4_DRAIN_MS
     if telemetry is not None:
         telemetry.install(network, metrics_until=horizon, executor=executor)
 
     latency = LatencyRecorder("fig4-traced")
 
-    def on_update(host: GCopssHost, packet) -> None:
+    def on_update(host, packet) -> None:
         latency.record(host.sim.now - packet.created_at)
 
     for host in hosts.values():
         host.on_update.append(on_update)
 
-    uid_by_seq: Dict[int, int] = {}
-
-    def publish(i: int, event) -> None:
-        packet = hosts[event.player].publish(event.cd, event.size, sequence=i)
-        uid_by_seq[i] = packet.uid
-
-    for i, event in enumerate(events):
-        executor.schedule_external(event.player, offset + event.time_ms, publish, i, event)
+    testbed.replay(events)
     executor.run(until=horizon)
 
     counters: Dict[str, int] = {}
@@ -135,7 +100,7 @@ def run_fig4_traced(
         "network_bytes": network.total_bytes,
         "network_packets": network.total_packets,
         "counters": counters,
-        "uid_by_seq": uid_by_seq,
+        "uid_by_seq": testbed.uid_by_seq,
     }
 
 

@@ -13,24 +13,143 @@ the installed RP layout (:func:`partition_by_rp`: the anchors are the
 routers holding RP prefixes).  The plan is fixed for the lifetime of a
 run: determinism requires that shard assignment never depends on runtime
 load.
+
+The three graph searches behind a plan — :func:`nearest_anchor`,
+:func:`min_cut_delay` and :func:`distances_to_boundary` — read a plain
+``(a, b, delay)`` link list, so a built :class:`~repro.sim.network.Network`
+(:func:`network_links`) and a topology known only as a table (the scale
+scenario's spec, :mod:`repro.parallel.slicing`) run the same code.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.network import Link, Network
 
 __all__ = [
     "ShardPlan",
+    "network_links",
+    "nearest_anchor",
+    "min_cut_delay",
+    "distances_to_boundary",
     "partition_by_anchors",
     "partition_by_rp",
-    "partition_by_regions",
-    "assert_region_atomic",
 ]
+
+#: ``(a, b, delay)`` — one undirected link between two named nodes.
+LinkRow = Tuple[str, str, float]
+
+_INF = float("inf")
+
+
+def network_links(network: "Network") -> List[LinkRow]:
+    """A built network's links as ``(a, b, delay)`` rows, in creation order."""
+    return [
+        (link._ends[0][0].name, link._ends[1][0].name, link.delay)
+        for link in network.links
+    ]
+
+
+def nearest_anchor(links: Iterable[LinkRow], anchors: Sequence[str]) -> Dict[str, int]:
+    """Node name → index of its delay-nearest anchor, lowest index on ties.
+
+    A multi-source Dijkstra over the delay-weighted links.  Heap entries
+    are ``(distance, anchor_index, node)``, so heap order itself
+    implements the tie-break — a node is claimed by the first (smallest)
+    entry that reaches it — and the result is a pure function of (links,
+    anchor order), never of dict iteration or runtime state.  Nodes no
+    anchor reaches are absent from the result.
+    """
+    adjacency: Dict[str, List[Tuple[str, float]]] = {}
+    for a, b, delay in links:
+        adjacency.setdefault(a, []).append((b, delay))
+        adjacency.setdefault(b, []).append((a, delay))
+    best: Dict[str, Tuple[float, int]] = {}
+    heap: List[Tuple[float, int, str]] = [
+        (0.0, i, name) for i, name in enumerate(anchors)
+    ]
+    heapq.heapify(heap)
+    while heap:
+        dist, anchor, node = heapq.heappop(heap)
+        seen = best.get(node)
+        if seen is not None and seen <= (dist, anchor):
+            continue
+        best[node] = (dist, anchor)
+        for neighbor, weight in adjacency.get(node, ()):
+            candidate = (dist + weight, anchor)
+            if neighbor not in best or candidate < best[neighbor]:
+                heapq.heappush(heap, (dist + weight, anchor, neighbor))
+    return {node: anchor for node, (_dist, anchor) in best.items()}
+
+
+def min_cut_delay(links: Iterable[LinkRow], assignment: Dict[str, int]) -> float:
+    """Conservative synchronization window: min cross-shard link delay.
+
+    Any event in window ``[T, T+W)`` can influence another shard no
+    earlier than ``T+W``, so shards run windows of width W independently
+    and exchange transit packets at the barriers.  Returns ``inf`` when
+    no link crosses a shard boundary (the shards are fully independent).
+    A zero-delay boundary link would force zero lookahead — reject it.
+    """
+    lookahead = _INF
+    for a, b, delay in links:
+        if assignment[a] == assignment[b]:
+            continue
+        if delay <= 0.0:
+            raise ValueError(
+                f"boundary link {a}<->{b} has zero delay; conservative "
+                "synchronization needs positive cross-shard latency "
+                "(repartition so the link is shard-internal)"
+            )
+        if delay < lookahead:
+            lookahead = delay
+    return lookahead
+
+
+def distances_to_boundary(
+    links: Iterable[LinkRow], assignment: Dict[str, int]
+) -> Dict[str, float]:
+    """Node name → delay-distance to its own shard's nearest boundary egress.
+
+    The distance runs over *in-shard* links only and includes the
+    boundary link's own delay, so it lower-bounds how long any event at
+    the node needs before it can influence another shard — the input to
+    :meth:`~repro.sim.engine.Simulator.earliest_output_bound`.  Every
+    assigned node gets an entry; those that cannot reach any boundary
+    (every node of a boundary-less shard, and any node ``links`` does not
+    mention) get ``inf``: their events never produce cross-shard traffic.
+
+    One Dijkstra serves every shard at once: it is seeded at each
+    boundary link's two ends with the link delay already paid (min over
+    parallel boundary links) and walks in-shard links only, so no path
+    ever leaves the shard it started in.
+    """
+    seeds: Dict[str, float] = {}
+    adjacency: Dict[str, List[Tuple[str, float]]] = {}
+    for a, b, delay in links:
+        if assignment[a] == assignment[b]:
+            adjacency.setdefault(a, []).append((b, delay))
+            adjacency.setdefault(b, []).append((a, delay))
+        else:
+            for end in (a, b):
+                if delay < seeds.get(end, _INF):
+                    seeds[end] = delay
+    dist: Dict[str, float] = {}
+    heap = [(d, name) for name, d in seeds.items()]
+    heapq.heapify(heap)
+    while heap:
+        d, name = heapq.heappop(heap)
+        if name in dist:
+            continue
+        dist[name] = d
+        for neighbor, delay in adjacency.get(name, ()):
+            if neighbor not in dist:
+                heapq.heappush(heap, (d + delay, neighbor))
+    return {name: dist.get(name, _INF) for name in assignment}
 
 
 @dataclass(frozen=True)
@@ -76,79 +195,15 @@ class ShardPlan:
         return cut
 
     def lookahead_ms(self, network: "Network") -> float:
-        """Conservative synchronization window: min cross-shard link delay.
-
-        Any event in window ``[T, T+W)`` can influence another shard no
-        earlier than ``T+W``, so shards run windows of width W
-        independently and exchange transit packets at the barriers.
-        Returns ``inf`` when no link crosses a shard boundary (the shards
-        are fully independent).  A zero-delay boundary link would force
-        zero lookahead — reject it.
-        """
-        cut = self.boundary_links(network)
-        if not cut:
-            return float("inf")
-        lookahead = min(link.delay for link in cut)
-        if lookahead <= 0.0:
-            zero = next(l.name for l in cut if l.delay <= 0.0)
-            raise ValueError(
-                f"boundary link {zero!r} has zero delay; conservative "
-                "synchronization needs positive cross-shard latency "
-                "(repartition so the link is shard-internal)"
-            )
-        return lookahead
+        """:func:`min_cut_delay` of this plan over ``network``'s links."""
+        return min_cut_delay(network_links(network), self.assignment)
 
     def boundary_distances(self, network: "Network") -> List[Dict[int, float]]:
-        """Per shard: node rank → delay-distance to the nearest boundary egress.
-
-        The distance runs over *in-shard* links only and includes the
-        boundary link's own delay, so it lower-bounds how long any event at
-        the node needs before it can influence another shard — the input to
-        :meth:`~repro.sim.engine.Simulator.earliest_output_bound`.  Nodes
-        that cannot reach any boundary (or shards with no boundary at all)
-        get ``inf``: their events never produce cross-shard traffic.
-        """
-        assignment = self.assignment
-        # Seed each shard's Dijkstra at its boundary egress nodes, with the
-        # boundary link delay already paid (min over parallel boundary links).
-        seeds: List[Dict[str, float]] = [{} for _ in range(self.num_shards)]
-        for link in self.boundary_links(network):
-            (a, _), (b, _) = link._ends
-            for node in (a, b):
-                shard = assignment[node.name]
-                prior = seeds[shard].get(node.name)
-                if prior is None or link.delay < prior:
-                    seeds[shard][node.name] = link.delay
-        # In-shard adjacency (name → [(neighbor, delay)]).
-        adjacency: Dict[str, List[Tuple[str, float]]] = {
-            name: [] for name in network.nodes
-        }
-        for link in network.links:
-            (a, _), (b, _) = link._ends
-            if assignment[a.name] == assignment[b.name]:
-                adjacency[a.name].append((b.name, link.delay))
-                adjacency[b.name].append((a.name, link.delay))
-        result: List[Dict[int, float]] = []
-        for shard in range(self.num_shards):
-            dist: Dict[str, float] = {}
-            heap = [(d, name) for name, d in sorted(seeds[shard].items())]
-            heapq.heapify(heap)
-            while heap:
-                d, name = heapq.heappop(heap)
-                if name in dist:
-                    continue
-                dist[name] = d
-                for neighbor, delay in adjacency[name]:
-                    if neighbor not in dist:
-                        heapq.heappush(heap, (d + delay, neighbor))
-            inf = float("inf")
-            result.append(
-                {
-                    node.rank: dist.get(name, inf)
-                    for name, node in network.nodes.items()
-                    if assignment[name] == shard
-                }
-            )
+        """Per shard: node rank → :func:`distances_to_boundary` over ``network``."""
+        dist = distances_to_boundary(network_links(network), self.assignment)
+        result: List[Dict[int, float]] = [{} for _ in range(self.num_shards)]
+        for name, node in network.nodes.items():
+            result[self.assignment[name]][node.rank] = dist[name]
         return result
 
     def annotate_roles(self, network: "Network") -> None:
@@ -170,9 +225,7 @@ def partition_by_anchors(
 ) -> ShardPlan:
     """Assign every node to its delay-nearest anchor (shard i = anchor i).
 
-    A multi-source Dijkstra over the delay-weighted topology; ties break
-    to the lowest anchor index, so the plan is a pure function of
-    (topology, anchor order) — never of dict iteration or runtime state.
+    See :func:`nearest_anchor` for the search and its tie-break.
     """
     if not anchors:
         raise ValueError("need at least one anchor")
@@ -181,32 +234,12 @@ def partition_by_anchors(
     for name in anchors:
         if name not in network.nodes:
             raise KeyError(f"anchor {name!r} is not in the network")
-    graph = network.graph
-    # (distance, anchor_index, node): heap order itself implements the
-    # lowest-anchor-index tie-break — a node is claimed by the first
-    # (smallest) entry that reaches it.
-    best: Dict[str, Tuple[float, int]] = {}
-    heap: List[Tuple[float, int, str]] = [
-        (0.0, i, name) for i, name in enumerate(anchors)
-    ]
-    heapq.heapify(heap)
-    while heap:
-        dist, anchor, node = heapq.heappop(heap)
-        seen = best.get(node)
-        if seen is not None and seen <= (dist, anchor):
-            continue
-        best[node] = (dist, anchor)
-        for neighbor in graph.neighbors(node):
-            weight = graph.edges[node, neighbor]["weight"]
-            candidate = (dist + weight, anchor)
-            if neighbor not in best or candidate < best[neighbor]:
-                heapq.heappush(heap, (dist + weight, anchor, neighbor))
-    unreachable = set(network.nodes) - set(best)
+    assignment = nearest_anchor(network_links(network), anchors)
+    unreachable = set(network.nodes) - set(assignment)
     if unreachable:
         raise ValueError(
             f"nodes unreachable from every anchor: {sorted(unreachable)[:5]}"
         )
-    assignment = {node: anchor for node, (dist, anchor) in best.items()}
     return ShardPlan(
         assignment=assignment, num_shards=len(anchors), anchors=tuple(anchors)
     )
@@ -238,69 +271,3 @@ def partition_by_rp(
     if max_shards is not None:
         rp_sites = rp_sites[:max_shards]
     return partition_by_anchors(network, rp_sites)
-
-
-def partition_by_regions(
-    network: "Network", region_map, num_shards: Optional[int] = None
-) -> ShardPlan:
-    """Region-aware shard plan: every RP region is shard-atomic.
-
-    The federation autoscaler reads member queue depths and load meters
-    from inside its region each tick; those reads are only deterministic
-    under the sharded executors when the whole region — aggregation
-    point, owner members and the hosts hanging off them — lives in one
-    shard.  This plan seeds shards from the aggregation points (region i
-    -> shard ``i % num_shards``), lets every non-member node fold to its
-    delay-nearest aggregator (the usual anchor rule), and then *forces*
-    region members onto their region's shard.
-
-    ``region_map`` is a :class:`repro.core.federation.RegionMap` (typed
-    loosely to keep this module import-light).  The result is validated
-    with :func:`assert_region_atomic`.
-    """
-    regions = region_map.regions()
-    if not regions:
-        raise ValueError("region map is empty")
-    if num_shards is None:
-        num_shards = len(regions)
-    if not 1 <= num_shards <= len(regions):
-        raise ValueError(
-            f"num_shards must be 1..{len(regions)} (one region cannot span"
-            f" shards), got {num_shards}"
-        )
-    anchors = [region.aggregator for region in regions[:num_shards]]
-    plan = partition_by_anchors(network, anchors)
-    assignment = dict(plan.assignment)
-    for index, region in enumerate(regions):
-        shard = index % num_shards
-        for member in region.members:
-            if member in assignment:
-                assignment[member] = shard
-    # Hosts (and any other leaf) follow their single router neighbour so
-    # zero-delay access links never straddle a boundary.
-    graph = network.graph
-    for name, node in network.nodes.items():
-        if getattr(node, "is_copss_router", False):
-            continue
-        neighbors = list(graph.neighbors(name))
-        if len(neighbors) == 1:
-            assignment[name] = assignment[neighbors[0]]
-    plan = ShardPlan(
-        assignment=assignment, num_shards=num_shards, anchors=tuple(anchors)
-    )
-    assert_region_atomic(plan, region_map)
-    return plan
-
-
-def assert_region_atomic(plan: ShardPlan, region_map) -> None:
-    """Raise unless every region's members share one shard."""
-    for region in region_map.regions():
-        shards = {
-            plan.assignment[m] for m in region.members if m in plan.assignment
-        }
-        if len(shards) > 1:
-            raise ValueError(
-                f"region {region.name} spans shards {sorted(shards)};"
-                " the autoscaler's region-local reads require shard-atomic"
-                " regions"
-            )

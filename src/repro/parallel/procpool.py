@@ -12,7 +12,8 @@ routes are reproduced from the spec in closed form, so the
 processes with zero coordination, without anyone paying for a 10⁴-node
 replica build (the old protocol built N+1 of them).  The coordinator
 itself builds *nothing*: plan, lookahead and boundary distances all come
-from the spec (:func:`scale_plan_fast` and friends).
+from the spec's topology table (:func:`scale_topology`), through the same
+partition searches a built network feeds.
 
 **Packed binary batches.**  Cross-shard packets leave through a boundary
 proxy as ``(time, sender rank, send order, dst, src, packet)`` records,
@@ -107,12 +108,8 @@ def _worker_main(conn, spec: "ScaleSpec", shard: int, num_shards: int) -> None:
     import repro.ndn.packets as ndn_packets
     import repro.packets as packets_mod
 
-    from repro.parallel.scale import _publish, scale_events
-    from repro.parallel.slicing import (
-        build_scale_shard,
-        scale_plan_fast,
-        shard_boundary_distances,
-    )
+    from repro.parallel.scale import _publish, _subscribe_hosts, scale_events
+    from repro.parallel.slicing import build_scale_shard, scale_plan_fast
 
     # Disjoint uid/nonce ranges per worker: dedup-by-uid and PIT nonce
     # checks stay collision-free across processes.
@@ -125,26 +122,15 @@ def _worker_main(conn, spec: "ScaleSpec", shard: int, num_shards: int) -> None:
     sim = network.sim
     egress = _EgressProxy(sim)
     assignment = plan.assignment
-    for link in network.links:
-        (a, _), (b, _) = link._ends
-        if assignment[a.name] != assignment[b.name]:
-            link.sim = egress
+    for link in plan.boundary_links(network):
+        link.sim = egress
 
     nodes = network.nodes
-    dists = {
-        nodes[name].rank: dist
-        for name, dist in shard_boundary_distances(spec, plan, shard).items()
-    }
+    # The slice holds every link of this shard, boundary links included,
+    # which is all the distance-to-boundary search reads.
+    dists = plan.boundary_distances(network)[shard]
 
-    log = DeliveryLog()
-
-    def on_update(host, packet) -> None:
-        log.record(packet.sequence, host.name, host.sim.now - packet.created_at)
-
-    for name in sorted(world.hosts):
-        host = world.hosts[name]
-        host.on_update.append(on_update)
-        host.subscribe(spec.subscriptions_for(world.host_region[name], name))
+    log = _subscribe_hosts(spec, world)
     # This worker's regions came with unstarted autoscaler roles (the
     # slice build attaches them); arm their tick loops node-anchored at
     # t=0, mirroring execute_scale_local's schedule_external path.
@@ -230,22 +216,18 @@ def run_scale_proc(spec: "ScaleSpec", workers: int) -> dict:
     order)`` — for injection on the next ``RUN``.  Falls back to the
     in-process executor when the platform cannot fork processes.
     """
+    from repro.parallel.partition import distances_to_boundary, min_cut_delay
     from repro.parallel.scale import execute_scale_local
-    from repro.parallel.slicing import (
-        scale_plan_fast,
-        shard_boundary_distances,
-        spec_lookahead_ms,
-    )
+    from repro.parallel.slicing import scale_plan_fast, scale_topology
 
     if workers < 2:
         raise ValueError(f"run_scale_proc needs >= 2 workers, got {workers}")
     # Plan, lookahead and distance maps come straight from the spec — the
     # coordinator never builds a world.
     plan = scale_plan_fast(spec, workers)
-    lookahead = spec_lookahead_ms(spec, plan)
-    dist_of: Dict[str, float] = {}
-    for shard in range(workers):
-        dist_of.update(shard_boundary_distances(spec, plan, shard))
+    links = scale_topology(spec).links
+    lookahead = min_cut_delay(links, plan.assignment)
+    dist_of = distances_to_boundary(links, plan.assignment)
     until = spec.horizon_ms
 
     try:

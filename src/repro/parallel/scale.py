@@ -30,11 +30,15 @@ from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from repro.names import ROOT, Name
 from repro.parallel.digest import DeliveryLog
-from repro.parallel.partition import ShardPlan, partition_by_anchors
+from repro.parallel.slicing import (
+    ScaleWorld,
+    build_scale_world,
+    scale_plan_fast,
+    scale_topology,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.engine import GCopssHost
-    from repro.sim.network import Network
 
 __all__ = [
     "ScaleSpec",
@@ -42,7 +46,6 @@ __all__ = [
     "ScaleWorld",
     "build_scale_world",
     "scale_events",
-    "scale_plan",
     "run_scale",
     "federation_summary",
     "latency_stats",
@@ -100,8 +103,11 @@ class ScaleSpec:
         """The CDs one host subscribes to; every execution mode calls this."""
         return [self.region_cd(region), self.world_cd]
 
-    def map_event_cd(self, index: int, player: str, cd: Name) -> Name:
-        """Post-map one workload event's CD (pure; rng stream untouched)."""
+    def map_event_cd(self, index: int, player: str, region: int, cd: Name) -> Name:
+        """Post-map one workload event's CD (pure; rng stream untouched).
+
+        ``region`` is the publisher's own region.
+        """
         return cd
 
     def post_install(self, network) -> None:
@@ -163,15 +169,12 @@ class FederationSpec(ScaleSpec):
             return super().subscriptions_for(region, host_name)
         return [self.zone_cd(region, self.zone_of(host_name)), self.world_cd]
 
-    def map_event_cd(self, index: int, player: str, cd: Name) -> Name:
+    def map_event_cd(self, index: int, player: str, region: int, cd: Name) -> Name:
         """Retarget a region publish to its zone (maybe a foreign one)."""
         if not self.federated or cd == self.world_cd:
             return cd
-        # Recompute the publisher's region the same way scale_events drew
-        # it, then optionally redirect to a foreign region: a pure integer
-        # hash, so the frozen rng stream stays untouched.
-        total_access = self.regions * self.access_per_region
-        region = (int(player[1:]) % total_access) // self.access_per_region
+        # Optionally redirect to a foreign region: a pure integer hash, so
+        # the frozen rng stream stays untouched.
         if self.regions > 1 and self._remote_draw(index):
             region = (region + 1 + index % (self.regions - 1)) % self.regions
         return self.zone_cd(region, self.zone_of(player))
@@ -259,76 +262,6 @@ class FederationSpec(ScaleSpec):
         network.federation_state = state
 
 
-@dataclass
-class ScaleWorld:
-    """A built scale topology plus its player layout."""
-
-    network: "Network"
-    hosts: Dict[str, "GCopssHost"]
-    host_region: Dict[str, int]
-    cores: List[str]
-
-
-def build_scale_world(spec: ScaleSpec):
-    """Build the region-ring topology and install the RP layout.
-
-    Construction order is a pure function of ``spec`` — node ranks (and
-    with them every tie-break in the simulation) are identical no matter
-    which process builds the world, which is what lets worker processes
-    each build a full replica and still agree on global event order.
-    """
-    from repro.core.engine import GCopssHost, GCopssNetworkBuilder, GCopssRouter
-    from repro.core.rp import RpTable
-    from repro.sim.network import Network
-
-    network = Network()
-    cores: List[str] = []
-    for r in range(spec.regions):
-        GCopssRouter(network, f"core{r}")
-        cores.append(f"core{r}")
-    if spec.regions == 2:
-        network.connect("core0", "core1", spec.core_ring_delay_ms)
-    elif spec.regions > 2:
-        for r in range(spec.regions):
-            network.connect(
-                f"core{r}", f"core{(r + 1) % spec.regions}", spec.core_ring_delay_ms
-            )
-    access_names: List[str] = []
-    for r in range(spec.regions):
-        for a in range(spec.access_per_region):
-            name = f"acc{r}_{a}"
-            GCopssRouter(network, name)
-            network.connect(name, f"core{r}", spec.access_delay_ms)
-            access_names.append(name)
-
-    hosts: Dict[str, GCopssHost] = {}
-    host_region: Dict[str, int] = {}
-    total_access = len(access_names)
-    for i in range(spec.players):
-        access = access_names[i % total_access]
-        region = int(access[3 : access.index("_")])
-        name = f"p{i:06d}"
-        host = GCopssHost(network, name)
-        network.connect(name, access, spec.host_delay_ms)
-        hosts[name] = host
-        host_region[name] = region
-
-    rp_table = RpTable()
-    for r in range(spec.regions):
-        rp_table.assign(spec.region_cd(r), f"core{r}")
-    rp_table.assign(spec.world_cd, "core0")
-    # Routes come from the spec-level table shared with the slice builder
-    # (repro.parallel.slicing): equal-cost ties must resolve identically
-    # whether a process holds the whole world or one shard's slice.
-    from repro.parallel.slicing import scale_routes
-
-    GCopssNetworkBuilder(network, rp_table, next_hops=scale_routes(spec)).install()
-    spec.post_install(network)
-    return ScaleWorld(
-        network=network, hosts=hosts, host_region=host_region, cores=cores
-    )
-
-
 def scale_events(spec: ScaleSpec) -> List[Tuple[float, str, str]]:
     """The seeded workload: ``(time_ms, player, cd_text)`` per publish.
 
@@ -336,13 +269,12 @@ def scale_events(spec: ScaleSpec) -> List[Tuple[float, str, str]]:
     process-stable), shared verbatim by every execution mode; each worker
     filters it down to its own shard's publishers.
     """
-    players = [f"p{i:06d}" for i in range(spec.players)]
-    total_access = spec.regions * spec.access_per_region
+    topology = scale_topology(spec)
     rng = random.Random(f"scale:{spec.seed}")
     events: List[Tuple[float, str, str]] = []
     for i in range(spec.updates):
-        player = players[rng.randrange(spec.players)]
-        region = (int(player[1:]) % total_access) // spec.access_per_region
+        player = topology.hosts[rng.randrange(spec.players)]
+        region = topology.host_region[player]
         if rng.random() < spec.world_fraction:
             cd = spec.world_cd
         else:
@@ -354,27 +286,16 @@ def scale_events(spec: ScaleSpec) -> List[Tuple[float, str, str]]:
         )
         # The rng stream above is frozen (shared by every spec variant);
         # subclasses may only *re-map* the drawn CD, never re-draw.
-        events.append((time, player, str(spec.map_event_cd(i, player, cd))))
+        events.append((time, player, str(spec.map_event_cd(i, player, region, cd))))
     return events
-
-
-def scale_plan(network: "Network", spec: ScaleSpec, shards: int) -> ShardPlan:
-    """Anchor shard *i* at ``core{i}``; regions fold onto the nearest core."""
-    if not 1 <= shards <= spec.regions:
-        raise ValueError(
-            f"shards must be in 1..{spec.regions} (one anchor per region), got {shards}"
-        )
-    return partition_by_anchors(network, [f"core{r}" for r in range(shards)])
 
 
 def _publish(host: "GCopssHost", cd: str, size: int, sequence: int) -> None:
     host.publish(cd, size, sequence=sequence)
 
 
-def execute_scale_local(spec: ScaleSpec, make_executor) -> dict:
-    """Build, subscribe, publish, drain — under any local executor."""
-    world = build_scale_world(spec)
-    executor = make_executor(world.network)
+def _subscribe_hosts(spec: ScaleSpec, world: ScaleWorld) -> DeliveryLog:
+    """Subscribe a world's (or a slice's) hosts; log what they receive."""
     log = DeliveryLog()
 
     def on_update(host: "GCopssHost", packet) -> None:
@@ -384,6 +305,14 @@ def execute_scale_local(spec: ScaleSpec, make_executor) -> dict:
         host = world.hosts[name]
         host.on_update.append(on_update)
         host.subscribe(spec.subscriptions_for(world.host_region[name], name))
+    return log
+
+
+def execute_scale_local(spec: ScaleSpec, make_executor) -> dict:
+    """Build, subscribe, publish, drain — under any local executor."""
+    world = build_scale_world(spec)
+    executor = make_executor(world.network)
+    log = _subscribe_hosts(spec, world)
 
     # Autoscaler ticks must enter the *executor's* clocks: the sharded
     # executors rebind every node.sim at construction, so roles are armed
@@ -465,11 +394,9 @@ def run_scale(spec: ScaleSpec, shards: int = 1, workers: int = 1) -> dict:
     if shards > 1:
         from repro.parallel.executor import ShardedExecutor
 
+        plan = scale_plan_fast(spec, shards)
         result = execute_scale_local(
-            spec,
-            lambda network: ShardedExecutor(
-                network, scale_plan(network, spec, shards)
-            ),
+            spec, lambda network: ShardedExecutor(network, plan)
         )
         result["mode"] = f"inproc:{shards}"
         return result

@@ -1,173 +1,157 @@
-"""Spec-sliced shard construction for the ``scale`` scenario.
+"""The ``scale`` world's shape and construction, from the spec alone.
 
-The original worker protocol (:mod:`repro.parallel.procpool`, PR 5) had
-every worker build a **full replica** of the world and poison the foreign
-nodes — correct, but at 10⁴ players each replica build costs more than a
-worker's whole share of the event load, and N workers plus the
-coordinator paid it N+1 times.  This module derives everything a worker
-needs *directly from the spec*, without ever materializing the world:
+A :class:`~repro.parallel.scale.ScaleSpec` fixes the region-ring topology
+completely, so everything about its *shape* is a table
+(:class:`ScaleTopology`, derived once per process per spec by
+:func:`scale_topology`): node names in registration order (position =
+serial rank), links in creation order, host → access router → region, the
+router-only link list and the RP routes.  Every consumer reads that one
+table:
 
-* :func:`scale_ranks` — the serial world's node ranks, in closed form
-  (registration order is a pure function of the spec);
-* :func:`scale_plan_fast` — the shard plan, from a Dijkstra over the
-  router-only graph plus the analytic host fold (hosts are leaves, so
-  they always inherit their access router's shard);
-* :func:`scale_routes` — deterministic next hops toward every RP, shared
-  by the full build and the slices (route tie-breaks must not depend on
-  which subgraph a process happens to hold, so neither build may ask
-  networkx);
-* :func:`build_scale_shard` — the shard's own nodes and links plus
-  lightweight :class:`_StubNode` far-ends for boundary links, with serial
-  ranks and serial face ids;
-* :func:`shard_boundary_distances` / :func:`spec_lookahead_ms` — the
-  distance-to-boundary map feeding the adaptive lookahead protocol
-  (:meth:`repro.sim.engine.Simulator.earliest_output_bound`).
+* :func:`scale_plan_fast` — the shard plan, from
+  :func:`~repro.parallel.partition.nearest_anchor` over the router-only
+  links plus the analytic host fold (hosts are leaves, so they always
+  inherit their access router's shard);
+* :func:`scale_routes` — deterministic next hops toward every RP (route
+  tie-breaks must not depend on which subgraph a process happens to
+  hold, so no build may ask networkx);
+* :func:`build_scale_world` and :func:`build_scale_shard` — the full
+  world and one shard's slice of it, through a single construction loop
+  (the full world is the slice that owns every node);
+* the multiprocess coordinator, which never builds anything: lookahead
+  and distance-to-boundary are
+  :func:`~repro.parallel.partition.min_cut_delay` and
+  :func:`~repro.parallel.partition.distances_to_boundary` over
+  :attr:`ScaleTopology.links`.
 
-Why slices stay bit-identical to replicas: every tie-break in the engine
-is ``(time, origin, seq)`` where ``origin`` is a node *rank*, and every
-forwarding decision keys off node names, face identity or installed
-routes.  The slice reproduces ranks by formula, face ids by creating the
-shard's links in the serial creation order (skipping only links with
-both ends foreign — which cannot be incident to a shard node), and
-routes by sharing :func:`scale_routes` with the full build.  The
-property suite in ``tests/test_parallel_slicing.py`` pins all of this
-against a genuine full-replica restriction.
+Why slices stay bit-identical to the full world: every tie-break in the
+engine is ``(time, origin, seq)`` where ``origin`` is a node *rank*, and
+every forwarding decision keys off node names, face identity or installed
+routes.  A slice takes its ranks from the table, gets its face ids by
+creating links in the table's order (skipping only links with an absent
+end — which cannot be incident to a shard node), and installs routes
+from the same :func:`scale_routes` table.  ``tests/test_parallel_slicing
+.py`` pins all of this against the restriction of a full build.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Tuple
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import TYPE_CHECKING, Container, Dict, List, Sequence, Tuple
 
-from repro.parallel.partition import ShardPlan
-from repro.parallel.scale import ScaleSpec, ScaleWorld
+from repro.parallel.partition import LinkRow, ShardPlan, nearest_anchor
 from repro.sim.network import Network, Node
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.engine import GCopssHost
+    from repro.parallel.scale import ScaleSpec
+
 __all__ = [
-    "scale_ranks",
-    "scale_links",
+    "ScaleTopology",
+    "ScaleWorld",
+    "scale_topology",
     "scale_plan_fast",
     "scale_routes",
+    "build_scale_world",
     "build_scale_shard",
-    "shard_boundary_distances",
-    "spec_lookahead_ms",
 ]
 
-_INF = float("inf")
-
 
 # ----------------------------------------------------------------------
-# Analytic topology: names, ranks and links in serial creation order
+# The spec-derived topology table
 # ----------------------------------------------------------------------
-def _access_names(spec: ScaleSpec) -> List[str]:
-    return [
-        f"acc{r}_{a}"
-        for r in range(spec.regions)
-        for a in range(spec.access_per_region)
-    ]
+class ScaleTopology:
+    """The region-ring world as tables, a pure function of the spec.
 
-
-def _host_access(spec: ScaleSpec, i: int) -> str:
-    names = _access_names(spec)
-    return names[i % len(names)]
-
-
-def scale_nodes(spec: ScaleSpec) -> List[Tuple[str, str]]:
-    """``(name, kind)`` for every node, in serial registration order.
-
-    ``kind`` is ``core`` / ``access`` / ``host``.  The order *is* the rank
-    assignment (see :meth:`repro.sim.network.Network._register`).
+    ``nodes`` lists ``(name, kind)`` — kind is ``core`` / ``access`` /
+    ``host`` — in serial registration order; the position *is* the rank
+    (see :meth:`repro.sim.network.Network._register`).  ``links`` lists
+    ``(a, b, delay)`` in serial creation order, which matters because a
+    node's face ids follow the order its links are created in, and faces
+    are forwarding state (ST tables, RP routes).
     """
-    out: List[Tuple[str, str]] = [(f"core{r}", "core") for r in range(spec.regions)]
-    out.extend((name, "access") for name in _access_names(spec))
-    out.extend((f"p{i:06d}", "host") for i in range(spec.players))
-    return out
 
-
-def scale_ranks(spec: ScaleSpec) -> Dict[str, int]:
-    """Node name → serial rank, without building anything."""
-    return {name: rank for rank, (name, _kind) in enumerate(scale_nodes(spec))}
-
-
-def scale_links(spec: ScaleSpec) -> List[Tuple[str, str, float]]:
-    """``(a, b, delay)`` for every link, in serial creation order.
-
-    Creation order matters: a node's face ids are assigned in the order
-    its links are created, and faces are forwarding state (ST tables,
-    RP routes).  This must mirror ``build_scale_world`` exactly.
-    """
-    links: List[Tuple[str, str, float]] = []
-    if spec.regions == 2:
-        links.append(("core0", "core1", spec.core_ring_delay_ms))
-    elif spec.regions > 2:
-        for r in range(spec.regions):
-            links.append(
+    def __init__(self, spec: "ScaleSpec") -> None:
+        self.cores: List[str] = [f"core{r}" for r in range(spec.regions)]
+        access_region: Dict[str, int] = {
+            f"acc{r}_{a}": r
+            for r in range(spec.regions)
+            for a in range(spec.access_per_region)
+        }
+        access = list(access_region)
+        self.hosts: List[str] = [f"p{i:06d}" for i in range(spec.players)]
+        self.nodes: List[Tuple[str, str]] = (
+            [(name, "core") for name in self.cores]
+            + [(name, "access") for name in access]
+            + [(name, "host") for name in self.hosts]
+        )
+        self.ranks: Dict[str, int] = {
+            name: rank for rank, (name, _kind) in enumerate(self.nodes)
+        }
+        ring: List[LinkRow] = []
+        if spec.regions == 2:
+            ring.append(("core0", "core1", spec.core_ring_delay_ms))
+        elif spec.regions > 2:
+            ring.extend(
                 (f"core{r}", f"core{(r + 1) % spec.regions}", spec.core_ring_delay_ms)
+                for r in range(spec.regions)
             )
-    for r in range(spec.regions):
-        for a in range(spec.access_per_region):
-            links.append((f"acc{r}_{a}", f"core{r}", spec.access_delay_ms))
-    for i in range(spec.players):
-        links.append((f"p{i:06d}", _host_access(spec, i), spec.host_delay_ms))
-    return links
+        #: Links among routers only (cores + access), a prefix of ``links``.
+        self.router_links: List[LinkRow] = ring + [
+            (name, f"core{r}", spec.access_delay_ms)
+            for name, r in access_region.items()
+        ]
+        self.host_access: Dict[str, str] = {
+            host: access[i % len(access)] for i, host in enumerate(self.hosts)
+        }
+        self.host_region: Dict[str, int] = {
+            host: access_region[name] for host, name in self.host_access.items()
+        }
+        self.links: List[LinkRow] = self.router_links + [
+            (host, name, spec.host_delay_ms)
+            for host, name in self.host_access.items()
+        ]
+        self.routes = scale_routes(self.cores, self.router_links, self.ranks)
 
 
-def _router_adjacency(spec: ScaleSpec) -> Dict[str, List[Tuple[str, float]]]:
-    """Adjacency over routers only (cores + access), in link order."""
-    adjacency: Dict[str, List[Tuple[str, float]]] = {
-        name: [] for name, kind in scale_nodes(spec) if kind != "host"
-    }
-    for a, b, delay in scale_links(spec):
-        if a in adjacency and b in adjacency:
-            adjacency[a].append((b, delay))
-            adjacency[b].append((a, delay))
-    return adjacency
+@lru_cache(maxsize=2)
+def scale_topology(spec: "ScaleSpec") -> ScaleTopology:
+    """The spec's topology table, derived once per process per spec."""
+    return ScaleTopology(spec)
 
 
 # ----------------------------------------------------------------------
 # Plan and routes, world-free
 # ----------------------------------------------------------------------
-def scale_plan_fast(spec: ScaleSpec, shards: int) -> ShardPlan:
-    """The exact plan ``scale_plan`` would compute, without the world.
+def scale_plan_fast(spec: "ScaleSpec", shards: int) -> ShardPlan:
+    """Anchor shard *i* at ``core{i}``; everything folds onto the nearest core.
 
     Hosts are leaves: the only path to a host runs through its access
     router, so its ``(distance, anchor)`` optimum is its access router's
     plus the host link — same anchor.  Removing hosts likewise removes no
-    router-to-router path, so the router-only Dijkstra (same
-    ``(dist, anchor_index)`` tie-break as
-    :func:`~repro.parallel.partition.partition_by_anchors`) reproduces the
-    full graph's router assignment.  Equality with the built-world plan is
-    pinned by tests across seeds and shard counts.
+    router-to-router path, so the search runs over the router-only links
+    and each host inherits its access router's shard.
     """
     if not 1 <= shards <= spec.regions:
         raise ValueError(
             f"shards must be in 1..{spec.regions} (one anchor per region), got {shards}"
         )
-    anchors = [f"core{r}" for r in range(shards)]
-    adjacency = _router_adjacency(spec)
-    best: Dict[str, Tuple[float, int]] = {}
-    heap: List[Tuple[float, int, str]] = [(0.0, i, name) for i, name in enumerate(anchors)]
-    heapq.heapify(heap)
-    while heap:
-        dist, anchor, node = heapq.heappop(heap)
-        seen = best.get(node)
-        if seen is not None and seen <= (dist, anchor):
-            continue
-        best[node] = (dist, anchor)
-        for neighbor, weight in adjacency[node]:
-            candidate = (dist + weight, anchor)
-            if neighbor not in best or candidate < best[neighbor]:
-                heapq.heappush(heap, (dist + weight, anchor, neighbor))
-    assignment = {node: anchor for node, (_dist, anchor) in best.items()}
-    for i in range(spec.players):
-        assignment[f"p{i:06d}"] = assignment[_host_access(spec, i)]
+    topology = scale_topology(spec)
+    anchors = topology.cores[:shards]
+    assignment = nearest_anchor(topology.router_links, anchors)
+    for host, access in topology.host_access.items():
+        assignment[host] = assignment[access]
     return ShardPlan(
         assignment=assignment, num_shards=shards, anchors=tuple(anchors)
     )
 
 
-def scale_routes(spec: ScaleSpec) -> Dict[str, Dict[str, str]]:
-    """Deterministic next hop from every router toward every RP core.
+def scale_routes(
+    rps: Sequence[str], router_links: Sequence[LinkRow], ranks: Dict[str, int]
+) -> Dict[str, Dict[str, str]]:
+    """Deterministic next hop from every router toward every RP.
 
     Shortest-path routing with an explicit tie-break: from router ``r``
     toward RP ``p``, pick the neighbor ``m`` minimizing
@@ -177,11 +161,12 @@ def scale_routes(spec: ScaleSpec) -> Dict[str, Dict[str, str]]:
     is what lets a worker holding one slice and the serial engine holding
     the whole world install *identical* routes.
     """
-    adjacency = _router_adjacency(spec)
-    ranks = scale_ranks(spec)
+    adjacency: Dict[str, List[Tuple[str, float]]] = {}
+    for a, b, delay in router_links:
+        adjacency.setdefault(a, []).append((b, delay))
+        adjacency.setdefault(b, []).append((a, delay))
     routes: Dict[str, Dict[str, str]] = {name: {} for name in adjacency}
-    for r in range(spec.regions):
-        rp = f"core{r}"
+    for rp in rps:
         dist: Dict[str, float] = {}
         heap: List[Tuple[float, str]] = [(0.0, rp)]
         while heap:
@@ -202,8 +187,17 @@ def scale_routes(spec: ScaleSpec) -> Dict[str, Dict[str, str]]:
 
 
 # ----------------------------------------------------------------------
-# The slice build
+# Construction: the full world and its slices
 # ----------------------------------------------------------------------
+@dataclass
+class ScaleWorld:
+    """A built scale topology (or one shard's slice) plus its player layout."""
+
+    network: Network
+    hosts: Dict[str, "GCopssHost"]
+    host_region: Dict[str, int]
+
+
 class _StubNode(Node):
     """The far end of a boundary link, present for wiring only.
 
@@ -228,73 +222,101 @@ class _StubNode(Node):
         )
 
 
-def build_scale_shard(spec: ScaleSpec, plan: ShardPlan, shard: int) -> ScaleWorld:
-    """Build only ``shard``'s slice of the scale world, plus boundary stubs.
+def _construct(spec: "ScaleSpec", local: Container[str]) -> ScaleWorld:
+    """The one construction loop: ``local`` nodes, stubs, their links.
 
-    Node creation follows the serial registration order restricted to the
-    slice, ranks are overridden to the serial formula, and links are
-    created in serial order skipping those with both ends foreign — so
-    every local node ends up with exactly its serial face ids.  Routes
-    come from :func:`scale_routes`, the same table the full build
-    installs.  The returned :class:`ScaleWorld` contains only the shard's
-    hosts.
+    Creates the nodes named by ``local``, a stub for each foreign
+    neighbour, and every link between them.  Nodes are created in serial
+    registration order with their table ranks, and links in serial order
+    skipping those with an absent end, so every local node ends up with
+    exactly its serial face ids.  No routes are installed here.
     """
     from repro.core.engine import GCopssHost, GCopssRouter
-    from repro.core.rp import RpTable
 
-    assignment = plan.assignment
-    ranks = scale_ranks(spec)
-    links = scale_links(spec)
-    local = {name for name, s in assignment.items() if s == shard}
-    stubs: Dict[str, str] = {}  # foreign boundary far-end -> kind
-    kinds = dict(scale_nodes(spec))
-    for a, b, _delay in links:
+    topology = scale_topology(spec)
+    stubs = set()
+    for a, b, _delay in topology.links:
         if (a in local) != (b in local):
-            foreign = b if a in local else a
-            stubs[foreign] = kinds[foreign]
+            stubs.add(b if a in local else a)
 
     network = Network()
-    hosts: Dict[str, GCopssHost] = {}
-    host_region: Dict[str, int] = {}
-    cores: List[str] = []
-    for name, kind in scale_nodes(spec):
+    hosts: Dict[str, "GCopssHost"] = {}
+    for rank, (name, kind) in enumerate(topology.nodes):
         if name in local:
             if kind == "host":
-                access = _host_access(spec, int(name[1:]))
-                hosts[name] = GCopssHost(network, name)
-                host_region[name] = int(access[3 : access.index("_")])
+                node = hosts[name] = GCopssHost(network, name)
             else:
-                GCopssRouter(network, name)
-                if kind == "core":
-                    cores.append(name)
+                node = GCopssRouter(network, name)
         elif name in stubs:
-            _StubNode(network, name, copss_router=kind != "host")
-    for name, node in network.nodes.items():
-        node.rank = ranks[name]
-    for a, b, delay in links:
-        if a in network.nodes and b in network.nodes:
+            node = _StubNode(network, name, copss_router=kind != "host")
+        else:
+            continue
+        node.rank = rank
+    nodes = network.nodes
+    for a, b, delay in topology.links:
+        if a in nodes and b in nodes:
             network.connect(a, b, delay)
+    host_region = topology.host_region
+    return ScaleWorld(
+        network=network,
+        hosts=hosts,
+        host_region={name: host_region[name] for name in hosts},
+    )
 
-    # Install the converged RP layout on the slice's real routers,
-    # mirroring GCopssNetworkBuilder.install over the shared route table.
+
+def _rp_table(spec: "ScaleSpec"):
+    """Each region's CD at its own core, the world CD at ``core0``."""
+    from repro.core.rp import RpTable
+
     rp_table = RpTable()
     for r in range(spec.regions):
         rp_table.assign(spec.region_cd(r), f"core{r}")
     rp_table.assign(spec.world_cd, "core0")
-    rp_names = sorted(rp_table.all_rps())
-    routes = scale_routes(spec)
-    for name, node in network.nodes.items():
-        if not isinstance(node, GCopssRouter):
-            continue
-        for prefix, rp_name in rp_table:
-            if node.cd_routes.has_prefix(prefix):
-                node.cd_routes.remove_prefix(prefix)
-            node.cd_routes.add(prefix, rp_name)
-        for rp_name in rp_names:
-            if rp_name == name:
-                continue
-            next_hop = routes[name][rp_name]
-            node.rp_route[rp_name] = node.face_toward(network.nodes[next_hop])
+    return rp_table
+
+
+def build_scale_world(spec: "ScaleSpec") -> ScaleWorld:
+    """Build the region-ring topology and install the RP layout.
+
+    Construction order is a pure function of ``spec`` — node ranks (and
+    with them every tie-break in the simulation) are identical no matter
+    which process builds the world.
+    """
+    from repro.core.engine import GCopssNetworkBuilder
+
+    topology = scale_topology(spec)
+    world = _construct(spec, topology.ranks)
+    # Routes come from the table the slices share: equal-cost ties must
+    # resolve identically whether a process holds the whole world or one
+    # shard's slice.
+    GCopssNetworkBuilder(
+        world.network, _rp_table(spec), next_hops=topology.routes
+    ).install()
+    spec.post_install(world.network)
+    return world
+
+
+def build_scale_shard(spec: "ScaleSpec", plan: ShardPlan, shard: int) -> ScaleWorld:
+    """Build only ``shard``'s slice of the scale world, plus boundary stubs.
+
+    The returned :class:`ScaleWorld` contains only the shard's hosts.
+    ``GCopssNetworkBuilder.install`` insists that every RP is a
+    ``GCopssRouter`` *in this network*, and on a slice a foreign RP is a
+    stub or absent — so the slice uses the builder's per-router half on
+    its real routers and marks only the RPs it holds.
+    """
+    from repro.core.engine import GCopssNetworkBuilder, GCopssRouter
+
+    world = _construct(
+        spec, {name for name, s in plan.assignment.items() if s == shard}
+    )
+    network = world.network
+    rp_table = _rp_table(spec)
+    builder = GCopssNetworkBuilder(
+        network, rp_table, next_hops=scale_topology(spec).routes
+    )
+    for router in builder.routers():
+        builder.install_routes(router)
     for prefix, rp_name in rp_table:
         rp_router = network.nodes.get(rp_name)
         if isinstance(rp_router, GCopssRouter):
@@ -302,74 +324,4 @@ def build_scale_shard(spec: ScaleSpec, plan: ShardPlan, shard: int) -> ScaleWorl
     # Same seam as build_scale_world: a federated spec layers its region
     # state on top, installing only the regions whose members live here.
     spec.post_install(network)
-    return ScaleWorld(
-        network=network, hosts=hosts, host_region=host_region, cores=cores
-    )
-
-
-# ----------------------------------------------------------------------
-# Adaptive-lookahead inputs
-# ----------------------------------------------------------------------
-def shard_boundary_distances(
-    spec: ScaleSpec, plan: ShardPlan, shard: int
-) -> Dict[str, float]:
-    """Node name → distance to ``shard``'s nearest boundary egress.
-
-    In-shard edges only, boundary link delay included — the spec-level
-    twin of :meth:`ShardPlan.boundary_distances`, computed without a
-    network.  Unreachable nodes (and every node of a boundary-less shard)
-    map to ``inf``.
-    """
-    assignment = plan.assignment
-    seeds: Dict[str, float] = {}
-    adjacency: Dict[str, List[Tuple[str, float]]] = {}
-    members = [name for name, s in assignment.items() if s == shard]
-    for name in members:
-        adjacency[name] = []
-    for a, b, delay in scale_links(spec):
-        sa, sb = assignment[a], assignment[b]
-        if sa == sb:
-            if sa == shard:
-                adjacency[a].append((b, delay))
-                adjacency[b].append((a, delay))
-        else:
-            for end, end_shard in ((a, sa), (b, sb)):
-                if end_shard == shard and delay < seeds.get(end, _INF):
-                    seeds[end] = delay
-    dist: Dict[str, float] = {}
-    heap = [(d, name) for name, d in sorted(seeds.items())]
-    heapq.heapify(heap)
-    while heap:
-        d, name = heapq.heappop(heap)
-        if name in dist:
-            continue
-        dist[name] = d
-        for neighbor, delay in adjacency[name]:
-            if neighbor not in dist:
-                heapq.heappush(heap, (d + delay, neighbor))
-    return {name: dist.get(name, _INF) for name in members}
-
-
-def spec_lookahead_ms(spec: ScaleSpec, plan: ShardPlan) -> float:
-    """Base conservative window: min boundary link delay, from the spec.
-
-    Matches :meth:`ShardPlan.lookahead_ms` on the built world, including
-    the zero-delay rejection; ``inf`` when no link crosses shards.
-    """
-    assignment = plan.assignment
-    cut = [
-        (a, b, delay)
-        for a, b, delay in scale_links(spec)
-        if assignment[a] != assignment[b]
-    ]
-    if not cut:
-        return _INF
-    lookahead = min(delay for _a, _b, delay in cut)
-    if lookahead <= 0.0:
-        a, b, _d = next(l for l in cut if l[2] <= 0.0)
-        raise ValueError(
-            f"boundary link {a}<->{b} has zero delay; conservative "
-            "synchronization needs positive cross-shard latency "
-            "(repartition so the link is shard-internal)"
-        )
-    return lookahead
+    return world

@@ -20,8 +20,9 @@ Layout (all little-endian):
   the worker's drained outbox (``READY`` carries no messages);
 * **transit message** = ``arrival f64, sender rank i32, send order u32``,
   two length-prefixed node names, then the packet;
-* **packet** = a 1-byte class id from :data:`PACKET_TYPES` plus each
-  dataclass field as a tagged value.  Field values cover everything the
+* **packet** = a 1-byte class id from
+  :data:`repro.net.codec.PACKET_TYPES` plus each dataclass field as a
+  tagged value.  Field values cover everything the
   protocol stack puts in packets: scalars, names (canonical text),
   tuples/lists/dicts, bytes, and *nested packets* (RP-tunnel Interests
   carry a Multicast in ``payload``).  ``uid``, ``nonce``, ``size`` and
@@ -32,10 +33,8 @@ Layout (all little-endian):
 
 The tagged-value/packet codec itself lives in :mod:`repro.net.codec`
 (live-wire mode frames the identical encoding onto real sockets); this
-module re-exports it unchanged — the cross-shard exchange format is
-byte-for-byte what it was when the codec lived here — and keeps the
-worker-protocol frame ops (``RUN``/``DONE``/...) that only the
-multiprocess executor speaks.
+module holds only the worker-protocol frame ops (``RUN``/``DONE``/...)
+that the multiprocess executor speaks.
 
 Unencodable values fail loudly with the offending type: silently falling
 back to pickle would un-fix the exact problem this module exists to fix.
@@ -46,26 +45,15 @@ from __future__ import annotations
 import struct
 from typing import Any, List, Optional, Tuple
 
-from repro.net.codec import (
-    PACKET_TYPES,
-    decode_packet,
-    decode_value,
-    encode_packet,
-    encode_value,
-)
+from repro.net.codec import decode_value, encode_value
 
 __all__ = [
-    "PACKET_TYPES",
     "WireMsg",
     "OP_READY",
     "OP_RUN",
     "OP_DONE",
     "OP_FINISH",
     "OP_RESULT",
-    "encode_value",
-    "decode_value",
-    "encode_packet",
-    "decode_packet",
     "encode_ready",
     "decode_ready",
     "encode_run",

@@ -48,7 +48,6 @@ from repro.net.codec import (
     unpack_message,
 )
 from repro.packets import Packet
-from repro.parallel import wire
 
 
 def sample_packets():
@@ -385,14 +384,7 @@ class TestDecoderFuzz:
 
 
 class TestSharedCodec:
-    """parallel.wire re-exports the codec — literally the same objects."""
-
-    def test_wire_reexports_the_codec(self):
-        assert wire.encode_value is codec.encode_value
-        assert wire.decode_value is codec.decode_value
-        assert wire.encode_packet is codec.encode_packet
-        assert wire.decode_packet is codec.decode_packet
-        assert wire.PACKET_TYPES is codec.PACKET_TYPES
+    """One codec serves both the live sockets and the cross-shard frames."""
 
     def test_every_registered_class_is_sampled(self):
         assert {type(p) for p in SAMPLES} == set(codec.PACKET_TYPES)

@@ -5,30 +5,21 @@ worker that builds only its shard's slice sees *exactly* the state the
 old full-replica worker saw for those nodes — same ranks, same face
 order, same link delays, same routes, same RP layout.  These tests
 compare every slice against the restriction of a full build, across
-seeds, topology shapes and shard counts, and then prove at the process
-level that nobody on the proc path builds a full world anymore.
+seeds, topology shapes and shard counts; hold the one copy of each
+partition search to a networkx shortest-path oracle on the built world;
+and then prove at the process level that nobody on the proc path builds
+a full world anymore, or derives the topology table more than once.
 """
 
 import multiprocessing
 
+import networkx as nx
 import pytest
 
-from repro.parallel.scale import (
-    ScaleSpec,
-    build_scale_world,
-    run_scale,
-    scale_plan,
-)
-from repro.parallel.slicing import (
-    build_scale_shard,
-    scale_links,
-    scale_nodes,
-    scale_plan_fast,
-    scale_ranks,
-    scale_routes,
-    shard_boundary_distances,
-    spec_lookahead_ms,
-)
+from repro.parallel import slicing
+from repro.parallel.partition import distances_to_boundary, min_cut_delay
+from repro.parallel.scale import ScaleSpec, build_scale_world, run_scale
+from repro.parallel.slicing import build_scale_shard, scale_plan_fast, scale_topology
 
 SPECS = [
     ScaleSpec(players=64, regions=4, access_per_region=2, updates=80, seed=9),
@@ -55,9 +46,9 @@ def spec_shard_cases():
 class TestSpecGeometry:
     def test_nodes_and_ranks_match_full_build(self, spec):
         world = build_scale_world(spec)
-        names = [name for name, _kind in scale_nodes(spec)]
+        names = [name for name, _kind in scale_topology(spec).nodes]
         assert names == list(world.network.nodes)
-        assert scale_ranks(spec) == {
+        assert scale_topology(spec).ranks == {
             name: node.rank for name, node in world.network.nodes.items()
         }
 
@@ -67,11 +58,11 @@ class TestSpecGeometry:
             (link._ends[0][0].name, link._ends[1][0].name, link.delay)
             for link in world.network.links
         ]
-        assert scale_links(spec) == expected
+        assert scale_topology(spec).links == expected
 
     def test_routes_match_installed_fibs(self, spec):
         world = build_scale_world(spec)
-        routes = scale_routes(spec)
+        routes = scale_topology(spec).routes
         for name, table in routes.items():
             router = world.network.nodes[name]
             for rp_name, next_hop in table.items():
@@ -80,33 +71,72 @@ class TestSpecGeometry:
 
 @pytest.mark.parametrize("spec,shards", spec_shard_cases())
 class TestPlanEquivalence:
+    """The single copy of each search vs. networkx on the built world.
+
+    The spec-level plan, lookahead and distances used to be compared with
+    network-walking twins; with one implementation left the comparison is
+    against an independent oracle: ``networkx`` shortest paths over the
+    graph of a genuinely built world.
+    """
+
     def test_plan_fast_matches_network_plan(self, spec, shards):
-        world = build_scale_world(spec)
-        slow = scale_plan(world.network, spec, shards)
-        fast = scale_plan_fast(spec, shards)
-        assert fast.assignment == slow.assignment
-        assert fast.anchors == slow.anchors
-        assert fast.num_shards == slow.num_shards
+        graph = build_scale_world(spec).network.graph
+        plan = scale_plan_fast(spec, shards)
+        assert plan.anchors == tuple(f"core{r}" for r in range(shards))
+        assert plan.num_shards == shards
+        from_anchor = [
+            nx.single_source_dijkstra_path_length(graph, anchor, weight="weight")
+            for anchor in plan.anchors
+        ]
+        # Nearest anchor; the lowest anchor index wins a tie.
+        assert plan.assignment == {
+            node: min(range(shards), key=lambda i: (from_anchor[i][node], i))
+            for node in graph.nodes
+        }
 
     def test_spec_lookahead_matches_plan_lookahead(self, spec, shards):
         world = build_scale_world(spec)
-        plan = scale_plan(world.network, spec, shards)
-        assert spec_lookahead_ms(spec, plan) == plan.lookahead_ms(world.network)
+        plan = scale_plan_fast(spec, shards)
+        cut = [
+            data["weight"]
+            for a, b, data in world.network.graph.edges(data=True)
+            if plan.assignment[a] != plan.assignment[b]
+        ]
+        assert min_cut_delay(scale_topology(spec).links, plan.assignment) == min(cut)
+        assert plan.lookahead_ms(world.network) == min(cut)
 
     def test_boundary_distances_match_plan(self, spec, shards):
         world = build_scale_world(spec)
+        graph = world.network.graph
         plan = scale_plan_fast(spec, shards)
-        by_rank = plan.boundary_distances(world.network)
+        assignment = plan.assignment
+        # Oracle: within each shard's induced subgraph, the shortest path to
+        # a virtual sink hung off every boundary node by its cheapest cut link.
+        expected = {}
         for shard in range(shards):
-            from_spec = shard_boundary_distances(spec, plan, shard)
-            expected = {
-                name: by_rank[shard][world.network.nodes[name].rank]
-                for name in from_spec
-            }
-            assert from_spec == expected
-            # Covers exactly the shard's members.
-            members = {n for n, s in plan.assignment.items() if s == shard}
-            assert set(from_spec) == members
+            members = [n for n in graph.nodes if assignment[n] == shard]
+            inside = nx.Graph(graph.subgraph(members))
+            for a, b, data in graph.edges(data=True):
+                for here, there in ((a, b), (b, a)):
+                    if assignment[here] == shard and assignment[there] != shard:
+                        prior = inside.get_edge_data(here, "sink", {"weight": float("inf")})
+                        inside.add_edge(
+                            here, "sink", weight=min(prior["weight"], data["weight"])
+                        )
+            reach = (
+                nx.single_source_dijkstra_path_length(inside, "sink", weight="weight")
+                if "sink" in inside
+                else {}
+            )
+            expected.update({n: reach.get(n, float("inf")) for n in members})
+        assert distances_to_boundary(scale_topology(spec).links, assignment) == expected
+        by_rank = plan.boundary_distances(world.network)
+        for name, node in world.network.nodes.items():
+            assert by_rank[assignment[name]][node.rank] == expected[name]
+        # A worker computes its map from its slice alone.
+        for shard in range(shards):
+            piece = build_scale_shard(spec, plan, shard)
+            assert plan.boundary_distances(piece.network)[shard] == by_rank[shard]
 
 
 @pytest.mark.parametrize("spec,shards", spec_shard_cases())
@@ -193,3 +223,31 @@ class TestNoFullWorldOnProcPath:
         assert proc["digest"] == serial["digest"]
         assert proc["deliveries"] == serial["deliveries"]
         assert proc["events_processed"] == serial["events_processed"]
+
+    def test_topology_table_is_derived_once_per_process(self, monkeypatch):
+        """Coordinator and workers read one table each, never re-derive it.
+
+        The counter lives in shared memory so forked workers count too.
+        Workers inherit the coordinator's cached table through fork; the
+        bound is one derivation per process.
+        """
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("fork start method unavailable")
+        spec = ScaleSpec(players=24, regions=4, access_per_region=2,
+                         updates=30, seed=3)
+        derivations = multiprocessing.get_context("fork").Value("i", 0)
+        derive = slicing.ScaleTopology
+
+        def counting(spec):
+            with derivations.get_lock():
+                derivations.value += 1
+            return derive(spec)
+
+        monkeypatch.setattr(slicing, "ScaleTopology", counting)
+        scale_topology.cache_clear()
+        try:
+            proc = run_scale(spec, workers=2)
+        finally:
+            scale_topology.cache_clear()
+        assert proc["mode"] == "proc:2"
+        assert 1 <= derivations.value <= 1 + 2

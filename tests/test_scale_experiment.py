@@ -14,8 +14,8 @@ from repro.parallel.scale import (
     build_scale_world,
     run_scale,
     scale_events,
-    scale_plan,
 )
+from repro.parallel.slicing import scale_plan_fast
 
 SPEC = ScaleSpec(players=64, regions=4, access_per_region=2, updates=80, seed=9)
 
@@ -41,11 +41,11 @@ class TestScaleWorkload:
 
     def test_plan_anchors_at_cores(self):
         world = build_scale_world(SPEC)
-        plan = scale_plan(world.network, SPEC, 2)
+        plan = scale_plan_fast(SPEC, 2)
         assert plan.anchors == ("core0", "core1")
         # Every host shares its region core's shard when one core per
         # region is an anchor.
-        full = scale_plan(world.network, SPEC, 4)
+        full = scale_plan_fast(SPEC, 4)
         for host, region in world.host_region.items():
             assert full.shard_of(host) == full.shard_of(f"core{region}")
 
