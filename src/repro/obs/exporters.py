@@ -57,20 +57,7 @@ def read_events_jsonl(path: "Path | str") -> List[TraceEvent]:
     for line in Path(path).read_text().splitlines():
         if not line.strip():
             continue
-        row = json.loads(line)
-        events.append(
-            TraceEvent(
-                t=row["t"],
-                trace_id=row["trace_id"],
-                uid=row["uid"],
-                node=row["node"],
-                kind=row["kind"],
-                ptype=row["ptype"],
-                cd=row["cd"],
-                peer=row.get("peer", ""),
-                detail=row.get("detail", ""),
-            )
-        )
+        events.append(TraceEvent(**json.loads(line)))
     return events
 
 

@@ -10,8 +10,11 @@ Three source shapes:
   ticks, and each tick rolls the window into ``.count`` / ``.mean`` /
   ``.max`` series and resets it.
 
-Samples land in ring-buffered :class:`TimeSeries` (bounded memory, oldest
-points evicted).  Existing counter blocks auto-register:
+Sources registered together (one stats dataclass, one queue snapshot,
+one role's ``telemetry()``) are read by one call per tick and stored as
+one row of a float64 table; a :class:`TimeSeries` is a ring-buffered view
+of one column (bounded memory, oldest points evicted).  Existing counter
+blocks auto-register:
 :meth:`MetricsRegistry.register_stats` walks any dataclass
 (``NodeStats``, ``FaultStats``) and turns every numeric field into a
 series for free; :meth:`register_node` additionally picks up the node's
@@ -28,9 +31,12 @@ is preserved).
 
 from __future__ import annotations
 
-from collections import deque
+from array import array
 from dataclasses import fields, is_dataclass
-from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Tuple
+from functools import partial
+from operator import attrgetter, itemgetter
+from struct import Struct
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import EventHandle, Simulator
@@ -39,31 +45,86 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["TimeSeries", "Counter", "WindowedHistogram", "MetricsRegistry"]
 
 
-class TimeSeries:
-    """Ring-buffered ``(t, value)`` samples for one named metric."""
+class _Block:
+    """Sources that are read together, stored as one table of float64.
 
-    __slots__ = ("name", "_points")
+    ``read()`` returns one value per column in a single call; a tick
+    appends its time to ``times`` and that row to the row-major
+    ``values``.  float64 is exact for every counter below 2**53, costs
+    8 bytes a sample and leaves the garbage collector nothing to walk.
+    The ring is kept by amortised trimming: the arrays run over by up to
+    a quarter, then drop the excess in one ``del``; readers only ever
+    look at the last ``capacity`` rows.
+    """
 
-    def __init__(self, name: str, capacity: int = 1024) -> None:
+    __slots__ = ("names", "read", "capacity", "times", "values", "_limit", "_pack")
+
+    def __init__(
+        self, names: Sequence[str], read: Optional[Callable[[], tuple]], capacity: int
+    ) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
+        self.names, self.read, self.capacity = tuple(names), read, capacity
+        self.times, self.values = array("d"), array("d")
+        self._limit = capacity + capacity // 4 + 16
+        # One packed write per row costs a third of ``extend`` over boxed
+        # numbers, and a row of the wrong width raises instead of shearing.
+        self._pack = Struct(f"{len(self.names)}d").pack
+
+    def append(self, t: float, row: tuple) -> None:
+        self.values.frombytes(self._pack(*row))
+        self.times.append(t)
+        if len(self.times) > self._limit:
+            excess = self.first_row()
+            del self.times[:excess]
+            del self.values[: excess * len(self.names)]
+
+    def first_row(self) -> int:
+        """Index of the oldest row still inside the ring."""
+        return max(0, len(self.times) - self.capacity)
+
+
+class TimeSeries:
+    """Ring-buffered ``(t, value)`` samples for one named metric.
+
+    Inside a registry this is a view of one column of a :class:`_Block`;
+    built directly it owns a one-column block and takes :meth:`append`.
+    """
+
+    __slots__ = ("name", "_block", "_column")
+
+    def __init__(
+        self,
+        name: str,
+        capacity: int = 1024,
+        block: Optional[_Block] = None,
+        column: int = 0,
+    ) -> None:
         self.name = name
-        self._points: Deque[Tuple[float, float]] = deque(maxlen=capacity)
+        self._block = block or _Block((name,), None, capacity)
+        self._column = column
 
     def append(self, t: float, value: float) -> None:
-        self._points.append((t, value))
+        self._block.append(t, (value,))  # raises on a wider (sampled) block
 
     def points(self) -> List[Tuple[float, float]]:
-        return list(self._points)
+        """The ring's ``(t, value)`` samples, oldest first."""
+        block, width = self._block, len(self._block.names)
+        first = block.first_row()
+        column = block.values[first * width + self._column :: width]
+        return list(zip(block.times[first:], column))
 
     def latest(self) -> Optional[Tuple[float, float]]:
-        return self._points[-1] if self._points else None
+        block = self._block
+        if not block.times:
+            return None
+        return block.times[-1], block.values[self._column - len(block.names)]
 
     def __len__(self) -> int:
-        return len(self._points)
+        return min(len(self._block.times), self._block.capacity)
 
     def __repr__(self) -> str:
-        return f"TimeSeries({self.name!r}, {len(self._points)} points)"
+        return f"TimeSeries({self.name!r}, {len(self)} points)"
 
 
 class Counter:
@@ -112,7 +173,7 @@ class MetricsRegistry:
 
     def __init__(self, capacity: int = 1024) -> None:
         self.capacity = capacity
-        self._gauges: Dict[str, Callable[[], float]] = {}
+        self._blocks: List[_Block] = []
         self._histograms: Dict[str, WindowedHistogram] = {}
         self.series: Dict[str, TimeSeries] = {}
         self._tick_handles: List["EventHandle"] = []
@@ -121,26 +182,35 @@ class MetricsRegistry:
     # Registration
     # ------------------------------------------------------------------
     def _claim(self, name: str) -> None:
-        if name in self._gauges or name in self._histograms:
+        if name in self.series or name in self._histograms:
             raise ValueError(f"metric {name!r} already registered")
+
+    def _add_block(self, names: Sequence[str], read: Callable[[], tuple]) -> int:
+        """Register sources read together by one ``read()`` call per tick."""
+        for name in names:
+            self._claim(name)
+        if names:
+            block = _Block(names, read, self.capacity)
+            self._blocks.append(block)
+            for column, name in enumerate(names):
+                self.series[name] = TimeSeries(name, block=block, column=column)
+        return len(names)
 
     def gauge(self, name: str, fn: Callable[[], float]) -> None:
         """Register a read-on-tick source."""
-        self._claim(name)
-        self._gauges[name] = fn
+        self._add_block((name,), lambda: (fn(),))
 
     def counter(self, name: str) -> Counter:
         """Create and register an owner-incremented counter."""
-        self._claim(name)
         counter = Counter(name)
-        self._gauges[name] = lambda: counter.value
+        self._add_block((name,), lambda: (counter.value,))
         return counter
 
     def histogram(self, name: str) -> WindowedHistogram:
         """Create and register a per-tick windowed histogram."""
         self._claim(name)
-        histogram = WindowedHistogram(name)
-        self._histograms[name] = histogram
+        histogram = self._histograms[name] = WindowedHistogram(name)
+        self._register_snapshot(name, histogram.roll)  # .count / .mean / .max
         return histogram
 
     def register_stats(self, prefix: str, stats: object) -> int:
@@ -152,13 +222,18 @@ class MetricsRegistry:
         """
         if not is_dataclass(stats):
             raise TypeError(f"expected a dataclass instance, got {type(stats).__name__}")
-        registered = 0
-        for f in fields(stats):
-            if not _is_numeric(getattr(stats, f.name)):
-                continue
-            self.gauge(f"{prefix}.{f.name}", _field_reader(stats, f.name))
-            registered += 1
-        return registered
+        numeric = [
+            f.name for f in fields(stats) if _is_numeric(getattr(stats, f.name))
+        ]
+        names = [f"{prefix}.{name}" for name in numeric]
+        return self._add_block(names, partial(_picker(attrgetter, numeric), stats))
+
+    def _register_snapshot(self, prefix: str, snapshot: Callable[[], dict]) -> int:
+        """A dict-returning source: one ``snapshot()`` call reads every key."""
+        keys = list(snapshot())
+        pick = _picker(itemgetter, keys)
+        names = [f"{prefix}.{key}" for key in keys]
+        return self._add_block(names, lambda: pick(snapshot()))
 
     def register_node(self, node: "Node", prefix: Optional[str] = None) -> int:
         """One node's stats block, service queue and role telemetry."""
@@ -166,48 +241,32 @@ class MetricsRegistry:
         registered = self.register_stats(prefix, node.stats)
         queue = getattr(node, "queue", None)
         if queue is not None and hasattr(queue, "snapshot"):
-            for key in queue.snapshot():
-                self.gauge(f"{prefix}.queue.{key}", _snapshot_reader(queue, key))
-                registered += 1
-        for role_name, role in sorted(node.roles.items()):
-            for key in role.telemetry():
-                self.gauge(
-                    f"{prefix}.{role_name}.{key}", _telemetry_reader(role, key)
-                )
-                registered += 1
+            registered += self._register_snapshot(f"{prefix}.queue", queue.snapshot)
+        for name, role in sorted(node.roles.items()):
+            registered += self._register_snapshot(f"{prefix}.{name}", role.telemetry)
         return registered
 
     def register_network(self, network: "Network", per_node: bool = True) -> int:
         """Fabric aggregates, plus (optionally) every node's block."""
-        self.gauge("net.total_bytes", lambda: network.total_bytes)
-        self.gauge("net.total_packets", lambda: network.total_packets)
-        registered = 2
+        registered = self._add_block(
+            ("net.total_bytes", "net.total_packets"),
+            partial(attrgetter("total_bytes", "total_packets"), network),
+        )
         if per_node:
             for name in sorted(network.nodes):
                 registered += self.register_node(network.nodes[name])
         return registered
 
     def register_simulator(self, sim: "Simulator") -> int:
-        for key in sim.telemetry():
-            self.gauge(f"sim.{key}", _sim_reader(sim, key))
-        return len(sim.telemetry())
+        return self._register_snapshot("sim", sim.telemetry)
 
     # ------------------------------------------------------------------
     # Sampling
     # ------------------------------------------------------------------
-    def _series(self, name: str) -> TimeSeries:
-        series = self.series.get(name)
-        if series is None:
-            series = self.series[name] = TimeSeries(name, self.capacity)
-        return series
-
     def sample(self, now: float) -> None:
         """Take one sample of every source at sim time ``now``."""
-        for name, fn in self._gauges.items():
-            self._series(name).append(now, fn())
-        for name, histogram in self._histograms.items():
-            for stat, value in histogram.roll().items():
-                self._series(f"{name}.{stat}").append(now, value)
+        for block in self._blocks:
+            block.append(now, block.read())
 
     def schedule_ticks(
         self, sim: "Simulator", interval_ms: float, until: float
@@ -239,30 +298,21 @@ class MetricsRegistry:
     # Export
     # ------------------------------------------------------------------
     def names(self) -> List[str]:
-        return sorted(set(self._gauges) | set(self.series))
+        return sorted(self.series)
 
     def as_dict(self) -> Dict[str, List[Tuple[float, float]]]:
-        """All series as plain ``{name: [(t, value), ...]}``."""
-        return {name: self.series[name].points() for name in sorted(self.series)}
+        """Every sampled series as plain ``{name: [(t, value), ...]}``."""
+        series = sorted(self.series.items())
+        return {name: view.points() for name, view in series if len(view)}
 
 
 def _is_numeric(value: object) -> bool:
     return type(value) in (int, float)
 
 
-# Bound readers as module helpers (not lambdas in loops) so each closure
-# captures its own (obj, name) pair.
-def _field_reader(stats: object, name: str) -> Callable[[], float]:
-    return lambda: getattr(stats, name)
-
-
-def _snapshot_reader(queue, key: str) -> Callable[[], float]:
-    return lambda: queue.snapshot()[key]
-
-
-def _telemetry_reader(role, key: str) -> Callable[[], float]:
-    return lambda: role.telemetry()[key]
-
-
-def _sim_reader(sim, key: str) -> Callable[[], float]:
-    return lambda: sim.telemetry()[key]
+def _picker(getter: Callable, keys: Sequence[str]) -> Callable[[object], tuple]:
+    """``getter(*keys)``, but a tuple for one key too (and buildable for none)."""
+    if len(keys) > 1:
+        return getter(*keys)
+    picks = [getter(key) for key in keys]
+    return lambda source: tuple(pick(source) for pick in picks)

@@ -25,16 +25,17 @@ same events.
 
 from __future__ import annotations
 
-from collections import deque
+from array import array
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Deque, Dict, Iterable, List, Optional, Tuple
+from math import inf
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.packets import Packet
     from repro.sim.faults import FaultStats
     from repro.sim.network import Face, Network, Node
 
-__all__ = ["TraceEvent", "PacketTracer", "trace_id_of", "KINDS"]
+__all__ = ["TraceEvent", "EventLog", "PacketTracer", "trace_id_of", "KINDS"]
 
 #: Span-event kinds, in roughly the order a packet meets them.
 KINDS = (
@@ -59,16 +60,6 @@ def trace_id_of(packet: "Packet") -> int:
     payload = getattr(packet, "payload", None)
     uid = getattr(payload, "uid", None)
     return uid if uid is not None else packet.uid
-
-
-def _cd_of(packet: "Packet") -> str:
-    payload = getattr(packet, "payload", None)
-    inner = payload if getattr(payload, "uid", None) is not None else packet
-    cd = getattr(inner, "cd", None)
-    if cd is not None:
-        return str(cd)
-    name = getattr(inner, "name", None)
-    return str(name) if name is not None else ""
 
 
 @dataclass(frozen=True)
@@ -103,6 +94,88 @@ class TraceEvent:
         return row
 
 
+#: :class:`TraceEvent` fields = :class:`EventLog` columns, in order.
+_COLUMNS = ("t", "trace_id", "uid", "node", "kind", "ptype", "cd", "peer", "detail")
+
+
+class EventLog:
+    """The recorded events as nine parallel columns, read as a sequence.
+
+    A row is nine 8-byte slots: ``array`` columns for the numbers, and
+    reference lists for values that already exist (node and peer names,
+    the kind constant, the packet *class*, the payload's interned
+    ``Name``), so an event allocates nothing and the garbage collector
+    walks nothing.  The packet itself is never stored: packets are
+    mutable, and a held one keeps its payload alive.  A
+    :class:`TraceEvent` is built only when a row is read.  Readers see
+    the last ``max_events`` rows; the writer trims behind them in bulk.
+    """
+
+    __slots__ = _COLUMNS + ("max_events", "limit", "_columns", "_rows_by_trace")
+
+    def __init__(self, max_events: Optional[int] = None) -> None:
+        self.max_events = max_events  # exact for readers; ``limit`` is for the writer
+        self.limit = inf if max_events is None else max_events + max_events // 4 + 16
+        self.t, self.trace_id, self.uid = array("d"), array("q"), array("q")
+        self.node, self.kind, self.ptype = [], [], []
+        self.cd, self.peer, self.detail = [], [], []
+        self._columns = tuple(getattr(self, name) for name in _COLUMNS)
+        self._rows_by_trace: Tuple[int, Dict[int, List[int]]] = (0, {})
+
+    def trim(self) -> None:
+        """Drop the rows that have fallen behind the ring."""
+        excess = self.first_row()
+        for column in self._columns:
+            del column[:excess]
+        self._rows_by_trace = (0, {})
+
+    def first_row(self) -> int:
+        """Index of the oldest row still inside the ring."""
+        bound = self.max_events
+        return 0 if bound is None else max(0, len(self.t) - bound)
+
+    def append(self, event: TraceEvent) -> None:
+        """Store an already-built event (a re-read log, a test fixture)."""
+        for column, name in zip(self._columns, _COLUMNS):
+            column.append(getattr(event, name))
+        if len(self.t) > self.limit:
+            self.trim()
+
+    def extend(self, events: Iterable[TraceEvent]) -> None:
+        for event in events:
+            self.append(event)
+
+    def row(self, i: int) -> TraceEvent:
+        """Row ``i`` of the columns as an event; names are rendered here."""
+        t, trace_id, uid, node, kind, ptype, cd, peer, detail = (
+            column[i] for column in self._columns
+        )
+        if ptype.__class__ is not str:
+            ptype = ptype.__name__
+        cd = "" if cd is None else str(cd)
+        return TraceEvent(t, trace_id, uid, node, kind, ptype, cd, peer, str(detail))
+
+    def __len__(self) -> int:
+        return len(self.t) - self.first_row()
+
+    def __getitem__(self, index: int) -> TraceEvent:
+        return self.row(range(self.first_row(), len(self.t))[index])
+
+    def __iter__(self) -> Iterator[TraceEvent]:
+        return map(self.row, range(self.first_row(), len(self.t)))
+
+    def rows_of(self, trace_id: int) -> List[int]:
+        """Rows of one trace, from an index built on the first query."""
+        rows, index = self._rows_by_trace
+        if rows != len(self.t):  # appended to since it was built
+            index = {}
+            first = self.first_row()
+            for i, tid in enumerate(self.trace_id[first:], first):
+                index.setdefault(tid, []).append(i)
+            self._rows_by_trace = len(self.t), index
+        return index.get(trace_id, [])
+
+
 class PacketTracer:
     """Records :class:`TraceEvent` rows from the fabric's trace hooks.
 
@@ -115,7 +188,7 @@ class PacketTracer:
         if sample_every < 1:
             raise ValueError(f"sample_every must be >= 1, got {sample_every}")
         self.sample_every = sample_every
-        self.events: Deque[TraceEvent] = deque(maxlen=max_events)
+        self.events = EventLog(max_events)
         self._links: List[object] = []
         self._nodes: List["Node"] = []
         self._fault_stats: Optional["FaultStats"] = None
@@ -176,22 +249,24 @@ class PacketTracer:
         peer: str = "",
         detail: str = "",
     ) -> None:
-        tid = trace_id_of(packet)
+        payload = getattr(packet, "payload", None)
+        inner = payload if getattr(payload, "uid", None) is not None else packet
+        tid = inner.uid  # == trace_id_of(packet)
         if tid % self.sample_every:
             return
-        self.events.append(
-            TraceEvent(
-                t=sim_now,
-                trace_id=tid,
-                uid=packet.uid,
-                node=node,
-                kind=kind,
-                ptype=type(packet).__name__,
-                cd=_cd_of(packet),
-                peer=peer,
-                detail=detail,
-            )
-        )
+        cd = getattr(inner, "cd", None)
+        log = self.events
+        log.t.append(sim_now)
+        log.trace_id.append(tid)
+        log.uid.append(packet.uid)
+        log.node.append(node)
+        log.kind.append(kind)
+        log.ptype.append(type(packet))
+        log.cd.append(cd if cd is not None else getattr(inner, "name", None))
+        log.peer.append(peer)
+        log.detail.append(detail)
+        if len(log.t) > log.limit:
+            log.trim()
 
     def on_forward(self, face: "Face", packet: "Packet", delay: float) -> None:
         """A packet left ``face.node`` toward ``face.peer`` (Face.send)."""
@@ -219,7 +294,7 @@ class PacketTracer:
         self._emit(node.sim.now, packet, node.name, "service")
 
     def on_decap(self, node: "Node", packet: "Packet", serving) -> None:
-        self._emit(node.sim.now, packet, node.name, "decap", detail=str(serving))
+        self._emit(node.sim.now, packet, node.name, "decap", detail=serving)
 
     def on_drop(self, node: "Node", packet: "Packet", reason: str) -> None:
         self._emit(node.sim.now, packet, node.name, "drop", detail=reason)
@@ -234,15 +309,18 @@ class PacketTracer:
     # Queries
     # ------------------------------------------------------------------
     def trace_ids(self) -> List[int]:
-        return sorted({event.trace_id for event in self.events})
+        log = self.events
+        return sorted(set(log.trace_id[log.first_row() :]))
 
     def events_for(self, trace_id: int) -> List[TraceEvent]:
         """All events of one trace, in recording (= causal time) order."""
-        return [event for event in self.events if event.trace_id == trace_id]
+        return list(map(self.events.row, self.events.rows_of(trace_id)))
 
     def drop_summary(self) -> Dict[str, int]:
         """Drop reason -> count over every recorded drop event."""
-        return summarize_drops(self.events)
+        log = self.events
+        first = log.first_row()
+        return _count_drops(zip(log.kind[first:], log.detail[first:]))
 
     def hop_chain(self, trace_id: int, receiver: Optional[str] = None) -> List[TraceEvent]:
         """The per-hop story of one trace id.
@@ -299,10 +377,14 @@ def chain_to(events: Iterable[TraceEvent], receiver: str) -> List[TraceEvent]:
 
 def summarize_drops(events: Iterable[TraceEvent]) -> Dict[str, int]:
     """Drop reason -> count for every drop/fault_drop event."""
+    return _count_drops((event.kind, event.detail) for event in events)
+
+
+def _count_drops(kinds_and_details: Iterable[Tuple[str, object]]) -> Dict[str, int]:
     out: Dict[str, int] = {}
-    for event in events:
-        if event.kind in ("drop", "fault_drop"):
-            reason = event.detail or event.kind
+    for kind, detail in kinds_and_details:
+        if kind in ("drop", "fault_drop"):
+            reason = str(detail) or kind
             out[reason] = out.get(reason, 0) + 1
     return dict(sorted(out.items()))
 

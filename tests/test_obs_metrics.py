@@ -1,6 +1,7 @@
 """Tests for the metrics registry and exporters (`repro.obs`)."""
 
 import json
+import struct
 
 import pytest
 
@@ -192,3 +193,186 @@ class TestExporters:
         assert "# TYPE repro_node_r1_queue_length gauge" in text
         assert "repro_node_r1_queue_length 9.0 250" in text
         assert "1.0 0" not in text
+
+
+def _stats_blocks(count, width):
+    """``count`` counter dataclasses of ``width`` integer fields each."""
+    from dataclasses import make_dataclass
+
+    Stats = make_dataclass(
+        "Stats", [(f"f{i}", int, 0) for i in range(width)]
+    )
+    return [Stats() for _ in range(count)]
+
+
+class TestBlocks:
+    """Sources registered together share one float64 table; a series is a view."""
+
+    def test_ring_keeps_last_capacity_rows_across_trims(self):
+        capacity = 8
+        reg = MetricsRegistry(capacity=capacity)
+        (stats,) = _stats_blocks(1, 2)
+        reg.register_stats("s", stats)
+        taken = []
+        # Far enough to cross the amortised trim point several times.
+        for tick in range(6 * capacity + 40):
+            stats.f0, stats.f1 = tick, -tick
+            reg.sample(float(tick))
+            taken.append(tick)
+            kept = taken[-capacity:]
+            f0, f1 = reg.series["s.f0"], reg.series["s.f1"]
+            assert len(f0) == len(f1) == len(kept)
+            assert f0.points() == [(float(t), float(t)) for t in kept]
+            assert f1.points() == [(float(t), float(-t)) for t in kept]
+            assert f1.latest() == (float(tick), float(-tick))
+
+    def test_storage_is_bounded_by_the_ring(self):
+        reg = MetricsRegistry(capacity=100)
+        reg.gauge("g", lambda: 1)
+        for tick in range(10_000):
+            reg.sample(float(tick))
+        (block,) = reg._blocks
+        assert len(block.times) <= 2 * 100
+
+    def test_late_source_starts_at_its_first_sample(self):
+        reg = MetricsRegistry()
+        reg.gauge("early", lambda: 1)
+        reg.sample(0.0)
+        reg.sample(1.0)
+        assert "late" not in reg.as_dict()
+        reg.gauge("late", lambda: 2)
+        assert reg.series["late"].latest() is None
+        assert "late" not in reg.as_dict()  # registered, not yet sampled
+        reg.sample(2.0)
+        assert reg.series["late"].points() == [(2.0, 2.0)]  # no back-fill
+        assert len(reg.series["early"]) == 3
+
+    def test_histogram_series_roll_per_tick(self):
+        reg = MetricsRegistry()
+        hist = reg.histogram("lat")
+        assert reg.names() == ["lat.count", "lat.max", "lat.mean"]
+        hist.observe(1.0)
+        hist.observe(3.0)
+        reg.sample(0.0)
+        reg.sample(1.0)  # empty window
+        assert reg.series["lat.count"].points() == [(0.0, 2), (1.0, 0)]
+        assert reg.series["lat.mean"].points() == [(0.0, 2.0), (1.0, 0.0)]
+        assert reg.series["lat.max"].points() == [(0.0, 3.0), (1.0, 0.0)]
+        with pytest.raises(ValueError):
+            reg.gauge("lat", lambda: 0)
+        with pytest.raises(ValueError):
+            reg.histogram("lat")
+
+    def test_counter_and_network_aggregates_are_blocks(self):
+        class Net:
+            total_bytes = 10
+            total_packets = 2
+
+        reg = MetricsRegistry()
+        hits = reg.counter("hits")
+        assert reg.register_network(Net(), per_node=False) == 2
+        hits.inc(3)
+        reg.sample(5.0)
+        assert reg.series["hits"].latest() == (5.0, 3)
+        assert reg.series["net.total_bytes"].latest() == (5.0, 10)
+        assert reg.series["net.total_packets"].latest() == (5.0, 2)
+
+    def test_node_roles_with_one_key_and_with_none(self):
+        class Role:
+            def __init__(self, **values):
+                self.values = values
+                self.calls = 0
+
+            def telemetry(self):
+                self.calls += 1
+                return dict(self.values)
+
+        class FakeNode:
+            name = "n"
+            stats = NodeStats()
+            roles = {"one": Role(x=4), "none": Role(), "two": Role(a=1, b=2)}
+
+        reg = MetricsRegistry()
+        fields = reg.register_stats("other", NodeStats())
+        assert reg.register_node(FakeNode()) == fields + 3
+        before = {name: role.calls for name, role in FakeNode.roles.items()}
+        reg.sample(0.0)
+        # One telemetry() call per role per tick, not one per key.
+        assert FakeNode.roles["two"].calls == before["two"] + 1
+        assert FakeNode.roles["none"].calls == before["none"]
+        assert reg.series["node.n.one.x"].latest() == (0.0, 4)
+        assert reg.series["node.n.two.b"].latest() == (0.0, 2)
+
+    def test_simulator_block_reads_telemetry_once_per_tick(self):
+        class Sim:
+            calls = 0
+
+            def telemetry(self):
+                Sim.calls += 1
+                return {"now_ms": 1.5, "events_processed": 9}
+
+        reg = MetricsRegistry()
+        assert reg.register_simulator(Sim()) == 2
+        assert Sim.calls == 1  # registration asks for the keys once
+        reg.sample(0.0)
+        assert Sim.calls == 2
+        assert reg.series["sim.events_processed"].latest() == (0.0, 9)
+
+    def test_view_rejects_append_and_keeps_repr(self):
+        reg = MetricsRegistry()
+        reg.register_stats("s", _stats_blocks(1, 3)[0])
+        reg.sample(0.0)
+        series = reg.series["s.f1"]
+        assert repr(series) == "TimeSeries('s.f1', 1 points)"
+        with pytest.raises(struct.error):  # a view is not a one-column series
+            series.append(1.0, 1.0)
+        assert len(series) == 1
+        assert reg.names() == ["s.f0", "s.f1", "s.f2"]
+
+    def test_duplicate_in_a_block_registers_nothing(self):
+        reg = MetricsRegistry()
+        reg.gauge("s.f1", lambda: 0)
+        with pytest.raises(ValueError):
+            reg.register_stats("s", _stats_blocks(1, 3)[0])
+        assert reg.names() == ["s.f1"]
+
+
+class TestStorageBudget:
+    """What a sample costs, as counts that repeat exactly (no timings)."""
+
+    BLOCKS, WIDTH, TICKS = 10, 20, 5_000
+
+    def _registry(self):
+        reg = MetricsRegistry(capacity=self.TICKS)
+        for i, stats in enumerate(_stats_blocks(self.BLOCKS, self.WIDTH)):
+            reg.register_stats(f"b{i}", stats)
+        assert len(reg._blocks) == self.BLOCKS
+        return reg
+
+    def test_at_most_12_bytes_retained_per_sample(self):
+        import tracemalloc
+
+        reg = self._registry()
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            for tick in range(self.TICKS):
+                reg.sample(float(tick))
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        samples = self.BLOCKS * self.WIDTH * self.TICKS
+        assert len(reg.series["b0.f0"]) == self.TICKS
+        assert (after - before) / samples <= 12
+
+    def test_no_gc_tracked_object_per_sample(self):
+        import gc
+
+        reg = self._registry()
+        for tick in range(100):  # steady state
+            reg.sample(float(tick))
+        gc.collect()
+        before = len(gc.get_objects())
+        for tick in range(100, 1100):
+            reg.sample(float(tick))
+        assert len(gc.get_objects()) - before <= 8

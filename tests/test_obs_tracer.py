@@ -193,3 +193,106 @@ class TestChainQueries:
         assert "peer" not in row and "detail" not in row
         row = _ev(0.0, 1, "n", "forward", peer="m").as_dict()
         assert row["peer"] == "m"
+
+
+class TestEventLog:
+    """``tracer.events`` is a sequence view over parallel columns."""
+
+    @pytest.mark.parametrize("sends", [20, 50, 200])  # 50+ crosses a trim
+    def test_ring_holds_exactly_the_last_max_events(self, sends):
+        net, a, b, _ = make_pair()
+        tracer = PacketTracer(max_events=5).install(net)
+        face = a.face_toward(b)
+        packets = [Packet(size=10) for _ in range(sends)]
+        for i, packet in enumerate(packets):
+            net.sim.schedule_at(float(i), face.send, packet)
+        net.sim.run()
+        events = tracer.events
+        assert len(events) == 5
+        kept = list(events)
+        assert [e.t for e in kept] == [float(i) for i in range(sends - 5, sends)]
+        assert [e.uid for e in kept] == [p.uid for p in packets[-5:]]
+        assert kept == list(events)  # a second iteration agrees
+        assert [events[i] for i in range(5)] == kept
+        assert [events[i] for i in range(-5, 0)] == kept
+        assert events[-1].t == float(sends - 1)
+        for index in (5, -6):
+            with pytest.raises(IndexError):
+                events[index]
+        # Queries see the ring, not the slack behind it.
+        assert tracer.trace_ids() == sorted(p.uid for p in packets[-5:])
+        assert tracer.events_for(packets[0].uid) == []
+        assert tracer.events_for(packets[-1].uid) == [kept[-1]]
+
+    def test_columns_stay_inside_the_ring_slack(self):
+        tracer = PacketTracer(max_events=100)
+        for i in range(10_000):
+            tracer.events.append(_ev(float(i), i, "n", "deliver"))
+        assert len(tracer.events) == 100
+        assert len(tracer.events.t) <= 2 * 100
+
+    def test_names_are_rendered_when_read_not_when_recorded(self):
+        from repro.core.packets import MulticastPacket
+        from repro.names import Name
+
+        net, a, _b, _ = make_pair()
+        tracer = PacketTracer().install(net)
+        mcast = MulticastPacket(cd=Name(["cs", "a"]), payload_size=100)
+        tracer.on_decap(a, mcast, Name(["cs"]))
+        tracer.on_drop(a, Packet(size=10), "no_rp")
+        decap, drop = tracer.events
+        assert (decap.ptype, decap.cd, decap.detail) == ("MulticastPacket", "/cs/a", "/cs")
+        assert (drop.ptype, drop.cd, drop.detail) == ("Packet", "", "no_rp")
+        assert all(type(v) is str for v in (decap.cd, decap.detail, drop.cd))
+        # The log holds the class and the Name, never the packet.
+        assert tracer.events.ptype == [MulticastPacket, Packet]
+        assert tracer.events.cd == [mcast.cd, None]
+        assert tracer.drop_summary() == summarize_drops(tracer.events) == {"no_rp": 1}
+
+    def test_trace_index_follows_later_appends(self):
+        tracer = PacketTracer()
+        tracer.events.extend(TestChainQueries.TREE)
+        assert len(tracer.events_for(7)) == len(TestChainQueries.TREE)
+        tracer.events.append(_ev(9.0, 7, "h2", "drop", detail="duplicate"))
+        assert len(tracer.events_for(7)) == len(TestChainQueries.TREE) + 1
+        assert tracer.hop_chain(7)[-1].detail == "duplicate"
+        assert tracer.events_for(99) == []
+
+
+class TestStorageBudget:
+    """What an event costs, as counts that repeat exactly (no timings)."""
+
+    def _recording(self):
+        net, a, b, _ = make_pair()
+        tracer = PacketTracer()
+        face = a.face_toward(b)
+        packet = Packet(size=10)
+        return tracer, (lambda: tracer.on_forward(face, packet, 1.0))
+
+    def test_at_most_96_bytes_retained_per_event(self):
+        import tracemalloc
+
+        tracer, record = self._recording()
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            for _ in range(100_000):
+                record()
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(tracer.events) == 100_000
+        assert (after - before) / 100_000 <= 96
+
+    def test_no_gc_tracked_object_per_event(self):
+        import gc
+
+        tracer, record = self._recording()
+        for _ in range(100):
+            record()
+        gc.collect()
+        before = len(gc.get_objects())
+        for _ in range(10_000):
+            record()
+        assert len(tracer.events) == 10_100
+        assert len(gc.get_objects()) - before <= 8
