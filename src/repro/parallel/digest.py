@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Iterable, List, Tuple
+from array import array
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 __all__ = ["DeliveryLog", "delivery_digest", "canonical_digest"]
 
@@ -54,25 +55,81 @@ class DeliveryLog:
     order; :meth:`digest` canonicalizes, so logs from different executors
     compare directly and per-shard logs :meth:`merge` into one without
     caring about interleaving.
+
+    Rows are three packed columns — ``array('q')`` integer keys (sequence
+    numbers at every call site), ``array('I')`` positions in the receiver
+    table, ``array('d')`` latencies: 20 bytes a delivery, nothing for the
+    cycle collector to walk, shipped across processes as :meth:`columns`.
     """
 
-    __slots__ = ("entries",)
+    __slots__ = ("_keys", "_receivers", "_latencies", "_table")
 
     def __init__(self) -> None:
-        self.entries: List[Entry] = []
+        self._keys = array("q")
+        self._receivers = array("I")
+        self._latencies = array("d")
+        #: receiver name -> position; insertion-ordered, so also the table.
+        self._table: Dict[str, int] = {}
 
-    def record(self, key: object, receiver: str, latency_ms: float) -> None:
-        self.entries.append((key, receiver, latency_ms))
+    def record(self, key: int, receiver: str, latency_ms: float) -> None:
+        self._keys.append(key)
+        self._latencies.append(latency_ms)
+        self._receivers.append(self._table.setdefault(receiver, len(self._table)))
 
     def merge(self, other: "DeliveryLog") -> "DeliveryLog":
-        self.entries.extend(other.entries)
+        """Append ``other``'s rows, re-pointed at this log's receiver table."""
+        table = self._table
+        remap = [table.setdefault(name, len(table)) for name in other._table]
+        # An array, not a lazy map, so that ``log.merge(log)`` terminates.
+        self._receivers.extend(array("I", map(remap.__getitem__, other._receivers)))
+        self._keys.extend(other._keys)
+        self._latencies.extend(other._latencies)
         return self
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._keys)
+
+    def _rows(self, keys: Iterable) -> Iterator[Entry]:
+        receivers = map(list(self._table).__getitem__, self._receivers)
+        return zip(keys, receivers, self._latencies)
+
+    @property
+    def entries(self) -> Iterator[Entry]:
+        """A fresh iterator over the ``(key, receiver, latency_ms)`` rows."""
+        return self._rows(self._keys)
 
     def digest(self) -> str:
-        return delivery_digest(self.entries)
+        # One key string per update, shared by its rows (``str`` of a str is itself).
+        text = {key: str(key) for key in set(self._keys)}
+        return delivery_digest(self._rows(map(text.__getitem__, self._keys)))
 
     def latencies(self) -> List[float]:
-        return sorted(latency for _, _, latency in self.entries)
+        return sorted(self._latencies)
+
+    def columns(self) -> dict:
+        """Wire form: the columns as ``bytes`` (native order) plus the table."""
+        return {
+            "keys": self._keys.tobytes(),
+            "receivers": self._receivers.tobytes(),
+            "latencies": self._latencies.tobytes(),
+            "names": list(self._table),
+        }
+
+    @classmethod
+    def from_columns(
+        cls, keys: bytes, receivers: bytes, latencies: bytes, names: Sequence[str]
+    ) -> "DeliveryLog":
+        """Rebuild a log from :meth:`columns`; a ragged one is rejected."""
+        log = cls()
+        columns = (log._keys, log._receivers, log._latencies)
+        sizes = (len(keys), len(receivers), len(latencies))
+        rows = sizes[0] // log._keys.itemsize
+        if sizes != tuple(rows * column.itemsize for column in columns):
+            raise ValueError(f"ragged delivery columns, bytes per column: {sizes}")
+        for column, raw in zip(columns, (keys, receivers, latencies)):
+            column.frombytes(raw)
+        log._table = table = {name: position for position, name in enumerate(names)}
+        top = max(log._receivers, default=-1)
+        if len(table) != len(names) or top >= len(names):
+            raise ValueError(f"index {top} outside {len(table)} distinct receivers")
+        return log

@@ -43,7 +43,8 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing
-from typing import TYPE_CHECKING, Dict, List, Optional
+import traceback
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.parallel import wire
 from repro.parallel.digest import DeliveryLog
@@ -104,6 +105,18 @@ class _EgressProxy:
 
 
 def _worker_main(conn, spec: "ScaleSpec", shard: int, num_shards: int) -> None:
+    """Process entry point: serve the shard; a failure becomes one ERROR frame."""
+    try:
+        _serve_shard(conn, spec, shard, num_shards)
+    except (EOFError, BrokenPipeError, KeyboardInterrupt):  # pragma: no cover
+        return  # teardown race: the coordinator has gone, no one to tell
+    except Exception:
+        conn.send_bytes(wire.encode_error(traceback.format_exc()))
+    finally:
+        conn.close()
+
+
+def _serve_shard(conn, spec: "ScaleSpec", shard: int, num_shards: int) -> None:
     """One shard's event loop, driven by coordinator frames."""
     import repro.ndn.packets as ndn_packets
     import repro.packets as packets_mod
@@ -152,58 +165,53 @@ def _worker_main(conn, spec: "ScaleSpec", shard: int, num_shards: int) -> None:
                 i,
             )
 
-    try:
-        conn.send_bytes(
-            wire.encode_ready(sim.peek_time(), sim.earliest_output_bound(dists))
-        )
-        while True:
-            frame = conn.recv_bytes()
-            op = frame[0]
-            if op == wire.OP_RUN:
-                horizon, inclusive, msgs = wire.decode_run(frame)
-                # Injections ride the RUN frame, already in global
-                # (time, sender rank, send order) order; injection order
-                # fixes the receiver-side seq so same-key ties replay the
-                # sender's send order.
-                for time, sort_origin, _seq, dst_name, src_name, packet in msgs:
-                    node = nodes[dst_name]
-                    face = node.face_toward(nodes[src_name])
-                    sim.schedule_arrival_at(
-                        time, sort_origin, node.rank, node.receive, packet, face
-                    )
-                sim.run(until=horizon, inclusive=inclusive)
-                conn.send_bytes(
-                    wire.encode_done(
-                        sim.peek_time(),
-                        sim.earliest_output_bound(dists),
-                        egress.drain(),
-                    )
+    conn.send_bytes(
+        wire.encode_ready(sim.peek_time(), sim.earliest_output_bound(dists))
+    )
+    while True:
+        frame = conn.recv_bytes()
+        op = frame[0]
+        if op == wire.OP_RUN:
+            horizon, inclusive, msgs = wire.decode_run(frame)
+            # Injections ride the RUN frame, already in global
+            # (time, sender rank, send order) order; injection order
+            # fixes the receiver-side seq so same-key ties replay the
+            # sender's send order.
+            for time, sort_origin, _seq, dst_name, src_name, packet in msgs:
+                node = nodes[dst_name]
+                face = node.face_toward(nodes[src_name])
+                sim.schedule_arrival_at(
+                    time, sort_origin, node.rank, node.receive, packet, face
                 )
-            elif op == wire.OP_FINISH:
-                from repro.parallel.scale import federation_summary
+            sim.run(until=horizon, inclusive=inclusive)
+            conn.send_bytes(
+                wire.encode_done(
+                    sim.peek_time(),
+                    sim.earliest_output_bound(dists),
+                    egress.drain(),
+                )
+            )
+        elif op == wire.OP_FINISH:
+            from repro.parallel.scale import federation_summary
 
-                conn.send_bytes(
-                    wire.encode_result(
-                        {
-                            "entries": log.entries,
-                            "events_processed": sim.events_processed,
-                            "network_bytes": network.total_bytes,
-                            "network_packets": network.total_packets,
-                            "federation": (
-                                None
-                                if federation is None
-                                else federation_summary(federation)
-                            ),
-                        }
-                    )
+            conn.send_bytes(
+                wire.encode_result(
+                    {
+                        "log": log.columns(),
+                        "events_processed": sim.events_processed,
+                        "network_bytes": network.total_bytes,
+                        "network_packets": network.total_packets,
+                        "federation": (
+                            None
+                            if federation is None
+                            else federation_summary(federation)
+                        ),
+                    }
                 )
-                return
-            else:  # pragma: no cover - protocol guard
-                raise RuntimeError(f"unknown op {op!r}")
-    except (EOFError, KeyboardInterrupt):  # pragma: no cover - teardown race
-        return
-    finally:
-        conn.close()
+            )
+            return
+        else:  # pragma: no cover - protocol guard
+            raise RuntimeError(f"unknown op {op!r}")
 
 
 def run_scale_proc(spec: "ScaleSpec", workers: int) -> dict:
@@ -214,7 +222,8 @@ def run_scale_proc(spec: "ScaleSpec", workers: int) -> dict:
     to ``max(next + W, min EOT)`` (exclusive) or the horizon (inclusive),
     and merge each worker's egress — sorted by ``(time, sender rank, send
     order)`` — for injection on the next ``RUN``.  Falls back to the
-    in-process executor when the platform cannot fork processes.
+    in-process executor when the platform cannot fork processes; a worker
+    that raises or dies is a ``RuntimeError("shard <i> failed: …")``.
     """
     from repro.parallel.partition import distances_to_boundary, min_cut_delay
     from repro.parallel.scale import execute_scale_local
@@ -254,10 +263,21 @@ def run_scale_proc(spec: "ScaleSpec", workers: int) -> dict:
             conns.append(parent)
             procs.append(proc)
 
+        def recv(shard: int) -> bytes:
+            """Worker ``shard``'s next frame; its death or ERROR frame raises."""
+            try:
+                frame = conns[shard].recv_bytes()
+            except EOFError:
+                procs[shard].join(timeout=10)
+                frame = wire.encode_error(f"died, exit code {procs[shard].exitcode}")
+            if frame[0] == wire.OP_ERROR:
+                raise RuntimeError(f"shard {shard} failed: {wire.decode_error(frame)}")
+            return frame
+
         peeks: List[Optional[float]] = []
         eots: List[float] = []
-        for conn in conns:
-            peek, eot = wire.decode_ready(conn.recv_bytes())
+        for shard in range(workers):
+            peek, eot = wire.decode_ready(recv(shard))
             peeks.append(peek)
             eots.append(eot)
 
@@ -296,41 +316,30 @@ def run_scale_proc(spec: "ScaleSpec", workers: int) -> dict:
             pending = []
             for conn, msgs in zip(conns, routed):
                 conn.send_bytes(wire.encode_run(horizon, inclusive, msgs))
-            for i, conn in enumerate(conns):
-                peek, eot, outbox = wire.decode_done(conn.recv_bytes())
+            for i in range(workers):
+                peek, eot, outbox = wire.decode_done(recv(i))
                 peeks[i] = peek
                 eots[i] = eot
                 pending.extend(outbox)
             windows += 1
             transit += len(pending)
 
-        log = DeliveryLog()
-        events_processed = 0
-        network_bytes = 0
-        network_packets = 0
-        fed_totals: Optional[Dict[str, int]] = None
+        # FINISH to all before the first RESULT is read: workers pack in parallel.
         for conn in conns:
             conn.send_bytes(wire.encode_finish())
-            result = wire.decode_result(conn.recv_bytes())
-            log.entries.extend(tuple(entry) for entry in result["entries"])
-            events_processed += result["events_processed"]
-            network_bytes += result["network_bytes"]
-            network_packets += result["network_packets"]
-            fed = result.get("federation")
-            if fed is not None:
-                if fed_totals is None:
-                    fed_totals = dict.fromkeys(fed, 0)
-                for key, value in fed.items():
-                    fed_totals[key] += value
+        results = [wire.decode_result(recv(shard)) for shard in range(workers)]
+        log = DeliveryLog()
+        for result in results:
+            log.merge(DeliveryLog.from_columns(**result["log"]))
         from repro.parallel.scale import latency_stats
 
         summary = {
             "deliveries": len(log),
             "digest": log.digest(),
             "latency": latency_stats(log),
-            "events_processed": events_processed,
-            "network_bytes": network_bytes,
-            "network_packets": network_packets,
+            "events_processed": sum(r["events_processed"] for r in results),
+            "network_bytes": sum(r["network_bytes"] for r in results),
+            "network_packets": sum(r["network_packets"] for r in results),
             "executor": {
                 "shards": workers,
                 "workers": workers,
@@ -339,8 +348,9 @@ def run_scale_proc(spec: "ScaleSpec", workers: int) -> dict:
                 "transit_messages": transit,
             },
         }
-        if fed_totals is not None:
-            summary["federation"] = fed_totals
+        feds = [r["federation"] for r in results if r["federation"] is not None]
+        if feds:
+            summary["federation"] = {key: sum(f[key] for f in feds) for key in feds[0]}
         return summary
     finally:
         for conn in conns:

@@ -11,13 +11,19 @@ suite enforces this by making ``Connection.send`` explode).
 
 Layout (all little-endian):
 
-* **frame** = 1-byte op (``RUN``/``DONE``/``READY``/``FINISH``/``RESULT``)
-  followed by op-specific fields;
+* **frame** = 1-byte op (``RUN``/``DONE``/``READY``/``FINISH``/``RESULT``/
+  ``ERROR``) followed by op-specific fields;
 * ``RUN`` = ``horizon f64, inclusive u8, count u32`` then ``count``
   transit messages — the coordinator piggybacks the barrier's injections
   on the next window command, halving the old two-RTT protocol;
 * ``DONE``/``READY`` = ``peek (u8 flag + f64), eot f64, count u32`` plus
   the worker's drained outbox (``READY`` carries no messages);
+* ``RESULT`` = one tagged dict: the worker's counters plus ``log``, its
+  :meth:`~repro.parallel.digest.DeliveryLog.columns` — ``keys`` (i64),
+  ``receivers`` (u32 positions in ``names``) and ``latencies`` (f64) as
+  ``array.tobytes()`` values in native byte order (both ends are forks of
+  one process) plus ``names``, the receiver string table;
+* ``ERROR`` = the failed worker's traceback as UTF-8 text;
 * **transit message** = ``arrival f64, sender rank i32, send order u32``,
   two length-prefixed node names, then the packet;
 * **packet** = a 1-byte class id from
@@ -54,6 +60,7 @@ __all__ = [
     "OP_DONE",
     "OP_FINISH",
     "OP_RESULT",
+    "OP_ERROR",
     "encode_ready",
     "decode_ready",
     "encode_run",
@@ -63,12 +70,14 @@ __all__ = [
     "encode_finish",
     "encode_result",
     "decode_result",
+    "encode_error",
+    "decode_error",
 ]
 
 #: (arrival_time, sender_rank, send_order, dst_node, src_node, packet)
 WireMsg = Tuple[float, int, int, str, str, Any]
 
-OP_READY, OP_RUN, OP_DONE, OP_FINISH, OP_RESULT = range(5)
+OP_READY, OP_RUN, OP_DONE, OP_FINISH, OP_RESULT, OP_ERROR = range(6)
 
 _I = struct.Struct("<I")
 _MSG_HEAD = struct.Struct("<diI")
@@ -196,3 +205,14 @@ def decode_result(buf) -> dict:
     _expect(buf, OP_RESULT)
     value, _ = decode_value(buf, 1)
     return value
+
+
+def encode_error(text: str) -> bytes:
+    """Worker -> coordinator: the worker failed; ``text`` is its traceback."""
+    return bytes([OP_ERROR]) + text.encode("utf-8")
+
+
+def decode_error(buf) -> str:
+    """Decode an ERROR frame back into the worker's traceback text."""
+    _expect(buf, OP_ERROR)
+    return bytes(buf[1:]).decode("utf-8", "replace")

@@ -23,6 +23,7 @@ to.
 
 from __future__ import annotations
 
+import gc
 from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
@@ -236,6 +237,14 @@ class Simulator:
         bounds the number of callbacks executed, as a guard against
         runaway feedback loops in experimental code; a run that exhausts
         it returns at once, leaving the clock at the last executed event.
+
+        The cyclic collector is suspended for the loop and restored to the
+        caller's state on every way out (a disabled one stays disabled).
+        Reference counting frees every event, handle and packet, yet each
+        pending arrival is four tracked objects: a serial 8,000-player
+        ``scale`` run spent 1.33 s of 4.86 s in 12 gen-2 passes over the
+        static world that collected 0 objects.  Cycles a *callback* makes
+        are reclaimed after ``run`` returns — per barrier when windowed.
         """
         if max_events is not None and max_events < 0:
             raise ValueError(f"max_events must be non-negative (got {max_events})")
@@ -251,6 +260,8 @@ class Simulator:
         # forced off so an (absurd) event at literal +inf still runs.
         horizon = float("inf") if until is None else until
         exclusive = not inclusive and until is not None
+        collecting = gc.isenabled()
+        gc.disable()
         try:
             while heap and not self._stopped and processed < budget:
                 time = heap[0][0]
@@ -273,6 +284,8 @@ class Simulator:
             self.events_processed += processed
             self._running = False
             self.origin = EXTERNAL_ORIGIN
+            if collecting:
+                gc.enable()
 
     def step(self) -> bool:
         """Process exactly one (non-cancelled) event.  Returns False if idle."""

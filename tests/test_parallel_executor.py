@@ -8,7 +8,12 @@ property suite; these tests pin the pieces in isolation so a
 differential failure has small, named suspects.
 """
 
+import gc
+import tracemalloc
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core import GCopssHost, GCopssNetworkBuilder, GCopssRouter, RpTable
 from repro.parallel import (
@@ -157,6 +162,89 @@ class TestDigests:
         whole.record(0, "h0", 1.5)
         assert len(merged) == 2
         assert merged.digest() == whole.digest()
+
+
+_ROWS = st.lists(
+    st.tuples(
+        st.integers(min_value=-(2**63), max_value=2**63 - 1),
+        st.sampled_from(["h0", "h1", "h 2", 'h"3', "\u00e9\u4e2d", ""]) | st.text(max_size=4),
+        st.floats(allow_nan=False) | st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+    ),
+    max_size=40,
+).flatmap(
+    # Duplicate whole rows as well: retransmitted deliveries are a multiset.
+    lambda rows: st.lists(st.sampled_from(rows), max_size=8).map(rows.__add__)
+    if rows
+    else st.just(rows)
+)
+
+
+def _logged(rows):
+    log = DeliveryLog()
+    for row in rows:
+        log.record(*row)
+    return log
+
+
+class TestDeliveryLogColumns:
+    """The packed columns are the tuples they replaced, bit for bit."""
+
+    @given(rows=_ROWS)
+    def test_columns_digest_like_tuples(self, rows):
+        log = _logged(rows)
+        assert len(log) == len(rows)
+        assert list(log.entries) == rows
+        assert list(log.entries) == rows  # a view, not a one-shot iterator
+        assert log.digest() == delivery_digest(rows)
+        # Compared as reprs: ``-0.0 == 0.0``, and both sorts are stable.
+        assert list(map(repr, log.latencies())) == list(
+            map(repr, sorted(latency for _, _, latency in rows))
+        )
+
+    @given(rows=_ROWS, cuts=st.lists(st.integers(0, 48), max_size=3), flip=st.booleans())
+    def test_any_split_and_merge_order_is_the_same_log(self, rows, cuts, flip):
+        bounds = [0, *sorted(min(cut, len(rows)) for cut in cuts), len(rows)]
+        parts = [_logged(rows[a:b]) for a, b in zip(bounds, bounds[1:])]
+        if flip:
+            parts.reverse()
+        merged = DeliveryLog()
+        for part in parts:
+            assert merged.merge(part) is merged
+        assert merged.digest() == delivery_digest(rows)
+        assert sorted(merged.entries) == sorted(rows)
+        assert DeliveryLog.from_columns(**merged.columns()).digest() == merged.digest()
+
+    def test_merging_a_log_into_itself_doubles_it(self):
+        log = _logged([(0, "h0", 1.5), (1, "h1", 2.5)])
+        log.merge(log)
+        assert sorted(log.entries) == [(0, "h0", 1.5)] * 2 + [(1, "h1", 2.5)] * 2
+
+    def test_keys_are_integers(self):
+        log = DeliveryLog()
+        for key in ("7", 7.0, None, 2**63):
+            with pytest.raises((TypeError, OverflowError)):
+                log.record(key, "h0", 1.0)
+        assert len(log) == 0 and list(log.entries) == []
+
+    def test_at_most_24_bytes_and_no_tracked_object_per_entry(self):
+        receivers = [f"p{i:06d}" for i in range(500)]
+        log = DeliveryLog()
+        for i, receiver in enumerate(receivers):  # steady state: table filled
+            log.record(i, receiver, 0.5)
+        latencies = [4.6 + i / 7 for i in range(1000)]
+        gc.collect()
+        tracked = len(gc.get_objects())
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            for i in range(200_000):
+                log.record(i, receivers[i % 500], latencies[i % 1000])
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(log) == 200_500
+        assert (after - before) / 200_000 <= 24
+        assert len(gc.get_objects()) - tracked <= 8
 
 
 class TestWindowedEngineSemantics:

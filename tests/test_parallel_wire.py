@@ -14,6 +14,7 @@ reproducing the serial digest.
 
 import multiprocessing
 import multiprocessing.connection
+import os
 import pickle
 
 import pytest
@@ -32,7 +33,9 @@ from repro.core.packets import (
 from repro.ndn.packets import Data, Interest
 from repro.net import codec
 from repro.packets import Packet
+import repro.parallel.scale as scale_mod
 from repro.parallel import wire
+from repro.parallel.digest import DeliveryLog
 from repro.parallel.scale import ScaleSpec, run_scale
 
 
@@ -194,13 +197,62 @@ class TestFrames:
         assert (peek, eot) == (None, 1012.0)
         assert decoded == msgs
 
+    @staticmethod
+    def _log():
+        log = DeliveryLog()
+        for row in [(0, "p000001", 2.75), (1, "p000002", 3.0), (1, "p000003", -0.0),
+                    (-7, "p000001", 5e-324)]:
+            log.record(*row)
+        return log
+
     def test_result_roundtrip(self):
+        log = self._log()
         result = {
-            "entries": [(0, "p000001", 2.75), (1, "p000002", 3.0)],
+            "log": log.columns(),
             "events_processed": 123,
             "network_bytes": 4567,
+            "federation": None,
         }
-        assert wire.decode_result(wire.encode_result(result)) == result
+        decoded = wire.decode_result(wire.encode_result(result))
+        assert decoded == result
+        # 20 bytes a row plus the three-name table, not a tagged tuple each.
+        columns = decoded["log"]
+        assert [len(columns[c]) for c in ("keys", "receivers", "latencies")] == [32, 16, 32]
+        assert columns["names"] == ["p000001", "p000002", "p000003"]
+        rebuilt = DeliveryLog.from_columns(**columns)
+        assert list(rebuilt.entries) == list(log.entries)
+        assert rebuilt.digest() == log.digest()
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda c: c.update(keys=c["keys"][:-1]), r"per column: \(31, 16, 32\)"),
+            (lambda c: c.update(receivers=c["receivers"] + b"\0"), r"\(32, 17, 32\)"),
+            (lambda c: c.update(latencies=c["latencies"][8:]), r"\(32, 16, 24\)"),
+            (lambda c: c.update(keys=c["keys"] + bytes(8)), r"\(40, 16, 32\)"),
+            (lambda c: c.update(names=c["names"][:2]), "index 2 outside 2 distinct"),
+            (lambda c: c.update(names=["a", "b", "a"]), "index 2 outside 2 distinct"),
+        ],
+    )
+    def test_ragged_result_columns_fail_loudly(self, damage, message):
+        """A damaged RESULT names the offending lengths; no ragged log is built."""
+        columns = self._log().columns()
+        damage(columns)
+        decoded = wire.decode_result(wire.encode_result({"log": columns}))
+        with pytest.raises(ValueError, match=message):
+            DeliveryLog.from_columns(**decoded["log"])
+
+    def test_truncated_result_frame_is_a_frame_error(self):
+        frame = wire.encode_result({"log": self._log().columns()})
+        with pytest.raises(codec.FrameError):
+            wire.decode_result(frame[:-5])
+
+    def test_error_roundtrip(self):
+        frame = wire.encode_error("Traceback ...\nZeroDivisionError: caf\u00e9")
+        assert frame[0] == wire.OP_ERROR
+        assert wire.decode_error(frame) == "Traceback ...\nZeroDivisionError: caf\u00e9"
+        with pytest.raises(ValueError, match="protocol error"):
+            wire.decode_result(frame)
 
     def test_op_mismatch_fails_loudly(self):
         with pytest.raises(ValueError, match="protocol error"):
@@ -236,3 +288,42 @@ class TestNoPickleOnTransitPath:
         assert proc["mode"] == "proc:2"
         assert proc["digest"] == serial["digest"]
         assert proc["deliveries"] == serial["deliveries"]
+
+
+class TestWorkerDeath:
+    """A dead worker is a named failure of ``run_scale``, not a hang."""
+
+    SPEC = ScaleSpec(players=24, regions=4, access_per_region=2, updates=30, seed=3)
+
+    @pytest.fixture(autouse=True)
+    def _needs_fork(self):
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("fork start method unavailable")
+
+    @staticmethod
+    def _no_children_left():
+        leftover = multiprocessing.active_children()
+        for child in leftover:
+            child.join(timeout=5)
+        return not any(child.is_alive() for child in leftover)
+
+    @pytest.mark.timeout(60)
+    def test_raising_callback_names_shard_and_cause(self, monkeypatch):
+        def boom(host, cd, size, sequence):
+            raise ZeroDivisionError(f"update {sequence} went wrong")
+
+        # Workers resolve ``_publish`` after the fork, so they see the patch.
+        monkeypatch.setattr(scale_mod, "_publish", boom)
+        with pytest.raises(RuntimeError) as failure:
+            run_scale(self.SPEC, workers=2)
+        text = str(failure.value)
+        assert text.startswith("shard ") and " failed: " in text
+        assert "ZeroDivisionError: update" in text and "Traceback" in text
+        assert self._no_children_left()
+
+    @pytest.mark.timeout(60)
+    def test_silent_exit_reports_the_exit_code(self, monkeypatch):
+        monkeypatch.setattr(scale_mod, "_publish", lambda *args: os._exit(7))
+        with pytest.raises(RuntimeError, match=r"shard \d failed: died, exit code 7"):
+            run_scale(self.SPEC, workers=2)
+        assert self._no_children_left()

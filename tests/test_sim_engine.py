@@ -1,5 +1,7 @@
 """Tests for the discrete-event simulator core."""
 
+import gc
+
 import pytest
 
 from repro.sim.engine import Simulator
@@ -267,3 +269,96 @@ class TestSameTickBurstOrder:
         sim.run()
         assert log == ["m0", "m1", "m2", "m3"]
         assert sim.events_processed == 4
+
+
+def _run_with_raising_callback(sim):
+    sim.schedule(1.5, lambda: 1 / 0)
+    with pytest.raises(ZeroDivisionError):
+        sim.run()
+
+
+#: Every way out of ``Simulator.run`` with events at t = 1, 2, 3 queued.
+RUN_EXITS = {
+    "drain": lambda sim: sim.run(),
+    "inclusive horizon": lambda sim: sim.run(until=2.0),
+    "exclusive horizon": lambda sim: sim.run(until=2.0, inclusive=False),
+    "stop": lambda sim: (sim.schedule(1.5, sim.stop), sim.run()),
+    "max_events": lambda sim: sim.run(max_events=1),
+    "raising callback": _run_with_raising_callback,
+}
+
+
+class TestCollectorContract:
+    """``run`` suspends the cyclic collector and restores the caller's state.
+
+    Counts and booleans, so they gate where a timing cannot.
+    """
+
+    @staticmethod
+    def _loaded():
+        sim = Simulator()
+        seen = []
+        for time in (1.0, 2.0, 3.0):
+            sim.schedule(time, lambda: seen.append(gc.isenabled()))
+        return sim, seen
+
+    @pytest.fixture(params=[True, False], ids=["gc on", "gc off"])
+    def collecting(self, request):
+        """Run the test with the collector in one state; put it back after."""
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    @pytest.mark.parametrize("exit_path", RUN_EXITS)
+    def test_state_restored_on_every_exit(self, collecting, exit_path):
+        sim, seen = self._loaded()
+        RUN_EXITS[exit_path](sim)
+        assert gc.isenabled() is collecting
+        # Every callback that ran saw the collector off.
+        assert seen and not any(seen)
+
+    def test_rejected_runs_leave_the_collector_alone(self, collecting):
+        sim, _ = self._loaded()
+        with pytest.raises(ValueError):
+            sim.run(max_events=-1)
+        errors = []
+
+        def reenter():
+            try:
+                sim.run()
+            except RuntimeError as error:
+                errors.append(error)
+            # The rejected inner call must not have re-enabled it mid-run.
+            errors.append(gc.isenabled())
+
+        sim.schedule(0.5, reenter)
+        sim.run()
+        assert isinstance(errors[0], RuntimeError) and errors[1] is False
+        assert gc.isenabled() is collecting
+
+    def test_no_full_collection_inside_a_long_run(self):
+        """50,000 self-scheduling events over a 10^5-object ballast: the
+        seed ran full passes here (each parks tracked handles, tuples and
+        bound methods); now none fire until ``run`` returns."""
+        ballast = [[i] for i in range(100_000)]
+        sim = Simulator()
+        remaining = [50_000]
+        inside = []
+
+        def tick():
+            remaining[0] -= 1
+            if remaining[0]:
+                sim.schedule(1.0, tick)
+                # Keep survivors pending, as parked arrivals do.
+                sim.schedule(1e9, ballast.append, [remaining[0]])
+            else:
+                inside.append(gc.get_stats()[2]["collections"])
+                sim.stop()
+
+        sim.schedule(1.0, tick)
+        gc.collect()
+        before = gc.get_stats()[2]["collections"]
+        sim.run()
+        assert sim.events_processed == 50_000
+        assert inside == [before]
