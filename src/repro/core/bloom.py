@@ -38,7 +38,6 @@ __all__ = [
     "optimal_params",
     "indexes_for",
     "mask_for",
-    "prefix_indexes_for",
 ]
 
 #: Counter ceiling of the counting filter (16-bit, as on a real router).
@@ -94,33 +93,12 @@ def mask_for(cd: "Name | str", num_bits: int, num_hashes: int) -> int:
     return _derive(Name.coerce(cd), num_bits, num_hashes)[1]
 
 
-def prefix_indexes_for(
-    cd: "Name | str", num_bits: int, num_hashes: int
-) -> Tuple[Tuple[int, ...], ...]:
-    """Bloom index tuples for every prefix of ``cd``, instance-cached.
-
-    Hierarchical matching probes a CD *and all its prefixes*; this
-    returns the whole per-prefix index family (aligned with
-    :meth:`Name.prefixes`) in one cached lookup so the fan-out path never
-    rebuilds the per-prefix index list packet by packet.
-    """
-    name = Name.coerce(cd)
-    cache = name.derived_cache()
-    key = ("prefix-indexes", num_bits, num_hashes)
-    entry = cache.get(key)
-    if entry is None:
-        entry = cache[key] = tuple(
-            indexes_for(prefix, num_bits, num_hashes) for prefix in name.prefixes()
-        )
-    return entry
-
-
 class BloomFilter:
     """Plain Bloom filter over Content Descriptors.
 
     Storage is a single int bitmask; membership is a mask AND.  ``add``
-    and :meth:`contains_indexes` accept precomputed index tuples so the
-    data plane never re-hashes a name it has already seen.
+    accepts a precomputed index tuple so the data plane never re-hashes a
+    name it has already seen.
     """
 
     def __init__(self, num_bits: int = 1024, num_hashes: int = 4) -> None:
@@ -150,13 +128,6 @@ class BloomFilter:
         if not isinstance(cd, (Name, str)):
             return False
         mask = mask_for(cd, self.num_bits, self.num_hashes)
-        return self._mask & mask == mask
-
-    def contains_indexes(self, indexes: Iterable[int]) -> bool:
-        """Membership test with precomputed bit positions."""
-        mask = 0
-        for idx in indexes:
-            mask |= 1 << idx
         return self._mask & mask == mask
 
     def contains_mask(self, mask: int) -> bool:
@@ -276,15 +247,6 @@ class CountingBloomFilter:
             return False
         mask = mask_for(cd, self.num_bits, self.num_hashes)
         return self._bitview & mask == mask
-
-    def contains_indexes(self, indexes: Iterable[int]) -> bool:
-        """Membership test with precomputed bit positions (public API).
-
-        Probes the counters directly — the reference data path for the
-        subscription-table cache-bypass arm.
-        """
-        counts = self._counts
-        return all(counts[idx] for idx in indexes)
 
     def contains_mask(self, mask: int) -> bool:
         """Membership test with a precombined bit mask (hot path)."""

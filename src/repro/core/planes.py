@@ -331,12 +331,7 @@ class ForwardingPlane:
         self.replicate(mcast, exclude=exclude)
 
     def replicate(self, mcast: MulticastPacket, exclude: Optional[Face]) -> None:
-        """Copy ``mcast`` onto every ST-matching face (once per uid).
-
-        ``st.match`` resolves every face in one pass over the table's
-        bit-sliced column snapshot (k word ANDs per prefix, not a
-        per-face scan).
-        """
+        """Copy ``mcast`` onto every ST-matching face (once per uid)."""
         if not self.replicated.add(mcast.uid):
             self.stats.duplicate_multicasts_dropped += 1
             tracer = self.router.trace_hook

@@ -18,22 +18,18 @@ between subscription-churn events, so :meth:`SubscriptionTable.match`
 memoizes its result per CD.  The memo is invalidated wholesale by a
 generation counter bumped on every mutation, and each cache entry stores
 the per-packet false-positive face count so FP accounting stays exact
-(counted per forwarded packet, never per cache fill).  Setting
-:attr:`SubscriptionTable.cache_enabled` to False switches to the uncached
-reference scan — the two paths are asserted equivalent by tests and the
-perf harness.
+(counted per forwarded packet, never per cache fill).  A memo miss is
+filled by the one per-face scan — an AND of the face's Bloom bit view
+against each prefix's mask; setting
+:attr:`SubscriptionTable.cache_enabled` to False runs that same scan on
+every call, bypassing the memo.
 """
 
 from __future__ import annotations
 
-from array import array
 from typing import Dict, Generic, Hashable, Iterable, List, Set, Tuple, TypeVar
 
-from repro.core.bloom import (
-    CountingBloomFilter,
-    indexes_for,
-    prefix_indexes_for,
-)
+from repro.core.bloom import CountingBloomFilter, indexes_for, mask_for
 from repro.names import Name
 
 __all__ = ["SubscriptionTable"]
@@ -50,7 +46,7 @@ class SubscriptionTable(Generic[F]):
         self._blooms: Dict[F, CountingBloomFilter] = {}
         self._exact: Dict[F, Dict[Name, int]] = {}
         self.false_positive_forwards = 0
-        #: Data-plane memo switch; False selects the uncached reference scan.
+        #: Data-plane memo switch; False runs the scan on every match.
         self.cache_enabled = True
         # cd -> (matched faces, false-positive face count), valid for
         # _cache_generation only.  _generation is bumped by every mutation.
@@ -58,13 +54,6 @@ class SubscriptionTable(Generic[F]):
         self._generation = 0
         self._cache_generation = 0
         self._match_cache_limit = 4096
-        # Contiguous fan-out snapshot (see _snapshot): the per-face Bloom
-        # bitmaps transposed into one flat column table — entry ``b`` is a
-        # face-bitmask of which faces have Bloom bit ``b`` set — so a
-        # prefix probe is k tiny AND-folds instead of a per-face scan.
-        self._packed_faces: Tuple[F, ...] = ()
-        self._packed_cols: "array[int] | List[int]" = []
-        self._packed_generation = -1
 
     # ------------------------------------------------------------------
     # Mutation
@@ -166,7 +155,7 @@ class SubscriptionTable(Generic[F]):
         """
         name = cd if type(cd) is Name else Name.coerce(cd)
         if not self.cache_enabled:
-            faces, fp_faces = self._match_scan(name)
+            faces, fp_faces = self._scan(name)
             self.false_positive_forwards += fp_faces
             return faces
         cache = self._match_cache
@@ -177,104 +166,32 @@ class SubscriptionTable(Generic[F]):
         if entry is None:
             if len(cache) >= self._match_cache_limit:
                 cache.clear()
-            entry = cache[name] = self._match_packed(name)
+            entry = cache[name] = self._scan(name)
         faces, fp_faces = entry
         self.false_positive_forwards += fp_faces
         return list(faces)
 
-    def _snapshot(self) -> Tuple[Tuple[F, ...], "array[int] | List[int]"]:
-        """(faces, bit-sliced column table), generation-cached.
+    def _scan(self, name: Name) -> Tuple[List[F], int]:
+        """(matched faces, false-positive face count) for one CD.
 
-        The per-face Bloom bitmaps are *transposed* into one contiguous
-        buffer: column ``b`` is a bitmask over faces — bit ``i`` set iff
-        face ``faces[i]`` has Bloom bit ``b`` set.  A CD with hash
-        indexes ``(b0..bk)`` then matches exactly the faces in
-        ``cols[b0] & ... & cols[bk]`` — ``k`` ANDs of face-width ints for
-        the whole table, instead of a per-face loop over filter-width
-        bitmaps.  Up to 64 faces the table is a flat ``array("Q")``
-        (one machine word per column); beyond that it degrades to a list
-        of arbitrary-width ints with identical semantics.  Rebuilt lazily
-        on the first match after a mutation; subscription churn is orders
-        of magnitude rarer than packets, so the rebuild amortizes to
-        noise.
-        """
-        if self._packed_generation == self._generation:
-            return self._packed_faces, self._packed_cols
-        blooms = self._blooms
-        faces = tuple(blooms)
-        if len(faces) <= 64:
-            cols: "array[int] | List[int]" = array("Q", bytes(8 * self._bloom_bits))
-        else:
-            cols = [0] * self._bloom_bits
-        face_bit = 1
-        for face in faces:
-            view = blooms[face].bit_view
-            while view:
-                rest = view & (view - 1)  # clear lowest set bit
-                cols[(view ^ rest).bit_length() - 1] |= face_bit
-                view = rest
-            face_bit <<= 1
-        self._packed_faces = faces
-        self._packed_cols = cols
-        self._packed_generation = self._generation
-        return faces, cols
-
-    def _match_packed(self, name: Name) -> Tuple[List[F], int]:
-        """Single-pass fan-out over the bit-sliced column snapshot.
-
-        For each prefix, AND-fold the columns of its hash indexes: the
-        result is the face-set matching that prefix as one int.  OR the
-        per-prefix hits together and the whole hierarchical decision for
-        every face has been made in ``len(prefixes) * k`` word ops; only
-        the (usually tiny) hit set is walked per-face, for exact-state
-        false-positive accounting.
+        The one Bloom scan: per face, one AND of its filter's bit view
+        against the precombined mask of each prefix of ``name``.  A face
+        the exact state does not back counts as a false positive.
         """
         prefixes = name.prefixes()
-        faces, cols = self._snapshot()
-        if not faces:
-            return [], 0
-        hits = 0
-        for indexes in prefix_indexes_for(name, self._bloom_bits, self._bloom_hashes):
-            acc = cols[indexes[0]]
-            for idx in indexes[1:]:
-                if not acc:
-                    break
-                acc &= cols[idx]
-            hits |= acc
-        if not hits:
-            return [], 0
-        matched: List[F] = []
-        fp_faces = 0
-        exact_by_face = self._exact
-        while hits:
-            low = hits & -hits
-            hits ^= low
-            face = faces[low.bit_length() - 1]
-            matched.append(face)
-            exact = exact_by_face[face]
-            if not any(prefix in exact for prefix in prefixes):
-                fp_faces += 1
-        return matched, fp_faces
-
-    def _match_scan(self, name: Name) -> Tuple[List[F], int]:
-        """Uncached reference path: per-index counter probes on every face.
-
-        This is the pre-fast-path data plane, kept as the cache-bypass arm
-        so equivalence (and the speedup) stays measurable.
-        """
-        prefixes = name.prefixes()
-        index_sets = [
-            indexes_for(prefix, self._bloom_bits, self._bloom_hashes)
-            for prefix in prefixes
-        ]
+        bits, hashes = self._bloom_bits, self._bloom_hashes
+        masks = [mask_for(prefix, bits, hashes) for prefix in prefixes]
         matched: List[F] = []
         fp_faces = 0
         for face, bloom in self._blooms.items():
-            if any(bloom.contains_indexes(indexes) for indexes in index_sets):
-                matched.append(face)
-                exact = self._exact[face]
-                if not any(prefix in exact for prefix in prefixes):
-                    fp_faces += 1
+            view = bloom.bit_view
+            for mask in masks:
+                if view & mask == mask:
+                    matched.append(face)
+                    exact = self._exact[face]
+                    if not any(prefix in exact for prefix in prefixes):
+                        fp_faces += 1
+                    break
         return matched, fp_faces
 
     def match_exact(self, cd: "Name | str") -> List[F]:

@@ -189,6 +189,8 @@ class ChaosReport:
     events_checked: int
     deliveries_expected: int
     deliveries_got: int
+    #: Same window as ``deliveries_expected``; outside the digest.
+    deliveries_got_checked: int
     permanent_misses: int
     missed_sample: List[Tuple[int, str]]
     invariant_ok: bool
@@ -228,6 +230,7 @@ class ChaosReport:
             "events_checked": self.events_checked,
             "deliveries_expected": self.deliveries_expected,
             "deliveries_got": self.deliveries_got,
+            "deliveries_got_checked": self.deliveries_got_checked,
             "permanent_misses": self.permanent_misses,
             "missed_sample": self.missed_sample[:50],
             "invariant_ok": self.invariant_ok,
@@ -356,6 +359,7 @@ def run_chaos(
         events_checked=checked,
         deliveries_expected=expected,
         deliveries_got=len(got),
+        deliveries_got_checked=expected - len(missed),
         permanent_misses=len(missed),
         missed_sample=missed,
         invariant_ok=not missed and bool(splits),

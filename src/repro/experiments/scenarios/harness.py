@@ -120,6 +120,8 @@ class ScenarioReport:
     events_checked: int
     deliveries_expected: int
     deliveries_got: int
+    #: Same window as ``deliveries_expected``; outside the digest.
+    deliveries_got_checked: int
     permanent_misses: int
     missed_sample: List[Tuple[int, str]]
     invariant_ok: bool
@@ -164,6 +166,7 @@ class ScenarioReport:
             "events_checked": self.events_checked,
             "deliveries_expected": self.deliveries_expected,
             "deliveries_got": self.deliveries_got,
+            "deliveries_got_checked": self.deliveries_got_checked,
             "permanent_misses": self.permanent_misses,
             "missed_sample": self.missed_sample[:50],
             "invariant_ok": self.invariant_ok,
@@ -497,6 +500,7 @@ def run_scenario(
         events_checked=verdict.events_checked,
         deliveries_expected=verdict.deliveries_expected,
         deliveries_got=verdict.deliveries_got,
+        deliveries_got_checked=verdict.deliveries_got_checked,
         permanent_misses=verdict.permanent_misses,
         missed_sample=verdict.missed_sample,
         invariant_ok=verdict.ok and splits_ok,
@@ -535,7 +539,7 @@ def run_matrix(
     loss: float = 0.05,
     executor_factory=None,
     monitor: bool = True,
-    progress: Optional[Callable[[str, dict], None]] = None,
+    progress: Optional[Callable[[str, ScenarioReport], None]] = None,
 ) -> dict:
     """Run the scenario × plan × seed matrix; return its JSON body.
 
@@ -579,7 +583,7 @@ def run_matrix(
                     "splits": [list(s) for s in report.splits],
                 }
                 if progress is not None:
-                    progress(key, cells[key])
+                    progress(key, report)
     return {
         "schema": 1,
         "scale": scale,

@@ -96,16 +96,6 @@ class LiveClock:
             self._wake.set()
         return timer
 
-    def schedule_at_node(
-        self, delay: float, origin: int, callback: Callable[..., None], *args: Any
-    ) -> LiveTimer:
-        """Schedule with an origin rank (accepted for compat, ignored).
-
-        Origin ranks order same-tick ties in the deterministic engine;
-        live arrival order is decided by the real network.
-        """
-        return self.schedule(delay, callback, *args)
-
     def schedule_link(
         self,
         delay: float,

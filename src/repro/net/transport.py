@@ -171,7 +171,6 @@ class BoundaryClock:
         )
 
     schedule_at = schedule
-    schedule_at_node = schedule
 
 
 class PoisonClock:
@@ -190,7 +189,6 @@ class PoisonClock:
 
     schedule = _explode
     schedule_at = _explode
-    schedule_at_node = _explode
     schedule_link = _explode
 
     @property

@@ -8,44 +8,15 @@ cross-shard link delay, any event executing in ``[T, T+W)`` can influence
 another shard no earlier than ``T+W``, so each window runs with zero
 coordination and cross-shard packets are exchanged at the barriers.
 
-Windows are **adaptive**: the fixed ``W`` is only the floor.  Each shard
-also derives an earliest-output-time bound from its pending events — the
-time of each event plus its node's delay-distance to the nearest shard
-boundary (:meth:`~repro.sim.engine.Simulator.earliest_output_bound`, a
-conditional-lookahead / null-message-style estimate) — and every shard
-runs to the max of ``next + W`` and the minimum bound across shards.
-Shards whose boundary queues are quiet thereby batch many base windows
-per barrier.  Window placement cannot change the digest: barriers only
-decide *when* transit messages are injected, and injected arrivals are
-(re)ordered purely by ``(arrival time, sender rank, sender send order)``
-— a window-independent key (see the determinism argument below and
-ARCHITECTURE.md §6).
-
-**Determinism argument** (why serial and sharded runs are bit-identical):
-
-1. The engine heap orders events by ``(time, origin, seq)`` where
-   ``origin`` is the rank of the node whose activity scheduled the event
-   (for packet arrivals: the *sender's* rank); the same-tick cases are
-   pinned by ``tests/test_sim_engine.py``.  See :mod:`repro.sim.engine`.
-2. Every event's callback touches exactly one node (its queue, timers,
-   roles) and that node's outgoing links — the fabric has no cross-node
-   shared state.  So an event "belongs" to a node, and scheduling only
-   ever happens node-locally (``node.sim``) or via a link egress.
-3. By induction over time: each shard executes the serial schedule
-   *restricted to its nodes*, in the same relative order — same-origin
-   ties keep their per-origin scheduling order (local seq), and
-   cross-shard arrivals are injected at barriers in ``(time, sender
-   rank, send order)`` order, which is exactly the serial heap's order
-   for those events.  Events tied at ``(time, origin)`` across different
-   shards live in different heaps and never compare — but they execute
-   at different nodes at the same timestamp, and can only influence each
-   other through links with delay ≥ W > 0, so their relative order is
-   unobservable.
-4. RNG streams (fault injection) are per link *direction*, i.e. pure
-   functions of a single sender's packet sequence; node crash/restart
-   transitions are mirrored onto every shard clock
-   (:class:`~repro.sim.faults.FaultInjector`).  No randomness or clock
-   reads cross a shard boundary outside the transit channel.
+Every window is ``[next, next + W)``, ``next`` being the earliest pending
+event on any shard (:func:`window_horizon`, the one window rule, shared
+with the multiprocess coordinator).  Where the barriers fall cannot change
+the digest: they only decide *when* transit messages are injected, and
+injected arrivals are ordered purely by ``(arrival time, sender rank,
+sender send order)`` — the serial heap's own key for them.  The full
+argument for why serial and sharded runs are bit-identical is
+ARCHITECTURE.md §6 "Determinism argument"; its same-tick cases are pinned
+by ``tests/test_sim_engine.py``.
 
 The executor runs all shards in one thread (round-robin per window) —
 it proves the *algorithm*; :mod:`repro.parallel.procpool` runs the same
@@ -65,10 +36,27 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.metrics import MetricsRegistry
     from repro.sim.network import Network
 
-__all__ = ["ShardedExecutor"]
+__all__ = ["ShardedExecutor", "window_horizon"]
 
 #: (arrival_time, sender_rank, send_order, receiver_rank, callback, args)
 _TransitMsg = Tuple[float, int, int, int, Callable[..., Any], tuple]
+
+
+def window_horizon(
+    next_time: float, lookahead: float, until: Optional[float]
+) -> Tuple[Optional[float], bool]:
+    """``(horizon, inclusive)`` of the window that starts at ``next_time``.
+
+    ``next_time + lookahead``, exclusive — nothing executed before it can
+    reach another shard sooner.  When that overshoots ``until`` (always,
+    for a boundary-less plan's infinite lookahead) no shard can influence
+    another inside the run, so one inclusive pass to ``until`` (a full
+    drain when it is None) finishes it with the serial engine's semantics.
+    """
+    bound = next_time + lookahead
+    if bound == float("inf") or (until is not None and bound > until):
+        return until, True
+    return bound, False
 
 
 class _BoundaryClock:
@@ -187,9 +175,6 @@ class ShardedExecutor:
         self.network = network
         self.plan = plan
         self.lookahead_ms = plan.lookahead_ms(network)
-        #: Per shard: node rank → delay distance to the nearest boundary
-        #: egress (boundary link included) — the adaptive-lookahead input.
-        self._shard_dists = plan.boundary_distances(network)
         self.shard_sims: List[Simulator] = [
             Simulator() for _ in range(plan.num_shards)
         ]
@@ -273,10 +258,7 @@ class ShardedExecutor:
         is the serial engine's tie order for external events.
         """
         sim = self.shard_sims[self.plan.assignment[node]]
-        # schedule_at_node keeps EXTERNAL_ORIGIN ordering but records the
-        # target node as the event's locus, so the adaptive lookahead can
-        # credit the event with the node's real distance-to-boundary.
-        sim.schedule_at_node(time, self.network.nodes[node].rank, callback, *args)
+        sim.schedule_at(time, callback, *args)
 
     # ------------------------------------------------------------------
     # Window loop
@@ -285,60 +267,21 @@ class ShardedExecutor:
         """Advance every shard to ``until`` (or drain all heaps if None)."""
         while True:
             next_time = self._peek()
-            if next_time is None:
+            if next_time is None or (until is not None and next_time > until):
                 if until is not None:
                     self._advance_idle(until)
                 return
-            if until is not None and next_time > until:
-                self._advance_idle(until)
-                return
-            bound = self._adaptive_horizon(next_time)
-            if bound is None or (until is not None and bound > until):
-                # No shard can influence another before `until` (or ever:
-                # boundary-less plans, or no pending event reaches a
-                # boundary) — one inclusive pass to the horizon suffices,
-                # matching the serial engine's `until` semantics.
-                horizon: Optional[float] = until
-                inclusive = True
-            else:
-                horizon, inclusive = bound, False
+            horizon, inclusive = window_horizon(next_time, self.lookahead_ms, until)
             for sim in self.shard_sims:
                 self._active_sim = sim
                 sim.run(until=horizon, inclusive=inclusive)
             self._active_sim = self.shard_sims[0]
             self._barrier(self.now if horizon is None else horizon)
             self.windows_run += 1
-            if inclusive and not self._outbox and self._peek_over(until):
-                return
-
-    def _adaptive_horizon(self, next_time: float) -> Optional[float]:
-        """The widest provably-safe exclusive window start at ``next_time``.
-
-        ``next_time + W`` (the fixed conservative window) is always sound;
-        the earliest-output-time bound across shards is also sound and
-        usually much wider, so take the max.  ``None`` means no pending
-        event can ever cross a shard boundary — the caller then runs one
-        unsynchronized inclusive pass.
-        """
-        if self.lookahead_ms == float("inf"):
-            return None
-        eot = min(
-            sim.earliest_output_bound(dist)
-            for sim, dist in zip(self.shard_sims, self._shard_dists)
-        )
-        if eot == float("inf"):
-            return None
-        return max(next_time + self.lookahead_ms, eot)
 
     def _peek(self) -> Optional[float]:
         times = [t for t in (sim.peek_time() for sim in self.shard_sims) if t is not None]
         return min(times) if times else None
-
-    def _peek_over(self, until: Optional[float]) -> bool:
-        if until is None:
-            return False
-        next_time = self._peek()
-        return next_time is None or next_time > until
 
     def _advance_idle(self, until: float) -> None:
         for sim in self.shard_sims:

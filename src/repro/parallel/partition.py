@@ -14,9 +14,9 @@ routers holding RP prefixes).  The plan is fixed for the lifetime of a
 run: determinism requires that shard assignment never depends on runtime
 load.
 
-The three graph searches behind a plan — :func:`nearest_anchor`,
-:func:`min_cut_delay` and :func:`distances_to_boundary` — read a plain
-``(a, b, delay)`` link list, so a built :class:`~repro.sim.network.Network`
+The two graph searches behind a plan — :func:`nearest_anchor` and
+:func:`min_cut_delay` — read a plain ``(a, b, delay)`` link list, so a
+built :class:`~repro.sim.network.Network`
 (:func:`network_links`) and a topology known only as a table (the scale
 scenario's spec, :mod:`repro.parallel.slicing`) run the same code.
 """
@@ -35,7 +35,6 @@ __all__ = [
     "network_links",
     "nearest_anchor",
     "min_cut_delay",
-    "distances_to_boundary",
     "partition_by_anchors",
     "partition_by_rp",
 ]
@@ -110,48 +109,6 @@ def min_cut_delay(links: Iterable[LinkRow], assignment: Dict[str, int]) -> float
     return lookahead
 
 
-def distances_to_boundary(
-    links: Iterable[LinkRow], assignment: Dict[str, int]
-) -> Dict[str, float]:
-    """Node name → delay-distance to its own shard's nearest boundary egress.
-
-    The distance runs over *in-shard* links only and includes the
-    boundary link's own delay, so it lower-bounds how long any event at
-    the node needs before it can influence another shard — the input to
-    :meth:`~repro.sim.engine.Simulator.earliest_output_bound`.  Every
-    assigned node gets an entry; those that cannot reach any boundary
-    (every node of a boundary-less shard, and any node ``links`` does not
-    mention) get ``inf``: their events never produce cross-shard traffic.
-
-    One Dijkstra serves every shard at once: it is seeded at each
-    boundary link's two ends with the link delay already paid (min over
-    parallel boundary links) and walks in-shard links only, so no path
-    ever leaves the shard it started in.
-    """
-    seeds: Dict[str, float] = {}
-    adjacency: Dict[str, List[Tuple[str, float]]] = {}
-    for a, b, delay in links:
-        if assignment[a] == assignment[b]:
-            adjacency.setdefault(a, []).append((b, delay))
-            adjacency.setdefault(b, []).append((a, delay))
-        else:
-            for end in (a, b):
-                if delay < seeds.get(end, _INF):
-                    seeds[end] = delay
-    dist: Dict[str, float] = {}
-    heap = [(d, name) for name, d in seeds.items()]
-    heapq.heapify(heap)
-    while heap:
-        d, name = heapq.heappop(heap)
-        if name in dist:
-            continue
-        dist[name] = d
-        for neighbor, delay in adjacency.get(name, ()):
-            if neighbor not in dist:
-                heapq.heappush(heap, (d + delay, neighbor))
-    return {name: dist.get(name, _INF) for name in assignment}
-
-
 @dataclass(frozen=True)
 class ShardPlan:
     """Fixed node-name → shard-index assignment.
@@ -197,14 +154,6 @@ class ShardPlan:
     def lookahead_ms(self, network: "Network") -> float:
         """:func:`min_cut_delay` of this plan over ``network``'s links."""
         return min_cut_delay(network_links(network), self.assignment)
-
-    def boundary_distances(self, network: "Network") -> List[Dict[int, float]]:
-        """Per shard: node rank → :func:`distances_to_boundary` over ``network``."""
-        dist = distances_to_boundary(network_links(network), self.assignment)
-        result: List[Dict[int, float]] = [{} for _ in range(self.num_shards)]
-        for name, node in network.nodes.items():
-            result[self.assignment[name]][node.rank] = dist[name]
-        return result
 
     def annotate_roles(self, network: "Network") -> None:
         """Stamp shard ownership onto every attached role.

@@ -1,7 +1,7 @@
 """One OS process per shard: the same windows, actual parallelism.
 
 The in-process :class:`~repro.parallel.executor.ShardedExecutor` proves
-the synchronization algorithm; this module runs it for real.  Three
+the synchronization algorithm; this module runs it for real.  Two
 design points separate it from the naive port:
 
 **Spec-sliced workers.**  Each worker builds only *its shard's slice* of
@@ -11,9 +11,9 @@ routes are reproduced from the spec in closed form, so the
 ``(time, origin, seq)`` total order is still well-defined across
 processes with zero coordination, without anyone paying for a 10⁴-node
 replica build (the old protocol built N+1 of them).  The coordinator
-itself builds *nothing*: plan, lookahead and boundary distances all come
-from the spec's topology table (:func:`scale_topology`), through the same
-partition searches a built network feeds.
+itself builds *nothing*: plan and lookahead come from the spec's topology
+table (:func:`scale_topology`), through the same partition searches a
+built network feeds.
 
 **Packed binary batches.**  Cross-shard packets leave through a boundary
 proxy as ``(time, sender rank, send order, dst, src, packet)`` records,
@@ -23,14 +23,9 @@ transit path (tests enforce this by poisoning ``Connection.send``).  The
 barrier protocol is a single round trip: the coordinator's ``RUN`` frame
 piggybacks the injections routed at the previous barrier.
 
-**Adaptive lookahead.**  Every ``DONE`` frame reports the worker's
-earliest-output-time bound
-(:meth:`~repro.sim.engine.Simulator.earliest_output_bound`); the
-coordinator extends in-flight injections by their destination's
-distance-to-boundary, takes the global minimum, and runs the next window
-to ``max(next + W, min EOT)`` — identical horizons to the in-process
-executor, so shards with quiet boundary queues batch many base windows
-per barrier.
+The coordinator picks every window with
+:func:`~repro.parallel.executor.window_horizon` — the in-process
+executor's rule, so both run identical horizons.
 
 Packet uids and Interest nonces are drawn from per-worker disjoint
 ranges (worker *i* counts from ``(i+1) << 48``) so dedup-by-uid never
@@ -139,35 +134,21 @@ def _serve_shard(conn, spec: "ScaleSpec", shard: int, num_shards: int) -> None:
         link.sim = egress
 
     nodes = network.nodes
-    # The slice holds every link of this shard, boundary links included,
-    # which is all the distance-to-boundary search reads.
-    dists = plan.boundary_distances(network)[shard]
-
     log = _subscribe_hosts(spec, world)
     # This worker's regions came with unstarted autoscaler roles (the
-    # slice build attaches them); arm their tick loops node-anchored at
-    # t=0, mirroring execute_scale_local's schedule_external path.
+    # slice build attaches them); arm their tick loops at t=0, mirroring
+    # execute_scale_local's schedule_external path.
     federation = getattr(network, "federation_state", None)
     if federation is not None:
         for role in federation.autoscalers:
-            sim.schedule_at_node(
-                0.0, role.node.rank, role.start, spec.horizon_ms
-            )
+            sim.schedule_at(0.0, role.start, spec.horizon_ms)
     for i, (time, player, cd) in enumerate(scale_events(spec)):
         if assignment[player] == shard:
-            sim.schedule_at_node(
-                time,
-                nodes[player].rank,
-                _publish,
-                world.hosts[player],
-                cd,
-                spec.payload_bytes,
-                i,
+            sim.schedule_at(
+                time, _publish, world.hosts[player], cd, spec.payload_bytes, i
             )
 
-    conn.send_bytes(
-        wire.encode_ready(sim.peek_time(), sim.earliest_output_bound(dists))
-    )
+    conn.send_bytes(wire.encode_ready(sim.peek_time()))
     while True:
         frame = conn.recv_bytes()
         op = frame[0]
@@ -184,13 +165,7 @@ def _serve_shard(conn, spec: "ScaleSpec", shard: int, num_shards: int) -> None:
                     time, sort_origin, node.rank, node.receive, packet, face
                 )
             sim.run(until=horizon, inclusive=inclusive)
-            conn.send_bytes(
-                wire.encode_done(
-                    sim.peek_time(),
-                    sim.earliest_output_bound(dists),
-                    egress.drain(),
-                )
-            )
+            conn.send_bytes(wire.encode_done(sim.peek_time(), egress.drain()))
         elif op == wire.OP_FINISH:
             from repro.parallel.scale import federation_summary
 
@@ -215,35 +190,32 @@ def _serve_shard(conn, spec: "ScaleSpec", shard: int, num_shards: int) -> None:
 
 
 def run_scale_proc(spec: "ScaleSpec", workers: int) -> dict:
-    """Coordinate ``workers`` shard processes through adaptive windows.
+    """Coordinate ``workers`` shard processes through lookahead windows.
 
     The coordinator mirrors :meth:`ShardedExecutor.run`: pick the earliest
     pending event across shards *and* in-flight injections, run everyone
-    to ``max(next + W, min EOT)`` (exclusive) or the horizon (inclusive),
-    and merge each worker's egress — sorted by ``(time, sender rank, send
-    order)`` — for injection on the next ``RUN``.  Falls back to the
-    in-process executor when the platform cannot fork processes; a worker
-    that raises or dies is a ``RuntimeError("shard <i> failed: …")``.
+    to that window's :func:`window_horizon`, and merge each worker's egress
+    — sorted by ``(time, sender rank, send order)`` — for injection on the
+    next ``RUN``.  Falls back to the in-process executor when the platform
+    cannot fork processes; a worker that raises or dies is a
+    ``RuntimeError("shard <i> failed: …")``.
     """
-    from repro.parallel.partition import distances_to_boundary, min_cut_delay
+    from repro.parallel.executor import ShardedExecutor, window_horizon
+    from repro.parallel.partition import min_cut_delay
     from repro.parallel.scale import execute_scale_local
     from repro.parallel.slicing import scale_plan_fast, scale_topology
 
     if workers < 2:
         raise ValueError(f"run_scale_proc needs >= 2 workers, got {workers}")
-    # Plan, lookahead and distance maps come straight from the spec — the
-    # coordinator never builds a world.
+    # Plan and lookahead come straight from the spec — the coordinator
+    # never builds a world.
     plan = scale_plan_fast(spec, workers)
-    links = scale_topology(spec).links
-    lookahead = min_cut_delay(links, plan.assignment)
-    dist_of = distances_to_boundary(links, plan.assignment)
+    lookahead = min_cut_delay(scale_topology(spec).links, plan.assignment)
     until = spec.horizon_ms
 
     try:
         ctx = multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX fallback
-        from repro.parallel.executor import ShardedExecutor
-
+    except ValueError:  # non-POSIX fallback
         result = execute_scale_local(
             spec, lambda network: ShardedExecutor(network, plan)
         )
@@ -274,12 +246,9 @@ def run_scale_proc(spec: "ScaleSpec", workers: int) -> dict:
                 raise RuntimeError(f"shard {shard} failed: {wire.decode_error(frame)}")
             return frame
 
-        peeks: List[Optional[float]] = []
-        eots: List[float] = []
-        for shard in range(workers):
-            peek, eot = wire.decode_ready(recv(shard))
-            peeks.append(peek)
-            eots.append(eot)
+        peeks: List[Optional[float]] = [
+            wire.decode_ready(recv(shard)) for shard in range(workers)
+        ]
 
         windows = 0
         transit = 0
@@ -290,22 +259,7 @@ def run_scale_proc(spec: "ScaleSpec", workers: int) -> dict:
             next_time = min(times) if times else None
             if next_time is None or next_time > until:
                 break
-            if lookahead == float("inf"):
-                horizon, inclusive = until, True
-            else:
-                # Global earliest-output bound: each worker's post-run
-                # estimate, plus in-flight injections extended by their
-                # destination's distance-to-boundary.
-                eot = min(eots)
-                for msg in pending:
-                    bound = msg[0] + dist_of[msg[3]]
-                    if bound < eot:
-                        eot = bound
-                target = max(next_time + lookahead, eot)
-                if target > until:
-                    horizon, inclusive = until, True
-                else:
-                    horizon, inclusive = target, False
+            horizon, inclusive = window_horizon(next_time, lookahead, until)
             # Same sort key as the in-process barrier; ties at
             # (time, origin) always come from one worker, whose local
             # send order disambiguates them.
@@ -317,9 +271,7 @@ def run_scale_proc(spec: "ScaleSpec", workers: int) -> dict:
             for conn, msgs in zip(conns, routed):
                 conn.send_bytes(wire.encode_run(horizon, inclusive, msgs))
             for i in range(workers):
-                peek, eot, outbox = wire.decode_done(recv(i))
-                peeks[i] = peek
-                eots[i] = eot
+                peeks[i], outbox = wire.decode_done(recv(i))
                 pending.extend(outbox)
             windows += 1
             transit += len(pending)

@@ -389,7 +389,9 @@ def run_scale(spec: ScaleSpec, shards: int = 1, workers: int = 1) -> dict:
         from repro.parallel.procpool import run_scale_proc
 
         result = run_scale_proc(spec, workers)
-        result["mode"] = f"proc:{workers}"
+        # The no-fork fallback ran the shards in this process.
+        kind = "inproc" if "fallback" in result else "proc"
+        result["mode"] = f"{kind}:{workers}"
         return result
     if shards > 1:
         from repro.parallel.executor import ShardedExecutor

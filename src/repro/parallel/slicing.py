@@ -18,10 +18,8 @@ table:
 * :func:`build_scale_world` and :func:`build_scale_shard` — the full
   world and one shard's slice of it, through a single construction loop
   (the full world is the slice that owns every node);
-* the multiprocess coordinator, which never builds anything: lookahead
-  and distance-to-boundary are
-  :func:`~repro.parallel.partition.min_cut_delay` and
-  :func:`~repro.parallel.partition.distances_to_boundary` over
+* the multiprocess coordinator, which never builds anything: its
+  lookahead is :func:`~repro.parallel.partition.min_cut_delay` over
   :attr:`ScaleTopology.links`.
 
 Why slices stay bit-identical to the full world: every tie-break in the

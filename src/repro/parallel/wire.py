@@ -16,8 +16,8 @@ Layout (all little-endian):
 * ``RUN`` = ``horizon f64, inclusive u8, count u32`` then ``count``
   transit messages — the coordinator piggybacks the barrier's injections
   on the next window command, halving the old two-RTT protocol;
-* ``DONE``/``READY`` = ``peek (u8 flag + f64), eot f64, count u32`` plus
-  the worker's drained outbox (``READY`` carries no messages);
+* ``DONE``/``READY`` = ``peek (u8 flag + f64), count u32`` plus the
+  worker's drained outbox (``READY`` carries no messages);
 * ``RESULT`` = one tagged dict: the worker's counters plus ``log``, its
   :meth:`~repro.parallel.digest.DeliveryLog.columns` — ``keys`` (i64),
   ``receivers`` (u32 positions in ``names``) and ``latencies`` (f64) as
@@ -82,7 +82,7 @@ OP_READY, OP_RUN, OP_DONE, OP_FINISH, OP_RESULT, OP_ERROR = range(6)
 _I = struct.Struct("<I")
 _MSG_HEAD = struct.Struct("<diI")
 _RUN_HEAD = struct.Struct("<dBI")
-_DONE_HEAD = struct.Struct("<BddI")
+_DONE_HEAD = struct.Struct("<BdI")
 
 
 # ----------------------------------------------------------------------
@@ -119,18 +119,18 @@ def _decode_msgs(buf, offset: int, count: int) -> Tuple[List[WireMsg], int]:
     return msgs, offset
 
 
-def _encode_status(
-    buf: bytearray, peek: Optional[float], eot: float, msgs: List[WireMsg]
-) -> None:
-    buf += _DONE_HEAD.pack(peek is not None, peek or 0.0, eot, len(msgs))
+def _encode_status(op: int, peek: Optional[float], msgs: List[WireMsg]) -> bytes:
+    buf = bytearray([op])
+    buf += _DONE_HEAD.pack(peek is not None, peek or 0.0, len(msgs))
     for msg in msgs:
         _encode_msg(buf, msg)
+    return bytes(buf)
 
 
-def _decode_status(buf) -> Tuple[Optional[float], float, List[WireMsg]]:
-    has_peek, peek, eot, count = _DONE_HEAD.unpack_from(buf, 1)
+def _decode_status(buf) -> Tuple[Optional[float], List[WireMsg]]:
+    has_peek, peek, count = _DONE_HEAD.unpack_from(buf, 1)
     msgs, _ = _decode_msgs(buf, 1 + _DONE_HEAD.size, count)
-    return (peek if has_peek else None), eot, msgs
+    return (peek if has_peek else None), msgs
 
 
 def _expect(buf, op: int) -> None:
@@ -144,18 +144,15 @@ def _expect(buf, op: int) -> None:
 # ----------------------------------------------------------------------
 # Frames
 # ----------------------------------------------------------------------
-def encode_ready(peek: Optional[float], eot: float) -> bytes:
-    """Worker -> coordinator handshake: initial peek time and EOT bound."""
-    buf = bytearray([OP_READY])
-    _encode_status(buf, peek, eot, [])
-    return bytes(buf)
+def encode_ready(peek: Optional[float]) -> bytes:
+    """Worker -> coordinator handshake: the slice is built; initial peek time."""
+    return _encode_status(OP_READY, peek, [])
 
 
-def decode_ready(buf) -> Tuple[Optional[float], float]:
-    """Decode a READY frame into ``(peek, eot)``."""
+def decode_ready(buf) -> Optional[float]:
+    """Decode a READY frame into the worker's ``peek``."""
     _expect(buf, OP_READY)
-    peek, eot, _msgs = _decode_status(buf)
-    return peek, eot
+    return _decode_status(buf)[0]
 
 
 def encode_run(horizon: float, inclusive: bool, msgs: List[WireMsg]) -> bytes:
@@ -175,15 +172,13 @@ def decode_run(buf) -> Tuple[float, bool, List[WireMsg]]:
     return horizon, bool(inclusive), msgs
 
 
-def encode_done(peek: Optional[float], eot: float, msgs: List[WireMsg]) -> bytes:
-    """Worker -> coordinator: post-window peek, EOT bound and egress batch."""
-    buf = bytearray([OP_DONE])
-    _encode_status(buf, peek, eot, msgs)
-    return bytes(buf)
+def encode_done(peek: Optional[float], msgs: List[WireMsg]) -> bytes:
+    """Worker -> coordinator: post-window peek and egress batch."""
+    return _encode_status(OP_DONE, peek, msgs)
 
 
-def decode_done(buf) -> Tuple[Optional[float], float, List[WireMsg]]:
-    """Decode a DONE frame into ``(peek, eot, egress batch)``."""
+def decode_done(buf) -> Tuple[Optional[float], List[WireMsg]]:
+    """Decode a DONE frame into ``(peek, egress batch)``."""
     _expect(buf, OP_DONE)
     return _decode_status(buf)
 

@@ -52,16 +52,9 @@ class EventHandle:
     event executes (the receiver for packet arrivals); the run loop
     installs it as :attr:`Simulator.origin` so anything the callback
     schedules inherits the right origin.
-
-    ``loc`` is the rank of the node the event executes *at*, used only by
-    :meth:`Simulator.earliest_output_bound` to look up how far that node
-    sits from a shard boundary.  It defaults to ``exec_origin`` and never
-    participates in ordering — external events keep sorting at
-    ``EXTERNAL_ORIGIN`` even when their locus is known
-    (:meth:`Simulator.schedule_at_node`).
     """
 
-    __slots__ = ("time", "seq", "callback", "args", "cancelled", "exec_origin", "loc")
+    __slots__ = ("time", "seq", "callback", "args", "cancelled", "exec_origin")
 
     def __init__(
         self,
@@ -70,7 +63,6 @@ class EventHandle:
         callback: Callable[..., Any],
         args: tuple,
         exec_origin: int = EXTERNAL_ORIGIN,
-        loc: Optional[int] = None,
     ):
         self.time = time
         self.seq = seq
@@ -78,7 +70,6 @@ class EventHandle:
         self.args = args
         self.cancelled = False
         self.exec_origin = exec_origin
-        self.loc = exec_origin if loc is None else loc
 
     def cancel(self) -> None:
         self.cancelled = True
@@ -125,7 +116,6 @@ class Simulator:
         time: float,
         sort_origin: int,
         exec_origin: int,
-        loc: Optional[int],
         callback: Callable[..., Any],
         args: tuple,
     ) -> EventHandle:
@@ -134,7 +124,7 @@ class Simulator:
             raise ValueError(f"cannot schedule at {time} before now={self.now}")
         seq = self._seq
         self._seq = seq + 1
-        handle = EventHandle(time, seq, callback, args, exec_origin, loc)
+        handle = EventHandle(time, seq, callback, args, exec_origin)
         heappush(self._heap, (time, sort_origin, seq, handle))
         return handle
 
@@ -155,22 +145,7 @@ class Simulator:
     def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` at absolute simulated time ``time``."""
         origin = self.origin
-        return self._push(time, origin, origin, None, callback, args)
-
-    def schedule_at_node(
-        self, time: float, rank: int, callback: Callable[..., Any], *args: Any
-    ) -> EventHandle:
-        """Schedule an external event whose locus node is known.
-
-        Identical ordering to :meth:`schedule_at` — the event sorts at the
-        caller's origin (``EXTERNAL_ORIGIN`` for harness code), so swapping
-        this in for ``schedule_at`` cannot change any tie-break — but the
-        handle records ``rank`` as its locus, letting
-        :meth:`earliest_output_bound` credit the event with the node's full
-        distance-to-boundary instead of the conservative zero.
-        """
-        origin = self.origin
-        return self._push(time, origin, origin, rank, callback, args)
+        return self._push(time, origin, origin, callback, args)
 
     def schedule_link(
         self,
@@ -213,7 +188,7 @@ class Simulator:
         transit arrivals with the sender's rank preserved, so the merged
         order matches what the serial heap would have produced.
         """
-        return self._push(time, sort_origin, exec_origin, None, callback, args)
+        return self._push(time, sort_origin, exec_origin, callback, args)
 
     # ------------------------------------------------------------------
     # Execution
@@ -327,41 +302,6 @@ class Simulator:
         while self._heap and self._heap[0][3].cancelled:
             heappop(self._heap)
         return self._heap[0][0] if self._heap else None
-
-    def earliest_output_bound(
-        self, dist_by_rank: dict, default: float = 0.0
-    ) -> float:
-        """Lower bound on when this heap can next influence another shard.
-
-        ``dist_by_rank`` maps node rank to the delay-distance from that
-        node to its nearest shard-boundary egress, *including* the boundary
-        link's own delay.  Any causal chain started by a pending event at
-        node ``n`` moves between nodes only over in-shard links (each hop
-        adds at least its link delay, and the distance map satisfies the
-        triangle inequality ``dist(n) <= link(n, m) + dist(m)``) before
-        crossing a boundary link, so no cross-shard arrival it produces can
-        land before ``event.time + dist(n)``.  Events whose locus is not in
-        the map (``EXTERNAL_ORIGIN`` harness events, fault-plan arming)
-        contribute ``time + default``; the conservative ``default=0.0``
-        keeps the bound sound for them.  Returns ``inf`` when the heap is
-        empty or no pending event can ever reach a boundary.
-
-        This is the shard-local half of the conditional-lookahead protocol
-        (an earliest-output-time estimate in the null-message sense): the
-        executor takes the min across shards and runs everyone to it,
-        batching multiple base windows per barrier when boundary queues are
-        quiet.  O(heap) per call — barriers are orders of magnitude rarer
-        than events, so the scan amortizes to noise.
-        """
-        bound = float("inf")
-        get = dist_by_rank.get
-        for time, _origin, _seq, handle in self._heap:
-            if handle.cancelled:
-                continue
-            candidate = time + get(handle.loc, default)
-            if candidate < bound:
-                bound = candidate
-        return bound
 
 
 class SerialExecutor:

@@ -203,6 +203,9 @@ class InvariantVerdict:
     violations: List[Violation]
     deliveries_expected: int
     deliveries_got: int
+    #: Deliveries made inside the window ``deliveries_expected`` counts, so
+    #: ``deliveries_got_checked + permanent_misses == deliveries_expected``.
+    deliveries_got_checked: int
     events_checked: int
     permanent_misses: int
     missed_sample: List[Tuple[int, str]]
@@ -227,6 +230,7 @@ class InvariantVerdict:
             "violations_sample": [v.as_dict() for v in self.violations[:20]],
             "deliveries_expected": self.deliveries_expected,
             "deliveries_got": self.deliveries_got,
+            "deliveries_got_checked": self.deliveries_got_checked,
             "events_checked": self.events_checked,
             "permanent_misses": self.permanent_misses,
             "missed_sample": self.missed_sample[:50],
@@ -652,8 +656,8 @@ class InvariantMonitor:
             horizon_ms,
             join_margin_ms=join_margin_ms,
         )
-        checked = 0
         expected_checked = 0
+        got = 0
         missed_checked: List[Tuple[int, str]] = []
         last_miss: Optional[float] = None
         checked_sequences = set()
@@ -663,27 +667,24 @@ class InvariantMonitor:
                 expected_checked += 1
                 checked_sequences.add(sequence)
             if (sequence, receiver) in deliveries:
+                got += 1
                 continue
             if last_miss is None or t_pub > last_miss:
                 last_miss = t_pub
             if in_window:
                 missed_checked.append((sequence, receiver))
         missed_checked.sort()
-        checked = len(checked_sequences)
         recovery_time: Optional[float] = None
         if last_miss is not None:
             recovery_time = max(0.0, last_miss - fault_clear_ms)
-        got = sum(
-            1 for (sequence, _t, receiver) in expected
-            if (sequence, receiver) in deliveries
-        )
         return InvariantVerdict(
             safety_ok=not self.violations,
             liveness_ok=not missed_checked,
             violations=list(self.violations),
             deliveries_expected=expected_checked,
             deliveries_got=got,
-            events_checked=checked,
+            deliveries_got_checked=expected_checked - len(missed_checked),
+            events_checked=len(checked_sequences),
             permanent_misses=len(missed_checked),
             missed_sample=missed_checked,
             check_after_ms=check_after_ms,

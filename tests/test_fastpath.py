@@ -2,8 +2,8 @@
 
 The memoized ``SubscriptionTable.match`` and the packed Bloom views are
 pure optimizations — every observable (matched faces, false-positive
-accounting, membership answers) must be identical to the uncached
-reference scan and consistent with exact-set ground truth, across any
+accounting, membership answers) must be identical to the same scan with
+the memo bypassed and consistent with exact-set ground truth, across any
 interleaving of subscribe / unsubscribe / remove_all / drop_face.
 """
 
@@ -47,6 +47,18 @@ ops_strategy = st.lists(
     ),
     min_size=1,
     max_size=40,
+)
+
+#: What ``sharded_scale``'s access routers hold: hundreds of host faces.
+WIDE_FACES = 320
+wide_ops_strategy = st.lists(
+    st.tuples(
+        st.sampled_from(["subscribe", "ensure", "unsubscribe", "remove_all", "drop_face"]),
+        st.integers(min_value=0, max_value=WIDE_FACES - 1),
+        st.integers(min_value=0, max_value=len(CDS) - 1),
+    ),
+    min_size=1,
+    max_size=8,
 )
 
 
@@ -93,6 +105,37 @@ class TestMemoizedMatchEquivalence:
                 # No false negatives: every exact match is bloom-matched.
                 assert set(exact) <= set(got)
             assert cached.false_positive_forwards == bypass.false_positive_forwards
+
+    @settings(max_examples=15, deadline=None)
+    @given(ops=wide_ops_strategy)
+    def test_wide_table_memo_equals_bypass_equals_exact_plus_surplus(self, ops):
+        """The same property on an access router's table: 320 faces.
+
+        Every face starts with two CDs (round-robin), then the churn lands
+        on faces spread across the whole width.  A 16-bit filter makes the
+        starting table alone forward 448 false positives per probe sweep,
+        so the FP surplus is exercised, not just zero.
+        """
+        cached: SubscriptionTable[int] = SubscriptionTable(bloom_bits=16, bloom_hashes=2)
+        bypass: SubscriptionTable[int] = SubscriptionTable(bloom_bits=16, bloom_hashes=2)
+        bypass.cache_enabled = False
+        for table in (cached, bypass):
+            for face in range(WIDE_FACES):
+                for slot in (2 * face, 2 * face + 7):
+                    table.subscribe(face, CDS[1 + slot % (len(CDS) - 1)])
+        surplus = 0
+        for op, face, cd_index in ops:
+            cd = CDS[cd_index]
+            apply_op(cached, op, face, cd)
+            apply_op(bypass, op, face, cd)
+            for probe in CDS:
+                got = cached.match(probe)
+                assert got == bypass.match(probe)
+                exact = cached.match_exact(probe)
+                assert set(exact) <= set(got)
+                surplus += len(got) - len(exact)
+        assert cached.false_positive_forwards == surplus > 0
+        assert bypass.false_positive_forwards == surplus
 
     @settings(max_examples=60, deadline=None)
     @given(ops=ops_strategy)
@@ -174,19 +217,11 @@ class TestPackedBloomViews:
         bloom.remove("/a")
         assert bloom.bit_view == 0
 
-    def test_counting_contains_indexes_public_api(self):
-        bloom = CountingBloomFilter(num_bits=512, num_hashes=4)
-        bloom.add("/1/2")
-        assert bloom.contains_indexes(indexes_for("/1/2", 512, 4))
-        absent = "/definitely/not/there"
-        assert bloom.contains_indexes(indexes_for(absent, 512, 4)) == (absent in bloom)
-
     def test_plain_bloom_precomputed_add(self):
         bloom = BloomFilter(num_bits=512, num_hashes=4)
         idxs = indexes_for("/p/q", 512, 4)
         bloom.add("/p/q", indexes=idxs)
         assert "/p/q" in bloom
-        assert bloom.contains_indexes(idxs)
         assert bloom.contains_mask(mask_for("/p/q", 512, 4))
 
     def test_to_bloom_preserves_view(self):

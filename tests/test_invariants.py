@@ -236,6 +236,9 @@ class TestVerdict:
         assert not verdict.ok and verdict.safety_ok and not verdict.liveness_ok
         assert verdict.permanent_misses == 1
         assert verdict.missed_sample == [(1, "h2")]
+        # expected and got_checked count the window; got counts the whole run.
+        assert (verdict.deliveries_expected, verdict.deliveries_got_checked) == (2, 1)
+        assert verdict.deliveries_got == 2
         # Recovery SLO sees *all* misses, including the unchecked one.
         assert verdict.last_miss_ms == 3000.0
         assert verdict.recovery_time_ms == 1500.0

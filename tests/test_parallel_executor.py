@@ -25,8 +25,9 @@ from repro.parallel import (
     partition_by_anchors,
     partition_by_rp,
 )
+from repro.parallel.executor import window_horizon
 from repro.parallel.scale import ScaleSpec, run_scale
-from repro.sim.engine import Simulator
+from repro.sim.engine import SerialExecutor, Simulator
 from repro.sim.network import Network
 
 
@@ -356,6 +357,62 @@ class TestShardedExecutor:
         assert all(sim.now == 50.0 for sim in executor.shard_sims)
 
 
+class TestWindowRule:
+    """Every window is ``[next, next + W)``: no wider, no extra barriers."""
+
+    PUBLISHES = [100.0, 100.3, 101.9, 140.0, 141.5, 143.0, 190.0]
+
+    def _play(self, executor_of):
+        """Subscribe hB, publish from hA at the known times; no horizon."""
+        net, hosts = _two_region_net()
+        executor = executor_of(net)
+        log = DeliveryLog()
+        hosts[1].on_update.append(
+            lambda host, packet: log.record(packet.sequence, host.name, host.sim.now)
+        )
+        hosts[1].subscribe(["/1"])
+        for i, time in enumerate(self.PUBLISHES):
+            executor.schedule_external("hA", time, hosts[0].publish, "/1", 10, i)
+        return net, executor, log
+
+    def test_windows_run_counts_the_busy_windows(self):
+        # Serial twin, stepped one event at a time: every time anything ran.
+        net, _serial, serial_log = self._play(SerialExecutor)
+        busy_times = []
+        while net.sim.step():
+            busy_times.append(net.sim.now)
+        assert busy_times == sorted(busy_times) and len(serial_log) == 7
+
+        _net, sharded, sharded_log = self._play(
+            lambda net: ShardedExecutor(net, partition_by_anchors(net, ["coreA", "coreB"]))
+        )
+        lookahead = sharded.lookahead_ms
+        assert lookahead == 2.0
+        sharded.run()
+
+        # Greedy cover: a window opens at the earliest time not yet covered
+        # and closes ``W`` later, exclusive.
+        windows = 0
+        closes = float("-inf")
+        for time in busy_times:
+            if time >= closes:
+                windows += 1
+                closes = time + lookahead
+        assert sharded.windows_run == windows
+        assert sharded_log.digest() == serial_log.digest()
+        assert sharded.events_processed == len(busy_times)
+
+    def test_window_horizon_cases(self):
+        inf = float("inf")
+        assert window_horizon(10.0, 2.0, None) == (12.0, False)
+        assert window_horizon(10.0, 2.0, 12.0) == (12.0, False)
+        # Overshooting the horizon: one inclusive pass to it.
+        assert window_horizon(10.0, 2.0, 11.0) == (11.0, True)
+        # No boundary at all: drain (or run to the horizon) in one pass.
+        assert window_horizon(10.0, inf, None) == (None, True)
+        assert window_horizon(10.0, inf, 50.0) == (50.0, True)
+
+
 class _RecordingRegistry:
     def __init__(self):
         self.samples = []
@@ -410,6 +467,19 @@ class TestScaleModes:
         first = run_scale(self.SPEC, shards=2)
         second = run_scale(self.SPEC, shards=2)
         assert first["digest"] == second["digest"]
+
+    def test_no_fork_fallback_is_labelled_inproc(self, monkeypatch):
+        """Without a fork start method ``workers=N`` runs in this process."""
+        import multiprocessing
+
+        def no_fork(method=None):
+            raise ValueError(f"cannot find context for {method!r}")
+
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        result = run_scale(self.SPEC, workers=2)
+        assert result["mode"] == "inproc:2"
+        assert result["fallback"] == "in-process (no fork start method)"
+        assert result["digest"] == run_scale(self.SPEC)["digest"]
 
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="at least one region"):

@@ -17,7 +17,7 @@ import networkx as nx
 import pytest
 
 from repro.parallel import slicing
-from repro.parallel.partition import distances_to_boundary, min_cut_delay
+from repro.parallel.partition import min_cut_delay
 from repro.parallel.scale import ScaleSpec, build_scale_world, run_scale
 from repro.parallel.slicing import build_scale_shard, scale_plan_fast, scale_topology
 
@@ -73,7 +73,7 @@ class TestSpecGeometry:
 class TestPlanEquivalence:
     """The single copy of each search vs. networkx on the built world.
 
-    The spec-level plan, lookahead and distances used to be compared with
+    The spec-level plan and lookahead used to be compared with
     network-walking twins; with one implementation left the comparison is
     against an independent oracle: ``networkx`` shortest paths over the
     graph of a genuinely built world.
@@ -104,39 +104,6 @@ class TestPlanEquivalence:
         ]
         assert min_cut_delay(scale_topology(spec).links, plan.assignment) == min(cut)
         assert plan.lookahead_ms(world.network) == min(cut)
-
-    def test_boundary_distances_match_plan(self, spec, shards):
-        world = build_scale_world(spec)
-        graph = world.network.graph
-        plan = scale_plan_fast(spec, shards)
-        assignment = plan.assignment
-        # Oracle: within each shard's induced subgraph, the shortest path to
-        # a virtual sink hung off every boundary node by its cheapest cut link.
-        expected = {}
-        for shard in range(shards):
-            members = [n for n in graph.nodes if assignment[n] == shard]
-            inside = nx.Graph(graph.subgraph(members))
-            for a, b, data in graph.edges(data=True):
-                for here, there in ((a, b), (b, a)):
-                    if assignment[here] == shard and assignment[there] != shard:
-                        prior = inside.get_edge_data(here, "sink", {"weight": float("inf")})
-                        inside.add_edge(
-                            here, "sink", weight=min(prior["weight"], data["weight"])
-                        )
-            reach = (
-                nx.single_source_dijkstra_path_length(inside, "sink", weight="weight")
-                if "sink" in inside
-                else {}
-            )
-            expected.update({n: reach.get(n, float("inf")) for n in members})
-        assert distances_to_boundary(scale_topology(spec).links, assignment) == expected
-        by_rank = plan.boundary_distances(world.network)
-        for name, node in world.network.nodes.items():
-            assert by_rank[assignment[name]][node.rank] == expected[name]
-        # A worker computes its map from its slice alone.
-        for shard in range(shards):
-            piece = build_scale_shard(spec, plan, shard)
-            assert plan.boundary_distances(piece.network)[shard] == by_rank[shard]
 
 
 @pytest.mark.parametrize("spec,shards", spec_shard_cases())

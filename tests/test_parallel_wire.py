@@ -16,6 +16,7 @@ import multiprocessing
 import multiprocessing.connection
 import os
 import pickle
+import struct
 
 import pytest
 
@@ -177,11 +178,8 @@ class TestFrames:
         ]
 
     def test_ready_roundtrip(self):
-        assert wire.decode_ready(wire.encode_ready(12.5, 14.5)) == (12.5, 14.5)
-        assert wire.decode_ready(wire.encode_ready(None, float("inf"))) == (
-            None,
-            float("inf"),
-        )
+        assert wire.decode_ready(wire.encode_ready(12.5)) == 12.5
+        assert wire.decode_ready(wire.encode_ready(None)) is None
 
     def test_run_roundtrip_carries_batch(self):
         msgs = self._msgs()
@@ -193,9 +191,32 @@ class TestFrames:
 
     def test_done_roundtrip_carries_batch(self):
         msgs = self._msgs()
-        peek, eot, decoded = wire.decode_done(wire.encode_done(None, 1012.0, msgs))
-        assert (peek, eot) == (None, 1012.0)
+        peek, decoded = wire.decode_done(wire.encode_done(1012.0, msgs))
+        assert peek == 1012.0
         assert decoded == msgs
+        assert wire.decode_done(wire.encode_done(None, [])) == (None, [])
+
+    def test_status_head_layout_is_pinned(self):
+        """READY/DONE = op u8, peek flag u8, peek f64, count u32 — 14 bytes."""
+        head = struct.pack("<BdI", 1, 12.5, 0)
+        assert wire.encode_ready(12.5) == bytes([wire.OP_READY]) + head
+        assert wire.encode_done(12.5, []) == bytes([wire.OP_DONE]) + head
+        idle = bytes([wire.OP_READY]) + struct.pack("<BdI", 0, 0.0, 0)
+        assert wire.encode_ready(None) == idle
+        msgs = self._msgs()[:2]
+        frame = wire.encode_done(3.0, msgs)
+        assert frame[:14] == bytes([wire.OP_DONE]) + struct.pack("<BdI", 1, 3.0, 2)
+        assert frame[14:] == wire.encode_run(0.0, False, msgs)[14:]
+
+    def test_truncated_status_frames_fail_loudly(self):
+        ready = wire.encode_ready(12.5)
+        done = wire.encode_done(12.5, self._msgs()[:3])
+        for cut in range(1, len(ready)):
+            with pytest.raises(struct.error):
+                wire.decode_ready(ready[:cut])
+        for cut in range(1, len(done)):
+            with pytest.raises((struct.error, codec.FrameError)):
+                wire.decode_done(done[:cut])
 
     @staticmethod
     def _log():

@@ -132,6 +132,13 @@ class TestMatrixCell:
         assert monitored.invariant_ok, monitored.verdict
         assert monitored.verdict["safety_ok"] and monitored.verdict["liveness_ok"]
         assert monitored.deliveries_got > 0
+        # expected and got_checked count one window (rp-crash starts it late).
+        assert (
+            monitored.deliveries_got_checked + monitored.permanent_misses
+            == monitored.deliveries_expected
+        )
+        assert 0 < monitored.deliveries_got_checked < monitored.deliveries_got
+        assert monitored.verdict["deliveries_got_checked"] == monitored.deliveries_got_checked
         bare = run_scenario(
             "day-night", "rp-crash", seed=1, scale=SMOKE_SCALE, monitor=False
         )
@@ -157,6 +164,11 @@ class TestMatrixCell:
             executor_factory=factory,
         )
         assert serial.invariant_ok and sharded.invariant_ok
+        for report in (serial, sharded):
+            assert (
+                report.deliveries_got_checked + report.permanent_misses
+                == report.deliveries_expected
+            )
         assert serial.digest() == sharded.digest()
         assert serial.node_counters == sharded.node_counters
 
