@@ -37,8 +37,6 @@ be compared byte-for-byte.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
@@ -51,6 +49,7 @@ from repro.game.map import GameMap
 from repro.names import Name
 from repro.sim.faults import FaultPlan, GilbertElliott, LinkFaults, NodeFaults
 from repro.obs.session import TelemetrySession
+from repro.parallel.digest import json_digest
 from repro.sim.stats import summarize
 from repro.trace.generator import CounterStrikeTraceGenerator, microbenchmark_spec
 
@@ -206,17 +205,15 @@ class ChaosReport:
 
     def digest(self) -> str:
         """Content hash for reproducibility checks across runs."""
-        payload = json.dumps(
+        return json_digest(
             {
                 "missed": sorted(self.missed_sample),
                 "expected": self.deliveries_expected,
                 "got": self.deliveries_got,
                 "dropped": self.fault_stats.get("dropped", 0),
                 "counters": self.node_counters,
-            },
-            sort_keys=True,
+            }
         )
-        return hashlib.sha256(payload.encode()).hexdigest()
 
     def as_dict(self) -> dict:
         """The JSON report body (digest included)."""

@@ -19,10 +19,10 @@ enforces this.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, List, Tuple
+
+from repro.parallel.digest import json_digest
 
 __all__ = ["EVENT_KINDS", "ScenarioEvent", "ScenarioScript", "Scenario"]
 
@@ -125,7 +125,7 @@ class ScenarioScript:
 
     def digest(self) -> str:
         """Content hash over the full script; the byte-identity anchor."""
-        payload = json.dumps(
+        return json_digest(
             {
                 "name": self.name,
                 "seed": self.seed,
@@ -137,10 +137,8 @@ class ScenarioScript:
                 "uses_broker": self.uses_broker,
                 "stability_window_ms": self.stability_window_ms,
                 "events": [event.as_row() for event in self.events],
-            },
-            sort_keys=True,
+            }
         )
-        return hashlib.sha256(payload.encode()).hexdigest()
 
 
 @dataclass(frozen=True)

@@ -27,8 +27,6 @@ Division of labour with the monitor:
 
 from __future__ import annotations
 
-import hashlib
-import json
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
@@ -46,6 +44,7 @@ from repro.game.map import GameMap
 from repro.names import Name
 from repro.ndn.engine import install_routes
 from repro.obs.session import TelemetrySession
+from repro.parallel.digest import json_digest
 from repro.sim.invariants import (
     InvariantMonitor,
     SubscriptionLedger,
@@ -140,7 +139,7 @@ class ScenarioReport:
 
     def digest(self) -> str:
         """Content hash for cell-level reproducibility checks."""
-        payload = json.dumps(
+        return json_digest(
             {
                 "script": self.scenario.get("script_digest"),
                 "missed": sorted(self.missed_sample),
@@ -148,10 +147,8 @@ class ScenarioReport:
                 "got": self.deliveries_got,
                 "dropped": self.fault_stats.get("dropped", 0),
                 "counters": self.node_counters,
-            },
-            sort_keys=True,
+            }
         )
-        return hashlib.sha256(payload.encode()).hexdigest()
 
     def as_dict(self) -> dict:
         """JSON-serialisable report body (CLI output and smoke tests)."""

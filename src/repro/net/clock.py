@@ -32,10 +32,7 @@ import heapq
 from itertools import count
 from typing import Any, Callable, List, Optional, Tuple
 
-__all__ = ["LiveTimer", "LiveClock", "EXTERNAL_ORIGIN"]
-
-#: Compatibility with :data:`repro.sim.engine.EXTERNAL_ORIGIN`.
-EXTERNAL_ORIGIN = -1
+__all__ = ["LiveTimer", "LiveClock"]
 
 
 class LiveTimer:
@@ -68,8 +65,6 @@ class LiveClock:
         self._seq = count()
         self._virtual = 0.0
         self.events_processed = 0
-        #: Origin rank of externally-injected work (Simulator compat).
-        self.origin = EXTERNAL_ORIGIN
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._t0 = 0.0
         self._wake: Optional[asyncio.Event] = None
@@ -115,12 +110,6 @@ class LiveClock:
         cheaper than carrying cancel bookkeeping on the hot path.
         """
         return sum(1 for _, _, timer in self._heap if not timer.cancelled)
-
-    def peek_time(self) -> Optional[float]:
-        for when, _, timer in self._heap:
-            if not timer.cancelled:
-                return when
-        return None
 
     def stop(self) -> None:
         self._stopped = True

@@ -5,16 +5,20 @@ plane/role code over real sockets.  The process:
 
 1. builds the full world replica from the shared spec (identical
    construction order everywhere — see :mod:`repro.net.world`), then
-   rebinds clocks exactly the way the sharded executor does: owned
-   nodes/links get the process's :class:`~repro.net.clock.LiveClock`,
-   cross-process links get a :class:`~repro.net.transport.BoundaryClock`
-   that ships egress as codec frames (a cached per-link envelope plus the
-   packet, encoded once per fan-out), and everything foreign is poisoned;
-2. seeds the process-local uid/nonce counters into a disjoint range
-   (``(router_index + 1) << 48``, the multiprocess executor's scheme) so
-   host dedup and PIT identity behave exactly as in the one-process
-   simulator — decoded packets carry their ids explicitly, so identity
-   survives every hop;
+   rebinds clocks the way the sharded executor does: owned nodes/links
+   get the process's :class:`~repro.net.clock.LiveClock`, cross-process
+   links get the executors' one
+   :class:`~repro.parallel.executor.Egress`, whose sink
+   :meth:`NodeRunner._ship` sends each record as a codec frame (a cached
+   per-link envelope plus the packet, encoded once per fan-out), and
+   everything foreign is poisoned.  The replica stays: forwarding and
+   handoff code asks ``network.next_hop`` at run time, which needs the
+   whole graph;
+2. draws uids and nonces from this router's disjoint range
+   (:func:`repro.packets.use_id_range`, the multiprocess executor's
+   scheme) so host dedup and PIT identity behave exactly as in the
+   one-process simulator — decoded packets carry their ids explicitly,
+   so identity survives every hop;
 3. binds TCP (control + peer links) and UDP (publish fan-in) on
    ``--port 0`` ephemeral ports and prints ``PORT <tcp> <udp>`` for the
    launcher;
@@ -34,24 +38,18 @@ from __future__ import annotations
 import argparse
 import asyncio
 import functools
-import itertools
 import json
 import sys
 import traceback
 from pathlib import Path
 from typing import Any, Dict, List, Set
 
-import repro.ndn.packets as ndn_packets
-import repro.packets as packets_mod
 from repro.net.clock import LiveClock
 from repro.net.codec import pack_message, unpack_message
-from repro.net.transport import (
-    BoundaryClock,
-    FrameConnection,
-    PoisonClock,
-    UdpEndpoint,
-)
+from repro.net.transport import FrameConnection, PoisonClock, UdpEndpoint
 from repro.net.world import build_world, collect_report
+from repro.packets import use_id_range
+from repro.parallel.executor import Egress, bind_clocks
 
 DRIVER_NAME = "__driver__"
 
@@ -78,16 +76,16 @@ class NodeRunner:
         self.owned: Set[str] = {node} | {
             h for h, conf in spec["hosts"].items() if conf["router"] == node
         }
-        # Disjoint id bases per process (the procpool scheme): uids and
-        # nonces minted here can never collide with another process's, so
-        # uid-keyed dedup is exact across the whole live world.
-        base = (self.index + 1) << 48
-        packets_mod._packet_ids = itertools.count(base)
-        ndn_packets._nonces = itertools.count(base + 1)
-
+        use_id_range(self.index)
         self.world = build_world(spec)
         self.clock = LiveClock(time_scale)
-        self._rebind()
+        poison = PoisonClock(node)
+        bind_clocks(
+            self.world.network,
+            lambda n: self.clock if n.name in self.owned else poison,
+            Egress(self._ship),
+        )
+        self.world.network.sim = poison
 
         #: Cross-link peer routers (the spec edges touching this router).
         self.cross_peers: Set[str] = set()
@@ -110,31 +108,12 @@ class NodeRunner:
         self.failure: "str | None" = None
 
     # ------------------------------------------------------------------
-    # Clock rebinding (the ShardedExecutor._rebind pattern)
-    # ------------------------------------------------------------------
-    def _rebind(self) -> None:
-        poison = PoisonClock(self.node_name)
-        for name, node in self.world.network.nodes.items():
-            sim = self.clock if name in self.owned else poison
-            node.sim = sim
-            queue = getattr(node, "queue", None)
-            if queue is not None:
-                queue.sim = sim
-        for link in self.world.network.links:
-            (a, _), (b, _) = link._ends
-            a_owned, b_owned = a.name in self.owned, b.name in self.owned
-            if a_owned and b_owned:
-                link.sim = self.clock
-            elif a_owned or b_owned:
-                link.sim = BoundaryClock(self.clock, link, self._ship)
-            else:
-                link.sim = poison
-        self.world.network.sim = poison
-
-    # ------------------------------------------------------------------
     # Cross-link egress / ingress
     # ------------------------------------------------------------------
-    def _ship(self, dst: str, src: str, packet) -> None:
+    def _ship(self, msg) -> None:
+        """Egress sink: one frame to ``dst``'s process; the arrival time is
+        dropped, the receiving clock re-applies service costs."""
+        _time, _rank, _order, dst, src, packet = msg
         conn = self.peer_conns.get(dst)
         if conn is None:
             raise RuntimeError(
@@ -225,21 +204,25 @@ class NodeRunner:
         return {"ok": False, "error": f"unknown op {op!r}"}
 
     async def _serve_driver(self, conn: FrameConnection) -> None:
-        while True:
-            frame = await conn.recv()
-            if frame is None:
-                break
-            msg = unpack_message(frame)
-            try:
-                reply = await self._handle_driver(msg)
-            except Exception as exc:
-                traceback.print_exc()
-                reply = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
-            conn.send(pack_message(reply))
-            await conn.drain()
-            if msg.get("op") == "shutdown":
-                self._shutdown.set()
-                break
+        # A runner lives as long as its driver connection: ``shutdown``,
+        # a clean close and a broken stream all end the process.
+        try:
+            while True:
+                frame = await conn.recv()
+                if frame is None:
+                    break
+                msg = unpack_message(frame)
+                try:
+                    reply = await self._handle_driver(msg)
+                except Exception as exc:
+                    traceback.print_exc()
+                    reply = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
+                conn.send(pack_message(reply))
+                await conn.drain()
+                if msg.get("op") == "shutdown":
+                    break
+        finally:
+            self._shutdown.set()
 
     async def _serve_peer(self, peer: str, conn: FrameConnection) -> None:
         # What ``peer`` sends over this link is addressed to our router;

@@ -192,9 +192,32 @@ class LiveTestbed:
             raise
 
     def shutdown(self, timeout: float = 10.0) -> None:
-        """Orderly stop: every runner must exit 0 and release its ports."""
+        """Orderly stop: every runner must exit 0 and release its ports.
+
+        Every runner is asked to stop and reaped, and the temp dir goes,
+        even when one of them has died; then the failures are raised
+        together, each naming its runner.
+        """
+        failures = []
         for node, conn in self.conns.items():
-            conn.rpc({"op": "shutdown"})
+            try:
+                conn.rpc({"op": "shutdown"})
+            except (OSError, RuntimeError) as exc:
+                failures.append(f"{node}: shutdown failed ({exc})")
+        failures += self._reap(timeout)
+        if failures:
+            raise RuntimeError("unclean shutdown: " + "; ".join(failures))
+
+    def kill(self) -> None:
+        """Hard teardown for error paths — never leaves orphans behind."""
+        for proc in self.procs.values():
+            if proc.poll() is None:
+                proc.kill()
+        self._reap(5.0)
+
+    def _reap(self, timeout: float) -> List[str]:
+        """Close the control links, wait for every runner, clean up."""
+        for conn in self.conns.values():
             conn.close()
         self.conns.clear()
         failures = []
@@ -209,23 +232,7 @@ class LiveTestbed:
             if code != 0:
                 failures.append(f"{node}: exit code {code}")
         self._cleanup()
-        if failures:
-            raise RuntimeError("unclean shutdown: " + "; ".join(failures))
-
-    def kill(self) -> None:
-        """Hard teardown for error paths — never leaves orphans behind."""
-        for conn in self.conns.values():
-            conn.close()
-        self.conns.clear()
-        for proc in self.procs.values():
-            if proc.poll() is None:
-                proc.kill()
-        for proc in self.procs.values():
-            try:
-                proc.wait(timeout=5)
-            except subprocess.TimeoutExpired:  # pragma: no cover - kill failed
-                pass
-        self._cleanup()
+        return failures
 
     def _cleanup(self) -> None:
         if self._udp_sock is not None:

@@ -1,6 +1,6 @@
 """Asyncio transport honoring the simulator's ``Face.send`` contract.
 
-The interception seam is the one the sharded executor already proved out
+The interception seam is the sharded executors' one shard boundary
 (:mod:`repro.parallel.executor`): ``Face.send`` accounts bytes on the
 sender's link replica and then calls ``link.sim.schedule_link(...)``.
 Rebinding ``link.sim`` therefore redirects egress without touching a line
@@ -8,15 +8,14 @@ of plane/role code:
 
 * links whose both endpoints live in this process keep the process's
   :class:`~repro.net.clock.LiveClock` — delivery is a local timer;
-* links crossing a process boundary get a :class:`BoundaryClock`, whose
-  ``schedule_link`` extracts (dst, src, packet) from the already-bound
-  callback and ships one codec frame over the peer's TCP connection
+* links crossing a process boundary get the executors'
+  :class:`~repro.parallel.executor.Egress`, whose record the runner's
+  sink ships as one codec frame over the peer's TCP connection
   (:class:`FrameConnection` coalesces the frames of one event-loop turn
   into a single socket write);
 * everything owned by *another* process gets a :class:`PoisonClock`, so
   foreign replica logic that accidentally runs fails loudly instead of
-  silently double-counting (the same poisoning discipline
-  ``ShardedExecutor._rebind`` uses).
+  silently double-counting.
 
 On the receiving side the runner looks up ``dst.face_toward(src)`` and
 calls ``dst.receive(packet, face)`` — the exact entry point a simulator
@@ -33,7 +32,7 @@ from typing import Any, Callable, Deque, List, Optional
 
 from repro.net.codec import FrameDecoder, FrameError, decode_datagram, encode_frame
 
-__all__ = ["FrameConnection", "UdpEndpoint", "BoundaryClock", "PoisonClock"]
+__all__ = ["FrameConnection", "UdpEndpoint", "PoisonClock"]
 
 
 class FrameConnection:
@@ -120,57 +119,6 @@ class UdpEndpoint(asyncio.DatagramProtocol):
     def close(self) -> None:
         if self.transport is not None:
             self.transport.close()
-
-
-class BoundaryClock:
-    """Egress shim bound as ``link.sim`` on cross-process links.
-
-    ``Face.send`` has already done fault hooks, tracing and sender-side
-    byte accounting by the time it calls ``schedule_link`` — all that is
-    left is delivery, which here means one frame to the peer process.
-    The propagation delay is dropped on the floor: the differential
-    compares counters, not timing, and the receiving clock re-applies
-    service costs (ARCHITECTURE.md §9 spells out what that does and does
-    not prove).
-    """
-
-    __slots__ = ("_clock", "_link", "_ship")
-
-    def __init__(self, clock, link, ship: Callable[[str, str, Any], None]) -> None:
-        self._clock = clock
-        self._link = link
-        self._ship = ship
-
-    @property
-    def now(self) -> float:
-        return self._clock.now
-
-    def schedule_link(
-        self,
-        delay: float,
-        sort_origin: int,
-        exec_origin: int,
-        callback: Callable[..., None],
-        *args: Any,
-    ) -> None:
-        """Ship the packet to the owning process instead of timing it.
-
-        ``callback`` is the foreign replica's bound ``receive``; its
-        ``__self__`` names the real destination process.  The source is
-        the link's other endpoint — the node that just sent.
-        """
-        dst = callback.__self__
-        (a, _), (b, _) = self._link._ends
-        src = b if dst is a else a
-        self._ship(dst.name, src.name, args[0])
-
-    def schedule(self, *_args: Any, **_kw: Any) -> None:
-        raise RuntimeError(
-            "BoundaryClock only delivers link egress; node-local timers on a "
-            "cross-process link are a wiring bug"
-        )
-
-    schedule_at = schedule
 
 
 class PoisonClock:

@@ -271,7 +271,7 @@ class PacketTracer:
     def on_forward(self, face: "Face", packet: "Packet", delay: float) -> None:
         """A packet left ``face.node`` toward ``face.peer`` (Face.send)."""
         self._emit(
-            face.link.sim.now, packet, face.node.name, "forward", peer=face.peer.name
+            face.node.sim.now, packet, face.node.name, "forward", peer=face.peer.name
         )
 
     def on_fault_drop(self, face: "Face", packet: "Packet") -> None:
@@ -279,7 +279,7 @@ class PacketTracer:
         stats = self._fault_stats
         reason = stats.last_drop_reason if stats is not None else ""
         self._emit(
-            face.link.sim.now,
+            face.node.sim.now,
             packet,
             face.node.name,
             "fault_drop",

@@ -12,9 +12,24 @@ import itertools
 from dataclasses import dataclass, field
 from typing import ClassVar
 
-__all__ = ["Packet"]
+__all__ = ["Packet", "use_id_range"]
 
 _packet_ids = itertools.count()
+
+
+def use_id_range(index: int) -> None:
+    """Draw this process's packet uids and Interest nonces from range ``index``.
+
+    Process *i* of a multiprocess or live run counts both from
+    ``(i + 1) << 48``, so ids minted in different processes never
+    collide and uid-keyed dedup and PIT nonce checks stay exact.
+    """
+    import repro.ndn.packets as ndn_packets
+
+    global _packet_ids
+    base = (index + 1) << 48
+    _packet_ids = itertools.count(base)
+    ndn_packets._nonces = itertools.count(base + 1)
 
 
 @dataclass

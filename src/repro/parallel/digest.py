@@ -22,16 +22,25 @@ import json
 from array import array
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
-__all__ = ["DeliveryLog", "delivery_digest", "canonical_digest"]
+__all__ = ["DeliveryLog", "delivery_digest", "canonical_digest", "json_digest"]
 
 Entry = Tuple[object, str, float]
 
 
-def canonical_digest(payload: object) -> str:
-    """sha256 over the canonical (sorted-keys) JSON encoding of ``payload``."""
+def json_digest(payload: object, separators: "Tuple[str, str] | None" = None) -> str:
+    """sha256 over the sorted-keys JSON encoding of ``payload``.
+
+    ``separators`` as in :func:`json.dumps`; every report digest uses its
+    default, and the bytes of each pinned digest depend on that choice.
+    """
     return hashlib.sha256(
-        json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+        json.dumps(payload, sort_keys=True, separators=separators).encode()
     ).hexdigest()
+
+
+def canonical_digest(payload: object) -> str:
+    """:func:`json_digest` in the compact encoding (no spaces)."""
+    return json_digest(payload, (",", ":"))
 
 
 def delivery_digest(entries: Iterable[Entry]) -> str:

@@ -1,4 +1,4 @@
-"""In-process sharded executor: N shard-local event loops, one truth.
+"""Sharded execution: N shard-local event loops, one truth, one boundary.
 
 The executor partitions an already-built :class:`~repro.sim.network.Network`
 into shards (a :class:`~repro.parallel.partition.ShardPlan`), gives each
@@ -8,25 +8,22 @@ cross-shard link delay, any event executing in ``[T, T+W)`` can influence
 another shard no earlier than ``T+W``, so each window runs with zero
 coordination and cross-shard packets are exchanged at the barriers.
 
-Every window is ``[next, next + W)``, ``next`` being the earliest pending
-event on any shard (:func:`window_horizon`, the one window rule, shared
-with the multiprocess coordinator).  Where the barriers fall cannot change
-the digest: they only decide *when* transit messages are injected, and
-injected arrivals are ordered purely by ``(arrival time, sender rank,
-sender send order)`` — the serial heap's own key for them.  The full
-argument for why serial and sharded runs are bit-identical is
-ARCHITECTURE.md §6 "Determinism argument"; its same-tick cases are pinned
-by ``tests/test_sim_engine.py``.
-
-The executor runs all shards in one thread (round-robin per window) —
-it proves the *algorithm*; :mod:`repro.parallel.procpool` runs the same
-windows across worker processes for actual speedup.  Both modes produce
-identical transit traffic, so the differential tests on this class cover
-the synchronization protocol for both.
+The shard boundary is defined here once: :class:`Egress` turns a send
+across it into a record, :func:`inject` turns a record into its
+receiver's arrival, and :func:`run_windows` is the window loop — every
+window ``[next, next + W)`` (:func:`window_horizon`), a barrier's records
+injected at the start of the next.  :class:`ShardedExecutor` runs it in
+one thread, :mod:`repro.parallel.procpool` across worker processes, and
+:mod:`repro.net.runner` ships its records over sockets.  Where barriers
+fall cannot change the digest: injected arrivals are ordered purely by
+``(arrival time, sender rank, sender send order)`` — the serial heap's own
+key for them (ARCHITECTURE.md §6 "Determinism argument"; same-tick cases
+pinned by ``tests/test_sim_engine.py``).
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.parallel.partition import ShardPlan
@@ -34,12 +31,13 @@ from repro.sim.engine import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.metrics import MetricsRegistry
-    from repro.sim.network import Network
+    from repro.parallel.wire import WireMsg
+    from repro.sim.network import Network, Node
 
-__all__ = ["ShardedExecutor", "window_horizon"]
+__all__ = ["Egress", "ShardedExecutor", "bind_clocks", "inject", "run_windows", "window_horizon"]
 
-#: (arrival_time, sender_rank, send_order, receiver_rank, callback, args)
-_TransitMsg = Tuple[float, int, int, int, Callable[..., Any], tuple]
+#: Global injection order of transit records: (arrival, sender rank, send order).
+_ORDER = itemgetter(0, 1, 2)
 
 
 def window_horizon(
@@ -59,24 +57,21 @@ def window_horizon(
     return bound, False
 
 
-class _BoundaryClock:
-    """The ``link.sim`` stand-in for cross-shard links.
+class Egress:
+    """``link.sim`` on every link whose far end runs in another shard or process.
 
-    ``Face.send`` on a boundary link lands here: instead of entering a
-    heap, the arrival goes into the executor's transit outbox, to be
-    injected into the receiver's shard at the next window barrier.
-    ``now`` proxies the clock of whichever shard is currently executing,
-    so fault hooks and tracers on boundary links read the right time.
+    ``Face.send`` (hooks and byte accounting done) lands here, and its
+    arrival becomes one :data:`~repro.parallel.wire.WireMsg` record for
+    ``sink``: a barrier outbox, or the live runner's socket shipper.  Send
+    order is counted per instance, so bind one per process: a sender's
+    records then keep its send order across all of its links.
     """
 
-    __slots__ = ("_executor",)
+    __slots__ = ("sink", "_sent")
 
-    def __init__(self, executor: "ShardedExecutor") -> None:
-        self._executor = executor
-
-    @property
-    def now(self) -> float:
-        return self._executor._active_sim.now
+    def __init__(self, sink: Callable[["WireMsg"], None]) -> None:
+        self.sink = sink
+        self._sent = 0
 
     def schedule_link(
         self,
@@ -86,25 +81,93 @@ class _BoundaryClock:
         callback: Callable[..., Any],
         *args: Any,
     ) -> None:
-        executor = self._executor
-        executor._outbox.append(
+        """Record the arrival ``Face.send`` asked for; the sender is the far
+        face's peer, and its own clock dates the arrival."""
+        packet, dst_face = args
+        sender = dst_face.peer
+        order = self._sent
+        self._sent = order + 1
+        self.sink(
             (
-                executor._active_sim.now + delay,
+                sender.sim.now + delay,
                 sort_origin,
-                executor._next_transit_seq(),
-                exec_origin,
-                callback,
-                args,
+                order,
+                callback.__self__.name,
+                sender.name,
+                packet,
             )
         )
 
-    def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> None:
+    def schedule(self, *_args: Any, **_kw: Any) -> None:
         raise RuntimeError(
             "cross-shard links carry packets only; node timers belong on "
             "the node's own shard clock (node.sim)"
         )
 
     schedule_at = schedule
+
+
+def bind_clocks(
+    network: "Network", clock_of: Callable[["Node"], Any], egress: Egress
+) -> None:
+    """Put every node and queue on ``clock_of(node)``; links whose ends
+    differ in clock get ``egress``."""
+    for node in network.nodes.values():
+        node.sim = clock_of(node)
+        queue = getattr(node, "queue", None)
+        if queue is not None:
+            # ServiceQueue captured the serial clock at construction.
+            queue.sim = node.sim
+    for link in network.links:
+        (a, _), (b, _) = link._ends
+        link.sim = a.sim if a.sim is b.sim else egress
+
+
+def inject(nodes: Dict[str, "Node"], msgs: List["WireMsg"]) -> None:
+    """Schedule records, sorted by (arrival, sender rank, send order), as
+    their receivers' arrivals: injection order fixes the receiver-side seq,
+    so same-key ties replay the sender's send order."""
+    for time, sort_origin, _order, dst, src, packet in msgs:
+        node = nodes[dst]
+        node.sim.schedule_arrival_at(
+            time, sort_origin, node.rank, node.receive, packet,
+            node.face_toward(nodes[src]),
+        )
+
+
+def run_windows(
+    advance: Callable[..., Tuple[List[Optional[float]], List["WireMsg"]]],
+    peeks: List[Optional[float]],
+    held: List["WireMsg"],
+    plan: ShardPlan,
+    lookahead: float,
+    until: Optional[float],
+) -> Tuple[int, int]:
+    """Run windows until idle or past ``until``; ``(windows, records sent)``.
+
+    A window starts at the earliest of ``peeks`` (per shard, None when
+    idle) and ``held``.  ``advance(horizon, inclusive, routed)`` runs every
+    shard *i* through it after injecting ``routed[i]``, and returns the new
+    peeks and the records sent; ``held`` keeps those, in place, for the
+    next window or call.
+    """
+    windows = transit = 0
+    while True:
+        times = [msg[0] for msg in held]
+        times.extend(peek for peek in peeks if peek is not None)
+        next_time = min(times, default=None)
+        if next_time is None or (until is not None and next_time > until):
+            return windows, transit
+        horizon, inclusive = window_horizon(next_time, lookahead, until)
+        held.sort(key=_ORDER)
+        routed: List[List["WireMsg"]] = [[] for _ in range(plan.num_shards)]
+        for msg in held:
+            routed[plan.assignment[msg[3]]].append(msg)
+        held.clear()
+        peeks, egress = advance(horizon, inclusive, routed)
+        held.extend(egress)
+        windows += 1
+        transit += len(egress)
 
 
 class _NetworkClock:
@@ -129,7 +192,7 @@ class _NetworkClock:
         return self._executor.events_processed
 
     def pending(self) -> int:
-        return sum(sim.pending() for sim in self._executor.shard_sims)
+        return self._executor.pending()
 
     def telemetry(self) -> dict:
         return {
@@ -180,43 +243,16 @@ class ShardedExecutor:
         ]
         self.windows_run = 0
         self.transit_messages = 0
-        self._outbox: List[_TransitMsg] = []
-        self._transit_seq = 0
-        self._sim_by_rank: Dict[int, Simulator] = {}
-        self._boundary = _BoundaryClock(self)
-        # Outside run(), all shard clocks agree (setup happens at window
-        # barriers); default the "executing" clock to shard 0 so boundary
-        # egress during setup still reads a consistent now.
-        self._active_sim: Simulator = self.shard_sims[0]
+        # Records sent this window; records awaiting the next one.
+        self._outbox: List["WireMsg"] = []
+        self._held: List["WireMsg"] = []
         self._metrics: List[List[Any]] = []  # [registry, interval, until, next]
-        self._rebind()
+        sims, assignment = self.shard_sims, plan.assignment
+        bind_clocks(
+            network, lambda node: sims[assignment[node.name]], Egress(self._outbox.append)
+        )
+        network.sim = _NetworkClock(self)
         plan.annotate_roles(network)
-
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-    def _rebind(self) -> None:
-        assignment = self.plan.assignment
-        for node in self.network.nodes.values():
-            sim = self.shard_sims[assignment[node.name]]
-            node.sim = sim
-            self._sim_by_rank[node.rank] = sim
-            queue = getattr(node, "queue", None)
-            if queue is not None:
-                # ServiceQueue captured the serial clock at construction.
-                queue.sim = sim
-        for link in self.network.links:
-            (a, _), (b, _) = link._ends
-            if assignment[a.name] == assignment[b.name]:
-                link.sim = self.shard_sims[assignment[a.name]]
-            else:
-                link.sim = self._boundary
-        self.network.sim = _NetworkClock(self)
-
-    def _next_transit_seq(self) -> int:
-        seq = self._transit_seq
-        self._transit_seq = seq + 1
-        return seq
 
     # ------------------------------------------------------------------
     # Executor seam
@@ -235,12 +271,16 @@ class ShardedExecutor:
     def events_processed(self) -> int:
         return sum(sim.events_processed for sim in self.shard_sims)
 
+    def pending(self) -> int:
+        """Queued events on every shard plus transit records not yet injected."""
+        return sum(sim.pending() for sim in self.shard_sims) + len(self._held)
+
     def telemetry(self) -> dict:
         """Executor-level gauges: engine totals plus window accounting."""
         return {
             "now_ms": self.now,
             "events_processed": self.events_processed,
-            "events_pending": sum(sim.pending() for sim in self.shard_sims),
+            "events_pending": self.pending(),
             "shards": self.plan.num_shards,
             "lookahead_ms": self.lookahead_ms,
             "windows_run": self.windows_run,
@@ -265,46 +305,33 @@ class ShardedExecutor:
     # ------------------------------------------------------------------
     def run(self, until: Optional[float] = None) -> None:
         """Advance every shard to ``until`` (or drain all heaps if None)."""
-        while True:
-            next_time = self._peek()
-            if next_time is None or (until is not None and next_time > until):
-                if until is not None:
-                    self._advance_idle(until)
-                return
-            horizon, inclusive = window_horizon(next_time, self.lookahead_ms, until)
+        windows, transit = run_windows(
+            self._advance, self._peeks(), self._held, self.plan,
+            self.lookahead_ms, until,
+        )
+        self.windows_run += windows
+        self.transit_messages += transit
+        if until is not None:
             for sim in self.shard_sims:
-                self._active_sim = sim
-                sim.run(until=horizon, inclusive=inclusive)
-            self._active_sim = self.shard_sims[0]
-            self._barrier(self.now if horizon is None else horizon)
-            self.windows_run += 1
+                if sim.now < until:
+                    sim.now = until
+            self._fire_metrics(until)
 
-    def _peek(self) -> Optional[float]:
-        times = [t for t in (sim.peek_time() for sim in self.shard_sims) if t is not None]
-        return min(times) if times else None
+    def _advance(
+        self, horizon: Optional[float], inclusive: bool, routed: List[List["WireMsg"]]
+    ) -> Tuple[List[Optional[float]], List["WireMsg"]]:
+        """One window on every shard, then barrier-aligned metrics."""
+        nodes = self.network.nodes
+        for sim, msgs in zip(self.shard_sims, routed):
+            inject(nodes, msgs)
+            sim.run(until=horizon, inclusive=inclusive)
+        self._fire_metrics(self.now if horizon is None else horizon)
+        egress = self._outbox[:]
+        self._outbox.clear()
+        return self._peeks(), egress
 
-    def _advance_idle(self, until: float) -> None:
-        for sim in self.shard_sims:
-            if sim.now < until:
-                sim.now = until
-        self._fire_metrics(until)
-
-    def _barrier(self, horizon: float) -> None:
-        """Exchange transit packets, then fire barrier-aligned metrics."""
-        if self._outbox:
-            outbox, self._outbox = self._outbox, []
-            self.transit_messages += len(outbox)
-            # (time, sender rank, send order): exactly the serial heap's
-            # order for these arrivals — injection order fixes the
-            # receiver-side seq so same-key ties replay the sender's
-            # send order.
-            outbox.sort(key=lambda m: (m[0], m[1], m[2]))
-            sim_by_rank = self._sim_by_rank
-            for time, sort_origin, _seq, exec_origin, callback, args in outbox:
-                sim_by_rank[exec_origin].schedule_arrival_at(
-                    time, sort_origin, exec_origin, callback, *args
-                )
-        self._fire_metrics(horizon)
+    def _peeks(self) -> List[Optional[float]]:
+        return [sim.peek_time() for sim in self.shard_sims]
 
     # ------------------------------------------------------------------
     # Telemetry (barrier-sampled metrics)

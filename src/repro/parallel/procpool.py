@@ -15,20 +15,21 @@ itself builds *nothing*: plan and lookahead come from the spec's topology
 table (:func:`scale_topology`), through the same partition searches a
 built network feeds.
 
-**Packed binary batches.**  Cross-shard packets leave through a boundary
-proxy as ``(time, sender rank, send order, dst, src, packet)`` records,
-batched into one :mod:`repro.parallel.wire` frame per (shard, barrier)
-over ``Connection.send_bytes`` — no per-packet pickling anywhere on the
+**Packed binary batches.**  Cross-shard packets leave through the
+executor's :class:`~repro.parallel.executor.Egress` as ``(time, sender
+rank, send order, dst, src, packet)`` records, batched into one
+:mod:`repro.parallel.wire` frame per (shard, barrier) over
+``Connection.send_bytes`` — no per-packet pickling anywhere on the
 transit path (tests enforce this by poisoning ``Connection.send``).  The
 barrier protocol is a single round trip: the coordinator's ``RUN`` frame
-piggybacks the injections routed at the previous barrier.
+piggybacks the records routed at the previous barrier, which the worker
+hands to :func:`~repro.parallel.executor.inject`.
 
-The coordinator picks every window with
-:func:`~repro.parallel.executor.window_horizon` — the in-process
-executor's rule, so both run identical horizons.
+The coordinator drives :func:`~repro.parallel.executor.run_windows`, the
+in-process executor's window loop, so both run identical windows.
 
 Packet uids and Interest nonces are drawn from per-worker disjoint
-ranges (worker *i* counts from ``(i+1) << 48``) so dedup-by-uid never
+ranges (:func:`repro.packets.use_id_range`) so dedup-by-uid never
 confuses two distinct packets born in different processes.  The uid
 *values* differ from a serial run, but uids only ever feed identity
 checks — observable behavior is value-independent.
@@ -36,67 +37,19 @@ checks — observable behavior is value-independent.
 
 from __future__ import annotations
 
-import itertools
 import multiprocessing
 import traceback
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List
 
+from repro.packets import use_id_range
 from repro.parallel import wire
 from repro.parallel.digest import DeliveryLog
-from repro.sim.engine import Simulator
+from repro.parallel.executor import Egress, ShardedExecutor, inject, run_windows
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.parallel.scale import ScaleSpec
 
 __all__ = ["run_scale_proc"]
-
-
-class _EgressProxy:
-    """``link.sim`` for this worker's boundary links: sends become records."""
-
-    __slots__ = ("sim", "outbox", "_seq")
-
-    def __init__(self, sim: Simulator) -> None:
-        self.sim = sim
-        self.outbox: List[wire.WireMsg] = []
-        self._seq = 0
-
-    @property
-    def now(self) -> float:
-        return self.sim.now
-
-    def schedule_link(
-        self, delay: float, sort_origin: int, exec_origin: int, callback, *args
-    ) -> None:
-        # Boundary egress only ever comes from Face.send: callback is the
-        # stub's bound ``receive``, args are (packet, the stub's face); the
-        # face's peer is the local sender.  Reduced to names so the record
-        # crosses the process boundary.
-        packet, dst_face = args
-        seq = self._seq
-        self._seq = seq + 1
-        self.outbox.append(
-            (
-                self.sim.now + delay,
-                sort_origin,
-                seq,
-                callback.__self__.name,
-                dst_face.peer.name,
-                packet,
-            )
-        )
-
-    def schedule(self, delay: float, callback, *args) -> None:
-        raise RuntimeError(
-            "cross-shard links carry packets only; node timers belong on "
-            "the node's own shard clock (node.sim)"
-        )
-
-    schedule_at = schedule
-
-    def drain(self) -> List[wire.WireMsg]:
-        outbox, self.outbox = self.outbox, []
-        return outbox
 
 
 def _worker_main(conn, spec: "ScaleSpec", shard: int, num_shards: int) -> None:
@@ -113,40 +66,22 @@ def _worker_main(conn, spec: "ScaleSpec", shard: int, num_shards: int) -> None:
 
 def _serve_shard(conn, spec: "ScaleSpec", shard: int, num_shards: int) -> None:
     """One shard's event loop, driven by coordinator frames."""
-    import repro.ndn.packets as ndn_packets
-    import repro.packets as packets_mod
-
-    from repro.parallel.scale import _publish, _subscribe_hosts, scale_events
+    from repro.parallel.scale import federation_summary, start_workload
     from repro.parallel.slicing import build_scale_shard, scale_plan_fast
 
-    # Disjoint uid/nonce ranges per worker: dedup-by-uid and PIT nonce
-    # checks stay collision-free across processes.
-    packets_mod._packet_ids = itertools.count((shard + 1) << 48)
-    ndn_packets._nonces = itertools.count(((shard + 1) << 48) + 1)
-
+    use_id_range(shard)
     plan = scale_plan_fast(spec, num_shards)
     world = build_scale_shard(spec, plan, shard)
     network = world.network
     sim = network.sim
-    egress = _EgressProxy(sim)
-    assignment = plan.assignment
+    outbox: List[wire.WireMsg] = []
+    egress = Egress(outbox.append)
     for link in plan.boundary_links(network):
         link.sim = egress
-
-    nodes = network.nodes
-    log = _subscribe_hosts(spec, world)
-    # This worker's regions came with unstarted autoscaler roles (the
-    # slice build attaches them); arm their tick loops at t=0, mirroring
-    # execute_scale_local's schedule_external path.
+    log = start_workload(
+        spec, world, lambda _node, time, *event: sim.schedule_at(time, *event)
+    )
     federation = getattr(network, "federation_state", None)
-    if federation is not None:
-        for role in federation.autoscalers:
-            sim.schedule_at(0.0, role.start, spec.horizon_ms)
-    for i, (time, player, cd) in enumerate(scale_events(spec)):
-        if assignment[player] == shard:
-            sim.schedule_at(
-                time, _publish, world.hosts[player], cd, spec.payload_bytes, i
-            )
 
     conn.send_bytes(wire.encode_ready(sim.peek_time()))
     while True:
@@ -154,21 +89,11 @@ def _serve_shard(conn, spec: "ScaleSpec", shard: int, num_shards: int) -> None:
         op = frame[0]
         if op == wire.OP_RUN:
             horizon, inclusive, msgs = wire.decode_run(frame)
-            # Injections ride the RUN frame, already in global
-            # (time, sender rank, send order) order; injection order
-            # fixes the receiver-side seq so same-key ties replay the
-            # sender's send order.
-            for time, sort_origin, _seq, dst_name, src_name, packet in msgs:
-                node = nodes[dst_name]
-                face = node.face_toward(nodes[src_name])
-                sim.schedule_arrival_at(
-                    time, sort_origin, node.rank, node.receive, packet, face
-                )
+            inject(network.nodes, msgs)  # already in global order
             sim.run(until=horizon, inclusive=inclusive)
-            conn.send_bytes(wire.encode_done(sim.peek_time(), egress.drain()))
+            conn.send_bytes(wire.encode_done(sim.peek_time(), outbox))
+            outbox.clear()
         elif op == wire.OP_FINISH:
-            from repro.parallel.scale import federation_summary
-
             conn.send_bytes(
                 wire.encode_result(
                     {
@@ -192,15 +117,14 @@ def _serve_shard(conn, spec: "ScaleSpec", shard: int, num_shards: int) -> None:
 def run_scale_proc(spec: "ScaleSpec", workers: int) -> dict:
     """Coordinate ``workers`` shard processes through lookahead windows.
 
-    The coordinator mirrors :meth:`ShardedExecutor.run`: pick the earliest
-    pending event across shards *and* in-flight injections, run everyone
-    to that window's :func:`window_horizon`, and merge each worker's egress
-    — sorted by ``(time, sender rank, send order)`` — for injection on the
-    next ``RUN``.  Falls back to the in-process executor when the platform
+    The coordinator drives :func:`~repro.parallel.executor.run_windows`,
+    the loop :meth:`ShardedExecutor.run` drives: its ``advance`` sends
+    every worker its ``RUN`` frame (the window plus the records routed to
+    it) before reading any ``DONE``, so the workers run each window in
+    parallel.  Falls back to the in-process executor when the platform
     cannot fork processes; a worker that raises or dies is a
     ``RuntimeError("shard <i> failed: …")``.
     """
-    from repro.parallel.executor import ShardedExecutor, window_horizon
     from repro.parallel.partition import min_cut_delay
     from repro.parallel.scale import execute_scale_local
     from repro.parallel.slicing import scale_plan_fast, scale_topology
@@ -211,7 +135,6 @@ def run_scale_proc(spec: "ScaleSpec", workers: int) -> dict:
     # never builds a world.
     plan = scale_plan_fast(spec, workers)
     lookahead = min_cut_delay(scale_topology(spec).links, plan.assignment)
-    until = spec.horizon_ms
 
     try:
         ctx = multiprocessing.get_context("fork")
@@ -246,35 +169,20 @@ def run_scale_proc(spec: "ScaleSpec", workers: int) -> dict:
                 raise RuntimeError(f"shard {shard} failed: {wire.decode_error(frame)}")
             return frame
 
-        peeks: List[Optional[float]] = [
-            wire.decode_ready(recv(shard)) for shard in range(workers)
-        ]
-
-        windows = 0
-        transit = 0
-        pending: List[wire.WireMsg] = []
-        while True:
-            times = [t for t in peeks if t is not None]
-            times.extend(msg[0] for msg in pending)
-            next_time = min(times) if times else None
-            if next_time is None or next_time > until:
-                break
-            horizon, inclusive = window_horizon(next_time, lookahead, until)
-            # Same sort key as the in-process barrier; ties at
-            # (time, origin) always come from one worker, whose local
-            # send order disambiguates them.
-            pending.sort(key=lambda m: (m[0], m[1], m[2]))
-            routed: List[List[wire.WireMsg]] = [[] for _ in range(workers)]
-            for msg in pending:
-                routed[plan.assignment[msg[3]]].append(msg)
-            pending = []
+        def advance(horizon, inclusive, routed):
             for conn, msgs in zip(conns, routed):
                 conn.send_bytes(wire.encode_run(horizon, inclusive, msgs))
-            for i in range(workers):
-                peeks[i], outbox = wire.decode_done(recv(i))
-                pending.extend(outbox)
-            windows += 1
-            transit += len(pending)
+            peeks, egress = [], []
+            for shard in range(workers):
+                peek, outbox = wire.decode_done(recv(shard))
+                peeks.append(peek)
+                egress.extend(outbox)
+            return peeks, egress
+
+        peeks = [wire.decode_ready(recv(shard)) for shard in range(workers)]
+        windows, transit = run_windows(
+            advance, peeks, [], plan, lookahead, spec.horizon_ms
+        )
 
         # FINISH to all before the first RESULT is read: workers pack in parallel.
         for conn in conns:

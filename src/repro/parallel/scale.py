@@ -294,8 +294,15 @@ def _publish(host: "GCopssHost", cd: str, size: int, sequence: int) -> None:
     host.publish(cd, size, sequence=sequence)
 
 
-def _subscribe_hosts(spec: ScaleSpec, world: ScaleWorld) -> DeliveryLog:
-    """Subscribe a world's (or a slice's) hosts; log what they receive."""
+def start_workload(spec: ScaleSpec, world: ScaleWorld, schedule) -> DeliveryLog:
+    """Subscribe ``world``'s hosts, then queue its autoscaler ticks and publishes.
+
+    Works on the full world and on a worker's slice alike (a slice holds
+    only its shard's hosts and regions).  Events enter through
+    ``schedule(node, time, callback, *args)`` — the executors rebind every
+    ``node.sim`` after the build, so nothing is armed at build time.
+    Returns the log of what the hosts receive.
+    """
     log = DeliveryLog()
 
     def on_update(host: "GCopssHost", packet) -> None:
@@ -305,6 +312,14 @@ def _subscribe_hosts(spec: ScaleSpec, world: ScaleWorld) -> DeliveryLog:
         host = world.hosts[name]
         host.on_update.append(on_update)
         host.subscribe(spec.subscriptions_for(world.host_region[name], name))
+    federation = getattr(world.network, "federation_state", None)
+    if federation is not None:
+        for role in federation.autoscalers:
+            schedule(role.node.name, 0.0, role.start, spec.horizon_ms)
+    for i, (time, player, cd) in enumerate(scale_events(spec)):
+        host = world.hosts.get(player)
+        if host is not None:
+            schedule(player, time, _publish, host, cd, spec.payload_bytes, i)
     return log
 
 
@@ -312,22 +327,7 @@ def execute_scale_local(spec: ScaleSpec, make_executor) -> dict:
     """Build, subscribe, publish, drain — under any local executor."""
     world = build_scale_world(spec)
     executor = make_executor(world.network)
-    log = _subscribe_hosts(spec, world)
-
-    # Autoscaler ticks must enter the *executor's* clocks: the sharded
-    # executors rebind every node.sim at construction, so roles are armed
-    # here (via the node-anchored external-event path), never at build.
-    federation = getattr(world.network, "federation_state", None)
-    if federation is not None:
-        for role in federation.autoscalers:
-            executor.schedule_external(
-                role.node.name, 0.0, role.start, spec.horizon_ms
-            )
-
-    for i, (time, player, cd) in enumerate(scale_events(spec)):
-        executor.schedule_external(
-            player, time, _publish, world.hosts[player], cd, spec.payload_bytes, i
-        )
+    log = start_workload(spec, world, executor.schedule_external)
     executor.run(until=spec.horizon_ms)
     result = {
         "deliveries": len(log),
@@ -338,6 +338,7 @@ def execute_scale_local(spec: ScaleSpec, make_executor) -> dict:
         "network_packets": world.network.total_packets,
         "executor": executor.telemetry(),
     }
+    federation = getattr(world.network, "federation_state", None)
     if federation is not None:
         result["federation"] = federation_summary(federation)
     return result

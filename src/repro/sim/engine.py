@@ -184,9 +184,10 @@ class Simulator:
     ) -> EventHandle:
         """Absolute-time variant of :meth:`schedule_link`.
 
-        Used by the sharded executor's barrier to re-inject cross-shard
-        transit arrivals with the sender's rank preserved, so the merged
-        order matches what the serial heap would have produced.
+        Called only by :func:`repro.parallel.executor.inject`, which turns
+        cross-shard transit records into arrivals with the sender's rank
+        preserved, so the merged order matches what the serial heap would
+        have produced.
         """
         return self._push(time, sort_origin, exec_origin, callback, args)
 

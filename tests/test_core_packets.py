@@ -14,8 +14,11 @@ from repro.core.packets import (
     SubscribePacket,
     UnsubscribePacket,
 )
+import repro.ndn.packets as ndn_packets
+import repro.packets as packets_mod
 from repro.names import Name
 from repro.ndn.packets import DATA_HEADER_BYTES, INTEREST_HEADER_BYTES, Data, Interest
+from repro.packets import use_id_range
 
 
 class TestCopssPackets:
@@ -91,6 +94,15 @@ class TestNdnPackets:
 
     def test_interest_nonces_distinct(self):
         assert Interest(name="/a").nonce != Interest(name="/a").nonce
+
+    def test_id_ranges_are_disjoint_per_index(self, monkeypatch):
+        monkeypatch.setattr(packets_mod, "_packet_ids", packets_mod._packet_ids)
+        monkeypatch.setattr(ndn_packets, "_nonces", ndn_packets._nonces)
+        for index in (0, 1):
+            use_id_range(index)
+            for interest in (Interest(name="/a") for _ in range(3)):
+                for value in (interest.uid, interest.nonce):
+                    assert (index + 1) << 48 <= value < (index + 2) << 48
 
     def test_data_size_includes_payload(self):
         small = Data(name="/a", payload_size=10)

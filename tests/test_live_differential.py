@@ -5,8 +5,9 @@ the live cluster and the discrete-event simulator agree *exactly* on
 delivery counts, per-CD publication/subscription counters and drop
 totals for the same seeded trace — and that the testbed shuts down
 cleanly: no orphan processes, every ephemeral port released and
-rebindable.  A ``slow``-marked sweep replays the 5-router benchmark
-topology across seeds.
+rebindable, also when a runner has died or the driver just goes away.
+A ``slow``-marked sweep replays the 5-router benchmark topology across
+seeds.
 
 Also here: unit tests for :class:`~repro.net.clock.LiveClock` — the
 timer wheel must pop in deadline order (ASAP mode) and honor
@@ -76,6 +77,21 @@ class TestLiveClock:
             clock.schedule(-0.1, lambda: None)
 
 
+def assert_ports_released(ports):
+    """The OS lets us rebind each port at once.
+
+    SO_REUSEADDR skips TIME_WAIT ghosts from the just-closed connections
+    but still fails if a live listener held the port (asyncio.start_server
+    binds with the same flag).
+    """
+    for tcp_port, udp_port in ports.values():
+        with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as s:
+            s.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            s.bind(("127.0.0.1", tcp_port))
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as s:
+            s.bind(("127.0.0.1", udp_port))
+
+
 @pytest.mark.timeout(120)
 class TestLiveSmoke:
     def test_three_router_differential_and_clean_shutdown(self):
@@ -105,16 +121,7 @@ class TestLiveSmoke:
         for node, proc in bed.procs.items():
             assert proc.poll() == 0, f"{node} still running or died dirty"
 
-        # Ports released: the OS lets us rebind each one immediately.
-        # SO_REUSEADDR skips TIME_WAIT ghosts from the just-closed
-        # connections but still fails if a live listener held the port
-        # (asyncio.start_server binds with the same flag).
-        for tcp_port, udp_port in ports.values():
-            with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as s:
-                s.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-                s.bind(("127.0.0.1", tcp_port))
-            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as s:
-                s.bind(("127.0.0.1", udp_port))
+        assert_ports_released(ports)
 
         # The differential proper: exact agreement with the simulator.
         sim = run_reference(spec, trace)
@@ -124,6 +131,45 @@ class TestLiveSmoke:
         # Exactly-once injection: every trace event executed once, via
         # UDP or the TCP drain backstop, never twice.
         assert perf["udp_received"] + perf["tcp_resent"] == len(trace)
+
+
+@pytest.mark.timeout(60)
+class TestLiveTeardown:
+    """A failed or abandoned cluster still ends with no child left."""
+
+    @staticmethod
+    def reaped_after(act):
+        bed = LiveTestbed(smoke_spec())
+        bed.start()
+        procs, ports = dict(bed.procs), dict(bed.ports)
+        try:
+            act(bed)
+        finally:
+            bed.kill()
+        assert all(proc.poll() is not None for proc in procs.values())
+        assert_ports_released(ports)
+        return procs
+
+    def test_shutdown_reaps_every_runner_when_one_has_died(self):
+        def act(bed):
+            bed.procs["R2"].kill()
+            bed.procs["R2"].wait(timeout=10)
+            with pytest.raises(RuntimeError, match="R2") as failed:
+                bed.shutdown()
+            assert "R1" not in str(failed.value) and "R3" not in str(failed.value)
+            assert bed._tmp is None
+
+        procs = self.reaped_after(act)
+        assert procs["R1"].returncode == procs["R3"].returncode == 0
+
+    def test_runner_exits_when_its_driver_disconnects(self):
+        def act(bed):
+            for conn in bed.conns.values():
+                conn.close()  # no shutdown op: the driver just goes away
+            for proc in bed.procs.values():
+                assert proc.wait(timeout=10) == 0
+
+        self.reaped_after(act)
 
 
 @pytest.mark.slow

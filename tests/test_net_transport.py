@@ -28,6 +28,7 @@ from repro.net.codec import FrameError, encode_frame, pack_message
 from repro.net.runner import NodeRunner, packet_envelope
 from repro.net.transport import FrameConnection
 from repro.net.world import smoke_spec
+from repro.parallel.executor import Egress
 
 
 class CountingWriter:
@@ -179,6 +180,11 @@ class TestEncodeOnceFanOut:
                     )
                 )
             ]
+
+    def test_cross_links_share_one_egress_into_ship(self, hub):
+        nodes = hub.world.network.nodes
+        (egress,) = {nodes["R1"].face_toward(nodes[p]).link.sim for p in ("R2", "R3")}
+        assert isinstance(egress, Egress) and egress.sink == hub._ship
 
     def test_a_different_packet_is_encoded_afresh(self, hub):
         nodes = hub.world.network.nodes

@@ -16,6 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core import GCopssHost, GCopssNetworkBuilder, GCopssRouter, RpTable
+from repro.core.packets import MulticastPacket
 from repro.parallel import (
     DeliveryLog,
     ShardedExecutor,
@@ -25,7 +26,7 @@ from repro.parallel import (
     partition_by_anchors,
     partition_by_rp,
 )
-from repro.parallel.executor import window_horizon
+from repro.parallel.executor import Egress, window_horizon
 from repro.parallel.scale import ScaleSpec, run_scale
 from repro.sim.engine import SerialExecutor, Simulator
 from repro.sim.network import Network
@@ -348,6 +349,29 @@ class TestShardedExecutor:
         assert stats["lookahead_ms"] == 2.0
         assert stats["windows_run"] == executor.windows_run
 
+    def test_record_in_flight_across_run_calls(self):
+        """Converge-then-run in small steps: held records count as pending,
+        and stopping with one in flight changes nothing."""
+        def play(executor_of, steps):
+            net, hosts = _two_region_net()
+            executor, log, held = executor_of(net), DeliveryLog(), 0
+            hosts[1].on_update.append(lambda h, p: log.record(p.sequence, h.name, h.sim.now))
+            hosts[1].subscribe(["/1"])
+            for i in range(5):
+                executor.schedule_external("hA", 50.0 + i, hosts[0].publish, "/1", 10, i)
+            for until in steps:
+                executor.run(until=until)
+                queued = sum(sim.pending() for sim in getattr(executor, "shard_sims", []))
+                held = max(held, net.sim.pending() - queued)
+            return log.digest(), held
+
+        serial, _ = play(SerialExecutor, [100.0])
+        sharded, held = play(
+            lambda net: ShardedExecutor(net, partition_by_anchors(net, ["coreA", "coreB"])),
+            [50.0 + 0.25 * i for i in range(1, 200)],
+        )
+        assert held > 0 and sharded == serial
+
     def test_idle_run_advances_all_shards(self):
         net, _hosts = _two_region_net()
         executor = ShardedExecutor(
@@ -355,6 +379,33 @@ class TestShardedExecutor:
         )
         executor.run(until=50.0)
         assert all(sim.now == 50.0 for sim in executor.shard_sims)
+
+
+class TestEgress:
+    def test_collector_and_worker_sink_see_the_same_records(self):
+        packets = [MulticastPacket(cd="/1", payload_size=n) for n in (10, 20, 30)]
+
+        def send_all(net):
+            r1, r2 = net.nodes["R1"], net.nodes["R2"]
+            for packet, (src, dst) in zip(packets, [(r1, r2), (r2, r1), (r1, r2)]):
+                src.face_toward(dst).send(packet)
+
+        net = _line(1.0, 2.5, 1.0)
+        plan = partition_by_anchors(net, ["R0", "R3"])
+        executor = ShardedExecutor(net, plan)
+        send_all(net)
+
+        net = _line(1.0, 2.5, 1.0)
+        worker = []
+        egress = Egress(worker.append)
+        for link in plan.boundary_links(net):
+            link.sim = egress
+        send_all(net)
+        assert executor._outbox == worker == [
+            (2.5, 1, 0, "R2", "R1", packets[0]),
+            (2.5, 2, 1, "R1", "R2", packets[1]),
+            (2.5, 1, 2, "R2", "R1", packets[2]),
+        ]
 
 
 class TestWindowRule:
