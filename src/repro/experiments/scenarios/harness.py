@@ -16,8 +16,13 @@ Division of labour with the monitor:
 * the harness owns the *ground truth*: it drives every subscription
   change through the :class:`~repro.sim.invariants.SubscriptionLedger`
   and records deliveries with its own ``on_update`` recorder;
-* the monitor owns the *online safety checks* (duplicates, phantoms)
-  and the orphaned-ST sweep audit;
+* the monitor only *records* during the run (each delivery is one
+  append into its packed columns); after the run, the judgement
+  section adds the harness's own findings (monitor divergence, refresh
+  churn) and the orphaned-ST and ownership audits to
+  ``InvariantMonitor.audits``, and :meth:`~repro.sim.invariants
+  .InvariantMonitor.verdict` runs the duplicate and phantom checks in
+  one pass over the record;
 * liveness is judged by the shared pure
   :func:`~repro.sim.invariants.expected_deliveries`, always fed the
   harness's delivery record — so a monitored and an unmonitored run
@@ -414,7 +419,7 @@ def run_scenario(
     if monitor and set(inv.deliveries) != set(got):
         only_monitor = len(set(inv.deliveries) - set(got))
         only_harness = len(set(got) - set(inv.deliveries))
-        inv.violations.append(
+        inv.audits.append(
             Violation(
                 t=executor.now,
                 kind="monitor_divergence",
@@ -448,7 +453,7 @@ def run_scenario(
         len(testbed.all_hosts), horizon, refresh, script.refresh_churn_factor
     )
     if refreshes > budget:
-        inv.violations.append(
+        inv.audits.append(
             Violation(
                 t=executor.now,
                 kind="refresh_churn",

@@ -5,8 +5,10 @@ hand-rolled for one workload, and its "what counts as recovered" window
 was a plan-name lookup.  This module generalises both halves into a
 reusable monitor that any experiment can install:
 
-**Safety** — checked online, at the instant a host-level trace event
-fires:
+**Safety** — the monitor records each host-level delivery during the
+run (an append into packed columns) and judges the record once, after
+it, replaying every delivery against the ledger epochs the host had at
+that instant:
 
 * *at-most-once delivery*: no host sees the same logical update (the
   packet's trace id — the innermost payload uid) twice;
@@ -26,7 +28,8 @@ fires:
   :meth:`InvariantMonitor.check_ownership`).
 
 **Liveness** — computed at verdict time from the ground-truth
-:class:`SubscriptionLedger` the experiment maintains:
+:class:`SubscriptionLedger` the experiment maintains, through one
+lazily built per-``(host, cd)`` index of its epochs:
 
 * *zero permanent delivery loss* after the per-(scenario, plan) recovery
   margin: every update published after ``check_after_ms`` reaches every
@@ -51,9 +54,10 @@ nil-cost when disabled.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Tuple
+from array import array
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.names import Name
 from repro.obs.tracer import trace_id_of
@@ -82,6 +86,35 @@ def covered(cd: Name, subscriptions: Iterable[Name]) -> bool:
     return any(sub == cd or sub.is_prefix_of(cd) for sub in subscriptions)
 
 
+def _span(times: List[float], start: float, end: float, n: int) -> Tuple[int, int]:
+    """Indices ``[lo, hi)`` of the first ``n`` epochs meeting ``[start, end]``.
+
+    ``times`` are one host's epoch start times; epoch i is active on
+    ``[t_i, t_{i+1})`` and the last one runs forever.  An empty span
+    (``hi <= lo``) means no epoch overlaps.
+    """
+    lo = bisect_right(times, start, 0, n) - 1
+    return (lo if lo > 0 else 0), bisect_right(times, end, 0, n)
+
+
+def _any_covered(
+    times: List[float], counts: List[int], start: float, end: float, n: int
+) -> bool:
+    """Does one of the first ``n`` epochs meeting ``[start, end]`` cover the CD?"""
+    lo, hi = _span(times, start, end, n)
+    return hi > lo and counts[hi] > counts[lo]
+
+
+def _stable(times: List[float], reach: List[int], start: float, end: float) -> bool:
+    """Is ``[start, end]`` inside one epoch run of a single covering name?
+
+    False when no epoch meets the window or its head predates the
+    host's first epoch.
+    """
+    lo, hi = _span(times, start, end, len(times))
+    return hi > lo and times[lo] <= start and reach[lo] >= hi - 1
+
+
 class SubscriptionLedger:
     """Ground truth of who was subscribed to what, when.
 
@@ -90,49 +123,99 @@ class SubscriptionLedger:
     monitor reads the epochs back to judge deliveries.  Epochs must be
     appended in non-decreasing time order per host (the natural order,
     since the experiment appends from inside scheduled callbacks).
+
+    Every ``(host, cd)`` query reads one lazily built index (see
+    :meth:`_coverage`), dropped whenever the host notes a new epoch.
     """
 
     def __init__(self) -> None:
         self._epochs: Dict[str, List[Tuple[float, FrozenSet[Name], bool]]] = {}
-
-    def hosts(self) -> List[str]:
-        return sorted(self._epochs)
+        #: host -> epoch start times, kept beside the epochs for bisecting.
+        self._times: Dict[str, List[float]] = {}
+        #: name -> hosts that held it while online, in any epoch.
+        self._holders: Dict[Name, Set[str]] = {}
+        #: host -> cd -> (covered-epoch prefix counts, stable run reach).
+        self._index: Dict[str, Dict[Name, Tuple[List[int], List[int]]]] = {}
 
     def note(
         self, host: str, t: float, cds: Iterable["Name | str"], online: bool = True
     ) -> None:
         """Record that ``host``'s subscription set became ``cds`` at ``t``."""
-        epochs = self._epochs.setdefault(host, [])
-        if epochs and t < epochs[-1][0]:
+        times = self._times.setdefault(host, [])
+        if times and t < times[-1]:
             raise ValueError(
                 f"ledger epochs for {host} must be time-ordered: "
-                f"{t} < {epochs[-1][0]}"
+                f"{t} < {times[-1]}"
             )
-        epochs.append((t, frozenset(Name.coerce(cd) for cd in cds), online))
+        subs = frozenset(Name.coerce(cd) for cd in cds)
+        self._epochs.setdefault(host, []).append((t, subs, online))
+        times.append(t)
+        if online:
+            for sub in subs:
+                self._holders.setdefault(sub, set()).add(host)
+        self._index.pop(host, None)
 
     def note_offline(self, host: str, t: float) -> None:
         """The host went dark: no subscriptions, not reachable."""
         self.note(host, t, (), online=False)
 
+    def hosts_covering(self, cd: Name) -> List[str]:
+        """Hosts that covered ``cd`` while online in at least one epoch."""
+        found: Set[str] = set()
+        for prefix in cd.prefixes():
+            found.update(self._holders.get(prefix, ()))
+        return sorted(found)
+
+    def _coverage(self, host: str, cd: Name) -> Tuple[List[int], List[int]]:
+        """The ``(host, cd)`` index: ``(counts, reach)`` over the host's epochs.
+
+        ``counts[i]`` is how many of the first ``i`` epochs cover ``cd``
+        while online.  ``reach[i]`` is the last epoch ``j >= i`` such
+        that one covering name is held, online, through every epoch of
+        ``i..j`` (``i - 1`` when epoch ``i`` covers nothing) — the runs
+        :meth:`stable_through` reads.
+        """
+        per_host = self._index.get(host)
+        if per_host is None:
+            per_host = self._index[host] = {}
+        else:
+            index = per_host.get(cd)
+            if index is not None:
+                return index
+        names = cd.prefixes()
+        epochs = self._epochs[host]
+        n = len(epochs)
+        reach = [0] * n
+        # Walk backwards so each covering name's run end is known at its
+        # start: a name held at i and at i + 1 inherits i + 1's end.
+        run_end: Dict[Name, int] = {}
+        for i in range(n - 1, -1, -1):
+            _, subs, online = epochs[i]
+            held = [sub for sub in names if sub in subs] if online else []
+            run_end = {sub: run_end.get(sub, i) for sub in held}
+            reach[i] = max(run_end.values()) if held else i - 1
+        counts = [0] * (n + 1)
+        for i in range(n):
+            counts[i + 1] = counts[i] + (reach[i] >= i)
+        index = per_host[cd] = (counts, reach)
+        return index
+
     def epochs_overlapping(
         self, host: str, start: float, end: float
     ) -> List[Tuple[float, FrozenSet[Name], bool]]:
         """Epochs whose active interval intersects ``[start, end]``."""
-        epochs = self._epochs.get(host, [])
-        if not epochs:
+        times = self._times.get(host)
+        if not times:
             return []
-        # Epoch i is active on [t_i, t_{i+1}); the last one runs forever.
-        times = [t for t, _, _ in epochs]
-        lo = max(0, bisect_right(times, start) - 1)
-        hi = bisect_right(times, end)
-        return epochs[lo:hi]
+        lo, hi = _span(times, start, end, len(times))
+        return self._epochs[host][lo:hi]
 
     def covered_in_window(self, host: str, cd: Name, start: float, end: float) -> bool:
         """Was ``cd`` covered by any epoch overlapping ``[start, end]``?"""
-        return any(
-            online and covered(cd, subs)
-            for _, subs, online in self.epochs_overlapping(host, start, end)
-        )
+        times = self._times.get(host)
+        if not times:
+            return False
+        return _any_covered(times, self._coverage(host, cd)[0], start, end, len(times))
 
     def stable_through(self, host: str, cd: Name, start: float, end: float) -> bool:
         """One covering subscription held through every epoch of ``[start, end]``.
@@ -149,17 +232,10 @@ class SubscriptionLedger:
         flight or awaiting the next refresh retransmit — soft state
         guarantees nothing until it lands.
         """
-        epochs = self.epochs_overlapping(host, start, end)
-        if not epochs or epochs[0][0] > start:
-            return False  # the window head predates the host's first epoch
-        if not all(online for _, _, online in epochs):
+        times = self._times.get(host)
+        if not times:
             return False
-        _, first_subs, _ = epochs[0]
-        return any(
-            all(sub in subs for _, subs, _ in epochs)
-            for sub in first_subs
-            if sub == cd or sub.is_prefix_of(cd)
-        )
+        return _stable(times, self._coverage(host, cd)[1], start, end)
 
     def uncovered_since(self, host: str, cd: Name) -> Optional[float]:
         """Instant the host last stopped covering ``cd`` (None if covered).
@@ -169,16 +245,16 @@ class SubscriptionLedger:
         ``(host, cd)`` became garbage the soft-state sweep must reap.
         For a host with no covering history, that is its first epoch.
         """
-        epochs = self._epochs.get(host, [])
-        if not epochs:
+        times = self._times.get(host)
+        if not times:
             return None
-        since: Optional[float] = None
-        for t, subs, online in epochs:
-            if online and covered(cd, subs):
-                since = None
-            elif since is None:
-                since = t
-        return since
+        counts = self._coverage(host, cd)[0]
+        n = len(times)
+        if counts[n] > counts[n - 1]:
+            return None
+        # The first prefix holding every covered epoch ends at the last
+        # covered one; the epoch after it opens the trailing run.
+        return times[bisect_left(counts, counts[n])]
 
 
 @dataclass(frozen=True)
@@ -264,15 +340,26 @@ def expected_deliveries(
     deliveries for subscriptions that predate the publish by the
     margin.  The paper's lossless-handover claim is about established
     subscribers, and that is exactly who this selects.
+
+    Only hosts that ever covered a publish's CD online are visited: no
+    other host can be stable through any window.
     """
     out: List[Tuple[int, float, str]] = []
-    hosts = ledger.hosts()
+    # cd -> (host, epoch times, stable run reach) for every coverer:
+    # :meth:`SubscriptionLedger.stable_through` with the lookups hoisted.
+    coverers: Dict[Name, List[Tuple[str, List[float], List[int]]]] = {}
     for sequence, t_pub, cd, publisher in publishes:
         until = min(t_pub + stability_window_ms, horizon_ms)
-        for host in hosts:
+        hosts = coverers.get(cd)
+        if hosts is None:
+            hosts = coverers[cd] = [
+                (host, ledger._times[host], ledger._coverage(host, cd)[1])
+                for host in ledger.hosts_covering(cd)
+            ]
+        for host, times, reach in hosts:
             if host == publisher:
                 continue  # publishers suppress their own echo
-            if ledger.stable_through(host, cd, t_pub - join_margin_ms, until):
+            if _stable(times, reach, t_pub - join_margin_ms, until):
                 out.append((sequence, t_pub, host))
     return out
 
@@ -340,13 +427,13 @@ class _TeeHook:
 
 
 class InvariantMonitor:
-    """Checks protocol invariants live, through the node trace hooks.
+    """Records deliveries through the node trace hooks; judges after the run.
 
-    The monitor watches ``publish`` and ``deliver`` events (the other
-    six hook methods are no-ops kept for protocol compatibility), checks
-    the two online safety invariants at each delivery, and accumulates
-    the raw material — publish records, delivery records — the verdict
-    later turns into liveness numbers.
+    Only ``deliver`` events are read (the other seven hook methods are
+    no-ops kept for protocol compatibility).  Each delivery is appended
+    to packed columns; the duplicate and phantom checks run once over
+    them, in delivery order, the first time :attr:`violations` is read —
+    normally from :meth:`verdict`.
     """
 
     def __init__(
@@ -362,15 +449,26 @@ class InvariantMonitor:
         #: bound the orphan audit uses; past it, a delivery to a
         #: non-covering host is a genuine phantom.
         self.phantom_grace_ms = phantom_grace_ms
-        self.violations: List[Violation] = []
-        #: (trace id, host) -> delivery count; >1 is a duplicate breach.
-        self._delivered_ids: Dict[Tuple[int, str], int] = {}
+        #: Verdict-time audit findings (orphaned ST, ownership, and what
+        #: the caller adds), reported after the safety findings.
+        self.audits: List[Violation] = []
         #: (sequence, host) -> delivery sim time, for sequenced updates.
         self.deliveries: Dict[Tuple[int, str], float] = {}
-        #: sequence -> (publish time, cd, publisher) observed via on_publish.
-        self.publishes: Dict[int, Tuple[float, Name, str]] = {}
-        self.deliveries_seen = 0
-        self.publishes_seen = 0
+        # The delivery record, one row per accepted delivery: trace id,
+        # (host, cd) pair id, created_at, delivery time, and how many
+        # ledger epochs the host had at that instant.
+        self._trace_ids = array("q")
+        self._pair_ids = array("l")
+        self._created = array("d")
+        self._delivered_at = array("d")
+        self._epochs_at = array("l")
+        self._pairs: Dict[Tuple[str, Optional[Name]], int] = {}
+        self._pair_list: List[Tuple[str, Optional[Name]]] = []
+        # Safety-pass state: rows judged so far, (trace id, host) counts,
+        # and the findings in delivery order.
+        self._judged = 0
+        self._counts: Dict[Tuple[int, str], int] = {}
+        self._safety: List[Violation] = []
         self._nodes: List["Node"] = []
         self._previous: List[Optional[object]] = []
         self._installed = False
@@ -407,52 +505,29 @@ class InvariantMonitor:
     # ------------------------------------------------------------------
     # Hook protocol
     # ------------------------------------------------------------------
-    def on_publish(self, node: "Node", packet: "Packet") -> None:
-        """Record a sequenced publication as liveness ground truth."""
-        self.publishes_seen += 1
-        sequence = getattr(packet, "sequence", -1)
-        if sequence >= 0:
-            self.publishes[sequence] = (
-                node.sim.now,
-                getattr(packet, "cd", None),
-                getattr(packet, "publisher", node.name),
-            )
-
     def on_deliver(self, node: "Node", packet: "Packet") -> None:
-        """Check the two online safety invariants at a host delivery."""
+        """Record a host delivery for the post-run safety pass."""
         now = node.sim.now
-        self.deliveries_seen += 1
-        key = (trace_id_of(packet), node.name)
-        count = self._delivered_ids.get(key, 0) + 1
-        self._delivered_ids[key] = count
-        if count > 1:
-            self.violations.append(
-                Violation(
-                    t=now,
-                    kind="duplicate_delivery",
-                    host=node.name,
-                    detail=f"trace {key[0]} delivered {count} times",
-                )
-            )
-        cd = getattr(packet, "cd", None)
-        if cd is not None:
-            created = getattr(packet, "created_at", now)
-            window_start = created - self.phantom_grace_ms
-            if not self.ledger.covered_in_window(node.name, cd, window_start, now):
-                self.violations.append(
-                    Violation(
-                        t=now,
-                        kind="phantom_delivery",
-                        host=node.name,
-                        detail=f"update for {cd} without a covering subscription",
-                    )
-                )
+        host = node.name
+        pair = (host, getattr(packet, "cd", None))
+        pair_id = self._pairs.get(pair)
+        if pair_id is None:
+            pair_id = self._pairs[pair] = len(self._pair_list)
+            self._pair_list.append(pair)
+        self._trace_ids.append(trace_id_of(packet))
+        self._pair_ids.append(pair_id)
+        self._created.append(getattr(packet, "created_at", now))
+        self._delivered_at.append(now)
+        self._epochs_at.append(len(self.ledger._times.get(host, ())))
         sequence = getattr(packet, "sequence", -1)
         if sequence >= 0:
-            self.deliveries.setdefault((sequence, node.name), now)
+            self.deliveries.setdefault((sequence, host), now)
 
-    # The monitor has no use for the path-level events; the no-ops keep
-    # it a drop-in occupant of the shared trace-hook protocol.
+    # The monitor has no use for the other events; the no-ops keep it a
+    # drop-in occupant of the shared trace-hook protocol.
+    def on_publish(self, node, packet) -> None:
+        pass
+
     def on_forward(self, face, packet, delay) -> None:
         pass
 
@@ -470,6 +545,74 @@ class InvariantMonitor:
 
     def on_drop(self, node, packet, reason) -> None:
         pass
+
+    # ------------------------------------------------------------------
+    # Post-run safety pass
+    # ------------------------------------------------------------------
+    @property
+    def violations(self) -> List[Violation]:
+        """Safety findings in delivery order, then :attr:`audits`.
+
+        A fresh list: add findings to :attr:`audits`, not to this.
+        """
+        self._judge_deliveries()
+        return self._safety + self.audits
+
+    def _judge_deliveries(self) -> None:
+        """Check at-most-once and no-phantom over the rows not yet judged.
+
+        Each row is judged as it would have been at its own instant: the
+        phantom check reads only the ledger epochs the host had when the
+        delivery happened, so an epoch noted later at the same sim time
+        cannot excuse it.
+        """
+        start = self._judged
+        if start == len(self._delivered_at):
+            return
+        ledger, grace = self.ledger, self.phantom_grace_ms
+        pairs, counts, found = self._pair_list, self._counts, self._safety
+        # pair id -> (epoch times, covered-epoch counts): the lookups of
+        # :meth:`SubscriptionLedger.covered_in_window`, hoisted.
+        tables: Dict[int, Tuple[List[float], List[int]]] = {}
+        for trace, pair_id, created, now, n_at in zip(
+            self._trace_ids[start:],
+            self._pair_ids[start:],
+            self._created[start:],
+            self._delivered_at[start:],
+            self._epochs_at[start:],
+        ):
+            host, cd = pairs[pair_id]
+            key = (trace, host)
+            count = counts.get(key, 0) + 1
+            counts[key] = count
+            if count > 1:
+                found.append(
+                    Violation(
+                        t=now,
+                        kind="duplicate_delivery",
+                        host=host,
+                        detail=f"trace {trace} delivered {count} times",
+                    )
+                )
+            if cd is None:
+                continue
+            if n_at:
+                table = tables.get(pair_id)
+                if table is None:
+                    table = tables[pair_id] = (
+                        ledger._times[host], ledger._coverage(host, cd)[0]
+                    )
+                if _any_covered(table[0], table[1], created - grace, now, n_at):
+                    continue
+            found.append(
+                Violation(
+                    t=now,
+                    kind="phantom_delivery",
+                    host=host,
+                    detail=f"update for {cd} without a covering subscription",
+                )
+            )
+        self._judged = len(self._delivered_at)
 
     # ------------------------------------------------------------------
     # Verdict-time checks
@@ -499,7 +642,7 @@ class InvariantMonitor:
                 since = max(since, self._installed_at)
                 if now - since > grace_ms:
                     found += 1
-                    self.violations.append(
+                    self.audits.append(
                         Violation(
                             t=now,
                             kind="orphaned_st",
@@ -556,7 +699,7 @@ class InvariantMonitor:
                     or other_prefix.is_prefix_of(prefix)
                 ):
                     found += 1
-                    self.violations.append(
+                    self.audits.append(
                         Violation(
                             t=now,
                             kind="dual_owner",
@@ -586,7 +729,7 @@ class InvariantMonitor:
             cd = Name.coerce(cd)
             if not any(p == cd or p.is_prefix_of(cd) for p in owners_by_prefix):
                 found += 1
-                self.violations.append(
+                self.audits.append(
                     Violation(
                         t=now,
                         kind="coverage_gap",
@@ -615,7 +758,7 @@ class InvariantMonitor:
                     hops += 1
                 if not resolved:
                     found += 1
-                    self.violations.append(
+                    self.audits.append(
                         Violation(
                             t=now,
                             kind="relay_black_hole",
@@ -638,7 +781,7 @@ class InvariantMonitor:
         deliveries: Optional[Dict[Tuple[int, str], float]] = None,
         join_margin_ms: float = 0.0,
     ) -> InvariantVerdict:
-        """Judge the run: safety from the live checks, liveness from here.
+        """Judge the run: the safety pass over the delivery record, then liveness.
 
         ``publishes`` is the ground-truth schedule ``(sequence, time,
         cd, publisher)``; ``deliveries`` defaults to the monitor's own
@@ -677,10 +820,11 @@ class InvariantMonitor:
         recovery_time: Optional[float] = None
         if last_miss is not None:
             recovery_time = max(0.0, last_miss - fault_clear_ms)
+        violations = self.violations
         return InvariantVerdict(
-            safety_ok=not self.violations,
+            safety_ok=not violations,
             liveness_ok=not missed_checked,
-            violations=list(self.violations),
+            violations=violations,
             deliveries_expected=expected_checked,
             deliveries_got=got,
             deliveries_got_checked=expected_checked - len(missed_checked),

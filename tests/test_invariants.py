@@ -1,13 +1,20 @@
 """Unit tests for the runtime invariant monitor and its ledger."""
 
+from bisect import bisect_right
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import GCopssHost, GCopssNetworkBuilder, GCopssRouter, RpTable
 from repro.core.packets import MulticastPacket
 from repro.names import Name
+from repro.obs.tracer import trace_id_of
 from repro.sim.invariants import (
     InvariantMonitor,
     SubscriptionLedger,
+    Violation,
     covered,
     expected_deliveries,
     refresh_budget,
@@ -380,3 +387,315 @@ class TestCheckOwnership:
             [("B", "/1")], relays=[("A", "/1", "B")]
         )
         assert inv.check_ownership(net, 0.0, expected_cover=["/1/x/y"]) == 0
+
+
+# ----------------------------------------------------------------------
+# Brute-force oracle: the ledger reads, ``expected_deliveries`` and the
+# per-delivery safety checks as they were before the ledger was indexed
+# and the monitor judged after the run — a linear scan per query.
+# ----------------------------------------------------------------------
+class BruteForceLedger(SubscriptionLedger):
+    """The ``epochs_overlapping``-based reads, one scan per query."""
+
+    def epochs_overlapping(self, host, start, end):
+        epochs = self._epochs.get(host, [])
+        if not epochs:
+            return []
+        # Epoch i is active on [t_i, t_{i+1}); the last one runs forever.
+        times = [t for t, _, _ in epochs]
+        lo = max(0, bisect_right(times, start) - 1)
+        hi = bisect_right(times, end)
+        return epochs[lo:hi]
+
+    def covered_in_window(self, host, cd, start, end):
+        return any(
+            online and covered(cd, subs)
+            for _, subs, online in self.epochs_overlapping(host, start, end)
+        )
+
+    def stable_through(self, host, cd, start, end):
+        epochs = self.epochs_overlapping(host, start, end)
+        if not epochs or epochs[0][0] > start:
+            return False  # the window head predates the host's first epoch
+        if not all(online for _, _, online in epochs):
+            return False
+        _, first_subs, _ = epochs[0]
+        return any(
+            all(sub in subs for _, subs, _ in epochs)
+            for sub in first_subs
+            if sub == cd or sub.is_prefix_of(cd)
+        )
+
+    def uncovered_since(self, host, cd):
+        epochs = self._epochs.get(host, [])
+        if not epochs:
+            return None
+        since = None
+        for t, subs, online in epochs:
+            if online and covered(cd, subs):
+                since = None
+            elif since is None:
+                since = t
+        return since
+
+
+def brute_expected_deliveries(
+    ledger, publishes, stability_window_ms, horizon_ms, join_margin_ms=0.0
+):
+    out = []
+    hosts = sorted(ledger._epochs)
+    for sequence, t_pub, cd, publisher in publishes:
+        until = min(t_pub + stability_window_ms, horizon_ms)
+        for host in hosts:
+            if host == publisher:
+                continue  # publishers suppress their own echo
+            if ledger.stable_through(host, cd, t_pub - join_margin_ms, until):
+                out.append((sequence, t_pub, host))
+    return out
+
+
+class OnlineChecks:
+    """The duplicate and phantom checks run at each delivery instant."""
+
+    def __init__(self, ledger, phantom_grace_ms):
+        self.ledger = ledger
+        self.phantom_grace_ms = phantom_grace_ms
+        self.violations = []
+        self._delivered_ids = {}
+
+    def on_deliver(self, node, packet):
+        now = node.sim.now
+        key = (trace_id_of(packet), node.name)
+        count = self._delivered_ids.get(key, 0) + 1
+        self._delivered_ids[key] = count
+        if count > 1:
+            self.violations.append(
+                Violation(
+                    t=now,
+                    kind="duplicate_delivery",
+                    host=node.name,
+                    detail=f"trace {key[0]} delivered {count} times",
+                )
+            )
+        cd = getattr(packet, "cd", None)
+        if cd is not None:
+            created = getattr(packet, "created_at", now)
+            window_start = created - self.phantom_grace_ms
+            if not self.ledger.covered_in_window(node.name, cd, window_start, now):
+                self.violations.append(
+                    Violation(
+                        t=now,
+                        kind="phantom_delivery",
+                        host=node.name,
+                        detail=f"update for {cd} without a covering subscription",
+                    )
+                )
+
+
+HOSTS = ["a", "b", "c"]
+#: Subscription names, the root included; CDs add names nobody holds.
+SUB_NAMES = ["/", "/1", "/1/2", "/1/3", "/2", "/2/1"]
+CDS = [Name.parse(text) for text in SUB_NAMES + ["/1/2/3", "/3"]]
+
+#: (host, time step, subscription set, online); step 0 makes same-instant
+#: epochs common, and an offline epoch may still list names.
+notes = st.tuples(
+    st.sampled_from(HOSTS),
+    st.sampled_from([0.0, 0.0, 5.0, 10.0, 50.0]),
+    st.frozensets(st.sampled_from(SUB_NAMES), max_size=3),
+    st.booleans(),
+)
+#: (host, cd, start, end): unknown hosts, windows before any epoch and
+#: ``end < start`` (what the horizon clamp produces) all occur.
+queries = st.tuples(
+    st.sampled_from(HOSTS + ["zz"]),
+    st.sampled_from(CDS),
+    st.integers(-20, 200).map(float),
+    st.integers(-30, 150).map(float),
+)
+
+
+def fill(note_list, *ledgers):
+    """Apply the notes to every ledger; per-host times accumulate from 10."""
+    clock = {}
+    for host, step, subs, online in note_list:
+        clock[host] = clock.get(host, 10.0) + step
+        for ledger in ledgers:
+            ledger.note(host, clock[host], sorted(subs), online=online)
+
+
+class TestIndexedLedgerMatchesBruteForce:
+    @settings(max_examples=200)
+    @given(st.lists(notes, max_size=25), st.lists(queries, min_size=1, max_size=20))
+    def test_reads_equal_the_scan(self, note_list, query_list):
+        indexed, brute = SubscriptionLedger(), BruteForceLedger()
+        fill(note_list, indexed, brute)
+        for host, cd, start, width in query_list:
+            end = start + width
+            assert indexed.epochs_overlapping(host, start, end) == (
+                brute.epochs_overlapping(host, start, end)
+            )
+            assert indexed.covered_in_window(host, cd, start, end) == (
+                brute.covered_in_window(host, cd, start, end)
+            )
+            assert indexed.stable_through(host, cd, start, end) == (
+                brute.stable_through(host, cd, start, end)
+            )
+            assert indexed.uncovered_since(host, cd) == brute.uncovered_since(host, cd)
+
+    @settings(max_examples=200)
+    @given(
+        st.lists(notes, max_size=25),
+        st.lists(
+            st.tuples(
+                st.integers(0, 200).map(float),
+                st.sampled_from(CDS),
+                st.sampled_from(HOSTS + ["p"]),
+            ),
+            max_size=12,
+        ),
+        st.sampled_from([0.0, 10.0, 50.0]),
+        st.integers(0, 250).map(float),
+        st.sampled_from([0.0, 5.0, 30.0]),
+    )
+    def test_expected_deliveries_equal_the_scan(
+        self, note_list, pubs, window, horizon, margin
+    ):
+        indexed, brute = SubscriptionLedger(), BruteForceLedger()
+        fill(note_list, indexed, brute)
+        publishes = [(seq, t, cd, pub) for seq, (t, cd, pub) in enumerate(pubs)]
+        assert expected_deliveries(
+            indexed, publishes, window, horizon, join_margin_ms=margin
+        ) == brute_expected_deliveries(
+            brute, publishes, window, horizon, join_margin_ms=margin
+        )
+
+    @settings(max_examples=200)
+    @given(
+        st.lists(
+            st.one_of(
+                st.tuples(st.just("note"), notes),
+                st.tuples(
+                    st.just("deliver"),
+                    st.tuples(
+                        st.sampled_from(HOSTS + ["zz"]),
+                        st.sampled_from(CDS),
+                        st.sampled_from([0.0, 3.0, 20.0]),
+                        st.integers(-1, 5),
+                    ),
+                ),
+                st.tuples(st.just("judge"), st.none()),
+            ),
+            max_size=40,
+        ),
+        st.sampled_from([0.0, 10.0]),
+    )
+    def test_post_run_safety_pass_equals_the_online_checks(self, ops, grace):
+        indexed, brute = SubscriptionLedger(), BruteForceLedger()
+        monitor = InvariantMonitor(indexed, phantom_grace_ms=grace)
+        online = OnlineChecks(brute, grace)
+        clock = SimpleNamespace(now=10.0)
+        sent = []
+        for op, args in ops:
+            if op == "note":
+                host, step, subs, is_online = args
+                clock.now += step
+                for ledger in (indexed, brute):
+                    ledger.note(host, clock.now, sorted(subs), online=is_online)
+            elif op == "deliver":
+                host, cd, age, again = args
+                node = SimpleNamespace(name=host, sim=clock)
+                if 0 <= again < len(sent):
+                    packet = sent[again]  # the same trace id, delivered again
+                else:
+                    packet = MulticastPacket(
+                        cd=cd, publisher="p", sequence=len(sent),
+                        created_at=clock.now - age,
+                    )
+                    sent.append(packet)
+                monitor.on_deliver(node, packet)
+                online.on_deliver(node, packet)
+            else:
+                monitor.violations  # an early read judges what is recorded so far
+        assert monitor.violations == online.violations
+
+
+class TestDeferredJudgement:
+    def test_epoch_noted_later_at_the_same_instant_does_not_excuse(self):
+        net, router, host = build_pair()
+        ledger = SubscriptionLedger()
+        ledger.note("h1", 0.0, ["/9"])
+        inv = InvariantMonitor(ledger).install(net)
+        net.sim.schedule(500.0, lambda: None)
+        net.sim.run()
+        cd = Name.parse("/1/2")
+        inv.on_deliver(host, MulticastPacket(cd=cd, publisher="p", created_at=500.0))
+        ledger.note("h1", 500.0, ["/1"])
+        # Read in full, the ledger now covers the delivery's window...
+        assert ledger.covered_in_window("h1", cd, 500.0, 500.0)
+        # ...but at the delivery instant h1 held only /9.
+        assert [(v.kind, v.t, v.host) for v in inv.violations] == [
+            ("phantom_delivery", 500.0, "h1")
+        ]
+
+    def test_violation_list_equals_the_online_checks(self):
+        """Duplicate, phantom, divergence and orphaned ST in one run.
+
+        The expected list is what the per-delivery online checks
+        produced for this run: safety findings first, in delivery
+        order, then the caller's and the audits'.
+        """
+        net = Network()
+        router = GCopssRouter(net, "R1")
+        h1 = GCopssHost(net, "h1")
+        h2 = GCopssHost(net, "h2")
+        net.connect(h1, router, 0.5)
+        net.connect(h2, router, 0.5)
+        table = RpTable()
+        table.assign("/1", "R1")
+        table.assign("/9", "R1")
+        GCopssNetworkBuilder(net, table).install()
+        ledger = SubscriptionLedger()
+        ledger.note("h1", 0.0, ["/1"])
+        ledger.note("h2", 0.0, [])
+        inv = InvariantMonitor(ledger).install(net)
+        h1.subscribe(["/1"])
+        net.sim.run()
+        t_pub = net.sim.now
+        first = h2.publish("/1/2", 64, sequence=0)
+        net.sim.run()
+        inv.on_deliver(h1, first)  # a second delivery of the same trace
+        net.sim.schedule(100.0, lambda: None)
+        net.sim.run()
+        stray = MulticastPacket(
+            cd=Name.parse("/9/9"), publisher="h2", sequence=1, created_at=net.sim.now
+        )
+        inv.on_deliver(h1, stray)
+        # h1 stops covering /1 without an Unsubscribe: R1's entry orphans.
+        ledger.note("h1", net.sim.now, [])
+        net.sim.schedule(10_000.0, lambda: None)
+        net.sim.run()
+        got = {(0, "h1"): inv.deliveries[(0, "h1")]}  # the caller missed seq 1
+        inv.audits.append(
+            Violation(
+                t=net.sim.now,
+                kind="monitor_divergence",
+                host="-",
+                detail="monitor-only deliveries: 1, harness-only: 0",
+            )
+        )
+        inv.check_subscription_tables(net, net.sim.now, grace_ms=1_000.0)
+        verdict = inv.verdict(
+            [(0, t_pub, Name.parse("/1/2"), "h2")], 0.0, net.sim.now, 500.0,
+            deliveries=got,
+        )
+        assert [(v.kind, v.t, v.host, v.detail) for v in verdict.violations] == [
+            ("duplicate_delivery", 4.85, "h1", f"trace {first.uid} delivered 2 times"),
+            ("phantom_delivery", 104.85, "h1",
+             "update for /9/9 without a covering subscription"),
+            ("monitor_divergence", 10104.85, "-",
+             "monitor-only deliveries: 1, harness-only: 0"),
+            ("orphaned_st", 10104.85, "R1",
+             "ST entry for /1 toward h1 (count 1) uncovered for 10000ms"),
+        ]
+        assert not verdict.safety_ok
