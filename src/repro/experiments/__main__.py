@@ -210,6 +210,7 @@ def _cmd_chaos(args: argparse.Namespace) -> None:
     body = report.as_dict()
     if args.out:
         Path(args.out).write_text(json.dumps(body, indent=2, sort_keys=True) + "\n")
+    kinds = sorted(body["verdict"]["violation_kinds"].items())
     rows = [
         ("workload", args.scenario or "fig4-trace"),
         ("plan", args.plan),
@@ -219,6 +220,7 @@ def _cmd_chaos(args: argparse.Namespace) -> None:
         ("expected deliveries", body["deliveries_expected"]),
         ("got (same window)", body["deliveries_got_checked"]),
         ("permanent misses", body["permanent_misses"]),
+        ("safety violations", ", ".join(f"{k} {n}" for k, n in kinds) or 0),
         ("injected drops", body["fault_stats"]["dropped"]),
         ("control retransmits", body["node_counters"]["control_retransmits"]),
         ("subscriptions expired", body["node_counters"]["subscriptions_expired"]),
@@ -277,7 +279,6 @@ def _cmd_scenarios(args: argparse.Namespace) -> None:
         seeds=seeds,
         scale=args.scale,
         loss=args.loss,
-        monitor=not args.no_monitor,
         progress=progress,
     )
     if args.out:
@@ -481,7 +482,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", type=str, default="",
                    choices=("", *SCENARIO_NAMES),
                    help="replay a registered scenario script instead of the "
-                        "fig-4 trace (judged by the invariant monitor)")
+                        "fig-4 trace")
 
     p = sub.add_parser(
         "scenarios",
@@ -500,9 +501,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=str, default="",
                    help="write the matrix JSON (the format of "
                         "tests/data/scenario_matrix.json)")
-    p.add_argument("--no-monitor", action="store_true",
-                   help="run without the invariant monitor installed "
-                        "(digests must not change)")
 
     p = sub.add_parser(
         "live",

@@ -21,8 +21,14 @@ Mechanics:
 * every publish goes through :meth:`GCopssHost.publish`, so updates carry
   ``pub_seq`` and receivers count gaps in ``NodeStats`` (loss
   observability) independent of the invariant bookkeeping;
-* after a drain period the harness compares who *should* have received
-  each update (visibility map minus the publisher) with who did.
+* every player's area subscriptions are noted in a
+  :class:`~repro.sim.invariants.SubscriptionLedger` at t = 0, every
+  delivery is recorded by an :class:`~repro.sim.invariants
+  .InvariantMonitor`, and after a drain period
+  :meth:`~repro.sim.invariants.InvariantMonitor.verdict` — the judge the
+  scenario matrix uses too — checks who *should* have received each
+  update (every covering subscriber but the publisher) against who did,
+  plus at-most-once and no-phantom delivery.
 
 Plans whose faults only touch the control plane must deliver **every**
 update (``check_after_ms == 0``): data packets are never dropped, so any
@@ -42,7 +48,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.experiments.calibration import Calibration, DEFAULT_CALIBRATION
-from repro.experiments.common import subscribers_by_leaf_cd
 from repro.experiments.fig4_microbench import microbenchmark_placement
 from repro.experiments.testbed import build_testbed
 from repro.game.map import GameMap
@@ -50,6 +55,7 @@ from repro.names import Name
 from repro.sim.faults import FaultPlan, GilbertElliott, LinkFaults, NodeFaults
 from repro.obs.session import TelemetrySession
 from repro.parallel.digest import json_digest
+from repro.sim.invariants import SubscriptionLedger
 from repro.sim.stats import summarize
 from repro.trace.generator import CounterStrikeTraceGenerator, microbenchmark_spec
 
@@ -197,6 +203,9 @@ class ChaosReport:
     fault_stats: dict
     node_counters: Dict[str, int]
     latency: dict
+    #: The invariant monitor's verdict (``InvariantVerdict.as_dict``);
+    #: outside :meth:`digest`, like the scenario report's.
+    verdict: dict = field(default_factory=dict)
     timeline: dict = field(default_factory=dict)
     #: Telemetry findings (hop chains of missed deliveries, drop reasons)
     #: when the run was recorded; empty otherwise.  Deliberately outside
@@ -235,6 +244,7 @@ class ChaosReport:
             "fault_stats": self.fault_stats,
             "node_counters": self.node_counters,
             "latency": self.latency,
+            "verdict": self.verdict,
             "timeline": self.timeline,
             "trace": self.trace,
             "digest": self.digest(),
@@ -301,8 +311,11 @@ def run_chaos(
     )
     executor = testbed.executor
     refresh = timeline.refresh_interval_ms
-    testbed.enable_recovery(refresh)
-    testbed.subscribe(refresh)
+    recovery = testbed.enable_recovery(refresh)
+    # Ground truth: players never move, so each keeps its t = 0 epoch.
+    ledger = SubscriptionLedger()
+    for player, subs in testbed.subscribe(refresh).items():
+        ledger.note(player, 0.0, subs)
     testbed.converge(until=timeline.subscribe_ms)  # fault-free
 
     # Arm the faults for the workload phase.
@@ -319,9 +332,7 @@ def run_chaos(
     )
     executor.schedule_external("R1", timeline.split_at_ms, balancer.split)
 
-    # Delivery bookkeeping: who should see event i, who did.
-    subscribers = subscribers_by_leaf_cd(game_map, placement)
-    got, latency = testbed.record_deliveries("chaos")
+    inv = testbed.record_deliveries(ledger, recovery)
     testbed.replay(events)
 
     offset = testbed.offset
@@ -331,20 +342,17 @@ def run_chaos(
     executor.run(until=horizon)
 
     check_after = timeline.check_after_ms(plan)
-    expected = 0
-    checked = 0
-    missed: List[Tuple[int, str]] = []
-    for i, event in enumerate(events):
-        if offset + event.time_ms < check_after:
-            continue
-        checked += 1
-        for receiver in subscribers.get(event.cd, ()):  # type: ignore[arg-type]
-            if receiver == event.player:
-                continue
-            expected += 1
-            if (i, receiver) not in got:
-                missed.append((i, receiver))
-    missed.sort()
+    verdict = inv.verdict(
+        [
+            (i, offset + event.time_ms, Name.coerce(event.cd), event.player)
+            for i, event in enumerate(events)
+        ],
+        check_after_ms=check_after,
+        horizon_ms=horizon,
+        # No epoch follows t = 0, so every window sees the same subscribers.
+        stability_window_ms=0.0,
+    )
+    inv.uninstall()
 
     return ChaosReport(
         plan=plan.describe(),
@@ -353,23 +361,24 @@ def run_chaos(
         loss=loss,
         check_after_ms=check_after,
         events_total=len(events),
-        events_checked=checked,
-        deliveries_expected=expected,
-        deliveries_got=len(got),
-        deliveries_got_checked=expected - len(missed),
-        permanent_misses=len(missed),
-        missed_sample=missed,
-        invariant_ok=not missed and bool(splits),
+        events_checked=verdict.events_checked,
+        deliveries_expected=verdict.deliveries_expected,
+        deliveries_got=len(inv.deliveries),
+        deliveries_got_checked=verdict.deliveries_got_checked,
+        permanent_misses=verdict.permanent_misses,
+        missed_sample=verdict.missed_sample,
+        invariant_ok=verdict.ok and bool(splits),
         split=(
             (splits[0][0], [str(p) for p in splits[0][1]]) if splits else None
         ),
         fault_stats=injector.stats.as_dict(),
         node_counters=testbed.recovery_counters(),
-        latency=summarize(latency),
+        latency=summarize(inv.latency("chaos")),
+        verdict=verdict.as_dict(),
         timeline={
             "subscribe_ms": timeline.subscribe_ms,
             "split_at_ms": timeline.split_at_ms,
             "horizon_ms": horizon,
         },
-        trace=testbed.finish_trace(telemetry, missed),
+        trace=testbed.finish_trace(telemetry, verdict.missed_sample),
     )

@@ -4,10 +4,9 @@ A *scenario* is a pure function ``(seed, scale) -> ScenarioScript``: a
 time-ordered tuple of :class:`ScenarioEvent` rows plus the knobs the
 harness needs to judge the run (refresh cadence, extra recovery margin,
 re-Subscribe churn budget).  Scripts are data, not behaviour — the same
-script replays under any :class:`~repro.sim.faults.FaultPlan`, any
-executor backend, and with or without the invariant monitor, which is
-what makes the scenario × chaos matrix meaningful: every cell shares
-the identical workload.
+script replays under any :class:`~repro.sim.faults.FaultPlan` and any
+executor backend, which is what makes the scenario × chaos matrix
+meaningful: every cell shares the identical workload.
 
 Determinism contract: building a script twice from the same
 ``(seed, scale)`` yields byte-identical events and an identical

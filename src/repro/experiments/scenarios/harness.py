@@ -14,20 +14,18 @@ digests and tier-1 replays the whole matrix against them.
 Division of labour with the monitor:
 
 * the harness owns the *ground truth*: it drives every subscription
-  change through the :class:`~repro.sim.invariants.SubscriptionLedger`
-  and records deliveries with its own ``on_update`` recorder;
-* the monitor only *records* during the run (each delivery is one
-  append into its packed columns); after the run, the judgement
-  section adds the harness's own findings (monitor divergence, refresh
-  churn) and the orphaned-ST and ownership audits to
-  ``InvariantMonitor.audits``, and :meth:`~repro.sim.invariants
-  .InvariantMonitor.verdict` runs the duplicate and phantom checks in
-  one pass over the record;
-* liveness is judged by the shared pure
-  :func:`~repro.sim.invariants.expected_deliveries`, always fed the
-  harness's delivery record — so a monitored and an unmonitored run
-  produce the identical digest (``test_cell_smoke_and_monitor_parity``
-  in ``tests/test_scenarios.py``).
+  change through the :class:`~repro.sim.invariants.SubscriptionLedger`;
+* the monitor is the run's one delivery *record* (each delivery is one
+  append into its packed columns, fed from the hosts' ``on_update``
+  lists); the report's delivery count and latency summary are read
+  back from it;
+* after the run, the judgement section adds the record-versus-counters
+  check, the refresh-churn finding and the orphaned-ST and ownership
+  audits to ``InvariantMonitor.audits``, and :meth:`~repro.sim.invariants
+  .InvariantMonitor.verdict` — the one judge, shared with
+  :func:`~repro.experiments.chaos.run_chaos` — runs the duplicate and
+  phantom checks in one pass over the record and liveness through
+  :func:`~repro.sim.invariants.expected_deliveries`.
 """
 
 from __future__ import annotations
@@ -50,12 +48,7 @@ from repro.names import Name
 from repro.ndn.engine import install_routes
 from repro.obs.session import TelemetrySession
 from repro.parallel.digest import json_digest
-from repro.sim.invariants import (
-    InvariantMonitor,
-    SubscriptionLedger,
-    Violation,
-    refresh_budget,
-)
+from repro.sim.invariants import SubscriptionLedger, Violation, refresh_budget
 from repro.sim.stats import summarize
 
 __all__ = [
@@ -196,14 +189,13 @@ def run_scenario(
     calibration: Calibration = DEFAULT_CALIBRATION,
     telemetry: Optional[TelemetrySession] = None,
     executor_factory=None,
-    monitor: bool = True,
 ) -> ScenarioReport:
     """Replay one scenario script under one fault plan and judge it.
 
     Deterministic in ``(scenario, plan, seed, scale, loss, timeline)``
     — and, by construction, in everything else: the report digest is
-    identical with ``monitor`` on or off, with or without ``telemetry``,
-    and across serial and sharded ``executor_factory`` backends.
+    identical with or without ``telemetry``, and across serial and
+    sharded ``executor_factory`` backends.
     """
     script = get_scenario(scenario)(seed, scale)
     if timeline is None:
@@ -249,17 +241,6 @@ def run_scenario(
     plan = build_plan(plan_name, seed, loss, timeline)
     injector = testbed.arm(plan, telemetry)
 
-    # The monitor tees behind the telemetry tracer on the node slots, so
-    # it must install last — after the injector and the tracer.  Phantom
-    # grace = the orphan-audit bound: deliveries riding an ST entry the
-    # sweep hasn't reaped yet are soft-state residue, not leaks.
-    inv = InvariantMonitor(
-        ledger,
-        phantom_grace_ms=recovery.st_ttl_ms + 2 * recovery.sweep_interval_ms,
-    )
-    if monitor:
-        inv.install(network)
-
     # Balancers for every router the script splits; candidates follow
     # the chaos cascade map.
     split_events = [e for e in script.events if e.kind == "split"]
@@ -278,9 +259,7 @@ def run_scenario(
             lambda new_rp, moved: on_split_log.append((new_rp, moved)),
         )
 
-    # Delivery bookkeeping (the harness's own, independent of the
-    # monitor — see the module docstring on why both exist).
-    got, latency = testbed.record_deliveries("scenario")
+    inv = testbed.record_deliveries(ledger, recovery)
 
     split_results: List[Tuple[str, Optional[str]]] = []
     fetch_stats = {"started": 0, "completed": 0}
@@ -416,25 +395,11 @@ def run_scenario(
     fault_clear = clear if clear is not None else 0.0
     check_after = timeline.check_after_ms(plan, script.extra_recovery_margin_ms)
 
-    if monitor and set(inv.deliveries) != set(got):
-        only_monitor = len(set(inv.deliveries) - set(got))
-        only_harness = len(set(got) - set(inv.deliveries))
-        inv.audits.append(
-            Violation(
-                t=executor.now,
-                kind="monitor_divergence",
-                host="-",
-                detail=(
-                    f"monitor-only deliveries: {only_monitor}, "
-                    f"harness-only: {only_harness}"
-                ),
-            )
-        )
-
-    # Orphan audit: one TTL for refreshes to stop landing, plus two
-    # sweep periods of slack for the reaper to run.
+    inv.check_delivery_count(executor.now)
+    # Orphan audit: the phantom grace, one TTL for refreshes to stop
+    # landing plus two sweep periods of slack for the reaper to run.
     inv.check_subscription_tables(
-        network, executor.now, grace_ms=recovery.st_ttl_ms + 2 * recovery.sweep_interval_ms
+        network, executor.now, grace_ms=inv.phantom_grace_ms
     )
 
     # Ownership audit: after every scripted split / merge / migrate (and
@@ -468,11 +433,9 @@ def run_scenario(
         horizon_ms=horizon,
         stability_window_ms=script.stability_window_ms,
         fault_clear_ms=fault_clear,
-        deliveries=got,  # always the harness record: digest parity on/off
         join_margin_ms=timeline.recovery_margin_ms,
     )
-    if monitor:
-        inv.uninstall()
+    inv.uninstall()
 
     # Every scripted handoff (split, merge or migrate) must have resolved
     # (not still mid-retry at the horizon) and succeeded.
@@ -491,7 +454,6 @@ def run_scenario(
             "counts": script.counts(),
             "duration_ms": script.duration_ms,
             "uses_broker": script.uses_broker,
-            "monitored": monitor,
         },
         plan=plan.describe(),
         seed=seed,
@@ -514,7 +476,7 @@ def run_scenario(
         splits=split_results,
         fault_stats=injector.stats.as_dict(),
         node_counters=counters,
-        latency=summarize(latency),
+        latency=summarize(inv.latency("scenario")),
         verdict=verdict.as_dict(),
         slo={
             "check_after_ms": check_after,
@@ -540,7 +502,6 @@ def run_matrix(
     scale: float = 1.0,
     loss: float = 0.05,
     executor_factory=None,
-    monitor: bool = True,
     progress: Optional[Callable[[str, ScenarioReport], None]] = None,
 ) -> dict:
     """Run the scenario × plan × seed matrix; return its JSON body.
@@ -564,7 +525,6 @@ def run_matrix(
                     scale=scale,
                     loss=loss,
                     executor_factory=executor_factory,
-                    monitor=monitor,
                 )
                 key = f"{scenario_name}|{plan_name}|{seed}"
                 cells[key] = {

@@ -30,8 +30,8 @@ from repro.obs.session import TelemetrySession
 from repro.obs.tracer import render_chain
 from repro.sim.engine import SerialExecutor
 from repro.sim.faults import FaultInjector, FaultPlan
+from repro.sim.invariants import InvariantMonitor, SubscriptionLedger
 from repro.sim.network import Network
-from repro.sim.stats import LatencyRecorder
 from repro.topology.benchmark import build_benchmark_topology
 
 __all__ = ["Testbed", "build_testbed"]
@@ -115,20 +115,19 @@ class Testbed:
         self.publish(i, event.player, event.cd, event.size)
 
     def record_deliveries(
-        self, name: str
-    ) -> Tuple[Dict[Tuple[int, str], float], LatencyRecorder]:
-        """``(sequence, receiver)`` → first delivery time, and the latencies."""
-        got: Dict[Tuple[int, str], float] = {}
-        latency = LatencyRecorder(name)
+        self, ledger: SubscriptionLedger, recovery: RecoveryConfig
+    ) -> InvariantMonitor:
+        """Install the run's one delivery record: an invariant monitor.
 
-        def on_update(host: GCopssHost, packet) -> None:
-            if packet.sequence >= 0:
-                got.setdefault((packet.sequence, host.name), host.sim.now)
-                latency.record(host.sim.now - packet.created_at)
-
-        for host in self.all_hosts:
-            host.on_update.append(on_update)
-        return got, latency
+        Its phantom grace is the orphan-audit bound — one TTL for
+        refreshes to stop landing plus two sweep periods for the reaper
+        — so deliveries riding an ST entry the sweep has not reaped yet
+        are soft-state residue, not leaks.
+        """
+        return InvariantMonitor(
+            ledger,
+            phantom_grace_ms=recovery.st_ttl_ms + 2 * recovery.sweep_interval_ms,
+        ).install(self.network)
 
     # ------------------------------------------------------------------
     # Shared by the chaos harness and the scenario matrix

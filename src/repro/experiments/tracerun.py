@@ -119,7 +119,7 @@ def record_run(
 
     ``scenario`` (chaos workload only) swaps the fig-4 trace for a
     registered scenario script — the recording then covers the full
-    scenario × plan cell, invariant monitor included.
+    scenario × plan cell.
     """
     session = TelemetrySession(
         TelemetryConfig(

@@ -1,4 +1,4 @@
-"""Runtime invariant monitor: protocol safety and liveness over trace hooks.
+"""Runtime invariant monitor: protocol safety and liveness from the delivery record.
 
 The chaos harness (PR 3) checked its delivery invariant with bookkeeping
 hand-rolled for one workload, and its "what counts as recovered" window
@@ -39,17 +39,16 @@ lazily built per-``(host, cd)`` index of its epochs:
 * *bounded re-Subscribe churn*: the summed refresh counter stays under a
   declared budget (checked by the caller via :func:`refresh_budget`).
 
-The monitor implements the same hook protocol as
-:class:`~repro.obs.tracer.PacketTracer` but occupies only **node** slots
-(its checks are entirely host/router-local).  When a slot is already
-held — a chaos run recording telemetry — the monitor chains behind the
-incumbent through a :class:`_TeeHook`, and :meth:`uninstall` restores
-the incumbent.  Like the tracer, the monitor never mutates packets,
-nodes or the schedule: a monitored run is bit-identical to an
-unmonitored one, which ``test_cell_smoke_and_monitor_parity`` in
-``tests/test_scenarios.py`` asserts end-to-end.  Uninstalled, the fabric
-pays the usual single ``None`` check per hook site — the monitor is
-nil-cost when disabled.
+The monitor is the run's one delivery record.  :meth:`~InvariantMonitor
+.install` appends :meth:`~InvariantMonitor.on_deliver` to every host's
+``on_update`` list, which each host runs once per accepted delivery,
+after its echo and duplicate filters; the trace-hook slots stay with the
+telemetry tracer.  Harnesses read their delivery set and latencies back
+from the record, and :meth:`~InvariantMonitor.check_delivery_count` holds
+it to the hosts' own ``updates_received`` counters.  The monitor never
+mutates packets, nodes or the schedule, so a run recorded with telemetry
+beside it keeps its digest (``test_cell_smoke_and_monitor_parity`` in
+``tests/test_scenarios.py``).
 """
 
 from __future__ import annotations
@@ -61,6 +60,7 @@ from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Set
 
 from repro.names import Name
 from repro.obs.tracer import trace_id_of
+from repro.sim.stats import LatencyRecorder
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.packets import Packet
@@ -329,9 +329,7 @@ def expected_deliveries(
     is expected to receive an update iff it is online and covering the
     CD through the whole window ``[publish - join_margin, publish +
     stability_window]`` (clamped to the horizon) — the pure function
-    both the monitor verdict and the unmonitored harness path share, so
-    a monitored and an unmonitored run derive the identical expectation
-    set.
+    :meth:`InvariantMonitor.verdict` judges liveness by.
 
     ``join_margin_ms`` is the subscription-propagation allowance: a
     soft-state pub/sub plane guarantees nothing for a join racing a
@@ -380,60 +378,12 @@ def refresh_budget(
     return churn_factor * hosts * rounds
 
 
-class _TeeHook:
-    """Fans one trace-hook slot out to two hooks, incumbent first.
-
-    Only the node-side methods matter to the monitor, but all eight are
-    forwarded so a tee'd tracer keeps its full event stream.
-    """
-
-    __slots__ = ("first", "second")
-
-    def __init__(self, first, second) -> None:
-        self.first = first
-        self.second = second
-
-    def on_forward(self, face, packet, delay) -> None:
-        self.first.on_forward(face, packet, delay)
-        self.second.on_forward(face, packet, delay)
-
-    def on_fault_drop(self, face, packet) -> None:
-        self.first.on_fault_drop(face, packet)
-        self.second.on_fault_drop(face, packet)
-
-    def on_enqueue(self, node, packet) -> None:
-        self.first.on_enqueue(node, packet)
-        self.second.on_enqueue(node, packet)
-
-    def on_service(self, node, packet) -> None:
-        self.first.on_service(node, packet)
-        self.second.on_service(node, packet)
-
-    def on_decap(self, node, packet, serving) -> None:
-        self.first.on_decap(node, packet, serving)
-        self.second.on_decap(node, packet, serving)
-
-    def on_drop(self, node, packet, reason) -> None:
-        self.first.on_drop(node, packet, reason)
-        self.second.on_drop(node, packet, reason)
-
-    def on_publish(self, node, packet) -> None:
-        self.first.on_publish(node, packet)
-        self.second.on_publish(node, packet)
-
-    def on_deliver(self, node, packet) -> None:
-        self.first.on_deliver(node, packet)
-        self.second.on_deliver(node, packet)
-
-
 class InvariantMonitor:
-    """Records deliveries through the node trace hooks; judges after the run.
+    """Records every host delivery from ``on_update``; judges after the run.
 
-    Only ``deliver`` events are read (the other seven hook methods are
-    no-ops kept for protocol compatibility).  Each delivery is appended
-    to packed columns; the duplicate and phantom checks run once over
-    them, in delivery order, the first time :attr:`violations` is read —
-    normally from :meth:`verdict`.
+    Each delivery is appended to packed columns; the duplicate and
+    phantom checks run once over them, in delivery order, the first time
+    :attr:`violations` is read — normally from :meth:`verdict`.
     """
 
     def __init__(
@@ -455,9 +405,10 @@ class InvariantMonitor:
         #: (sequence, host) -> delivery sim time, for sequenced updates.
         self.deliveries: Dict[Tuple[int, str], float] = {}
         # The delivery record, one row per accepted delivery: trace id,
-        # (host, cd) pair id, created_at, delivery time, and how many
-        # ledger epochs the host had at that instant.
+        # update sequence, (host, cd) pair id, created_at, delivery time,
+        # and how many ledger epochs the host had at that instant.
         self._trace_ids = array("q")
+        self._sequences = array("q")
         self._pair_ids = array("l")
         self._created = array("d")
         self._delivered_at = array("d")
@@ -469,41 +420,45 @@ class InvariantMonitor:
         self._judged = 0
         self._counts: Dict[Tuple[int, str], int] = {}
         self._safety: List[Violation] = []
-        self._nodes: List["Node"] = []
-        self._previous: List[Optional[object]] = []
-        self._installed = False
+        # Installation: the hosts and the callback appended to their
+        # ``on_update`` lists, and the record and the hosts' delivery
+        # counters at that instant.
+        self._hosts: List["Node"] = []
+        self._callback = None
+        self._rows_at_install = 0
+        self._received_at_install = 0
         self._installed_at: float = 0.0
 
     # ------------------------------------------------------------------
-    # Installation (node slots only; chains behind an incumbent hook)
+    # Installation (the hosts' ``on_update`` lists)
     # ------------------------------------------------------------------
     def install(self, network: "Network") -> "InvariantMonitor":
-        """Occupy every node's trace slot, tee-chaining behind incumbents."""
-        if self._installed:
+        """Record every delivery the network's hosts accept from now on."""
+        if self._callback is not None:
             return self
-        self._installed = True
+        self._callback = self.on_deliver
         self._installed_at = network.sim.now
-        for node in network.nodes.values():
-            incumbent = node.trace_hook
-            self._nodes.append(node)
-            self._previous.append(incumbent)
-            node.trace_hook = self if incumbent is None else _TeeHook(incumbent, self)
+        self._hosts = [
+            node for node in network.nodes.values() if hasattr(node, "on_update")
+        ]
+        for host in self._hosts:
+            host.on_update.append(self._callback)
+        self._rows_at_install = len(self._delivered_at)
+        self._received_at_install = self._received()
         return self
 
     def uninstall(self) -> None:
-        """Restore every slot to its pre-install occupant."""
-        for node, incumbent in zip(self._nodes, self._previous):
-            node.trace_hook = incumbent
-        self._nodes.clear()
-        self._previous.clear()
-        self._installed = False
+        """Remove the callbacks :meth:`install` appended, and only those."""
+        for host in self._hosts:
+            host.on_update.remove(self._callback)
+        self._hosts = []
+        self._callback = None
 
-    @property
-    def installed(self) -> bool:
-        return self._installed
+    def _received(self) -> int:
+        return sum(host.stats.updates_received for host in self._hosts)
 
     # ------------------------------------------------------------------
-    # Hook protocol
+    # The delivery record
     # ------------------------------------------------------------------
     def on_deliver(self, node: "Node", packet: "Packet") -> None:
         """Record a host delivery for the post-run safety pass."""
@@ -514,37 +469,32 @@ class InvariantMonitor:
         if pair_id is None:
             pair_id = self._pairs[pair] = len(self._pair_list)
             self._pair_list.append(pair)
+        sequence = getattr(packet, "sequence", -1)
         self._trace_ids.append(trace_id_of(packet))
+        self._sequences.append(sequence)
         self._pair_ids.append(pair_id)
         self._created.append(getattr(packet, "created_at", now))
         self._delivered_at.append(now)
         self._epochs_at.append(len(self.ledger._times.get(host, ())))
-        sequence = getattr(packet, "sequence", -1)
         if sequence >= 0:
             self.deliveries.setdefault((sequence, host), now)
 
-    # The monitor has no use for the other events; the no-ops keep it a
-    # drop-in occupant of the shared trace-hook protocol.
     def on_publish(self, node, packet) -> None:
-        pass
+        """No-op (publishes are judged from the caller's schedule).
 
-    def on_forward(self, face, packet, delay) -> None:
-        pass
+        Kept as one of the ``sim.invariants`` span targets in
+        ``bench/spans.py``.
+        """
 
-    def on_fault_drop(self, face, packet) -> None:
-        pass
-
-    def on_enqueue(self, node, packet) -> None:
-        pass
-
-    def on_service(self, node, packet) -> None:
-        pass
-
-    def on_decap(self, node, packet, serving) -> None:
-        pass
-
-    def on_drop(self, node, packet, reason) -> None:
-        pass
+    def latency(self, name: str) -> LatencyRecorder:
+        """``delivered_at - created_at`` of the sequenced rows, in row order."""
+        recorder = LatencyRecorder(name)
+        for sequence, created, now in zip(
+            self._sequences, self._created, self._delivered_at
+        ):
+            if sequence >= 0:
+                recorder.record(now - created)
+        return recorder
 
     # ------------------------------------------------------------------
     # Post-run safety pass
@@ -617,6 +567,28 @@ class InvariantMonitor:
     # ------------------------------------------------------------------
     # Verdict-time checks
     # ------------------------------------------------------------------
+    def check_delivery_count(self, now: float) -> int:
+        """Hold the record to the hosts' own counters since :meth:`install`.
+
+        A host bumps ``stats.updates_received`` once per accepted
+        delivery, so a row recorded without one (or one accepted without
+        a row) is a ``monitor_divergence``.  Returns how many were found
+        (0 or 1).
+        """
+        rows = len(self._delivered_at) - self._rows_at_install
+        received = self._received() - self._received_at_install
+        if rows == received:
+            return 0
+        self.audits.append(
+            Violation(
+                t=now,
+                kind="monitor_divergence",
+                host="-",
+                detail=f"{rows} deliveries recorded, hosts counted {received}",
+            )
+        )
+        return 1
+
     def check_subscription_tables(
         self, network: "Network", now: float, grace_ms: float
     ) -> int:
@@ -778,20 +750,17 @@ class InvariantMonitor:
         horizon_ms: float,
         stability_window_ms: float,
         fault_clear_ms: float = 0.0,
-        deliveries: Optional[Dict[Tuple[int, str], float]] = None,
         join_margin_ms: float = 0.0,
     ) -> InvariantVerdict:
         """Judge the run: the safety pass over the delivery record, then liveness.
 
         ``publishes`` is the ground-truth schedule ``(sequence, time,
-        cd, publisher)``; ``deliveries`` defaults to the monitor's own
-        record (callers running unmonitored pass their own).  Misses are
+        cd, publisher)``, judged against :attr:`deliveries`.  Misses are
         *checked* (counted against the invariant) only for updates
         published at or after ``check_after_ms``; all misses feed the
         recovery-time SLO.
         """
-        if deliveries is None:
-            deliveries = self.deliveries
+        deliveries = self.deliveries
         expected = expected_deliveries(
             self.ledger,
             publishes,

@@ -8,12 +8,19 @@ reproducibility, on a small workload so the whole module stays fast.
 
 import pytest
 
+from repro.core import GCopssHost
+from repro.core.packets import MulticastPacket
 from repro.experiments.chaos import (
     PLAN_NAMES,
     ChaosTimeline,
     build_plan,
     run_chaos,
 )
+from repro.experiments.common import subscribers_by_leaf_cd
+from repro.experiments.fig4_microbench import microbenchmark_placement
+from repro.game.map import GameMap
+from repro.sim.engine import SerialExecutor
+from repro.sim.invariants import SubscriptionLedger, expected_deliveries
 
 SCALE = 0.02  # ~250 events, ~0.5 s per run
 
@@ -83,3 +90,54 @@ def test_report_digest_is_reproducible():
     d = a.as_dict()
     assert d["digest"] == a.digest()
     assert d["invariant_ok"] is True
+
+
+def test_phantom_delivery_fails_the_invariant():
+    """The verdict sees safety: a stray update is not hidden by zero misses."""
+
+    def factory(network):
+        executor = SerialExecutor(network)
+        host = network.nodes[
+            min(n for n, node in network.nodes.items() if isinstance(node, GCopssHost))
+        ]
+        router = host.access_face.peer
+        stray = MulticastPacket(cd="/99/99", publisher="nobody")  # no one holds /99
+        executor.schedule_external(
+            router.name, 1000.0, router.send, router.face_toward(host), stray
+        )
+        return executor
+
+    report = run_chaos("none", seed=1, scale=SCALE, loss=0.0, executor_factory=factory)
+    assert report.permanent_misses == 0
+    assert report.verdict["violation_kinds"] == {"phantom_delivery": 1}
+    assert not report.verdict["safety_ok"]
+    assert not report.invariant_ok
+    assert not report.as_dict()["invariant_ok"]
+
+
+def test_ledger_expectation_equals_the_visibility_map():
+    """Over the t = 0 ledger, ``covered()`` and ``visible_leaf_cds`` agree.
+
+    ``run_chaos`` judges the fig-4 trace by the ledger; the expectation
+    it derives must be every visible subscriber of a leaf CD but the
+    publisher, for every leaf CD and both a subscribed and an unsubscribed
+    publisher.
+    """
+    game_map = GameMap(seed=1)
+    placement = microbenchmark_placement(game_map)
+    ledger = SubscriptionLedger()
+    for player, area in placement.items():
+        ledger.note(player, 0.0, game_map.hierarchy.subscriptions_for(area))
+    subscribers = subscribers_by_leaf_cd(game_map, placement)
+    players = sorted(placement)
+    cds = sorted(subscribers)
+    publishes = [
+        (i, 0.0, cd, players[i % len(players)]) for i, cd in enumerate(cds)
+    ]
+    got = {i: set() for i in range(len(cds))}
+    for sequence, _t, receiver in expected_deliveries(ledger, publishes, 0.0, 0.0):
+        got[sequence].add(receiver)
+    for sequence, _t, cd, publisher in publishes:
+        assert got[sequence] == set(subscribers[cd]) - {publisher}, cd
+    held = [publisher in subscribers[cd] for _s, _t, cd, publisher in publishes]
+    assert any(held) and not all(held)

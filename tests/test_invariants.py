@@ -171,32 +171,24 @@ class TestMonitorSafety:
         graced.on_deliver(host, MulticastPacket(cd=Name.parse("/9/9"), publisher="p"))
         assert graced.violations == []
 
-    def test_tee_chaining_and_uninstall_restore(self):
+    def test_install_leaves_trace_hooks_alone(self):
         net, router, host = build_pair()
+        tracer = object()  # stands in for a telemetry tracer
+        host.trace_hook = tracer
 
-        class Recorder:
-            def __init__(self):
-                self.delivered = 0
+        def other(node, packet):
+            pass
 
-            def on_deliver(self, node, packet):
-                self.delivered += 1
-
-            def __getattr__(self, name):
-                if name.startswith("on_"):
-                    return lambda *a, **k: None
-                raise AttributeError(name)
-
-        incumbent = Recorder()
-        host.trace_hook = incumbent
+        host.on_update.append(other)
         inv = self._monitor(net)
-        assert host.trace_hook is not incumbent  # tee'd
+        assert host.trace_hook is tracer and router.trace_hook is None
         packet = MulticastPacket(cd=Name.parse("/1/2"), publisher="p", sequence=3)
-        host.trace_hook.on_deliver(host, packet)
-        assert incumbent.delivered == 1
+        for callback in host.on_update:
+            callback(host, packet)
         assert (3, "h1") in inv.deliveries
         inv.uninstall()
-        assert host.trace_hook is incumbent
-        assert router.trace_hook is None
+        assert host.on_update == [other]
+        assert host.trace_hook is tracer and router.trace_hook is None
 
     def test_orphaned_st_detection(self):
         net, router, host = build_pair()
@@ -216,6 +208,17 @@ class TestMonitorSafety:
         assert fresh.check_subscription_tables(net, now, grace_ms=1e9) == 0
 
 
+def deliver(inv, deliveries):
+    """Feed ``(sequence, host) -> time`` deliveries through ``on_deliver``."""
+    for (sequence, host), t in deliveries.items():
+        node = SimpleNamespace(name=host, sim=SimpleNamespace(now=t))
+        packet = MulticastPacket(
+            cd=Name.parse("/1/2"), publisher="pub", sequence=sequence,
+            created_at=t - 2.0,
+        )
+        inv.on_deliver(node, packet)
+
+
 class TestVerdict:
     def _setup(self):
         ledger = SubscriptionLedger()
@@ -231,14 +234,13 @@ class TestVerdict:
     def test_liveness_counts_only_checked_window(self):
         inv, publishes = self._setup()
         # h2 misses both updates; only the second is inside the window.
-        deliveries = {(0, "h1"): 1002.0, (1, "h1"): 3002.0}
+        deliver(inv, {(0, "h1"): 1002.0, (1, "h1"): 3002.0})
         verdict = inv.verdict(
             publishes,
             check_after_ms=2000.0,
             horizon_ms=10_000.0,
             stability_window_ms=500.0,
             fault_clear_ms=1500.0,
-            deliveries=deliveries,
         )
         assert not verdict.ok and verdict.safety_ok and not verdict.liveness_ok
         assert verdict.permanent_misses == 1
@@ -252,18 +254,17 @@ class TestVerdict:
 
     def test_clean_run_is_ok(self):
         inv, publishes = self._setup()
-        deliveries = {
+        deliver(inv, {
             (0, "h1"): 1002.0,
             (0, "h2"): 1002.0,
             (1, "h1"): 3002.0,
             (1, "h2"): 3002.0,
-        }
+        })
         verdict = inv.verdict(
             publishes,
             check_after_ms=0.0,
             horizon_ms=10_000.0,
             stability_window_ms=500.0,
-            deliveries=deliveries,
         )
         assert verdict.ok
         assert verdict.permanent_misses == 0
@@ -275,15 +276,10 @@ class TestVerdict:
         ledger.note("h2", 2990.0, ["/1"])
         inv = InvariantMonitor(ledger)
         publishes = [(0, 3000.0, Name.parse("/1/2"), "pub")]
-        deliveries = {(0, "h1"): 3002.0}
-        strict = inv.verdict(
-            publishes, 0.0, 10_000.0, 500.0, deliveries=deliveries
-        )
+        deliver(inv, {(0, "h1"): 3002.0})
+        strict = inv.verdict(publishes, 0.0, 10_000.0, 500.0)
         assert strict.permanent_misses == 1
-        waived = inv.verdict(
-            publishes, 0.0, 10_000.0, 500.0,
-            deliveries=deliveries, join_margin_ms=100.0,
-        )
+        waived = inv.verdict(publishes, 0.0, 10_000.0, 500.0, join_margin_ms=100.0)
         assert waived.permanent_misses == 0
 
 
@@ -641,9 +637,9 @@ class TestDeferredJudgement:
     def test_violation_list_equals_the_online_checks(self):
         """Duplicate, phantom, divergence and orphaned ST in one run.
 
-        The expected list is what the per-delivery online checks
-        produced for this run: safety findings first, in delivery
-        order, then the caller's and the audits'.
+        Safety findings come first, in delivery order (what the
+        per-delivery online checks produced for this run), then the
+        record-versus-counters check and the orphan audit.
         """
         net = Network()
         router = GCopssRouter(net, "R1")
@@ -675,26 +671,18 @@ class TestDeferredJudgement:
         ledger.note("h1", net.sim.now, [])
         net.sim.schedule(10_000.0, lambda: None)
         net.sim.run()
-        got = {(0, "h1"): inv.deliveries[(0, "h1")]}  # the caller missed seq 1
-        inv.audits.append(
-            Violation(
-                t=net.sim.now,
-                kind="monitor_divergence",
-                host="-",
-                detail="monitor-only deliveries: 1, harness-only: 0",
-            )
-        )
+        # Two of the three rows were fed by hand, not accepted by a host.
+        inv.check_delivery_count(net.sim.now)
         inv.check_subscription_tables(net, net.sim.now, grace_ms=1_000.0)
         verdict = inv.verdict(
-            [(0, t_pub, Name.parse("/1/2"), "h2")], 0.0, net.sim.now, 500.0,
-            deliveries=got,
+            [(0, t_pub, Name.parse("/1/2"), "h2")], 0.0, net.sim.now, 500.0
         )
         assert [(v.kind, v.t, v.host, v.detail) for v in verdict.violations] == [
             ("duplicate_delivery", 4.85, "h1", f"trace {first.uid} delivered 2 times"),
             ("phantom_delivery", 104.85, "h1",
              "update for /9/9 without a covering subscription"),
             ("monitor_divergence", 10104.85, "-",
-             "monitor-only deliveries: 1, harness-only: 0"),
+             "3 deliveries recorded, hosts counted 1"),
             ("orphaned_st", 10104.85, "R1",
              "ST entry for /1 toward h1 (count 1) uncovered for 10000ms"),
         ]
