@@ -51,11 +51,11 @@ def build_world(squad_size=1):
         table.assign(group_cd(cd), "R1")
     GCopssNetworkBuilder(net, table).install()
 
-    broker.attach_group_hooks(r1)
-    broker.start()
+    broker.broker_role.attach_group_hooks(r1)
+    broker.broker_role.start()
     # Pre-seed hours of object churn so snapshots are non-trivial.
-    broker.preseed(lambda cd, oid: 60, (29, 87), random.Random(1))
-    for cd in broker.objects:
+    broker.broker_role.preseed(lambda cd, oid: 60, (29, 87), random.Random(1))
+    for cd in broker.broker_role.objects:
         install_routes(net, snapshot_name(cd, 0).parent, broker)
 
     players = [Player(h, game_map, "/1/1") for h in hosts]
@@ -86,9 +86,9 @@ def run_move(mode, squad_size):
     net.sim.run()
     mean_convergence = sum(f.convergence_time for f in done) / len(done)
     served = (
-        broker.snapshot_objects_served
+        broker.broker_role.snapshot_objects_served
         if mode.startswith("QR")
-        else broker.cyclic_objects_sent
+        else broker.broker_role.cyclic_objects_sent
     )
     print(
         f"mean convergence {mean_convergence:,.0f} ms;"

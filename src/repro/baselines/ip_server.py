@@ -80,8 +80,8 @@ class IpRouter(Node):
     """Destination-address forwarding with a FIFO processing queue.
 
     Forwards from its own table (:attr:`routes`, installed by
-    :func:`install_ip_routes`); a destination it has no route to is a
-    counted ``dropped_no_route``.
+    :func:`install_ip_routes`); a destination it has no route to is
+    counted in ``stats.dropped_no_route``.
     """
 
     def __init__(
@@ -95,14 +95,6 @@ class IpRouter(Node):
         self.queue = ServiceQueue(self.sim, name=f"{name}.proc")
         self.dispatcher = PacketDispatcher(stats=self.stats, owner=name)
         self.dispatcher.register(DatagramPacket, self._forward_datagram)
-
-    @property
-    def dropped_no_route(self) -> int:
-        return self.stats.dropped_no_route
-
-    @dropped_no_route.setter
-    def dropped_no_route(self, value: int) -> None:
-        self.stats.dropped_no_route = value
 
     def receive(self, packet: Packet, face: Face) -> None:
         self.stats.packets_received += 1
@@ -163,22 +155,6 @@ class GameServerNode(Node):
         # compute recipients before the queue submission.
         self.dispatcher = PacketDispatcher(stats=self.stats, owner=name)
         self.dispatcher.register(DatagramPacket, self._enqueue_update)
-
-    @property
-    def updates_handled(self) -> int:
-        return self.stats.updates_handled
-
-    @updates_handled.setter
-    def updates_handled(self, value: int) -> None:
-        self.stats.updates_handled = value
-
-    @property
-    def fanout_sent(self) -> int:
-        return self.stats.fanout_sent
-
-    @fanout_sent.setter
-    def fanout_sent(self, value: int) -> None:
-        self.stats.fanout_sent = value
 
     # ------------------------------------------------------------------
     # Visibility management
@@ -243,22 +219,6 @@ class IpClientNode(Node):
         # (counted in stats.unknown_packets, never raised).
         self.dispatcher = PacketDispatcher(stats=self.stats, owner=name, strict=False)
         self.dispatcher.register(DatagramPacket, self._handle_update)
-
-    @property
-    def updates_received(self) -> int:
-        return self.stats.updates_received
-
-    @updates_received.setter
-    def updates_received(self, value: int) -> None:
-        self.stats.updates_received = value
-
-    @property
-    def published(self) -> int:
-        return self.stats.published
-
-    @published.setter
-    def published(self, value: int) -> None:
-        self.stats.published = value
 
     @property
     def access_face(self) -> Face:

@@ -170,7 +170,7 @@ class RpLoadBalancer:
         now = self.router.sim.now
         if now - self._last_split_at < self.cooldown:
             return
-        if not self.router.rp_prefixes:
+        if not self.router.rp_role.prefixes:
             return
         self._last_split_at = now
         self.split()
@@ -193,7 +193,7 @@ class RpLoadBalancer:
             new_rp = self._choose_new_rp()
         if new_rp is None:
             return None
-        self.router.initiate_handoff(moved, new_rp)
+        self.router.control.initiate_handoff(moved, new_rp)
         self.splits_performed += 1
         if self.on_split is not None:
             self.on_split(new_rp, tuple(moved))
@@ -220,10 +220,10 @@ class RpLoadBalancer:
         return new_rp
 
     def _window_loads(self) -> Counter:
-        return Counter(self.router.rp_recent_cds)
+        return Counter(self.router.rp_role.recent_cds)
 
     def _choose_moved_prefixes(self) -> List[Name]:
-        prefixes = sorted(self.router.rp_prefixes)
+        prefixes = sorted(self.router.rp_role.prefixes)
         loads = self._window_loads()
         if len(prefixes) < 2:
             prefixes = self._refine(prefixes, loads)
@@ -249,15 +249,15 @@ class RpLoadBalancer:
         children = self.refiner(target)
         if not children:
             return prefixes
-        self.router.rp_prefixes.discard(target)
-        self.router.rp_prefixes.update(children)
+        self.router.rp_role.prefixes.discard(target)
+        self.router.rp_role.prefixes.update(children)
         # Re-key local routing state; other routers keep the coarse route
         # (longest-prefix match remains correct) until the handoff floods
         # finer entries for the moved children.
-        if self.router.cd_routes.has_prefix(target):
-            self.router.cd_routes.remove_prefix(target)
+        if self.router.control.cd_routes.has_prefix(target):
+            self.router.control.cd_routes.remove_prefix(target)
         for child in children:
-            self.router.cd_routes.add(child, self.router.name)
+            self.router.control.cd_routes.add(child, self.router.name)
         remaining = [p for p in prefixes if p != target]
         return remaining + children
 
@@ -273,7 +273,7 @@ class RpLoadBalancer:
             node = self.router.network.nodes.get(name)
             if not isinstance(node, GCopssRouter) or node is self.router:
                 continue
-            if node.rp_prefixes or node.relinquished:
+            if node.rp_role.prefixes or node.relay_role.relinquished:
                 continue
             key = (node.queue.backlog, name)
             if best_key is None or key < best_key:

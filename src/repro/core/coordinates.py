@@ -207,7 +207,7 @@ def coordinate_rp_selector(
             node = balancer.router.network.nodes.get(name)
             if not isinstance(node, GCopssRouter) or node is balancer.router:
                 continue
-            if node.rp_prefixes or node.relinquished:
+            if node.rp_role.prefixes or node.relay_role.relinquished:
                 continue
             candidates.append(name)
         if not candidates:

@@ -14,6 +14,11 @@ facade over three composable units:
   :class:`repro.core.roles.RelayRole`) — the RP-served prefix set with its
   load window and broker hooks, and the post-handoff relay map.
 
+State is read where it lives: counters on ``node.stats``, routing tables on
+``router.control``, plane data on ``router.forwarding``, role data on
+``router.rp_role`` / ``router.relay_role``.  The facade re-exports only the
+few names the benchmark harness reads.
+
 The demultiplexer ("is a NDN pkt?") is the inherited
 :class:`~repro.sim.network.PacketDispatcher`: the facade *registers* plane
 handlers for the COPSS packet types and takes over ``Interest`` to peel RP
@@ -45,8 +50,7 @@ RP migration (§IV-B) is implemented in three stages (see
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Callable, Deque, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.dedup import BoundedUidSet
 from repro.core.packets import (
@@ -64,8 +68,6 @@ from repro.core.planes import (
     RP_NAMESPACE,
     ControlPlane,
     ForwardingPlane,
-    RecoveryConfig,
-    rp_target_of,
 )
 from repro.core.roles import RelayRole, RpRole
 from repro.core.rp import RpTable
@@ -75,7 +77,7 @@ from repro.ndn.engine import NdnHost, NdnRouter
 from repro.ndn.fib import Fib
 from repro.ndn.packets import Interest
 from repro.packets import Packet
-from repro.sim.network import Face, Network, Node
+from repro.sim.network import Face, Network
 from repro.sim.routing import network_next_hops
 
 __all__ = [
@@ -95,7 +97,7 @@ DEFAULT_COPSS_SERVICE_MS = 0.05
 
 
 def _stats_field(name: str) -> property:
-    """A read/write property aliasing one NodeStats counter."""
+    """A read/write property re-exporting one NodeStats counter (bench reads)."""
 
     def fget(self):
         return getattr(self.stats, name)
@@ -109,10 +111,10 @@ def _stats_field(name: str) -> property:
 class GCopssRouter(NdnRouter):
     """An NDN router extended with the COPSS engine (paper Fig. 2).
 
-    The facade owns construction and wiring; the behavior lives in the
-    planes and roles.  Legacy attribute names (``st``, ``cd_routes``,
-    ``rp_prefixes``, the counters, ...) remain available as aliases so
-    experiment harnesses and tools keep one stable surface.
+    The facade owns construction and wiring; the behavior and its state
+    live in the planes (:attr:`forwarding`, :attr:`control`), the roles
+    (:attr:`rp_role`, :attr:`relay_role`) and :attr:`stats`.  Six names
+    remain on the facade only because ``bench/`` reads them there.
     """
 
     is_copss_router = True
@@ -161,139 +163,39 @@ class GCopssRouter(NdnRouter):
             (packet, face), self.forwarding.service_cost(packet, face), self._serve
         )
 
-    def _service_cost(self, packet: Packet, face: Face) -> float:
-        return self.forwarding.service_cost(packet, face)
-
-    # ------------------------------------------------------------------
-    # RP role helpers / control-plane entry points
-    # ------------------------------------------------------------------
-    def _serving_prefix(self, cd: Name) -> Optional[Name]:
-        return self.rp_role.serving_prefix(cd)
-
-    def _relinquished_to(self, cd: Name) -> Optional[str]:
-        return self.relay_role.relay_target(cd)
-
-    _rp_target_of = staticmethod(rp_target_of)
-
-    def initiate_handoff(self, prefixes: Iterable[Name], new_rp: str) -> CdHandoffPacket:
-        """Old-RP side of a split (stage 1); called by the load balancer."""
-        return self.control.initiate_handoff(prefixes, new_rp)
-
-    def enable_recovery(self, config: Optional[RecoveryConfig] = None) -> RecoveryConfig:
-        """Turn on the loss-recovery machinery (see RecoveryConfig)."""
-        return self.control.enable_recovery(config)
-
-    @property
-    def recovery(self) -> RecoveryConfig:
-        return self.control.recovery
-
     def crash_reset(self) -> None:
         """Crash semantics: lose queue/PIT/CS plus all COPSS soft state."""
         super().crash_reset()
         self.control.crash_reset()
         self.forwarding.crash_reset()
 
-    def _handle_fib_add(self, packet: FibAddPacket, face: Optional[Face]) -> None:
-        self.control.handle_fib_add(packet, face)
-
-    def _handle_fib_remove(self, packet: FibRemovePacket, face: Optional[Face]) -> None:
-        self.control.handle_fib_remove(packet, face)
-
     # ------------------------------------------------------------------
-    # Aliases: plane/role state under the historical attribute names
+    # The names bench/ reads on the facade
     # ------------------------------------------------------------------
     @property
     def st(self) -> SubscriptionTable[Face]:
+        # bench/workloads.py _world_counts and bench/README.md
         return self.forwarding.st
 
     @property
     def cd_routes(self) -> Fib[str]:
+        # bench/workloads.py _world_counts and bench/README.md
         return self.control.cd_routes
 
     @property
-    def rp_route(self) -> Dict[str, Face]:
-        return self.control.rp_route
-
-    @property
     def rp_prefixes(self) -> Set[Name]:
+        # bench/workloads.py _world_counts and bench/README.md
         return self.rp_role.prefixes
-
-    @rp_prefixes.setter
-    def rp_prefixes(self, value: Iterable[Name]) -> None:
-        self.rp_role.prefixes = set(value)
 
     @property
     def relinquished(self) -> Dict[Name, str]:
+        # bench/workloads.py _world_counts and bench/README.md
         return self.relay_role.relinquished
 
-    @relinquished.setter
-    def relinquished(self, value: Dict[Name, str]) -> None:
-        self.relay_role.relinquished = dict(value)
-
-    @property
-    def rp_recent_cds(self) -> Deque[Name]:
-        return self.rp_role.recent_cds
-
-    @rp_recent_cds.setter
-    def rp_recent_cds(self, value: Iterable[Name]) -> None:
-        self.rp_role.recent_cds = deque(value, maxlen=self.rp_role.window_size)
-
-    @property
-    def rp_window_size(self) -> int:
-        return self.rp_role.window_size
-
-    @rp_window_size.setter
-    def rp_window_size(self, value: int) -> None:
-        self.rp_role.window_size = value
-        self.rp_role.recent_cds = deque(self.rp_role.recent_cds, maxlen=value)
-
-    @property
-    def leave_linger_ms(self) -> float:
-        return self.control.leave_linger_ms
-
-    @leave_linger_ms.setter
-    def leave_linger_ms(self, value: float) -> None:
-        self.control.leave_linger_ms = value
-
-    @property
-    def on_decap(self) -> List[Callable[["GCopssRouter", Name], None]]:
-        return self.rp_role.on_decap
-
-    @property
-    def on_subscriber_appeared(self) -> List[Callable[[Name], None]]:
-        return self.rp_role.on_subscriber_appeared
-
-    @property
-    def on_subscriber_vanished(self) -> List[Callable[[Name], None]]:
-        return self.rp_role.on_subscriber_vanished
-
-    @property
-    def _upstream_joined(self) -> Dict[Name, Set[Face]]:
-        return self.control._upstream_joined
-
-    @property
-    def _seen_floods(self) -> BoundedUidSet:
-        return self.control.seen_floods
-
-    @property
-    def _migrations(self) -> Dict[int, object]:
-        return self.control.migrations
-
-    @property
-    def _dedup_horizon(self) -> int:
-        return self.forwarding.replicated.horizon
-
-    @_dedup_horizon.setter
-    def _dedup_horizon(self, value: int) -> None:
-        self.forwarding.replicated.horizon = value
-
-    # Counters (shared NodeStats block, written by the planes).
+    # bench/workloads.py _world_counts
     decapsulations = _stats_field("decapsulations")
+    # bench/workloads.py _world_counts
     multicasts_forwarded = _stats_field("multicasts_forwarded")
-    relays = _stats_field("relays")
-    multicast_dropped_no_rp = _stats_field("multicast_dropped_no_rp")
-    duplicate_multicasts_dropped = _stats_field("duplicate_multicasts_dropped")
-    unsubscribe_misses = _stats_field("unsubscribe_misses")
 
 
 class GCopssHost(NdnHost):
@@ -321,26 +223,8 @@ class GCopssHost(NdnHost):
         self._refresh_interval: Optional[float] = None
         self.dispatcher.register(MulticastPacket, self._handle_update)
 
-    updates_received = _stats_field("updates_received")
-    duplicates_suppressed = _stats_field("duplicates_suppressed")
-    own_updates_echoed = _stats_field("own_updates_echoed")
+    # bench/workloads.py _raw_publisher does ``host.published += 1``
     published = _stats_field("published")
-
-    @property
-    def _dedup_horizon(self) -> int:
-        return self._seen.horizon
-
-    @_dedup_horizon.setter
-    def _dedup_horizon(self, value: int) -> None:
-        self._seen.horizon = value
-
-    @property
-    def access_face(self) -> Face:
-        if len(self.faces) != 1:
-            raise RuntimeError(
-                f"host {self.name} must have exactly one access face, has {len(self.faces)}"
-            )
-        return self.faces[0]
 
     # ------------------------------------------------------------------
     # Pub/sub API
@@ -514,14 +398,15 @@ class GCopssNetworkBuilder:
         rps = self.rp_table.all_rps()
         for router in self.routers():
             router.add_routes(table.get(router.name, {}))
+            control = router.control
             for prefix, rp_name in self.rp_table:
-                if router.cd_routes.has_prefix(prefix):
-                    router.cd_routes.remove_prefix(prefix)
-                router.cd_routes.add(prefix, rp_name)
+                if control.cd_routes.has_prefix(prefix):
+                    control.cd_routes.remove_prefix(prefix)
+                control.cd_routes.add(prefix, rp_name)
             for rp_name in rps:
                 if rp_name != router.name:
-                    router.rp_route[rp_name] = router.routes[rp_name]
+                    control.rp_route[rp_name] = router.routes[rp_name]
         for prefix, rp_name in self.rp_table:
             rp_router = self.network.nodes.get(rp_name)
             if isinstance(rp_router, GCopssRouter):
-                rp_router.rp_prefixes.add(prefix)
+                rp_router.rp_role.prefixes.add(prefix)

@@ -198,7 +198,7 @@ def relay_safe(target: GCopssRouter, prefixes: Iterable[Name], source: str) -> b
     PR-8 replay fix) would treat the genuine handoff as a replay and
     refuse it, leaving the prefix owned by nobody.
     """
-    relinquished = target.relinquished
+    relinquished = target.relay_role.relinquished
     if not relinquished:
         return True
     return all(relinquished.get(p) in (None, source) for p in prefixes)
@@ -271,19 +271,19 @@ def install_federation(
                 present.append(node)
         for router in present:
             for zone, owner in owners.items():
-                if router.cd_routes.has_prefix(zone):
-                    router.cd_routes.remove_prefix(zone)
-                router.cd_routes.add(zone, owner)
+                if router.control.cd_routes.has_prefix(zone):
+                    router.control.cd_routes.remove_prefix(zone)
+                router.control.cd_routes.add(zone, owner)
             for other in region.members:
-                if other != router.name and other not in router.rp_route:
-                    router.rp_route[other] = router.routes[other]
+                if other != router.name and other not in router.control.rp_route:
+                    router.control.rp_route[other] = router.routes[other]
             owned = [z for z, owner in owners.items() if owner == router.name]
-            router.rp_prefixes.update(owned)
+            router.rp_role.prefixes.update(owned)
         # The aggregation point relays; it never serves the family itself.
-        aggregator.rp_prefixes.discard(region.family)
+        aggregator.rp_role.prefixes.discard(region.family)
         for zone, owner in owners.items():
             if owner != aggregator.name:
-                aggregator.relinquished[zone] = owner
+                aggregator.relay_role.relinquished[zone] = owner
         aggregator.control.fib_flood_filter = _region_scope_filter(
             state, region, member_set
         )
@@ -331,8 +331,8 @@ def _relay_refresh_hook(aggregator: GCopssRouter, region: RpRegion, members: Set
         if packet.origin == aggregator.name or packet.origin not in members:
             return
         for prefix in packet.prefixes:
-            if region.covers(prefix) and prefix not in aggregator.rp_prefixes:
-                aggregator.relinquished[prefix] = packet.origin
+            if region.covers(prefix) and prefix not in aggregator.rp_role.prefixes:
+                aggregator.relay_role.relinquished[prefix] = packet.origin
 
     return refresh
 
@@ -478,7 +478,7 @@ class AutoscalerRole(Role):
             (router, backlog, loads)
             for router, backlog, loads in samples
             if backlog >= cfg.split_backlog
-            and len(router.rp_prefixes) >= 2
+            and len(router.rp_role.prefixes) >= 2
             and now - self._last_action.get(router.name, -float("inf"))
             >= cfg.min_split_interval_ms
         ]
@@ -492,7 +492,7 @@ class AutoscalerRole(Role):
 
     def _shed(self, now, router: GCopssRouter, loads: Counter, samples) -> None:
         cfg = self.config
-        prefixes = sorted(router.rp_prefixes)
+        prefixes = sorted(router.rp_role.prefixes)
         total = sum(loads.get(p, 0) for p in prefixes)
         top = max(prefixes, key=lambda p: (loads.get(p, 0), p))
         if total > 0 and loads.get(top, 0) >= cfg.dominant_fraction * total:
@@ -504,7 +504,7 @@ class AutoscalerRole(Role):
         target = self._pick_target(router, moved, samples)
         if target is None:
             return
-        router.initiate_handoff(moved, target)
+        router.control.initiate_handoff(moved, target)
         self._record(now, kind, router.name, target, tuple(moved))
 
     def _maybe_merge(self, now, samples, decap_delta: Dict[str, int]) -> None:
@@ -514,27 +514,27 @@ class AutoscalerRole(Role):
             for router, backlog, _loads in samples
             if backlog <= cfg.merge_backlog
             and decap_delta.get(router.name, 0) == 0
-            and router.rp_prefixes
+            and router.rp_role.prefixes
         ]
         if len(idle) < 2:
             return
         # Fold the smallest idle member into the largest: repeated merges
         # drain members one by one without ping-ponging zones.
-        idle.sort(key=lambda s: (len(s[0].rp_prefixes), s[0].name))
+        idle.sort(key=lambda s: (len(s[0].rp_role.prefixes), s[0].name))
         source = idle[0][0]
         dest = idle[-1][0]
-        if source is dest or len(dest.rp_prefixes) < len(source.rp_prefixes):
+        if source is dest or len(dest.rp_role.prefixes) < len(source.rp_role.prefixes):
             return
         cold = now - cfg.min_split_interval_ms
         if self._last_action.get(source.name, -float("inf")) > cold:
             return
         if self._last_action.get(dest.name, -float("inf")) > cold:
             return
-        moved = sorted(source.rp_prefixes)
+        moved = sorted(source.rp_role.prefixes)
         if not relay_safe(dest, moved, source.name):
             self.skipped_unsafe += 1
             return
-        source.initiate_handoff(moved, dest.name)
+        source.control.initiate_handoff(moved, dest.name)
         self._record(now, "merge", source.name, dest.name, tuple(moved))
 
     def _pick_target(

@@ -138,8 +138,8 @@ class BrokerRole(Role):
 
     def attach_group_hooks(self, access_router: GCopssRouter) -> None:
         """Let the access router (RP for the group CDs) drive cyclic mode."""
-        access_router.on_subscriber_appeared.append(self._group_started)
-        access_router.on_subscriber_vanished.append(self._group_stopped)
+        access_router.rp_role.on_subscriber_appeared.append(self._group_started)
+        access_router.rp_role.on_subscriber_vanished.append(self._group_stopped)
 
     def group_cds(self) -> List[Name]:
         return [group_cd(cd) for cd in self.objects]
@@ -277,18 +277,6 @@ class BrokerRole(Role):
         return active[self._rotation_index]
 
 
-def _broker_field(name: str) -> property:
-    """A read/write property aliasing one attribute of the broker role."""
-
-    def fget(self):
-        return getattr(self.broker_role, name)
-
-    def fset(self, value):
-        setattr(self.broker_role, name, value)
-
-    return property(fget, fset)
-
-
 class SnapshotBroker(GCopssHost):
     """A broker host maintaining snapshots for a set of area leaf CDs.
 
@@ -298,9 +286,8 @@ class SnapshotBroker(GCopssHost):
     into its object states, serves the QR namespace, and runs cyclic
     multicast groups on demand.
 
-    The behavior lives in an attached :class:`BrokerRole`; this subclass
-    packages host + role and aliases the role's state under the historical
-    attribute names.
+    The behavior and its state live in the attached :class:`BrokerRole`,
+    :attr:`broker_role`; this subclass only packages host + role.
     """
 
     def __init__(
@@ -321,36 +308,6 @@ class SnapshotBroker(GCopssHost):
                 snapshot_freshness_ms=snapshot_freshness_ms,
             )
         )
-
-    decay = _broker_field("decay")
-    cyclic_pacing_ms = _broker_field("cyclic_pacing_ms")
-    snapshot_freshness_ms = _broker_field("snapshot_freshness_ms")
-    objects = _broker_field("objects")
-    updates_folded = _broker_field("updates_folded")
-    unknown_updates = _broker_field("unknown_updates")
-    snapshot_objects_served = _broker_field("snapshot_objects_served")
-    cyclic_objects_sent = _broker_field("cyclic_objects_sent")
-    _active_groups = _broker_field("_active_groups")
-
-    def start(self) -> None:
-        """Subscribe to served areas and register the QR namespace."""
-        self.broker_role.start()
-
-    def attach_group_hooks(self, access_router: GCopssRouter) -> None:
-        """Let the access router (RP for the group CDs) drive cyclic mode."""
-        self.broker_role.attach_group_hooks(access_router)
-
-    def group_cds(self) -> List[Name]:
-        return self.broker_role.group_cds()
-
-    def preseed(
-        self,
-        versions_for: Callable[[Name, int], int],
-        size_range: Tuple[int, int],
-        rng,
-    ) -> None:
-        """Fast-forward object states (see :meth:`BrokerRole.preseed`)."""
-        self.broker_role.preseed(versions_for, size_range, rng)
 
 
 class QrSnapshotFetcher:

@@ -68,7 +68,7 @@ class TwoStepPublisher:
             object_id=content_id,
             created_at=self.host.sim.now,
         )
-        self.host.published += 1
+        self.host.stats.published += 1
         self.host.send(self.host.access_face, snippet)
         self.snippets_published += 1
         return content_id

@@ -198,7 +198,7 @@ def _bare_publisher(
             object_id=event.object_id,
             created_at=host.sim.now,
         )
-        host.published += 1
+        host.stats.published += 1
         host.send(host.access_face, packet)
 
     return publish
@@ -255,11 +255,12 @@ def run_gcopss_backbone(
     if use_exact_st:
         for node in network.nodes.values():
             if isinstance(node, GCopssRouter):
-                node.st.match = node.st.match_exact  # type: ignore[method-assign]
+                st = node.forwarding.st
+                st.match = st.match_exact  # type: ignore[method-assign]
     if not use_st_cache:
         for node in network.nodes.values():
             if isinstance(node, GCopssRouter):
-                node.st.cache_enabled = False
+                node.forwarding.st.cache_enabled = False
 
     splits: List[Tuple[str, Tuple[Name, ...]]] = []
     balancers: List[RpLoadBalancer] = []
@@ -303,7 +304,7 @@ def run_gcopss_backbone(
     network.sim.run()
 
     routers = [n for n in network.nodes.values() if isinstance(n, GCopssRouter)]
-    decaps = sum(n.decapsulations for n in routers)
+    decaps = sum(n.stats.decapsulations for n in routers)
     return ScenarioResult(
         label=label or f"G-COPSS {num_rps} RP{'s' if num_rps != 1 else ''}"
         + (" (auto)" if auto_balance else ""),
@@ -317,17 +318,17 @@ def run_gcopss_backbone(
             "splits": splits,
             "network_packets": network.total_packets,
             "false_positive_forwards": sum(
-                n.st.false_positive_forwards for n in routers
+                n.forwarding.st.false_positive_forwards for n in routers
             ),
             "duplicate_multicasts_dropped": sum(
-                n.duplicate_multicasts_dropped for n in routers
+                n.stats.duplicate_multicasts_dropped for n in routers
             ),
-            "updates_received": sum(h.updates_received for h in hosts.values()),
+            "updates_received": sum(h.stats.updates_received for h in hosts.values()),
             "final_rp_count": len(
                 {
                     n.name
                     for n in network.nodes.values()
-                    if isinstance(n, GCopssRouter) and n.rp_prefixes
+                    if isinstance(n, GCopssRouter) and n.rp_role.prefixes
                 }
             ),
             "sim_events": network.sim.events_processed,
@@ -467,7 +468,7 @@ def run_ip_server_backbone(
         updates_published=len(events),
         deliveries=latency.count,
         extras={
-            "fanout_sent": sum(s.fanout_sent for s in servers.values()),
+            "fanout_sent": sum(s.stats.fanout_sent for s in servers.values()),
             "sim_events": network.sim.events_processed,
         },
     )
@@ -647,6 +648,6 @@ def run_ndn_testbed(
         deliveries=latency.count,
         extras={
             "horizon_ms": horizon,
-            "interests_sent": sum(p.interests_sent for p in players.values()),
+            "interests_sent": sum(p.stats.interests_sent for p in players.values()),
         },
     )

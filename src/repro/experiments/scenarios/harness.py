@@ -230,11 +230,11 @@ def run_scenario(
     for player, subs in testbed.subscribe(refresh).items():
         ledger.note(player, 0.0, subs)
     if broker is not None:
-        broker.start()
+        broker.broker_role.start()
         broker.start_refresh(refresh)
-        for cd in broker.objects:
+        for cd in broker.broker_role.objects:
             install_routes(network, snapshot_name(cd, 0).parent, broker)
-        ledger.note("broker", 0.0, broker.objects.keys())
+        ledger.note("broker", 0.0, broker.broker_role.objects.keys())
 
     testbed.converge(until=timeline.subscribe_ms)  # fault-free
 
@@ -334,7 +334,7 @@ def run_scenario(
     ) -> None:
         source = network.nodes[router_name]
         target = network.nodes[target_name]
-        prefixes = sorted(source.rp_prefixes)  # type: ignore[attr-defined]
+        prefixes = sorted(source.rp_role.prefixes)  # type: ignore[attr-defined]
         if kind == "migrate":
             prefixes = prefixes[:1]
         ready = bool(prefixes) and relay_safe(target, prefixes, router_name)
@@ -348,7 +348,7 @@ def run_scenario(
                 return
             split_results.append((router_name, None))
             return
-        source.initiate_handoff(prefixes, target_name)  # type: ignore[attr-defined]
+        source.control.initiate_handoff(prefixes, target_name)  # type: ignore[attr-defined]
         split_results.append((router_name, target_name))
 
     for sequence, event in script.publishes():

@@ -210,16 +210,16 @@ def run_table3(
             raise TypeError(
                 f"broker site {site} must be a GCopssRouter, got {type(router).__name__}"
             )
-        broker.attach_group_hooks(router)
-        broker.start()
-        broker.preseed(
+        broker.broker_role.attach_group_hooks(router)
+        broker.broker_role.start()
+        broker.broker_role.preseed(
             lambda cd, oid: depth_versions[
                 game_map.hierarchy.area_of_leaf(cd).depth
             ],
             calibration.snapshot_update_size_range,
             rng,
         )
-        for cd in broker.objects:
+        for cd in broker.broker_role.objects:
             install_routes(network, snapshot_name(cd, 0).parent, broker)
 
     players: Dict[str, Player] = {}

@@ -149,7 +149,7 @@ class Testbed:
             max_retries=8,
         )
         for router in self.routers:
-            router.enable_recovery(recovery)
+            router.control.enable_recovery(recovery)
         return recovery
 
     def arm(

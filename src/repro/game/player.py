@@ -69,7 +69,7 @@ class Player:
             object_id=object_id,
             created_at=self.host.sim.now,
         )
-        self.host.published += 1
+        self.host.stats.published += 1
         self.host.send(self.host.access_face, packet)
         self.updates_published += 1
         return packet

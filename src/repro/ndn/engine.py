@@ -67,25 +67,6 @@ class NdnRouter(Node):
         self.dispatcher.register(Data, self._handle_data)
 
     # ------------------------------------------------------------------
-    # Counters (backed by the shared stats block)
-    # ------------------------------------------------------------------
-    @property
-    def interests_dropped_no_route(self) -> int:
-        return self.stats.interests_dropped_no_route
-
-    @interests_dropped_no_route.setter
-    def interests_dropped_no_route(self, value: int) -> None:
-        self.stats.interests_dropped_no_route = value
-
-    @property
-    def data_dropped_unsolicited(self) -> int:
-        return self.stats.data_dropped_unsolicited
-
-    @data_dropped_unsolicited.setter
-    def data_dropped_unsolicited(self, value: int) -> None:
-        self.stats.data_dropped_unsolicited = value
-
-    # ------------------------------------------------------------------
     # Packet pipeline
     # ------------------------------------------------------------------
     def receive(self, packet: Packet, face: Face) -> None:
@@ -171,33 +152,6 @@ class NdnHost(Node):
         self.dispatcher = PacketDispatcher(stats=self.stats, owner=name)
         self.dispatcher.register(Data, self._receive_data)
         self.dispatcher.register(Interest, self._receive_interest)
-
-    # ------------------------------------------------------------------
-    # Counters (backed by the shared stats block)
-    # ------------------------------------------------------------------
-    @property
-    def interests_sent(self) -> int:
-        return self.stats.interests_sent
-
-    @interests_sent.setter
-    def interests_sent(self, value: int) -> None:
-        self.stats.interests_sent = value
-
-    @property
-    def data_received(self) -> int:
-        return self.stats.data_received
-
-    @data_received.setter
-    def data_received(self, value: int) -> None:
-        self.stats.data_received = value
-
-    @property
-    def timeouts_fired(self) -> int:
-        return self.stats.timeouts_fired
-
-    @timeouts_fired.setter
-    def timeouts_fired(self, value: int) -> None:
-        self.stats.timeouts_fired = value
 
     @property
     def access_face(self) -> Face:

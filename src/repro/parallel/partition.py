@@ -198,7 +198,7 @@ def partition_by_rp(
     rp_sites = sorted(
         node.name
         for node in network.nodes.values()
-        if getattr(node, "rp_prefixes", None)
+        if node.has_role("rp") and node.rp_role.prefixes
     )
     if not rp_sites:
         raise ValueError(

@@ -42,7 +42,7 @@ Design constraints:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.packets import Packet
@@ -198,8 +198,8 @@ class FaultPlan:
         return {
             "name": self.name,
             "seed": self.seed,
-            "default": None if self.default is None else vars(self.default).copy(),
-            "links": {k: vars(v).copy() for k, v in sorted(self.links.items())},
+            "default": None if self.default is None else asdict(self.default),
+            "links": {k: asdict(v) for k, v in sorted(self.links.items())},
             "nodes": {
                 k: {"crash_at": v.crash_at, "restart_at": v.restart_at}
                 for k, v in sorted(self.nodes.items())

@@ -601,10 +601,10 @@ class InvariantMonitor:
         """
         found = 0
         for node in network.nodes.values():
-            table = getattr(node, "st", None)
-            if table is None or not hasattr(table, "entries"):
+            plane = getattr(node, "forwarding", None)
+            if plane is None:
                 continue
-            for face, cd, count in table.entries():
+            for face, cd, count in plane.st.entries():
                 peer = getattr(face, "peer", None)
                 if peer is None or not hasattr(peer, "subscriptions"):
                     continue  # router-to-router aggregate state
@@ -658,10 +658,9 @@ class InvariantMonitor:
         """
         served: List[Tuple[Name, str]] = []
         for name in sorted(network.nodes):
-            node = network.nodes[name]
-            prefixes = getattr(node, "rp_prefixes", None)
-            if prefixes:
-                for prefix in sorted(prefixes):
+            rp = network.nodes[name].get_role("rp")
+            if rp is not None:
+                for prefix in sorted(rp.prefixes):
                     served.append((prefix, name))
         found = 0
         for i, (prefix, owner) in enumerate(served):
@@ -685,13 +684,15 @@ class InvariantMonitor:
         owners_by_prefix = {prefix: owner for prefix, owner in served}
 
         def serves(node, cd: Name) -> bool:
-            role_prefixes = getattr(node, "rp_prefixes", None) or ()
+            rp = node.get_role("rp")
+            role_prefixes = rp.prefixes if rp is not None else ()
             return any(p == cd or p.is_prefix_of(cd) for p in role_prefixes)
 
         def relay_next(node, cd: Name) -> Optional[str]:
             # Longest-prefix match over the relay map, mirroring how the
             # relay role picks an onward hop for an arriving packet.
-            relinquished = getattr(node, "relinquished", None) or {}
+            relay = node.get_role("relay")
+            relinquished = relay.relinquished if relay is not None else {}
             matches = [p for p in relinquished if p == cd or p.is_prefix_of(cd)]
             if not matches:
                 return None

@@ -303,17 +303,6 @@ class Node:
         network._register(self)
 
     # ------------------------------------------------------------------
-    # Counters (backed by the shared stats block)
-    # ------------------------------------------------------------------
-    @property
-    def packets_received(self) -> int:
-        return self.stats.packets_received
-
-    @packets_received.setter
-    def packets_received(self, value: int) -> None:
-        self.stats.packets_received = value
-
-    # ------------------------------------------------------------------
     # Roles
     # ------------------------------------------------------------------
     def attach_role(self, role: "Role") -> "Role":

@@ -1,6 +1,7 @@
 """Tests for dynamic RP load balancing and the no-loss handover (§IV-B)."""
 
 import random
+from collections import deque
 
 import pytest
 
@@ -47,14 +48,14 @@ class TestManualHandoff:
         install_single_rp(net, hierarchy)
         rp0 = routers[0]
         # Refine / into /1,/2,/3,/0 locally so part of it can move.
-        rp0.rp_prefixes = {Name.parse("/1"), Name.parse("/2"), Name.parse("/3"), Name.parse("/0")}
+        rp0.rp_role.prefixes = {Name.parse("/1"), Name.parse("/2"), Name.parse("/3"), Name.parse("/0")}
         rp0.cd_routes.clear()
         for p in rp0.rp_prefixes:
             rp0.cd_routes.add(p, "R0")
         hosts[3].subscribe(["/2"])
         net.sim.run()
 
-        rp0.initiate_handoff([Name.parse("/2")], "R3")
+        rp0.control.initiate_handoff([Name.parse("/2")], "R3")
         net.sim.run()
         got = []
         hosts[3].on_update.append(lambda h, p: got.append(str(p.cd)))
@@ -70,14 +71,14 @@ class TestManualHandoff:
         net, routers, hosts = build_mesh()
         install_single_rp(net, hierarchy)
         with pytest.raises(ValueError):
-            routers[0].initiate_handoff([Name.parse("/9")], "R3")
+            routers[0].control.initiate_handoff([Name.parse("/9")], "R3")
 
     def test_fib_flood_updates_all_routers(self):
         hierarchy = MapHierarchy([3])
         net, routers, hosts = build_mesh()
         install_single_rp(net, hierarchy)
         rp0 = routers[0]
-        rp0.rp_prefixes = {Name.parse("/1"), Name.parse("/2")}
+        rp0.rp_role.prefixes = {Name.parse("/1"), Name.parse("/2")}
         rp0.cd_routes.clear()
         for p in rp0.rp_prefixes:
             rp0.cd_routes.add(p, "R0")
@@ -87,7 +88,7 @@ class TestManualHandoff:
             r.cd_routes.clear()
             for p in rp0.rp_prefixes:
                 r.cd_routes.add(p, "R0")
-        rp0.initiate_handoff([Name.parse("/2")], "R3")
+        rp0.control.initiate_handoff([Name.parse("/2")], "R3")
         net.sim.run()
         for router in routers:
             assert router.cd_routes.lookup("/2/anything") == {"R3"}
@@ -129,7 +130,7 @@ class TestNoLossProperty:
             )
         # Trigger the handoff mid-stream.
         net.sim.schedule_at(
-            t0 + 60.0, lambda: routers[0].initiate_handoff([Name.parse("/2")], "R3")
+            t0 + 60.0, lambda: routers[0].control.initiate_handoff([Name.parse("/2")], "R3")
         )
         net.sim.run()
 
@@ -160,10 +161,10 @@ class TestNoLossProperty:
                 lambda i=i, cd=cd: publisher.publish(cd, payload_size=20, sequence=i),
             )
         net.sim.schedule_at(
-            t0 + 40.0, lambda: routers[0].initiate_handoff([Name.parse("/2")], "R2")
+            t0 + 40.0, lambda: routers[0].control.initiate_handoff([Name.parse("/2")], "R2")
         )
         net.sim.schedule_at(
-            t0 + 80.0, lambda: routers[0].initiate_handoff([Name.parse("/3")], "R5")
+            t0 + 80.0, lambda: routers[0].control.initiate_handoff([Name.parse("/3")], "R5")
         )
         net.sim.run()
         assert got == set(range(total))
@@ -230,11 +231,12 @@ class TestAutoBalancer:
     def test_traffic_weighted_policy_balances_window(self):
         net, routers, hosts, _ = self.make_loaded_rp()
         rp = routers[0]
-        rp.rp_prefixes = {Name.parse(p) for p in ("/1", "/2", "/3", "/0")}
+        rp.rp_role.prefixes = {Name.parse(p) for p in ("/1", "/2", "/3", "/0")}
         # Fake a skewed window: /1 dominates.
-        rp.rp_recent_cds = [Name.parse("/1")] * 90 + [Name.parse("/2")] * 5 + [
-            Name.parse("/3")
-        ] * 5
+        rp.rp_role.recent_cds = deque(
+            [Name.parse("/1")] * 90 + [Name.parse("/2")] * 5 + [Name.parse("/3")] * 5,
+            maxlen=rp.rp_role.window_size,
+        )
         balancer = RpLoadBalancer(
             rp,
             candidates=["R3"],

@@ -106,7 +106,7 @@ class TestSplitPreservesPrefixFreeness:
     def test_served_sets_stay_prefix_free_and_cover(self, prefixes, seed):
         net, routers = build_pair()
         rp = routers[0]
-        rp.rp_prefixes = set(prefixes)
+        rp.rp_role.prefixes = set(prefixes)
         rp.cd_routes.clear()
         for p in prefixes:
             rp.cd_routes.add(p, "R0")
@@ -132,7 +132,7 @@ class TestSplitPreservesPrefixFreeness:
         # rather than shed its entire identity to the candidate.
         net, routers = build_pair()
         rp = routers[0]
-        rp.rp_prefixes = {Name.parse("/7")}
+        rp.rp_role.prefixes = {Name.parse("/7")}
         balancer = RpLoadBalancer(
             rp,
             candidates=["R1"],
@@ -161,7 +161,7 @@ class TestCooldownSuppressesCascades:
         net, routers = build_pair(num_routers=8)
         rp = routers[0]
         prefixes = [Name.parse(f"/{i}") for i in range(8)]
-        rp.rp_prefixes = set(prefixes)
+        rp.rp_role.prefixes = set(prefixes)
         rp.cd_routes.clear()
         for p in prefixes:
             rp.cd_routes.add(p, "R0")

@@ -39,17 +39,17 @@ class TestIpServer:
         clients[0].publish("/1/1", payload_size=100, sequence=7)
         net.sim.run()
         # Publisher excluded; the other two receive.
-        assert clients[0].updates_received == 0
-        assert clients[1].updates_received == 1
-        assert clients[2].updates_received == 1
-        assert server.fanout_sent == 2
+        assert clients[0].stats.updates_received == 0
+        assert clients[1].stats.updates_received == 1
+        assert clients[2].stats.updates_received == 1
+        assert server.stats.fanout_sent == 2
 
     def test_non_subscribers_not_contacted(self):
         net, server, clients = build_ip_world()
         server.set_subscribers("/1/1", ["client1"])
         clients[0].publish("/1/1", payload_size=10)
         net.sim.run()
-        assert clients[2].updates_received == 0
+        assert clients[2].stats.updates_received == 0
 
     def test_service_time_scales_with_recipients(self):
         net, server, clients = build_ip_world()
@@ -101,7 +101,7 @@ class TestIpServer:
         clients[0].publish("/1", payload_size=1)
         net.sim.run()
         routers = [n for n in net.nodes.values() if isinstance(n, IpRouter)]
-        assert sum(r.dropped_no_route for r in routers) == 1
+        assert sum(r.stats.dropped_no_route for r in routers) == 1
 
     def test_latency_includes_server_queueing(self):
         net, server, clients = build_ip_world()
@@ -220,5 +220,5 @@ class TestNdnGame:
         for watcher in players[1:]:
             watcher.watch("p0")
         net.sim.run(until=50.0)
-        baseline = players[1].interests_sent + players[2].interests_sent
+        baseline = players[1].stats.interests_sent + players[2].stats.interests_sent
         assert baseline >= 2 * 3  # two watchers x window

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.engine import GCopssRouter
+from repro.core.engine import GCopssHost, GCopssRouter
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
 
@@ -70,7 +70,20 @@ def test_counter_attributes_exist():
     for obj, attrs in (
         (Simulator(), ("events_processed", "batch_pops", "batch_members")),
         (network, ("total_bytes", "total_packets")),
-        (router, ("st", "cd_routes", "relinquished", "rp_prefixes", "queue")),
+        (
+            router,
+            (
+                "st", "cd_routes", "relinquished", "rp_prefixes", "queue",
+                "decapsulations", "multicasts_forwarded",
+            ),
+        ),
     ):
         for attr in attrs:
             assert hasattr(obj, attr), (type(obj).__name__, attr)
+    # The counters bench/workloads.py reads on the facade are NodeStats's.
+    router.stats.decapsulations, router.stats.multicasts_forwarded = 2, 5
+    assert (router.decapsulations, router.multicasts_forwarded) == (2, 5)
+    # bench/workloads.py's raw publisher counts with ``host.published += 1``.
+    host = GCopssHost(network, "h")
+    host.published += 1
+    assert host.stats.published == 1

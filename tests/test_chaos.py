@@ -6,6 +6,8 @@ delivery loss through an RP split at 5% control loss — plus seeded
 reproducibility, on a small workload so the whole module stays fast.
 """
 
+import json
+
 import pytest
 
 from repro.core import GCopssHost
@@ -35,6 +37,20 @@ def test_plan_names_cover_all_builders():
     }
     with pytest.raises(ValueError, match="unknown plan"):
         build_plan("bogus", seed=1, loss=0.05, timeline=ChaosTimeline())
+
+
+@pytest.mark.parametrize("name", PLAN_NAMES)
+def test_plan_description_is_json_plain(name):
+    # ``chaos --out`` writes the report, plan block included, with json.dump.
+    described = build_plan(name, 1, 0.05, ChaosTimeline()).describe()
+    assert json.loads(json.dumps(described)) is not None
+    if name == "rp-split-burst":
+        assert described["default"]["burst"] == {
+            "p_good_to_bad": 0.05,
+            "p_bad_to_good": 0.5,
+            "loss_good": 0.0,
+            "loss_bad": 1.0,
+        }
 
 
 def test_rp_split_lossless_without_faults():

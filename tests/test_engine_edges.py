@@ -9,6 +9,7 @@ from repro.core import (
     RpTable,
 )
 from repro.core.packets import MulticastPacket
+from repro.core.planes import rp_target_of
 from repro.names import Name
 from repro.ndn.packets import Interest
 from repro.sim.network import Network
@@ -67,16 +68,16 @@ class TestServiceCost:
 class TestMalformedAndStray:
     def test_rp_target_of_rejects_bad_names(self):
         with pytest.raises(ValueError):
-            GCopssRouter._rp_target_of(Interest(name="/nope"))
+            rp_target_of(Interest(name="/nope"))
         with pytest.raises(ValueError):
-            GCopssRouter._rp_target_of(Interest(name="/rp"))
+            rp_target_of(Interest(name="/rp"))
 
     def test_unroutable_multicast_counted(self):
         net, r1, r2, pub, sub = build_pair()
         # No RP table installed at all: the publish has nowhere to go.
         pub.publish("/1/x", payload_size=10)
         net.sim.run()
-        assert r1.multicast_dropped_no_rp == 1
+        assert r1.stats.multicast_dropped_no_rp == 1
 
     def test_tunnel_toward_unrouted_rp_is_a_counted_drop(self):
         net, r1, r2, pub, sub = build_pair()
@@ -96,7 +97,7 @@ class TestMalformedAndStray:
         mcast = MulticastPacket(cd="/1/x", payload_size=10)
         r1.receive(Interest(name="/rp/ghost", payload=mcast), pub.access_face.peer_face)
         net.sim.run()
-        assert r1.multicast_dropped_no_rp == 1
+        assert r1.stats.multicast_dropped_no_rp == 1
         assert reasons == ["no_route_to_rp"]
 
     def test_unknown_packet_type_raises(self):
@@ -145,15 +146,15 @@ class TestBuilderValidation:
 class TestHostDedupHorizon:
     def test_dedup_window_slides(self):
         net, r1, r2, pub, sub = build_pair()
-        sub._dedup_horizon = 4
+        sub._seen.horizon = 4
         packets = [MulticastPacket(cd="/1", payload_size=1) for _ in range(6)]
         for packet in packets:
             sub.receive(packet, sub.access_face)
-        assert sub.updates_received == 6
+        assert sub.stats.updates_received == 6
         # The oldest uids fell out of the window; replaying the first
         # packet counts as new (bounded memory beats perfect dedup).
         sub.receive(packets[0], sub.access_face)
-        assert sub.updates_received == 7
+        assert sub.stats.updates_received == 7
         # A recent uid is still suppressed.
         sub.receive(packets[-1], sub.access_face)
-        assert sub.duplicates_suppressed == 1
+        assert sub.stats.duplicates_suppressed == 1

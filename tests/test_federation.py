@@ -234,7 +234,7 @@ class TestInstallFederation:
         net, state, _, _ = build_region_world()
         net.sim.run()
         before = state.scoped_floods
-        net.nodes["acc0_0"].initiate_handoff([Name.parse("/region/0/z0")], "acc0_1")
+        net.nodes["acc0_0"].control.initiate_handoff([Name.parse("/region/0/z0")], "acc0_1")
         net.sim.run()
         assert state.scoped_floods > before
         # The flood never escaped: region 1 still holds only the
@@ -246,7 +246,7 @@ class TestInstallFederation:
         net.sim.run()
         core = net.nodes["core0"]
         assert core.relinquished[Name.parse("/region/0/z0")] == "acc0_0"
-        net.nodes["acc0_0"].initiate_handoff([Name.parse("/region/0/z0")], "acc0_1")
+        net.nodes["acc0_0"].control.initiate_handoff([Name.parse("/region/0/z0")], "acc0_1")
         net.sim.run()
         assert core.relinquished[Name.parse("/region/0/z0")] == "acc0_1"
 
@@ -344,7 +344,7 @@ class TestAutoscalerDecisions:
     def test_single_zone_member_is_unsplittable(self):
         net, _, role = autoscaled_world()
         hot = net.nodes["acc0_0"]
-        hot.rp_prefixes = {sorted(hot.rp_prefixes)[0]}
+        hot.rp_role.prefixes = {sorted(hot.rp_role.prefixes)[0]}
         set_backlog(net, "acc0_0", 50)
         role._decide(1000.0)
         assert role.actions == []

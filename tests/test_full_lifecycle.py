@@ -51,17 +51,17 @@ def build_session(chord_ms):
 
     broker = SnapshotBroker(net, "broker", objects_by_cd=game_map.objects_by_cd())
     net.connect(broker, routers[4], 0.5)
-    for cd in broker.objects:
+    for cd in broker.broker_role.objects:
         table.assign(group_cd(cd), "R4")
 
     guardian = OfflineGuardian(net, "guardian")
     net.connect(guardian, routers[5], 0.5)
 
     GCopssNetworkBuilder(net, table).install()
-    broker.attach_group_hooks(routers[4])
-    broker.start()
-    broker.preseed(lambda cd, oid: 10, (29, 87), random.Random(1))
-    for cd in broker.objects:
+    broker.broker_role.attach_group_hooks(routers[4])
+    broker.broker_role.start()
+    broker.broker_role.preseed(lambda cd, oid: 10, (29, 87), random.Random(1))
+    for cd in broker.broker_role.objects:
         install_routes(net, snapshot_name(cd, 0).parent, broker)
     install_routes(net, Name(["offline"]), guardian)
 
@@ -208,7 +208,7 @@ def play_session(session):
     for player in players.values():
         player.leave()
     net.sim.run(until=net.sim.now + 2000)  # let leave lingers expire
-    broker_cds = set(session["broker"].objects)
+    broker_cds = set(session["broker"].broker_role.objects)
     for router in session["routers"]:
         remaining = router.st.all_cds()
         # Only the broker's own area subscriptions may remain.

@@ -82,8 +82,8 @@ class TestPubSub:
         net.reset_counters()
         alice.publish("/a", payload_size=100)
         net.sim.run()
-        assert bob.updates_received == 1
-        assert carol.updates_received == 1
+        assert bob.stats.updates_received == 1
+        assert carol.stats.updates_received == 1
         # Replication happens at R3, not at the RP: the R2-R3 link carried
         # exactly one copy of the multicast.
         link_r2_r3 = next(
@@ -238,8 +238,8 @@ class TestHostBehaviour:
         packet = MulticastPacket(cd=Name.parse("/a"), payload_size=5, publisher="x")
         bob.receive(packet, bob.access_face)
         bob.receive(packet, bob.access_face)
-        assert bob.updates_received == 1
-        assert bob.duplicates_suppressed == 1
+        assert bob.stats.updates_received == 1
+        assert bob.stats.duplicates_suppressed == 1
 
     def test_subscribe_idempotent_on_wire(self):
         net, routers, alice, bob, _ = build_line()

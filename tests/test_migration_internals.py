@@ -35,19 +35,19 @@ class TestHandoffStateMachine:
         net, routers, pub, sub = build_square()
         sub.subscribe(["/2"])
         net.sim.run()
-        routers[0].initiate_handoff([Name.parse("/2")], "R2")
+        routers[0].control.initiate_handoff([Name.parse("/2")], "R2")
         net.sim.run()
         assert routers[0].relinquished == {Name.parse("/2"): "R2"}
         # A publish routed to the old RP by a stale client path is relayed.
         pub.publish("/2/x", payload_size=10)
         net.sim.run()
         assert routers[2].decapsulations == 1
-        assert sub.updates_received == 1
+        assert sub.stats.updates_received == 1
 
     def test_new_rp_announces_and_routes_update(self):
         net, routers, pub, sub = build_square()
         net.sim.run()
-        routers[0].initiate_handoff([Name.parse("/2")], "R2")
+        routers[0].control.initiate_handoff([Name.parse("/2")], "R2")
         net.sim.run()
         for router in routers:
             assert router.cd_routes.lookup("/2/x") == {"R2"}
@@ -58,12 +58,12 @@ class TestHandoffStateMachine:
         net, routers, pub, sub = build_square()
         net.sim.run()
         flood = FibAddPacket(prefixes=(Name.parse("/2"),), origin="R2")
-        before = routers[1].packets_received
-        routers[1]._handle_fib_add(flood, face=None)
-        routers[1]._handle_fib_add(flood, face=None)  # duplicate: ignored
+        before = routers[1].stats.packets_received
+        routers[1].control.handle_fib_add(flood, face=None)
+        routers[1].control.handle_fib_add(flood, face=None)  # duplicate: ignored
         net.sim.run()
         # Each neighbour got exactly one copy from R1.
-        assert flood.uid in routers[1]._seen_floods
+        assert flood.uid in routers[1].control.seen_floods
 
     def test_migration_confirmed_without_messages_when_upstream_unchanged(self):
         net, routers, pub, sub = build_square()
@@ -74,17 +74,17 @@ class TestHandoffStateMachine:
         # the prefix to R3.  R2's upstream face toward R0 and toward R3
         # differ, so it must PEND; but R1 (no subscriptions) must not
         # create any migration at all.
-        routers[0].initiate_handoff([Name.parse("/2")], "R3")
+        routers[0].control.initiate_handoff([Name.parse("/2")], "R3")
         net.sim.run()
-        assert routers[1]._migrations == {} or all(
-            not m.pending_downstream for m in routers[1]._migrations.values()
+        assert routers[1].control.migrations == {} or all(
+            not m.pending_downstream for m in routers[1].control.migrations.values()
         )
 
     def test_handoff_preserves_other_prefix_delivery(self):
         net, routers, pub, sub = build_square()
         sub.subscribe(["/1", "/2"])
         net.sim.run()
-        routers[0].initiate_handoff([Name.parse("/2")], "R2")
+        routers[0].control.initiate_handoff([Name.parse("/2")], "R2")
         net.sim.run()
         got = []
         sub.on_update.append(lambda h, p: got.append(str(p.cd)))
@@ -96,7 +96,7 @@ class TestHandoffStateMachine:
     def test_subscribe_after_migration_joins_new_rp(self):
         net, routers, pub, sub = build_square()
         net.sim.run()
-        routers[0].initiate_handoff([Name.parse("/2")], "R2")
+        routers[0].control.initiate_handoff([Name.parse("/2")], "R2")
         net.sim.run()
         # A brand-new subscriber after the move must anchor at R2.
         sub.subscribe(["/2"])
@@ -107,7 +107,7 @@ class TestHandoffStateMachine:
         net.sim.run()
         assert got == ["/2/z"]
         assert routers[2].decapsulations >= 1
-        assert routers[0].relays >= 0  # publisher edge already re-routed
+        assert routers[0].stats.relays >= 0  # publisher edge already re-routed
 
     def test_replayed_handoff_does_not_resurrect_relinquished_prefix(self):
         # A lossy ack flood makes the old RP retransmit its handoff; the
@@ -116,10 +116,10 @@ class TestHandoffStateMachine:
         # flooding rival routes for the prefix.
         net, routers, pub, sub = build_square()
         net.sim.run()
-        packet = routers[0].initiate_handoff([Name.parse("/2")], "R1")
+        packet = routers[0].control.initiate_handoff([Name.parse("/2")], "R1")
         net.sim.run()
         assert Name.parse("/2") in routers[1].rp_prefixes
-        routers[1].initiate_handoff([Name.parse("/2")], "R2")
+        routers[1].control.initiate_handoff([Name.parse("/2")], "R2")
         net.sim.run()
         assert routers[1].relinquished == {Name.parse("/2"): "R2"}
         # Replay of the first handoff at R1 (old RP never saw the ack).
@@ -135,18 +135,18 @@ class TestHandoffStateMachine:
         net.sim.run()
         pub.publish("/2/x", payload_size=10)
         net.sim.run()
-        assert sub.updates_received == 1
+        assert sub.stats.updates_received == 1
 
     def test_handback_from_successor_readopts(self):
         # The inverse case must still work: the *current* owner handing
         # the prefix back is legitimate and clears the relay entry.
         net, routers, pub, sub = build_square()
         net.sim.run()
-        routers[0].initiate_handoff([Name.parse("/2")], "R1")
+        routers[0].control.initiate_handoff([Name.parse("/2")], "R1")
         net.sim.run()
-        routers[1].initiate_handoff([Name.parse("/2")], "R2")
+        routers[1].control.initiate_handoff([Name.parse("/2")], "R2")
         net.sim.run()
-        routers[2].initiate_handoff([Name.parse("/2")], "R1")
+        routers[2].control.initiate_handoff([Name.parse("/2")], "R1")
         net.sim.run()
         assert Name.parse("/2") in routers[1].rp_prefixes
         assert Name.parse("/2") not in routers[1].relinquished
@@ -161,9 +161,9 @@ class TestHandoffStateMachine:
         net, routers, pub, sub = build_square(("/1/1", "/1/2", "/1/0", "/2", "/0"))
         sub.subscribe(["/1"])
         net.sim.run()
-        routers[0].initiate_handoff([Name.parse("/1/2")], "R3")
+        routers[0].control.initiate_handoff([Name.parse("/1/2")], "R3")
         net.sim.run()
-        routers[0].initiate_handoff([Name.parse("/1/1")], "R2")
+        routers[0].control.initiate_handoff([Name.parse("/1/1")], "R2")
         net.sim.run()
         sub.unsubscribe(["/1"])
         net.sim.run(until=net.sim.now + 1000)  # past the leave linger
@@ -175,7 +175,7 @@ class TestHandoffStateMachine:
         net, routers, pub, sub = build_square()
         sub.subscribe(["/2"])
         net.sim.run()
-        routers[0].initiate_handoff([Name.parse("/2")], "R2")
+        routers[0].control.initiate_handoff([Name.parse("/2")], "R2")
         net.sim.run()
         sub.unsubscribe(["/2"])
         net.sim.run(until=net.sim.now + 1000)  # past the leave linger
@@ -193,7 +193,7 @@ class TestFibRemove:
         net.sim.run()
         # R0 retires /2 with no successor.
         packet = FibRemovePacket(prefixes=(Name.parse("/2"),), origin="R0")
-        routers[0]._handle_fib_remove(packet, face=None)
+        routers[0].control.handle_fib_remove(packet, face=None)
         net.sim.run()
         for router in routers:
             assert router.cd_routes.lookup("/2/x") == set()
@@ -203,7 +203,7 @@ class TestFibRemove:
         pub.publish("/2/x", payload_size=10)
         net.sim.run()
         access = pub.access_face.peer
-        assert access.multicast_dropped_no_rp == 1
+        assert access.stats.multicast_dropped_no_rp == 1
 
     def test_remove_flood_dedup(self):
         from repro.core.packets import FibRemovePacket
@@ -211,10 +211,10 @@ class TestFibRemove:
         net, routers, pub, sub = build_square()
         net.sim.run()
         packet = FibRemovePacket(prefixes=(Name.parse("/2"),), origin="R0")
-        routers[1]._handle_fib_remove(packet, face=None)
-        routers[1]._handle_fib_remove(packet, face=None)  # duplicate ignored
+        routers[1].control.handle_fib_remove(packet, face=None)
+        routers[1].control.handle_fib_remove(packet, face=None)  # duplicate ignored
         net.sim.run()
-        assert packet.uid in routers[1]._seen_floods
+        assert packet.uid in routers[1].control.seen_floods
 
     def test_coarser_route_takes_over_after_removal(self):
         from repro.core.packets import FibAddPacket, FibRemovePacket
@@ -223,11 +223,11 @@ class TestFibRemove:
         net.sim.run()
         # Install a finer route, then withdraw it: LPM falls back.
         add = FibAddPacket(prefixes=(Name.parse("/2/9"),), origin="R2")
-        routers[0]._handle_fib_add(add, face=None)
+        routers[0].control.handle_fib_add(add, face=None)
         net.sim.run()
         assert routers[3].cd_routes.lookup("/2/9/x") == {"R2"}
         remove = FibRemovePacket(prefixes=(Name.parse("/2/9"),), origin="R2")
-        routers[2]._handle_fib_remove(remove, face=None)
+        routers[2].control.handle_fib_remove(remove, face=None)
         net.sim.run()
         assert routers[3].cd_routes.lookup("/2/9/x") == {"R0"}
 
@@ -249,9 +249,9 @@ class TestOwnershipMonitorRegression:
     def test_replayed_handoff_leaves_ownership_clean(self):
         net, routers, pub, sub = build_square()
         net.sim.run()
-        packet = routers[0].initiate_handoff([Name.parse("/2")], "R1")
+        packet = routers[0].control.initiate_handoff([Name.parse("/2")], "R1")
         net.sim.run()
-        routers[1].initiate_handoff([Name.parse("/2")], "R2")
+        routers[1].control.initiate_handoff([Name.parse("/2")], "R2")
         net.sim.run()
         # Replay of the first handoff lands after the onward split.
         routers[1].control.handle_handoff(packet, routers[1].face_toward(routers[0]))
@@ -264,9 +264,9 @@ class TestOwnershipMonitorRegression:
         # R1 *and* R2 — exactly what dual_owner exists to flag.
         net, routers, pub, sub = build_square()
         net.sim.run()
-        routers[0].initiate_handoff([Name.parse("/2")], "R1")
+        routers[0].control.initiate_handoff([Name.parse("/2")], "R1")
         net.sim.run()
-        routers[1].initiate_handoff([Name.parse("/2")], "R2")
+        routers[1].control.initiate_handoff([Name.parse("/2")], "R2")
         net.sim.run()
         routers[1].rp_prefixes.add(Name.parse("/2"))  # simulate the bug
         inv = self._monitor()
@@ -284,7 +284,7 @@ class TestOwnershipMonitorRegression:
         net.sim.run()
         zone = Name.parse("/region/0/z0")
         old, new = net.nodes["acc0_0"], net.nodes["acc0_1"]
-        packet = old.initiate_handoff([zone], "acc0_1")
+        packet = old.control.initiate_handoff([zone], "acc0_1")
         net.sim.run()
         assert zone in new.rp_prefixes
         # Members form a star through the aggregation point, so the

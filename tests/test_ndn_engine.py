@@ -35,10 +35,10 @@ class TestQueryResponse:
         install_routes(net, "/game", producer)
         consumer.express_interest("/game/x", lambda d: None)
         net.sim.run()
-        first_producer_hits = producer.packets_received
+        first_producer_hits = producer.stats.packets_received
         consumer.express_interest("/game/x", lambda d: None)
         net.sim.run()
-        assert producer.packets_received == first_producer_hits  # cache hit upstream
+        assert producer.stats.packets_received == first_producer_hits  # cache hit upstream
         assert routers[0].cs.hits >= 1
 
     def test_no_route_drops_interest(self):
@@ -47,7 +47,7 @@ class TestQueryResponse:
         consumer.express_interest("/nowhere", got.append, on_timeout=lambda n: got.append("timeout"))
         net.sim.run()
         assert got == ["timeout"]
-        assert routers[0].interests_dropped_no_route == 1
+        assert routers[0].stats.interests_dropped_no_route == 1
 
     def test_producer_silence_yields_timeout(self):
         net, routers, consumer, producer = build_line()
@@ -59,7 +59,7 @@ class TestQueryResponse:
         )
         net.sim.run()
         assert events == ["timeout"]
-        assert consumer.timeouts_fired == 1
+        assert consumer.stats.timeouts_fired == 1
 
     def test_data_after_timeout_is_ignored_by_consumer(self):
         net, routers, consumer, producer = build_line()
@@ -102,7 +102,7 @@ class TestAggregation:
         net, routers, consumer, producer = build_line()
         producer.send(producer.access_face, Data(name="/spam", payload_size=5))
         net.sim.run()
-        assert routers[-1].data_dropped_unsolicited == 1
+        assert routers[-1].stats.data_dropped_unsolicited == 1
 
 
 class TestProcessingModel:

@@ -101,10 +101,10 @@ class TestConsumerSide:
         net, producer, consumer = build(accumulation=10.0, lifetime=10_000.0)
         consumer.watch("prod")
         net.sim.run(until=net.sim.now + 5.0)
-        base = consumer.interests_sent
+        base = consumer.stats.interests_sent
         assert base == 3  # the pipeline window
         for _ in range(5):
             producer.local_update(10)
             net.sim.run(until=net.sim.now + 50.0)
         # One new interest per consumed version (window slides).
-        assert consumer.interests_sent == base + 5
+        assert consumer.stats.interests_sent == base + 5

@@ -16,6 +16,7 @@ must be invisible on the wire:
 """
 
 import asyncio
+from operator import attrgetter
 
 import pytest
 
@@ -174,9 +175,9 @@ def test_runner_builds_only_its_slice(keep_ids, spec, node):
                 held.receive(tunnel_packet(), None)
     # The slice routes exactly like the simulator's full world.
     full = build_world(spec).network.nodes[node]
-    for table in ("routes", "rp_route"):
-        assert {dst: f.peer.name for dst, f in getattr(nodes[node], table).items()} == {
-            dst: f.peer.name for dst, f in getattr(full, table).items()
+    for table in (attrgetter("routes"), attrgetter("control.rp_route")):
+        assert {dst: f.peer.name for dst, f in table(nodes[node]).items()} == {
+            dst: f.peer.name for dst, f in table(full).items()
         }
 
 

@@ -67,7 +67,7 @@ class TestSpecGeometry:
             router = world.network.nodes[name]
             for dst, next_hop in table.items():
                 assert router.routes[dst].peer.name == next_hop
-            for rp_name, face in router.rp_route.items():
+            for rp_name, face in router.control.rp_route.items():
                 assert face is router.routes[rp_name]
 
 
@@ -133,13 +133,13 @@ def test_slice_is_identical_to_full_replica_restriction(spec, shards):
             assert [
                 (f.face_id, f.peer.name, f.link.delay) for f in mine.faces.values()
             ] == [(f.face_id, f.peer.name, f.link.delay) for f in theirs.faces.values()]
-            if hasattr(theirs, "rp_route"):
+            if hasattr(theirs, "control"):
                 assert {
                     dst: face.peer.name for dst, face in mine.routes.items()
                 } == {dst: face.peer.name for dst, face in theirs.routes.items()}
                 assert {
-                    rp: face.peer.name for rp, face in mine.rp_route.items()
-                } == {rp: face.peer.name for rp, face in theirs.rp_route.items()}
+                    rp: face.peer.name for rp, face in mine.control.rp_route.items()
+                } == {rp: face.peer.name for rp, face in theirs.control.rp_route.items()}
                 assert mine.rp_prefixes == theirs.rp_prefixes
         for stub in boundary_far:
             node = world.network.nodes[stub]

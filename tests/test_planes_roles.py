@@ -82,19 +82,21 @@ class TestPlaneSplit:
         assert rp.stats.decapsulations == 1
         # RP state lives in the role, aliased by the facade.
         assert rp.rp_prefixes == rp.rp_role.prefixes
-        assert list(rp.rp_recent_cds) == [Name.parse("/")]
+        assert list(rp.rp_role.recent_cds) == [Name.parse("/")]
 
     def test_control_plane_owns_routing_state(self):
         net, routers, alice, bob = build_line()
         r1 = routers["R1"]
         assert r1.cd_routes is r1.control.cd_routes
-        assert r1.rp_route is r1.control.rp_route
-        assert r1._seen_floods is r1.control.seen_floods
+        # The facade holds no second name for control-plane state.
+        assert not hasattr(r1, "rp_route")
+        assert not hasattr(r1, "_seen_floods")
 
     def test_dedup_horizon_alias_reaches_the_forwarding_plane(self):
         net = Network()
         router = GCopssRouter(net, "R1")
-        router._dedup_horizon = 7
+        assert not hasattr(router, "_dedup_horizon")
+        router.forwarding.replicated.horizon = 7
         assert router.forwarding.replicated.horizon == 7
 
     def test_unknown_packet_hits_fallthrough_counter(self):

@@ -103,8 +103,8 @@ def build_snapshot_world():
     table = RpTable()
     table.assign("/1", "R2")
     GCopssNetworkBuilder(net, table).install()
-    broker.start()
-    for cd in broker.objects:
+    broker.broker_role.start()
+    for cd in broker.broker_role.objects:
         install_routes(net, snapshot_name(cd, 0).parent, broker)
     net.sim.run()
     return net, broker, player

@@ -36,7 +36,7 @@ def build_line(recovery=None, host_refresh_ms=None):
     GCopssNetworkBuilder(net, table).install()
     if recovery is not None:
         for r in routers:
-            r.enable_recovery(recovery)
+            r.control.enable_recovery(recovery)
     if host_refresh_ms is not None:
         sub.start_refresh(host_refresh_ms)
     return net, routers, pub, sub
@@ -54,7 +54,7 @@ class TestRecoveryConfig:
 
     def test_enable_recovery_defaults_to_full(self):
         net, routers, *_ = build_line()
-        cfg = routers[0].enable_recovery()
+        cfg = routers[0].control.enable_recovery()
         assert cfg.soft_state and cfg.refresh and cfg.retransmit
 
 
@@ -74,7 +74,7 @@ class TestSoftStateExpiry:
         assert routers[2].stats.subscriptions_expired >= 1
         pub.publish("/2/x", payload_size=10)
         net.sim.run(until=300.0)
-        assert sub.updates_received == 0
+        assert sub.stats.updates_received == 0
 
     def test_host_keepalive_prevents_expiry(self):
         cfg = RecoveryConfig.full(st_ttl_ms=50.0, sweep_interval_ms=10.0,
@@ -86,7 +86,7 @@ class TestSoftStateExpiry:
             assert r.st.has_any_subscriber(Name.parse("/2"))
         pub.publish("/2/x", payload_size=10)
         net.sim.run(until=500.0)
-        assert sub.updates_received == 1
+        assert sub.stats.updates_received == 1
         assert sub.stats.subscription_refreshes > 10
 
     def test_stop_refresh(self):
@@ -105,7 +105,7 @@ class TestSoftStateExpiry:
         net.sim.run()
         pub.publish("/2/x", payload_size=10)
         net.sim.run()
-        assert sub.updates_received == 1
+        assert sub.stats.updates_received == 1
         assert routers[0].stats.subscription_refreshes == 0
         assert routers[0].stats.subscriptions_expired == 0
 
@@ -129,7 +129,7 @@ class TestLossRecovery:
         assert routers[2].st.has_any_subscriber(Name.parse("/2"))
         pub.publish("/2/x", payload_size=10)
         net.sim.run(until=300.0)
-        assert sub.updates_received == 1
+        assert sub.stats.updates_received == 1
 
     def test_crashed_router_recovers_through_refresh(self):
         cfg = RecoveryConfig.full(
@@ -150,7 +150,7 @@ class TestLossRecovery:
         assert routers[2].st.has_any_subscriber(Name.parse("/2"))
         pub.publish("/2/x", payload_size=10)
         net.sim.run(until=400.0)
-        assert sub.updates_received == 1
+        assert sub.stats.updates_received == 1
 
     def test_handoff_retransmitted_through_lossy_control_plane(self):
         cfg = RecoveryConfig.full(retry_interval_ms=20.0, refresh_interval_ms=50.0,
@@ -169,14 +169,14 @@ class TestLossRecovery:
         start = net.sim.now
         # Windows are absolute; shift them onto the current clock.
         net.sim.run(until=start + 1.0)
-        routers[0].initiate_handoff([Name.parse("/2")], "R2")
+        routers[0].control.initiate_handoff([Name.parse("/2")], "R2")
         net.sim.run(until=start + 400.0)
         assert routers[2].rp_prefixes == {Name.parse("/2")}
         assert routers[0].relinquished == {Name.parse("/2"): "R2"}
         assert routers[0].stats.control_retransmits >= 1
         pub.publish("/2/x", payload_size=10)
         net.sim.run(until=start + 500.0)
-        assert sub.updates_received == 1
+        assert sub.stats.updates_received == 1
 
     def test_handoff_rolls_back_when_new_rp_unreachable(self):
         cfg = RecoveryConfig.full(retry_interval_ms=10.0, retry_backoff=1.0,
@@ -189,7 +189,7 @@ class TestLossRecovery:
             net,
             FaultPlan(links={"R1<->R2": LinkFaults(down=((0.0, 1e9),))}),
         ).install()
-        routers[0].initiate_handoff([Name.parse("/2")], "R2")
+        routers[0].control.initiate_handoff([Name.parse("/2")], "R2")
         net.sim.run(until=net.sim.now + 2000.0)
         # Retries exhausted: the old RP took the prefix back.
         assert Name.parse("/2") in routers[0].rp_prefixes
@@ -220,7 +220,7 @@ class TestSequenceObservability:
         net.sim.run()
         assert sub.stats.seq_gaps == 1
         assert sub.stats.seq_missing == 1
-        assert sub.updates_received == 3
+        assert sub.stats.updates_received == 3
 
     def test_raw_multicasts_without_seq_are_ignored(self):
         from repro.core.packets import MulticastPacket
@@ -232,5 +232,5 @@ class TestSequenceObservability:
                                  publisher="pub")
         pub.send(pub.access_face, packet)
         net.sim.run()
-        assert sub.updates_received == 1
+        assert sub.stats.updates_received == 1
         assert sub.stats.seq_gaps == 0

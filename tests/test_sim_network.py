@@ -15,7 +15,7 @@ class Sink(Node):
         self.inbox = []
 
     def receive(self, packet, face):
-        self.packets_received += 1
+        self.stats.packets_received += 1
         self.inbox.append((self.sim.now, packet, face))
 
 

@@ -46,9 +46,9 @@ def build_world():
     table.assign(group_cd(AREA_A), "R1")
     table.assign(group_cd(AREA_B), "R1")
     GCopssNetworkBuilder(net, table).install()
-    broker.attach_group_hooks(r1)
-    broker.start()
-    for cd in broker.objects:
+    broker.broker_role.attach_group_hooks(r1)
+    broker.broker_role.start()
+    for cd in broker.broker_role.objects:
         install_routes(net, snapshot_name(cd, 0).parent, broker)
     net.sim.run()
     return net, broker, player, publisher
@@ -60,20 +60,20 @@ class TestBrokerState:
         publisher.publish(AREA_A, payload_size=100, sequence=1)
         net.sim.run()
         # The broker subscribed to its areas and folded the update.
-        assert broker.updates_folded == 0  # object_id was -1: unknown
+        assert broker.broker_role.updates_folded == 0  # object_id was -1: unknown
         packet = MulticastPacket(
             cd=AREA_A, payload_size=100, publisher="publisher", object_id=1
         )
         publisher.send(publisher.access_face, packet)
         net.sim.run()
-        assert broker.updates_folded == 1
-        state = broker.objects[AREA_A][1]
+        assert broker.broker_role.updates_folded == 1
+        state = broker.broker_role.objects[AREA_A][1]
         assert state.version == 1
         assert state.size == pytest.approx(100.0)
 
     def test_decay_model(self):
         net, broker, player, publisher = build_world()
-        state = broker.objects[AREA_A][0]
+        state = broker.broker_role.objects[AREA_A][0]
         state.apply_update(100, decay=0.95)
         state.apply_update(100, decay=0.95)
         assert state.size == pytest.approx(0.95 * 100 + 100)
@@ -81,8 +81,8 @@ class TestBrokerState:
 
     def test_preseed_reaches_paper_size_band(self):
         net, broker, player, publisher = build_world()
-        broker.preseed(lambda cd, oid: 100, (29, 87), random.Random(1))
-        sizes = [s.size for area in broker.objects.values() for s in area.values()]
+        broker.broker_role.preseed(lambda cd, oid: 100, (29, 87), random.Random(1))
+        sizes = [s.size for area in broker.broker_role.objects.values() for s in area.values()]
         # Steady state of u/(1 - 0.95) for u in [29, 87]: 580..1740.
         assert all(350 <= size <= 1800 for size in sizes)
 
@@ -93,7 +93,7 @@ class TestBrokerState:
         )
         publisher.send(publisher.access_face, packet)
         net.sim.run()
-        assert broker.unknown_updates == 1
+        assert broker.broker_role.unknown_updates == 1
 
     def test_bad_decay_rejected(self):
         net = Network()
@@ -104,7 +104,7 @@ class TestBrokerState:
 class TestQrRetrieval:
     def test_fetch_all_objects(self):
         net, broker, player, publisher = build_world()
-        broker.preseed(lambda cd, oid: 3, (29, 87), random.Random(2))
+        broker.broker_role.preseed(lambda cd, oid: 3, (29, 87), random.Random(2))
         done = []
         QrSnapshotFetcher(
             player,
@@ -134,7 +134,7 @@ class TestQrRetrieval:
         results = {}
         for window in (1, 3):
             net, broker, player, publisher = build_world()
-            broker.preseed(lambda cd, oid: 3, (29, 87), random.Random(2))
+            broker.broker_role.preseed(lambda cd, oid: 3, (29, 87), random.Random(2))
             done = []
             QrSnapshotFetcher(
                 player, {AREA_A: [0, 1, 2], AREA_B: [3, 4]}, window=window,
@@ -164,7 +164,7 @@ class TestQrRetrieval:
 class TestCyclicRetrieval:
     def test_receive_all_objects_then_unsubscribe(self):
         net, broker, player, publisher = build_world()
-        broker.preseed(lambda cd, oid: 3, (29, 87), random.Random(2))
+        broker.broker_role.preseed(lambda cd, oid: 3, (29, 87), random.Random(2))
         done = []
         CyclicSnapshotReceiver(
             player, {AREA_A: [0, 1, 2], AREA_B: [3, 4]}, on_complete=done.append
@@ -177,13 +177,13 @@ class TestCyclicRetrieval:
 
     def test_groups_stop_after_last_receiver(self):
         net, broker, player, publisher = build_world()
-        broker.preseed(lambda cd, oid: 3, (29, 87), random.Random(2))
+        broker.broker_role.preseed(lambda cd, oid: 3, (29, 87), random.Random(2))
         CyclicSnapshotReceiver(player, {AREA_A: [0, 1, 2]})
         net.sim.run()
-        assert broker._active_groups == {}
-        sent_after = broker.cyclic_objects_sent
+        assert broker.broker_role._active_groups == {}
+        sent_after = broker.broker_role.cyclic_objects_sent
         net.sim.run(until=net.sim.now + 100)
-        assert broker.cyclic_objects_sent == sent_after
+        assert broker.broker_role.cyclic_objects_sent == sent_after
 
     def test_empty_needed_completes_immediately(self):
         net, broker, player, publisher = build_world()
@@ -193,7 +193,7 @@ class TestCyclicRetrieval:
 
     def test_concurrent_receivers_share_the_cycle(self):
         net, broker, player, publisher = build_world()
-        broker.preseed(lambda cd, oid: 3, (29, 87), random.Random(2))
+        broker.broker_role.preseed(lambda cd, oid: 3, (29, 87), random.Random(2))
         done = []
         CyclicSnapshotReceiver(player, {AREA_A: [0, 1, 2]}, on_complete=done.append)
         CyclicSnapshotReceiver(publisher, {AREA_A: [0, 1, 2]}, on_complete=done.append)
@@ -201,7 +201,7 @@ class TestCyclicRetrieval:
         assert len(done) == 2
         # The shared multicast served both without doubling broker sends:
         # both needed one full cycle (3 objects) plus stop lag.
-        assert broker.cyclic_objects_sent <= 10
+        assert broker.broker_role.cyclic_objects_sent <= 10
 
 
 class TestNaming:
