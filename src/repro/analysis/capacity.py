@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.analysis.queueing import md1_mean_sojourn, utilization
 from repro.core.hierarchy import MapHierarchy
 from repro.core.rp import RpTable
-from repro.experiments.calibration import Calibration, DEFAULT_CALIBRATION
+from repro.experiments.calibration import DEFAULT_CALIBRATION
 from repro.experiments.common import default_rp_assignment
 from repro.names import Name
 from repro.trace.model import UpdateEvent
@@ -71,7 +71,6 @@ def peak_arrival_rate(
 def rp_utilizations(
     events: Sequence[UpdateEvent],
     assignment: RpTable,
-    calibration: Calibration = DEFAULT_CALIBRATION,
 ) -> Dict[str, float]:
     """Peak utilization of every RP under the given prefix assignment.
 
@@ -85,7 +84,7 @@ def rp_utilizations(
         shares[rp] = shares.get(rp, 0) + 1
     total = len(events)
     return {
-        rp: utilization(rate * count / total, calibration.rp_service_ms)
+        rp: utilization(rate * count / total, DEFAULT_CALIBRATION.rp_service_ms)
         for rp, count in sorted(shares.items())
     }
 
@@ -93,7 +92,6 @@ def rp_utilizations(
 def minimum_stable_rps(
     events: Sequence[UpdateEvent],
     hierarchy: MapHierarchy,
-    calibration: Calibration = DEFAULT_CALIBRATION,
     headroom: float = 0.85,
     max_rps: int = 16,
 ) -> Optional[Dict[str, object]]:
@@ -110,17 +108,17 @@ def minimum_stable_rps(
     for count in range(1, max_rps + 1):
         names = [f"rp{i}" for i in range(count)]
         assignment = default_rp_assignment(hierarchy, names)
-        rhos = rp_utilizations(events, assignment, calibration)
+        rhos = rp_utilizations(events, assignment)
         worst = max(rhos.values())
         if worst < headroom:
             # The worst RP's arrival rate follows from its utilization:
             # lambda = rho / s.
-            worst_arrival = worst / calibration.rp_service_ms
+            worst_arrival = worst / DEFAULT_CALIBRATION.rp_service_ms
             return {
                 "rp_count": count,
                 "worst_utilization": worst,
                 "predicted_worst_sojourn_ms": md1_mean_sojourn(
-                    worst_arrival, calibration.rp_service_ms
+                    worst_arrival, DEFAULT_CALIBRATION.rp_service_ms
                 ),
                 "utilizations": rhos,
             }
@@ -128,7 +126,6 @@ def minimum_stable_rps(
 
 
 def server_population_ceiling(
-    calibration: Calibration = DEFAULT_CALIBRATION,
     num_servers: int = 3,
     aggregate_interarrival_ms: float = 2.4,
     subscribed_fraction: float = 0.4,
@@ -148,8 +145,8 @@ def server_population_ceiling(
     n = 1
     while n < 10_000_000:
         service = (
-            calibration.server_base_ms
-            + calibration.server_per_recipient_ms * subscribed_fraction * n
+            DEFAULT_CALIBRATION.server_base_ms
+            + DEFAULT_CALIBRATION.server_per_recipient_ms * subscribed_fraction * n
         )
         if utilization(rate, service) >= 1.0:
             break

@@ -162,12 +162,6 @@ class GameServerNode(Node):
     def set_subscribers(self, cd: "Name | str", players: Iterable[str]) -> None:
         self._subscribers[Name.coerce(cd)] = set(players)
 
-    def add_subscriber(self, cd: "Name | str", player: str) -> None:
-        self._subscribers.setdefault(Name.coerce(cd), set()).add(player)
-
-    def remove_subscriber(self, cd: "Name | str", player: str) -> None:
-        self._subscribers.get(Name.coerce(cd), set()).discard(player)
-
     def recipients_for(self, cd: Name, exclude: str) -> List[str]:
         names = self._subscribers.get(cd, set())
         return sorted(n for n in names if n != exclude)

@@ -109,9 +109,7 @@ class RpLoadBalancer:
     cooldown:
         Minimum simulated ms between consecutive splits of this RP, so a
         burst does not trigger cascading splits before the first handoff
-        takes effect.  ``min_split_interval_ms`` is the canonical alias
-        (the name the federation autoscaler and its config use); passing
-        it overrides ``cooldown``.
+        takes effect.
     spawn_on_split:
         When True (default) the new RP automatically gets its own balancer
         with the same parameters, so coverage follows the CD set.
@@ -131,7 +129,6 @@ class RpLoadBalancer:
         rp_selector: Optional[
             Callable[["RpLoadBalancer", Sequence[Name]], Optional[str]]
         ] = None,
-        min_split_interval_ms: Optional[float] = None,
     ) -> None:
         if queue_threshold < 1:
             raise ValueError("queue_threshold must be >= 1")
@@ -140,7 +137,7 @@ class RpLoadBalancer:
         self.queue_threshold = queue_threshold
         self.policy = policy
         self.refiner = refiner
-        self.cooldown = cooldown if min_split_interval_ms is None else min_split_interval_ms
+        self.cooldown = cooldown
         self.rng = rng if rng is not None else random.Random(0)
         self.spawn_on_split = spawn_on_split
         self.on_split = on_split
@@ -151,15 +148,6 @@ class RpLoadBalancer:
         self.spawned: List["RpLoadBalancer"] = []
         self._last_split_at = -float("inf")
         router.queue.on_enqueue.append(self._check)
-
-    @property
-    def min_split_interval_ms(self) -> float:
-        """Canonical name for the split cooldown (see ``cooldown``)."""
-        return self.cooldown
-
-    @min_split_interval_ms.setter
-    def min_split_interval_ms(self, value: float) -> None:
-        self.cooldown = value
 
     # ------------------------------------------------------------------
     # Trigger

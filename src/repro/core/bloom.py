@@ -160,10 +160,6 @@ class BloomFilter:
     def fill_ratio(self) -> float:
         return self._mask.bit_count() / self.num_bits
 
-    def estimated_fp_rate(self) -> float:
-        """Current false-positive probability given the fill ratio."""
-        return self.fill_ratio ** self.num_hashes
-
     @property
     def size_bytes(self) -> int:
         """Wire/occupancy footprint of the bit array."""
@@ -256,10 +252,6 @@ class CountingBloomFilter:
     def bit_view(self) -> int:
         """The nonzero-counter positions as one int bitmask."""
         return self._bitview
-
-    def count_at(self, index: int) -> int:
-        """The raw 16-bit counter value at one bit position."""
-        return self._counts[index]
 
     def matches_any_prefix(self, cd: "Name | str") -> bool:
         """Hierarchical test: the CD or any prefix of it is in the filter."""

@@ -65,6 +65,7 @@ from repro.core.packets import (
     UnsubscribePacket,
 )
 from repro.core.planes import (
+    DEDUP_HORIZON,
     RP_NAMESPACE,
     ControlPlane,
     ForwardingPlane,
@@ -209,11 +210,11 @@ class GCopssHost(NdnHost):
     uid through a bounded dedup window.
     """
 
-    def __init__(self, network: Network, name: str, dedup_horizon: int = 65536) -> None:
+    def __init__(self, network: Network, name: str) -> None:
         super().__init__(network, name)
         self.subscriptions: Set[Name] = set()
         self.on_update: List[Callable[["GCopssHost", MulticastPacket], None]] = []
-        self._seen = BoundedUidSet(dedup_horizon)
+        self._seen = BoundedUidSet(DEDUP_HORIZON)
         # Loss observability: per-CD publish counters stamp pub_seq onto
         # outgoing updates; per-(publisher, cd) high-water marks detect
         # gaps on the receive side.  Zero-cost for workloads that build
@@ -288,9 +289,9 @@ class GCopssHost(NdnHost):
         """Periodically re-send the full subscription set.
 
         The keep-alive that makes the host's subscriptions soft state:
-        edge routers running with ``RecoveryConfig.soft_state`` expire ST
-        entries that stop being refreshed, and a restarted RP re-learns
-        the tree from these refreshes.  The tick re-schedules itself until
+        edge routers with recovery enabled expire ST entries that stop
+        being refreshed, and a restarted RP re-learns the tree from these
+        refreshes.  The tick re-schedules itself until
         :meth:`stop_refresh`; bound such runs with ``sim.run(until=...)``.
         """
         if interval_ms <= 0:

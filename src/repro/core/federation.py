@@ -344,8 +344,8 @@ class AutoscalerConfig:
     ``sample_interval_ms`` is the telemetry cadence; ``split_backlog`` /
     ``merge_backlog`` are the hot / idle member queue-depth thresholds;
     ``min_split_interval_ms`` is the per-member action cooldown (the same
-    contract as the flat balancer's knob of the same name — it is what
-    suppresses split cascades); ``dominant_fraction`` picks a placement
+    contract as the flat balancer's ``cooldown`` — it is what suppresses
+    split cascades); ``dominant_fraction`` picks a placement
     migration over a half-split when one zone carries that share of the
     member's window load; ``max_actions`` is a safety valve.
     """

@@ -109,10 +109,6 @@ class MapHierarchy:
         fanout = self.branching[area.depth]
         return [area / str(i + 1) for i in range(fanout)]
 
-    def is_bottom(self, area: "Name | str") -> bool:
-        """True for areas at the deepest layer (the paper's "zones")."""
-        return self._require_area(area).depth == self.max_depth
-
     # ------------------------------------------------------------------
     # Leaf CDs
     # ------------------------------------------------------------------

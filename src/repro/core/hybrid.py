@@ -109,10 +109,6 @@ class HybridMapper:
     # ------------------------------------------------------------------
     # Edge state
     # ------------------------------------------------------------------
-    def edge_role(self, edge: Hashable) -> "HybridEdgeRole | None":
-        """The role carrying ``edge``'s state, or None if it has none."""
-        return self._edges.get(edge)
-
     def _ensure_edge(self, edge: Hashable) -> HybridEdgeRole:
         role = self._edges.get(edge)
         if role is None:

@@ -66,6 +66,9 @@ RP_NAMESPACE = "rp"
 #: Replication/flood dedup window (uids remembered per structure).
 DEDUP_HORIZON = 65536
 
+#: Growth factor of the handshake retry interval, per retry.
+RETRY_BACKOFF = 2.0
+
 
 def rp_target_of(interest: Interest) -> str:
     """The RP name an ``/rp/<RP>`` tunnel Interest is addressed to."""
@@ -82,52 +85,41 @@ def _intersects(cd: Name, prefixes: Iterable[Name]) -> bool:
 
 @dataclass
 class RecoveryConfig:
-    """Opt-in loss-recovery behaviour for one router's control plane.
+    """Timing of the loss-recovery stack of one router's control plane.
 
-    Everything defaults to **off**: with a default config the router is
-    bit-identical to the pre-fault-plane protocol (no timers scheduled, no
-    extra state written), which is what the perf gates measure.  Enabling
-    pieces turns the hard-state protocol into the soft-state one the COPSS
-    lineage assumes:
+    Recovery is off until :meth:`ControlPlane.enable_recovery` installs a
+    config: a router that never enables it is bit-identical to the
+    pre-fault-plane protocol (no timers scheduled, no extra state
+    written), which is what the perf gates measure.  Enabling it turns
+    the hard-state protocol into the soft-state one the COPSS lineage
+    assumes, all three pieces at once:
 
-    * ``soft_state`` — ST entries expire ``st_ttl_ms`` after their last
-      (re-)Subscribe; a periodic sweep removes stale entries and propagates
-      upstream Unsubscribes, cleaning up after lost Leaves, dead hosts and
-      link flaps.  The TTL must comfortably exceed the refresh interval
-      (the chaos harness uses 12x) or ordinary refresh loss shows up as
-      churn.
-    * ``refresh`` — a periodic tick re-Subscribes every upstream-joined CD
-      (hop-by-hop keep-alive for the whole tree) and, on RPs, re-floods a
-      FIB-add for the served prefixes so partially-lost floods heal.
-    * ``retransmit`` — the migration handshake retries: Joins are re-sent
-      with exponential backoff while an epoch is PENDING, CD-handoffs are
-      re-sent until the new RP's FIB flood acknowledges them implicitly
-      (with a rollback after ``max_retries``), and tunnels that reach an
-      RP which no longer serves the CD are bounced via CD routes instead
-      of dropped.
+    * soft state — ST entries expire ``st_ttl_ms`` after their last
+      (re-)Subscribe; a sweep every ``sweep_interval_ms`` removes stale
+      entries and propagates upstream Unsubscribes, cleaning up after
+      lost Leaves, dead hosts and link flaps.  The TTL must comfortably
+      exceed the refresh interval (the chaos harness uses 12x) or
+      ordinary refresh loss shows up as churn.
+    * refresh — a tick every ``refresh_interval_ms`` re-Subscribes every
+      upstream-joined CD (hop-by-hop keep-alive for the whole tree) and,
+      on RPs, re-floods a FIB-add for the served prefixes so
+      partially-lost floods heal.
+    * retransmission — the migration handshake retries: Joins are re-sent
+      every ``retry_interval_ms``, doubling (:data:`RETRY_BACKOFF`), while
+      an epoch is PENDING; CD-handoffs are re-sent until the new RP's FIB
+      flood acknowledges them implicitly (with a rollback after
+      ``max_retries``); and tunnels that reach an RP which no longer
+      serves the CD are bounced via CD routes instead of dropped.
 
-    Periodic ticks re-schedule themselves forever; runs with ``soft_state``
-    or ``refresh`` enabled must bound the simulation with
-    ``sim.run(until=...)``.
+    The periodic ticks re-schedule themselves forever, so a run with
+    recovery enabled must be bounded with ``sim.run(until=...)``.
     """
 
-    soft_state: bool = False
     st_ttl_ms: float = 8000.0
     sweep_interval_ms: float = 1000.0
-    refresh: bool = False
     refresh_interval_ms: float = 2000.0
-    retransmit: bool = False
     retry_interval_ms: float = 1000.0
-    retry_backoff: float = 2.0
     max_retries: int = 5
-
-    @classmethod
-    def full(cls, **overrides) -> "RecoveryConfig":
-        """Everything on — the configuration the chaos harness runs."""
-        config = cls(soft_state=True, refresh=True, retransmit=True)
-        for key, value in overrides.items():
-            setattr(config, key, value)
-        return config
 
 
 class _MigrationState(Enum):
@@ -261,12 +253,12 @@ class ForwardingPlane:
                 return
             # Addressed to us but we neither serve nor relay the CD: a
             # crashed-and-restarted RP, or a handoff the sender has not
-            # heard about.  With retransmission recovery on, bounce the
-            # update toward whoever CD routes say serves it now (the
-            # ping-pong this can cause between an old and new RP ends as
-            # soon as the retried handoff or re-flood lands); legacy
-            # behaviour is to drop, which the no-RP counter records.
-            if self.control.recovery.retransmit:
+            # heard about.  With recovery on, bounce the update toward
+            # whoever CD routes say serves it now (the ping-pong this can
+            # cause between an old and new RP ends as soon as the retried
+            # handoff or re-flood lands); legacy behaviour is to drop,
+            # which the no-RP counter records.
+            if self.control.recovery is not None:
                 targets = set(self.control.cd_routes.lookup(mcast.cd))
                 targets.discard(self.router.name)
                 if targets:
@@ -385,10 +377,10 @@ class ControlPlane:
         # cost of a generous linger is only a brief window of duplicate
         # deliveries, which uid dedup suppresses.
         self.leave_linger_ms = 400.0
-        # Loss recovery (all off by default; see RecoveryConfig).
-        self.recovery = RecoveryConfig()
+        # Loss recovery: off until enable_recovery (see RecoveryConfig).
+        self.recovery: Optional[RecoveryConfig] = None
         # (face, cd) -> last (re-)Subscribe time; only written while
-        # soft_state is enabled.
+        # recovery is enabled.
         self._st_touched: Dict[Tuple[Face, Name], float] = {}
         # handoff packet uid -> rollback record, until the implicit ack.
         self._pending_handoffs: Dict[int, _PendingHandoff] = {}
@@ -408,28 +400,24 @@ class ControlPlane:
     # Recovery plumbing
     # ------------------------------------------------------------------
     def enable_recovery(self, config: Optional[RecoveryConfig] = None) -> RecoveryConfig:
-        """Switch recovery on (everything, unless ``config`` narrows it).
+        """Switch recovery on, with ``config``'s timing (default timing if None).
 
         Schedules the soft-state sweep and refresh ticks; they re-arm
         themselves forever, so bound the run with ``sim.run(until=...)``.
         """
-        self.recovery = config if config is not None else RecoveryConfig.full()
+        self.recovery = config if config is not None else RecoveryConfig()
         sim = self.router.sim
-        if self.recovery.soft_state and self.recovery.st_ttl_ms > 0:
-            sim.schedule(self.recovery.sweep_interval_ms, self._sweep_tick)
-        if self.recovery.refresh:
-            sim.schedule(self.recovery.refresh_interval_ms, self._refresh_tick)
+        sim.schedule(self.recovery.sweep_interval_ms, self._sweep_tick)
+        sim.schedule(self.recovery.refresh_interval_ms, self._refresh_tick)
         return self.recovery
 
     def _touch(self, face: Face, cd: Name) -> None:
         """Refresh the soft-state timestamp of one ST entry."""
-        if self.recovery.soft_state:
+        if self.recovery is not None:
             self._st_touched[(face, cd)] = self.router.sim.now
 
     def _sweep_tick(self) -> None:
         cfg = self.recovery
-        if not cfg.soft_state:
-            return
         now = self.router.sim.now
         expired = [
             key for key, touched in self._st_touched.items()
@@ -445,8 +433,6 @@ class ControlPlane:
 
     def _refresh_tick(self) -> None:
         cfg = self.recovery
-        if not cfg.refresh:
-            return
         router = self.router
         now = router.sim.now
         by_face: Dict[Face, Set[Name]] = {}
@@ -602,7 +588,7 @@ class ControlPlane:
             prefixes=moved, old_rp=router.name, new_rp=new_rp, created_at=router.sim.now
         )
         router.send(out, packet)
-        if self.recovery.retransmit:
+        if self.recovery is not None:
             # Keep enough state to re-send the handoff until the new RP's
             # FIB flood acknowledges it, or to roll the split back if it
             # never does (otherwise a lost handoff leaves the moved CDs
@@ -655,8 +641,7 @@ class ControlPlane:
         return prev
 
     def _arm_handoff_retry(self, uid: int, retries_done: int) -> None:
-        cfg = self.recovery
-        delay = cfg.retry_interval_ms * (cfg.retry_backoff ** retries_done)
+        delay = self.recovery.retry_interval_ms * RETRY_BACKOFF**retries_done
         self.router.sim.schedule(delay, self._handoff_retry, uid, retries_done)
 
     def _handoff_retry(self, uid: int, retries_done: int) -> None:
@@ -829,7 +814,7 @@ class ControlPlane:
         needs_move = [
             cd for cd in affected if old_upstreams[cd] and old_upstreams[cd] != {new_up}
         ]
-        if self.recovery.refresh:
+        if self.recovery is not None:
             # Repair orphaned subscriptions: a crashed-and-restarted
             # router has ST subscribers (rebuilt by keep-alives) but lost
             # its upstream-join pointers, so the first-subscriber join
@@ -862,10 +847,9 @@ class ControlPlane:
             self._arm_join_retry(packet.uid, retries_done=0)
 
     def _arm_join_retry(self, epoch: int, retries_done: int) -> None:
-        cfg = self.recovery
-        if not cfg.retransmit:
+        if self.recovery is None:
             return
-        delay = cfg.retry_interval_ms * (cfg.retry_backoff ** retries_done)
+        delay = self.recovery.retry_interval_ms * RETRY_BACKOFF**retries_done
         self.router.sim.schedule(delay, self._join_retry, epoch, retries_done)
 
     def _join_retry(self, epoch: int, retries_done: int) -> None:

@@ -51,10 +51,6 @@ class RpTable:
         self._by_prefix[prefix] = rp
         self.version += 1
 
-    def assign_many(self, prefixes: Iterable["Name | str"], rp: str) -> None:
-        for prefix in prefixes:
-            self.assign(prefix, rp)
-
     def withdraw(self, prefix: "Name | str") -> str:
         """Remove a served prefix; returns the RP that served it."""
         prefix = Name.coerce(prefix)

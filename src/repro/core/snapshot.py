@@ -141,9 +141,6 @@ class BrokerRole(Role):
         access_router.rp_role.on_subscriber_appeared.append(self._group_started)
         access_router.rp_role.on_subscriber_vanished.append(self._group_stopped)
 
-    def group_cds(self) -> List[Name]:
-        return [group_cd(cd) for cd in self.objects]
-
     def preseed(
         self,
         versions_for: Callable[[Name, int], int],

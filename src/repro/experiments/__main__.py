@@ -230,8 +230,20 @@ def _cmd_chaos(args: argparse.Namespace) -> None:
     ]
     print(render_table("Chaos: delivery under faults", ("metric", "value"), rows))
     if args.trace:
+        # The injector's own tally, so the line sums to "injected drops";
+        # the tracer also records protocol drops (own echo, no RP, ...).
+        injected: dict = {}
+        for key, count in body["fault_stats"]["drops_by_link"].items():
+            reason = key.rsplit(":", 1)[1]
+            injected[reason] = injected.get(reason, 0) + count
+        other = {
+            reason: count
+            for reason, count in body["trace"]["drop_reasons"].items()
+            if reason not in injected
+        }
         print()
-        print("injected drop reasons:", body["trace"]["drop_reasons"] or "(none)")
+        print("injected drop reasons:", injected or "(none)")
+        print("other recorded drop reasons:", other or "(none)")
         for item in body["trace"]["missed_chains"]:
             print(
                 f"\nmissed update #{item['sequence']} -> {item['receiver']} "

@@ -24,6 +24,11 @@ adopt the stated values directly and derive the rest from the text:
 * NDN baseline: pipelining window N = 3, update accumulation interval
   t = 100 ms (the paper sweeps the trade-off but benchmarks with a small
   t for latency).
+
+Every runner reads :data:`DEFAULT_CALIBRATION` directly.  Only
+:func:`~repro.experiments.common.run_ndn_testbed` takes a calibration,
+because the NDN accumulation ablation sweeps ``ndn_accumulation_ms``
+through :meth:`Calibration.with_overrides`.
 """
 
 from __future__ import annotations

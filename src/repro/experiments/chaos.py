@@ -47,7 +47,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.experiments.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.experiments.fig4_microbench import microbenchmark_placement
 from repro.experiments.testbed import build_testbed
 from repro.game.map import GameMap
@@ -59,62 +58,67 @@ from repro.sim.invariants import SubscriptionLedger
 from repro.sim.stats import summarize
 from repro.trace.generator import CounterStrikeTraceGenerator, microbenchmark_spec
 
-__all__ = ["ChaosTimeline", "ChaosReport", "PLAN_NAMES", "build_plan", "run_chaos"]
+__all__ = [
+    "ChaosReport",
+    "PLAN_NAMES",
+    "build_plan",
+    "check_after_ms",
+    "recovery_margin_ms",
+    "run_chaos",
+]
 
 #: The RP the forced split sheds load to.
 NEW_RP = "R4"
 
 
-@dataclass
-class ChaosTimeline:
-    """Absolute simulated-ms schedule of one chaos run.
+#: Absolute simulated-ms schedule of every chaos and scenario run.
+#: Phase 0 (0 .. ``SUBSCRIBE_MS``) converges subscriptions fault-free;
+#: the workload, the armed fault plan and the forced split all start
+#: after it.  Fault windows are absolute sim time so the plan, the trace
+#: and the invariant window line up exactly.
+SUBSCRIBE_MS = 500.0
+#: The fig-4 run's forced split, this long after the workload starts.
+SPLIT_OFFSET_MS = 600.0
+FLAP_WINDOW_MS = (1000.0, 1600.0)
+CRASH_AT_MS = 1500.0
+RESTART_AT_MS = 2500.0
+#: Run time after the last publish for recovery and deliveries to land.
+DRAIN_MS = 2500.0
+#: Soft-state refresh interval of the fig-4 run; a scenario script
+#: carries its own.
+REFRESH_MS = 500.0
 
-    Phase 0 (0 .. ``subscribe_ms``) converges subscriptions fault-free;
-    the workload, the armed fault plan and the forced split all start
-    after it.  Fault windows are expressed in absolute sim time so the
-    plan, the trace and the invariant window line up exactly.
+
+def recovery_margin_ms(refresh_ms: float) -> float:
+    """Refresh rounds needed to rebuild state after a blackout ends."""
+    return 2 * refresh_ms + 500.0
+
+
+def check_after_ms(
+    plan: FaultPlan, refresh_ms: float, extra_margin_ms: float = 0.0
+) -> float:
+    """Absolute time from which the delivery invariant is strict.
+
+    Declared by the plan's own fault data (see
+    :meth:`~repro.sim.faults.FaultPlan.data_blackout_clear_ms`) rather
+    than by plan name: a plan that never touches data packets must
+    deliver everything (``0.0``); a plan whose blackout clears at ``T``
+    is held to every update published after ``T`` plus the
+    refresh-driven recovery margin.  ``extra_margin_ms`` lets a scenario
+    declare additional slack (e.g. snapshot catch-up after reconnect
+    storms) without touching the plan.
     """
-
-    subscribe_ms: float = 500.0
-    split_offset_ms: float = 600.0       # split at subscribe_ms + offset
-    flap_window_ms: Tuple[float, float] = (1000.0, 1600.0)
-    crash_at_ms: float = 1500.0
-    restart_at_ms: float = 2500.0
-    drain_ms: float = 2500.0
-    refresh_interval_ms: float = 500.0
-
-    @property
-    def split_at_ms(self) -> float:
-        return self.subscribe_ms + self.split_offset_ms
-
-    @property
-    def recovery_margin_ms(self) -> float:
-        """Refresh rounds needed to rebuild state after a blackout ends."""
-        return 2 * self.refresh_interval_ms + 500.0
-
-    def check_after_ms(self, plan: FaultPlan, extra_margin_ms: float = 0.0) -> float:
-        """Absolute time from which the delivery invariant is strict.
-
-        Declared by the plan's own fault data (see
-        :meth:`~repro.sim.faults.FaultPlan.data_blackout_clear_ms`)
-        rather than by plan name: a plan that never touches data packets
-        must deliver everything (``0.0``); a plan whose blackout clears
-        at ``T`` is held to every update published after ``T`` plus the
-        refresh-driven recovery margin.  ``extra_margin_ms`` lets a
-        scenario declare additional slack (e.g. snapshot catch-up after
-        reconnect storms) without touching the plan.
-        """
-        clear = plan.data_blackout_clear_ms()
-        if clear is None:
-            return 0.0
-        return clear + self.recovery_margin_ms + extra_margin_ms
+    clear = plan.data_blackout_clear_ms()
+    if clear is None:
+        return 0.0
+    return clear + recovery_margin_ms(refresh_ms) + extra_margin_ms
 
 
-def _plan_none(seed: int, loss: float, timeline: ChaosTimeline) -> FaultPlan:
+def _plan_none(seed: int, loss: float) -> FaultPlan:
     return FaultPlan(seed=seed, name="none")
 
 
-def _plan_rp_split_lossy(seed: int, loss: float, timeline: ChaosTimeline) -> FaultPlan:
+def _plan_rp_split_lossy(seed: int, loss: float) -> FaultPlan:
     return FaultPlan(
         seed=seed,
         name="rp-split-lossy",
@@ -122,7 +126,7 @@ def _plan_rp_split_lossy(seed: int, loss: float, timeline: ChaosTimeline) -> Fau
     )
 
 
-def _plan_rp_split_burst(seed: int, loss: float, timeline: ChaosTimeline) -> FaultPlan:
+def _plan_rp_split_burst(seed: int, loss: float) -> FaultPlan:
     # Mean burst of 2 lost control packets; stationary loss fraction
     # loss / (loss + 0.5), i.e. ~9% at the default 5% entry probability.
     # The chain advances per control packet, so on a quiet access link a
@@ -139,29 +143,25 @@ def _plan_rp_split_burst(seed: int, loss: float, timeline: ChaosTimeline) -> Fau
     )
 
 
-def _plan_link_flap(seed: int, loss: float, timeline: ChaosTimeline) -> FaultPlan:
+def _plan_link_flap(seed: int, loss: float) -> FaultPlan:
     return FaultPlan(
         seed=seed,
         name="link-flap",
-        links={"R1<->R2": LinkFaults(down=(timeline.flap_window_ms,))},
+        links={"R1<->R2": LinkFaults(down=(FLAP_WINDOW_MS,))},
         default=LinkFaults(loss=loss, scope="control"),
     )
 
 
-def _plan_rp_crash(seed: int, loss: float, timeline: ChaosTimeline) -> FaultPlan:
+def _plan_rp_crash(seed: int, loss: float) -> FaultPlan:
     return FaultPlan(
         seed=seed,
         name="rp-crash",
-        nodes={
-            NEW_RP: NodeFaults(
-                crash_at=timeline.crash_at_ms, restart_at=timeline.restart_at_ms
-            )
-        },
+        nodes={NEW_RP: NodeFaults(crash_at=CRASH_AT_MS, restart_at=RESTART_AT_MS)},
         default=LinkFaults(loss=loss, scope="control"),
     )
 
 
-_PLAN_BUILDERS: Dict[str, Callable[[int, float, ChaosTimeline], FaultPlan]] = {
+_PLAN_BUILDERS: Dict[str, Callable[[int, float], FaultPlan]] = {
     "none": _plan_none,
     "rp-split-lossy": _plan_rp_split_lossy,
     "rp-split-burst": _plan_rp_split_burst,
@@ -172,13 +172,13 @@ _PLAN_BUILDERS: Dict[str, Callable[[int, float, ChaosTimeline], FaultPlan]] = {
 PLAN_NAMES: Tuple[str, ...] = tuple(sorted(_PLAN_BUILDERS))
 
 
-def build_plan(name: str, seed: int, loss: float, timeline: ChaosTimeline) -> FaultPlan:
+def build_plan(name: str, seed: int, loss: float) -> FaultPlan:
     """Instantiate one of the named fault plans."""
     try:
         builder = _PLAN_BUILDERS[name]
     except KeyError:
         raise ValueError(f"unknown plan {name!r}; choose from {PLAN_NAMES}") from None
-    return builder(seed, loss, timeline)
+    return builder(seed, loss)
 
 
 @dataclass
@@ -256,8 +256,6 @@ def run_chaos(
     seed: int = 1,
     scale: float = 0.05,
     loss: float = 0.05,
-    timeline: Optional[ChaosTimeline] = None,
-    calibration: Calibration = DEFAULT_CALIBRATION,
     telemetry: Optional[TelemetrySession] = None,
     executor_factory=None,
     scenario: Optional[str] = None,
@@ -266,7 +264,8 @@ def run_chaos(
 
     ``scale`` shrinks the 12,440-event trace; ``loss`` parameterises the
     plan's loss knob (Bernoulli rate, or burst entry probability).  The
-    run is fully deterministic in (plan, seed, scale, loss, timeline).
+    run is fully deterministic in (plan, seed, scale, loss); its schedule
+    is the module's constants (``SUBSCRIBE_MS`` … ``REFRESH_MS``).
 
     Passing a :class:`~repro.obs.session.TelemetrySession` records the
     faulted phase: the report's ``trace`` block then carries the full
@@ -295,31 +294,25 @@ def run_chaos(
             seed=seed,
             scale=scale,
             loss=loss,
-            timeline=timeline,
-            calibration=calibration,
             telemetry=telemetry,
             executor_factory=executor_factory,
         )
-    timeline = timeline if timeline is not None else ChaosTimeline()
     game_map = GameMap(seed=seed)
     placement = microbenchmark_placement(game_map)
     spec = microbenchmark_spec(scale=scale, seed=seed)
     events = CounterStrikeTraceGenerator(game_map, spec, placement=placement).generate()
 
-    testbed = build_testbed(
-        game_map.hierarchy, placement, calibration, executor_factory
-    )
+    testbed = build_testbed(game_map.hierarchy, placement, executor_factory)
     executor = testbed.executor
-    refresh = timeline.refresh_interval_ms
-    recovery = testbed.enable_recovery(refresh)
+    recovery = testbed.enable_recovery(REFRESH_MS)
     # Ground truth: players never move, so each keeps its t = 0 epoch.
     ledger = SubscriptionLedger()
-    for player, subs in testbed.subscribe(refresh).items():
+    for player, subs in testbed.subscribe(REFRESH_MS).items():
         ledger.note(player, 0.0, subs)
-    testbed.converge(until=timeline.subscribe_ms)  # fault-free
+    testbed.converge(until=SUBSCRIBE_MS)  # fault-free
 
     # Arm the faults for the workload phase.
-    plan = build_plan(plan_name, seed, loss, timeline)
+    plan = build_plan(plan_name, seed, loss)
     injector = testbed.arm(plan, telemetry)
 
     # Forced mid-trace split R1 -> R4 through the regular balancer path.
@@ -330,18 +323,19 @@ def run_chaos(
         random.Random(seed),
         lambda new_rp, moved: splits.append((new_rp, moved)),
     )
-    executor.schedule_external("R1", timeline.split_at_ms, balancer.split)
+    split_at = SUBSCRIBE_MS + SPLIT_OFFSET_MS
+    executor.schedule_external("R1", split_at, balancer.split)
 
     inv = testbed.record_deliveries(ledger, recovery)
     testbed.replay(events)
 
     offset = testbed.offset
-    horizon = offset + (events[-1].time_ms if events else 0.0) + timeline.drain_ms
+    horizon = offset + (events[-1].time_ms if events else 0.0) + DRAIN_MS
     if telemetry is not None:
         telemetry.schedule_metrics(horizon)
     executor.run(until=horizon)
 
-    check_after = timeline.check_after_ms(plan)
+    check_after = check_after_ms(plan, REFRESH_MS)
     verdict = inv.verdict(
         [
             (i, offset + event.time_ms, Name.coerce(event.cd), event.player)
@@ -376,8 +370,8 @@ def run_chaos(
         latency=summarize(inv.latency("chaos")),
         verdict=verdict.as_dict(),
         timeline={
-            "subscribe_ms": timeline.subscribe_ms,
-            "split_at_ms": timeline.split_at_ms,
+            "subscribe_ms": SUBSCRIBE_MS,
+            "split_at_ms": split_at,
             "horizon_ms": horizon,
         },
         trace=testbed.finish_trace(telemetry, verdict.missed_sample),

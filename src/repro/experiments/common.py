@@ -213,7 +213,6 @@ def run_gcopss_backbone(
     game_map: GameMap,
     placement: Dict[str, Name],
     num_rps: int = 3,
-    calibration: Calibration = DEFAULT_CALIBRATION,
     auto_balance: bool = False,
     label: Optional[str] = None,
     series_bucket: int = 1000,
@@ -238,13 +237,13 @@ def run_gcopss_backbone(
         lambda net, name: GCopssRouter(
             net,
             name,
-            service_time=calibration.copss_forward_ms,
-            rp_service_time=calibration.rp_service_ms,
+            service_time=DEFAULT_CALIBRATION.copss_forward_ms,
+            rp_service_time=DEFAULT_CALIBRATION.rp_service_ms,
         ),
     )
     network = built.network
     host_nodes = built.attach_hosts(
-        GCopssHost, sorted(placement), calibration.backbone_host_edge_delay_ms
+        GCopssHost, sorted(placement), DEFAULT_CALIBRATION.backbone_host_edge_delay_ms
     )
     hosts: Dict[str, GCopssHost] = {h.name: h for h in host_nodes}  # type: ignore[misc]
 
@@ -281,10 +280,10 @@ def run_gcopss_backbone(
                 RpLoadBalancer(
                     router,
                     candidates=candidates,
-                    queue_threshold=calibration.balancer_queue_threshold,
+                    queue_threshold=DEFAULT_CALIBRATION.balancer_queue_threshold,
                     policy=split_policy,
                     refiner=default_refiner(hierarchy),
-                    cooldown=calibration.balancer_cooldown_ms,
+                    cooldown=DEFAULT_CALIBRATION.balancer_cooldown_ms,
                     on_split=lambda new_rp, moved: splits.append((new_rp, moved)),
                     rp_selector=rp_selector,
                 )
@@ -400,18 +399,21 @@ def run_ip_server_backbone(
     game_map: GameMap,
     placement: Dict[str, Name],
     num_servers: int = 3,
-    calibration: Calibration = DEFAULT_CALIBRATION,
     label: Optional[str] = None,
     series_bucket: int = 1000,
 ) -> ScenarioResult:
     """Replay a trace through the IP client/server baseline."""
     hierarchy = game_map.hierarchy
     built = build_backbone(
-        lambda net, name: IpRouter(net, name, service_time=calibration.ip_forward_ms),
+        lambda net, name: IpRouter(
+            net, name, service_time=DEFAULT_CALIBRATION.ip_forward_ms
+        ),
     )
     network = built.network
     client_nodes = built.attach_hosts(
-        IpClientNode, sorted(placement), calibration.backbone_host_edge_delay_ms
+        IpClientNode,
+        sorted(placement),
+        DEFAULT_CALIBRATION.backbone_host_edge_delay_ms,
     )
     clients: Dict[str, IpClientNode] = {c.name: c for c in client_nodes}  # type: ignore[misc]
 
@@ -422,8 +424,8 @@ def run_ip_server_backbone(
         server = GameServerNode(
             network,
             f"server@{site}",
-            base_service_ms=calibration.server_base_ms,
-            per_recipient_ms=calibration.server_per_recipient_ms,
+            base_service_ms=DEFAULT_CALIBRATION.server_base_ms,
+            per_recipient_ms=DEFAULT_CALIBRATION.server_per_recipient_ms,
         )
         network.connect(server, network.nodes[site], 1.0)
         servers[site] = server
@@ -482,7 +484,6 @@ def run_gcopss_testbed(
     events: Sequence[UpdateEvent],
     game_map: GameMap,
     placement: Dict[str, Name],
-    calibration: Calibration = DEFAULT_CALIBRATION,
     label: str = "G-COPSS (testbed)",
     executor_factory: Optional[Callable[[Network], object]] = None,
 ) -> ScenarioResult:
@@ -493,9 +494,7 @@ def run_gcopss_testbed(
     tests run this scenario under both backends and demand identical
     results.
     """
-    testbed = build_testbed(
-        game_map.hierarchy, placement, calibration, executor_factory
-    )
+    testbed = build_testbed(game_map.hierarchy, placement, executor_factory)
     testbed.subscribe()
     testbed.converge()
 
@@ -519,27 +518,28 @@ def run_ip_server_testbed(
     events: Sequence[UpdateEvent],
     game_map: GameMap,
     placement: Dict[str, Name],
-    calibration: Calibration = DEFAULT_CALIBRATION,
     label: str = "IP server (testbed)",
 ) -> ScenarioResult:
     """IP server microbenchmark: server at R1, flat testbed service time."""
     topo = build_benchmark_topology(
         router_factory=lambda net, name: IpRouter(
-            net, name, service_time=calibration.testbed_ip_forward_ms
+            net, name, service_time=DEFAULT_CALIBRATION.testbed_ip_forward_ms
         ),
         host_factory=IpClientNode,
         host_names=sorted(placement),
-        inter_router_delay_ms=calibration.testbed_router_delay_ms,
-        host_delay_ms=calibration.testbed_host_delay_ms,
+        inter_router_delay_ms=DEFAULT_CALIBRATION.testbed_router_delay_ms,
+        host_delay_ms=DEFAULT_CALIBRATION.testbed_host_delay_ms,
     )
     network = topo.network
     server = GameServerNode(
         network,
         "server",
-        base_service_ms=calibration.testbed_server_service_ms,
+        base_service_ms=DEFAULT_CALIBRATION.testbed_server_service_ms,
         per_recipient_ms=0.0,
     )
-    network.connect(server, topo.routers["R1"], calibration.testbed_host_delay_ms)
+    network.connect(
+        server, topo.routers["R1"], DEFAULT_CALIBRATION.testbed_host_delay_ms
+    )
     install_ip_routes(network)
 
     clients: Dict[str, IpClientNode] = {c.name: c for c in topo.hosts}  # type: ignore[misc]

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.core.hierarchy import MapHierarchy
-from repro.experiments.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.experiments.common import (
     ScenarioResult,
     run_gcopss_testbed,
@@ -29,6 +28,9 @@ from repro.names import Name
 from repro.trace.generator import CounterStrikeTraceGenerator, microbenchmark_spec
 
 __all__ = ["Fig4Result", "run_fig4", "microbenchmark_placement"]
+
+#: Fraction of the full trace the NDN stack replays at most.
+NDN_SCALE_CAP = 0.15
 
 
 def microbenchmark_placement(game_map: GameMap) -> Dict[str, Name]:
@@ -63,20 +65,14 @@ class Fig4Result:
         }
 
 
-def run_fig4(
-    scale: float = 1.0,
-    calibration: Calibration = DEFAULT_CALIBRATION,
-    seed: int = 42,
-    include_ndn: bool = True,
-    ndn_scale_cap: float = 0.15,
-) -> Fig4Result:
+def run_fig4(scale: float = 1.0, seed: int = 42) -> Fig4Result:
     """Run the three §V-A stacks on identical traces.
 
     ``scale`` shrinks the 12,440-event trace proportionally.  The NDN run
-    is additionally capped at ``ndn_scale_cap`` of the full trace — its
-    per-update packet count is two orders of magnitude above the others
-    (the paper's finding), so replaying the full trace adds hours of
-    wall-clock without changing the distribution.
+    is additionally capped at :data:`NDN_SCALE_CAP` of the full trace —
+    its per-update packet count is two orders of magnitude above the
+    others (the paper's finding), so replaying the full trace adds hours
+    of wall-clock without changing the distribution.
     """
     game_map = GameMap(seed=seed)
     placement = microbenchmark_placement(game_map)
@@ -84,24 +80,12 @@ def run_fig4(
     generator = CounterStrikeTraceGenerator(game_map, spec, placement=placement)
     events = generator.generate()
 
-    gcopss = run_gcopss_testbed(events, game_map, placement, calibration)
-    ip_server = run_ip_server_testbed(events, game_map, placement, calibration)
+    gcopss = run_gcopss_testbed(events, game_map, placement)
+    ip_server = run_ip_server_testbed(events, game_map, placement)
 
-    if include_ndn:
-        ndn_events = events
-        if scale > ndn_scale_cap:
-            cutoff = max(1, round(len(events) * ndn_scale_cap / scale))
-            ndn_events = events[:cutoff]
-        ndn = run_ndn_testbed(ndn_events, game_map, placement, calibration)
-    else:
-        from repro.sim.stats import LatencyRecorder, SeriesRecorder
-
-        ndn = ScenarioResult(
-            label="NDN (skipped)",
-            latency=LatencyRecorder("ndn"),
-            series=SeriesRecorder(name="ndn"),
-            network_bytes=0,
-            updates_published=0,
-            deliveries=0,
-        )
+    ndn_events = events
+    if scale > NDN_SCALE_CAP:
+        cutoff = max(1, round(len(events) * NDN_SCALE_CAP / scale))
+        ndn_events = events[:cutoff]
+    ndn = run_ndn_testbed(ndn_events, game_map, placement)
     return Fig4Result(gcopss=gcopss, ip_server=ip_server, ndn=ndn)

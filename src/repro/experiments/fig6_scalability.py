@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
-from repro.experiments.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.experiments.common import (
     ScenarioResult,
     run_gcopss_backbone,
@@ -84,12 +83,12 @@ class Fig6Result:
 def run_fig6(
     player_counts: Sequence[int] = DEFAULT_PLAYER_SWEEP,
     updates_per_point: int = 4_000,
-    calibration: Calibration = DEFAULT_CALIBRATION,
     seed: int = 42,
-    num_rps: int = 3,
-    num_servers: int = 3,
 ) -> Fig6Result:
-    """Sweep the population with both architectures on identical traces."""
+    """Sweep the population with both architectures on identical traces.
+
+    Three RPs and three servers at every point, as in the paper.
+    """
     game_map = GameMap(seed=seed)
     base = CounterStrikeTraceGenerator(
         game_map, peak_trace_spec(num_updates=updates_per_point, seed=seed)
@@ -110,8 +109,7 @@ def run_fig6(
             events,
             game_map,
             generator.placement,
-            num_rps=num_rps,
-            calibration=calibration,
+            num_rps=3,
             label=f"G-COPSS n={count}",
         )
         result.gcopss[count].extras["load_normalizer"] = normalizer
@@ -119,8 +117,7 @@ def run_fig6(
             events,
             game_map,
             generator.placement,
-            num_servers=num_servers,
-            calibration=calibration,
+            num_servers=3,
             label=f"IP server n={count}",
         )
         result.ip_server[count].extras["load_normalizer"] = normalizer
@@ -130,14 +127,13 @@ def run_fig6(
 def run_fig6_federated(
     player_counts: Sequence[int] = FEDERATED_PLAYER_SWEEP,
     updates_per_point: int = 800,
-    zones_per_region: int = 32,
     seed: int = 11,
 ) -> List[dict]:
     """Fig. 6 beyond the flat layout's ceiling: the 10⁵-player sweep.
 
     Each point runs the region-ring scale world under a
     :class:`~repro.parallel.scale.FederationSpec` — region CDs shattered
-    into leaf zones sharded across the region's access routers, with the
+    into 32 leaf zones sharded across the region's access routers, with the
     telemetry-driven autoscaler live.  The per-publish load at any single
     RP stays bounded by the zone fan-out, so latency holds flat where the
     flat layout (one RP per region, fan-out = population/regions) is past
@@ -156,7 +152,7 @@ def run_fig6_federated(
             seed=seed,
             world_fraction=0.0,
             publish_interval_ms=0.5,
-            zones_per_region=zones_per_region,
+            zones_per_region=32,
             autoscale=True,
         )
         result = run_scale(spec)

@@ -22,7 +22,7 @@ from repro.core.hierarchy import MapHierarchy
 from repro.core.hybrid import HybridMapper
 from repro.core.packets import COPSS_HEADER_BYTES
 from repro.core.rp import RpTable
-from repro.experiments.calibration import Calibration, DEFAULT_CALIBRATION
+from repro.experiments.calibration import DEFAULT_CALIBRATION
 from repro.experiments.common import subscribers_by_leaf_cd
 from repro.game.map import GameMap
 from repro.names import Name
@@ -87,13 +87,11 @@ class FlowScenario:
         host_edge: Dict[str, str],
         game_map: GameMap,
         placement: Dict[str, Name],
-        calibration: Calibration = DEFAULT_CALIBRATION,
     ) -> None:
         self.flows = FlowAccountant(graph)
         self.host_edge = dict(host_edge)
         self.map = game_map
         self.placement = placement
-        self.cal = calibration
         self.subscribers = subscribers_by_leaf_cd(game_map, placement)
         self._edges_cache: Dict[Name, Tuple[Tuple[str, ...], int]] = {}
         # Per-(cd, anchor) aggregates: subscriber sets are fixed for a
@@ -124,7 +122,7 @@ class FlowScenario:
         cached = self._down_cache.get(key)
         if cached is not None:
             return cached
-        cal = self.cal
+        cal = DEFAULT_CALIBRATION
         edges, _hosts = self._receiver_edges(cd, "")
         tree = self.flows.multicast_tree(rp, edges) if edges else frozenset()
         lat_sum = 0.0
@@ -148,8 +146,8 @@ class FlowScenario:
         edge = self.host_edge[player]
         return (
             self.flows.path_delay(rp, edge)
-            + self.flows.hop_count(rp, edge) * self.cal.copss_forward_ms
-            + self.cal.backbone_host_edge_delay_ms
+            + self.flows.hop_count(rp, edge) * DEFAULT_CALIBRATION.copss_forward_ms
+            + DEFAULT_CALIBRATION.backbone_host_edge_delay_ms
         )
 
     def _ip_down(self, cd: Name, site: str) -> Tuple[int, float, float, int]:
@@ -158,7 +156,7 @@ class FlowScenario:
         cached = self._down_cache.get(key)
         if cached is not None:
             return cached
-        cal = self.cal
+        cal = DEFAULT_CALIBRATION
         hop_sum = 0
         lat_sum = 0.0
         lat_max = 0.0
@@ -181,7 +179,7 @@ class FlowScenario:
         return cached
 
     def _ip_down_player(self, cd: Name, site: str, player: str) -> Tuple[int, float]:
-        cal = self.cal
+        cal = DEFAULT_CALIBRATION
         edge = self.host_edge[player]
         hops = self.flows.hop_count(site, edge) + 1
         term = (
@@ -207,7 +205,7 @@ class FlowScenario:
         ``load_scale`` multiplies byte totals, used when replaying a
         sampled prefix of the full trace (Table II default mode).
         """
-        cal = self.cal
+        cal = DEFAULT_CALIBRATION
         total_bytes = 0
         lat_sum = 0.0
         lat_max = 0.0
@@ -261,7 +259,7 @@ class FlowScenario:
         only relation to the CD is sharing its hashed group — the
         receiver-side edge filters them, the network still carried them.
         """
-        cal = self.cal
+        cal = DEFAULT_CALIBRATION
         # Edge membership from the player subscription sets.
         for player, area in self.placement.items():
             edge = self.host_edge[player]
@@ -337,7 +335,7 @@ class FlowScenario:
         load_scale: float = 1.0,
     ) -> FlowResult:
         """Unicast up to the responsible server, unicast fan-out down."""
-        cal = self.cal
+        cal = DEFAULT_CALIBRATION
         total_bytes = 0
         lat_sum = 0.0
         lat_max = 0.0

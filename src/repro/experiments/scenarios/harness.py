@@ -37,8 +37,13 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.core.balancer import RpLoadBalancer
 from repro.core.federation import relay_safe
 from repro.core.snapshot import QrSnapshotFetcher, SnapshotBroker, snapshot_name
-from repro.experiments.calibration import Calibration, DEFAULT_CALIBRATION
-from repro.experiments.chaos import ChaosTimeline, build_plan
+from repro.experiments.chaos import (
+    DRAIN_MS,
+    SUBSCRIBE_MS,
+    build_plan,
+    check_after_ms,
+    recovery_margin_ms,
+)
 from repro.experiments.scenarios.base import Scenario, ScenarioScript
 from repro.experiments.fig4_microbench import microbenchmark_placement
 from repro.experiments.scenarios.generators import BUILTIN_SCENARIOS
@@ -185,22 +190,20 @@ def run_scenario(
     seed: int = 1,
     scale: float = 1.0,
     loss: float = 0.05,
-    timeline: Optional[ChaosTimeline] = None,
-    calibration: Calibration = DEFAULT_CALIBRATION,
     telemetry: Optional[TelemetrySession] = None,
     executor_factory=None,
 ) -> ScenarioReport:
     """Replay one scenario script under one fault plan and judge it.
 
-    Deterministic in ``(scenario, plan, seed, scale, loss, timeline)``
-    — and, by construction, in everything else: the report digest is
+    The schedule is the chaos harness's (``SUBSCRIBE_MS``, ``DRAIN_MS``
+    and the plans' fault windows); the refresh interval is the script's.
+    Deterministic in ``(scenario, plan, seed, scale, loss)`` — and, by
+    construction, in everything else: the report digest is
     identical with or without ``telemetry``, and across serial and
     sharded ``executor_factory`` backends.
     """
     script = get_scenario(scenario)(seed, scale)
-    if timeline is None:
-        timeline = ChaosTimeline(refresh_interval_ms=script.refresh_interval_ms)
-    refresh = timeline.refresh_interval_ms
+    refresh = script.refresh_interval_ms
 
     game_map = GameMap(seed=seed)
     hierarchy = game_map.hierarchy
@@ -215,7 +218,6 @@ def run_scenario(
     testbed = build_testbed(
         hierarchy,
         microbenchmark_placement(game_map),
-        calibration,
         executor_factory,
         extra_node=attach_broker if script.uses_broker else None,
     )
@@ -236,9 +238,9 @@ def run_scenario(
             install_routes(network, snapshot_name(cd, 0).parent, broker)
         ledger.note("broker", 0.0, broker.broker_role.objects.keys())
 
-    testbed.converge(until=timeline.subscribe_ms)  # fault-free
+    testbed.converge(until=SUBSCRIBE_MS)  # fault-free
 
-    plan = build_plan(plan_name, seed, loss, timeline)
+    plan = build_plan(plan_name, seed, loss)
     injector = testbed.arm(plan, telemetry)
 
     # Balancers for every router the script splits; candidates follow
@@ -379,7 +381,7 @@ def run_scenario(
             )
 
     offset = testbed.offset
-    horizon = offset + script.duration_ms + timeline.drain_ms
+    horizon = offset + script.duration_ms + DRAIN_MS
     if telemetry is not None:
         telemetry.schedule_metrics(horizon)
     executor.run(until=horizon)
@@ -393,7 +395,7 @@ def run_scenario(
     ]
     clear = plan.data_blackout_clear_ms()
     fault_clear = clear if clear is not None else 0.0
-    check_after = timeline.check_after_ms(plan, script.extra_recovery_margin_ms)
+    check_after = check_after_ms(plan, refresh, script.extra_recovery_margin_ms)
 
     inv.check_delivery_count(executor.now)
     # Orphan audit: the phantom grace, one TTL for refreshes to stop
@@ -433,7 +435,7 @@ def run_scenario(
         horizon_ms=horizon,
         stability_window_ms=script.stability_window_ms,
         fault_clear_ms=fault_clear,
-        join_margin_ms=timeline.recovery_margin_ms,
+        join_margin_ms=recovery_margin_ms(refresh),
     )
     inv.uninstall()
 
@@ -487,7 +489,7 @@ def run_scenario(
             "refresh_budget": budget,
         },
         timeline={
-            "subscribe_ms": timeline.subscribe_ms,
+            "subscribe_ms": SUBSCRIBE_MS,
             "horizon_ms": horizon,
         },
         snapshot=dict(fetch_stats),

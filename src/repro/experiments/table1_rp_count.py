@@ -17,9 +17,8 @@ resource count and roughly twice the network load.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence, Tuple
 
-from repro.experiments.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.experiments.common import (
     ScenarioResult,
     run_gcopss_backbone,
@@ -76,19 +75,10 @@ class Table1Result:
         return out
 
 
-_memo: Dict[tuple, Table1Result] = {}
+_memo: Dict[Tuple[int, int], Table1Result] = {}
 
 
-def run_table1(
-    num_updates: int = 20_000,
-    calibration: Calibration = DEFAULT_CALIBRATION,
-    seed: int = 42,
-    rp_counts: Sequence[int] = (1, 2, 3),
-    include_auto: bool = True,
-    server_counts: Sequence[int] = (1, 2, 3),
-    series_bucket: Optional[int] = None,
-    use_cache: bool = True,
-) -> Table1Result:
+def run_table1(num_updates: int = 20_000, seed: int = 42) -> Table1Result:
     """Run every Table I configuration on one shared workload.
 
     ``num_updates`` defaults to a 20% sample of the paper's 100,000 (same
@@ -96,52 +86,40 @@ def run_table1(
     just accumulate one fifth of the backlog).  Pass 100_000 to replay
     the paper-scale window.
 
-    Results are memoized per parameter set: Table I and the Fig. 5 series
-    are two views of the same runs, so the second caller gets them free.
+    Results are memoized per ``(num_updates, seed)``: Table I and the
+    Fig. 5 series are two views of the same runs, so the second caller
+    gets them free.
     """
-    key = (
-        num_updates,
-        calibration,
-        seed,
-        tuple(rp_counts),
-        include_auto,
-        tuple(server_counts),
-        series_bucket,
-    )
-    if use_cache and key in _memo:
+    key = (num_updates, seed)
+    if key in _memo:
         return _memo[key]
     game_map, generator, events = make_peak_workload(num_updates, seed=seed)
-    bucket = series_bucket or max(200, num_updates // 40)
+    bucket = max(200, num_updates // 40)
     result = Table1Result()
-    for count in rp_counts:
+    for count in (1, 2, 3):
         result.gcopss[str(count)] = run_gcopss_backbone(
             events,
             game_map,
             generator.placement,
             num_rps=count,
-            calibration=calibration,
             series_bucket=bucket,
         )
-    if include_auto:
-        result.gcopss["auto"] = run_gcopss_backbone(
-            events,
-            game_map,
-            generator.placement,
-            num_rps=1,
-            auto_balance=True,
-            calibration=calibration,
-            series_bucket=bucket,
-            label="G-COPSS auto",
-        )
-    for count in server_counts:
+    result.gcopss["auto"] = run_gcopss_backbone(
+        events,
+        game_map,
+        generator.placement,
+        num_rps=1,
+        auto_balance=True,
+        series_bucket=bucket,
+        label="G-COPSS auto",
+    )
+    for count in (1, 2, 3):
         result.ip_server[str(count)] = run_ip_server_backbone(
             events,
             game_map,
             generator.placement,
             num_servers=count,
-            calibration=calibration,
             series_bucket=bucket,
         )
-    if use_cache:
-        _memo[key] = result
+    _memo[key] = result
     return result

@@ -22,7 +22,6 @@ from typing import Dict, List, Sequence
 
 from repro.core.engine import GCopssRouter
 from repro.core.hybrid import HybridMapper
-from repro.experiments.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.experiments.common import default_rp_assignment, pick_rp_sites
 from repro.experiments.flowrun import FlowResult, FlowScenario
 from repro.game.map import GameMap
@@ -30,6 +29,9 @@ from repro.topology.backbone import build_backbone
 from repro.trace.generator import CounterStrikeTraceGenerator, full_trace_spec
 
 __all__ = ["Table2Result", "run_table2"]
+
+#: Servers for the IP baseline and RPs for G-COPSS (§V-B: six of each).
+NUM_SITES = 6
 
 
 @dataclass
@@ -54,11 +56,7 @@ class Table2Result:
 
 
 def run_table2(
-    sample: float = 0.02,
-    num_sites: int = 6,
-    num_groups: int = 6,
-    calibration: Calibration = DEFAULT_CALIBRATION,
-    seed: int = 42,
+    sample: float = 0.02, num_groups: int = 6, seed: int = 42
 ) -> Table2Result:
     """Replay (a sample of) the full trace through all three designs.
 
@@ -88,23 +86,19 @@ def run_table2(
         player: rng.choice(edges).name for player in sorted(generator.placement)
     }
     scenario = FlowScenario(
-        built.network.graph,
-        host_edge,
-        game_map,
-        generator.placement,
-        calibration=calibration,
+        built.network.graph, host_edge, game_map, generator.placement
     )
 
-    sites = pick_rp_sites(built, num_sites)
+    sites = pick_rp_sites(built, NUM_SITES)
     assignment = default_rp_assignment(game_map.hierarchy, sites)
 
     gcopss = scenario.run_gcopss(
-        events, assignment, label=f"G-COPSS ({num_sites} RPs)", load_scale=load_scale
+        events, assignment, label=f"G-COPSS ({NUM_SITES} RPs)", load_scale=load_scale
     )
     ip_server = scenario.run_ip_server(
         events,
         assignment,
-        label=f"IP server ({num_sites} servers)",
+        label=f"IP server ({NUM_SITES} servers)",
         load_scale=load_scale,
     )
     hybrid = scenario.run_hybrid(

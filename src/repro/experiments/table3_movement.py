@@ -30,7 +30,7 @@ from repro.core.snapshot import (
     group_cd,
     snapshot_name,
 )
-from repro.experiments.calibration import Calibration, DEFAULT_CALIBRATION
+from repro.experiments.calibration import DEFAULT_CALIBRATION
 from repro.experiments.common import default_rp_assignment, pick_rp_sites
 from repro.game.map import GameMap
 from repro.game.movement import MovementModel
@@ -42,6 +42,9 @@ from repro.topology.backbone import build_backbone
 from repro.trace.generator import CounterStrikeTraceGenerator, peak_trace_spec
 
 __all__ = ["MovementModeResult", "Table3Result", "run_table3", "MOVE_TYPE_ORDER"]
+
+#: Rendezvous points for the game CDs (§V-B: three, as for Table I).
+NUM_RPS = 3
 
 MOVE_TYPE_ORDER: Tuple[MoveType, ...] = (
     MoveType.TO_LOWER_LAYER,
@@ -143,15 +146,13 @@ def run_table3(
     mode: str,
     num_players: int = 93,
     num_moves: int = 120,
-    calibration: Calibration = DEFAULT_CALIBRATION,
     seed: int = 42,
-    num_rps: int = 3,
 ) -> MovementModeResult:
     """Run one retrieval mode ("qr5", "qr15" or "cyclic").
 
     The movement timescale is compressed by
-    ``calibration.movement_compression`` so a 120-move schedule fits in
-    minutes of simulated time; convergence of an individual move is
+    ``DEFAULT_CALIBRATION.movement_compression`` so a 120-move schedule
+    fits in minutes of simulated time; convergence of an individual move is
     unaffected (it is a property of the retrieval protocol and routes).
     A player whose previous snapshot download is still running skips its
     next move (counted), mirroring a client that is still loading.
@@ -159,6 +160,7 @@ def run_table3(
     if mode not in ("qr5", "qr15", "cyclic"):
         raise ValueError(f"unknown mode {mode!r}")
     window = {"qr5": 5, "qr15": 15}.get(mode)
+    cal = DEFAULT_CALIBRATION
 
     game_map = GameMap(seed=seed)
     placement = game_map.place_players(
@@ -168,32 +170,32 @@ def run_table3(
         lambda net, name: GCopssRouter(
             net,
             name,
-            service_time=calibration.copss_forward_ms,
-            rp_service_time=calibration.rp_service_ms,
+            service_time=cal.copss_forward_ms,
+            rp_service_time=cal.rp_service_ms,
         )
     )
     network = built.network
     host_nodes = built.attach_hosts(
-        GCopssHost, sorted(placement), calibration.backbone_host_edge_delay_ms
+        GCopssHost, sorted(placement), cal.backbone_host_edge_delay_ms
     )
     hosts: Dict[str, GCopssHost] = {h.name: h for h in host_nodes}  # type: ignore[misc]
 
     # Rendezvous points for the game CDs.
-    rp_names = pick_rp_sites(built, num_rps)
+    rp_names = pick_rp_sites(built, NUM_RPS)
     rp_table = default_rp_assignment(game_map.hierarchy, rp_names)
 
     # Brokers: attach to spread-out cores; their access routers serve the
     # snapshot-group CDs as RPs so cyclic groups start/stop on demand.
-    broker_sites = pick_rp_sites(built, calibration.broker_count + num_rps)[num_rps:]
-    shares = _partition_broker_areas(game_map, calibration.broker_count)
+    broker_sites = pick_rp_sites(built, cal.broker_count + NUM_RPS)[NUM_RPS:]
+    shares = _partition_broker_areas(game_map, cal.broker_count)
     brokers: List[SnapshotBroker] = []
     for i, (site, share) in enumerate(zip(broker_sites, shares)):
         broker = SnapshotBroker(
             network,
             f"broker{i}",
             objects_by_cd=share,
-            decay=calibration.object_size_decay,
-            cyclic_pacing_ms=calibration.broker_cyclic_pacing_ms,
+            decay=cal.object_size_decay,
+            cyclic_pacing_ms=cal.broker_cyclic_pacing_ms,
         )
         network.connect(broker, network.nodes[site], 1.0)
         for cd in share:
@@ -216,7 +218,7 @@ def run_table3(
             lambda cd, oid: depth_versions[
                 game_map.hierarchy.area_of_leaf(cd).depth
             ],
-            calibration.snapshot_update_size_range,
+            cal.snapshot_update_size_range,
             rng,
         )
         for cd in broker.broker_role.objects:
@@ -268,7 +270,7 @@ def run_table3(
     offset = network.sim.now
     for decision in moves:
         network.sim.schedule_at(
-            offset + decision.time_ms / calibration.movement_compression,
+            offset + decision.time_ms / cal.movement_compression,
             start_move,
             decision,
         )
@@ -280,7 +282,6 @@ def run_table3(
 def run_table3_all(
     num_players: int = 93,
     num_moves: int = 120,
-    calibration: Calibration = DEFAULT_CALIBRATION,
     seed: int = 42,
 ) -> Table3Result:
     """All three Table III retrieval modes on the same movement schedule."""
@@ -290,7 +291,6 @@ def run_table3_all(
             mode,
             num_players=num_players,
             num_moves=num_moves,
-            calibration=calibration,
             seed=seed,
         )
         outcome.label = label

@@ -24,7 +24,7 @@ from repro.core.engine import GCopssHost, GCopssNetworkBuilder, GCopssRouter
 from repro.core.hierarchy import MapHierarchy
 from repro.core.planes import RecoveryConfig
 from repro.core.rp import RpTable
-from repro.experiments.calibration import Calibration, DEFAULT_CALIBRATION
+from repro.experiments.calibration import DEFAULT_CALIBRATION
 from repro.names import ROOT, Name
 from repro.obs.session import TelemetrySession
 from repro.obs.tracer import render_chain
@@ -141,7 +141,7 @@ class Testbed:
         chain advances slowly on quiet access links.  Expiry then only
         reaps genuinely dead state instead of live-but-unlucky branches.
         """
-        recovery = RecoveryConfig.full(
+        recovery = RecoveryConfig(
             st_ttl_ms=12 * refresh_ms,
             sweep_interval_ms=refresh_ms,
             refresh_interval_ms=refresh_ms,
@@ -242,7 +242,6 @@ class Testbed:
 def build_testbed(
     hierarchy: MapHierarchy,
     placement: Dict[str, Name],
-    calibration: Calibration = DEFAULT_CALIBRATION,
     executor_factory: Optional[Callable[[Network], object]] = None,
     extra_node: Optional[Callable[[Network], GCopssHost]] = None,
 ) -> Testbed:
@@ -260,13 +259,13 @@ def build_testbed(
         router_factory=lambda net, name: GCopssRouter(
             net,
             name,
-            service_time=calibration.testbed_copss_forward_ms,
-            rp_service_time=calibration.rp_service_ms,
+            service_time=DEFAULT_CALIBRATION.testbed_copss_forward_ms,
+            rp_service_time=DEFAULT_CALIBRATION.rp_service_ms,
         ),
         host_factory=GCopssHost,
         host_names=sorted(placement),
-        inter_router_delay_ms=calibration.testbed_router_delay_ms,
-        host_delay_ms=calibration.testbed_host_delay_ms,
+        inter_router_delay_ms=DEFAULT_CALIBRATION.testbed_router_delay_ms,
+        host_delay_ms=DEFAULT_CALIBRATION.testbed_host_delay_ms,
     )
     network = topo.network
     extra = extra_node(network) if extra_node is not None else None

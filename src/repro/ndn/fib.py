@@ -98,9 +98,6 @@ class Fib(Generic[F]):
             if name.is_strict_prefix_of(prefix)
         }
 
-    def faces_for_exact(self, prefix: "Name | str") -> Set[F]:
-        return set(self._entries.get(Name.coerce(prefix), set()))
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------

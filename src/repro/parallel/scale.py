@@ -51,10 +51,17 @@ __all__ = [
     "latency_stats",
 ]
 
+#: Payload of every publish.
+PAYLOAD_BYTES = 200
+#: Publishes start here; subscriptions converge in the quiet prefix.
+PUBLISH_START_MS = 1000.0
+#: Quiet time after the last publish for deliveries to land.
+DRAIN_MS = 1000.0
+
 
 @dataclass(frozen=True)
 class ScaleSpec:
-    """One scale run, fully determined by its fields (no hidden state)."""
+    """One scale run, fully determined by its fields and the module constants."""
 
     players: int = 400
     regions: int = 4
@@ -64,14 +71,7 @@ class ScaleSpec:
     #: Fraction of publishes going to the world CD (seen by everyone);
     #: the rest stay region-local.
     world_fraction: float = 0.05
-    payload_bytes: int = 200
-    core_ring_delay_ms: float = 2.0
-    access_delay_ms: float = 0.5
-    host_delay_ms: float = 0.1
-    #: Publishes start here; subscriptions converge in the quiet prefix.
-    publish_start_ms: float = 1000.0
     publish_interval_ms: float = 1.0
-    drain_ms: float = 1000.0
 
     def __post_init__(self) -> None:
         if self.regions < 1:
@@ -83,11 +83,7 @@ class ScaleSpec:
 
     @property
     def horizon_ms(self) -> float:
-        return (
-            self.publish_start_ms
-            + self.updates * self.publish_interval_ms
-            + self.drain_ms
-        )
+        return PUBLISH_START_MS + self.updates * self.publish_interval_ms + DRAIN_MS
 
     def region_cd(self, region: int) -> Name:
         return ROOT / "region" / str(region)
@@ -129,13 +125,9 @@ class FederationSpec(ScaleSpec):
     ``remote_fraction`` of them are redirected to a foreign region's
     matching zone (cross-region traffic through the aggregate entry).
 
-    The degenerate pin — ``FederationSpec(federated=False,
-    zones_per_region=0, autoscale=False)`` — must reproduce the plain
-    :class:`ScaleSpec` digest bit-for-bit (every hook falls through to
-    the base behaviour); the differential tests hold that line.
+    The flat world, one RP per region, is the plain :class:`ScaleSpec`.
     """
 
-    federated: bool = True
     zones_per_region: int = 8
     #: Pile every zone onto the first owner (the cold-start shape the
     #: autoscaler is asked to repair) instead of round-robin spreading.
@@ -144,14 +136,11 @@ class FederationSpec(ScaleSpec):
     remote_fraction: float = 0.0
     autoscale: bool = True
     autoscale_sample_ms: float = 200.0
-    autoscale_split_backlog: int = 12
-    autoscale_merge_backlog: int = 0
     autoscale_min_interval_ms: float = 800.0
-    autoscale_dominant_fraction: float = 0.6
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.federated and self.zones_per_region < 1:
+        if self.zones_per_region < 1:
             raise ValueError("federated runs need zones_per_region >= 1")
         if not 0.0 <= self.remote_fraction <= 1.0:
             raise ValueError(
@@ -165,13 +154,11 @@ class FederationSpec(ScaleSpec):
         return int(player[1:]) % self.zones_per_region
 
     def subscriptions_for(self, region: int, host_name: str) -> List[Name]:
-        if not self.federated:
-            return super().subscriptions_for(region, host_name)
         return [self.zone_cd(region, self.zone_of(host_name)), self.world_cd]
 
     def map_event_cd(self, index: int, player: str, region: int, cd: Name) -> Name:
         """Retarget a region publish to its zone (maybe a foreign one)."""
-        if not self.federated or cd == self.world_cd:
+        if cd == self.world_cd:
             return cd
         # Optionally redirect to a foreign region: a pure integer hash, so
         # the frozen rng stream stays untouched.
@@ -223,8 +210,6 @@ class FederationSpec(ScaleSpec):
         executors rebind node clocks after the build, so arming happens
         at the call sites through the external-event path.
         """
-        if not self.federated:
-            return
         from repro.core.engine import GCopssRouter
         from repro.core.federation import (
             AutoscalerConfig,
@@ -238,10 +223,7 @@ class FederationSpec(ScaleSpec):
         if self.autoscale:
             config = AutoscalerConfig(
                 sample_interval_ms=self.autoscale_sample_ms,
-                split_backlog=self.autoscale_split_backlog,
-                merge_backlog=self.autoscale_merge_backlog,
                 min_split_interval_ms=self.autoscale_min_interval_ms,
-                dominant_fraction=self.autoscale_dominant_fraction,
             )
             for region in region_map.regions():
                 node = network.nodes.get(region.aggregator)
@@ -270,7 +252,7 @@ def scale_events(spec: ScaleSpec) -> List[Tuple[float, str, str]]:
         else:
             cd = spec.region_cd(region)
         time = (
-            spec.publish_start_ms
+            PUBLISH_START_MS
             + i * spec.publish_interval_ms
             + rng.random() * spec.publish_interval_ms
         )
@@ -309,7 +291,7 @@ def start_workload(spec: ScaleSpec, world: ScaleWorld, schedule) -> DeliveryLog:
     for i, (time, player, cd) in enumerate(scale_events(spec)):
         host = world.hosts.get(player)
         if host is not None:
-            schedule(player, time, _publish, host, cd, spec.payload_bytes, i)
+            schedule(player, time, _publish, host, cd, PAYLOAD_BYTES, i)
     return log
 
 

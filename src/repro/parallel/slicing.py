@@ -63,6 +63,12 @@ __all__ = [
     "build_scale_shard",
 ]
 
+#: One-way link delays of the region ring: core–core, access–core and
+#: host–access.  The core ring delay is the conservative lookahead.
+CORE_RING_DELAY_MS = 2.0
+ACCESS_DELAY_MS = 0.5
+HOST_DELAY_MS = 0.1
+
 
 # ----------------------------------------------------------------------
 # The spec-derived topology table
@@ -97,15 +103,15 @@ class ScaleTopology:
         }
         ring: List[LinkRow] = []
         if spec.regions == 2:
-            ring.append(("core0", "core1", spec.core_ring_delay_ms))
+            ring.append(("core0", "core1", CORE_RING_DELAY_MS))
         elif spec.regions > 2:
             ring.extend(
-                (f"core{r}", f"core{(r + 1) % spec.regions}", spec.core_ring_delay_ms)
+                (f"core{r}", f"core{(r + 1) % spec.regions}", CORE_RING_DELAY_MS)
                 for r in range(spec.regions)
             )
         #: Links among routers only (cores + access), a prefix of ``links``.
         self.router_links: List[LinkRow] = ring + [
-            (name, f"core{r}", spec.access_delay_ms)
+            (name, f"core{r}", ACCESS_DELAY_MS)
             for name, r in access_region.items()
         ]
         self.host_access: Dict[str, str] = {
@@ -115,7 +121,7 @@ class ScaleTopology:
             host: access_region[name] for host, name in self.host_access.items()
         }
         self.links: List[LinkRow] = self.router_links + [
-            (host, name, spec.host_delay_ms)
+            (host, name, HOST_DELAY_MS)
             for host, name in self.host_access.items()
         ]
         #: ``{router: {router: next hop}}`` toward every router.

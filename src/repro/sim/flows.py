@@ -108,7 +108,3 @@ class FlowAccountant:
     ) -> Dict[Hashable, float]:
         """Propagation delay from the root to each receiver over the tree."""
         return {r: self.path_delay(root, r) for r in receivers if r != root}
-
-    def clear_cache(self) -> None:
-        self._paths.clear()
-        self._tree_cache.clear()

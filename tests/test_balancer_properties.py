@@ -8,7 +8,7 @@ Three families of properties, all driven by Hypothesis:
   routers' served sets are mutually prefix-free and cover exactly the
   original set — and a single-CD RP (the unsplittable case) sheds
   nothing;
-* ``min_split_interval_ms`` suppresses cascades: however often the
+* ``cooldown`` suppresses cascades: however often the
   pressure trigger fires, the number of splits is bounded by the number
   of disjoint cooldown windows in the firing sequence.
 """
@@ -172,7 +172,7 @@ class TestCooldownSuppressesCascades:
             policy=SplitPolicy.RANDOM,
             rng=random.Random(1),
             spawn_on_split=False,
-            min_split_interval_ms=cooldown,
+            cooldown=cooldown,
         )
 
         # Pressure is permanent for this property: every check sees an

@@ -14,7 +14,6 @@ from repro.core import GCopssHost
 from repro.core.packets import MulticastPacket
 from repro.experiments.chaos import (
     PLAN_NAMES,
-    ChaosTimeline,
     build_plan,
     run_chaos,
 )
@@ -36,13 +35,13 @@ def test_plan_names_cover_all_builders():
         "rp-split-lossy",
     }
     with pytest.raises(ValueError, match="unknown plan"):
-        build_plan("bogus", seed=1, loss=0.05, timeline=ChaosTimeline())
+        build_plan("bogus", seed=1, loss=0.05)
 
 
 @pytest.mark.parametrize("name", PLAN_NAMES)
 def test_plan_description_is_json_plain(name):
     # ``chaos --out`` writes the report, plan block included, with json.dump.
-    described = build_plan(name, 1, 0.05, ChaosTimeline()).describe()
+    described = build_plan(name, 1, 0.05).describe()
     assert json.loads(json.dumps(described)) is not None
     if name == "rp-split-burst":
         assert described["default"]["burst"] == {

@@ -4,11 +4,9 @@ The executable claim behind the federation design: with zones, skewed
 placement, cross-region redirects and a *live* autoscaler in the event
 stream, the serial, in-process-sharded and multiprocess executors still
 produce one delivery digest — the autoscaler's decisions are a pure
-function of sim state.  Plus the two pin-downs: disabling federation
-reproduces the flat :class:`~repro.parallel.scale.ScaleSpec` digest
-bit-for-bit, and an autoscaler-off federated run is deterministic.  Last,
-the quick saturation experiment reproduces its pinned digests and p95s
-and holds its three SLO claims.
+function of sim state.  Plus a pin-down: an autoscaler-off federated
+run is deterministic.  Last, the quick saturation experiment reproduces
+its pinned digests and p95s and holds its three SLO claims.
 """
 
 import json
@@ -17,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.federation import run_saturation
-from repro.parallel.scale import FederationSpec, ScaleSpec, run_scale
+from repro.parallel.scale import FederationSpec, run_scale
 
 # Small but complete: skew + remote redirects + autoscaler all active,
 # and every region has enough traffic for the autoscaler to act on.
@@ -59,27 +57,6 @@ class TestExecutorEquivalence:
         # the skewed cold start must force at least one action.
         result = run_scale(SPEC)
         assert result["federation"]["actions"] > 0
-
-
-class TestFlatPin:
-    def test_disabled_federation_reproduces_scale_digest(self):
-        base = dict(
-            players=120,
-            regions=4,
-            access_per_region=4,
-            updates=200,
-            seed=7,
-            world_fraction=0.02,
-            publish_interval_ms=0.5,
-        )
-        flat = run_scale(ScaleSpec(**base))
-        pinned = run_scale(
-            FederationSpec(
-                **base, federated=False, zones_per_region=0, autoscale=False
-            )
-        )
-        assert pinned["digest"] == flat["digest"]
-        assert "federation" not in pinned
 
 
 class TestAutoscalerOffDeterminism:

@@ -1,5 +1,6 @@
 """End-to-end tests for ``python -m repro.experiments trace``."""
 
+import ast
 import json
 
 import pytest
@@ -98,3 +99,13 @@ class TestChaosTraceFlag:
         assert code == 0
         out = capsys.readouterr().out
         assert "injected drop reasons:" in out
+        # The injected line is the injector's tally: it sums to the
+        # "injected drops" row and carries no protocol drop (the
+        # publisher suppressing its own echo is not a fault).
+        lines = out.splitlines()
+        line = next(l for l in lines if l.startswith("injected drop reasons:"))
+        injected = ast.literal_eval(line.split(":", 1)[1].strip())
+        assert "own_echo" not in injected
+        row = next(l for l in lines if "injected drops" in l)
+        assert sum(injected.values()) == int(row.strip(" |").split("|")[-1])
+        assert "other recorded drop reasons:" in out

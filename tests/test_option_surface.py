@@ -1,0 +1,139 @@
+"""Structural guard: a setting no workload varies is a constant.
+
+The paper fixes one value for each parameter of its evaluation, and the
+runners, the recovery stack and the run specs hold exactly the settings
+some caller outside ``tests/`` sets to more than one value.  A removed
+knob must not come back one parameter or config field at a time; this
+pins the fields of the config classes and the parameters that are gone.
+"""
+
+import dataclasses
+import inspect
+
+import pytest
+
+import repro.experiments.chaos as chaos
+from repro.analysis.capacity import (
+    minimum_stable_rps,
+    rp_utilizations,
+    server_population_ceiling,
+)
+from repro.core.balancer import RpLoadBalancer
+from repro.core.engine import GCopssHost
+from repro.core.planes import RecoveryConfig
+from repro.experiments.common import (
+    run_gcopss_backbone,
+    run_gcopss_testbed,
+    run_ip_server_backbone,
+    run_ip_server_testbed,
+    run_ndn_testbed,
+)
+from repro.experiments.fig4_microbench import run_fig4
+from repro.experiments.fig6_scalability import run_fig6, run_fig6_federated
+from repro.experiments.flowrun import FlowScenario
+from repro.experiments.scenarios.harness import run_scenario
+from repro.experiments.table1_rp_count import run_table1
+from repro.experiments.table2_hybrid import run_table2
+from repro.experiments.table3_movement import run_table3, run_table3_all
+from repro.experiments.testbed import build_testbed
+from repro.parallel.scale import FederationSpec, ScaleSpec
+
+SCALE_FIELDS = {
+    "players",
+    "regions",
+    "access_per_region",
+    "updates",
+    "seed",
+    "world_fraction",
+    "publish_interval_ms",
+}
+
+#: config class -> the fields it may define.
+FIELDS = {
+    RecoveryConfig: {
+        "st_ttl_ms",
+        "sweep_interval_ms",
+        "refresh_interval_ms",
+        "retry_interval_ms",
+        "max_retries",
+    },
+    ScaleSpec: SCALE_FIELDS,
+    FederationSpec: SCALE_FIELDS
+    | {
+        "zones_per_region",
+        "skewed_placement",
+        "remote_fraction",
+        "autoscale",
+        "autoscale_sample_ms",
+        "autoscale_min_interval_ms",
+    },
+}
+
+#: Callables that read ``DEFAULT_CALIBRATION`` instead of taking one.
+NO_CALIBRATION = [
+    run_gcopss_backbone,
+    run_ip_server_backbone,
+    run_gcopss_testbed,
+    run_ip_server_testbed,
+    build_testbed,
+    chaos.run_chaos,
+    run_scenario,
+    run_fig4,
+    run_table1,
+    run_fig6,
+    run_table2,
+    run_table3,
+    run_table3_all,
+    FlowScenario,
+    rp_utilizations,
+    minimum_stable_rps,
+    server_population_ceiling,
+]
+
+#: callable -> parameters that only ever took their default.
+REMOVED = {
+    run_table1: {
+        "rp_counts", "include_auto", "server_counts", "series_bucket", "use_cache"
+    },
+    run_fig6: {"num_rps", "num_servers"},
+    run_fig6_federated: {"zones_per_region"},
+    run_table3: {"num_rps"},
+    run_table2: {"num_sites"},
+    run_fig4: {"include_ndn", "ndn_scale_cap"},
+    chaos.run_chaos: {"timeline"},
+    run_scenario: {"timeline"},
+    chaos.build_plan: {"timeline"},
+    RpLoadBalancer: {"min_split_interval_ms"},
+    GCopssHost: {"dedup_horizon"},
+}
+
+
+def _name(obj) -> str:
+    return obj.__name__
+
+
+@pytest.mark.parametrize("cls", list(FIELDS), ids=_name)
+def test_config_class_defines_only_the_kept_fields(cls):
+    assert {f.name for f in dataclasses.fields(cls)} == FIELDS[cls]
+
+
+@pytest.mark.parametrize("func", NO_CALIBRATION, ids=_name)
+def test_runner_takes_no_calibration(func):
+    assert "calibration" not in inspect.signature(func).parameters
+
+
+def test_the_ndn_ablation_still_sweeps_the_calibration():
+    assert "calibration" in inspect.signature(run_ndn_testbed).parameters
+
+
+@pytest.mark.parametrize("func", list(REMOVED), ids=_name)
+def test_removed_parameters_stay_removed(func):
+    assert not REMOVED[func] & set(inspect.signature(func).parameters)
+
+
+def test_balancer_cooldown_has_one_name():
+    assert not hasattr(RpLoadBalancer, "min_split_interval_ms")
+
+
+def test_chaos_schedule_is_constants_not_a_timeline():
+    assert not hasattr(chaos, "ChaosTimeline")

@@ -44,24 +44,37 @@ def build_line(recovery=None, host_refresh_ms=None):
 
 class TestRecoveryConfig:
     def test_defaults_are_all_off(self):
-        cfg = RecoveryConfig()
-        assert not cfg.soft_state and not cfg.refresh and not cfg.retransmit
+        net, routers, pub, sub = build_line()
+        assert all(r.control.recovery is None for r in routers)
+        sub.subscribe(["/2"])
+        net.sim.run()  # no periodic tick: an unbounded run ends
+        assert not routers[2].control._st_touched
 
-    def test_full_turns_everything_on(self):
-        cfg = RecoveryConfig.full(st_ttl_ms=123.0)
-        assert cfg.soft_state and cfg.refresh and cfg.retransmit
-        assert cfg.st_ttl_ms == 123.0
+    def test_enable_recovery_turns_everything_on(self):
+        net, routers, pub, sub = build_line()
+        cfg = RecoveryConfig(st_ttl_ms=123.0, sweep_interval_ms=10.0,
+                             refresh_interval_ms=20.0)
+        for r in routers:
+            assert r.control.enable_recovery(cfg) is cfg
+        sub.subscribe(["/2"])
+        net.sim.run(until=100.0)
+        # Soft state (timestamped ST entries) and refresh (upstream
+        # re-Subscribes) both run under the one switch.
+        assert routers[2].control._st_touched
+        assert routers[2].stats.subscription_refreshes > 0
 
     def test_enable_recovery_defaults_to_full(self):
         net, routers, *_ = build_line()
         cfg = routers[0].control.enable_recovery()
-        assert cfg.soft_state and cfg.refresh and cfg.retransmit
+        assert routers[0].control.recovery is cfg
+        assert cfg == RecoveryConfig()
 
 
 class TestSoftStateExpiry:
     def test_unrefreshed_subscription_expires(self):
-        cfg = RecoveryConfig.full(
-            st_ttl_ms=50.0, sweep_interval_ms=10.0, refresh=False, retransmit=False
+        # Refresh interval past the horizon: no router keep-alive runs.
+        cfg = RecoveryConfig(
+            st_ttl_ms=50.0, sweep_interval_ms=10.0, refresh_interval_ms=1e9
         )
         net, routers, pub, sub = build_line(recovery=cfg)
         sub.subscribe(["/2"])
@@ -77,8 +90,8 @@ class TestSoftStateExpiry:
         assert sub.stats.updates_received == 0
 
     def test_host_keepalive_prevents_expiry(self):
-        cfg = RecoveryConfig.full(st_ttl_ms=50.0, sweep_interval_ms=10.0,
-                                  refresh_interval_ms=20.0)
+        cfg = RecoveryConfig(st_ttl_ms=50.0, sweep_interval_ms=10.0,
+                             refresh_interval_ms=20.0)
         net, routers, pub, sub = build_line(recovery=cfg, host_refresh_ms=20.0)
         sub.subscribe(["/2"])
         net.sim.run(until=400.0)
@@ -112,8 +125,8 @@ class TestSoftStateExpiry:
 
 class TestLossRecovery:
     def test_lost_subscribe_recovered_by_keepalive(self):
-        cfg = RecoveryConfig.full(refresh_interval_ms=30.0, st_ttl_ms=400.0,
-                                  sweep_interval_ms=50.0)
+        cfg = RecoveryConfig(refresh_interval_ms=30.0, st_ttl_ms=400.0,
+                             sweep_interval_ms=50.0)
         net, routers, pub, sub = build_line(recovery=cfg, host_refresh_ms=30.0)
         # Drop ALL control packets on the access link until t=100, so the
         # initial Subscribe (and the first keep-alives) die.
@@ -132,7 +145,7 @@ class TestLossRecovery:
         assert sub.stats.updates_received == 1
 
     def test_crashed_router_recovers_through_refresh(self):
-        cfg = RecoveryConfig.full(
+        cfg = RecoveryConfig(
             refresh_interval_ms=30.0, st_ttl_ms=400.0, sweep_interval_ms=50.0
         )
         net, routers, pub, sub = build_line(recovery=cfg, host_refresh_ms=30.0)
@@ -153,8 +166,8 @@ class TestLossRecovery:
         assert sub.stats.updates_received == 1
 
     def test_handoff_retransmitted_through_lossy_control_plane(self):
-        cfg = RecoveryConfig.full(retry_interval_ms=20.0, refresh_interval_ms=50.0,
-                                  st_ttl_ms=1000.0, sweep_interval_ms=100.0)
+        cfg = RecoveryConfig(retry_interval_ms=20.0, refresh_interval_ms=50.0,
+                             st_ttl_ms=1000.0, sweep_interval_ms=100.0)
         net, routers, pub, sub = build_line(recovery=cfg, host_refresh_ms=50.0)
         sub.subscribe(["/2"])
         net.sim.run(until=20.0)
@@ -179,11 +192,13 @@ class TestLossRecovery:
         assert sub.stats.updates_received == 1
 
     def test_handoff_rolls_back_when_new_rp_unreachable(self):
-        cfg = RecoveryConfig.full(retry_interval_ms=10.0, retry_backoff=1.0,
-                                  max_retries=3, refresh=False, soft_state=False)
+        # Refresh, TTL and sweep past the horizon: only retransmission acts.
+        cfg = RecoveryConfig(retry_interval_ms=10.0, max_retries=3,
+                             refresh_interval_ms=1e9, st_ttl_ms=1e9,
+                             sweep_interval_ms=1e9)
         net, routers, pub, sub = build_line(recovery=cfg)
         sub.subscribe(["/2"])
-        net.sim.run()
+        net.sim.run(until=100.0)
         # Permanently sever the path to the would-be RP.
         FaultInjector(
             net,

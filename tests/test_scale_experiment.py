@@ -10,6 +10,7 @@ import pytest
 
 from repro.experiments.__main__ import main
 from repro.parallel.scale import (
+    PUBLISH_START_MS,
     ScaleSpec,
     build_scale_world,
     run_scale,
@@ -35,7 +36,7 @@ class TestScaleWorkload:
         assert events == scale_events(SPEC)
         assert len(events) == SPEC.updates
         for time, player, cd in events:
-            assert SPEC.publish_start_ms <= time < SPEC.horizon_ms
+            assert PUBLISH_START_MS <= time < SPEC.horizon_ms
             assert player in build_scale_world(SPEC).hosts
             assert cd.startswith("/region/") or cd == "/world"
 
