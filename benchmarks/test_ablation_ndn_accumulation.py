@@ -53,7 +53,6 @@ def test_ndn_accumulation_tradeoff(benchmark):
                 game_map,
                 placement,
                 calibration,
-                label=f"t={t_ms:g}ms",
                 drain_ms=5_000.0,
             )
         return results

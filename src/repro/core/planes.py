@@ -399,13 +399,13 @@ class ControlPlane:
     # ------------------------------------------------------------------
     # Recovery plumbing
     # ------------------------------------------------------------------
-    def enable_recovery(self, config: Optional[RecoveryConfig] = None) -> RecoveryConfig:
-        """Switch recovery on, with ``config``'s timing (default timing if None).
+    def enable_recovery(self, config: RecoveryConfig) -> RecoveryConfig:
+        """Switch recovery on, with ``config``'s timing.
 
         Schedules the soft-state sweep and refresh ticks; they re-arm
         themselves forever, so bound the run with ``sim.run(until=...)``.
         """
-        self.recovery = config if config is not None else RecoveryConfig()
+        self.recovery = config
         sim = self.router.sim
         sim.schedule(self.recovery.sweep_interval_ms, self._sweep_tick)
         sim.schedule(self.recovery.refresh_interval_ms, self._refresh_tick)

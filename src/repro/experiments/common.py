@@ -484,7 +484,6 @@ def run_gcopss_testbed(
     events: Sequence[UpdateEvent],
     game_map: GameMap,
     placement: Dict[str, Name],
-    label: str = "G-COPSS (testbed)",
     executor_factory: Optional[Callable[[Network], object]] = None,
 ) -> ScenarioResult:
     """G-COPSS microbenchmark: 62 players, RP at R1.
@@ -504,7 +503,7 @@ def run_gcopss_testbed(
     testbed.replay(events, _bare_publisher(testbed.hosts))
     testbed.executor.run()
     return ScenarioResult(
-        label=label,
+        label="G-COPSS (testbed)",
         latency=latency,
         series=series,
         network_bytes=testbed.network.total_bytes,
@@ -518,7 +517,6 @@ def run_ip_server_testbed(
     events: Sequence[UpdateEvent],
     game_map: GameMap,
     placement: Dict[str, Name],
-    label: str = "IP server (testbed)",
 ) -> ScenarioResult:
     """IP server microbenchmark: server at R1, flat testbed service time."""
     topo = build_benchmark_topology(
@@ -568,7 +566,7 @@ def run_ip_server_testbed(
     _schedule_publishes(network, events, publish)
     network.sim.run()
     return ScenarioResult(
-        label=label,
+        label="IP server (testbed)",
         latency=latency,
         series=series,
         network_bytes=network.total_bytes,
@@ -582,7 +580,6 @@ def run_ndn_testbed(
     game_map: GameMap,
     placement: Dict[str, Name],
     calibration: Calibration = DEFAULT_CALIBRATION,
-    label: str = "NDN (testbed)",
     drain_ms: float = 10_000.0,
 ) -> ScenarioResult:
     """VoCCN-style NDN microbenchmark.
@@ -640,7 +637,7 @@ def run_ndn_testbed(
     network.sim.run(until=horizon)
 
     return ScenarioResult(
-        label=label,
+        label="NDN (testbed)",
         latency=latency,
         series=series,
         network_bytes=network.total_bytes,

@@ -13,6 +13,13 @@ with no observable meaning — two runs are equivalent iff their delivery
 multisets match.  Latencies are kept at full float precision (repr), so
 a single ulp of drift anywhere fails the digest; equivalence here means
 bit-identical arithmetic, not approximate agreement.
+
+:func:`delivery_digest` is that definition, written as the sorted list it
+hashes.  :meth:`DeliveryLog.digest` hashes the same bytes without building
+the list or its JSON string: each row's place in the sort is one integer
+made of three ranks (key by ``str``, receiver by name, latency by
+``repr``), each distinct 64-bit latency pattern is ``repr``-ed once, and
+the rows go to sha256 a chunk at a time.
 """
 
 from __future__ import annotations
@@ -20,11 +27,16 @@ from __future__ import annotations
 import hashlib
 import json
 from array import array
+from itertools import count, repeat
+from operator import add, floordiv, mod
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 __all__ = ["DeliveryLog", "delivery_digest", "canonical_digest", "json_digest"]
 
 Entry = Tuple[object, str, float]
+
+#: Rows per sha256 update in :meth:`DeliveryLog.digest`.
+_CHUNK_ROWS = 1 << 16
 
 
 def json_digest(payload: object, separators: "Tuple[str, str] | None" = None) -> str:
@@ -98,19 +110,58 @@ class DeliveryLog:
     def __len__(self) -> int:
         return len(self._keys)
 
-    def _rows(self, keys: Iterable) -> Iterator[Entry]:
-        receivers = map(list(self._table).__getitem__, self._receivers)
-        return zip(keys, receivers, self._latencies)
-
     @property
     def entries(self) -> Iterator[Entry]:
         """A fresh iterator over the ``(key, receiver, latency_ms)`` rows."""
-        return self._rows(self._keys)
+        receivers = map(list(self._table).__getitem__, self._receivers)
+        return zip(self._keys, receivers, self._latencies)
 
     def digest(self) -> str:
-        # One key string per update, shared by its rows (``str`` of a str is itself).
-        text = {key: str(key) for key in set(self._keys)}
-        return delivery_digest(self._rows(map(text.__getitem__, self._keys)))
+        """:func:`delivery_digest` of the rows, hashed as it is written out.
+
+        Each row is one integer, ``(key_rank * len(names) + name_rank) *
+        len(latencies) + latency_rank``, with keys ranked by ``str``,
+        receivers by name and latencies by ``repr``: sorting the integers
+        sorts the rows as the reference does, equal integers are equal
+        rows, and each integer decodes to its row's three JSON fields.
+        """
+        # Bit patterns, not floats: -0.0 and 0.0 differ in repr but not in ==.
+        bits = array("q", self._latencies.tobytes())
+        patterns = array("q", set(bits))
+        text_of = dict(zip(patterns, map(repr, array("d", patterns.tobytes()))))
+        latencies = sorted(text_of, key=text_of.__getitem__)
+        latency_rank = dict(zip(latencies, count()))
+        spread = len(latencies)
+        names = sorted(self._table)
+        name_rank = {name: rank for rank, name in enumerate(names)}
+        receiver_base = [name_rank[name] * spread for name in self._table]
+        width = spread * len(names)
+        keys = sorted(set(self._keys), key=str)
+        key_base = {key: rank * width for rank, key in enumerate(keys)}
+        key_part = map(key_base.__getitem__, self._keys)
+        receiver_part = map(receiver_base.__getitem__, self._receivers)
+        latency_part = map(latency_rank.__getitem__, bits)
+        codes = list(map(add, map(add, key_part, receiver_part), latency_part))
+        del bits
+        codes.sort()
+        # Each row is ``,["<key>",<name>,"<repr>"]``, the first without its
+        # comma.  Only a name can need JSON escaping; an int's str or a
+        # float's repr never does.
+        key_text = [f',["{key}",' for key in keys]
+        name_text = [json.dumps(name) + "," for name in names]
+        latency_text = [f'"{text_of[pattern]}"]' for pattern in latencies]
+        sha = hashlib.sha256(b"[")
+        for start in range(0, len(codes), _CHUNK_ROWS):
+            chunk = codes[start : start + _CHUNK_ROWS]
+            fields = [""] * (3 * len(chunk))
+            fields[0::3] = map(key_text.__getitem__, map(floordiv, chunk, repeat(width)))
+            in_key = map(mod, chunk, repeat(width))
+            fields[1::3] = map(name_text.__getitem__, map(floordiv, in_key, repeat(spread)))
+            fields[2::3] = map(latency_text.__getitem__, map(mod, chunk, repeat(spread)))
+            text = "".join(fields)
+            sha.update((text[1:] if start == 0 else text).encode())
+        sha.update(b"]")
+        return sha.hexdigest()
 
     def latencies(self) -> List[float]:
         return sorted(self._latencies)

@@ -20,7 +20,7 @@ from repro.analysis.capacity import (
 )
 from repro.core.balancer import RpLoadBalancer
 from repro.core.engine import GCopssHost
-from repro.core.planes import RecoveryConfig
+from repro.core.planes import ControlPlane, RecoveryConfig
 from repro.experiments.common import (
     run_gcopss_backbone,
     run_gcopss_testbed,
@@ -105,6 +105,9 @@ REMOVED = {
     chaos.build_plan: {"timeline"},
     RpLoadBalancer: {"min_split_interval_ms"},
     GCopssHost: {"dedup_horizon"},
+    run_gcopss_testbed: {"label"},
+    run_ip_server_testbed: {"label"},
+    run_ndn_testbed: {"label"},
 }
 
 
@@ -129,6 +132,11 @@ def test_the_ndn_ablation_still_sweeps_the_calibration():
 @pytest.mark.parametrize("func", list(REMOVED), ids=_name)
 def test_removed_parameters_stay_removed(func):
     assert not REMOVED[func] & set(inspect.signature(func).parameters)
+
+
+def test_recovery_is_enabled_with_an_explicit_config():
+    config = inspect.signature(ControlPlane.enable_recovery).parameters["config"]
+    assert config.default is inspect.Parameter.empty
 
 
 def test_balancer_cooldown_has_one_name():

@@ -65,7 +65,7 @@ class TestRecoveryConfig:
 
     def test_enable_recovery_defaults_to_full(self):
         net, routers, *_ = build_line()
-        cfg = routers[0].control.enable_recovery()
+        cfg = routers[0].control.enable_recovery(RecoveryConfig())
         assert routers[0].control.recovery is cfg
         assert cfg == RecoveryConfig()
 

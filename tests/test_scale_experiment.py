@@ -52,6 +52,14 @@ class TestScaleWorkload:
 
 
 class TestScaleEquivalence:
+    def test_serial_digest_is_pinned(self):
+        # The arms below only agree with each other; this pins the bytes.
+        result = run_scale(SPEC)
+        assert result["deliveries"] == 1344
+        assert result["digest"] == (
+            "65254c0f939fbb03d3812c355ed36363d59c756c6258a0acb694fc12d47e3955"
+        )
+
     def test_two_workers_match_serial(self):
         serial = run_scale(SPEC)
         proc = run_scale(SPEC, workers=2)
