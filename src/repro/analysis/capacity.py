@@ -29,39 +29,45 @@ __all__ = [
     "server_population_ceiling",
 ]
 
+#: Share of the trace, from its end, that :func:`peak_arrival_rate` reads.
+PEAK_WINDOW_FRACTION = 0.2
+#: Utilization bound :func:`minimum_stable_rps` provisions under, and the
+#: largest RP count it tries.
+HEADROOM = 0.85
+MAX_RPS = 16
+#: The Fig. 6 server workload: one update every 2.4 ms in aggregate, 40 %
+#: of players subscribed to an update's CD, and 45 % of the stream at the
+#: hottest server (the satellite-heavy chunk).
+AGGREGATE_INTERARRIVAL_MS = 2.4
+SUBSCRIBED_FRACTION = 0.4
+HOT_SHARE = 0.45
 
-def cd_load_shares(
-    events: Sequence[UpdateEvent], depth: int = 1
-) -> Dict[Name, float]:
-    """Fraction of publications per CD prefix at the given depth.
 
-    Depth 1 groups by top-level piece (each region subtree; the world
-    airspace leaf stands alone), which is the granularity initial RP
-    assignments use.
+def cd_load_shares(events: Sequence[UpdateEvent]) -> Dict[Name, float]:
+    """Fraction of publications per top-level CD piece.
+
+    Each region subtree groups together and the world airspace leaf
+    stands alone: the granularity initial RP assignments use.
     """
     if not events:
         raise ValueError("cannot analyze an empty trace")
     counts: Dict[Name, int] = {}
     for event in events:
-        prefix = event.cd.slice(min(depth, event.cd.depth))
+        prefix = event.cd.slice(min(1, event.cd.depth))
         counts[prefix] = counts.get(prefix, 0) + 1
     total = len(events)
     return {prefix: count / total for prefix, count in sorted(counts.items())}
 
 
-def peak_arrival_rate(
-    events: Sequence[UpdateEvent], window_fraction: float = 0.2
-) -> float:
+def peak_arrival_rate(events: Sequence[UpdateEvent]) -> float:
     """Aggregate packets/ms over the trace's final (peak) window.
 
     Provisioning must hold at the *peak* rate, not the mean — the
     capture's intensity ramps up (§V-B peak period).
     """
-    if not 0 < window_fraction <= 1:
-        raise ValueError("window_fraction must be in (0, 1]")
     if len(events) < 2:
         raise ValueError("need at least two events")
-    tail = events[-max(2, int(len(events) * window_fraction)) :]
+    tail = events[-max(2, int(len(events) * PEAK_WINDOW_FRACTION)) :]
     span = tail[-1].time_ms - tail[0].time_ms
     if span <= 0:
         raise ValueError("degenerate trace timing")
@@ -92,25 +98,21 @@ def rp_utilizations(
 def minimum_stable_rps(
     events: Sequence[UpdateEvent],
     hierarchy: MapHierarchy,
-    headroom: float = 0.85,
-    max_rps: int = 16,
 ) -> Optional[Dict[str, object]]:
-    """Smallest RP count whose default assignment stays under ``headroom``.
+    """Smallest RP count whose default assignment stays under :data:`HEADROOM`.
 
     Uses the same load-blind contiguous assignment the experiments use,
     so the answer matches what the benchmarks observe (e.g. the paper's
     414-player peak workload needs 3 RPs).  Returns None when even
-    ``max_rps`` cannot satisfy the bound (one CD hotter than a whole RP —
-    the case only runtime splitting below the top layer can solve).
+    :data:`MAX_RPS` cannot satisfy the bound (one CD hotter than a whole
+    RP — the case only runtime splitting below the top layer can solve).
     """
-    if not 0 < headroom <= 1:
-        raise ValueError("headroom must be in (0, 1]")
-    for count in range(1, max_rps + 1):
+    for count in range(1, MAX_RPS + 1):
         names = [f"rp{i}" for i in range(count)]
         assignment = default_rp_assignment(hierarchy, names)
         rhos = rp_utilizations(events, assignment)
         worst = max(rhos.values())
-        if worst < headroom:
+        if worst < HEADROOM:
             # The worst RP's arrival rate follows from its utilization:
             # lambda = rho / s.
             worst_arrival = worst / DEFAULT_CALIBRATION.rp_service_ms
@@ -125,28 +127,21 @@ def minimum_stable_rps(
     return None
 
 
-def server_population_ceiling(
-    num_servers: int = 3,
-    aggregate_interarrival_ms: float = 2.4,
-    subscribed_fraction: float = 0.4,
-    hot_share: float = 0.45,
-) -> int:
+def server_population_ceiling() -> int:
     """Largest player count the IP servers can sustain (Fig. 6a's wall).
 
     Server service grows with the recipient set: s(n) = base +
-    per_recipient * subscribed_fraction * n.  The hottest server carries
-    ``hot_share`` of the update stream (the satellite-heavy chunk), so
-    stability requires hot_share * lambda * s(n) < 1.
+    per_recipient * SUBSCRIBED_FRACTION * n.  The hottest server carries
+    :data:`HOT_SHARE` of the update stream, so stability requires
+    HOT_SHARE * lambda * s(n) < 1.
     """
-    if not 0 < subscribed_fraction <= 1 or not 0 < hot_share <= 1:
-        raise ValueError("fractions must be in (0, 1]")
-    rate = hot_share / aggregate_interarrival_ms  # packets/ms at the hot server
+    rate = HOT_SHARE / AGGREGATE_INTERARRIVAL_MS  # packets/ms at the hot server
     ceiling = 0
     n = 1
     while n < 10_000_000:
         service = (
             DEFAULT_CALIBRATION.server_base_ms
-            + DEFAULT_CALIBRATION.server_per_recipient_ms * subscribed_fraction * n
+            + DEFAULT_CALIBRATION.server_per_recipient_ms * SUBSCRIBED_FRACTION * n
         )
         if utilization(rate, service) >= 1.0:
             break

@@ -198,16 +198,15 @@ class GameServerNode(Node):
 
 
 class IpClientNode(Node):
-    """A player endpoint in the client/server architecture."""
+    """A player endpoint in the client/server architecture.
 
-    def __init__(
-        self,
-        network: Network,
-        name: str,
-        server_for_cd: Optional[Callable[[Name], str]] = None,
-    ) -> None:
+    ``server_for_cd`` (CD -> server name) is assigned once the servers
+    are placed; until then :meth:`publish` refuses.
+    """
+
+    def __init__(self, network: Network, name: str) -> None:
         super().__init__(network, name)
-        self.server_for_cd = server_for_cd
+        self.server_for_cd: Optional[Callable[[Name], str]] = None
         self.on_update: List[Callable[["IpClientNode", DatagramPacket], None]] = []
         # Lenient: a client silently ignores stray non-datagram traffic
         # (counted in stats.unknown_packets, never raised).

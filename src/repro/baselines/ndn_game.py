@@ -33,6 +33,9 @@ PLAYER_NAMESPACE = "p"
 #: Per-update framing inside an accumulated version.
 UPDATE_FRAME_BYTES = 8
 
+#: Versions a producer keeps to answer Interests; older ones are pruned.
+VERSION_HISTORY = 64
+
 
 class NdnGamePlayer(NdnHost):
     """One participant of the query/response game.
@@ -52,7 +55,6 @@ class NdnGamePlayer(NdnHost):
         accumulation_ms: float = 100.0,
         pipeline_window: int = 3,
         interest_lifetime_ms: float = 2000.0,
-        version_history: int = 64,
     ) -> None:
         super().__init__(network, name)
         if accumulation_ms <= 0:
@@ -62,7 +64,6 @@ class NdnGamePlayer(NdnHost):
         self.accumulation_ms = accumulation_ms
         self.pipeline_window = pipeline_window
         self.interest_lifetime_ms = interest_lifetime_ms
-        self.version_history = version_history
         # Producer state.
         self._pending_updates: List[Tuple[float, int]] = []  # (created_at, size)
         self._versions: Dict[int, Tuple[List[float], int]] = {}
@@ -112,8 +113,8 @@ class NdnGamePlayer(NdnHost):
         payload = sum(size + UPDATE_FRAME_BYTES for _, size in batch)
         self._versions[seq] = (times, payload)
         self.versions_published += 1
-        if len(self._versions) > self.version_history:
-            for old in sorted(self._versions)[: len(self._versions) - self.version_history]:
+        if len(self._versions) > VERSION_HISTORY:
+            for old in sorted(self._versions)[: len(self._versions) - VERSION_HISTORY]:
                 del self._versions[old]
         waiting = self._waiting_interests.pop(seq, 0)
         if waiting:

@@ -43,6 +43,9 @@ __all__ = [
 #: Counter ceiling of the counting filter (16-bit, as on a real router).
 COUNTER_MAX = 0xFFFF
 
+#: False-positive rate ``for_capacity`` sizes a filter for.
+FP_RATE = 0.01
+
 
 def optimal_params(expected_items: int, fp_rate: float) -> tuple[int, int]:
     """Classic (m, k) sizing: bits and hash count for a target FP rate."""
@@ -110,8 +113,8 @@ class BloomFilter:
         self.items_added = 0
 
     @classmethod
-    def for_capacity(cls, expected_items: int, fp_rate: float = 0.01) -> "BloomFilter":
-        return cls(*optimal_params(expected_items, fp_rate))
+    def for_capacity(cls, expected_items: int) -> "BloomFilter":
+        return cls(*optimal_params(expected_items, FP_RATE))
 
     def add(self, cd: "Name | str", indexes: Optional[Iterable[int]] = None) -> None:
         """Insert ``cd``; pass its precomputed ``indexes`` to skip hashing."""
@@ -194,10 +197,8 @@ class CountingBloomFilter:
         self.items = 0
 
     @classmethod
-    def for_capacity(
-        cls, expected_items: int, fp_rate: float = 0.01
-    ) -> "CountingBloomFilter":
-        return cls(*optimal_params(expected_items, fp_rate))
+    def for_capacity(cls, expected_items: int) -> "CountingBloomFilter":
+        return cls(*optimal_params(expected_items, FP_RATE))
 
     def add(self, cd: "Name | str", indexes: Optional[Tuple[int, ...]] = None) -> None:
         """Insert one occurrence of ``cd``, bumping its ``k`` counters.

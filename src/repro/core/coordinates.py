@@ -29,6 +29,10 @@ __all__ = ["VivaldiSystem", "coordinate_rp_selector", "seed_coordinates_from_del
 
 Vector = Tuple[float, ...]
 
+#: Vivaldi's force gain: the share of the spring error a sample corrects,
+#: scaled by the sample's relative weight.
+CC = 0.25
+
 
 def _sub(a: Vector, b: Vector) -> Vector:
     return tuple(x - y for x, y in zip(a, b))
@@ -56,23 +60,21 @@ class VivaldiSystem:
     between any two nodes without ever measuring that pair.
 
     The implementation follows the adaptive-timestep variant of the
-    Vivaldi paper: ``ce`` and ``cc`` are the error/force gain constants.
+    Vivaldi paper: ``ce`` is the error gain and :data:`CC` the force gain.
     """
 
     def __init__(
         self,
         dimensions: int = 2,
         ce: float = 0.25,
-        cc: float = 0.25,
         seed: int = 17,
     ) -> None:
         if dimensions < 1:
             raise ValueError("need at least one dimension")
-        if not (0 < ce <= 1 and 0 < cc <= 1):
-            raise ValueError("gain constants must be in (0, 1]")
+        if not 0 < ce <= 1:
+            raise ValueError("the error gain must be in (0, 1]")
         self.dimensions = dimensions
         self.ce = ce
-        self.cc = cc
         self._rng = random.Random(seed)
         self._coords: Dict[Hashable, Vector] = {}
         self._errors: Dict[Hashable, float] = {}
@@ -131,7 +133,7 @@ class VivaldiSystem:
             )
             norm = _norm(direction) or 1.0
         unit = _scale(direction, 1.0 / norm)
-        delta = self.cc * w
+        delta = CC * w
         self._coords[a] = _add(xa, _scale(unit, delta * (rtt_ms - dist)))
         self.samples_applied += 1
 

@@ -337,25 +337,28 @@ def _relay_refresh_hook(aggregator: GCopssRouter, region: RpRegion, members: Set
     return refresh
 
 
+#: Hot / idle member queue-depth thresholds of the autoscaler.
+SPLIT_BACKLOG = 12
+MERGE_BACKLOG = 0
+#: A hot member moves one zone alone, instead of half-splitting, when
+#: that zone carries at least this share of the member's window load.
+DOMINANT_FRACTION = 0.6
+#: Safety valve: the autoscaler stops deciding after this many actions.
+MAX_ACTIONS = 200
+
+
 @dataclass
 class AutoscalerConfig:
-    """Knobs for one region's telemetry-driven control loop.
+    """Timing of one region's telemetry-driven control loop.
 
-    ``sample_interval_ms`` is the telemetry cadence; ``split_backlog`` /
-    ``merge_backlog`` are the hot / idle member queue-depth thresholds;
+    ``sample_interval_ms`` is the telemetry cadence;
     ``min_split_interval_ms`` is the per-member action cooldown (the same
     contract as the flat balancer's ``cooldown`` — it is what suppresses
-    split cascades); ``dominant_fraction`` picks a placement
-    migration over a half-split when one zone carries that share of the
-    member's window load; ``max_actions`` is a safety valve.
+    split cascades).
     """
 
     sample_interval_ms: float = 200.0
-    split_backlog: int = 12
-    merge_backlog: int = 0
     min_split_interval_ms: float = 800.0
-    dominant_fraction: float = 0.6
-    max_actions: int = 200
 
 
 @dataclass(frozen=True)
@@ -378,7 +381,7 @@ class AutoscalerRole(Role):
 
     * **migrate** — the hottest member's load is dominated by one zone:
       move just that zone to the coolest member (placement migration);
-    * **split** — the hottest member is over ``split_backlog`` with >= 2
+    * **split** — the hottest member is over :data:`SPLIT_BACKLOG` with >= 2
       zones: shed :func:`~repro.core.balancer.greedy_half` of them to the
       coolest member;
     * **merge** — no member is hot and >= 2 zone-holding members sat idle
@@ -444,7 +447,7 @@ class AutoscalerRole(Role):
         now = node.sim.now
         if now > self._until:
             return
-        if len(self.actions) < self.config.max_actions:
+        if len(self.actions) < MAX_ACTIONS:
             self._decide(now)
         node.sim.schedule(self.config.sample_interval_ms, self._tick)
 
@@ -477,7 +480,7 @@ class AutoscalerRole(Role):
         hot = [
             (router, backlog, loads)
             for router, backlog, loads in samples
-            if backlog >= cfg.split_backlog
+            if backlog >= SPLIT_BACKLOG
             and len(router.rp_role.prefixes) >= 2
             and now - self._last_action.get(router.name, -float("inf"))
             >= cfg.min_split_interval_ms
@@ -486,16 +489,15 @@ class AutoscalerRole(Role):
             router, backlog, loads = min(hot, key=lambda s: (-s[1], s[0].name))
             self._shed(now, router, loads, samples)
             return
-        if any(backlog >= cfg.split_backlog for _, backlog, _ in samples):
+        if any(backlog >= SPLIT_BACKLOG for _, backlog, _ in samples):
             return  # hot but unsplittable or cooling down: nothing to do
         self._maybe_merge(now, samples, decap_delta)
 
     def _shed(self, now, router: GCopssRouter, loads: Counter, samples) -> None:
-        cfg = self.config
         prefixes = sorted(router.rp_role.prefixes)
         total = sum(loads.get(p, 0) for p in prefixes)
         top = max(prefixes, key=lambda p: (loads.get(p, 0), p))
-        if total > 0 and loads.get(top, 0) >= cfg.dominant_fraction * total:
+        if total > 0 and loads.get(top, 0) >= DOMINANT_FRACTION * total:
             moved, kind = [top], "migrate"
         else:
             moved, kind = sorted(greedy_half(prefixes, loads)), "split"
@@ -508,11 +510,10 @@ class AutoscalerRole(Role):
         self._record(now, kind, router.name, target, tuple(moved))
 
     def _maybe_merge(self, now, samples, decap_delta: Dict[str, int]) -> None:
-        cfg = self.config
         idle = [
             (router, backlog)
             for router, backlog, _loads in samples
-            if backlog <= cfg.merge_backlog
+            if backlog <= MERGE_BACKLOG
             and decap_delta.get(router.name, 0) == 0
             and router.rp_role.prefixes
         ]
@@ -525,7 +526,7 @@ class AutoscalerRole(Role):
         dest = idle[-1][0]
         if source is dest or len(dest.rp_role.prefixes) < len(source.rp_role.prefixes):
             return
-        cold = now - cfg.min_split_interval_ms
+        cold = now - self.config.min_split_interval_ms
         if self._last_action.get(source.name, -float("inf")) > cold:
             return
         if self._last_action.get(dest.name, -float("inf")) > cold:

@@ -39,6 +39,9 @@ REPLAY_FRAME_BYTES = 12
 #: Updates per replay batch (one Data packet).
 BATCH_SIZE = 32
 
+#: Updates buffered per guarded player; the oldest goes first past it.
+MAX_BUFFERED = 10_000
+
 
 @dataclass(frozen=True)
 class BufferedUpdate:
@@ -57,16 +60,13 @@ class OfflineGuardian(GCopssHost):
     ``register(player, cds)`` starts buffering; ``backlog_of`` and the
     ``/offline/<player>/<batch>`` NDN namespace expose it;
     ``release(player)`` stops buffering and frees the storage.  Buffers
-    are bounded (``max_buffered`` per player, oldest dropped first, drop
+    are bounded (:data:`MAX_BUFFERED` per player, oldest dropped first, drop
     count kept so clients know the replay is partial and should fall
     back to a snapshot).
     """
 
-    def __init__(self, network, name: str, max_buffered: int = 10_000) -> None:
+    def __init__(self, network, name: str) -> None:
         super().__init__(network, name)
-        if max_buffered < 1:
-            raise ValueError("max_buffered must be >= 1")
-        self.max_buffered = max_buffered
         self._watched: Dict[str, Set[Name]] = {}
         self._buffers: Dict[str, Deque[BufferedUpdate]] = {}
         self.dropped: Dict[str, int] = {}
@@ -121,7 +121,7 @@ class OfflineGuardian(GCopssHost):
                 )
             )
             self.updates_buffered += 1
-            if len(buffer) > self.max_buffered:
+            if len(buffer) > MAX_BUFFERED:
                 buffer.popleft()
                 self.dropped[player] += 1
 

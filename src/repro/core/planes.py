@@ -66,8 +66,11 @@ RP_NAMESPACE = "rp"
 #: Replication/flood dedup window (uids remembered per structure).
 DEDUP_HORIZON = 65536
 
-#: Growth factor of the handshake retry interval, per retry.
+#: First handshake retry interval, its growth factor per retry, and the
+#: retries before a handoff rolls back (or a Join gives up).
+RETRY_INTERVAL_MS = 250.0
 RETRY_BACKOFF = 2.0
+MAX_RETRIES = 8
 
 
 def rp_target_of(interest: Interest) -> str:
@@ -105,10 +108,10 @@ class RecoveryConfig:
       on RPs, re-floods a FIB-add for the served prefixes so
       partially-lost floods heal.
     * retransmission — the migration handshake retries: Joins are re-sent
-      every ``retry_interval_ms``, doubling (:data:`RETRY_BACKOFF`), while
-      an epoch is PENDING; CD-handoffs are re-sent until the new RP's FIB
-      flood acknowledges them implicitly (with a rollback after
-      ``max_retries``); and tunnels that reach an RP which no longer
+      after :data:`RETRY_INTERVAL_MS`, doubling (:data:`RETRY_BACKOFF`),
+      while an epoch is PENDING; CD-handoffs are re-sent until the new
+      RP's FIB flood acknowledges them implicitly (with a rollback after
+      :data:`MAX_RETRIES`); and tunnels that reach an RP which no longer
       serves the CD are bounced via CD routes instead of dropped.
 
     The periodic ticks re-schedule themselves forever, so a run with
@@ -118,8 +121,6 @@ class RecoveryConfig:
     st_ttl_ms: float = 8000.0
     sweep_interval_ms: float = 1000.0
     refresh_interval_ms: float = 2000.0
-    retry_interval_ms: float = 1000.0
-    max_retries: int = 5
 
 
 class _MigrationState(Enum):
@@ -641,14 +642,14 @@ class ControlPlane:
         return prev
 
     def _arm_handoff_retry(self, uid: int, retries_done: int) -> None:
-        delay = self.recovery.retry_interval_ms * RETRY_BACKOFF**retries_done
+        delay = RETRY_INTERVAL_MS * RETRY_BACKOFF**retries_done
         self.router.sim.schedule(delay, self._handoff_retry, uid, retries_done)
 
     def _handoff_retry(self, uid: int, retries_done: int) -> None:
         pending = self._pending_handoffs.get(uid)
         if pending is None:
             return  # acked (or rolled back) meanwhile
-        if retries_done >= self.recovery.max_retries:
+        if retries_done >= MAX_RETRIES:
             self._rollback_handoff(uid)
             return
         # Re-send the *same* packet (same uid): every step of the handoff
@@ -849,7 +850,7 @@ class ControlPlane:
     def _arm_join_retry(self, epoch: int, retries_done: int) -> None:
         if self.recovery is None:
             return
-        delay = self.recovery.retry_interval_ms * RETRY_BACKOFF**retries_done
+        delay = RETRY_INTERVAL_MS * RETRY_BACKOFF**retries_done
         self.router.sim.schedule(delay, self._join_retry, epoch, retries_done)
 
     def _join_retry(self, epoch: int, retries_done: int) -> None:
@@ -860,7 +861,7 @@ class ControlPlane:
             or not migration.join_cds
         ):
             return
-        if retries_done >= self.recovery.max_retries:
+        if retries_done >= MAX_RETRIES:
             return  # give up; soft-state refresh is the backstop
         router = self.router
         # A retried Join that finds the upstream already CONFIRMED (our

@@ -307,6 +307,12 @@ class SnapshotBroker(GCopssHost):
         )
 
 
+#: Retries of one snapshot name before :class:`QrSnapshotFetcher` gives
+#: it up, and the growth of the delay between them.
+FETCH_MAX_RETRIES = 3
+FETCH_BACKOFF_FACTOR = 2.0
+
+
 class QrSnapshotFetcher:
     """Pipelined query/response snapshot retrieval (Table III QR columns).
 
@@ -322,9 +328,7 @@ class QrSnapshotFetcher:
         window: int = 5,
         on_complete: Optional[Callable[["QrSnapshotFetcher"], None]] = None,
         interest_lifetime: float = 4000.0,
-        max_retries: int = 3,
         retry_backoff_ms: float = 0.0,
-        backoff_factor: float = 2.0,
     ) -> None:
         if window < 1:
             raise ValueError("window must be >= 1")
@@ -334,14 +338,12 @@ class QrSnapshotFetcher:
         self.window = window
         self.on_complete = on_complete
         self.interest_lifetime = interest_lifetime
-        self.max_retries = max_retries
         # Base delay before the n-th retry of a name:
-        # ``retry_backoff_ms * backoff_factor**(n-1)``.  The default of 0
+        # ``retry_backoff_ms * FETCH_BACKOFF_FACTOR**(n-1)``.  The default of 0
         # keeps the legacy immediate-retry behaviour; chaos runs set a
         # base so a lossy or congested path is not hammered in lockstep
         # with the Interest lifetime.
         self.retry_backoff_ms = retry_backoff_ms
-        self.backoff_factor = backoff_factor
         self.started_at = host.sim.now
         self.finished_at: Optional[float] = None
         self.objects_fetched = 0
@@ -396,12 +398,12 @@ class QrSnapshotFetcher:
         if name not in self._outstanding:
             return
         count = self._retry_counts.get(name, 0)
-        if count < self.max_retries:
+        if count < FETCH_MAX_RETRIES:
             self._retry_counts[name] = count + 1
             self.retries += 1
             if self.retry_backoff_ms > 0:
                 self.host.sim.schedule(
-                    self.retry_backoff_ms * self.backoff_factor**count,
+                    self.retry_backoff_ms * FETCH_BACKOFF_FACTOR**count,
                     self._reissue,
                     name,
                 )

@@ -44,7 +44,7 @@ be compared byte-for-byte.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.experiments.fig4_microbench import microbenchmark_placement
@@ -226,29 +226,10 @@ class ChaosReport:
 
     def as_dict(self) -> dict:
         """The JSON report body (digest included)."""
-        return {
-            "plan": self.plan,
-            "seed": self.seed,
-            "scale": self.scale,
-            "loss": self.loss,
-            "check_after_ms": self.check_after_ms,
-            "events_total": self.events_total,
-            "events_checked": self.events_checked,
-            "deliveries_expected": self.deliveries_expected,
-            "deliveries_got": self.deliveries_got,
-            "deliveries_got_checked": self.deliveries_got_checked,
-            "permanent_misses": self.permanent_misses,
-            "missed_sample": self.missed_sample[:50],
-            "invariant_ok": self.invariant_ok,
-            "split": self.split,
-            "fault_stats": self.fault_stats,
-            "node_counters": self.node_counters,
-            "latency": self.latency,
-            "verdict": self.verdict,
-            "timeline": self.timeline,
-            "trace": self.trace,
-            "digest": self.digest(),
-        }
+        body = asdict(self)
+        body["missed_sample"] = body["missed_sample"][:50]
+        body["digest"] = self.digest()
+        return body
 
 
 def run_chaos(

@@ -10,6 +10,9 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 __all__ = ["render_table", "render_series", "render_cdf"]
 
+#: Cumulative fractions a CDF table prints, one row each.
+CDF_QUANTILES = (0.10, 0.25, 0.50, 0.75, 0.90, 0.95, 0.99, 1.00)
+
 
 def render_table(
     title: str,
@@ -35,7 +38,6 @@ def render_table(
 def render_series(
     title: str,
     envelope: Sequence[Tuple[int, float, float, float]],
-    unit: str = "ms",
     max_rows: int = 25,
 ) -> str:
     """A (sequence -> min/avg/max) latency series, like Fig. 5's panels."""
@@ -48,7 +50,7 @@ def render_series(
     for seq, lo, avg, hi in shown:
         bar = "#" * max(1, int(40 * avg / peak)) if peak else ""
         out.append(
-            f"  pkt {seq:>8}: min {lo:9.2f}  avg {avg:9.2f}  max {hi:9.2f} {unit} {bar}"
+            f"  pkt {seq:>8}: min {lo:9.2f}  avg {avg:9.2f}  max {hi:9.2f} ms {bar}"
         )
     return "\n".join(out)
 
@@ -56,20 +58,18 @@ def render_series(
 def render_cdf(
     title: str,
     curves: Dict[str, Sequence[Tuple[float, float]]],
-    unit: str = "ms",
-    quantiles: Sequence[float] = (0.10, 0.25, 0.50, 0.75, 0.90, 0.95, 0.99, 1.00),
 ) -> str:
     """Tabulated CDF comparison, like Fig. 4 (one column per system)."""
     names = list(curves)
     out = [title]
     header = "  fraction " + "".join(f"{n:>18}" for n in names)
     out.append(header)
-    for q in quantiles:
+    for q in CDF_QUANTILES:
         cells = []
         for name in names:
             points = curves[name]
             value = _value_at_fraction(points, q)
-            cells.append(f"{value:>14.2f} {unit}" if value is not None else " " * 17)
+            cells.append(f"{value:>14.2f} ms" if value is not None else " " * 17)
         out.append(f"  {q:>8.2f} " + "".join(f"{c:>18}" for c in cells))
     return "\n".join(out)
 

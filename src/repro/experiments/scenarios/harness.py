@@ -31,7 +31,7 @@ Division of labour with the monitor:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.balancer import RpLoadBalancer
@@ -155,33 +155,10 @@ class ScenarioReport:
 
     def as_dict(self) -> dict:
         """JSON-serialisable report body (CLI output and smoke tests)."""
-        return {
-            "scenario": self.scenario,
-            "plan": self.plan,
-            "seed": self.seed,
-            "scale": self.scale,
-            "loss": self.loss,
-            "check_after_ms": self.check_after_ms,
-            "events_total": self.events_total,
-            "events_checked": self.events_checked,
-            "deliveries_expected": self.deliveries_expected,
-            "deliveries_got": self.deliveries_got,
-            "deliveries_got_checked": self.deliveries_got_checked,
-            "permanent_misses": self.permanent_misses,
-            "missed_sample": self.missed_sample[:50],
-            "invariant_ok": self.invariant_ok,
-            "split": self.split,
-            "splits": self.splits,
-            "fault_stats": self.fault_stats,
-            "node_counters": self.node_counters,
-            "latency": self.latency,
-            "verdict": self.verdict,
-            "slo": self.slo,
-            "timeline": self.timeline,
-            "snapshot": self.snapshot,
-            "trace": self.trace,
-            "digest": self.digest(),
-        }
+        body = asdict(self)
+        body["missed_sample"] = body["missed_sample"][:50]
+        body["digest"] = self.digest()
+        return body
 
 
 def run_scenario(
@@ -303,7 +280,6 @@ def run_scenario(
                     window=5,
                     on_complete=done,
                     interest_lifetime=1000.0,
-                    max_retries=3,
                     retry_backoff_ms=200.0,
                 )
             )

@@ -145,8 +145,6 @@ class Testbed:
             st_ttl_ms=12 * refresh_ms,
             sweep_interval_ms=refresh_ms,
             refresh_interval_ms=refresh_ms,
-            retry_interval_ms=250.0,
-            max_retries=8,
         )
         for router in self.routers:
             router.control.enable_recovery(recovery)

@@ -89,22 +89,16 @@ class GameMap:
         num_players: int,
         per_area: tuple[int, int] = (4, 20),
         seed: Optional[int] = None,
-        bottom_only: bool = False,
     ) -> Dict[str, Name]:
         """Assign ``num_players`` named players to areas.
 
         Respects the paper's 4-20 players-per-area envelope where the
         player count allows it; raises when the envelope cannot fit the
         requested population.  Returns ``{player name -> area}`` (areas,
-        not leaf CDs).  ``bottom_only`` restricts placement to zones,
-        which the microbenchmark's 2-per-area layout uses.
+        not leaf CDs).
         """
         lo, hi = per_area
-        areas = (
-            self.hierarchy.areas(self.hierarchy.max_depth)
-            if bottom_only
-            else self.hierarchy.areas()
-        )
+        areas = self.hierarchy.areas()
         if not lo * len(areas) <= num_players <= hi * len(areas):
             raise ValueError(
                 f"{num_players} players cannot be placed at {lo}-{hi} per area"

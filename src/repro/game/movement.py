@@ -19,6 +19,9 @@ from repro.names import Name
 __all__ = ["MoveDecision", "MovementModel"]
 
 MINUTE_MS = 60_000.0
+#: Probability that a move goes up one layer, and down one layer (§V-B).
+P_UP = 0.10
+P_DOWN = 0.10
 
 
 @dataclass(frozen=True)
@@ -36,26 +39,21 @@ class MovementModel:
     """Generates movement schedules over a hierarchy.
 
     Parameters mirror §V-B: ``interval_minutes`` is the uniform move
-    interval range, ``p_up``/``p_down`` the layer-change probabilities.
+    interval range; :data:`P_UP`/:data:`P_DOWN` are the layer-change
+    probabilities.
     """
 
     def __init__(
         self,
         hierarchy: MapHierarchy,
         interval_minutes: tuple[float, float] = (5.0, 35.0),
-        p_up: float = 0.10,
-        p_down: float = 0.10,
         seed: int = 11,
     ) -> None:
         lo, hi = interval_minutes
         if lo <= 0 or hi < lo:
             raise ValueError(f"bad interval range: {interval_minutes}")
-        if p_up < 0 or p_down < 0 or p_up + p_down > 1:
-            raise ValueError("need p_up, p_down >= 0 and p_up + p_down <= 1")
         self.hierarchy = hierarchy
         self.interval_ms = (lo * MINUTE_MS, hi * MINUTE_MS)
-        self.p_up = p_up
-        self.p_down = p_down
         self.rng = random.Random(seed)
 
     # ------------------------------------------------------------------
@@ -77,9 +75,9 @@ class MovementModel:
         roll = self.rng.random()
         can_up = not src.is_root
         children = self.hierarchy.children(src)
-        if roll < self.p_up and can_up:
+        if roll < P_UP and can_up:
             return src.parent
-        if roll < self.p_up + self.p_down and children:
+        if roll < P_UP + P_DOWN and children:
             return self.rng.choice(children)
         laterals = self.hierarchy.lateral_neighbors(src)
         if laterals:

@@ -184,7 +184,7 @@ class Name:
     def has_prefix(self, prefix: "Name") -> bool:
         return prefix.is_prefix_of(self)
 
-    def prefixes(self, include_root: bool = True) -> "tuple[Name, ...]":
+    def prefixes(self) -> "tuple[Name, ...]":
         """Every prefix of this name from the root down to itself.
 
         Hierarchical COPSS matching checks a packet's CD against the Bloom
@@ -196,7 +196,7 @@ class Name:
                 Name(self._components[:length])
                 for length in range(len(self._components))
             ) + (self,)
-        return self._prefixes if include_root else self._prefixes[1:]
+        return self._prefixes
 
     def derived_cache(self) -> dict:
         """Per-instance memo for data derived from this (immutable) name.

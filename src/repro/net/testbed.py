@@ -44,12 +44,24 @@ from repro.net.world import compare_reports, merge_reports, run_reference
 
 __all__ = ["LiveTestbed", "run_live", "run_differential"]
 
+#: Seconds a runner has to print its ``PORT`` line.
+STARTUP_TIMEOUT_S = 20.0
+#: Socket timeout of each control connection to a runner.
+CONTROL_TIMEOUT_S = 30.0
+#: Seconds each runner has to exit after an orderly ``shutdown``.
+SHUTDOWN_TIMEOUT_S = 10.0
+#: Quiescence: this many identical idle snapshots in a row, polled this
+#: often (s), within this deadline (s).
+QUIESCE_STABLE_POLLS = 2
+QUIESCE_POLL_S = 0.03
+QUIESCE_TIMEOUT_S = 30.0
+
 
 class DriverConn:
     """Blocking framed control connection from the driver to one runner."""
 
-    def __init__(self, host: str, port: int, timeout: float = 30.0) -> None:
-        self.sock = socket.create_connection((host, port), timeout=timeout)
+    def __init__(self, host: str, port: int) -> None:
+        self.sock = socket.create_connection((host, port), timeout=CONTROL_TIMEOUT_S)
         self._decoder = FrameDecoder()
         self._ready: Deque[bytes] = deque()
         self.send({"op": "hello", "node": DRIVER_NAME})
@@ -90,9 +102,9 @@ def _src_env() -> Dict[str, str]:
     return env
 
 
-def _read_port_line(proc: subprocess.Popen, timeout: float) -> Tuple[int, int]:
+def _read_port_line(proc: subprocess.Popen) -> Tuple[int, int]:
     """Wait for the child's ``PORT <tcp> <udp>`` line with a hard timeout."""
-    deadline = time.monotonic() + timeout
+    deadline = time.monotonic() + STARTUP_TIMEOUT_S
     line = ""
     while time.monotonic() < deadline:
         remaining = max(0.0, deadline - time.monotonic())
@@ -108,7 +120,7 @@ def _read_port_line(proc: subprocess.Popen, timeout: float) -> Tuple[int, int]:
         # Ignore any other startup chatter and keep waiting for PORT.
     proc.kill()
     raise RuntimeError(
-        f"runner {proc.args} did not report its ports within {timeout}s "
+        f"runner {proc.args} did not report its ports within {STARTUP_TIMEOUT_S}s "
         f"(last line: {line!r})"
     )
 
@@ -116,17 +128,9 @@ def _read_port_line(proc: subprocess.Popen, timeout: float) -> Tuple[int, int]:
 class LiveTestbed:
     """A running localhost topology: one process per router."""
 
-    def __init__(
-        self,
-        spec: Dict[str, Any],
-        time_scale: float = 0.0,
-        python: str = sys.executable,
-        startup_timeout: float = 20.0,
-    ) -> None:
+    def __init__(self, spec: Dict[str, Any], time_scale: float = 0.0) -> None:
         self.spec = spec
         self.time_scale = time_scale
-        self.python = python
-        self.startup_timeout = startup_timeout
         self.procs: Dict[str, subprocess.Popen] = {}
         self.conns: Dict[str, DriverConn] = {}
         self.ports: Dict[str, Tuple[int, int]] = {}
@@ -157,7 +161,7 @@ class LiveTestbed:
             for node in self.spec["routers"]:
                 proc = subprocess.Popen(
                     [
-                        self.python, "-m", "repro.net.runner",
+                        sys.executable, "-m", "repro.net.runner",
                         "--spec", str(spec_path),
                         "--node", node,
                         "--port", "0",
@@ -170,7 +174,7 @@ class LiveTestbed:
                 )
                 self.procs[node] = proc
             for node, proc in self.procs.items():
-                self.ports[node] = _read_port_line(proc, self.startup_timeout)
+                self.ports[node] = _read_port_line(proc)
             peers = {
                 node: {"host": "127.0.0.1", "tcp": tcp, "udp": udp}
                 for node, (tcp, udp) in self.ports.items()
@@ -191,7 +195,7 @@ class LiveTestbed:
             self.kill()
             raise
 
-    def shutdown(self, timeout: float = 10.0) -> None:
+    def shutdown(self) -> None:
         """Orderly stop: every runner must exit 0 and release its ports.
 
         Every runner is asked to stop and reaped, and the temp dir goes,
@@ -204,7 +208,7 @@ class LiveTestbed:
                 conn.rpc({"op": "shutdown"})
             except (OSError, RuntimeError) as exc:
                 failures.append(f"{node}: shutdown failed ({exc})")
-        failures += self._reap(timeout)
+        failures += self._reap(SHUTDOWN_TIMEOUT_S)
         if failures:
             raise RuntimeError("unclean shutdown: " + "; ".join(failures))
 
@@ -251,16 +255,16 @@ class LiveTestbed:
     def status(self) -> Dict[str, Dict[str, Any]]:
         return {node: conn.rpc({"op": "status"}) for node, conn in self.conns.items()}
 
-    def quiesce(self, stable_polls: int = 2, poll_s: float = 0.03,
-                timeout: float = 30.0) -> Dict[str, Dict[str, Any]]:
+    def quiesce(self) -> Dict[str, Dict[str, Any]]:
         """Block until the cluster is provably idle.
 
-        Idle = every timer wheel empty *and* ``stable_polls`` consecutive
-        global snapshots identical — a packet in flight between processes
-        always shows up as a sender-side counter change, so stability
-        across polls bounds in-flight work to (practically) nothing.
+        Idle = every timer wheel empty *and* :data:`QUIESCE_STABLE_POLLS`
+        consecutive global snapshots identical — a packet in flight
+        between processes always shows up as a sender-side counter
+        change, so stability across polls bounds in-flight work to
+        (practically) nothing.
         """
-        deadline = time.monotonic() + timeout
+        deadline = time.monotonic() + QUIESCE_TIMEOUT_S
         prev = None
         stable = 0
         while time.monotonic() < deadline:
@@ -274,13 +278,15 @@ class LiveTestbed:
             )
             if all(st["pending"] == 0 for st in statuses.values()) and snap == prev:
                 stable += 1
-                if stable >= stable_polls:
+                if stable >= QUIESCE_STABLE_POLLS:
                     return statuses
             else:
                 stable = 0
             prev = snap
-            time.sleep(poll_s)
-        raise TimeoutError(f"cluster did not quiesce within {timeout}s: {prev}")
+            time.sleep(QUIESCE_POLL_S)
+        raise TimeoutError(
+            f"cluster did not quiesce within {QUIESCE_TIMEOUT_S}s: {prev}"
+        )
 
     def subscribe_phase(self) -> None:
         """Serialized subscriptions — see the module docstring for why."""

@@ -138,10 +138,12 @@ def spec_for(routers: int) -> Dict[str, Any]:
     return sweep_spec()
 
 
-def make_trace(
-    spec: Dict[str, Any], seed: int, events: int,
-    min_size: int = 64, max_size: int = 512,
-) -> List[Dict[str, Any]]:
+#: Payload sizes of a live trace's publishes, drawn uniformly (bytes).
+TRACE_MIN_SIZE = 64
+TRACE_MAX_SIZE = 512
+
+
+def make_trace(spec: Dict[str, Any], seed: int, events: int) -> List[Dict[str, Any]]:
     """Seeded publish trace: every event is (host, cd, size) plus a seq.
 
     CDs are drawn from the union of subscribed CDs so traffic exercises
@@ -156,7 +158,7 @@ def make_trace(
             "seq": i,
             "host": rng.choice(hosts),
             "cd": rng.choice(cds),
-            "size": rng.randrange(min_size, max_size + 1),
+            "size": rng.randrange(TRACE_MIN_SIZE, TRACE_MAX_SIZE + 1),
         }
         for i in range(events)
     ]

@@ -246,15 +246,14 @@ class MetricsRegistry:
             registered += self._register_snapshot(f"{prefix}.{name}", role.telemetry)
         return registered
 
-    def register_network(self, network: "Network", per_node: bool = True) -> int:
-        """Fabric aggregates, plus (optionally) every node's block."""
+    def register_network(self, network: "Network") -> int:
+        """Fabric aggregates, plus every node's block."""
         registered = self._add_block(
             ("net.total_bytes", "net.total_packets"),
             partial(attrgetter("total_bytes", "total_packets"), network),
         )
-        if per_node:
-            for name in sorted(network.nodes):
-                registered += self.register_node(network.nodes[name])
+        for name in sorted(network.nodes):
+            registered += self.register_node(network.nodes[name])
         return registered
 
     def register_simulator(self, sim: "Simulator") -> int:

@@ -28,6 +28,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["TelemetryConfig", "TelemetrySession"]
 
+#: Ring-buffer capacity of each metric series a session records.
+SERIES_CAPACITY = 4096
+
 
 @dataclass(frozen=True)
 class TelemetryConfig:
@@ -39,10 +42,6 @@ class TelemetryConfig:
     max_events: Optional[int] = None
     #: Metric sampling period in sim ms.
     metrics_interval_ms: float = 100.0
-    #: Ring-buffer capacity per metric series.
-    series_capacity: int = 4096
-    #: Register every node's counter block (False: fabric aggregates only).
-    per_node_metrics: bool = True
 
 
 class TelemetrySession:
@@ -54,7 +53,7 @@ class TelemetrySession:
             sample_every=self.config.sample_every,
             max_events=self.config.max_events,
         )
-        self.metrics = MetricsRegistry(capacity=self.config.series_capacity)
+        self.metrics = MetricsRegistry(capacity=SERIES_CAPACITY)
         self._network: Optional["Network"] = None
         self._executor = None
 
@@ -78,9 +77,7 @@ class TelemetrySession:
         self._executor = executor
         self.tracer.install(network, fault_stats=fault_stats)
         self.metrics.register_simulator(network.sim)
-        self.metrics.register_network(
-            network, per_node=self.config.per_node_metrics
-        )
+        self.metrics.register_network(network)
         if fault_stats is not None:
             self.metrics.register_stats("faults", fault_stats)
         if metrics_until is not None:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence, Tuple
 
 from repro.sim.routing import LinkRow, adjacency_of, network_links
 
@@ -182,18 +182,15 @@ def partition_by_anchors(
     )
 
 
-def partition_by_rp(
-    network: "Network", max_shards: Optional[int] = None
-) -> ShardPlan:
+def partition_by_rp(network: "Network") -> ShardPlan:
     """Derive the partition from the installed RP layout.
 
     The anchors are the routers currently holding RP prefixes (the
     :class:`~repro.core.roles.RpRole` state the
     :class:`~repro.core.engine.GCopssNetworkBuilder` populated), in name
-    order; ``max_shards`` caps how many become shard seeds (the rest of
-    the topology folds into the nearest seed).  This is the "shard by
-    rendezvous" rule: each RP's multicast trees are rooted at its anchor,
-    so most tree edges stay shard-internal.
+    order; the rest of the topology folds into the nearest anchor.  This
+    is the "shard by rendezvous" rule: each RP's multicast trees are
+    rooted at its anchor, so most tree edges stay shard-internal.
     """
     rp_sites = sorted(
         node.name
@@ -205,6 +202,4 @@ def partition_by_rp(
             "no RP prefixes installed; run the network builder first or "
             "use partition_by_anchors with explicit anchors"
         )
-    if max_shards is not None:
-        rp_sites = rp_sites[:max_shards]
     return partition_by_anchors(network, rp_sites)

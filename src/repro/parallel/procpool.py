@@ -44,7 +44,7 @@ from typing import TYPE_CHECKING, List
 from repro.packets import use_id_range
 from repro.parallel import wire
 from repro.parallel.digest import DeliveryLog
-from repro.parallel.executor import Egress, ShardedExecutor, inject, run_windows
+from repro.parallel.executor import Egress, inject, run_windows
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.parallel.scale import ScaleSpec
@@ -66,7 +66,7 @@ def _worker_main(conn, spec: "ScaleSpec", shard: int, num_shards: int) -> None:
 
 def _serve_shard(conn, spec: "ScaleSpec", shard: int, num_shards: int) -> None:
     """One shard's event loop, driven by coordinator frames."""
-    from repro.parallel.scale import federation_summary, start_workload
+    from repro.parallel.scale import result_part, start_workload
     from repro.parallel.slicing import build_scale_shard, scale_plan_fast
 
     use_id_range(shard)
@@ -81,7 +81,6 @@ def _serve_shard(conn, spec: "ScaleSpec", shard: int, num_shards: int) -> None:
     log = start_workload(
         spec, world, lambda _node, time, *event: sim.schedule_at(time, *event)
     )
-    federation = getattr(network, "federation_state", None)
 
     conn.send_bytes(wire.encode_ready(sim.peek_time()))
     while True:
@@ -94,21 +93,9 @@ def _serve_shard(conn, spec: "ScaleSpec", shard: int, num_shards: int) -> None:
             conn.send_bytes(wire.encode_done(sim.peek_time(), outbox))
             outbox.clear()
         elif op == wire.OP_FINISH:
-            conn.send_bytes(
-                wire.encode_result(
-                    {
-                        "log": log.columns(),
-                        "events_processed": sim.events_processed,
-                        "network_bytes": network.total_bytes,
-                        "network_packets": network.total_packets,
-                        "federation": (
-                            None
-                            if federation is None
-                            else federation_summary(federation)
-                        ),
-                    }
-                )
-            )
+            part = result_part(log, sim.events_processed, network)
+            part["log"] = log.columns()
+            conn.send_bytes(wire.encode_result(part))
             return
         else:  # pragma: no cover - protocol guard
             raise RuntimeError(f"unknown op {op!r}")
@@ -121,12 +108,11 @@ def run_scale_proc(spec: "ScaleSpec", workers: int) -> dict:
     the loop :meth:`ShardedExecutor.run` drives: its ``advance`` sends
     every worker its ``RUN`` frame (the window plus the records routed to
     it) before reading any ``DONE``, so the workers run each window in
-    parallel.  Falls back to the in-process executor when the platform
-    cannot fork processes; a worker that raises or dies is a
-    ``RuntimeError("shard <i> failed: …")``.
+    parallel.  Workers are forked (POSIX); a worker that raises or dies
+    is a ``RuntimeError("shard <i> failed: …")``.
     """
     from repro.parallel.partition import min_cut_delay
-    from repro.parallel.scale import execute_scale_local
+    from repro.parallel.scale import scale_result
     from repro.parallel.slicing import scale_plan_fast, scale_topology
 
     if workers < 2:
@@ -136,15 +122,7 @@ def run_scale_proc(spec: "ScaleSpec", workers: int) -> dict:
     plan = scale_plan_fast(spec, workers)
     lookahead = min_cut_delay(scale_topology(spec).links, plan.assignment)
 
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:  # non-POSIX fallback
-        result = execute_scale_local(
-            spec, lambda network: ShardedExecutor(network, plan)
-        )
-        result["fallback"] = "in-process (no fork start method)"
-        return result
-
+    ctx = multiprocessing.get_context("fork")
     conns = []
     procs = []
     try:
@@ -187,31 +165,19 @@ def run_scale_proc(spec: "ScaleSpec", workers: int) -> dict:
         # FINISH to all before the first RESULT is read: workers pack in parallel.
         for conn in conns:
             conn.send_bytes(wire.encode_finish())
-        results = [wire.decode_result(recv(shard)) for shard in range(workers)]
-        log = DeliveryLog()
-        for result in results:
-            log.merge(DeliveryLog.from_columns(**result["log"]))
-        from repro.parallel.scale import latency_stats
-
-        summary = {
-            "deliveries": len(log),
-            "digest": log.digest(),
-            "latency": latency_stats(log),
-            "events_processed": sum(r["events_processed"] for r in results),
-            "network_bytes": sum(r["network_bytes"] for r in results),
-            "network_packets": sum(r["network_packets"] for r in results),
-            "executor": {
+        parts = [wire.decode_result(recv(shard)) for shard in range(workers)]
+        for part in parts:
+            part["log"] = DeliveryLog.from_columns(**part["log"])
+        return scale_result(
+            parts,
+            {
                 "shards": workers,
                 "workers": workers,
                 "lookahead_ms": lookahead,
                 "windows_run": windows,
                 "transit_messages": transit,
             },
-        }
-        feds = [r["federation"] for r in results if r["federation"] is not None]
-        if feds:
-            summary["federation"] = {key: sum(f[key] for f in feds) for key in feds[0]}
-        return summary
+        )
     finally:
         for conn in conns:
             try:

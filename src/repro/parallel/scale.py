@@ -78,6 +78,8 @@ class ScaleSpec:
             raise ValueError("need at least one region")
         if self.players < self.regions:
             raise ValueError("need at least one player per region")
+        if self.access_per_region < 1:
+            raise ValueError("need at least one access router per region")
         if not 0.0 <= self.world_fraction <= 1.0:
             raise ValueError(f"world_fraction must be in [0,1], got {self.world_fraction}")
 
@@ -145,6 +147,15 @@ class FederationSpec(ScaleSpec):
         if not 0.0 <= self.remote_fraction <= 1.0:
             raise ValueError(
                 f"remote_fraction must be in [0,1], got {self.remote_fraction}"
+            )
+        if self.autoscale_sample_ms <= 0:
+            raise ValueError(
+                f"autoscale_sample_ms must be positive, got {self.autoscale_sample_ms}"
+            )
+        if self.autoscale_min_interval_ms < 0:
+            raise ValueError(
+                "autoscale_min_interval_ms must be >= 0, "
+                f"got {self.autoscale_min_interval_ms}"
             )
 
     def zone_cd(self, region: int, zone: int) -> Name:
@@ -301,18 +312,44 @@ def execute_scale_local(spec: ScaleSpec, make_executor) -> dict:
     executor = make_executor(world.network)
     log = start_workload(spec, world, executor.schedule_external)
     executor.run(until=spec.horizon_ms)
+    part = result_part(log, executor.events_processed, world.network)
+    return scale_result([part], executor.telemetry())
+
+
+def result_part(log: DeliveryLog, events_processed: int, network) -> dict:
+    """What one world (or one worker's slice of it) contributes to a result."""
+    federation = getattr(network, "federation_state", None)
+    return {
+        "log": log,
+        "events_processed": events_processed,
+        "network_bytes": network.total_bytes,
+        "network_packets": network.total_packets,
+        "federation": None if federation is None else federation_summary(federation),
+    }
+
+
+def scale_result(parts: List[dict], executor: dict) -> dict:
+    """One run's result from its :func:`result_part` parts.
+
+    A local run passes one part, a multiprocess run one per worker; the
+    logs merge into the first part's, the counters add up, and
+    ``executor`` is the executor's own block.
+    """
+    log = parts[0]["log"]
+    for part in parts[1:]:
+        log.merge(part["log"])
     result = {
         "deliveries": len(log),
         "digest": log.digest(),
         "latency": latency_stats(log),
-        "events_processed": executor.events_processed,
-        "network_bytes": world.network.total_bytes,
-        "network_packets": world.network.total_packets,
-        "executor": executor.telemetry(),
+        "events_processed": sum(part["events_processed"] for part in parts),
+        "network_bytes": sum(part["network_bytes"] for part in parts),
+        "network_packets": sum(part["network_packets"] for part in parts),
+        "executor": executor,
     }
-    federation = getattr(world.network, "federation_state", None)
-    if federation is not None:
-        result["federation"] = federation_summary(federation)
+    feds = [part["federation"] for part in parts if part["federation"] is not None]
+    if feds:
+        result["federation"] = {key: sum(f[key] for f in feds) for key in feds[0]}
     return result
 
 
@@ -362,9 +399,7 @@ def run_scale(spec: ScaleSpec, shards: int = 1, workers: int = 1) -> dict:
         from repro.parallel.procpool import run_scale_proc
 
         result = run_scale_proc(spec, workers)
-        # The no-fork fallback ran the shards in this process.
-        kind = "inproc" if "fallback" in result else "proc"
-        result["mode"] = f"{kind}:{workers}"
+        result["mode"] = f"proc:{workers}"
         return result
     if shards > 1:
         from repro.parallel.executor import ShardedExecutor

@@ -76,6 +76,10 @@ __all__ = [
     "refresh_budget",
 ]
 
+#: A relay chain that reaches no serving router within this many hops is
+#: a black hole (:meth:`InvariantMonitor.check_ownership`).
+MAX_RELAY_HOPS = 8
+
 
 def covered(cd: Name, subscriptions: Iterable[Name]) -> bool:
     """Does any held subscription entitle the holder to updates under ``cd``?
@@ -632,7 +636,6 @@ class InvariantMonitor:
         network: "Network",
         now: float,
         expected_cover: Iterable[Name] = (),
-        max_relay_hops: int = 8,
     ) -> int:
         """The RP-ownership invariants: single owner, full coverage.
 
@@ -645,7 +648,7 @@ class InvariantMonitor:
         *Region coverage* — every prefix in ``expected_cover`` (the CD
         families the workload publishes under) must be served by some
         router, **and** every relay entry covering it must chain to a
-        serving router within ``max_relay_hops``: publications arriving
+        serving router within :data:`MAX_RELAY_HOPS`: publications arriving
         at a historical holder follow those pointers, so a stale, cyclic
         or over-long chain black-holes them even while an owner exists
         (the failure mode the relay-safety rule in
@@ -722,7 +725,7 @@ class InvariantMonitor:
                 onward = relay_next(holder, cd)
                 hops = 0
                 resolved = False
-                while onward is not None and hops < max_relay_hops:
+                while onward is not None and hops < MAX_RELAY_HOPS:
                     node = network.nodes.get(onward)
                     if node is not None and serves(node, cd):
                         resolved = True
@@ -738,7 +741,7 @@ class InvariantMonitor:
                             host=holder_name,
                             detail=(
                                 f"relay chain for {cd} from {holder_name} "
-                                f"reaches no owner within {max_relay_hops} hops"
+                                f"reaches no owner within {MAX_RELAY_HOPS} hops"
                             ),
                         )
                     )

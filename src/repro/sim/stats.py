@@ -25,6 +25,9 @@ __all__ = [
     "summarize",
 ]
 
+#: Most points :meth:`LatencyRecorder.cdf_points` returns.
+CDF_POINTS = 200
+
 
 @dataclass
 class NodeStats:
@@ -171,16 +174,20 @@ class LatencyRecorder:
             return 0.0
         return 1.96 * self.stdev() / math.sqrt(len(self._samples))
 
-    def cdf_points(self, num_points: int = 200) -> List[Tuple[float, float]]:
-        """(value, cumulative-fraction) pairs for plotting a CDF."""
+    def cdf_points(self) -> List[Tuple[float, float]]:
+        """(value, cumulative-fraction) pairs for plotting a CDF.
+
+        At most :data:`CDF_POINTS` of them: a longer record is sampled at
+        evenly spaced fractions.
+        """
         data = self._ensure_sorted()
         if not data:
             return []
-        if len(data) <= num_points:
+        if len(data) <= CDF_POINTS:
             return [(v, (i + 1) / len(data)) for i, v in enumerate(data)]
         points = []
-        for i in range(num_points):
-            frac = (i + 1) / num_points
+        for i in range(CDF_POINTS):
+            frac = (i + 1) / CDF_POINTS
             idx = min(len(data) - 1, max(0, int(round(frac * len(data))) - 1))
             points.append((data[idx], (idx + 1) / len(data)))
         return points

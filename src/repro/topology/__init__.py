@@ -8,7 +8,7 @@
   delays) used by the §V-B large-scale experiments.
 """
 
-from repro.topology.backbone import BackboneSpec, build_backbone
+from repro.topology.backbone import build_backbone
 from repro.topology.benchmark import build_benchmark_topology
 
-__all__ = ["build_benchmark_topology", "build_backbone", "BackboneSpec"]
+__all__ = ["build_benchmark_topology", "build_backbone"]

@@ -15,31 +15,23 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.sim.network import Network, Node
 
-__all__ = ["BackboneSpec", "BuiltBackbone", "build_backbone"]
+__all__ = ["BuiltBackbone", "build_backbone"]
 
-
-@dataclass(frozen=True)
-class BackboneSpec:
-    """Parameters of the synthetic backbone (defaults: the paper's)."""
-
-    num_core: int = 79
-    edges_per_core: Tuple[int, int] = (1, 3)
-    core_degree_target: float = 3.2   # Rocketfuel backbones are sparse
-    edge_core_delay_ms: float = 5.0
-    host_edge_delay_ms: float = 1.0
-    core_delay_range_ms: Tuple[float, float] = (1.0, 15.0)
-    seed: int = 23
-
-    def __post_init__(self) -> None:
-        if self.num_core < 2:
-            raise ValueError("need at least two core routers")
-        lo, hi = self.edges_per_core
-        if lo < 0 or hi < lo:
-            raise ValueError(f"bad edges_per_core range: {self.edges_per_core}")
+#: The paper's backbone: 79 Rocketfuel core routers, sparse (Rocketfuel
+#: backbones average about 3.2 links per core), link weights read as
+#: 1-15 ms delays; 1-3 edge routers per core at 5 ms.
+NUM_CORE = 79
+CORE_DEGREE_TARGET = 3.2
+CORE_DELAY_RANGE_MS: Tuple[float, float] = (1.0, 15.0)
+EDGES_PER_CORE: Tuple[int, int] = (1, 3)
+EDGE_CORE_DELAY_MS = 5.0
+#: Seeds of the core layout and of the host placement.
+BACKBONE_SEED = 23
+HOST_SEED = 29
 
 
 @dataclass
@@ -57,10 +49,9 @@ class BuiltBackbone:
         host_factory: Callable[[Network, str], Node],
         names: Sequence[str],
         delay_ms: float,
-        seed: int = 29,
     ) -> List[Node]:
         """Uniformly distribute hosts over the edge routers (seeded)."""
-        rng = random.Random(seed)
+        rng = random.Random(HOST_SEED)
         edges = sorted(self.edge_routers, key=lambda n: n.name)
         for name in names:
             edge = rng.choice(edges)
@@ -71,36 +62,27 @@ class BuiltBackbone:
         return self.hosts
 
 
-def _core_positions(spec: BackboneSpec) -> List[Tuple[float, float]]:
-    rng = random.Random(spec.seed)
-    return [(rng.random(), rng.random()) for _ in range(spec.num_core)]
-
-
-def build_backbone(
-    router_factory: Callable[[Network, str], Node],
-    spec: Optional[BackboneSpec] = None,
-    network: Optional[Network] = None,
-) -> BuiltBackbone:
+def build_backbone(router_factory: Callable[[Network, str], Node]) -> BuiltBackbone:
     """Build the core + edge topology with pluggable router types.
 
     Core graph construction: routers get random plane coordinates; each
     connects to its nearest neighbours until the average degree reaches
-    ``core_degree_target``, then a spanning pass guarantees connectivity.
-    Link delay grows with distance, spanning ``core_delay_range_ms`` —
-    matching the "link weights interpreted as delay" treatment of the
-    measured topology.
+    :data:`CORE_DEGREE_TARGET`, then a spanning pass guarantees
+    connectivity.  Link delay grows with distance, spanning
+    :data:`CORE_DELAY_RANGE_MS` — matching the "link weights interpreted
+    as delay" treatment of the measured topology.
     """
-    spec = spec if spec is not None else BackboneSpec()
-    net = network if network is not None else Network()
-    rng = random.Random(spec.seed + 1)
-    positions = _core_positions(spec)
+    net = Network()
+    layout = random.Random(BACKBONE_SEED)
+    positions = [(layout.random(), layout.random()) for _ in range(NUM_CORE)]
+    rng = random.Random(BACKBONE_SEED + 1)
 
-    cores = [router_factory(net, f"core{i}") for i in range(spec.num_core)]
+    cores = [router_factory(net, f"core{i}") for i in range(NUM_CORE)]
 
     def delay_between(i: int, j: int) -> float:
         (xa, ya), (xb, yb) = positions[i], positions[j]
         dist = math.hypot(xa - xb, ya - yb) / math.sqrt(2)  # normalized 0..1
-        lo, hi = spec.core_delay_range_ms
+        lo, hi = CORE_DELAY_RANGE_MS
         return round(lo + dist * (hi - lo), 3)
 
     # Nearest-neighbour edges up to the target average degree.
@@ -113,10 +95,10 @@ def build_backbone(
         connected_pairs.add(key)
         net.connect(cores[i], cores[j], delay_between(i, j))
 
-    target_edges = int(spec.core_degree_target * spec.num_core / 2)
+    target_edges = int(CORE_DEGREE_TARGET * NUM_CORE / 2)
     by_distance: List[Tuple[float, int, int]] = []
-    for i in range(spec.num_core):
-        for j in range(i + 1, spec.num_core):
+    for i in range(NUM_CORE):
+        for j in range(i + 1, NUM_CORE):
             by_distance.append((delay_between(i, j), i, j))
     by_distance.sort()
     for _, i, j in by_distance:
@@ -125,7 +107,7 @@ def build_backbone(
         add_edge(i, j)
 
     # Connectivity pass: union-find over components, then stitch.
-    parent = list(range(spec.num_core))
+    parent = list(range(NUM_CORE))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -135,22 +117,22 @@ def build_backbone(
 
     for i, j in connected_pairs:
         parent[find(i)] = find(j)
-    roots = sorted({find(i) for i in range(spec.num_core)})
+    roots = sorted({find(i) for i in range(NUM_CORE)})
     while len(roots) > 1:
         a = roots[0]
         b = roots[1]
         add_edge(a, b)
         parent[find(a)] = find(b)
-        roots = sorted({find(i) for i in range(spec.num_core)})
+        roots = sorted({find(i) for i in range(NUM_CORE)})
 
     # Edge routers: 1-3 per core router.
     edge_routers: List[Node] = []
-    lo, hi = spec.edges_per_core
+    lo, hi = EDGES_PER_CORE
     index = 0
     for i, core in enumerate(cores):
         for _ in range(rng.randint(lo, hi)):
             edge = router_factory(net, f"edge{index}")
-            net.connect(edge, core, spec.edge_core_delay_ms)
+            net.connect(edge, core, EDGE_CORE_DELAY_MS)
             edge_routers.append(edge)
             index += 1
 

@@ -48,11 +48,9 @@ class BenchmarkTopology:
 def build_benchmark_topology(
     router_factory: Callable[[Network, str], Node],
     host_factory: Callable[[Network, str], Node],
-    num_hosts: int = 62,
-    host_names: "List[str] | None" = None,
+    host_names: List[str],
     inter_router_delay_ms: float = 0.5,
     host_delay_ms: float = 0.1,
-    network: "Network | None" = None,
 ) -> BenchmarkTopology:
     """Build Fig. 3b with pluggable node types.
 
@@ -62,12 +60,10 @@ def build_benchmark_topology(
     round-robin across the six routers — the paper's "players are
     uniformly distributed across the routers".
     """
-    net = network if network is not None else Network()
+    net = Network()
     routers = {name: router_factory(net, name) for name in ROUTER_NAMES}
     for a, b in BENCHMARK_EDGES:
         net.connect(routers[a], routers[b], inter_router_delay_ms)
-    if host_names is None:
-        host_names = [f"player{i}" for i in range(num_hosts)]
     hosts: List[Node] = []
     host_router: Dict[str, str] = {}
     for i, name in enumerate(host_names):

@@ -23,6 +23,11 @@ from typing import Dict, List, Sequence, Tuple
 
 __all__ = ["RawPacket", "FilterReport", "filter_raw_trace", "synthesize_raw_capture"]
 
+#: Step 2: an address:port flow with fewer packets is a probe.
+MIN_FLOW_PACKETS = 10
+#: Packets each synthesized player sends, drawn uniformly.
+PACKETS_PER_PLAYER = (20, 400)
+
 
 @dataclass(frozen=True, order=True)
 class RawPacket:
@@ -54,20 +59,21 @@ class FilterReport:
 def filter_raw_trace(
     packets: Sequence[RawPacket],
     server_addr: str,
-    min_packets: int = 10,
 ) -> FilterReport:
     """Apply the paper's three filter steps to a raw capture."""
     # Step 1: drop server-originated packets.
     client_packets = [p for p in packets if p.src_addr != server_addr]
     server_dropped = len(packets) - len(client_packets)
 
-    # Step 2: drop address:port flows with fewer than min_packets packets.
+    # Step 2: drop address:port flows with fewer than MIN_FLOW_PACKETS packets.
     flow_counts: Dict[Tuple[str, int], int] = {}
     for p in client_packets:
         key = (p.src_addr, p.src_port)
         flow_counts[key] = flow_counts.get(key, 0) + 1
     established = [
-        p for p in client_packets if flow_counts[(p.src_addr, p.src_port)] >= min_packets
+        p
+        for p in client_packets
+        if flow_counts[(p.src_addr, p.src_port)] >= MIN_FLOW_PACKETS
     ]
     probe_dropped = len(client_packets) - len(established)
 
@@ -85,7 +91,6 @@ def filter_raw_trace(
 
 def synthesize_raw_capture(
     num_players: int = 50,
-    packets_per_player: tuple[int, int] = (20, 400),
     num_probes: int = 30,
     duration_ms: float = 60_000.0,
     server_addr: str = "10.0.0.1",
@@ -110,7 +115,7 @@ def synthesize_raw_capture(
         ports = [27005]
         if rng.random() < 0.3:
             ports.append(27006)  # re-connected on another port
-        count = rng.randint(*packets_per_player)
+        count = rng.randint(*PACKETS_PER_PLAYER)
         for _ in range(count):
             emit(addr, rng.choice(ports), rng.uniform(0, duration_ms), rng.randint(50, 350))
 

@@ -122,19 +122,7 @@ class TestProvisioning:
         assert plan["worst_utilization"] < 0.85
         assert plan["predicted_worst_sojourn_ms"] < 20.0
 
-    def test_headroom_validation(self, workload):
-        game_map, _, events = workload
-        with pytest.raises(ValueError):
-            minimum_stable_rps(events, game_map.hierarchy, headroom=0)
-
     def test_server_ceiling_is_finite_and_in_fig6_range(self):
         ceiling = server_population_ceiling()
         # The Fig. 6 hockey stick: a few hundred to a few thousand players.
         assert 100 < ceiling < 10_000
-
-    def test_more_servers_raise_nothing_if_hot_share_fixed(self):
-        # The hot server is the binding constraint; num_servers is not in
-        # the formula (documented behaviour).
-        a = server_population_ceiling(num_servers=3)
-        b = server_population_ceiling(num_servers=6)
-        assert a == b

@@ -25,7 +25,8 @@ def build_ip_world():
     net.connect(server, r2, 0.5)
     clients = []
     for i in range(3):
-        client = IpClientNode(net, f"client{i}", server_for_cd=lambda cd: "server")
+        client = IpClientNode(net, f"client{i}")
+        client.server_for_cd = lambda cd: "server"
         net.connect(client, r1, 0.5)
         clients.append(client)
     install_ip_routes(net)

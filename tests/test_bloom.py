@@ -54,7 +54,7 @@ class TestBloomFilter:
         assert bloom.fill_ratio > before
 
     def test_for_capacity_meets_fp_target(self):
-        bloom = BloomFilter.for_capacity(100, fp_rate=0.01)
+        bloom = BloomFilter.for_capacity(100)
         for i in range(100):
             bloom.add(f"/item/{i}")
         probes = 2000

@@ -328,7 +328,7 @@ class TestAutoscalerDecisions:
         assert role.splits == 1
 
     def test_dominant_zone_migrates_alone(self):
-        net, _, role = autoscaled_world(dominant_fraction=0.6)
+        net, _, role = autoscaled_world()
         hot = net.nodes["acc0_0"]
         top = sorted(hot.rp_prefixes)[0]
         hot.rp_role.recent_cds.extend([top] * 9)

@@ -72,11 +72,6 @@ class TestPlacement:
         with pytest.raises(ValueError):
             game_map.place_players(10_000)  # above 20 * 31
 
-    def test_bottom_only_placement(self):
-        game_map = GameMap()
-        placement = game_map.place_players(150, per_area=(2, 20), bottom_only=True)
-        assert all(area.depth == 2 for area in placement.values())
-
     def test_deterministic(self):
         game_map = GameMap()
         assert game_map.place_players(414, seed=3) == game_map.place_players(414, seed=3)
@@ -172,7 +167,7 @@ class TestMovementModel:
         with pytest.raises(ValueError):
             MovementModel(hierarchy, interval_minutes=(0, 5))
         with pytest.raises(ValueError):
-            MovementModel(hierarchy, p_up=0.7, p_down=0.5)
+            MovementModel(hierarchy, interval_minutes=(35, 5))
 
     def test_move_type_counts(self):
         game_map = GameMap()

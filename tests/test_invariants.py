@@ -12,6 +12,7 @@ from repro.core.packets import MulticastPacket
 from repro.names import Name
 from repro.obs.tracer import trace_id_of
 from repro.sim.invariants import (
+    MAX_RELAY_HOPS,
     InvariantMonitor,
     SubscriptionLedger,
     Violation,
@@ -345,15 +346,16 @@ class TestCheckOwnership:
         assert inv.check_ownership(net, 0.0, expected_cover=["/1"]) == 0
 
     def test_relay_chain_over_hop_bound_is_a_black_hole(self):
+        # N0 -> N1 -> ... -> N8 -> C: the owner is one hop past the bound
+        # from N0 and within it from every later holder.
+        chain = [f"N{i}" for i in range(MAX_RELAY_HOPS + 1)] + ["C"]
         net, inv = self.build(
             [("C", "/1")],
-            relays=[("A", "/1", "B"), ("B", "/1", "C")],
+            relays=[(a, "/1", b) for a, b in zip(chain, chain[1:])],
         )
-        assert inv.check_ownership(
-            net, 0.0, expected_cover=["/1"], max_relay_hops=1
-        ) == 1
+        assert inv.check_ownership(net, 0.0, expected_cover=["/1"]) == 1
         assert inv.violations[0].kind == "relay_black_hole"
-        assert inv.violations[0].host == "A"
+        assert inv.violations[0].host == "N0"
 
     def test_stale_relay_entry_is_a_black_hole(self):
         # The relay-safety failure shape: C owns /1, but A's relay map

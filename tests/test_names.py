@@ -102,10 +102,6 @@ class TestHierarchy:
         prefixes = list(Name.parse("/a/b").prefixes())
         assert prefixes == [ROOT, Name.parse("/a"), Name.parse("/a/b")]
 
-    def test_prefixes_without_root(self):
-        prefixes = list(Name.parse("/a/b").prefixes(include_root=False))
-        assert prefixes == [Name.parse("/a"), Name.parse("/a/b")]
-
     def test_ancestors_excludes_self(self):
         ancestors = list(Name.parse("/a/b").ancestors())
         assert ancestors == [ROOT, Name.parse("/a")]

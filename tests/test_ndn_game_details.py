@@ -2,17 +2,16 @@
 
 import pytest
 
-from repro.baselines.ndn_game import NdnGamePlayer, UPDATE_FRAME_BYTES
+from repro.baselines.ndn_game import UPDATE_FRAME_BYTES, VERSION_HISTORY, NdnGamePlayer
 from repro.ndn.engine import NdnRouter, install_routes
 from repro.sim.network import Network
 
 
-def build(accumulation=20.0, history=4, lifetime=500.0):
+def build(accumulation=20.0, lifetime=500.0):
     net = Network()
     r1 = NdnRouter(net, "R1")
     producer = NdnGamePlayer(
-        net, "prod", accumulation_ms=accumulation,
-        interest_lifetime_ms=lifetime, version_history=history,
+        net, "prod", accumulation_ms=accumulation, interest_lifetime_ms=lifetime
     )
     consumer = NdnGamePlayer(
         net, "cons", accumulation_ms=accumulation,
@@ -27,13 +26,13 @@ def build(accumulation=20.0, history=4, lifetime=500.0):
 
 class TestProducerSide:
     def test_version_history_pruned(self):
-        net, producer, consumer = build(history=3)
-        for i in range(8):
+        net, producer, consumer = build()
+        for i in range(VERSION_HISTORY + 5):
             producer.local_update(10)
             net.sim.run(until=net.sim.now + 50.0)
-        assert producer.versions_published == 8
-        assert len(producer._versions) <= 3
-        assert min(producer._versions) >= 6
+        assert producer.versions_published == VERSION_HISTORY + 5
+        assert len(producer._versions) == VERSION_HISTORY
+        assert min(producer._versions) == 6
 
     def test_batch_payload_accounts_frames(self):
         net, producer, consumer = build(accumulation=30.0)

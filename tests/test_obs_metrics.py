@@ -267,10 +267,11 @@ class TestBlocks:
         class Net:
             total_bytes = 10
             total_packets = 2
+            nodes = {}
 
         reg = MetricsRegistry()
         hits = reg.counter("hits")
-        assert reg.register_network(Net(), per_node=False) == 2
+        assert reg.register_network(Net()) == 2
         hits.inc(3)
         reg.sample(5.0)
         assert reg.series["hits"].latest() == (5.0, 3)

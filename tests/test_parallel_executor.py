@@ -28,7 +28,7 @@ from repro.parallel import (
     partition_by_rp,
 )
 from repro.parallel.executor import Egress, window_horizon
-from repro.parallel.scale import ScaleSpec, run_scale
+from repro.parallel.scale import FederationSpec, ScaleSpec, run_scale
 from repro.sim.engine import SerialExecutor, Simulator
 from repro.sim.network import Network
 
@@ -132,8 +132,6 @@ class TestPartitionByRp:
         plan = partition_by_rp(net)
         assert plan.anchors == ("R0", "R3")
         assert plan.num_shards == 2
-        capped = partition_by_rp(net, max_shards=1)
-        assert capped.anchors == ("R0",)
 
     def test_requires_installed_rps(self):
         net = _line(1.0)
@@ -555,19 +553,6 @@ class TestScaleModes:
         second = run_scale(self.SPEC, shards=2)
         assert first["digest"] == second["digest"]
 
-    def test_no_fork_fallback_is_labelled_inproc(self, monkeypatch):
-        """Without a fork start method ``workers=N`` runs in this process."""
-        import multiprocessing
-
-        def no_fork(method=None):
-            raise ValueError(f"cannot find context for {method!r}")
-
-        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
-        result = run_scale(self.SPEC, workers=2)
-        assert result["mode"] == "inproc:2"
-        assert result["fallback"] == "in-process (no fork start method)"
-        assert result["digest"] == run_scale(self.SPEC)["digest"]
-
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="at least one region"):
             ScaleSpec(regions=0)
@@ -575,5 +560,14 @@ class TestScaleModes:
             ScaleSpec(players=2, regions=4)
         with pytest.raises(ValueError, match="world_fraction"):
             ScaleSpec(world_fraction=1.5)
+        # Once a ZeroDivisionError in the topology build.
+        with pytest.raises(ValueError, match="access router per region"):
+            ScaleSpec(access_per_region=0)
+        # A zero sample period once re-armed the autoscaler tick at +0 ms
+        # forever, so the run never returned.
+        with pytest.raises(ValueError, match="autoscale_sample_ms"):
+            FederationSpec(autoscale_sample_ms=0.0)
+        with pytest.raises(ValueError, match="autoscale_min_interval_ms"):
+            FederationSpec(autoscale_min_interval_ms=-1.0)
         with pytest.raises(ValueError, match="shards must be"):
             run_scale(self.SPEC, shards=5)

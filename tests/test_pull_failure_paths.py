@@ -15,7 +15,12 @@ from repro.core import (
     GCopssRouter,
     RpTable,
 )
-from repro.core.snapshot import QrSnapshotFetcher, SnapshotBroker, snapshot_name
+from repro.core.snapshot import (
+    FETCH_MAX_RETRIES,
+    QrSnapshotFetcher,
+    SnapshotBroker,
+    snapshot_name,
+)
 from repro.core.twostep import TwoStepPublisher, TwoStepSubscriber
 from repro.names import Name
 from repro.ndn.engine import install_routes
@@ -142,11 +147,11 @@ class TestSnapshotFailedOrdering:
         assert fetcher._retry_counts == {}
 
     def test_mixed_interleavings_are_deterministic(self):
-        a = self.fetch(max_retries=2)
-        b = self.fetch(max_retries=2)
+        a = self.fetch()
+        b = self.fetch()
         assert a.failed == b.failed
         assert a.finished_at == b.finished_at
-        assert a.retries == b.retries == 2 * 2
+        assert a.retries == b.retries == 2 * FETCH_MAX_RETRIES
 
     def test_retry_backoff_schedule_is_exact(self):
         net, broker, player = build_snapshot_world()
@@ -157,17 +162,16 @@ class TestSnapshotFailedOrdering:
             {UNREACHABLE: [7]},
             window=1,
             interest_lifetime=50.0,
-            max_retries=2,
             retry_backoff_ms=100.0,
-            backoff_factor=2.0,
             on_complete=done.append,
         )
         net.sim.run()
         # issue@0 -> timeout@50 -> retry@150 -> timeout@200 -> retry@400
-        # (backoff doubled) -> timeout@450 -> retries exhausted.
-        assert done[0].finished_at - start == pytest.approx(450.0)
+        # (backoff doubled) -> timeout@450 -> retry@850 (doubled again)
+        # -> timeout@900 -> retries exhausted.
+        assert done[0].finished_at - start == pytest.approx(900.0)
         assert done[0].failed == [snapshot_name(UNREACHABLE, 7)]
-        assert done[0].retries == 2
+        assert done[0].retries == FETCH_MAX_RETRIES == 3
 
     def test_retry_counts_pruned_after_transient_loss_success(self):
         net, broker, player = build_snapshot_world()
@@ -186,7 +190,6 @@ class TestSnapshotFailedOrdering:
             {AREA_A: [0]},
             window=1,
             interest_lifetime=50.0,
-            max_retries=3,
             on_complete=done.append,
         )
         net.sim.run()

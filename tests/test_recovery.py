@@ -166,8 +166,8 @@ class TestLossRecovery:
         assert sub.stats.updates_received == 1
 
     def test_handoff_retransmitted_through_lossy_control_plane(self):
-        cfg = RecoveryConfig(retry_interval_ms=20.0, refresh_interval_ms=50.0,
-                             st_ttl_ms=1000.0, sweep_interval_ms=100.0)
+        cfg = RecoveryConfig(refresh_interval_ms=50.0, st_ttl_ms=1000.0,
+                             sweep_interval_ms=100.0)
         net, routers, pub, sub = build_line(recovery=cfg, host_refresh_ms=50.0)
         sub.subscribe(["/2"])
         net.sim.run(until=20.0)
@@ -193,8 +193,7 @@ class TestLossRecovery:
 
     def test_handoff_rolls_back_when_new_rp_unreachable(self):
         # Refresh, TTL and sweep past the horizon: only retransmission acts.
-        cfg = RecoveryConfig(retry_interval_ms=10.0, max_retries=3,
-                             refresh_interval_ms=1e9, st_ttl_ms=1e9,
+        cfg = RecoveryConfig(refresh_interval_ms=1e9, st_ttl_ms=1e9,
                              sweep_interval_ms=1e9)
         net, routers, pub, sub = build_line(recovery=cfg)
         sub.subscribe(["/2"])
@@ -205,7 +204,11 @@ class TestLossRecovery:
             FaultPlan(links={"R1<->R2": LinkFaults(down=((0.0, 1e9),))}),
         ).install()
         routers[0].control.initiate_handoff([Name.parse("/2")], "R2")
-        net.sim.run(until=net.sim.now + 2000.0)
+        # MAX_RETRIES doubling retries from RETRY_INTERVAL_MS, then the
+        # rollback: 250 * (2**9 - 1) = 127,750 ms after the handoff.
+        net.sim.run(until=net.sim.now + 127_700.0)
+        assert Name.parse("/2") not in routers[0].rp_prefixes
+        net.sim.run(until=net.sim.now + 100.0)
         # Retries exhausted: the old RP took the prefix back.
         assert Name.parse("/2") in routers[0].rp_prefixes
         assert routers[0].relinquished == {}

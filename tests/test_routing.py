@@ -127,7 +127,9 @@ def assert_matches_networkx(network, sources) -> int:
 
 
 def test_fig3b_testbed_matches_networkx():
-    topo = build_benchmark_topology(GCopssRouter, GCopssHost)
+    topo = build_benchmark_topology(
+        GCopssRouter, GCopssHost, [f"player{i}" for i in range(62)]
+    )
     assert assert_matches_networkx(topo.network, topo.routers) == 6 * 67
 
 

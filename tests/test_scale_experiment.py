@@ -68,7 +68,7 @@ class TestScaleEquivalence:
         assert proc["events_processed"] == serial["events_processed"]
         assert proc["network_bytes"] == serial["network_bytes"]
         assert proc["network_packets"] == serial["network_packets"]
-        assert proc["mode"] == "proc:2" or "fallback" in proc
+        assert proc["mode"] == "proc:2"
 
     @pytest.mark.slow
     def test_four_workers_and_inproc_match_serial(self):

@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.sim.stats import LatencyRecorder, LoadMeter, SeriesRecorder, summarize
+from repro.sim.stats import (
+    CDF_POINTS,
+    LatencyRecorder,
+    LoadMeter,
+    SeriesRecorder,
+    summarize,
+)
 
 
 class TestLatencyRecorder:
@@ -57,8 +63,8 @@ class TestLatencyRecorder:
     def test_cdf_points_downsampled(self):
         rec = LatencyRecorder()
         rec.extend(float(i) for i in range(1000))
-        points = rec.cdf_points(num_points=50)
-        assert len(points) == 50
+        points = rec.cdf_points()
+        assert len(points) == CDF_POINTS
         assert points[-1][1] == pytest.approx(1.0)
 
     def test_confidence_interval_shrinks_with_samples(self):

@@ -14,7 +14,7 @@ from repro.core import (
     SnapshotBroker,
 )
 from repro.core.packets import MulticastPacket
-from repro.core.snapshot import group_cd, snapshot_name
+from repro.core.snapshot import FETCH_MAX_RETRIES, group_cd, snapshot_name
 from repro.names import Name
 from repro.ndn.engine import install_routes
 from repro.sim.network import Network
@@ -153,12 +153,11 @@ class TestQrRetrieval:
             window=1,
             on_complete=done.append,
             interest_lifetime=50.0,
-            max_retries=1,
         )
         net.sim.run()
         assert len(done) == 1
         assert done[0].failed == [snapshot_name(Name.parse("/9/9"), 42)]
-        assert done[0].retries == 1
+        assert done[0].retries == FETCH_MAX_RETRIES
 
 
 class TestCyclicRetrieval:

@@ -1,20 +1,24 @@
 """Tests for the two evaluation topologies."""
 
 import networkx as nx
-import pytest
 
 from repro.core.engine import GCopssHost, GCopssRouter
 from repro.sim.network import Network
-from repro.topology import BackboneSpec, build_backbone, build_benchmark_topology
+from repro.topology import build_backbone, build_benchmark_topology
+from repro.topology.backbone import CORE_DELAY_RANGE_MS, EDGE_CORE_DELAY_MS
 
 
 def router_factory(net, name):
     return GCopssRouter(net, name)
 
 
+def players(n):
+    return [f"player{i}" for i in range(n)]
+
+
 class TestBenchmarkTopology:
     def test_fig3b_layout(self):
-        topo = build_benchmark_topology(router_factory, GCopssHost, num_hosts=62)
+        topo = build_benchmark_topology(router_factory, GCopssHost, players(62))
         assert set(topo.routers) == {f"R{i}" for i in range(1, 7)}
         assert topo.rp_router.name == "R1"
         graph = topo.network.graph
@@ -26,7 +30,7 @@ class TestBenchmarkTopology:
         assert graph.has_edge("R3", "R6")
 
     def test_62_players_uniformly_spread(self):
-        topo = build_benchmark_topology(router_factory, GCopssHost, num_hosts=62)
+        topo = build_benchmark_topology(router_factory, GCopssHost, players(62))
         assert len(topo.hosts) == 62
         per_router = {}
         for router_name in topo.host_router.values():
@@ -40,7 +44,7 @@ class TestBenchmarkTopology:
         assert [h.name for h in topo.hosts] == ["alice", "bob"]
 
     def test_connected(self):
-        topo = build_benchmark_topology(router_factory, GCopssHost, num_hosts=6)
+        topo = build_benchmark_topology(router_factory, GCopssHost, players(6))
         assert nx.is_connected(topo.network.graph)
 
 
@@ -61,16 +65,15 @@ class TestBackbone:
         assert 2.0 <= avg_degree <= 5.0
 
     def test_link_delay_regime(self):
-        spec = BackboneSpec()
-        built = build_backbone(router_factory, spec)
+        built = build_backbone(router_factory)
         core_names = {n.name for n in built.core_routers}
         for link in built.network.links:
             a, b = (end[0].name for end in link._ends)
             if a in core_names and b in core_names:
-                lo, hi = spec.core_delay_range_ms
+                lo, hi = CORE_DELAY_RANGE_MS
                 assert lo <= link.delay <= hi
             else:
-                assert link.delay == spec.edge_core_delay_ms
+                assert link.delay == EDGE_CORE_DELAY_MS
 
     def test_deterministic_for_seed(self):
         edges_a = {l.name for l in build_backbone(router_factory).network.links}
@@ -80,17 +83,11 @@ class TestBackbone:
     def test_attach_hosts_uniform(self):
         built = build_backbone(router_factory)
         names = [f"p{i}" for i in range(200)]
-        built.attach_hosts(GCopssHost, names, delay_ms=1.0, seed=3)
+        built.attach_hosts(GCopssHost, names, delay_ms=1.0)
         assert len(built.hosts) == 200
         assert set(built.host_edge) == set(names)
         used_edges = set(built.host_edge.values())
         assert len(used_edges) > len(built.edge_routers) // 2
-
-    def test_invalid_spec(self):
-        with pytest.raises(ValueError):
-            BackboneSpec(num_core=1)
-        with pytest.raises(ValueError):
-            BackboneSpec(edges_per_core=(3, 1))
 
 
 class TestDotExport:
@@ -108,7 +105,7 @@ class TestDotExport:
     def test_hosts_excluded_by_default(self):
         from repro.topology.export import to_dot
 
-        topo = build_benchmark_topology(router_factory, GCopssHost, num_hosts=6)
+        topo = build_benchmark_topology(router_factory, GCopssHost, players(6))
         dot = to_dot(topo.network)
         assert "player0" not in dot
         dot_with_hosts = to_dot(topo.network, include_hosts=True)
@@ -119,7 +116,7 @@ class TestDotExport:
         # Sanity: balanced braces and quoting (cheap structural parse).
         from repro.topology.export import to_dot
 
-        topo = build_benchmark_topology(router_factory, GCopssHost, num_hosts=4)
+        topo = build_benchmark_topology(router_factory, GCopssHost, players(4))
         dot = to_dot(topo.network, include_hosts=True)
         assert dot.count("{") == dot.count("}") == 1
         assert dot.count('"') % 2 == 0

@@ -167,11 +167,11 @@ class TestRawFilter:
     def test_flow_threshold(self):
         packets = [
             RawPacket(float(i), "1.1.1.1", 1000, "10.0.0.1", 27015, 100)
-            for i in range(9)
+            for i in range(10)
         ]
-        report = filter_raw_trace(packets, server_addr="10.0.0.1", min_packets=10)
+        report = filter_raw_trace(packets[:9], server_addr="10.0.0.1")
         assert report.players == []
-        report = filter_raw_trace(packets, server_addr="10.0.0.1", min_packets=9)
+        report = filter_raw_trace(packets, server_addr="10.0.0.1")
         assert report.players == ["1.1.1.1"]
 
     def test_events_sorted(self):

@@ -8,7 +8,7 @@ from repro.core import (
     GCopssRouter,
     RpTable,
 )
-from repro.core.offline import OfflineGuardian, ReconnectFetcher
+from repro.core.offline import MAX_BUFFERED, OfflineGuardian, ReconnectFetcher
 from repro.core.twostep import TwoStepPublisher, TwoStepSubscriber, content_name
 from repro.names import Name
 from repro.ndn.engine import install_routes
@@ -145,13 +145,12 @@ class TestOfflineGuardian:
 
     def test_bounded_buffer_marks_partial(self):
         net, alice, bob, guardian = self.build()
-        guardian.max_buffered = 10
         guardian.register("bob", ["/1"])
         net.sim.run()
-        for i in range(25):
+        for i in range(MAX_BUFFERED + 15):
             alice.publish("/1/1", payload_size=10, sequence=i)
         net.sim.run()
-        assert len(guardian.backlog_of("bob")) == 10
+        assert len(guardian.backlog_of("bob")) == MAX_BUFFERED
         assert guardian.dropped["bob"] == 15
         done = []
         ReconnectFetcher(bob, "bob", on_complete=done.append)
