@@ -65,7 +65,6 @@ from repro.core.packets import (
     UnsubscribePacket,
 )
 from repro.core.planes import (
-    DEDUP_HORIZON,
     RP_NAMESPACE,
     ControlPlane,
     ForwardingPlane,
@@ -214,7 +213,7 @@ class GCopssHost(NdnHost):
         super().__init__(network, name)
         self.subscriptions: Set[Name] = set()
         self.on_update: List[Callable[["GCopssHost", MulticastPacket], None]] = []
-        self._seen = BoundedUidSet(DEDUP_HORIZON)
+        self._seen = BoundedUidSet()
         # Loss observability: per-CD publish counters stamp pub_seq onto
         # outgoing updates; per-(publisher, cd) high-water marks detect
         # gaps on the receive side.  Zero-cost for workloads that build

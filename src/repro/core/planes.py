@@ -63,9 +63,6 @@ __all__ = [
 #: NDN namespace used to tunnel Multicast packets toward an RP.
 RP_NAMESPACE = "rp"
 
-#: Replication/flood dedup window (uids remembered per structure).
-DEDUP_HORIZON = 65536
-
 #: First handshake retry interval, its growth factor per retry, and the
 #: retries before a handoff rolls back (or a Join gives up).
 RETRY_INTERVAL_MS = 250.0
@@ -183,7 +180,7 @@ class ForwardingPlane:
         # update twice (in a consistent tree it sees each update once; the
         # second copy a migration fork can deliver is redundant, and this
         # also hard-stops any Bloom-false-positive forwarding cycle).
-        self.replicated = BoundedUidSet(DEDUP_HORIZON)
+        self.replicated = BoundedUidSet()
 
     # ------------------------------------------------------------------
     # Queueing / service model
@@ -337,7 +334,7 @@ class ForwardingPlane:
 
     def crash_reset(self) -> None:
         """Forget volatile data-path state (node crash/restart)."""
-        self.replicated = BoundedUidSet(DEDUP_HORIZON)
+        self.replicated.clear()
 
 
 class ControlPlane:
@@ -366,7 +363,7 @@ class ControlPlane:
         self.rp_route: Dict[str, Face] = {}
         # cd -> faces we sent Subscribe/Join on (upstream tree pointers).
         self._upstream_joined: Dict[Name, Set[Face]] = {}
-        self.seen_floods = BoundedUidSet(DEDUP_HORIZON)
+        self.seen_floods = BoundedUidSet()
         self.migrations: Dict[int, _Migration] = {}
         # Grace period before detaching from the old tree after a
         # migration confirm (see handle_confirm).  No-loss holds as long
@@ -469,7 +466,7 @@ class ControlPlane:
         self.cd_routes = Fib()
         self.rp_route.clear()
         self._upstream_joined.clear()
-        self.seen_floods = BoundedUidSet(DEDUP_HORIZON)
+        self.seen_floods.clear()
         self.migrations.clear()
         self._st_touched.clear()
         self._pending_handoffs.clear()

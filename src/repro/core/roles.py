@@ -30,21 +30,23 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["RpRole", "RelayRole"]
 
+#: Recently decapsulated serving prefixes an RP remembers for the balancer.
+DECAP_WINDOW = 2000
+
 
 class RpRole(Role):
     """Rendezvous-point state attached to a router."""
 
     ROLE_NAME = "rp"
 
-    def __init__(self, window_size: int = 2000) -> None:
+    def __init__(self) -> None:
         super().__init__()
         #: Prefixes this node currently serves as RP (prefix-free set).
         self.prefixes: Set[Name] = set()
         # Sliding window of serving prefixes of recently decapsulated
         # packets; the load balancer reads this to pick which CDs to shed.
         # A bounded deque: appends past the window evict O(1).
-        self.window_size = window_size
-        self.recent_cds: Deque[Name] = deque(maxlen=window_size)
+        self.recent_cds: Deque[Name] = deque(maxlen=DECAP_WINDOW)
         # Hook invoked as fn(router, serving_prefix) after each decap.
         self.on_decap: List[Callable[["Node", Name], None]] = []
         # Subscriber-presence hooks (paper §IV-A): a cyclic-multicast broker

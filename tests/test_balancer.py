@@ -235,7 +235,7 @@ class TestAutoBalancer:
         # Fake a skewed window: /1 dominates.
         rp.rp_role.recent_cds = deque(
             [Name.parse("/1")] * 90 + [Name.parse("/2")] * 5 + [Name.parse("/3")] * 5,
-            maxlen=rp.rp_role.window_size,
+            maxlen=rp.rp_role.recent_cds.maxlen,
         )
         balancer = RpLoadBalancer(
             rp,

@@ -30,6 +30,7 @@ from repro.core.engine import GCopssHost
 from repro.core.federation import AutoscalerConfig
 from repro.core.offline import OfflineGuardian
 from repro.core.planes import ControlPlane, RecoveryConfig
+from repro.core.roles import RpRole
 from repro.core.snapshot import QrSnapshotFetcher
 from repro.experiments.common import (
     run_gcopss_backbone,
@@ -125,6 +126,7 @@ REMOVED = {
     chaos.build_plan: {"timeline"},
     RpLoadBalancer: {"min_split_interval_ms"},
     GCopssHost: {"dedup_horizon"},
+    RpRole: {"window_size"},
     run_gcopss_testbed: {"label"},
     run_ip_server_testbed: {"label"},
     run_ndn_testbed: {"label"},

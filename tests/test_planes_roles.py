@@ -99,6 +99,19 @@ class TestPlaneSplit:
         router.forwarding.replicated.horizon = 7
         assert router.forwarding.replicated.horizon == 7
 
+    def test_crash_reset_empties_dedup_windows_in_place(self):
+        net = Network()
+        router = GCopssRouter(net, "R1")
+        windows = (router.forwarding.replicated, router.control.seen_floods)
+        for window in windows:
+            window.horizon = 7
+            window.add(1)
+        router.crash_reset()
+        assert router.forwarding.replicated is windows[0]
+        assert router.control.seen_floods is windows[1]
+        for window in windows:
+            assert len(window) == 0 and window.horizon == 7
+
     def test_unknown_packet_hits_fallthrough_counter(self):
         from repro.packets import Packet
 
