@@ -105,9 +105,11 @@ class LiveClock:
     def pending(self) -> int:
         """Live (non-cancelled) timers still on the wheel.
 
-        Scans the heap: live wheels stay small (tens of entries), and
-        quiescence polling is off the packet path, so the O(n) walk is
-        cheaper than carrying cancel bookkeeping on the hot path.
+        Scans the heap: the publish phase paces injection on each
+        runner's backlog (:data:`repro.net.runner.BACKLOG`), so a live
+        wheel holds about that many entries at most, and quiescence
+        polling and ``sync`` waits are off the packet path, so the O(n)
+        walk is cheaper than carrying cancel bookkeeping on the hot path.
         """
         return sum(1 for _, _, timer in self._heap if not timer.cancelled)
 

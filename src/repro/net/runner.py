@@ -23,13 +23,19 @@ plane/role code over real sockets.  The process:
    launcher;
 4. serves the driver protocol: ``config`` (peer address map; the
    lexicographically smaller router dials), ``subscribe``, ``status``
-   (quiescence polling), ``drain`` (exactly-once publish backstop),
+   (quiescence polling), ``sync`` (flow control and loss report of the
+   publish phase), ``publish`` (repair of a lost batch; no reply),
    ``collect`` (the differential report slice) and ``shutdown``.
 
-Publishes arrive over UDP as the lossy fast path; every datagram carries
-a driver-assigned sequence number and execution is idempotent, so the
-TCP ``drain`` pass can re-deliver losslessly without ever double-firing —
-exactness survives an unreliable data plane.
+Publishes arrive as batches of trace events, one UDP datagram each
+(:class:`~repro.net.transport.DatagramReader`), under ids the driver
+numbers contiguously per runner.  Execution is idempotent per batch id.
+A ``sync`` for a range of ids is answered only once the runner's backlog
+(timer wheel plus router service queue) is at most :data:`BACKLOG`, and
+the reply lists the ids of that range the runner never received; the
+driver re-sends exactly those over TCP.  So the driver never runs more
+than a bounded window ahead of a runner, every event runs exactly once,
+and only a lost batch crosses the wire twice.
 """
 
 from __future__ import annotations
@@ -41,16 +47,20 @@ import json
 import sys
 import traceback
 from pathlib import Path
-from typing import Any, Dict, List, Set
+from typing import Any, Dict, List, Optional, Set
 
 from repro.net.clock import LiveClock
 from repro.net.codec import pack_message, unpack_message
-from repro.net.transport import FrameConnection, UdpEndpoint
+from repro.net.transport import DatagramReader, FrameConnection
 from repro.net.world import build_world, collect_report
 from repro.packets import use_id_range
 from repro.parallel.executor import Egress, bind_clocks
 
 DRIVER_NAME = "__driver__"
+#: A ``sync`` is answered once the backlog is at most this many entries.
+BACKLOG = 1024
+#: Seconds between backlog checks while a ``sync`` waits.
+SYNC_POLL_S = 0.001
 
 
 @functools.lru_cache(maxsize=None)  # one entry per directed link
@@ -94,7 +104,11 @@ class NodeRunner:
         self._shipped: Any = None
         self._shipped_body = b""
         self.peer_addrs: Dict[str, Dict[str, Any]] = {}
+        self._queue = network.nodes[node].queue
+        self._udp: Optional[DatagramReader] = None
+        #: Ids of the publish batches run so far.
         self.executed: Set[int] = set()
+        #: Events run from UDP datagrams (the rest came by TCP repair).
         self.udp_received = 0
         self._tasks: List[asyncio.Task] = []
         self._shutdown = asyncio.Event()
@@ -131,32 +145,34 @@ class NodeRunner:
         dst.receive(msg["pkt"], dst.face_toward(src))
 
     # ------------------------------------------------------------------
-    # Publish execution (UDP fast path + TCP drain backstop)
+    # Publish execution (UDP batches + TCP repair)
     # ------------------------------------------------------------------
-    def _execute_publish(self, event: Dict[str, Any]) -> bool:
-        host = event["host"]
-        if host not in self.owned:
-            return False
-        seq = event["seq"]
-        if seq in self.executed:
-            return False
-        self.executed.add(seq)
-        self.world.publish(host, event["cd"], event["size"])
-        return True
+    def _execute_batch(self, msg: Dict[str, Any]) -> int:
+        """Run a publish batch unless its id already ran; events run."""
+        batch = msg["batch"]
+        if batch in self.executed:
+            return 0
+        self.executed.add(batch)
+        for event in msg["events"]:
+            self.world.publish(event["host"], event["cd"], event["size"])
+        return len(msg["events"])
 
     def _on_udp_frame(self, payload: bytes) -> None:
         try:
             msg = unpack_message(payload)
         except Exception:
-            return  # corrupt datagram == lost datagram; TCP drain re-delivers
+            return  # undecodable == lost; the driver's repair re-sends it
         if isinstance(msg, dict) and msg.get("op") == "publish":
-            if self._execute_publish(msg):
-                self.udp_received += 1
+            self.udp_received += self._execute_batch(msg)
+
+    def backlog(self) -> int:
+        """Work this process holds: live timers plus the router's queue."""
+        return self.clock.pending() + self._queue.backlog
 
     # ------------------------------------------------------------------
     # Driver protocol
     # ------------------------------------------------------------------
-    async def _handle_driver(self, msg: Dict[str, Any]) -> Dict[str, Any]:
+    async def _handle_driver(self, msg: Dict[str, Any]) -> Optional[Dict[str, Any]]:
         op = msg.get("op")
         if op == "config":
             self.peer_addrs = msg["peers"]
@@ -182,16 +198,20 @@ class NodeRunner:
                 "executed": len(self.executed),
                 "failure": self.failure,
             }
-        if op == "drain":
-            executed_now = sum(
-                1 for event in msg["events"] if self._execute_publish(event)
-            )
-            return {
-                "ok": True,
-                "resent": executed_now,
-                "udp_received": self.udp_received,
-                "executed": len(self.executed),
-            }
+        if op == "sync":
+            # Take what is queued first: every datagram of the range was
+            # sent before this sync, so the report below cannot depend on
+            # the order the loop serves its readers in.
+            self._udp.read_ready()
+            while self.backlog() > BACKLOG:
+                await asyncio.sleep(SYNC_POLL_S)
+            missing = [
+                b for b in range(msg["first"], msg["stop"]) if b not in self.executed
+            ]
+            return {"ok": True, "missing": missing, "udp_received": self.udp_received}
+        if op == "publish":
+            self._execute_batch(msg)
+            return None  # a repair is checked by the next sync, not acked
         if op == "collect":
             return {"ok": True, "report": collect_report(self.world)}
         if op == "shutdown":
@@ -212,6 +232,8 @@ class NodeRunner:
                 except Exception as exc:
                     traceback.print_exc()
                     reply = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
+                if reply is None:
+                    continue
                 conn.send(pack_message(reply))
                 await conn.drain()
                 if msg.get("op") == "shutdown":
@@ -276,16 +298,11 @@ class NodeRunner:
     # ------------------------------------------------------------------
     async def serve(self, tcp_port: int, udp_port: int) -> int:
         """Bind sockets, print the PORT line, run until shutdown; exit code."""
-        loop = asyncio.get_running_loop()
         server = await asyncio.start_server(self._on_accept, "127.0.0.1", tcp_port)
         bound_tcp = server.sockets[0].getsockname()[1]
-        udp_transport, udp_proto = await loop.create_datagram_endpoint(
-            lambda: UdpEndpoint(self._on_udp_frame),
-            local_addr=("127.0.0.1", udp_port),
-        )
-        bound_udp = udp_transport.get_extra_info("sockname")[1]
+        self._udp = DatagramReader("127.0.0.1", udp_port, self._on_udp_frame)
         # The launcher parses this line to learn the ephemeral ports.
-        print(f"PORT {bound_tcp} {bound_udp}", flush=True)
+        print(f"PORT {bound_tcp} {self._udp.port}", flush=True)
 
         clock_task = asyncio.create_task(self.clock.run())
         shutdown_task = asyncio.create_task(self._shutdown.wait())
@@ -305,7 +322,7 @@ class NodeRunner:
             task.cancel()
         server.close()
         await server.wait_closed()
-        udp_proto.close()
+        self._udp.close()
         for conn in self.peer_conns.values():
             conn.close()
         await asyncio.sleep(0)  # let transports flush their close

@@ -9,10 +9,15 @@ phased schedule the simulator reference uses:
    between hosts, so control-plane propagation is a deterministic
    sequence (this is what makes even ``packets_received`` exactly
    comparable);
-2. **publish** — the seeded trace is blasted over UDP (the lossy fast
-   path), then a TCP ``drain`` pass re-delivers anything the datagrams
-   lost — execution is idempotent per driver-assigned seq, so the phase
-   is exactly-once regardless of UDP behavior;
+2. **publish** — one flow-controlled stream per runner: its share of the
+   trace goes out in batches of :data:`BATCH_EVENTS` events, one UDP
+   datagram each, at most :data:`WINDOW_EVENTS` events ahead of what the
+   runner has confirmed.  A ``sync`` per window both paces the driver
+   (a runner answers only once its backlog is small) and reports the
+   batches the runner never received; exactly those are re-sent over
+   TCP.  Execution is idempotent per batch id and a final ``sync`` over
+   every id must report nothing missing, so the phase is exactly-once
+   whatever UDP loses or corrupts;
 3. **quiesce + collect** — quiescence is observed, not assumed: every
    node reports its timer-wheel backlog and cumulative counters, and the
    cluster is quiet only when all backlogs are zero and two consecutive
@@ -48,6 +53,13 @@ __all__ = ["LiveTestbed", "run_live", "run_differential"]
 STARTUP_TIMEOUT_S = 20.0
 #: Socket timeout of each control connection to a runner.
 CONTROL_TIMEOUT_S = 30.0
+#: Trace events per publish datagram: 16 pack to about 1.3 KB, under a
+#: 1500-byte MTU.
+BATCH_EVENTS = 16
+#: Events sent to each runner per window.  The driver sends window w,
+#: then syncs on window w - 1, so at most two windows (64 datagrams) sit
+#: in a runner's socket, which a default 208 KB receive buffer holds.
+WINDOW_EVENTS = 512
 #: Seconds each runner has to exit after an orderly ``shutdown``.
 SHUTDOWN_TIMEOUT_S = 10.0
 #: Quiescence: this many identical idle snapshots in a row, polled this
@@ -136,7 +148,6 @@ class LiveTestbed:
         self.ports: Dict[str, Tuple[int, int]] = {}
         self._tmp: Optional[tempfile.TemporaryDirectory] = None
         self._udp_sock: Optional[socket.socket] = None
-        self._next_seq = 0
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -301,26 +312,41 @@ class LiveTestbed:
             self.quiesce()
 
     def play(self, trace: List[Dict[str, Any]]) -> Dict[str, Any]:
-        """Publish phase: UDP blast, TCP drain backstop, quiesce.
+        """Publish phase: paced UDP batches, TCP repair of lost ones, quiesce.
 
-        Returns perf numbers for the phase (wall time, packets carried).
+        Returns perf numbers for the phase (wall time, packets carried,
+        events that arrived by UDP and events re-sent over TCP).
         """
         owner = {h: conf["router"] for h, conf in self.spec["hosts"].items()}
         before = self.status()
         started = time.perf_counter()
         assert self._udp_sock is not None
-        by_node: Dict[str, List[Dict[str, Any]]] = {}
+        shares: Dict[str, List[Dict[str, Any]]] = {node: [] for node in self.conns}
         for event in trace:
-            node = owner[event["host"]]
-            by_node.setdefault(node, []).append(event)
-            datagram = encode_frame(pack_message({"op": "publish", **event}))
-            self._udp_sock.sendto(datagram, ("127.0.0.1", self.ports[node][1]))
-        udp_received = 0
+            shares[owner[event["host"]]].append(event)
+        batches = {
+            node: [events[i : i + BATCH_EVENTS] for i in range(0, len(events), BATCH_EVENTS)]
+            for node, events in shares.items()
+        }
+        per_window = WINDOW_EVENTS // BATCH_EVENTS
+        windows = -(-max(len(b) for b in batches.values()) // per_window)
         resent = 0
-        for node, events in sorted(by_node.items()):
-            reply = self.conns[node].rpc({"op": "drain", "events": events})
-            udp_received += reply["udp_received"]
-            resent += reply["resent"]
+        for w in range(windows + 1):
+            for node, own in batches.items():
+                addr = ("127.0.0.1", self.ports[node][1])
+                for b in range(w * per_window, min(len(own), (w + 1) * per_window)):
+                    datagram = encode_frame(pack_message(_publish(b, own[b])))
+                    self._udp_sock.sendto(datagram, addr)
+            if w:
+                replies = self._sync(batches, (w - 1) * per_window, w * per_window)
+                for node, reply in replies.items():
+                    for b in reply["missing"]:
+                        self.conns[node].send(_publish(b, batches[node][b]))
+                        resent += len(batches[node][b])
+        replies = self._sync(batches, 0, len(trace))
+        lost = {node: reply["missing"] for node, reply in replies.items() if reply["missing"]}
+        if lost:
+            raise RuntimeError(f"publish batches still missing after repair: {lost}")
         after = self.quiesce()
         wall_s = time.perf_counter() - started
         packets = sum(st["packets"] for st in after.values()) - sum(
@@ -329,10 +355,29 @@ class LiveTestbed:
         return {
             "wall_s": wall_s,
             "packets_carried": packets,
-            "udp_received": udp_received,
+            "udp_received": sum(reply["udp_received"] for reply in replies.values()),
             "tcp_resent": resent,
             "events": len(trace),
         }
+
+    def _sync(
+        self, batches: Dict[str, List[Any]], first: int, stop: int
+    ) -> Dict[str, Dict[str, Any]]:
+        """``sync`` every runner on its batch ids in ``[first, stop)``.
+
+        All requests go out before any reply is read, so the runners
+        work off their backlogs in parallel.
+        """
+        for node, conn in self.conns.items():
+            own = len(batches[node])
+            conn.send({"op": "sync", "first": min(first, own), "stop": min(stop, own)})
+        replies = {}
+        for node, conn in self.conns.items():
+            reply = conn.recv()
+            if not reply.get("ok"):
+                raise RuntimeError(f"{node} sync failed: {reply.get('error')}")
+            replies[node] = reply
+        return replies
 
     def collect(self) -> Dict[str, Any]:
         parts = [
@@ -340,6 +385,11 @@ class LiveTestbed:
             for node in self.spec["routers"]
         ]
         return merge_reports(parts)
+
+
+def _publish(batch: int, events: List[Dict[str, Any]]) -> Dict[str, Any]:
+    """The one publish message, whether it travels by UDP or TCP repair."""
+    return {"op": "publish", "batch": batch, "events": events}
 
 
 # ----------------------------------------------------------------------

@@ -20,17 +20,27 @@ calls ``dst.receive(packet, face)`` — the exact entry point a simulator
 delivery uses, so queueing, service costs and counters are identical.
 Byte/packet accounting stays sender-side only; summing link counters
 across processes counts every carried byte exactly once.
+
+Publishes enter a runner over UDP through :class:`DatagramReader`: one
+datagram per batch of trace events, read in bulk on each wakeup of the
+event loop.  UDP may lose or corrupt a batch; the driver learns which
+ones at its next ``sync`` and re-sends exactly those over the control
+connection (:mod:`repro.net.testbed`).
 """
 
 from __future__ import annotations
 
 import asyncio
+import socket
 from collections import deque
 from typing import Callable, Deque, List, Optional
 
 from repro.net.codec import FrameDecoder, FrameError, decode_datagram, encode_frame
 
-__all__ = ["FrameConnection", "UdpEndpoint"]
+__all__ = ["DatagramReader", "FrameConnection"]
+
+#: Largest UDP payload; a publish batch is about 1.3 KB.
+MAX_DATAGRAM = 65535
 
 
 class FrameConnection:
@@ -94,27 +104,43 @@ class FrameConnection:
             pass
 
 
-class UdpEndpoint(asyncio.DatagramProtocol):
-    """Datagram fan-in port: each datagram is one codec frame."""
+class DatagramReader:
+    """UDP publish fan-in: each datagram is one codec frame.
 
-    def __init__(self, on_frame: Callable[[bytes], None]) -> None:
+    Registered with ``loop.add_reader``, so one wakeup of the event loop
+    runs :meth:`read_ready`, which calls ``recv`` until the socket is empty —
+    a window of datagrams costs one loop turn, not one turn each.  Every
+    datagram passes :func:`~repro.net.codec.decode_datagram` (CRC, exactly
+    one frame); a corrupt one is dropped like a lost one, and the driver's
+    repair pass re-sends it over TCP.
+    """
+
+    def __init__(self, host: str, port: int, on_frame: Callable[[bytes], None]) -> None:
         self.on_frame = on_frame
-        self.transport: Optional[asyncio.DatagramTransport] = None
+        self.sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        self.sock.bind((host, port))
+        self.sock.setblocking(False)
+        self._loop = asyncio.get_running_loop()
+        self._loop.add_reader(self.sock.fileno(), self.read_ready)
 
-    def connection_made(self, transport) -> None:  # pragma: no cover - asyncio
-        self.transport = transport
+    @property
+    def port(self) -> int:
+        return self.sock.getsockname()[1]
 
-    def datagram_received(self, data: bytes, addr) -> None:
-        """Decode one frame and hand it up; corrupt datagrams are dropped."""
-        try:
-            payload = decode_datagram(data)
-        except FrameError:
-            # UDP is the lossy fast path; a corrupt datagram is dropped
-            # like a lost one and the TCP drain pass re-delivers it.
-            return
-        self.on_frame(payload)
+    def read_ready(self) -> None:
+        """Hand up every queued datagram that decodes; return when empty."""
+        recv = self.sock.recv
+        while True:
+            try:
+                data = recv(MAX_DATAGRAM)
+            except BlockingIOError:
+                return
+            try:
+                payload = decode_datagram(data)
+            except FrameError:
+                continue
+            self.on_frame(payload)
 
     def close(self) -> None:
-        if self.transport is not None:
-            self.transport.close()
-
+        self._loop.remove_reader(self.sock.fileno())
+        self.sock.close()

@@ -6,6 +6,8 @@ delivery counts, per-CD publication/subscription counters and drop
 totals for the same seeded trace — and that the testbed shuts down
 cleanly: no orphan processes, every ephemeral port released and
 rebindable, also when a runner has died or the driver just goes away.
+A lossy-datagram run proves the publish phase re-sends over TCP exactly
+the batches UDP lost or corrupted, and nothing else.
 A ``slow``-marked sweep replays the 5-router benchmark topology across
 seeds.
 
@@ -21,6 +23,7 @@ import socket
 import pytest
 
 from repro.net.clock import LiveClock
+from repro.net.codec import decode_datagram, unpack_message
 from repro.net.testbed import LiveTestbed, run_differential
 from repro.net.world import (
     compare_reports,
@@ -129,8 +132,47 @@ class TestLiveSmoke:
         assert live["deliveries_total"] > 0
         assert live["published_total"] == len(trace)
         # Exactly-once injection: every trace event executed once, via
-        # UDP or the TCP drain backstop, never twice.
+        # UDP or the TCP repair, never twice.
         assert perf["udp_received"] + perf["tcp_resent"] == len(trace)
+
+
+class LossyDatagrams:
+    """The driver's UDP socket, dropping every 5th datagram and flipping
+    the last payload byte of every 7th (its CRC then fails)."""
+
+    def __init__(self, sock):
+        self._sock = sock
+        self.sent = 0
+        self.spoiled = []  # the publish messages that never arrive intact
+
+    def sendto(self, data, addr):
+        self.sent += 1
+        if self.sent % 5 and self.sent % 7:
+            return self._sock.sendto(data, addr)
+        self.spoiled.append(unpack_message(decode_datagram(data)))
+        if self.sent % 5 == 0:
+            return len(data)
+        return self._sock.sendto(data[:-1] + bytes([data[-1] ^ 0xFF]), addr)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+@pytest.mark.timeout(120)
+def test_repair_resends_exactly_the_lost_batches():
+    spec = smoke_spec()
+    trace = make_trace(spec, seed=7, events=3000)  # two windows or more per runner
+    with LiveTestbed(spec) as bed:
+        lossy = bed._udp_sock = LossyDatagrams(bed._udp_sock)
+        bed.quiesce()
+        bed.subscribe_phase()
+        perf = bed.play(trace)
+        live = bed.collect()
+
+    assert compare_reports(live, run_reference(spec, trace)) == []
+    assert perf["udp_received"] + perf["tcp_resent"] == len(trace)
+    assert lossy.spoiled
+    assert perf["tcp_resent"] == sum(len(msg["events"]) for msg in lossy.spoiled)
 
 
 @pytest.mark.timeout(60)

@@ -13,9 +13,14 @@ must be invisible on the wire:
 * ``NodeRunner._serve_peer`` decodes only the packet of a frame that
   opens with its link's envelope, and falls back to the generic decode
   for anything else.
+
+Publishes come in over UDP: :class:`~repro.net.transport.DatagramReader`
+must empty its socket on one wakeup and drop a corrupt datagram without
+stopping.
 """
 
 import asyncio
+import socket
 from operator import attrgetter
 
 import pytest
@@ -28,7 +33,7 @@ from repro.ndn.packets import Interest
 from repro.net import runner as runner_mod
 from repro.net.codec import FrameError, encode_frame, pack_message
 from repro.net.runner import NodeRunner, packet_envelope
-from repro.net.transport import FrameConnection
+from repro.net.transport import DatagramReader, FrameConnection
 from repro.net.world import build_world, smoke_spec, sweep_spec
 from repro.parallel.executor import Egress
 from repro.parallel.slicing import StubNode
@@ -119,6 +124,42 @@ class TestCoalescedWrites:
             return received
 
         assert asyncio.run(scenario()) == self.PAYLOADS
+
+
+class CountingReader(DatagramReader):
+    wakeups = 0
+
+    def read_ready(self):
+        self.wakeups += 1
+        super().read_ready()
+
+
+@pytest.mark.timeout(30)
+def test_one_wakeup_reads_every_queued_datagram_and_drops_corrupt_ones():
+    payloads = [pack_message({"batch": i, "pad": "x" * i}) for i in range(40)]
+
+    async def scenario():
+        got = []
+        reader = CountingReader("127.0.0.1", 0, got.append)
+        addr = ("127.0.0.1", reader.port)
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as out:
+            for i, payload in enumerate(payloads):
+                frame = encode_frame(payload)
+                if i == 20:  # flipped payload byte: CRC mismatch
+                    frame = frame[:-1] + bytes([frame[-1] ^ 0xFF])
+                out.sendto(frame, addr)
+            out.sendto(encode_frame(payloads[0]) * 2, addr)  # two frames: dropped
+            while not reader.wakeups:
+                await asyncio.sleep(0)
+            assert reader.wakeups == 1
+            assert got == payloads[:20] + payloads[21:]
+            out.sendto(encode_frame(payloads[20]), addr)  # still reading
+            while reader.wakeups == 1:
+                await asyncio.sleep(0)
+        reader.close()
+        return got
+
+    assert asyncio.run(scenario())[-1] == payloads[20]
 
 
 class FakeConn:
