@@ -15,8 +15,7 @@ The per-edge state (exact subscriptions + joined IP groups) is a
 RP/relay roles, so a simulated node can *carry* hybrid-edge behavior.
 :class:`HybridMapper` owns the CD -> group mapping, keeps one role per
 edge (attaching it when the edge key is a :class:`~repro.sim.network.Node`)
-and classifies deliveries; the experiment harness combines it with
-:class:`~repro.sim.flows.FlowAccountant` for load/latency accounting.
+and classifies deliveries.
 """
 
 from __future__ import annotations

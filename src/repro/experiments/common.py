@@ -354,8 +354,10 @@ def _make_coordinate_selector(
         seed_coordinates_from_delays,
     )
     from repro.sim.flows import FlowAccountant
+    from repro.sim.routing import network_links, network_ranks
 
-    flows = FlowAccountant(built.network.graph)
+    network = built.network
+    flows = FlowAccountant(network_links(network), network_ranks(network))
     cores = sorted(n.name for n in built.core_routers)
     truth = {}
     for i, a in enumerate(cores):
@@ -381,8 +383,8 @@ def _make_coordinate_selector(
                 # Anchor at the edge's core attachment (coordinates are
                 # trained on the core mesh).
                 core = next(
-                    n for n in built.network.graph.neighbors(edge_name)
-                    if n.startswith("core")
+                    face.peer.name for face in network.nodes[edge_name].faces.values()
+                    if face.peer.name.startswith("core")
                 )
                 routers.add(core)
         return sorted(routers)

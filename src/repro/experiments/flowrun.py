@@ -3,10 +3,12 @@
 Table II replays the *whole* Counter-Strike trace (1.69M updates).  In
 that regime nothing queues (6 RPs / 6 servers against a ~15 ms mean
 inter-arrival), so latency is deterministic per route and load is a pure
-function of routes and sizes.  These runners compute both directly on the
-topology graph with :class:`~repro.sim.flows.FlowAccountant` — no event
-scheduling — which keeps paper-scale runs tractable and, by construction,
-agrees with the DES on uncongested routes (pinned by a test).
+function of routes and sizes.  These runners compute both directly on a
+built network's routes with :class:`~repro.sim.flows.FlowAccountant` — no
+event scheduling — which keeps paper-scale runs tractable.  Routes are
+the DES forwarders' own; ``tests/test_flowrun.py::TestDesAgreement``
+finds IP server load equal to the DES and G-COPSS load within 1 % of it
+(flow mode leaves out the copy the DES echoes to the publisher).
 
 All three architectures are covered: G-COPSS (RP-anchored multicast),
 hybrid G-COPSS (IP multicast groups with edge filtering) and the IP
@@ -16,7 +18,7 @@ client/server baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.core.hierarchy import MapHierarchy
 from repro.core.hybrid import HybridMapper
@@ -28,6 +30,8 @@ from repro.game.map import GameMap
 from repro.names import Name
 from repro.ndn.packets import INTEREST_HEADER_BYTES
 from repro.sim.flows import FlowAccountant
+from repro.sim.network import Network
+from repro.sim.routing import network_links, network_ranks
 from repro.trace.model import UpdateEvent
 
 __all__ = ["FlowResult", "FlowScenario"]
@@ -77,23 +81,22 @@ class FlowResult:
 class FlowScenario:
     """Shared routing state for flow-level runs over one backbone build.
 
-    The scenario is built once (graph, player-edge attachment, subscriber
+    The scenario is built once (routes, player-edge attachment, subscriber
     sets) and then each architecture replays the same events over it.
     """
 
     def __init__(
         self,
-        graph,
+        network: Network,
         host_edge: Dict[str, str],
         game_map: GameMap,
         placement: Dict[str, Name],
     ) -> None:
-        self.flows = FlowAccountant(graph)
+        self.flows = FlowAccountant(network_links(network), network_ranks(network))
         self.host_edge = dict(host_edge)
         self.map = game_map
         self.placement = placement
         self.subscribers = subscribers_by_leaf_cd(game_map, placement)
-        self._edges_cache: Dict[Name, Tuple[Tuple[str, ...], int]] = {}
         # Per-(cd, anchor) aggregates: subscriber sets are fixed for a
         # placement, so downstream hop/latency sums are computed once per
         # CD and reused across the (up to millions of) events touching it.
@@ -102,16 +105,6 @@ class FlowScenario:
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    def _receiver_edges(self, cd: Name, publisher: str) -> Tuple[Tuple[str, ...], int]:
-        """(edge routers with subscribers, total receiving hosts) for a CD."""
-        cached = self._edges_cache.get(cd)
-        if cached is None:
-            names = self.subscribers[cd]
-            edges = tuple(sorted({self.host_edge[n] for n in names}))
-            cached = (edges, len(names))
-            self._edges_cache[cd] = cached
-        return cached
-
     def _gcopss_down(self, cd: Name, rp: str) -> Tuple[int, float, float, int]:
         """(tree edge count, latency sum over hosts, max latency, hosts).
 
@@ -122,19 +115,13 @@ class FlowScenario:
         cached = self._down_cache.get(key)
         if cached is not None:
             return cached
-        cal = DEFAULT_CALIBRATION
-        edges, _hosts = self._receiver_edges(cd, "")
-        tree = self.flows.multicast_tree(rp, edges) if edges else frozenset()
+        edges = {self.host_edge[player] for player in self.subscribers[cd]}
+        tree = self.flows.multicast_tree(rp, edges)
         lat_sum = 0.0
         lat_max = 0.0
         hosts = 0
         for player in self.subscribers[cd]:
-            edge = self.host_edge[player]
-            down = (
-                self.flows.path_delay(rp, edge)
-                + self.flows.hop_count(rp, edge) * cal.copss_forward_ms
-                + cal.backbone_host_edge_delay_ms
-            )
+            down = self._gcopss_term(rp, player)
             lat_sum += down
             lat_max = max(lat_max, down)
             hosts += 1
@@ -142,7 +129,8 @@ class FlowScenario:
         self._down_cache[key] = cached
         return cached
 
-    def _player_down_gcopss(self, cd: Name, rp: str, player: str) -> float:
+    def _gcopss_term(self, rp: str, player: str) -> float:
+        """RP → ``player`` latency down the G-COPSS tree."""
         edge = self.host_edge[player]
         return (
             self.flows.path_delay(rp, edge)
@@ -156,21 +144,13 @@ class FlowScenario:
         cached = self._down_cache.get(key)
         if cached is not None:
             return cached
-        cal = DEFAULT_CALIBRATION
         hop_sum = 0
         lat_sum = 0.0
         lat_max = 0.0
         count = 0
         for player in self.subscribers[cd]:
-            edge = self.host_edge[player]
-            hops = self.flows.hop_count(site, edge) + 1  # + server link
-            term = (
-                1.0
-                + self.flows.path_delay(site, edge)
-                + cal.backbone_host_edge_delay_ms
-                + hops * cal.ip_forward_ms
-            )
-            hop_sum += hops + 1  # + host link
+            hops, term = self._ip_term(site, player)
+            hop_sum += hops
             lat_sum += term
             lat_max = max(lat_max, term)
             count += 1
@@ -178,17 +158,29 @@ class FlowScenario:
         self._down_cache[key] = cached
         return cached
 
-    def _ip_down_player(self, cd: Name, site: str, player: str) -> Tuple[int, float]:
+    def _ip_term(self, site: str, player: str) -> Tuple[int, float]:
+        """(links, latency) of the server's unicast copy to ``player``."""
         cal = DEFAULT_CALIBRATION
         edge = self.host_edge[player]
-        hops = self.flows.hop_count(site, edge) + 1
+        hops = self.flows.hop_count(site, edge) + 1  # + server link
         term = (
             1.0
             + self.flows.path_delay(site, edge)
             + cal.backbone_host_edge_delay_ms
             + hops * cal.ip_forward_ms
         )
-        return hops + 1, term
+        return hops + 1, term  # + host link
+
+    def _hybrid_term(self, pub_edge: str, player: str) -> float:
+        """Publisher edge → ``player`` latency over the IP multicast core."""
+        cal = DEFAULT_CALIBRATION
+        edge = self.host_edge[player]
+        return (
+            2 * cal.backbone_host_edge_delay_ms
+            + self.flows.path_delay(pub_edge, edge)
+            + self.flows.hop_count(pub_edge, edge) * cal.ip_forward_ms
+            + 2 * cal.copss_forward_ms  # COPSS work at both edges
+        )
 
     # ------------------------------------------------------------------
     # G-COPSS
@@ -228,7 +220,7 @@ class FlowScenario:
                 continue
             count = hosts
             if event.player in self.subscribers[event.cd]:
-                down_sum -= self._player_down_gcopss(event.cd, rp, event.player)
+                down_sum -= self._gcopss_term(rp, event.player)
                 count -= 1
             total_bytes += tree_edges * size + count * size  # tree + host links
             deliveries += count
@@ -259,7 +251,6 @@ class FlowScenario:
         only relation to the CD is sharing its hashed group — the
         receiver-side edge filters them, the network still carried them.
         """
-        cal = DEFAULT_CALIBRATION
         # Edge membership from the player subscription sets.
         for player, area in self.placement.items():
             edge = self.host_edge[player]
@@ -278,21 +269,12 @@ class FlowScenario:
             cached = delivery_cache.get(key)
             if cached is None:
                 wanted, unwanted = mapper.deliver(event.cd)
-                members = list(wanted) + list(unwanted)
-                tree = (
-                    self.flows.multicast_tree(pub_edge, members) if members else frozenset()
-                )
+                tree = self.flows.multicast_tree(pub_edge, list(wanted) + list(unwanted))
                 per_host_latency = 0.0
                 latency_max = 0.0
                 hosts = 0
                 for player in self.subscribers[event.cd]:
-                    edge = self.host_edge[player]
-                    term = (
-                        2 * cal.backbone_host_edge_delay_ms
-                        + self.flows.path_delay(pub_edge, edge)
-                        + self.flows.hop_count(pub_edge, edge) * cal.ip_forward_ms
-                        + 2 * cal.copss_forward_ms  # COPSS work at both edges
-                    )
+                    term = self._hybrid_term(pub_edge, player)
                     per_host_latency += term
                     latency_max = max(latency_max, term)
                     hosts += 1
@@ -302,14 +284,7 @@ class FlowScenario:
             filtered += unwanted_count
             count = hosts
             if event.player in self.subscribers[event.cd]:
-                edge = self.host_edge[event.player]
-                own = (
-                    2 * cal.backbone_host_edge_delay_ms
-                    + self.flows.path_delay(pub_edge, edge)
-                    + self.flows.hop_count(pub_edge, edge) * cal.ip_forward_ms
-                    + 2 * cal.copss_forward_ms
-                )
-                down_sum -= own
+                down_sum -= self._hybrid_term(pub_edge, event.player)
                 count -= 1
             total_bytes += size + tree_edges * size + count * size
             deliveries += count
@@ -348,7 +323,7 @@ class FlowScenario:
             total_bytes += size * (up_hops + 1)  # host link + path + server link
             hop_sum, down_sum, down_max, count = self._ip_down(event.cd, site)
             if event.player in self.subscribers[event.cd]:
-                own_hops, own_term = self._ip_down_player(event.cd, site, event.player)
+                own_hops, own_term = self._ip_term(site, event.player)
                 hop_sum -= own_hops
                 down_sum -= own_term
                 count -= 1

@@ -17,6 +17,7 @@ worst on both.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
@@ -77,17 +78,13 @@ def run_table2(
     built = build_backbone(
         lambda net, name: GCopssRouter(net, name),
     )
-    # Flow-level runs only need the topology graph and the host->edge map.
-    import random
-
+    # Flow-level runs only need the routes and the host->edge map.
     rng = random.Random(29)
     edges = sorted(built.edge_routers, key=lambda n: n.name)
     host_edge = {
         player: rng.choice(edges).name for player in sorted(generator.placement)
     }
-    scenario = FlowScenario(
-        built.network.graph, host_edge, game_map, generator.placement
-    )
+    scenario = FlowScenario(built.network, host_edge, game_map, generator.placement)
 
     sites = pick_rp_sites(built, NUM_SITES)
     assignment = default_rp_assignment(game_map.hierarchy, sites)

@@ -20,8 +20,6 @@ from repro.sim.engine import Simulator
 from repro.sim.stats import NodeStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    import networkx as nx
-
     from repro.sim.roles import Role
 
 __all__ = ["Face", "Link", "Node", "Network", "PacketDispatcher"]
@@ -366,23 +364,19 @@ class Network:
     """Container for nodes and links.
 
     Routing is not the network's job: each node forwards from its own
-    table (:attr:`Node.routes`, see :mod:`repro.sim.routing`).  For
-    analysis, :attr:`graph` is a :mod:`networkx` view of the topology
-    (edge weight = propagation delay), rebuilt after topology changes.
+    table (:attr:`Node.routes`, see :mod:`repro.sim.routing`).
     """
 
     def __init__(self, sim: Optional[Simulator] = None) -> None:
         self.sim = sim if sim is not None else Simulator()
         self.nodes: Dict[str, Node] = {}
         self.links: List[Link] = []
-        self._graph: "Optional[nx.Graph]" = None
 
     def _register(self, node: Node) -> None:
         if node.name in self.nodes:
             raise ValueError(f"duplicate node name: {node.name}")
         node.rank = len(self.nodes)
         self.nodes[node.name] = node
-        self._graph = None
 
     def connect(self, a: "Node | str", b: "Node | str", delay: float) -> Link:
         """Create a bidirectional link between two nodes (delay in ms)."""
@@ -390,22 +384,7 @@ class Network:
         node_b = self.nodes[b] if isinstance(b, str) else b
         link = Link(self.sim, node_a, node_b, delay)
         self.links.append(link)
-        self._graph = None
         return link
-
-    @property
-    def graph(self) -> "nx.Graph":
-        """The topology as a :mod:`networkx` graph (analysis only)."""
-        if self._graph is None:
-            import networkx as nx
-
-            graph = nx.Graph()
-            graph.add_nodes_from(self.nodes)
-            for link in self.links:
-                (a, _), (b, _) = link._ends
-                graph.add_edge(a.name, b.name, weight=link.delay, link=link)
-            self._graph = graph
-        return self._graph
 
     # ------------------------------------------------------------------
     # Accounting

@@ -22,7 +22,14 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Tuple
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.network import Network
 
-__all__ = ["LinkRow", "adjacency_of", "network_links", "next_hop_table", "network_next_hops"]
+__all__ = [
+    "LinkRow",
+    "adjacency_of",
+    "network_links",
+    "network_ranks",
+    "next_hop_table",
+    "network_next_hops",
+]
 
 #: ``(a, b, delay)`` — one undirected link between two named nodes.
 LinkRow = Tuple[str, str, float]
@@ -45,6 +52,11 @@ def network_links(network: "Network") -> List[LinkRow]:
         (link._ends[0][0].name, link._ends[1][0].name, link.delay)
         for link in network.links
     ]
+
+
+def network_ranks(network: "Network") -> Dict[str, int]:
+    """A built network's node ranks, the tie-break of :func:`next_hop_table`."""
+    return {name: node.rank for name, node in network.nodes.items()}
 
 
 def _distances(adjacency: Adjacency, source: str) -> Dict[str, float]:
@@ -91,5 +103,4 @@ def network_next_hops(
     network: "Network", destinations: Iterable[str]
 ) -> Dict[str, Dict[str, str]]:
     """:func:`next_hop_table` over a built network's links and node ranks."""
-    ranks = {name: node.rank for name, node in network.nodes.items()}
-    return next_hop_table(network_links(network), ranks, destinations)
+    return next_hop_table(network_links(network), network_ranks(network), destinations)

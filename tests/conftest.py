@@ -1,6 +1,6 @@
 """Shared test configuration.
 
-Three concerns live here:
+Four concerns live here:
 
 * **Hypothesis profiles.**  ``repro`` (default, local) explores freely
   with deadlines disabled: property tests drive real discrete-event
@@ -19,6 +19,10 @@ Three concerns live here:
 * **Slow marks.**  ``slow``-marked tests (multi-process digest
   differentials, big property sweeps) stay out of the default tier-1
   run; opt in with ``REPRO_SLOW=1`` or an explicit ``-m slow``.
+
+* **The networkx oracle.**  The runtime routes without networkx; tests
+  that check a topology or a route against it build the graph with
+  :func:`nx_graph`.
 """
 
 import os
@@ -42,6 +46,18 @@ settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "repro"))
 
 #: Seconds any single test may run before it is killed and failed.
 TEST_TIMEOUT_S = int(os.environ.get("REPRO_TEST_TIMEOUT", "300"))
+
+def nx_graph(network):
+    """A built network as a networkx graph, edge ``weight`` = link delay."""
+    import networkx as nx
+
+    from repro.sim.routing import network_links
+
+    graph = nx.Graph()
+    graph.add_nodes_from(network.nodes)
+    graph.add_weighted_edges_from(network_links(network))
+    return graph
+
 
 try:
     import pytest_timeout  # noqa: F401

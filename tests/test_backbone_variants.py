@@ -10,6 +10,7 @@ from repro.topology.backbone import (
     NUM_CORE,
     build_backbone,
 )
+from tests.conftest import nx_graph
 
 
 def factory(net, name):
@@ -20,7 +21,7 @@ class TestSpecVariants:
     def test_degree_target_shapes_density(self):
         built = build_backbone(factory)
         names = {n.name for n in built.core_routers}
-        core_edges = built.network.graph.subgraph(names).number_of_edges()
+        core_edges = nx_graph(built.network).subgraph(names).number_of_edges()
         # Nearest-neighbour links up to the target, plus any stitching.
         assert core_edges >= int(CORE_DEGREE_TARGET * NUM_CORE / 2)
         assert 2 * core_edges / NUM_CORE < CORE_DEGREE_TARGET + 1
@@ -47,7 +48,7 @@ class TestSpecVariants:
         """Path delays must land in the tens-of-ms regime the paper's
         latency results assume (Rocketfuel link weights as ms)."""
         built = build_backbone(factory)
-        graph = built.network.graph
+        graph = nx_graph(built.network)
         cores = sorted(n.name for n in built.core_routers)
         sample = [
             nx.shortest_path_length(graph, cores[0], c, weight="weight")

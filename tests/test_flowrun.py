@@ -24,7 +24,7 @@ def scenario():
     rng = random.Random(29)
     edges = sorted(built.edge_routers, key=lambda n: n.name)
     host_edge = {p: rng.choice(edges).name for p in sorted(generator.placement)}
-    flow = FlowScenario(built.network.graph, host_edge, game_map, generator.placement)
+    flow = FlowScenario(built.network, host_edge, game_map, generator.placement)
     sites = pick_rp_sites(built, 3)
     table = default_rp_assignment(game_map.hierarchy, sites)
     return game_map, generator, events, flow, table
@@ -66,8 +66,7 @@ class TestFlowRunners:
 
 class TestDesAgreement:
     def test_flow_gcopss_load_tracks_des(self):
-        """Flow accounting and DES must agree on G-COPSS network load to
-        within the control-plane/encapsulation modelling differences."""
+        """Flow accounting and DES agree on G-COPSS network load."""
         game_map, generator, events = make_peak_workload(300, seed=11)
         des = run_gcopss_backbone(events, game_map, generator.placement, num_rps=3)
 
@@ -76,17 +75,16 @@ class TestDesAgreement:
         edges = sorted(built.edge_routers, key=lambda n: n.name)
         host_edge = {p: rng.choice(edges).name for p in sorted(generator.placement)}
         # Use the DES run's actual attachment for a like-for-like route set.
-        flow = FlowScenario(
-            built.network.graph, host_edge, game_map, generator.placement
-        )
+        flow = FlowScenario(built.network, host_edge, game_map, generator.placement)
         sites = pick_rp_sites(built, 3)
         table = default_rp_assignment(game_map.hierarchy, sites)
         flow_result = flow.run_gcopss(events, table)
         # Same backbone spec and same seed for host attachment => same
-        # routes; byte totals agree within 10% (flow mode does not model
-        # control packets and in-flight duplicates).
+        # routes.  The DES also carries each update down to its own
+        # publisher's host, which drops it; flow mode leaves that copy
+        # out, which puts it 0.25 % below the DES here.
         assert flow_result.network_bytes == pytest.approx(
-            des.network_bytes, rel=0.10
+            des.network_bytes, rel=0.01
         )
 
     def test_flow_ip_load_tracks_des(self):
@@ -98,12 +96,10 @@ class TestDesAgreement:
         rng = random.Random(29)
         edges = sorted(built.edge_routers, key=lambda n: n.name)
         host_edge = {p: rng.choice(edges).name for p in sorted(generator.placement)}
-        flow = FlowScenario(
-            built.network.graph, host_edge, game_map, generator.placement
-        )
+        flow = FlowScenario(built.network, host_edge, game_map, generator.placement)
         sites = pick_rp_sites(built, 3)
         table = default_rp_assignment(game_map.hierarchy, sites)
         flow_result = flow.run_ip_server(events, table)
-        assert flow_result.network_bytes == pytest.approx(
-            des.network_bytes, rel=0.10
-        )
+        # The IP baseline sends no control packets: every byte is a
+        # routed update, so the two counts are equal.
+        assert flow_result.network_bytes == des.network_bytes

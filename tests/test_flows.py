@@ -1,10 +1,9 @@
 """Tests for closed-form flow accounting, including DES agreement."""
 
-import networkx as nx
 import pytest
 
 from repro.sim.flows import FlowAccountant
-from repro.sim.routing import network_next_hops
+from repro.sim.routing import network_links, network_next_hops, network_ranks
 
 
 def install_tables(net, dst):
@@ -13,78 +12,102 @@ def install_tables(net, dst):
         node.add_routes(table[node.name])
 
 
+def accountant(links):
+    """A FlowAccountant over ``links``, nodes ranked by first appearance."""
+    ranks = {}
+    for a, b, _delay in links:
+        ranks.setdefault(a, len(ranks))
+        ranks.setdefault(b, len(ranks))
+    return FlowAccountant(links, ranks)
+
+
 def line_graph(n=4, weight=2.0):
-    graph = nx.Graph()
-    for i in range(n - 1):
-        graph.add_edge(f"n{i}", f"n{i+1}", weight=weight)
-    return graph
+    return accountant([(f"n{i}", f"n{i+1}", weight) for i in range(n - 1)])
 
 
 def star_graph():
-    graph = nx.Graph()
-    for i in range(4):
-        graph.add_edge("hub", f"leaf{i}", weight=1.0)
-    return graph
+    return accountant([("hub", f"leaf{i}", 1.0) for i in range(4)])
 
 
 class TestPaths:
     def test_hop_count_and_delay(self):
-        flows = FlowAccountant(line_graph())
+        flows = line_graph()
         assert flows.hop_count("n0", "n3") == 3
         assert flows.path_delay("n0", "n3") == pytest.approx(6.0)
 
     def test_unicast_bytes(self):
-        flows = FlowAccountant(line_graph())
-        assert flows.unicast_bytes("n0", "n3", 100) == 300
-        assert flows.unicast_bytes("n0", "n0", 100) == 0
+        """A unicast's load is hop count x size, and nothing to itself."""
+        flows = line_graph()
+        assert flows.hop_count("n0", "n3") * 100 == 300
+        assert flows.hop_count("n0", "n0") == 0
 
     def test_weighted_path_choice(self):
-        graph = nx.Graph()
-        graph.add_edge("a", "c", weight=10.0)
-        graph.add_edge("a", "b", weight=1.0)
-        graph.add_edge("b", "c", weight=1.0)
-        flows = FlowAccountant(graph)
-        assert flows.path("a", "c") == ["a", "b", "c"]
+        flows = accountant([("a", "c", 10.0), ("a", "b", 1.0), ("b", "c", 1.0)])
+        assert flows.path("a", "c") == ("a", "b", "c")
+        assert flows.path_delay("a", "c") == 2.0
+
+    def test_equal_cost_tie_goes_to_the_lower_ranked_hop(self):
+        links = [("s", "x", 1.0), ("s", "y", 1.0), ("x", "d", 1.0), ("y", "d", 1.0)]
+        assert accountant(links).path("s", "d") == ("s", "x", "d")
+        ranks = {"s": 0, "y": 1, "x": 2, "d": 3}
+        assert FlowAccountant(links, ranks).path("s", "d") == ("s", "y", "d")
 
 
 class TestMulticastTree:
     def test_star_tree_shares_nothing(self):
-        flows = FlowAccountant(star_graph())
+        flows = star_graph()
         tree = flows.multicast_tree("hub", ["leaf0", "leaf1", "leaf2"])
         assert len(tree) == 3
 
     def test_line_tree_shares_prefix(self):
-        flows = FlowAccountant(line_graph())
+        flows = line_graph()
         tree = flows.multicast_tree("n0", ["n2", "n3"])
         # Path to n3 contains path to n2: union is just 3 edges.
         assert len(tree) == 3
 
     def test_root_only_receiver_excluded(self):
-        flows = FlowAccountant(line_graph())
+        flows = line_graph()
         assert flows.multicast_tree("n0", ["n0"]) == frozenset()
 
     def test_multicast_bytes(self):
-        flows = FlowAccountant(line_graph())
-        assert flows.multicast_bytes("n0", ["n2", "n3"], 10) == 30
+        """A multicast's load is tree edges x size."""
+        flows = line_graph()
+        assert len(flows.multicast_tree("n0", ["n2", "n3"])) * 10 == 30
 
     def test_multicast_cheaper_than_unicast_fanout(self):
-        flows = FlowAccountant(line_graph(6))
+        flows = line_graph(6)
         receivers = [f"n{i}" for i in range(1, 6)]
-        unicast = sum(flows.unicast_bytes("n0", r, 100) for r in receivers)
-        multicast = flows.multicast_bytes("n0", receivers, 100)
+        unicast = sum(flows.hop_count("n0", r) * 100 for r in receivers)
+        multicast = len(flows.multicast_tree("n0", receivers)) * 100
         assert multicast < unicast
 
     def test_tree_cached(self):
-        flows = FlowAccountant(line_graph())
+        flows = line_graph()
         t1 = flows.multicast_tree("n0", ["n3", "n2"])
         t2 = flows.multicast_tree("n0", ["n2", "n3"])
         assert t1 is t2  # frozenset receiver key
 
     def test_multicast_delay_per_receiver(self):
-        flows = FlowAccountant(line_graph())
-        delays = flows.multicast_delay("n0", ["n1", "n3"])
-        assert delays["n1"] == pytest.approx(2.0)
-        assert delays["n3"] == pytest.approx(6.0)
+        """Root-to-receiver delay over the tree is the unicast path delay."""
+        flows = line_graph()
+        assert flows.path_delay("n0", "n1") == pytest.approx(2.0)
+        assert flows.path_delay("n0", "n3") == pytest.approx(6.0)
+
+    def test_tree_is_the_union_of_receiver_routes_toward_the_root(self):
+        # Two equal-cost ways between r and x, split at both ends by rank:
+        # r's route toward x takes a1, x's route toward r takes b2.  The
+        # tree is x's route, as a Subscribe from x would walk it.
+        links = [
+            ("r", "a1", 1.0), ("a1", "a2", 1.0), ("a2", "x", 1.0),
+            ("r", "b1", 1.0), ("b1", "b2", 1.0), ("b2", "x", 1.0),
+        ]
+        ranks = {"r": 0, "a1": 1, "b2": 2, "b1": 3, "a2": 4, "x": 5}
+        flows = FlowAccountant(links, ranks)
+        assert flows.path("r", "x") == ("r", "a1", "a2", "x")
+        assert flows.path("x", "r") == ("x", "b2", "b1", "r")
+        assert flows.multicast_tree("r", ["x"]) == frozenset(
+            {("b1", "r"), ("b1", "b2"), ("b2", "x")}
+        )
 
 
 class TestDesAgreement:
@@ -115,8 +138,8 @@ class TestDesAgreement:
         nodes[0].receive(packet, None)  # type: ignore[arg-type]
         net.sim.run()
 
-        flows = FlowAccountant(net.graph)
-        assert net.total_bytes == flows.unicast_bytes("n0", "n3", 123)
+        flows = FlowAccountant(network_links(net), network_ranks(net))
+        assert net.total_bytes == flows.hop_count("n0", "n3") * 123
 
     def test_flow_delay_matches_des_delivery_time(self):
         from repro.packets import Packet
@@ -144,5 +167,5 @@ class TestDesAgreement:
         nodes[0].receive(Dgram("n3"), None)  # type: ignore[arg-type]
         net.sim.run()
 
-        flows = FlowAccountant(net.graph)
+        flows = FlowAccountant(network_links(net), network_ranks(net))
         assert arrivals["n3"] == pytest.approx(flows.path_delay("n0", "n3"))

@@ -20,6 +20,7 @@ from repro.parallel import slicing
 from repro.parallel.partition import min_cut_delay
 from repro.parallel.scale import ScaleSpec, build_scale_world, run_scale
 from repro.parallel.slicing import build_scale_shard, scale_plan_fast, scale_topology
+from tests.conftest import nx_graph
 
 SPECS = [
     ScaleSpec(players=64, regions=4, access_per_region=2, updates=80, seed=9),
@@ -82,7 +83,7 @@ class TestPlanEquivalence:
     """
 
     def test_plan_fast_matches_network_plan(self, spec, shards):
-        graph = build_scale_world(spec).network.graph
+        graph = nx_graph(build_scale_world(spec).network)
         plan = scale_plan_fast(spec, shards)
         assert plan.anchors == tuple(f"core{r}" for r in range(shards))
         assert plan.num_shards == shards
@@ -101,7 +102,7 @@ class TestPlanEquivalence:
         plan = scale_plan_fast(spec, shards)
         cut = [
             data["weight"]
-            for a, b, data in world.network.graph.edges(data=True)
+            for a, b, data in nx_graph(world.network).edges(data=True)
             if plan.assignment[a] != plan.assignment[b]
         ]
         assert min_cut_delay(scale_topology(spec).links, plan.assignment) == min(cut)

@@ -11,7 +11,7 @@ by the ``(dist + delay, rank)`` rule.  Held here:
   router→node pair of the topologies the pins run on (Fig. 3b, the
   default backbone, both live specs), so moving routing off networkx
   moved no route;
-* the run-time packages import no networkx at all.
+* the run-time packages and the paper CLI import no networkx at all.
 """
 
 import os
@@ -29,6 +29,7 @@ from repro.net.world import build_world, smoke_spec, sweep_spec
 from repro.sim.routing import network_next_hops, next_hop_table
 from repro.topology.backbone import build_backbone
 from repro.topology.benchmark import build_benchmark_topology
+from tests.conftest import nx_graph
 
 #: Multiples of 0.5 add exactly in binary, so equal-cost ties are real.
 DELAYS = st.sampled_from([0.5, 1.0, 1.5, 2.0])
@@ -113,7 +114,7 @@ def assert_matches_networkx(network, sources) -> int:
     per pair, without the early stop, which changes no path it returns.
     Returns the number of pairs compared.
     """
-    graph = network.graph
+    graph = nx_graph(network)
     table = network_next_hops(network, list(network.nodes))
     pairs = 0
     for src in sources:
@@ -151,14 +152,20 @@ def test_live_specs_match_networkx(spec):
 
 
 def test_runtime_packages_import_no_networkx():
-    """Routers read their own tables, so no run path needs networkx."""
+    """Routers and flow accounting read next-hop tables, so no run path
+    needs networkx (or numpy): with both unimportable, the run-time
+    packages and the paper CLI import and Table II runs."""
     code = (
-        "import sys, repro, repro.net.runner, repro.parallel.procpool, "
-        "repro.experiments.scenarios.harness; print('networkx' in sys.modules)"
+        "import sys\n"
+        "sys.modules['networkx'] = sys.modules['numpy'] = None\n"
+        "import repro.net.runner, repro.parallel.procpool\n"
+        "import repro.experiments.scenarios.harness, repro.experiments.__main__\n"
+        "import repro.experiments.flowrun, repro.experiments.table2_hybrid\n"
+        "print(repro.experiments.table2_hybrid.run_table2(sample=0.0005).gcopss.network_bytes)"
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
     out = subprocess.run(
         [sys.executable, "-c", code],
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "142634690000"

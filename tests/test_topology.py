@@ -6,6 +6,7 @@ from repro.core.engine import GCopssHost, GCopssRouter
 from repro.sim.network import Network
 from repro.topology import build_backbone, build_benchmark_topology
 from repro.topology.backbone import CORE_DELAY_RANGE_MS, EDGE_CORE_DELAY_MS
+from tests.conftest import nx_graph
 
 
 def router_factory(net, name):
@@ -21,7 +22,7 @@ class TestBenchmarkTopology:
         topo = build_benchmark_topology(router_factory, GCopssHost, players(62))
         assert set(topo.routers) == {f"R{i}" for i in range(1, 7)}
         assert topo.rp_router.name == "R1"
-        graph = topo.network.graph
+        graph = nx_graph(topo.network)
         # R1 is the hub of the two branches.
         assert graph.has_edge("R1", "R2")
         assert graph.has_edge("R1", "R3")
@@ -45,7 +46,7 @@ class TestBenchmarkTopology:
 
     def test_connected(self):
         topo = build_benchmark_topology(router_factory, GCopssHost, players(6))
-        assert nx.is_connected(topo.network.graph)
+        assert nx.is_connected(nx_graph(topo.network))
 
 
 class TestBackbone:
@@ -57,7 +58,7 @@ class TestBackbone:
 
     def test_connected_and_sparse(self):
         built = build_backbone(router_factory)
-        graph = built.network.graph
+        graph = nx_graph(built.network)
         assert nx.is_connected(graph)
         core_names = {n.name for n in built.core_routers}
         core_graph = graph.subgraph(core_names)
