@@ -5,13 +5,12 @@ number of CDs, it is difficult to predict the number of RPs required or
 to perform predetermined load balancing" — and solves it reactively with
 runtime splits.  Given a trace (or its statistics), these helpers do the
 *predictive* half: compute per-CD load shares, evaluate an assignment's
-per-RP utilizations, find the minimum stable RP count, and locate the IP
-server's population ceiling (the Fig. 6 crossover).
+per-RP utilizations and find the minimum stable RP count.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.analysis.queueing import md1_mean_sojourn, utilization
 from repro.core.hierarchy import MapHierarchy
@@ -26,7 +25,6 @@ __all__ = [
     "peak_arrival_rate",
     "rp_utilizations",
     "minimum_stable_rps",
-    "server_population_ceiling",
 ]
 
 #: Share of the trace, from its end, that :func:`peak_arrival_rate` reads.
@@ -35,12 +33,6 @@ PEAK_WINDOW_FRACTION = 0.2
 #: largest RP count it tries.
 HEADROOM = 0.85
 MAX_RPS = 16
-#: The Fig. 6 server workload: one update every 2.4 ms in aggregate, 40 %
-#: of players subscribed to an update's CD, and 45 % of the stream at the
-#: hottest server (the satellite-heavy chunk).
-AGGREGATE_INTERARRIVAL_MS = 2.4
-SUBSCRIBED_FRACTION = 0.4
-HOT_SHARE = 0.45
 
 
 def cd_load_shares(events: Sequence[UpdateEvent]) -> Dict[Name, float]:
@@ -127,24 +119,3 @@ def minimum_stable_rps(
     return None
 
 
-def server_population_ceiling() -> int:
-    """Largest player count the IP servers can sustain (Fig. 6a's wall).
-
-    Server service grows with the recipient set: s(n) = base +
-    per_recipient * SUBSCRIBED_FRACTION * n.  The hottest server carries
-    :data:`HOT_SHARE` of the update stream, so stability requires
-    HOT_SHARE * lambda * s(n) < 1.
-    """
-    rate = HOT_SHARE / AGGREGATE_INTERARRIVAL_MS  # packets/ms at the hot server
-    ceiling = 0
-    n = 1
-    while n < 10_000_000:
-        service = (
-            DEFAULT_CALIBRATION.server_base_ms
-            + DEFAULT_CALIBRATION.server_per_recipient_ms * SUBSCRIBED_FRACTION * n
-        )
-        if utilization(rate, service) >= 1.0:
-            break
-        ceiling = n
-        n = max(n + 1, int(n * 1.1))
-    return ceiling

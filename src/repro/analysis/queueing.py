@@ -9,7 +9,7 @@ pins the DES against them, and the capacity planner uses them to turn
 
 from __future__ import annotations
 
-__all__ = ["utilization", "md1_mean_wait", "mm1_mean_wait", "md1_mean_sojourn"]
+__all__ = ["utilization", "md1_mean_wait", "md1_mean_sojourn"]
 
 
 def utilization(arrival_rate: float, service_time: float) -> float:
@@ -33,19 +33,6 @@ def md1_mean_wait(arrival_rate: float, service_time: float) -> float:
     if rho >= 1.0:
         return float("inf")
     return rho * service_time / (2.0 * (1.0 - rho))
-
-
-def mm1_mean_wait(arrival_rate: float, service_time: float) -> float:
-    """Mean queueing delay of an M/M/1 station (exponential service).
-
-    Upper envelope for stations whose service time varies (the IP game
-    server, whose per-update work depends on the recipient set):
-    W = rho * s / (1 - rho).
-    """
-    rho = utilization(arrival_rate, service_time)
-    if rho >= 1.0:
-        return float("inf")
-    return rho * service_time / (1.0 - rho)
 
 
 def md1_mean_sojourn(arrival_rate: float, service_time: float) -> float:

@@ -19,7 +19,7 @@ VoCCN "long-lived interest" pattern); consumers refresh on timeout.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.names import Name
 from repro.ndn.engine import NdnHost
@@ -157,17 +157,8 @@ class NdnGamePlayer(NdnHost):
         self._watch_outstanding[publisher] = set()
         self._fill_pipeline(publisher)
 
-    def unwatch(self, publisher: str) -> None:
-        self._watch_next_seq.pop(publisher, None)
-        self._watch_outstanding.pop(publisher, None)
-
-    def watched(self) -> List[str]:
-        return sorted(self._watch_next_seq)
-
     def _fill_pipeline(self, publisher: str) -> None:
-        outstanding = self._watch_outstanding.get(publisher)
-        if outstanding is None:
-            return
+        outstanding = self._watch_outstanding[publisher]
         next_seq = self._watch_next_seq[publisher]
         while len(outstanding) < self.pipeline_window:
             seq = next_seq
@@ -185,8 +176,8 @@ class NdnGamePlayer(NdnHost):
         )
 
     def _on_version(self, publisher: str, seq: int, data: Data) -> None:
-        outstanding = self._watch_outstanding.get(publisher)
-        if outstanding is None or seq not in outstanding:
+        outstanding = self._watch_outstanding[publisher]
+        if seq not in outstanding:
             return
         outstanding.discard(seq)
         self.batches_received += 1
@@ -196,8 +187,7 @@ class NdnGamePlayer(NdnHost):
         self._fill_pipeline(publisher)
 
     def _on_expired(self, publisher: str, seq: int) -> None:
-        outstanding = self._watch_outstanding.get(publisher)
-        if outstanding is None or seq not in outstanding:
+        if seq not in self._watch_outstanding[publisher]:
             return
         # Refresh: the version is still ahead of the producer; re-express.
         self._express(publisher, seq)

@@ -18,7 +18,7 @@ Layered on the NDN substrate (:mod:`repro.ndn`), this package implements:
 """
 
 from repro.core.balancer import RpLoadBalancer, SplitPolicy
-from repro.core.bloom import BloomFilter, CountingBloomFilter
+from repro.core.bloom import CountingBloomFilter
 from repro.core.dedup import BoundedUidSet
 from repro.core.engine import GCopssHost, GCopssNetworkBuilder, GCopssRouter
 from repro.core.hierarchy import AIRSPACE, MapHierarchy
@@ -44,7 +44,6 @@ from repro.core.subscriptions import SubscriptionTable
 __all__ = [
     "AIRSPACE",
     "MapHierarchy",
-    "BloomFilter",
     "CountingBloomFilter",
     "BoundedUidSet",
     "SubscriptionTable",

@@ -155,16 +155,6 @@ class RegionMap:
     def get(self, name: str) -> RpRegion:
         return self._regions[name]
 
-    def region_of(self, router_name: str) -> Optional[RpRegion]:
-        name = self._router_region.get(router_name)
-        return None if name is None else self._regions[name]
-
-    def region_for_cd(self, cd: Name) -> Optional[RpRegion]:
-        for region in self._regions.values():
-            if region.family.is_prefix_of(cd):
-                return region
-        return None
-
     def __len__(self) -> int:
         return len(self._regions)
 
@@ -215,10 +205,6 @@ class FederationState:
     #: intra-region floods absorbed at aggregation points.
     scoped_floods: int = 0
     autoscalers: List["AutoscalerRole"] = field(default_factory=list)
-
-    def expected_cover(self) -> List[Name]:
-        """The zone prefixes that must stay owned (coverage invariant)."""
-        return sorted(self.placement)
 
     def zones_of(self, region: RpRegion) -> List[Name]:
         return sorted(z for z in self.placement if region.covers(z))

@@ -23,7 +23,7 @@ A player located in (or flying over) an area:
 from __future__ import annotations
 
 from enum import Enum
-from typing import Dict, FrozenSet, Iterator, List, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Sequence
 
 from repro.names import Name, ROOT
 
@@ -136,12 +136,6 @@ class MapHierarchy:
                 else:
                     leaves.append(area)
         return leaves
-
-    def is_leaf_cd(self, cd: "Name | str") -> bool:
-        cd = Name.coerce(cd)
-        if cd.depth and cd.leaf == AIRSPACE:
-            return cd.parent in self._area_set and cd.parent.depth < self.max_depth
-        return cd in self._area_set and cd.depth == self.max_depth
 
     # ------------------------------------------------------------------
     # Pub/sub semantics

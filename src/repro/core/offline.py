@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Deque, Dict, Iterable, List, Optional, Set
 
 from repro.core.engine import GCopssHost
 from repro.core.packets import MulticastPacket
@@ -93,9 +93,6 @@ class OfflineGuardian(GCopssHost):
         self._buffers.pop(player, None)
         self.dropped.pop(player, None)
         self._resubscribe()
-
-    def guarded(self) -> List[str]:
-        return sorted(self._watched)
 
     def _resubscribe(self) -> None:
         union: Set[Name] = set()

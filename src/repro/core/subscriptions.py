@@ -219,21 +219,6 @@ class SubscriptionTable(Generic[F]):
             cds.update(counts)
         return cds
 
-    def faces_subscribed_under(self, prefix: "Name | str") -> Set[F]:
-        """Faces holding any subscription covered by or covering ``prefix``.
-
-        Used during RP migration to find which downstream branches must be
-        re-anchored when the CDs under ``prefix`` move to a new RP.
-        """
-        prefix = Name.coerce(prefix)
-        hit: Set[F] = set()
-        for face, counts in self._exact.items():
-            for cd in counts:
-                if prefix.is_prefix_of(cd) or cd.is_prefix_of(prefix):
-                    hit.add(face)
-                    break
-        return hit
-
     def has_any_subscriber(self, cd: "Name | str") -> bool:
         return bool(self.match_exact(cd))
 

@@ -22,7 +22,7 @@ update dissemination.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.baselines.ip_server import (
     GameServerNode,
@@ -75,23 +75,6 @@ class ScenarioResult:
     @property
     def network_gb(self) -> float:
         return self.network_bytes / 1e9
-
-    def summary(self) -> Dict[str, object]:
-        """One-row dict of the headline metrics (for printing)."""
-        row: Dict[str, object] = {
-            "label": self.label,
-            "updates": self.updates_published,
-            "deliveries": self.deliveries,
-            "network_gb": round(self.network_gb, 4),
-        }
-        if self.latency.count:
-            row.update(
-                mean_ms=round(self.latency.mean, 3),
-                p95_ms=round(self.latency.percentile(95), 3),
-                max_ms=round(self.latency.maximum, 3),
-            )
-        return row
-
 
 # ----------------------------------------------------------------------
 # Shared layout helpers

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.core.hierarchy import MapHierarchy
 from repro.experiments.common import (
     ScenarioResult,
     run_gcopss_testbed,
@@ -56,14 +55,6 @@ class Fig4Result:
             "IP server": self.ip_server.latency.cdf_points(),
             "NDN": self.ndn.latency.cdf_points(),
         }
-
-    def means(self) -> Dict[str, float]:
-        return {
-            "G-COPSS": self.gcopss.latency.mean,
-            "IP server": self.ip_server.latency.mean,
-            "NDN": self.ndn.latency.mean if self.ndn.latency.count else float("inf"),
-        }
-
 
 def run_fig4(scale: float = 1.0, seed: int = 42) -> Fig4Result:
     """Run the three §V-A stacks on identical traces.

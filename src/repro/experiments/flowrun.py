@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
-from repro.core.hierarchy import MapHierarchy
 from repro.core.hybrid import HybridMapper
 from repro.core.packets import COPSS_HEADER_BYTES
 from repro.core.rp import RpTable
@@ -66,17 +65,6 @@ class FlowResult:
     @property
     def mean_latency_ms(self) -> float:
         return self.latency_sum_ms / self.deliveries if self.deliveries else 0.0
-
-    def summary(self) -> Dict[str, object]:
-        """One-row dict of the headline metrics (for printing)."""
-        return {
-            "label": self.label,
-            "deliveries": self.deliveries,
-            "network_gb": round(self.network_gb, 4),
-            "mean_ms": round(self.mean_latency_ms, 3),
-            "max_ms": round(self.latency_max_ms, 3),
-        }
-
 
 class FlowScenario:
     """Shared routing state for flow-level runs over one backbone build.

@@ -3,9 +3,9 @@ by the runtime invariant monitor.
 
 Public surface:
 
-* :data:`SCENARIO_NAMES` / :func:`get_scenario` /
-  :func:`register_scenario` — the registry (battle-royale flash crowd,
-  join/leave churn, day/night load curve, hotspot mobility);
+* :data:`SCENARIO_NAMES` / :func:`get_scenario` — the registry
+  (battle-royale flash crowd, join/leave churn, day/night load curve,
+  hotspot mobility);
 * :func:`run_scenario` — one (scenario, plan, seed) matrix cell;
 * :func:`run_matrix` — the full matrix, in the format of
   ``tests/data/scenario_matrix.json``;
@@ -26,7 +26,6 @@ from repro.experiments.scenarios.harness import (
     SCENARIO_NAMES,
     ScenarioReport,
     get_scenario,
-    register_scenario,
     run_matrix,
     run_scenario,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "SCENARIO_NAMES",
     "ScenarioReport",
     "get_scenario",
-    "register_scenario",
     "run_matrix",
     "run_scenario",
 ]

@@ -44,7 +44,7 @@ from repro.experiments.chaos import (
     check_after_ms,
     recovery_margin_ms,
 )
-from repro.experiments.scenarios.base import Scenario, ScenarioScript
+from repro.experiments.scenarios.base import Scenario
 from repro.experiments.fig4_microbench import microbenchmark_placement
 from repro.experiments.scenarios.generators import BUILTIN_SCENARIOS
 from repro.experiments.testbed import build_testbed
@@ -59,7 +59,6 @@ from repro.sim.stats import summarize
 __all__ = [
     "SCENARIO_NAMES",
     "get_scenario",
-    "register_scenario",
     "ScenarioReport",
     "run_scenario",
     "run_matrix",
@@ -92,14 +91,6 @@ def get_scenario(name: str) -> Scenario:
         raise ValueError(
             f"unknown scenario {name!r}; choose from {tuple(sorted(_REGISTRY))}"
         ) from None
-
-
-def register_scenario(scenario: Scenario) -> Scenario:
-    """Add a scenario to the registry (tests and extensions)."""
-    if scenario.name in _REGISTRY:
-        raise ValueError(f"scenario {scenario.name!r} already registered")
-    _REGISTRY[scenario.name] = scenario
-    return scenario
 
 
 @dataclass

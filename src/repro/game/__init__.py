@@ -10,7 +10,6 @@ trace), and the player movement model of §V-B (move every 5-35 minutes;
 
 from repro.game.map import GameMap
 from repro.game.movement import MovementModel
-from repro.game.objects import ObjectSizeTracker
 from repro.game.player import Player
 
-__all__ = ["GameMap", "Player", "MovementModel", "ObjectSizeTracker"]
+__all__ = ["GameMap", "Player", "MovementModel"]

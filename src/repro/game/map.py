@@ -9,7 +9,7 @@ in total; 4-20 players live in each area.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.core.hierarchy import MapHierarchy
 from repro.names import Name
@@ -72,14 +72,6 @@ class GameMap:
         for cd in sorted(self.hierarchy.visible_leaf_cds(area)):
             visible.extend(self._objects_by_cd[cd])
         return visible
-
-    def objects_per_layer(self) -> Dict[int, int]:
-        """Object count per hierarchy depth (paper: 87 top / 483 / 2,627)."""
-        counts: Dict[int, int] = {}
-        for cd, oids in self._objects_by_cd.items():
-            area = self.hierarchy.area_of_leaf(cd)
-            counts[area.depth] = counts.get(area.depth, 0) + len(oids)
-        return counts
 
     # ------------------------------------------------------------------
     # Player placement

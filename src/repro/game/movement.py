@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, List
 
 from repro.core.hierarchy import MapHierarchy, MoveType
 from repro.names import Name
@@ -118,8 +118,3 @@ class MovementModel:
         moves.sort(key=lambda m: (m.time_ms, m.player))
         return moves
 
-    def move_type_counts(self, moves: Sequence[MoveDecision]) -> Dict[MoveType, int]:
-        counts: Dict[MoveType, int] = {}
-        for move in moves:
-            counts[move.move_type] = counts.get(move.move_type, 0) + 1
-        return counts

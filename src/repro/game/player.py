@@ -1,18 +1,17 @@
 """Player glue: binds a game-map position to a G-COPSS host.
 
 A :class:`Player` owns a :class:`~repro.core.engine.GCopssHost`, keeps its
-area up to date (publishing CD + subscription set follow the hierarchy
-semantics of §III-A), publishes object updates into the correct area leaf
-CD, and — on movement — re-subscribes and triggers snapshot retrieval via
-whichever mode the experiment configured.
+area up to date (the subscription set follows the hierarchy semantics of
+§III-A), and — on movement — re-subscribes and triggers snapshot
+retrieval via whichever mode the experiment configured.  Updates are
+published through the host (:meth:`~repro.core.engine.GCopssHost.publish`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 from repro.core.engine import GCopssHost
-from repro.core.packets import MulticastPacket
 from repro.game.map import GameMap
 from repro.names import Name
 
@@ -28,7 +27,6 @@ class Player:
         self.area = Name.coerce(area)
         if not game_map.hierarchy.is_area(self.area):
             raise ValueError(f"{self.area} is not an area of the map")
-        self.updates_published = 0
         self.moves = 0
         # fn(player, src_area, dst_area, needed_leaf_cds) — experiments hook
         # snapshot retrieval here.
@@ -44,35 +42,6 @@ class Player:
     def join(self) -> None:
         """Come online: subscribe according to the current position."""
         self.host.set_subscriptions(self.map.hierarchy.subscriptions_for(self.area))
-
-    def leave(self) -> None:
-        """Go offline: withdraw all subscriptions."""
-        self.host.set_subscriptions([])
-
-    def publish_update(
-        self, object_id: int, payload_size: int, sequence: int = -1
-    ) -> MulticastPacket:
-        """Modify an object in the AoI; the update is published under the
-        CD of the *object's* area (paper: "all the updates are translated
-        into the respective CDs")."""
-        cd = self.map.area_of_object(object_id)
-        visible = self.map.hierarchy.visible_leaf_cds(self.area)
-        if cd not in visible:
-            raise ValueError(
-                f"{self.name} at {self.area} cannot see object {object_id} in {cd}"
-            )
-        packet = MulticastPacket(
-            cd=cd,
-            payload_size=payload_size,
-            publisher=self.name,
-            sequence=sequence,
-            object_id=object_id,
-            created_at=self.host.sim.now,
-        )
-        self.host.stats.published += 1
-        self.host.send(self.host.access_face, packet)
-        self.updates_published += 1
-        return packet
 
     # ------------------------------------------------------------------
     # Movement

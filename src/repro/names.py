@@ -231,15 +231,6 @@ class Name:
             raise ValueError(f"{prefix} is not a prefix of {self}")
         return Name(self._components[len(prefix):])
 
-    def common_prefix(self, other: "Name") -> "Name":
-        """Longest shared prefix of the two names."""
-        shared = []
-        for mine, theirs in zip(self._components, other._components):
-            if mine != theirs:
-                break
-            shared.append(mine)
-        return Name(shared)
-
     # ------------------------------------------------------------------
     # Value semantics
     # ------------------------------------------------------------------

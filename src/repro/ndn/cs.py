@@ -58,10 +58,6 @@ class ContentStore:
         self.hits += 1
         return data
 
-    def evict(self, name: "Name | str") -> bool:
-        """Explicitly drop a cached object; True if it was present."""
-        return self._store.pop(Name.coerce(name), None) is not None
-
     def __len__(self) -> int:
         return len(self._store)
 
@@ -70,7 +66,3 @@ class ContentStore:
             return False
         return Name.coerce(name) in self._store
 
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0

@@ -83,10 +83,6 @@ class NdnRouter(Node):
             tracer.on_service(self, packet)
         self.dispatcher.dispatch(packet, face)
 
-    def _dispatch(self, packet: Packet, face: Face) -> None:
-        """Registry dispatch entry point (kept callable for tests/tools)."""
-        self.dispatcher.dispatch(packet, face)
-
     def _handle_interest(self, interest: Interest, face: Face) -> None:
         cached = self.cs.match(interest.name, self.sim.now)
         if cached is not None:

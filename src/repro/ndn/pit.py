@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum, auto
-from typing import Dict, Generic, List, Optional, Set, TypeVar
+from typing import Dict, Generic, List, Set, TypeVar
 
 from repro.names import Name
 
@@ -91,17 +91,6 @@ class Pit(Generic[F]):
             self.expired += 1
             return []
         return sorted(entry.faces, key=repr)
-
-    def peek(self, name: "Name | str") -> Optional[PitEntry[F]]:
-        return self._entries.get(Name.coerce(name))
-
-    def purge_expired(self, now: float) -> int:
-        """Drop all expired entries; returns how many were removed."""
-        stale = [n for n, e in self._entries.items() if e.expires_at <= now]
-        for name in stale:
-            del self._entries[name]
-        self.expired += len(stale)
-        return len(stale)
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -10,10 +10,10 @@ observability layer:
   hops (and through ``/rp/<RP>`` encapsulation, where the tunnel Interest
   carries the multicast as payload) and records span events: enqueue,
   service, forward, decapsulate, drop-with-reason, delivery.
-* :mod:`repro.obs.metrics` — a registry of named counters / gauges /
-  windowed histograms sampled on sim-time ticks into ring-buffered time
-  series; ``NodeStats`` and ``FaultStats`` auto-register so every
-  existing counter becomes a series for free.
+* :mod:`repro.obs.metrics` — a registry of named sources sampled on
+  sim-time ticks into ring-buffered time series; ``NodeStats`` and
+  ``FaultStats`` auto-register so every existing counter becomes a
+  series for free.
 * :mod:`repro.obs.exporters` — JSONL event logs, Chrome trace-event JSON
   (loadable in Perfetto), Prometheus-style text.
 * :mod:`repro.obs.session` — one-call bundle wiring all of the above
@@ -37,7 +37,7 @@ from repro.obs.exporters import (
     write_events_jsonl,
     write_prometheus,
 )
-from repro.obs.metrics import MetricsRegistry, TimeSeries, WindowedHistogram
+from repro.obs.metrics import MetricsRegistry, TimeSeries
 from repro.obs.session import TelemetryConfig, TelemetrySession
 from repro.obs.tracer import PacketTracer, TraceEvent, trace_id_of
 
@@ -47,7 +47,6 @@ __all__ = [
     "trace_id_of",
     "MetricsRegistry",
     "TimeSeries",
-    "WindowedHistogram",
     "TelemetryConfig",
     "TelemetrySession",
     "chrome_trace",

@@ -1,20 +1,10 @@
 """Metrics registry: named sources sampled on sim-time ticks.
 
-Three source shapes:
-
-* **gauges** — any zero-argument callable returning a number, read at
-  each tick (queue backlog, ST size, role state);
-* **counters** — monotonically incremented by the owner via
-  :meth:`Counter.inc`, sampled like a gauge;
-* **windowed histograms** — per-tick distributions: ``observe()`` between
-  ticks, and each tick rolls the window into ``.count`` / ``.mean`` /
-  ``.max`` series and resets it.
-
-Sources registered together (one stats dataclass, one queue snapshot,
-one role's ``telemetry()``) are read by one call per tick and stored as
-one row of a float64 table; a :class:`TimeSeries` is a ring-buffered view
-of one column (bounded memory, oldest points evicted).  Existing counter
-blocks auto-register:
+Every source is read at each tick.  Sources registered together (one
+stats dataclass, one queue snapshot, one role's ``telemetry()``) are
+read by one call per tick and stored as one row of a float64 table; a
+:class:`TimeSeries` is a ring-buffered view of one column (bounded
+memory, oldest points evicted).  Existing counter blocks auto-register:
 :meth:`MetricsRegistry.register_stats` walks any dataclass
 (``NodeStats``, ``FaultStats``) and turns every numeric field into a
 series for free; :meth:`register_node` additionally picks up the node's
@@ -42,7 +32,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import EventHandle, Simulator
     from repro.sim.network import Network, Node
 
-__all__ = ["TimeSeries", "Counter", "WindowedHistogram", "MetricsRegistry"]
+__all__ = ["TimeSeries", "MetricsRegistry"]
 
 
 class _Block:
@@ -127,54 +117,12 @@ class TimeSeries:
         return f"TimeSeries({self.name!r}, {len(self)} points)"
 
 
-class Counter:
-    """A registry-owned monotonic counter; sampled like a gauge."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value: float = 0
-
-    def inc(self, amount: float = 1) -> None:
-        if amount < 0:
-            raise ValueError(f"counter increments must be >= 0, got {amount}")
-        self.value += amount
-
-
-class WindowedHistogram:
-    """Distribution over one sampling window, rolled at each tick."""
-
-    __slots__ = ("name", "_values")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self._values: List[float] = []
-
-    def observe(self, value: float) -> None:
-        self._values.append(value)
-
-    def roll(self) -> Dict[str, float]:
-        """Summarize and reset the current window."""
-        values = self._values
-        if not values:
-            return {"count": 0, "mean": 0.0, "max": 0.0}
-        summary = {
-            "count": len(values),
-            "mean": sum(values) / len(values),
-            "max": max(values),
-        }
-        self._values = []
-        return summary
-
-
 class MetricsRegistry:
     """Named metric sources and their ring-buffered time series."""
 
     def __init__(self, capacity: int = 1024) -> None:
         self.capacity = capacity
         self._blocks: List[_Block] = []
-        self._histograms: Dict[str, WindowedHistogram] = {}
         self.series: Dict[str, TimeSeries] = {}
         self._tick_handles: List["EventHandle"] = []
 
@@ -182,7 +130,7 @@ class MetricsRegistry:
     # Registration
     # ------------------------------------------------------------------
     def _claim(self, name: str) -> None:
-        if name in self.series or name in self._histograms:
+        if name in self.series:
             raise ValueError(f"metric {name!r} already registered")
 
     def _add_block(self, names: Sequence[str], read: Callable[[], tuple]) -> int:
@@ -195,23 +143,6 @@ class MetricsRegistry:
             for column, name in enumerate(names):
                 self.series[name] = TimeSeries(name, block=block, column=column)
         return len(names)
-
-    def gauge(self, name: str, fn: Callable[[], float]) -> None:
-        """Register a read-on-tick source."""
-        self._add_block((name,), lambda: (fn(),))
-
-    def counter(self, name: str) -> Counter:
-        """Create and register an owner-incremented counter."""
-        counter = Counter(name)
-        self._add_block((name,), lambda: (counter.value,))
-        return counter
-
-    def histogram(self, name: str) -> WindowedHistogram:
-        """Create and register a per-tick windowed histogram."""
-        self._claim(name)
-        histogram = self._histograms[name] = WindowedHistogram(name)
-        self._register_snapshot(name, histogram.roll)  # .count / .mean / .max
-        return histogram
 
     def register_stats(self, prefix: str, stats: object) -> int:
         """Auto-register every numeric field of a stats dataclass.

@@ -233,10 +233,6 @@ class PacketTracer:
         self._fault_stats = None
         self._installed = False
 
-    @property
-    def installed(self) -> bool:
-        return self._installed
-
     # ------------------------------------------------------------------
     # Emit paths (called from the fabric hook sites)
     # ------------------------------------------------------------------

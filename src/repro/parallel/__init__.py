@@ -8,7 +8,7 @@ and sharded runs produce bit-identical delivery digests.
 
 from repro.parallel.digest import DeliveryLog, canonical_digest, delivery_digest
 from repro.parallel.executor import ShardedExecutor
-from repro.parallel.partition import ShardPlan, partition_by_anchors, partition_by_rp
+from repro.parallel.partition import ShardPlan, partition_by_anchors
 from repro.parallel.scale import ScaleSpec, run_scale
 
 __all__ = [
@@ -19,6 +19,5 @@ __all__ = [
     "canonical_digest",
     "delivery_digest",
     "partition_by_anchors",
-    "partition_by_rp",
     "run_scale",
 ]

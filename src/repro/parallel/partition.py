@@ -7,12 +7,10 @@ shards therefore cuts few tree edges — the same shard-by-rendezvous idea
 as Rendezvous Regions and the region-sharded game-event simulators.
 
 A :class:`ShardPlan` is pure data — node name to shard index — produced
-either from explicit anchors (:func:`partition_by_anchors`: every node
-joins its delay-nearest anchor, ties to the lowest anchor index) or from
-the installed RP layout (:func:`partition_by_rp`: the anchors are the
-routers holding RP prefixes).  The plan is fixed for the lifetime of a
-run: determinism requires that shard assignment never depends on runtime
-load.
+from explicit anchors (:func:`partition_by_anchors`: every node joins
+its delay-nearest anchor, ties to the lowest anchor index).  The plan is
+fixed for the lifetime of a run: determinism requires that shard
+assignment never depends on runtime load.
 
 The two graph searches behind a plan — :func:`nearest_anchor` and
 :func:`min_cut_delay` — read a plain ``(a, b, delay)`` link list, so a
@@ -24,7 +22,7 @@ scenario's spec, :mod:`repro.parallel.slicing`) run the same code.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence, Tuple
 
 from repro.sim.routing import LinkRow, adjacency_of, network_links
@@ -38,7 +36,6 @@ __all__ = [
     "nearest_anchor",
     "min_cut_delay",
     "partition_by_anchors",
-    "partition_by_rp",
 ]
 
 _INF = float("inf")
@@ -110,9 +107,6 @@ class ShardPlan:
     num_shards: int
     anchors: Tuple[str, ...] = ()
 
-    def shard_of(self, node_name: str) -> int:
-        return self.assignment[node_name]
-
     def members(self, shard: int) -> List[str]:
         return sorted(n for n, s in self.assignment.items() if s == shard)
 
@@ -182,24 +176,3 @@ def partition_by_anchors(
     )
 
 
-def partition_by_rp(network: "Network") -> ShardPlan:
-    """Derive the partition from the installed RP layout.
-
-    The anchors are the routers currently holding RP prefixes (the
-    :class:`~repro.core.roles.RpRole` state the
-    :class:`~repro.core.engine.GCopssNetworkBuilder` populated), in name
-    order; the rest of the topology folds into the nearest anchor.  This
-    is the "shard by rendezvous" rule: each RP's multicast trees are
-    rooted at its anchor, so most tree edges stay shard-internal.
-    """
-    rp_sites = sorted(
-        node.name
-        for node in network.nodes.values()
-        if node.has_role("rp") and node.rp_role.prefixes
-    )
-    if not rp_sites:
-        raise ValueError(
-            "no RP prefixes installed; run the network builder first or "
-            "use partition_by_anchors with explicit anchors"
-        )
-    return partition_by_anchors(network, rp_sites)

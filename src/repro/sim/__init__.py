@@ -25,7 +25,7 @@ from repro.sim.faults import (
 from repro.sim.network import Link, Network, Node, PacketDispatcher
 from repro.sim.queues import ServiceQueue
 from repro.sim.roles import Role
-from repro.sim.stats import LatencyRecorder, LoadMeter, NodeStats, SeriesRecorder
+from repro.sim.stats import LatencyRecorder, NodeStats, SeriesRecorder
 
 __all__ = [
     "Simulator",
@@ -36,7 +36,6 @@ __all__ = [
     "Role",
     "ServiceQueue",
     "LatencyRecorder",
-    "LoadMeter",
     "NodeStats",
     "SeriesRecorder",
     "FaultInjector",

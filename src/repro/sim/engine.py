@@ -263,22 +263,6 @@ class Simulator:
             if collecting:
                 gc.enable()
 
-    def step(self) -> bool:
-        """Process exactly one (non-cancelled) event.  Returns False if idle."""
-        while self._heap:
-            time, _origin, _seq, handle = heappop(self._heap)
-            if handle.cancelled:
-                continue
-            self.now = time
-            self.origin = handle.exec_origin
-            try:
-                handle.callback(*handle.args)
-            finally:
-                self.origin = EXTERNAL_ORIGIN
-            self.events_processed += 1
-            return True
-        return False
-
     def stop(self) -> None:
         """Stop the loop after the current callback returns."""
         self._stopped = True

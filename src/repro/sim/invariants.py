@@ -71,7 +71,6 @@ __all__ = [
     "Violation",
     "InvariantMonitor",
     "InvariantVerdict",
-    "covered",
     "expected_deliveries",
     "refresh_budget",
 ]
@@ -79,15 +78,6 @@ __all__ = [
 #: A relay chain that reaches no serving router within this many hops is
 #: a black hole (:meth:`InvariantMonitor.check_ownership`).
 MAX_RELAY_HOPS = 8
-
-
-def covered(cd: Name, subscriptions: Iterable[Name]) -> bool:
-    """Does any held subscription entitle the holder to updates under ``cd``?
-
-    COPSS ST matching is hierarchical: a subscription to a CD receives
-    publications to it and to anything beneath it.
-    """
-    return any(sub == cd or sub.is_prefix_of(cd) for sub in subscriptions)
 
 
 def _span(times: List[float], start: float, end: float, n: int) -> Tuple[int, int]:
@@ -113,7 +103,17 @@ def _stable(times: List[float], reach: List[int], start: float, end: float) -> b
     """Is ``[start, end]`` inside one epoch run of a single covering name?
 
     False when no epoch meets the window or its head predates the
-    host's first epoch.
+    host's first epoch.  The liveness bar only holds hosts to updates
+    they were entitled to for the packet's whole (bounded) lifetime: a
+    host that moved away or went offline mid-flight may legitimately
+    miss it.
+
+    The *same* subscription name must provide the coverage across the
+    whole window: coverage stitched from different names spans a fresh
+    wire Subscribe (e.g. a move from zone ``/3/5`` to region ``/3`` keeps
+    ``/3/5`` publications covered, but through a brand new subscription),
+    and under loss that Subscribe may be in flight or awaiting the next
+    refresh retransmit — soft state guarantees nothing until it lands.
     """
     lo, hi = _span(times, start, end, len(times))
     return hi > lo and times[lo] <= start and reach[lo] >= hi - 1
@@ -177,7 +177,7 @@ class SubscriptionLedger:
         while online.  ``reach[i]`` is the last epoch ``j >= i`` such
         that one covering name is held, online, through every epoch of
         ``i..j`` (``i - 1`` when epoch ``i`` covers nothing) — the runs
-        :meth:`stable_through` reads.
+        :func:`_stable` reads.
         """
         per_host = self._index.get(host)
         if per_host is None:
@@ -203,43 +203,6 @@ class SubscriptionLedger:
             counts[i + 1] = counts[i] + (reach[i] >= i)
         index = per_host[cd] = (counts, reach)
         return index
-
-    def epochs_overlapping(
-        self, host: str, start: float, end: float
-    ) -> List[Tuple[float, FrozenSet[Name], bool]]:
-        """Epochs whose active interval intersects ``[start, end]``."""
-        times = self._times.get(host)
-        if not times:
-            return []
-        lo, hi = _span(times, start, end, len(times))
-        return self._epochs[host][lo:hi]
-
-    def covered_in_window(self, host: str, cd: Name, start: float, end: float) -> bool:
-        """Was ``cd`` covered by any epoch overlapping ``[start, end]``?"""
-        times = self._times.get(host)
-        if not times:
-            return False
-        return _any_covered(times, self._coverage(host, cd)[0], start, end, len(times))
-
-    def stable_through(self, host: str, cd: Name, start: float, end: float) -> bool:
-        """One covering subscription held through every epoch of ``[start, end]``.
-
-        The liveness bar only holds hosts to updates they were entitled
-        to for the packet's whole (bounded) lifetime: a host that moved
-        away or went offline mid-flight may legitimately miss it.
-
-        The *same* subscription name must provide the coverage across
-        the whole window: coverage stitched from different names spans a
-        fresh wire Subscribe (e.g. a move from zone ``/3/5`` to region
-        ``/3`` keeps ``/3/5`` publications covered, but through a brand
-        new subscription), and under loss that Subscribe may be in
-        flight or awaiting the next refresh retransmit — soft state
-        guarantees nothing until it lands.
-        """
-        times = self._times.get(host)
-        if not times:
-            return False
-        return _stable(times, self._coverage(host, cd)[1], start, end)
 
     def uncovered_since(self, host: str, cd: Name) -> Optional[float]:
         """Instant the host last stopped covering ``cd`` (None if covered).
@@ -347,8 +310,8 @@ def expected_deliveries(
     other host can be stable through any window.
     """
     out: List[Tuple[int, float, str]] = []
-    # cd -> (host, epoch times, stable run reach) for every coverer:
-    # :meth:`SubscriptionLedger.stable_through` with the lookups hoisted.
+    # cd -> (host, epoch times, stable run reach) for every coverer,
+    # each the input of one _stable call.
     coverers: Dict[Name, List[Tuple[str, List[float], List[int]]]] = {}
     for sequence, t_pub, cd, publisher in publishes:
         until = min(t_pub + stability_window_ms, horizon_ms)
@@ -525,8 +488,8 @@ class InvariantMonitor:
             return
         ledger, grace = self.ledger, self.phantom_grace_ms
         pairs, counts, found = self._pair_list, self._counts, self._safety
-        # pair id -> (epoch times, covered-epoch counts): the lookups of
-        # :meth:`SubscriptionLedger.covered_in_window`, hoisted.
+        # pair id -> (epoch times, covered-epoch counts), looked up once
+        # per pair for _any_covered.
         tables: Dict[int, Tuple[List[float], List[int]]] = {}
         for trace, pair_id, created, now, n_at in zip(
             self._trace_ids[start:],

@@ -74,17 +74,6 @@ class PacketDispatcher:
         self._resolved.clear()
         return handler
 
-    def registered(self) -> Dict[type, PacketHandler]:
-        """Snapshot of the class -> handler table (for tests/introspection)."""
-        return dict(self._handlers)
-
-    def handler_for(self, packet_cls: type) -> Optional[PacketHandler]:
-        """The handler a packet of ``packet_cls`` would resolve to, or None."""
-        handler = self._resolved.get(packet_cls)
-        if handler is None:
-            handler = self._resolve(packet_cls)
-        return None if handler == self._unknown else handler
-
     def dispatch(self, packet: Packet, face: "Face | None") -> None:
         handler = self._resolved.get(packet.__class__)
         if handler is None:
@@ -251,15 +240,6 @@ class Link:
                 return face
         raise ValueError(f"{node} is not an endpoint of {self}")
 
-    def transmit(self, sender: "Node", packet: Packet) -> None:
-        """Carry ``packet`` from ``sender`` to the opposite endpoint.
-
-        Delegates to :meth:`Face.send` on the sender's face so counters
-        accrue in exactly one place and the fault hook applies uniformly
-        no matter which entry point transmitted.
-        """
-        self.face_of(sender).send(packet)
-
     def __repr__(self) -> str:
         return f"Link({self.name}, {self.delay}ms)"
 
@@ -319,9 +299,6 @@ class Node:
 
     def get_role(self, name: str) -> "Role | None":
         return self.roles.get(name)
-
-    def has_role(self, name: str) -> bool:
-        return name in self.roles
 
     def _attach(self, link: Link) -> Face:
         face = Face(self, self._next_face_id, link)

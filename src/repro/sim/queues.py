@@ -64,11 +64,6 @@ class ServiceQueue:
     def mean_wait(self) -> float:
         return self.total_wait_time / self.served if self.served else 0.0
 
-    @property
-    def utilization_time(self) -> float:
-        """Total busy time accumulated so far."""
-        return self.total_service_time
-
     def snapshot(self) -> dict:
         """Instantaneous + cumulative gauges for the metrics registry.
 
@@ -130,16 +125,6 @@ class ServiceQueue:
         self.total_service_time += service_time
         self._start_next()
         on_done(item)
-
-    def drain_pending(self) -> list[Any]:
-        """Remove and return all waiting items (the in-service one finishes).
-
-        Used when an RP sheds CDs: packets already queued for migrated CDs
-        are redirected to the new RP rather than dropped.
-        """
-        items = [entry[0] for entry in self._waiting]
-        self._waiting.clear()
-        return items
 
     def flush(self) -> int:
         """Drop everything, including the item in service (crash semantics).

@@ -1,13 +1,14 @@
 """Metric recorders used across the evaluation harness.
 
-Three shapes of data appear in the paper's evaluation:
+Two shapes of latency data appear in the paper's evaluation:
 
 * latency distributions (Fig. 4's CDF, Table I/II/III means and confidence
   intervals) — :class:`LatencyRecorder`;
 * per-update latency series with min/avg/max envelopes over packet-sequence
-  buckets (Fig. 5a–c) — :class:`SeriesRecorder`;
-* aggregate byte counts reported in GB (Table I/II, Fig. 6b) —
-  :class:`LoadMeter`.
+  buckets (Fig. 5a–c) — :class:`SeriesRecorder`.
+
+The aggregate byte counts the paper reports in GB (Table I/II, Fig. 6b)
+are read from the link counters, :attr:`repro.sim.network.Network.total_bytes`.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ __all__ = [
     "NodeStats",
     "LatencyRecorder",
     "SeriesRecorder",
-    "LoadMeter",
     "summarize",
 ]
 
@@ -238,28 +238,6 @@ class SeriesRecorder:
     @property
     def count(self) -> int:
         return sum(len(v) for v in self._buckets.values())
-
-
-class LoadMeter:
-    """Byte accumulator reported in the paper's GB units (10**9 bytes)."""
-
-    def __init__(self, name: str = "load") -> None:
-        self.name = name
-        self.bytes = 0
-        self.packets = 0
-
-    def add(self, nbytes: int, packets: int = 1) -> None:
-        if nbytes < 0 or packets < 0:
-            raise ValueError("load contributions must be non-negative")
-        self.bytes += nbytes
-        self.packets += packets
-
-    @property
-    def gigabytes(self) -> float:
-        return self.bytes / 1e9
-
-    def __repr__(self) -> str:
-        return f"LoadMeter({self.name!r}, {self.gigabytes:.3f} GB)"
 
 
 def summarize(recorder: LatencyRecorder) -> dict:

@@ -39,12 +39,6 @@ class BenchmarkTopology:
     hosts: List[Node]
     host_router: Dict[str, str] = field(default_factory=dict)
 
-    @property
-    def rp_router(self) -> Node:
-        """R1, where the paper placed the RP and the IP server."""
-        return self.routers["R1"]
-
-
 def build_benchmark_topology(
     router_factory: Callable[[Network, str], Node],
     host_factory: Callable[[Network, str], Node],

@@ -8,9 +8,7 @@ from repro.analysis import (
     cd_load_shares,
     md1_mean_wait,
     minimum_stable_rps,
-    mm1_mean_wait,
     rp_utilizations,
-    server_population_ceiling,
     utilization,
 )
 from repro.analysis.capacity import peak_arrival_rate
@@ -39,12 +37,7 @@ class TestQueueingFormulas:
 
     def test_unstable_is_infinite(self):
         assert md1_mean_wait(1.0, 1.0) == float("inf")
-        assert mm1_mean_wait(2.0, 1.0) == float("inf")
         assert md1_mean_sojourn(2.0, 1.0) == float("inf")
-
-    def test_mm1_dominates_md1(self):
-        # Deterministic service halves the P-K wait.
-        assert mm1_mean_wait(0.7, 1.0) == pytest.approx(2 * md1_mean_wait(0.7, 1.0))
 
     def test_sojourn_adds_service(self):
         assert md1_mean_sojourn(0.5, 2.0) == pytest.approx(
@@ -121,8 +114,3 @@ class TestProvisioning:
         assert plan["rp_count"] == 3
         assert plan["worst_utilization"] < 0.85
         assert plan["predicted_worst_sojourn_ms"] < 20.0
-
-    def test_server_ceiling_is_finite_and_in_fig6_range(self):
-        ceiling = server_population_ceiling()
-        # The Fig. 6 hockey stick: a few hundred to a few thousand players.
-        assert 100 < ceiling < 10_000

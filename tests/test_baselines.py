@@ -193,13 +193,7 @@ class TestNdnGame:
     def test_watch_self_ignored(self):
         net, players = build_ndn_world()
         players[0].watch("p0")
-        assert players[0].watched() == []
-
-    def test_unwatch_stops_refreshing(self):
-        net, players = build_ndn_world()
-        players[1].watch("p0")
-        players[1].unwatch("p0")
-        assert players[1].watched() == []
+        assert players[0]._watch_next_seq == {}
 
     def test_sequence_progression(self):
         net, players = build_ndn_world(accumulation=10.0)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.bloom import BloomFilter, CountingBloomFilter, optimal_params
+from repro.core.bloom import CountingBloomFilter
 from repro.names import Name
 
 cd_strategy = st.lists(
@@ -13,65 +13,32 @@ cd_strategy = st.lists(
 
 
 class TestBloomFilter:
+    """Membership properties of the routers' (counting) Bloom filter."""
+
     def test_added_items_always_found(self):
-        bloom = BloomFilter()
+        bloom = CountingBloomFilter()
         bloom.add("/1/2")
         assert "/1/2" in bloom
         assert Name.parse("/1/2") in bloom
 
     def test_absent_item_usually_not_found(self):
-        bloom = BloomFilter(num_bits=4096, num_hashes=4)
+        bloom = CountingBloomFilter(num_bits=4096, num_hashes=4)
         bloom.add("/1/2")
         false_positives = sum(1 for i in range(100) if f"/x/{i}" in bloom)
         assert false_positives <= 2
 
     def test_non_name_not_contained(self):
-        assert 42 not in BloomFilter()
-
-    def test_matches_any_prefix(self):
-        bloom = BloomFilter()
-        bloom.add("/1")
-        assert bloom.matches_any_prefix("/1/2/3")
-        assert bloom.matches_any_prefix("/1")
-
-    def test_matches_any_prefix_negative(self):
-        bloom = BloomFilter(num_bits=4096)
-        bloom.add("/1/2")
-        # /1 alone should not match: /1/2 is not a prefix of /1.
-        assert not bloom.matches_any_prefix("/9")
-
-    def test_clear(self):
-        bloom = BloomFilter()
-        bloom.add("/a")
-        bloom.clear()
-        assert "/a" not in bloom
-        assert bloom.fill_ratio == 0.0
-
-    def test_fill_ratio_grows(self):
-        bloom = BloomFilter(num_bits=256)
-        before = bloom.fill_ratio
-        bloom.update([f"/{i}" for i in range(20)])
-        assert bloom.fill_ratio > before
-
-    def test_for_capacity_meets_fp_target(self):
-        bloom = BloomFilter.for_capacity(100)
-        for i in range(100):
-            bloom.add(f"/item/{i}")
-        probes = 2000
-        fps = sum(1 for i in range(probes) if f"/other/{i}" in bloom)
-        assert fps / probes < 0.03  # some slack over the 1% design point
+        assert 42 not in CountingBloomFilter()
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
-            BloomFilter(num_bits=0)
+            CountingBloomFilter(num_bits=0)
         with pytest.raises(ValueError):
-            optimal_params(0, 0.01)
-        with pytest.raises(ValueError):
-            optimal_params(10, 1.5)
+            CountingBloomFilter(num_hashes=0)
 
     @given(st.lists(cd_strategy, max_size=30))
     def test_no_false_negatives(self, cds):
-        bloom = BloomFilter(num_bits=512)
+        bloom = CountingBloomFilter(num_bits=512)
         for cd in cds:
             bloom.add(cd)
         for cd in cds:
@@ -107,19 +74,6 @@ class TestCountingBloomFilter:
         bloom.remove("/drop")
         assert "/keep" in bloom
 
-    def test_to_bloom_snapshot(self):
-        counting = CountingBloomFilter()
-        counting.add("/a")
-        counting.add("/b")
-        plain = counting.to_bloom()
-        assert "/a" in plain
-        assert "/b" in plain
-
-    def test_matches_any_prefix(self):
-        bloom = CountingBloomFilter()
-        bloom.add("/sports")
-        assert bloom.matches_any_prefix("/sports/football")
-
     @settings(max_examples=50)
     @given(st.lists(cd_strategy, max_size=20))
     def test_add_all_remove_all_leaves_empty(self, cds):
@@ -129,7 +83,7 @@ class TestCountingBloomFilter:
         for cd in cds:
             bloom.remove(cd)
         assert bloom.items == 0
-        assert bloom.fill_ratio == 0.0
+        assert bloom.bit_view == 0
 
     def test_counters_are_16_bit(self):
         from array import array

@@ -33,7 +33,7 @@ class TestRegistration:
         d, _ = make_dispatcher()
         d.register(Interest, lambda p, f: None)
         d.register(Data, lambda p, f: None)
-        table = d.registered()
+        table = d._handlers
         assert set(table) == {Interest, Data}
         assert all(callable(h) for h in table.values())
 
@@ -44,7 +44,7 @@ class TestRegistration:
         d.register(Interest, lambda p, f: hits.append("override"))
         d.dispatch(Interest(name="/x"), None)
         assert hits == ["override"]
-        assert len(d.registered()) == 1
+        assert len(d._handlers) == 1
 
     def test_only_packet_subclasses_register(self):
         d, _ = make_dispatcher()
@@ -103,16 +103,6 @@ class TestDispatch:
         d.register(FancyInterest, lambda p, f: hits.append("fancy"))
         d.dispatch(FancierInterest(name="/x"), None)
         assert hits == ["interest", "fancy"]
-
-    def test_handler_for_reports_resolution(self):
-        d, _ = make_dispatcher()
-
-        def handler(p, f):
-            pass
-
-        d.register(Interest, handler)
-        assert d.handler_for(FancyInterest) is handler
-        assert d.handler_for(Data) is None
 
 
 class TestUnknownPackets:

@@ -105,7 +105,7 @@ class TestMalformedAndStray:
 
         net, r1, r2, pub, sub = build_pair()
         with pytest.raises(TypeError):
-            r1._dispatch(Packet(size=1), next(iter(r1.faces.values())))
+            r1.dispatcher.dispatch(Packet(size=1), next(iter(r1.faces.values())))
 
     def test_host_ignores_stray_interest_without_handler(self):
         net, r1, r2, pub, sub = build_pair()

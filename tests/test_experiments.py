@@ -52,7 +52,7 @@ class TestLayoutHelpers:
         for k in (2, 3, 6):
             table = default_rp_assignment(hierarchy, [f"rp{i}" for i in range(k)])
             for cd in hierarchy.leaf_cds():
-                assert table.covers(cd)
+                assert table.rp_for(cd) in table.all_rps()  # raises if uncovered
             assert len(table.all_rps()) == min(k, 6)
 
     def test_rp_assignment_is_contiguous_with_airspace_last(self):

@@ -109,11 +109,11 @@ class TestArming:
         assert len(blast(net, a, b, 4)) == 4
 
     def test_transmit_entry_point_passes_through_hook(self):
-        # Link.transmit delegates to Face.send, so drops and counters
-        # behave identically for both entry points.
+        # Face.send is the one entry point onto a link: a drop there
+        # leaves no wire trace.
         net, a, b, link = make_pair()
         FaultInjector(net, FaultPlan(links={"a<->b": LinkFaults(loss=1.0)})).install()
-        link.transmit(a, Packet(size=10))
+        link.face_of(a).send(Packet(size=10))
         net.sim.run()
         assert b.inbox == []
         assert link.packets_carried == 0  # dropped at egress: no wire trace

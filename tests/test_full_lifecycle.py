@@ -139,8 +139,8 @@ def play_session(session):
     for i in range(total):
         net.sim.schedule_at(
             t0 + 1.0 + i * 0.8,
-            lambda i=i: publisher.publish_update(
-                rng.choice(visible), payload_size=80, sequence=i
+            lambda i=i: publisher.host.publish(
+                game_map.area_of_object(rng.choice(visible)), payload_size=80, sequence=i
             ),
         )
     net.sim.run()
@@ -185,12 +185,14 @@ def play_session(session):
     # ------------------------------------------------------------------
     sleeper = players["p1"]
     guarded_cds = game_map.hierarchy.subscriptions_for(sleeper.area)
-    sleeper.leave()
+    sleeper.host.set_subscriptions([])
     guardian.register("p1", guarded_cds)
     net.sim.run()
     satellite_object = game_map.objects_in("/0")[0]  # visible to everyone
     for i in range(5):
-        publisher.publish_update(satellite_object, payload_size=60, sequence=1000 + i)
+        publisher.host.publish(
+            game_map.area_of_object(satellite_object), payload_size=60, sequence=1000 + i
+        )
     net.sim.run()
     assert len(guardian.backlog_of("p1")) == 5
     caught = []
@@ -206,7 +208,7 @@ def play_session(session):
     # Phase 4: everyone leaves; the network quiesces with no stray state.
     # ------------------------------------------------------------------
     for player in players.values():
-        player.leave()
+        player.host.set_subscriptions([])
     net.sim.run(until=net.sim.now + 2000)  # let leave lingers expire
     broker_cds = set(session["broker"].broker_role.objects)
     for router in session["routers"]:

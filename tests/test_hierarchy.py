@@ -63,11 +63,12 @@ class TestLeafCds:
             assert paper_map.leaf_cd(area) == cd
 
     def test_is_leaf_cd(self, paper_map):
-        assert paper_map.is_leaf_cd("/1/2")
-        assert paper_map.is_leaf_cd("/1/0")
-        assert paper_map.is_leaf_cd("/0")
-        assert not paper_map.is_leaf_cd("/1")
-        assert not paper_map.is_leaf_cd("/")
+        leaves = set(paper_map.leaf_cds())
+        assert Name.parse("/1/2") in leaves
+        assert Name.parse("/1/0") in leaves
+        assert Name.parse("/0") in leaves
+        assert Name.parse("/1") not in leaves
+        assert Name.parse("/") not in leaves
 
 
 class TestSubscriptions:

@@ -16,11 +16,33 @@ from repro.sim.invariants import (
     InvariantMonitor,
     SubscriptionLedger,
     Violation,
-    covered,
+    _any_covered,
+    _stable,
     expected_deliveries,
     refresh_budget,
 )
 from repro.sim.network import Network
+
+
+def covered(cd, subscriptions):
+    """COPSS coverage: a subscription receives its CD and everything below."""
+    return any(sub == cd or sub.is_prefix_of(cd) for sub in subscriptions)
+
+
+def covered_in_window(ledger, host, cd, start, end):
+    """The monitor's phantom test: an online epoch meeting the window covers ``cd``."""
+    times = ledger._times.get(host)
+    if not times:
+        return False
+    return _any_covered(times, ledger._coverage(host, cd)[0], start, end, len(times))
+
+
+def stable_through(ledger, host, cd, start, end):
+    """The liveness test ``expected_deliveries`` applies to one host."""
+    times = ledger._times.get(host)
+    if not times:
+        return False
+    return _stable(times, ledger._coverage(host, cd)[1], start, end)
 
 
 def build_pair():
@@ -37,33 +59,16 @@ def build_pair():
 
 
 class TestLedger:
-    def test_epochs_overlapping_windows(self):
-        ledger = SubscriptionLedger()
-        ledger.note("h", 0.0, ["/1"])
-        ledger.note("h", 100.0, ["/2"])
-        ledger.note("h", 200.0, ["/3"])
-        # Window entirely inside the middle epoch.
-        assert [t for t, _, _ in ledger.epochs_overlapping("h", 120.0, 180.0)] == [100.0]
-        # Window spanning all three.
-        assert len(ledger.epochs_overlapping("h", 50.0, 250.0)) == 3
-        assert ledger.epochs_overlapping("nobody", 0.0, 10.0) == []
-
     def test_epochs_must_be_time_ordered(self):
         ledger = SubscriptionLedger()
         ledger.note("h", 100.0, ["/1"])
         with pytest.raises(ValueError):
             ledger.note("h", 50.0, ["/2"])
 
-    def test_covered_is_hierarchical(self):
-        subs = [Name.parse("/1")]
-        assert covered(Name.parse("/1/2"), subs)
-        assert covered(Name.parse("/1"), subs)
-        assert not covered(Name.parse("/2"), subs)
-
     def test_stable_through_steady_subscription(self):
         ledger = SubscriptionLedger()
         ledger.note("h", 0.0, ["/1/2"])
-        assert ledger.stable_through("h", Name.parse("/1/2"), 100.0, 500.0)
+        assert stable_through(ledger, "h", Name.parse("/1/2"), 100.0, 500.0)
 
     def test_stable_through_needs_one_covering_name(self):
         # Coverage stitched from different names spans a fresh wire
@@ -74,19 +79,19 @@ class TestLedger:
         ledger.note("h", 0.0, ["/1/2", "/0"])
         ledger.note("h", 300.0, ["/1", "/0"])
         cd = Name.parse("/1/2")
-        assert not ledger.stable_through("h", cd, 100.0, 400.0)
+        assert not stable_through(ledger, "h", cd, 100.0, 400.0)
         # Once the /1 epoch alone spans the window, it is stable again.
-        assert ledger.stable_through("h", cd, 310.0, 400.0)
+        assert stable_through(ledger, "h", cd, 310.0, 400.0)
         # And a name held across the boundary keeps its own CDs stable.
-        assert ledger.stable_through("h", Name.parse("/0/x"), 100.0, 400.0)
+        assert stable_through(ledger, "h", Name.parse("/0/x"), 100.0, 400.0)
 
     def test_stable_through_offline_breaks(self):
         ledger = SubscriptionLedger()
         ledger.note("h", 0.0, ["/1"])
         ledger.note_offline("h", 200.0)
         ledger.note("h", 300.0, ["/1"])
-        assert not ledger.stable_through("h", Name.parse("/1"), 100.0, 400.0)
-        assert ledger.stable_through("h", Name.parse("/1"), 0.0, 150.0)
+        assert not stable_through(ledger, "h", Name.parse("/1"), 100.0, 400.0)
+        assert stable_through(ledger, "h", Name.parse("/1"), 0.0, 150.0)
 
     def test_uncovered_since(self):
         ledger = SubscriptionLedger()
@@ -104,9 +109,9 @@ class TestLedger:
         ledger.note("h", 100.0, ["/1"])
         ledger.note("h", 200.0, [])
         cd = Name.parse("/1/x")
-        assert ledger.covered_in_window("h", cd, 150.0, 160.0)
-        assert ledger.covered_in_window("h", cd, 150.0, 300.0)
-        assert not ledger.covered_in_window("h", cd, 210.0, 300.0)
+        assert covered_in_window(ledger, "h", cd, 150.0, 160.0)
+        assert covered_in_window(ledger, "h", cd, 150.0, 300.0)
+        assert not covered_in_window(ledger, "h", cd, 210.0, 300.0)
 
 
 class TestExpectedDeliveries:
@@ -393,7 +398,7 @@ class TestCheckOwnership:
 # and the monitor judged after the run — a linear scan per query.
 # ----------------------------------------------------------------------
 class BruteForceLedger(SubscriptionLedger):
-    """The ``epochs_overlapping``-based reads, one scan per query."""
+    """The ledger reads as one scan over the overlapping epochs per query."""
 
     def epochs_overlapping(self, host, start, end):
         epochs = self._epochs.get(host, [])
@@ -530,13 +535,10 @@ class TestIndexedLedgerMatchesBruteForce:
         fill(note_list, indexed, brute)
         for host, cd, start, width in query_list:
             end = start + width
-            assert indexed.epochs_overlapping(host, start, end) == (
-                brute.epochs_overlapping(host, start, end)
-            )
-            assert indexed.covered_in_window(host, cd, start, end) == (
+            assert covered_in_window(indexed, host, cd, start, end) == (
                 brute.covered_in_window(host, cd, start, end)
             )
-            assert indexed.stable_through(host, cd, start, end) == (
+            assert stable_through(indexed, host, cd, start, end) == (
                 brute.stable_through(host, cd, start, end)
             )
             assert indexed.uncovered_since(host, cd) == brute.uncovered_since(host, cd)
@@ -630,7 +632,7 @@ class TestDeferredJudgement:
         inv.on_deliver(host, MulticastPacket(cd=cd, publisher="p", created_at=500.0))
         ledger.note("h1", 500.0, ["/1"])
         # Read in full, the ledger now covers the delivery's window...
-        assert ledger.covered_in_window("h1", cd, 500.0, 500.0)
+        assert covered_in_window(ledger, "h1", cd, 500.0, 500.0)
         # ...but at the delivery instant h1 held only /9.
         assert [(v.kind, v.t, v.host) for v in inv.violations] == [
             ("phantom_delivery", 500.0, "h1")

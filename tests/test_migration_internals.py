@@ -295,5 +295,5 @@ class TestOwnershipMonitorRegression:
         assert net.nodes["core0"].relinquished[zone] == "acc0_1"
         inv = self._monitor()
         assert inv.check_ownership(
-            net, net.sim.now, expected_cover=state.expected_cover()
+            net, net.sim.now, expected_cover=sorted(state.placement)
         ) == 0

@@ -121,12 +121,6 @@ class TestHierarchy:
         with pytest.raises(ValueError):
             Name.parse("/a/b").relative_to(Name.parse("/x"))
 
-    def test_common_prefix(self):
-        a = Name.parse("/1/2/3")
-        b = Name.parse("/1/2/9")
-        assert a.common_prefix(b) == Name.parse("/1/2")
-        assert a.common_prefix(Name.parse("/7")) == ROOT
-
 
 class TestValueSemantics:
     def test_equality_and_hash(self):
@@ -162,10 +156,3 @@ class TestProperties:
     def test_prefix_count_is_depth_plus_one(self, comps):
         name = Name(comps)
         assert len(list(name.prefixes())) == name.depth + 1
-
-    @given(components, components)
-    def test_common_prefix_is_prefix_of_both(self, a, b):
-        na, nb = Name(a), Name(b)
-        common = na.common_prefix(nb)
-        assert common.is_prefix_of(na)
-        assert common.is_prefix_of(nb)

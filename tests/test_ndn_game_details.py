@@ -85,17 +85,6 @@ class TestConsumerSide:
         assert seqs == sorted(seqs)
         assert len(seqs) == 4
 
-    def test_stale_batch_after_unwatch_ignored(self):
-        net, producer, consumer = build(accumulation=10.0)
-        got = []
-        consumer.on_batch.append(lambda h, p, times, count: got.append(count))
-        consumer.watch("prod")
-        net.sim.run(until=net.sim.now + 5.0)
-        consumer.unwatch("prod")
-        producer.local_update(10)
-        net.sim.run(until=net.sim.now + 200.0)
-        assert got == []
-
     def test_interest_volume_proportional_to_progress(self):
         net, producer, consumer = build(accumulation=10.0, lifetime=10_000.0)
         consumer.watch("prod")

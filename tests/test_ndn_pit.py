@@ -64,15 +64,6 @@ class TestSatisfy:
 
 
 class TestHousekeeping:
-    def test_purge_expired(self):
-        pit = Pit()
-        pit.insert("/a", "f", 1, 0.0, 10.0)
-        pit.insert("/b", "f", 2, 0.0, 100.0)
-        removed = pit.purge_expired(50.0)
-        assert removed == 1
-        assert "/b" in pit
-        assert "/a" not in pit
-
     def test_len_and_contains(self):
         pit = Pit()
         pit.insert("/a", "f", 1, 0.0, 100.0)

@@ -12,16 +12,16 @@ from repro.obs.exporters import (
     write_chrome_trace,
     write_events_jsonl,
 )
-from repro.obs.metrics import (
-    Counter,
-    MetricsRegistry,
-    TimeSeries,
-    WindowedHistogram,
-)
+from repro.obs.metrics import MetricsRegistry, TimeSeries
 from repro.obs.tracer import TraceEvent
 from repro.sim.engine import Simulator
 from repro.sim.faults import FaultStats
 from repro.sim.stats import NodeStats
+
+
+def gauge(reg, name, fn):
+    """Register one read-on-tick source as a one-column block."""
+    reg._add_block((name,), lambda: (fn(),))
 
 
 class TestTimeSeries:
@@ -47,29 +47,11 @@ class TestTimeSeries:
             TimeSeries("x", capacity=0)
 
 
-class TestCounterAndHistogram:
-    def test_counter_monotonic(self):
-        counter = Counter("c")
-        counter.inc()
-        counter.inc(4)
-        assert counter.value == 5
-        with pytest.raises(ValueError):
-            counter.inc(-1)
-
-    def test_histogram_rolls_and_resets(self):
-        hist = WindowedHistogram("h")
-        hist.observe(1.0)
-        hist.observe(3.0)
-        assert hist.roll() == {"count": 2, "mean": 2.0, "max": 3.0}
-        # Window reset: the next roll sees nothing.
-        assert hist.roll() == {"count": 0, "mean": 0.0, "max": 0.0}
-
-
 class TestRegistry:
     def test_gauge_sampled_into_series(self):
         reg = MetricsRegistry()
         state = {"v": 1.0}
-        reg.gauge("g", lambda: state["v"])
+        gauge(reg, "g", lambda: state["v"])
         reg.sample(0.0)
         state["v"] = 5.0
         reg.sample(1.0)
@@ -77,20 +59,9 @@ class TestRegistry:
 
     def test_duplicate_name_rejected(self):
         reg = MetricsRegistry()
-        reg.gauge("g", lambda: 0)
+        gauge(reg, "g", lambda: 0)
         with pytest.raises(ValueError):
-            reg.gauge("g", lambda: 1)
-        with pytest.raises(ValueError):
-            reg.counter("g")
-
-    def test_histogram_series_per_stat(self):
-        reg = MetricsRegistry()
-        hist = reg.histogram("lat")
-        hist.observe(2.0)
-        reg.sample(0.0)
-        assert reg.series["lat.count"].latest() == (0.0, 1)
-        assert reg.series["lat.mean"].latest() == (0.0, 2.0)
-        assert reg.series["lat.max"].latest() == (0.0, 2.0)
+            gauge(reg, "g", lambda: 1)
 
     def test_register_stats_auto_registers_numeric_fields(self):
         reg = MetricsRegistry()
@@ -119,7 +90,7 @@ class TestRegistry:
     def test_schedule_ticks_bounded_and_cancellable(self):
         sim = Simulator()
         reg = MetricsRegistry()
-        reg.gauge("now", lambda: sim.now)
+        gauge(reg, "now", lambda: sim.now)
         count = reg.schedule_ticks(sim, interval_ms=10.0, until=55.0)
         assert count == 5
         sim.run()  # bounded ticks: full drain terminates
@@ -184,7 +155,7 @@ class TestExporters:
     def test_prometheus_text_latest_sample_per_series(self):
         reg = MetricsRegistry()
         state = {"v": 1.0}
-        reg.gauge("node.r1.queue length", lambda: state["v"])
+        gauge(reg, "node.r1.queue length", lambda: state["v"])
         reg.sample(0.0)
         state["v"] = 9.0
         reg.sample(250.0)
@@ -228,7 +199,7 @@ class TestBlocks:
 
     def test_storage_is_bounded_by_the_ring(self):
         reg = MetricsRegistry(capacity=100)
-        reg.gauge("g", lambda: 1)
+        gauge(reg, "g", lambda: 1)
         for tick in range(10_000):
             reg.sample(float(tick))
         (block,) = reg._blocks
@@ -236,32 +207,16 @@ class TestBlocks:
 
     def test_late_source_starts_at_its_first_sample(self):
         reg = MetricsRegistry()
-        reg.gauge("early", lambda: 1)
+        gauge(reg, "early", lambda: 1)
         reg.sample(0.0)
         reg.sample(1.0)
         assert "late" not in reg.as_dict()
-        reg.gauge("late", lambda: 2)
+        gauge(reg, "late", lambda: 2)
         assert reg.series["late"].latest() is None
         assert "late" not in reg.as_dict()  # registered, not yet sampled
         reg.sample(2.0)
         assert reg.series["late"].points() == [(2.0, 2.0)]  # no back-fill
         assert len(reg.series["early"]) == 3
-
-    def test_histogram_series_roll_per_tick(self):
-        reg = MetricsRegistry()
-        hist = reg.histogram("lat")
-        assert reg.names() == ["lat.count", "lat.max", "lat.mean"]
-        hist.observe(1.0)
-        hist.observe(3.0)
-        reg.sample(0.0)
-        reg.sample(1.0)  # empty window
-        assert reg.series["lat.count"].points() == [(0.0, 2), (1.0, 0)]
-        assert reg.series["lat.mean"].points() == [(0.0, 2.0), (1.0, 0.0)]
-        assert reg.series["lat.max"].points() == [(0.0, 3.0), (1.0, 0.0)]
-        with pytest.raises(ValueError):
-            reg.gauge("lat", lambda: 0)
-        with pytest.raises(ValueError):
-            reg.histogram("lat")
 
     def test_counter_and_network_aggregates_are_blocks(self):
         class Net:
@@ -270,9 +225,10 @@ class TestBlocks:
             nodes = {}
 
         reg = MetricsRegistry()
-        hits = reg.counter("hits")
+        hits = {"v": 0}
+        gauge(reg, "hits", lambda: hits["v"])
         assert reg.register_network(Net()) == 2
-        hits.inc(3)
+        hits["v"] += 3
         reg.sample(5.0)
         assert reg.series["hits"].latest() == (5.0, 3)
         assert reg.series["net.total_bytes"].latest() == (5.0, 10)
@@ -332,7 +288,7 @@ class TestBlocks:
 
     def test_duplicate_in_a_block_registers_nothing(self):
         reg = MetricsRegistry()
-        reg.gauge("s.f1", lambda: 0)
+        gauge(reg, "s.f1", lambda: 0)
         with pytest.raises(ValueError):
             reg.register_stats("s", _stats_blocks(1, 3)[0])
         assert reg.names() == ["s.f1"]

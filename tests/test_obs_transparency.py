@@ -76,6 +76,6 @@ class TestChaosTransparency:
     def test_hooks_released_after_finish(self):
         session = TelemetrySession()
         run_fig4_traced(scale=SCALE, seed=7, telemetry=session)
-        assert not session.tracer.installed
+        assert not session.tracer._installed
         # A fresh session can install on a fresh run immediately.
         run_fig4_traced(scale=SCALE, seed=7, telemetry=TelemetrySession())

@@ -19,12 +19,10 @@ from repro.analysis.capacity import (
     minimum_stable_rps,
     peak_arrival_rate,
     rp_utilizations,
-    server_population_ceiling,
 )
 from repro.baselines.ip_server import IpClientNode
 from repro.baselines.ndn_game import NdnGamePlayer
 from repro.core.balancer import RpLoadBalancer
-from repro.core.bloom import BloomFilter, CountingBloomFilter
 from repro.core.coordinates import VivaldiSystem
 from repro.core.engine import GCopssHost
 from repro.core.federation import AutoscalerConfig
@@ -55,7 +53,6 @@ from repro.net.testbed import DriverConn, LiveTestbed
 from repro.net.world import make_trace
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.session import TelemetryConfig
-from repro.parallel.partition import partition_by_rp
 from repro.parallel.scale import FederationSpec, ScaleSpec
 from repro.sim.invariants import InvariantMonitor
 from repro.sim.stats import LatencyRecorder
@@ -108,7 +105,6 @@ NO_CALIBRATION = [
     FlowScenario,
     rp_utilizations,
     minimum_stable_rps,
-    server_population_ceiling,
 ]
 
 #: callable -> parameters that only ever took their default.
@@ -133,9 +129,6 @@ REMOVED = {
     cd_load_shares: {"depth"},
     peak_arrival_rate: {"window_fraction"},
     minimum_stable_rps: {"headroom", "max_rps"},
-    server_population_ceiling: {
-        "num_servers", "aggregate_interarrival_ms", "subscribed_fraction", "hot_share"
-    },
     build_backbone: {"spec", "network"},
     BuiltBackbone.attach_hosts: {"seed"},
     build_benchmark_topology: {"num_hosts", "network"},
@@ -148,7 +141,6 @@ REMOVED = {
     QrSnapshotFetcher: {"max_retries", "backoff_factor"},
     MovementModel: {"p_up", "p_down"},
     GameMap.place_players: {"bottom_only"},
-    partition_by_rp: {"max_shards"},
     InvariantMonitor.check_ownership: {"max_relay_hops"},
     render_series: {"unit"},
     render_cdf: {"unit", "quantiles"},
@@ -158,8 +150,6 @@ REMOVED = {
     OfflineGuardian: {"max_buffered"},
     NdnGamePlayer: {"version_history"},
     IpClientNode: {"server_for_cd"},
-    BloomFilter.for_capacity: {"fp_rate"},
-    CountingBloomFilter.for_capacity: {"fp_rate"},
     filter_raw_trace: {"min_packets"},
     synthesize_raw_capture: {"packets_per_player"},
 }

@@ -25,7 +25,6 @@ from repro.parallel import (
     canonical_digest,
     delivery_digest,
     partition_by_anchors,
-    partition_by_rp,
 )
 from repro.parallel.executor import Egress, window_horizon
 from repro.parallel.scale import FederationSpec, ScaleSpec, run_scale
@@ -53,10 +52,10 @@ class TestPartitionByAnchors:
     def test_tie_breaks_to_lowest_anchor_index(self):
         net = _line(1.0, 1.0)  # R1 is exactly 1.0 from both anchors
         plan = partition_by_anchors(net, ["R0", "R2"])
-        assert plan.shard_of("R1") == 0
+        assert plan.assignment["R1"] == 0
         # Anchor order — not name order — decides the tie.
         plan = partition_by_anchors(net, ["R2", "R0"])
-        assert plan.shard_of("R1") == 0
+        assert plan.assignment["R1"] == 0
         assert plan.members(0) == ["R1", "R2"]
 
     def test_anchor_errors(self):
@@ -118,25 +117,8 @@ class TestShardPlan:
         plan.annotate_roles(net)
         for node in net.nodes.values():
             for role in node.roles.values():
-                assert role.shard == plan.shard_of(node.name)
-                assert role.telemetry().get("shard") == plan.shard_of(node.name)
-
-
-class TestPartitionByRp:
-    def test_rp_sites_become_anchors(self):
-        net = _line(1.0, 1.0, 1.0)
-        table = RpTable()
-        table.assign("/1", "R0")
-        table.assign("/2", "R3")
-        GCopssNetworkBuilder(net, table).install()
-        plan = partition_by_rp(net)
-        assert plan.anchors == ("R0", "R3")
-        assert plan.num_shards == 2
-
-    def test_requires_installed_rps(self):
-        net = _line(1.0)
-        with pytest.raises(ValueError, match="no RP prefixes"):
-            partition_by_rp(net)
+                assert role.shard == plan.assignment[node.name]
+                assert role.telemetry().get("shard") == plan.assignment[node.name]
 
 
 class TestDigests:
@@ -464,7 +446,8 @@ class TestWindowRule:
         # Serial twin, stepped one event at a time: every time anything ran.
         net, _serial, serial_log = self._play(SerialExecutor)
         busy_times = []
-        while net.sim.step():
+        while net.sim.peek_time() is not None:
+            net.sim.run(max_events=1)
             busy_times.append(net.sim.now)
         assert busy_times == sorted(busy_times) and len(serial_log) == 7
 

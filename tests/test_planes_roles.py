@@ -55,10 +55,10 @@ class TestRoleAttachment:
         net = Network()
         router = GCopssRouter(net, "R1")
         probe = router.attach_role(Probe())
-        assert router.has_role("probe")
+        assert "probe" in router.roles
         assert router.detach_role("probe") is probe
         assert probe.node is None
-        assert not router.has_role("probe")
+        assert "probe" not in router.roles
 
 
 class TestPlaneSplit:
@@ -121,7 +121,7 @@ class TestPlaneSplit:
         face = r1.face_toward(routers["R2"])
         # A packet type no handler claims is counted, then rejected loudly.
         with pytest.raises(TypeError, match="unexpected packet type"):
-            r1._dispatch(Packet(size=1), face)
+            r1.dispatcher.dispatch(Packet(size=1), face)
         assert r1.stats.unknown_packets == 1
 
 

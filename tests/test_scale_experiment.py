@@ -48,7 +48,7 @@ class TestScaleWorkload:
         # region is an anchor.
         full = scale_plan_fast(SPEC, 4)
         for host, region in world.host_region.items():
-            assert full.shard_of(host) == full.shard_of(f"core{region}")
+            assert full.assignment[host] == full.assignment[f"core{region}"]
 
 
 class TestScaleEquivalence:

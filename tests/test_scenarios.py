@@ -13,7 +13,6 @@ from repro.experiments.scenarios import (
     ScenarioEvent,
     ScenarioScript,
     get_scenario,
-    register_scenario,
     run_matrix,
     run_scenario,
 )
@@ -38,13 +37,6 @@ class TestRegistry:
     def test_unknown_scenario(self):
         with pytest.raises(ValueError, match="unknown scenario"):
             get_scenario("nope")
-
-    def test_duplicate_registration_rejected(self):
-        clone = Scenario(
-            name="churn", description="dup", build=get_scenario("churn").build
-        )
-        with pytest.raises(ValueError, match="already registered"):
-            register_scenario(clone)
 
 
 class TestDeterminism:

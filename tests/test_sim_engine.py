@@ -150,10 +150,11 @@ class TestRunControl:
         hit = []
         sim.schedule(1.0, hit.append, "a")
         sim.schedule(2.0, hit.append, "b")
-        assert sim.step()
-        assert hit == ["a"]
-        assert sim.step()
-        assert not sim.step()
+        sim.run(max_events=1)
+        assert hit == ["a"] and sim.now == 1.0
+        sim.run(max_events=1)
+        assert hit == ["a", "b"]
+        assert sim.peek_time() is None
 
     def test_reentrant_run_rejected(self):
         sim = Simulator()

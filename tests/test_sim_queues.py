@@ -91,7 +91,7 @@ class TestQueueState:
         queue.submit(None, 1.5, lambda _: None)
         queue.submit(None, 2.5, lambda _: None)
         drain(sim)
-        assert queue.utilization_time == pytest.approx(4.0)
+        assert queue.total_service_time == pytest.approx(4.0)
 
     def test_unstable_queue_grows(self):
         """Arrivals faster than service accumulate backlog (the Table I
@@ -111,17 +111,6 @@ class TestQueueState:
         for _ in range(3):
             queue.submit(None, 1.0, lambda _: None)
         assert lengths == [0, 1, 2]
-
-    def test_drain_pending_removes_waiting_only(self):
-        sim = Simulator()
-        queue = ServiceQueue(sim)
-        done = []
-        for tag in "abc":
-            queue.submit(tag, 1.0, done.append)
-        removed = queue.drain_pending()
-        assert removed == ["b", "c"]
-        drain(sim)
-        assert done == ["a"]  # in-service item still completes
 
 
 class TestMd1Sanity:

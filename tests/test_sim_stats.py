@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.sim.stats import (
     CDF_POINTS,
     LatencyRecorder,
-    LoadMeter,
     SeriesRecorder,
     summarize,
 )
@@ -160,36 +159,3 @@ class TestSeriesRecorder:
         series = SeriesRecorder(bucket_width=10)
         series.record(4, 2.5)
         assert series.envelope() == [(0, 2.5, 2.5, 2.5)]
-
-
-class TestLoadMeter:
-    def test_accumulation_and_gb(self):
-        meter = LoadMeter()
-        meter.add(500_000_000)
-        meter.add(500_000_000)
-        assert meter.gigabytes == pytest.approx(1.0)
-        assert meter.packets == 2
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            LoadMeter().add(-1)
-        with pytest.raises(ValueError):
-            LoadMeter().add(1, packets=-1)
-
-    def test_zero_contributions_allowed(self):
-        meter = LoadMeter()
-        meter.add(0, packets=0)
-        assert meter.bytes == 0
-        assert meter.packets == 0
-        assert meter.gigabytes == 0.0
-
-    def test_multi_packet_contribution(self):
-        meter = LoadMeter()
-        meter.add(3_000, packets=3)
-        assert (meter.bytes, meter.packets) == (3_000, 3)
-
-    def test_repr_reports_gb(self):
-        meter = LoadMeter("wire")
-        meter.add(2_500_000_000)
-        assert "wire" in repr(meter)
-        assert "2.500 GB" in repr(meter)

@@ -100,14 +100,6 @@ class TestControlQueries:
         st_table.subscribe("f2", "/2")
         assert st_table.all_cds() == {Name.parse("/1"), Name.parse("/2")}
 
-    def test_faces_subscribed_under(self):
-        st_table = SubscriptionTable()
-        st_table.subscribe("f1", "/1/2")   # under /1
-        st_table.subscribe("f2", "/1")     # exactly /1
-        st_table.subscribe("f3", "/")      # covers /1
-        st_table.subscribe("f4", "/2")     # unrelated
-        assert st_table.faces_subscribed_under("/1") == {"f1", "f2", "f3"}
-
     def test_has_any_subscriber(self):
         st_table = SubscriptionTable()
         st_table.subscribe("f1", "/1")

@@ -21,7 +21,6 @@ class TestBenchmarkTopology:
     def test_fig3b_layout(self):
         topo = build_benchmark_topology(router_factory, GCopssHost, players(62))
         assert set(topo.routers) == {f"R{i}" for i in range(1, 7)}
-        assert topo.rp_router.name == "R1"
         graph = nx_graph(topo.network)
         # R1 is the hub of the two branches.
         assert graph.has_edge("R1", "R2")
@@ -89,35 +88,3 @@ class TestBackbone:
         assert set(built.host_edge) == set(names)
         used_edges = set(built.host_edge.values())
         assert len(used_edges) > len(built.edge_routers) // 2
-
-
-class TestDotExport:
-    def test_backbone_dot_structure(self):
-        from repro.topology.export import to_dot
-
-        built = build_backbone(router_factory)
-        dot = to_dot(built.network, highlight=("core0",))
-        assert dot.startswith("graph topology {")
-        assert dot.rstrip().endswith("}")
-        assert '"core0" [fillcolor="#d95f02"' in dot
-        # Every core-core link appears once with its delay label.
-        assert dot.count(" -- ") == len(built.network.links)
-
-    def test_hosts_excluded_by_default(self):
-        from repro.topology.export import to_dot
-
-        topo = build_benchmark_topology(router_factory, GCopssHost, players(6))
-        dot = to_dot(topo.network)
-        assert "player0" not in dot
-        dot_with_hosts = to_dot(topo.network, include_hosts=True)
-        assert "player0" in dot_with_hosts
-        assert "ellipse" in dot_with_hosts
-
-    def test_dot_is_parseable_by_networkx(self):
-        # Sanity: balanced braces and quoting (cheap structural parse).
-        from repro.topology.export import to_dot
-
-        topo = build_benchmark_topology(router_factory, GCopssHost, players(4))
-        dot = to_dot(topo.network, include_hosts=True)
-        assert dot.count("{") == dot.count("}") == 1
-        assert dot.count('"') % 2 == 0

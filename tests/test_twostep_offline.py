@@ -166,7 +166,7 @@ class TestOfflineGuardian:
         alice.publish("/1/1", payload_size=10)
         net.sim.run()
         assert guardian.backlog_of("bob") == []
-        assert guardian.guarded() == []
+        assert "bob" not in guardian._watched
 
     def test_guarding_multiple_players(self):
         net, alice, bob, guardian = self.build()
