@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from enum import Enum
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.core.engine import GCopssRouter
 from repro.core.hierarchy import AIRSPACE, MapHierarchy

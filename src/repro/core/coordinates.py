@@ -94,14 +94,6 @@ class VivaldiSystem:
             self._errors[node] = 1.0
         return self._coords[node]
 
-    def error(self, node: Hashable) -> float:
-        self.coordinate(node)
-        return self._errors[node]
-
-    def estimate(self, a: Hashable, b: Hashable) -> float:
-        """Predicted latency (ms) between two embedded nodes."""
-        return _norm(_sub(self.coordinate(a), self.coordinate(b)))
-
     def nodes(self) -> List[Hashable]:
         return sorted(self._coords, key=repr)
 
@@ -141,23 +133,6 @@ class VivaldiSystem:
         """Apply the sample from both endpoints' perspectives."""
         self.observe(a, b, rtt_ms)
         self.observe(b, a, rtt_ms)
-
-    # ------------------------------------------------------------------
-    # Quality
-    # ------------------------------------------------------------------
-    def relative_error(
-        self, ground_truth: Dict[Tuple[Hashable, Hashable], float]
-    ) -> float:
-        """Median |predicted - actual| / actual over the given pairs."""
-        errors = []
-        for (a, b), actual in ground_truth.items():
-            if actual <= 0:
-                continue
-            errors.append(abs(self.estimate(a, b) - actual) / actual)
-        if not errors:
-            raise ValueError("no pairs to evaluate")
-        errors.sort()
-        return errors[len(errors) // 2]
 
     def centroid(self, nodes: Iterable[Hashable]) -> Vector:
         """Mean coordinate of a node set (the subscriber "center")."""

@@ -11,7 +11,7 @@ tree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import ClassVar, List, Optional, Tuple
+from typing import ClassVar, Tuple
 
 from repro.names import Name
 from repro.packets import Packet

@@ -17,7 +17,7 @@ subscribers cluster behind shared edges.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 from repro.core.engine import GCopssHost
 from repro.core.packets import MulticastPacket

@@ -6,7 +6,7 @@ leaves a readable record of every regenerated table and figure.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
 __all__ = ["render_table", "render_series", "render_cdf"]
 

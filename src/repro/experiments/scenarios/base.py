@@ -19,7 +19,7 @@ enforces this.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, List, Tuple
+from typing import Callable, Iterator, Tuple
 
 from repro.parallel.digest import json_digest
 

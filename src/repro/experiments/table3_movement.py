@@ -22,7 +22,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.engine import GCopssHost, GCopssNetworkBuilder, GCopssRouter
 from repro.core.hierarchy import MoveType
-from repro.core.rp import RpTable
 from repro.core.snapshot import (
     CyclicSnapshotReceiver,
     QrSnapshotFetcher,
@@ -39,7 +38,6 @@ from repro.names import Name
 from repro.ndn.engine import install_routes
 from repro.sim.stats import LatencyRecorder
 from repro.topology.backbone import build_backbone
-from repro.trace.generator import CounterStrikeTraceGenerator, peak_trace_spec
 
 __all__ = ["MovementModeResult", "Table3Result", "run_table3", "MOVE_TYPE_ORDER"]
 

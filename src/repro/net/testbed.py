@@ -38,6 +38,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from array import array
 from collections import deque
 from pathlib import Path
 from typing import Any, Deque, Dict, List, Optional, Tuple
@@ -45,7 +46,7 @@ from typing import Any, Deque, Dict, List, Optional, Tuple
 import repro
 from repro.net.codec import FrameDecoder, encode_frame, pack_message, unpack_message
 from repro.net.runner import DRIVER_NAME
-from repro.net.world import compare_reports, merge_reports, run_reference
+from repro.net.world import WireTrace, compare_reports, merge_reports, run_reference
 
 __all__ = ["LiveTestbed", "run_live", "run_differential"]
 
@@ -311,39 +312,42 @@ class LiveTestbed:
             )
             self.quiesce()
 
-    def play(self, trace: List[Dict[str, Any]]) -> Dict[str, Any]:
+    def play(self, trace: WireTrace) -> Dict[str, Any]:
         """Publish phase: paced UDP batches, TCP repair of lost ones, quiesce.
 
         Returns perf numbers for the phase (wall time, packets carried,
         events that arrived by UDP and events re-sent over TCP).
         """
-        owner = {h: conf["router"] for h, conf in self.spec["hosts"].items()}
         before = self.status()
         started = time.perf_counter()
         assert self._udp_sock is not None
-        shares: Dict[str, List[Dict[str, Any]]] = {node: [] for node in self.conns}
-        for event in trace:
-            shares[owner[event["host"]]].append(event)
-        batches = {
-            node: [events[i : i + BATCH_EVENTS] for i in range(0, len(events), BATCH_EVENTS)]
-            for node, events in shares.items()
-        }
+        shares = {node: array("I") for node in self.conns}  # trace indices
+        runner_of = [self.spec["hosts"][host]["router"] for host in trace.players]
+        for i, host in enumerate(trace.player):
+            shares[runner_of[host]].append(i)
+        counts = {node: -(-len(share) // BATCH_EVENTS) for node, share in shares.items()}
+
+        def publish(node: str, b: int) -> Dict[str, Any]:  # rows live only while packed
+            rows = shares[node][b * BATCH_EVENTS : (b + 1) * BATCH_EVENTS]
+            return _publish(b, list(map(trace.row, rows)))
+
         per_window = WINDOW_EVENTS // BATCH_EVENTS
-        windows = -(-max(len(b) for b in batches.values()) // per_window)
+        windows = -(-max(counts.values()) // per_window)
         resent = 0
         for w in range(windows + 1):
-            for node, own in batches.items():
+            for node, count in counts.items():
                 addr = ("127.0.0.1", self.ports[node][1])
-                for b in range(w * per_window, min(len(own), (w + 1) * per_window)):
-                    datagram = encode_frame(pack_message(_publish(b, own[b])))
+                for b in range(w * per_window, min(count, (w + 1) * per_window)):
+                    datagram = encode_frame(pack_message(publish(node, b)))
                     self._udp_sock.sendto(datagram, addr)
             if w:
-                replies = self._sync(batches, (w - 1) * per_window, w * per_window)
+                replies = self._sync(counts, (w - 1) * per_window, w * per_window)
                 for node, reply in replies.items():
                     for b in reply["missing"]:
-                        self.conns[node].send(_publish(b, batches[node][b]))
-                        resent += len(batches[node][b])
-        replies = self._sync(batches, 0, len(trace))
+                        message = publish(node, b)
+                        self.conns[node].send(message)
+                        resent += len(message["events"])
+        replies = self._sync(counts, 0, len(trace))
         lost = {node: reply["missing"] for node, reply in replies.items() if reply["missing"]}
         if lost:
             raise RuntimeError(f"publish batches still missing after repair: {lost}")
@@ -361,7 +365,7 @@ class LiveTestbed:
         }
 
     def _sync(
-        self, batches: Dict[str, List[Any]], first: int, stop: int
+        self, counts: Dict[str, int], first: int, stop: int
     ) -> Dict[str, Dict[str, Any]]:
         """``sync`` every runner on its batch ids in ``[first, stop)``.
 
@@ -369,7 +373,7 @@ class LiveTestbed:
         work off their backlogs in parallel.
         """
         for node, conn in self.conns.items():
-            own = len(batches[node])
+            own = counts[node]
             conn.send({"op": "sync", "first": min(first, own), "stop": min(stop, own)})
         replies = {}
         for node, conn in self.conns.items():
@@ -397,7 +401,7 @@ def _publish(batch: int, events: List[Dict[str, Any]]) -> Dict[str, Any]:
 # ----------------------------------------------------------------------
 def run_live(
     spec: Dict[str, Any],
-    trace: List[Dict[str, Any]],
+    trace: WireTrace,
     time_scale: float = 0.0,
 ) -> Tuple[Dict[str, Any], Dict[str, Any]]:
     """Run the full live schedule; returns ``(report, perf)``."""
@@ -417,7 +421,7 @@ def run_live(
 
 def run_differential(
     spec: Dict[str, Any],
-    trace: List[Dict[str, Any]],
+    trace: WireTrace,
     time_scale: float = 0.0,
 ) -> Dict[str, Any]:
     """Live testbed vs simulator on the same spec/trace; exact agreement."""

@@ -10,7 +10,7 @@ sides share:
   (the simulator reference builds all of it; each live process builds
   only its slice, the way a multiprocess worker does, with the full
   world's ranks, face ids and routes);
-* :func:`make_trace` — the seeded publish trace;
+* :func:`make_trace` — the seeded publish trace, a :class:`WireTrace`;
 * report collection (:func:`collect_report`, :func:`merge_reports`) and
   the simulator reference (:func:`run_reference`);
 * :func:`compare_reports` — the differential itself.
@@ -30,13 +30,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Set, Tuple
+from typing import Any, Dict, List, Sequence, Set, Tuple
 
 from repro.core.engine import GCopssHost, GCopssNetworkBuilder, GCopssRouter
 from repro.core.rp import RpTable
 from repro.parallel.slicing import build_slice
 from repro.sim.network import Network, Node
 from repro.sim.routing import next_hop_table
+from repro.trace.model import Trace
 
 __all__ = [
     "COMPARED_COUNTERS",
@@ -44,6 +45,7 @@ __all__ = [
     "LiveWorld",
     "smoke_spec",
     "sweep_spec",
+    "WireTrace",
     "make_trace",
     "build_world",
     "attach_delivery_tally",
@@ -143,25 +145,38 @@ TRACE_MIN_SIZE = 64
 TRACE_MAX_SIZE = 512
 
 
-def make_trace(spec: Dict[str, Any], seed: int, events: int) -> List[Dict[str, Any]]:
+class WireTrace(Trace):
+    """Trace columns (host, CD, size) read as the dicts a publish carries."""
+
+    def row(self, i: int) -> Dict[str, Any]:
+        """Event ``i`` as the wire dict; its index is its ``seq``."""
+        return {
+            "seq": i,
+            "host": self.players[self.player[i]],
+            "cd": self.cds[self.cd[i]],
+            "size": self.size[i],
+        }
+
+
+def make_trace(spec: Dict[str, Any], seed: int, events: int) -> WireTrace:
     """Seeded publish trace: every event is (host, cd, size) plus a seq.
 
     CDs are drawn from the union of subscribed CDs so traffic exercises
     the full subscription tree, including publishers hearing (and
     suppressing) their own updates.
     """
-    hosts = sorted(spec["hosts"])
-    cds = sorted({cd for h in spec["hosts"].values() for cd in h["subs"]})
+    trace = WireTrace(
+        sorted(spec["hosts"]),
+        sorted({cd for h in spec["hosts"].values() for cd in h["subs"]}),
+    )
+    # Choosing from range(n) draws what choosing from the n-item table did.
+    hosts, cds = range(len(trace.players)), range(len(trace.cds))
     rng = random.Random(seed)
-    return [
-        {
-            "seq": i,
-            "host": rng.choice(hosts),
-            "cd": rng.choice(cds),
-            "size": rng.randrange(TRACE_MIN_SIZE, TRACE_MAX_SIZE + 1),
-        }
-        for i in range(events)
-    ]
+    for _ in range(events):
+        trace.player.append(rng.choice(hosts))
+        trace.cd.append(rng.choice(cds))
+        trace.size.append(rng.randrange(TRACE_MIN_SIZE, TRACE_MAX_SIZE + 1))
+    return trace
 
 
 # ----------------------------------------------------------------------
@@ -327,7 +342,7 @@ def finalize_report(report: Dict[str, Any]) -> Dict[str, Any]:
 # ----------------------------------------------------------------------
 # Simulator reference
 # ----------------------------------------------------------------------
-def run_reference(spec: Dict[str, Any], trace: List[Dict[str, Any]]) -> Dict[str, Any]:
+def run_reference(spec: Dict[str, Any], trace: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
     """Replay the trace in the discrete-event simulator, same schedule.
 
     Mirrors the live driver phase for phase: subscribe one host at a time

@@ -85,7 +85,7 @@ class Simulator:
         sim.run()
 
     ``run`` processes events until the heap is empty, an optional time
-    horizon is reached, or :meth:`stop` is called from inside a callback.
+    horizon is reached, or ``max_events`` callbacks have run.
 
     In a sharded run each shard owns one ``Simulator`` — a shard-local
     clock; :attr:`origin` then carries the executing node's rank so
@@ -98,7 +98,6 @@ class Simulator:
         self._heap: list[tuple[float, int, int, EventHandle]] = []
         self._seq: int = 0
         self._running = False
-        self._stopped = False
         self.events_processed: int = 0
         #: Rank of the node whose activity is currently executing; read by
         #: :meth:`schedule` / :meth:`schedule_at` as the default origin of
@@ -227,7 +226,6 @@ class Simulator:
         if self._running:
             raise RuntimeError("simulator is already running")
         self._running = True
-        self._stopped = False
         processed = 0
         heap = self._heap
         budget = float("inf") if max_events is None else max_events
@@ -239,7 +237,7 @@ class Simulator:
         collecting = gc.isenabled()
         gc.disable()
         try:
-            while heap and not self._stopped and processed < budget:
+            while heap and processed < budget:
                 time = heap[0][0]
                 if time > horizon or (exclusive and time == horizon):
                     if inclusive:
@@ -254,7 +252,7 @@ class Simulator:
                 self.origin = handle.exec_origin
                 handle.callback(*handle.args)
                 processed += 1
-            if until is not None and inclusive and not self._stopped and processed < budget:
+            if until is not None and inclusive and processed < budget:
                 self.now = max(self.now, until)
         finally:
             self.events_processed += processed
@@ -262,10 +260,6 @@ class Simulator:
             self.origin = EXTERNAL_ORIGIN
             if collecting:
                 gc.enable()
-
-    def stop(self) -> None:
-        """Stop the loop after the current callback returns."""
-        self._stopped = True
 
     # ------------------------------------------------------------------
     # Introspection

@@ -46,7 +46,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.packets import Packet
-from repro.sim.engine import EventHandle, Simulator
+from repro.sim.engine import EventHandle
 from repro.sim.network import Face, Link, Network
 
 __all__ = [

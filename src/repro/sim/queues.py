@@ -23,7 +23,7 @@ class ServiceQueue:
 
     ``submit(item, service_time, on_done)`` enqueues ``item``; when the
     server completes it, ``on_done(item)`` fires.  Instantaneous state
-    (:attr:`queue_length`, :attr:`busy`) feeds hot-spot detection, and the
+    (:attr:`queue_length`, :attr:`backlog`) feeds hot-spot detection, and the
     cumulative counters feed the evaluation's latency accounting.
     """
 
@@ -46,10 +46,6 @@ class ServiceQueue:
     # ------------------------------------------------------------------
     # State
     # ------------------------------------------------------------------
-    @property
-    def busy(self) -> bool:
-        return self._busy
-
     @property
     def queue_length(self) -> int:
         """Number of items waiting (excluding the one in service)."""

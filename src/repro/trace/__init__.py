@@ -5,8 +5,8 @@ Counter-Strike server (mshmro.com, 7h05m25s, ~2M packets) reduced by a
 three-step filter to 414 players and 1,686,905 update events.  The raw
 capture is not public, so this package provides:
 
-* :mod:`repro.trace.model` — the event records everything downstream
-  consumes;
+* :mod:`repro.trace.model` — the packed :class:`Trace` and its
+  :class:`UpdateEvent` rows, which everything downstream consumes;
 * :mod:`repro.trace.generator` — a seeded statistical generator that
   reproduces the filtered trace's published aggregates (player count,
   skewed per-player update distribution of Fig. 3c, update sizes, mean
@@ -25,10 +25,11 @@ from repro.trace.generator import (
     full_trace_spec,
     peak_trace_spec,
 )
-from repro.trace.model import UpdateEvent
+from repro.trace.model import Trace, UpdateEvent
 from repro.trace.stats import TraceStatistics
 
 __all__ = [
+    "Trace",
     "UpdateEvent",
     "TraceSpec",
     "CounterStrikeTraceGenerator",

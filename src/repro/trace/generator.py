@@ -22,12 +22,13 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from itertools import accumulate
+from typing import Dict, List, Optional
 
 from repro.game.map import GameMap
 from repro.names import Name
-from repro.trace.model import UpdateEvent
+from repro.trace.model import Trace
 
 __all__ = [
     "TraceSpec",
@@ -139,7 +140,7 @@ def full_trace_spec(scale: float = 1.0, seed: int = 42) -> TraceSpec:
 
 
 class CounterStrikeTraceGenerator:
-    """Generates :class:`UpdateEvent` streams over a game map."""
+    """Generates a seeded :class:`Trace` over a game map."""
 
     def __init__(
         self,
@@ -172,12 +173,14 @@ class CounterStrikeTraceGenerator:
     # ------------------------------------------------------------------
     # Generation
     # ------------------------------------------------------------------
-    def generate(self) -> List[UpdateEvent]:
-        """The full event list, time-sorted, deterministic for the seed."""
+    def generate(self) -> Trace:
+        """The full trace, time-sorted, deterministic for the seed."""
         players = sorted(self.placement)
-        weights = [self._weights[p] for p in players]
+        # Cumulative weights, built once: ``choices(weights=...)`` would
+        # rebuild them on every draw, for the same picks.
+        cum_weights = list(accumulate(self._weights[p] for p in players))
         visible_cache: Dict[Name, tuple[List[int], List[float]]] = {}
-        events: List[UpdateEvent] = []
+        trace = Trace(players)
         now = 0.0
         lo, hi = self.spec.size_range
         n = self.spec.num_updates
@@ -195,43 +198,35 @@ class CounterStrikeTraceGenerator:
             progress = i / n if n else 0.0
             current_mean = base_mean / (1.0 + (ramp - 1.0) * progress)
             now += self.rng.expovariate(1.0 / current_mean)
-            player = self.rng.choices(players, weights=weights, k=1)[0]
+            player = self.rng.choices(players, cum_weights=cum_weights, k=1)[0]
             area = self.placement[player]
             cached = visible_cache.get(area)
             if cached is None:
                 visible = self.map.visible_objects(area)
-                object_weights = [
+                object_weights = (
                     bias
                     if self.map.hierarchy.area_of_leaf(
                         self.map.area_of_object(oid)
                     ).depth == top_depth
                     else 1.0
                     for oid in visible
-                ]
-                cached = (visible, object_weights)
-                visible_cache[area] = cached
-            visible, object_weights = cached
-            object_id = self.rng.choices(visible, weights=object_weights, k=1)[0]
-            events.append(
-                UpdateEvent(
-                    time_ms=now,
-                    player=player,
-                    cd=self.map.area_of_object(object_id),
-                    object_id=object_id,
-                    size=self.rng.randint(lo, hi),
                 )
+                cached = (visible, list(accumulate(object_weights)))
+                visible_cache[area] = cached
+            visible, object_cum_weights = cached
+            object_id = self.rng.choices(visible, cum_weights=object_cum_weights, k=1)[0]
+            trace.append(
+                now,
+                player,
+                self.map.area_of_object(object_id),
+                object_id,
+                self.rng.randint(lo, hi),
             )
-        return events
+        return trace
 
     # ------------------------------------------------------------------
     # Derived info used by experiment harnesses
     # ------------------------------------------------------------------
-    def updates_per_player(self, events: Sequence[UpdateEvent]) -> Dict[str, int]:
-        counts = {p: 0 for p in self.placement}
-        for event in events:
-            counts[event.player] += 1
-        return counts
-
     def rescale_players(
         self,
         num_players: int,

@@ -2,17 +2,17 @@
 
 JSONL keeps multi-million-event traces streamable and diff-able; the
 format is stable so regenerated traces can be cached on disk between
-benchmark runs.
+benchmark runs and loaded back as one :class:`~repro.trace.model.Trace`.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterable, Iterator, List
+from typing import Iterable, Iterator
 
 from repro.names import Name
-from repro.trace.model import UpdateEvent
+from repro.trace.model import Trace, UpdateEvent
 
 __all__ = ["write_events", "read_events", "iter_events"]
 
@@ -62,6 +62,9 @@ def iter_events(path: "str | Path") -> Iterator[UpdateEvent]:
                 raise ValueError(f"{path}:{line_no}: malformed trace record") from exc
 
 
-def read_events(path: "str | Path") -> List[UpdateEvent]:
-    """Load a whole JSONL trace into memory."""
-    return list(iter_events(path))
+def read_events(path: "str | Path") -> Trace:
+    """Load a whole JSONL trace into one :class:`Trace`."""
+    trace = Trace()
+    for event in iter_events(path):
+        trace.append(event.time_ms, event.player, event.cd, event.object_id, event.size)
+    return trace

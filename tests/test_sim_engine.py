@@ -103,14 +103,6 @@ class TestRunControl:
         sim.run()
         assert hit == [1, 2]
 
-    def test_stop_from_callback(self):
-        sim = Simulator()
-        hit = []
-        sim.schedule(1.0, lambda: (hit.append(1), sim.stop()))
-        sim.schedule(2.0, hit.append, 2)
-        sim.run()
-        assert hit == [1]
-
     def test_max_events_bound(self):
         sim = Simulator()
         count = []
@@ -263,8 +255,8 @@ class TestSameTickBurstOrder:
     def test_stop_mid_burst_resumes_in_order(self):
         sim = Simulator()
         log = []
-        _burst(sim, 4, 1.0, 5, log, on_fire=lambda i: i == 1 and sim.stop())
-        sim.run()
+        _burst(sim, 4, 1.0, 5, log)
+        sim.run(max_events=2)
         assert log == ["m0", "m1"]
         assert sim.pending() == 2
         sim.run()
@@ -283,7 +275,6 @@ RUN_EXITS = {
     "drain": lambda sim: sim.run(),
     "inclusive horizon": lambda sim: sim.run(until=2.0),
     "exclusive horizon": lambda sim: sim.run(until=2.0, inclusive=False),
-    "stop": lambda sim: (sim.schedule(1.5, sim.stop), sim.run()),
     "max_events": lambda sim: sim.run(max_events=1),
     "raising callback": _run_with_raising_callback,
 }
@@ -355,11 +346,10 @@ class TestCollectorContract:
                 sim.schedule(1e9, ballast.append, [remaining[0]])
             else:
                 inside.append(gc.get_stats()[2]["collections"])
-                sim.stop()
 
         sim.schedule(1.0, tick)
         gc.collect()
         before = gc.get_stats()[2]["collections"]
-        sim.run()
+        sim.run(max_events=50_000)  # the ticks; the ballast events come after
         assert sim.events_processed == 50_000
         assert inside == [before]

@@ -59,11 +59,9 @@ class TestQueueState:
         for _ in range(4):
             queue.submit(None, 1.0, lambda _: None)
         # One in service, three waiting.
-        assert queue.busy
         assert queue.queue_length == 3
         assert queue.backlog == 4
         drain(sim)
-        assert not queue.busy
         assert queue.backlog == 0
 
     def test_peak_queue_length(self):
