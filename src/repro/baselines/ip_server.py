@@ -56,15 +56,14 @@ DEFAULT_SERVER_PER_RECIPIENT_MS = 0.16
 class DatagramPacket(Packet):
     """A unicast datagram: src/dst addresses plus a game payload.
 
-    ``cd`` and ``object_id`` ride along as application payload so the
-    server can compute visibility; they do not affect forwarding.
+    ``cd`` rides along as application payload so the server can compute
+    visibility; it does not affect forwarding.
     """
 
     src: str = ""
     dst: str = ""
     payload_size: int = 0
     cd: Name = field(default_factory=Name)
-    object_id: int = -1
     sequence: int = -1
 
     def __post_init__(self) -> None:
@@ -189,7 +188,6 @@ class GameServerNode(Node):
                 dst=player,
                 payload_size=packet.payload_size,
                 cd=packet.cd,
-                object_id=packet.object_id,
                 sequence=packet.sequence,
                 created_at=packet.created_at,
             )
@@ -223,7 +221,6 @@ class IpClientNode(Node):
         self,
         cd: "Name | str",
         payload_size: int,
-        object_id: int = -1,
         sequence: int = -1,
     ) -> DatagramPacket:
         """Send one update to the server responsible for ``cd``."""
@@ -235,7 +232,6 @@ class IpClientNode(Node):
             dst=self.server_for_cd(cd),
             payload_size=payload_size,
             cd=cd,
-            object_id=object_id,
             sequence=sequence,
             created_at=self.sim.now,
         )

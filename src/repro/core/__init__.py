@@ -29,7 +29,7 @@ from repro.core.packets import (
     SubscribePacket,
     UnsubscribePacket,
 )
-from repro.core.hybrid import HybridEdgeRole, HybridMapper
+from repro.core.hybrid import HybridMapper
 from repro.core.planes import ControlPlane, ForwardingPlane, RecoveryConfig
 from repro.core.roles import RelayRole, RpRole
 from repro.core.rp import RpTable
@@ -68,5 +68,4 @@ __all__ = [
     "QrSnapshotFetcher",
     "CyclicSnapshotReceiver",
     "HybridMapper",
-    "HybridEdgeRole",
 ]

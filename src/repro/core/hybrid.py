@@ -10,12 +10,9 @@ IP group, messages also reach edges with no matching subscriber; the
 receiver-side edge router filters those out — wasted transmissions are the
 price of deployability, measured in Table II.
 
-The per-edge state (exact subscriptions + joined IP groups) is a
-:class:`HybridEdgeRole` — the same attachable-role shape as the router's
-RP/relay roles, so a simulated node can *carry* hybrid-edge behavior.
-:class:`HybridMapper` owns the CD -> group mapping, keeps one role per
-edge (attaching it when the edge key is a :class:`~repro.sim.network.Node`)
-and classifies deliveries.
+:class:`HybridMapper` owns the CD -> group mapping, keeps each edge's
+state (its exact subscriptions and the IP groups it joined) and
+classifies deliveries.
 """
 
 from __future__ import annotations
@@ -24,37 +21,12 @@ import hashlib
 from typing import Dict, Hashable, Iterable, List, Set, Tuple
 
 from repro.names import Name
-from repro.sim.network import Node
-from repro.sim.roles import Role
 
-__all__ = ["HybridMapper", "HybridEdgeRole"]
+__all__ = ["HybridMapper"]
 
 
 def _stable_hash(text: str) -> int:
     return int.from_bytes(hashlib.blake2b(text.encode(), digest_size=8).digest(), "big")
-
-
-class HybridEdgeRole(Role):
-    """Hybrid-edge state carried by one COPSS edge router.
-
-    ``subscriptions`` is the edge's exact COPSS ST (what locally attached
-    clients asked for); ``groups`` is the set of IP multicast groups the
-    edge has joined to cover them.  The receiver-side filter
-    (:meth:`wants`) is what turns over-broad group deliveries back into
-    exact pub/sub semantics.
-    """
-
-    ROLE_NAME = "hybrid-edge"
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.subscriptions: Set[Name] = set()
-        self.groups: Set[int] = set()
-
-    def wants(self, cd: Name) -> bool:
-        """Receiver-side filter: does any local subscription match ``cd``?"""
-        subs = self.subscriptions
-        return any(prefix in subs for prefix in cd.prefixes())
 
 
 class HybridMapper:
@@ -66,9 +38,11 @@ class HybridMapper:
     an entire region (and everything below it) shares one group —
     exactly the aggregation §III-D describes.
 
-    Edges are identified by any hashable key; when the key is a simulated
-    :class:`~repro.sim.network.Node`, its :class:`HybridEdgeRole` is also
-    attached to the node (and detached when the last subscription goes).
+    Edges are identified by any hashable key.  Each edge's exact
+    subscriptions are its COPSS ST (what locally attached clients asked
+    for); its groups are the IP multicast groups it joined to cover them.
+    The receiver-side filter (:meth:`edge_wants`) turns over-broad group
+    deliveries back into exact pub/sub semantics.
     """
 
     def __init__(self, num_groups: int, hash_depth: int = 1) -> None:
@@ -78,8 +52,9 @@ class HybridMapper:
             raise ValueError("hash_depth must be >= 0")
         self.num_groups = num_groups
         self.hash_depth = hash_depth
-        # Edge key -> its role (subscriptions + joined groups).
-        self._edges: Dict[Hashable, HybridEdgeRole] = {}
+        # Edge key -> its subscriptions / joined groups (same keys).
+        self._subscriptions: Dict[Hashable, Set[Name]] = {}
+        self._groups: Dict[Hashable, Set[int]] = {}
         self.filtered_deliveries = 0
         self.useful_deliveries = 0
 
@@ -108,52 +83,37 @@ class HybridMapper:
     # ------------------------------------------------------------------
     # Edge state
     # ------------------------------------------------------------------
-    def _ensure_edge(self, edge: Hashable) -> HybridEdgeRole:
-        role = self._edges.get(edge)
-        if role is None:
-            role = HybridEdgeRole()
-            self._edges[edge] = role
-            if isinstance(edge, Node):
-                edge.attach_role(role)
-        return role
-
-    def _drop_edge(self, edge: Hashable) -> None:
-        role = self._edges.pop(edge, None)
-        if role is not None and isinstance(edge, Node):
-            edge.detach_role(HybridEdgeRole.ROLE_NAME)
-
     def subscribe(self, edge: Hashable, cds: Iterable["Name | str"]) -> None:
         """Record subscriptions at an edge and join the needed groups."""
-        role = self._ensure_edge(edge)
+        subscriptions = self._subscriptions.setdefault(edge, set())
+        groups = self._groups.setdefault(edge, set())
         for cd in cds:
             cd = Name.coerce(cd)
-            role.subscriptions.add(cd)
-            role.groups.update(self.groups_for_subscription(cd))
+            subscriptions.add(cd)
+            groups.update(self.groups_for_subscription(cd))
 
     def unsubscribe(self, edge: Hashable, cds: Iterable["Name | str"]) -> None:
         """Drop subscriptions and leave groups no longer needed."""
-        role = self._edges.get(edge)
-        if role is None:
+        subscriptions = self._subscriptions.get(edge)
+        if subscriptions is None:
             return
         for cd in cds:
-            role.subscriptions.discard(Name.coerce(cd))
+            subscriptions.discard(Name.coerce(cd))
         self._rebuild_groups(edge)
 
     def _rebuild_groups(self, edge: Hashable) -> None:
-        role = self._edges.get(edge)
-        if role is None:
-            return
         groups: Set[int] = set()
-        for cd in role.subscriptions:
+        for cd in self._subscriptions[edge]:
             groups.update(self.groups_for_subscription(cd))
         if groups:
-            role.groups = groups
+            self._groups[edge] = groups
         else:
-            self._drop_edge(edge)
+            del self._subscriptions[edge]
+            self._groups.pop(edge, None)
 
     def set_subscriptions(self, edge: Hashable, cds: Iterable["Name | str"]) -> None:
         """Replace an edge's subscriptions wholesale (player moved areas)."""
-        self._ensure_edge(edge).subscriptions = {Name.coerce(cd) for cd in cds}
+        self._subscriptions[edge] = {Name.coerce(cd) for cd in cds}
         self._rebuild_groups(edge)
 
     # ------------------------------------------------------------------
@@ -162,13 +122,13 @@ class HybridMapper:
     def group_members(self, group: int) -> List[Hashable]:
         """Edges joined to an IP multicast group (sorted, deterministic)."""
         return sorted(
-            (e for e, role in self._edges.items() if group in role.groups), key=repr
+            (e for e, groups in self._groups.items() if group in groups), key=repr
         )
 
     def edge_wants(self, edge: Hashable, cd: "Name | str") -> bool:
         """Receiver-side filter: does any local subscription match ``cd``?"""
-        role = self._edges.get(edge)
-        return role is not None and role.wants(Name.coerce(cd))
+        subscriptions = self._subscriptions.get(edge, ())
+        return any(prefix in subscriptions for prefix in Name.coerce(cd).prefixes())
 
     def deliver(self, cd: "Name | str") -> Tuple[List[Hashable], List[Hashable]]:
         """Classify a publication's group members into (wanted, filtered).

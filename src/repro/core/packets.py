@@ -102,10 +102,13 @@ class MulticastPacket(Packet):
         if self.payload_size < 0:
             raise ValueError(f"negative payload size: {self.payload_size}")
         if self.size == 0:
-            self.size = (
-                COPSS_HEADER_BYTES + _names_wire_bytes((self.cd,)) + self.payload_size
-            )
+            self.size = self.wire_size(self.cd, self.payload_size)
         super().__post_init__()
+
+    @staticmethod
+    def wire_size(cd: Name, payload_size: int) -> int:
+        """Bytes on the wire: COPSS framing, the encoded CD, the payload."""
+        return COPSS_HEADER_BYTES + _names_wire_bytes((cd,)) + payload_size
 
 
 @dataclass

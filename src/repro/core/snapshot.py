@@ -120,11 +120,6 @@ class BrokerRole(Role):
         super().attach(node)
         node.on_update.append(self._on_host_update)
 
-    def detach(self, node) -> None:
-        """Unhook the update stream."""
-        node.on_update.remove(self._on_host_update)
-        super().detach(node)
-
     def start(self) -> None:
         """Subscribe to the served areas and register the QR namespace.
 

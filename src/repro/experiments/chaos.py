@@ -47,16 +47,14 @@ import random
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.experiments.fig4_microbench import microbenchmark_placement
+from repro.experiments.fig4_microbench import microbenchmark_workload
 from repro.experiments.testbed import build_testbed
-from repro.game.map import GameMap
 from repro.names import Name
 from repro.sim.faults import FaultPlan, GilbertElliott, LinkFaults, NodeFaults
 from repro.obs.session import TelemetrySession
 from repro.parallel.digest import json_digest
 from repro.sim.invariants import SubscriptionLedger
 from repro.sim.stats import summarize
-from repro.trace.generator import CounterStrikeTraceGenerator, microbenchmark_spec
 
 __all__ = [
     "ChaosReport",
@@ -183,7 +181,13 @@ def build_plan(name: str, seed: int, loss: float) -> FaultPlan:
 
 @dataclass
 class ChaosReport:
-    """Everything one chaos run produced, JSON-serialisable."""
+    """Everything one fault run produced, JSON-serialisable.
+
+    A run replays the fig-4 trace (:func:`run_chaos`) or a scenario
+    script (:func:`~repro.experiments.scenarios.harness.run_scenario`)
+    under one plan; a scenario run also fills the ``scenario``,
+    ``splits``, ``slo`` and ``snapshot`` blocks.
+    """
 
     plan: dict
     seed: int
@@ -204,25 +208,34 @@ class ChaosReport:
     node_counters: Dict[str, int]
     latency: dict
     #: The invariant monitor's verdict (``InvariantVerdict.as_dict``);
-    #: outside :meth:`digest`, like the scenario report's.
-    verdict: dict = field(default_factory=dict)
+    #: outside :meth:`digest`.
+    verdict: dict
     timeline: dict = field(default_factory=dict)
     #: Telemetry findings (hop chains of missed deliveries, drop reasons)
     #: when the run was recorded; empty otherwise.  Deliberately outside
     #: :meth:`digest` so traced and untraced runs stay digest-comparable.
     trace: dict = field(default_factory=dict)
+    #: The script's name, description, content hash and event counts.
+    scenario: dict = field(default_factory=dict)
+    #: ``(router, new RP or None)`` per scripted split, merge or migrate.
+    splits: List[Tuple[str, Optional[str]]] = field(default_factory=list)
+    #: Recovery-SLO numbers (fault clear, last miss, refresh budget).
+    slo: dict = field(default_factory=dict)
+    #: Snapshot pulls started and completed on reconnects.
+    snapshot: dict = field(default_factory=dict)
 
     def digest(self) -> str:
         """Content hash for reproducibility checks across runs."""
-        return json_digest(
-            {
-                "missed": sorted(self.missed_sample),
-                "expected": self.deliveries_expected,
-                "got": self.deliveries_got,
-                "dropped": self.fault_stats.get("dropped", 0),
-                "counters": self.node_counters,
-            }
-        )
+        body = {
+            "missed": sorted(self.missed_sample),
+            "expected": self.deliveries_expected,
+            "got": self.deliveries_got,
+            "dropped": self.fault_stats.get("dropped", 0),
+            "counters": self.node_counters,
+        }
+        if self.scenario:
+            body["script"] = self.scenario["script_digest"]
+        return json_digest(body)
 
     def as_dict(self) -> dict:
         """The JSON report body (digest included)."""
@@ -240,7 +253,7 @@ def run_chaos(
     telemetry: Optional[TelemetrySession] = None,
     executor_factory=None,
     scenario: Optional[str] = None,
-):
+) -> ChaosReport:
     """Run the fig-4 workload under ``plan_name`` and check delivery.
 
     ``scale`` shrinks the 12,440-event trace; ``loss`` parameterises the
@@ -262,9 +275,7 @@ def run_chaos(
 
     ``scenario`` retargets the same plan machinery at a registered
     scenario from :mod:`repro.experiments.scenarios` instead of the
-    built-in fig-4 workload; the run then returns a
-    :class:`~repro.experiments.scenarios.harness.ScenarioReport`, whose
-    ``as_dict`` carries the same headline keys as :class:`ChaosReport`.
+    built-in fig-4 workload.
     """
     if scenario is not None:
         from repro.experiments.scenarios import run_scenario
@@ -278,11 +289,7 @@ def run_chaos(
             telemetry=telemetry,
             executor_factory=executor_factory,
         )
-    game_map = GameMap(seed=seed)
-    placement = microbenchmark_placement(game_map)
-    spec = microbenchmark_spec(scale=scale, seed=seed)
-    events = CounterStrikeTraceGenerator(game_map, spec, placement=placement).generate()
-
+    game_map, placement, events = microbenchmark_workload(scale, seed)
     testbed = build_testbed(game_map.hierarchy, placement, executor_factory)
     executor = testbed.executor
     recovery = testbed.enable_recovery(REFRESH_MS)

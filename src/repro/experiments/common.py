@@ -1,16 +1,18 @@
 """Shared scenario machinery: build a stack, replay a trace, measure.
 
-Three DES scenario runners cover the paper's architectures:
+The DES scenario runners for the paper's architectures:
 
 * :func:`run_gcopss_backbone` — G-COPSS over the synthetic Rocketfuel
   backbone (Table I, Fig. 5, Fig. 6 G-COPSS curves), with optional
   automatic RP balancing;
 * :func:`run_ip_server_backbone` — the IP client/server baseline on the
   same backbone (Table I, Fig. 6 server curves);
-* :func:`run_gcopss_testbed` / :func:`run_ip_server_testbed` /
-  :func:`run_ndn_testbed` — the three §V-A microbenchmark stacks on the
-  Fig. 3b topology.
+* :func:`run_ip_server_testbed` / :func:`run_ndn_testbed` — the IP and
+  NDN §V-A microbenchmark stacks on the Fig. 3b topology (the G-COPSS
+  one is :func:`repro.experiments.tracerun.run_fig4_traced`).
 
+Every G-COPSS and IP replay publishes through its host's own
+``publish`` and records latency through :func:`_wire_latency_recorders`.
 "Update latency" is measured per *delivery*: from the publisher stamping
 the update to each subscribed player receiving it, exactly the paper's
 metric.  Aggregate network load is the byte count carried over every
@@ -22,7 +24,7 @@ update dissemination.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.baselines.ip_server import (
     GameServerNode,
@@ -34,10 +36,8 @@ from repro.baselines.ndn_game import NdnGamePlayer
 from repro.core.balancer import RpLoadBalancer, SplitPolicy, default_refiner
 from repro.core.engine import GCopssHost, GCopssNetworkBuilder, GCopssRouter
 from repro.core.hierarchy import AIRSPACE, MapHierarchy
-from repro.core.packets import MulticastPacket
 from repro.core.rp import RpTable
 from repro.experiments.calibration import Calibration, DEFAULT_CALIBRATION
-from repro.experiments.testbed import build_testbed
 from repro.game.map import GameMap
 from repro.names import Name, ROOT
 from repro.ndn.engine import NdnRouter, install_routes
@@ -54,7 +54,6 @@ __all__ = [
     "subscribers_by_leaf_cd",
     "run_gcopss_backbone",
     "run_ip_server_backbone",
-    "run_gcopss_testbed",
     "run_ip_server_testbed",
     "run_ndn_testbed",
 ]
@@ -138,19 +137,19 @@ def subscribers_by_leaf_cd(
 
 
 def _wire_latency_recorders(
-    hosts: Dict[str, GCopssHost],
+    hosts: Iterable[Union[GCopssHost, IpClientNode]],
     latency: LatencyRecorder,
     series: SeriesRecorder,
 ) -> None:
-    def on_update(host: GCopssHost, packet) -> None:
-        if packet.publisher == host.name:
-            return
+    """Record every delivery's latency (and, by update, its series)."""
+
+    def on_update(host, packet) -> None:
         sample = host.sim.now - packet.created_at
         latency.record(sample)
         if packet.sequence >= 0:
             series.record(packet.sequence, sample)
 
-    for host in hosts.values():
+    for host in hosts:
         host.on_update.append(on_update)
 
 
@@ -166,23 +165,13 @@ def _schedule_publishes(
         network.sim.schedule_at(offset + event.time_ms, publish, i, event)
 
 
-def _bare_publisher(
-    hosts: Dict[str, GCopssHost]
+def _publisher(
+    hosts: Dict[str, Union[GCopssHost, IpClientNode]]
 ) -> Callable[[int, UpdateEvent], None]:
-    """``publish(i, event)``: a bare Multicast from the event's player."""
+    """``publish(i, event)``: the event's player publishes update ``i``."""
 
     def publish(i: int, event: UpdateEvent) -> None:
-        host = hosts[event.player]
-        packet = MulticastPacket(
-            cd=event.cd,
-            payload_size=event.size,
-            publisher=event.player,
-            sequence=i,
-            object_id=event.object_id,
-            created_at=host.sim.now,
-        )
-        host.stats.published += 1
-        host.send(host.access_face, packet)
+        hosts[event.player].publish(event.cd, event.size, sequence=i)
 
     return publish
 
@@ -280,9 +269,8 @@ def run_gcopss_backbone(
 
     latency = LatencyRecorder("gcopss")
     series = SeriesRecorder(bucket_width=series_bucket, name="gcopss")
-    _wire_latency_recorders(hosts, latency, series)
-
-    _schedule_publishes(network, events, _bare_publisher(hosts))
+    _wire_latency_recorders(hosts.values(), latency, series)
+    _schedule_publishes(network, events, _publisher(hosts))
     network.sim.run()
 
     routers = [n for n in network.nodes.values() if isinstance(n, GCopssRouter)]
@@ -429,22 +417,8 @@ def run_ip_server_backbone(
 
     latency = LatencyRecorder("ip-server")
     series = SeriesRecorder(bucket_width=series_bucket, name="ip-server")
-
-    def on_update(client: IpClientNode, packet) -> None:
-        sample = client.sim.now - packet.created_at
-        latency.record(sample)
-        if packet.sequence >= 0:
-            series.record(packet.sequence, sample)
-
-    for client in clients.values():
-        client.on_update.append(on_update)
-
-    def publish(i: int, event: UpdateEvent) -> None:
-        clients[event.player].publish(
-            event.cd, event.size, object_id=event.object_id, sequence=i
-        )
-
-    _schedule_publishes(network, events, publish)
+    _wire_latency_recorders(clients.values(), latency, series)
+    _schedule_publishes(network, events, _publisher(clients))
     network.sim.run()
 
     return ScenarioResult(
@@ -464,39 +438,6 @@ def run_ip_server_backbone(
 # ----------------------------------------------------------------------
 # §V-A microbenchmark stacks on the Fig. 3b testbed
 # ----------------------------------------------------------------------
-
-def run_gcopss_testbed(
-    events: Sequence[UpdateEvent],
-    game_map: GameMap,
-    placement: Dict[str, Name],
-    executor_factory: Optional[Callable[[Network], object]] = None,
-) -> ScenarioResult:
-    """G-COPSS microbenchmark: 62 players, RP at R1.
-
-    ``executor_factory`` plugs in an execution backend (see
-    :func:`~repro.experiments.testbed.build_testbed`).  The differential
-    tests run this scenario under both backends and demand identical
-    results.
-    """
-    testbed = build_testbed(game_map.hierarchy, placement, executor_factory)
-    testbed.subscribe()
-    testbed.converge()
-
-    latency = LatencyRecorder("gcopss-testbed")
-    series = SeriesRecorder(name="gcopss-testbed")
-    _wire_latency_recorders(testbed.hosts, latency, series)
-    testbed.replay(events, _bare_publisher(testbed.hosts))
-    testbed.executor.run()
-    return ScenarioResult(
-        label="G-COPSS (testbed)",
-        latency=latency,
-        series=series,
-        network_bytes=testbed.network.total_bytes,
-        updates_published=len(events),
-        deliveries=latency.count,
-        extras={"executor": testbed.executor.telemetry()},
-    )
-
 
 def run_ip_server_testbed(
     events: Sequence[UpdateEvent],
@@ -533,22 +474,8 @@ def run_ip_server_testbed(
 
     latency = LatencyRecorder("ip-testbed")
     series = SeriesRecorder(name="ip-testbed")
-
-    def on_update(client: IpClientNode, packet) -> None:
-        sample = client.sim.now - packet.created_at
-        latency.record(sample)
-        if packet.sequence >= 0:
-            series.record(packet.sequence, sample)
-
-    for client in clients.values():
-        client.on_update.append(on_update)
-
-    def publish(i: int, event: UpdateEvent) -> None:
-        clients[event.player].publish(
-            event.cd, event.size, object_id=event.object_id, sequence=i
-        )
-
-    _schedule_publishes(network, events, publish)
+    _wire_latency_recorders(clients.values(), latency, series)
+    _schedule_publishes(network, events, _publisher(clients))
     network.sim.run()
     return ScenarioResult(
         label="IP server (testbed)",

@@ -18,15 +18,22 @@ from typing import Dict, List, Tuple
 
 from repro.experiments.common import (
     ScenarioResult,
-    run_gcopss_testbed,
     run_ip_server_testbed,
     run_ndn_testbed,
 )
+from repro.experiments.tracerun import run_fig4_traced
 from repro.game.map import GameMap
 from repro.names import Name
+from repro.sim.stats import LatencyRecorder, SeriesRecorder
 from repro.trace.generator import CounterStrikeTraceGenerator, microbenchmark_spec
+from repro.trace.model import Trace
 
-__all__ = ["Fig4Result", "run_fig4", "microbenchmark_placement"]
+__all__ = [
+    "Fig4Result",
+    "run_fig4",
+    "microbenchmark_placement",
+    "microbenchmark_workload",
+]
 
 #: Fraction of the full trace the NDN stack replays at most.
 NDN_SCALE_CAP = 0.15
@@ -41,6 +48,18 @@ def microbenchmark_placement(game_map: GameMap) -> Dict[str, Name]:
             placement[f"player{index:02d}"] = area
             index += 1
     return placement
+
+
+def microbenchmark_workload(
+    scale: float, seed: int
+) -> Tuple[GameMap, Dict[str, Name], Trace]:
+    """The §V-A workload: map, placement and ``scale`` of the trace."""
+    game_map = GameMap(seed=seed)
+    placement = microbenchmark_placement(game_map)
+    events = CounterStrikeTraceGenerator(
+        game_map, microbenchmark_spec(scale=scale, seed=seed), placement=placement
+    ).generate()
+    return game_map, placement, events
 
 
 @dataclass
@@ -65,13 +84,18 @@ def run_fig4(scale: float = 1.0, seed: int = 42) -> Fig4Result:
     others (the paper's finding), so replaying the full trace adds hours
     of wall-clock without changing the distribution.
     """
-    game_map = GameMap(seed=seed)
-    placement = microbenchmark_placement(game_map)
-    spec = microbenchmark_spec(scale=scale, seed=seed)
-    generator = CounterStrikeTraceGenerator(game_map, spec, placement=placement)
-    events = generator.generate()
-
-    gcopss = run_gcopss_testbed(events, game_map, placement)
+    game_map, placement, events = microbenchmark_workload(scale, seed)
+    outcome = run_fig4_traced(scale, seed)
+    latency = LatencyRecorder("gcopss-testbed")
+    latency.extend(outcome["latency_samples"])
+    gcopss = ScenarioResult(
+        label="G-COPSS (testbed)",
+        latency=latency,
+        series=SeriesRecorder(name="gcopss-testbed"),  # Fig. 4 is a CDF
+        network_bytes=outcome["network_bytes"],
+        updates_published=outcome["updates_published"],
+        deliveries=outcome["deliveries"],
+    )
     ip_server = run_ip_server_testbed(events, game_map, placement)
 
     ndn_events = events

@@ -6,9 +6,10 @@ inter-arrival), so latency is deterministic per route and load is a pure
 function of routes and sizes.  These runners compute both directly on a
 built network's routes with :class:`~repro.sim.flows.FlowAccountant` — no
 event scheduling — which keeps paper-scale runs tractable.  Routes are
-the DES forwarders' own; ``tests/test_flowrun.py::TestDesAgreement``
-finds IP server load equal to the DES and G-COPSS load within 1 % of it
-(flow mode leaves out the copy the DES echoes to the publisher).
+the DES forwarders' own and packets are priced by their classes' own
+size rules, so ``tests/test_flowrun.py::TestDesAgreement`` finds IP
+server and G-COPSS load equal to the DES (the G-COPSS count includes the
+copy the tree carries down to a subscribed publisher, which drops it).
 
 All three architectures are covered: G-COPSS (RP-anchored multicast),
 hybrid G-COPSS (IP multicast groups with edge filtering) and the IP
@@ -20,14 +21,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
+from repro.baselines.ip_server import UDP_HEADER_BYTES
 from repro.core.hybrid import HybridMapper
-from repro.core.packets import COPSS_HEADER_BYTES
+from repro.core.packets import MulticastPacket
+from repro.core.planes import RP_NAMESPACE
 from repro.core.rp import RpTable
 from repro.experiments.calibration import DEFAULT_CALIBRATION
 from repro.experiments.common import subscribers_by_leaf_cd
 from repro.game.map import GameMap
 from repro.names import Name
-from repro.ndn.packets import INTEREST_HEADER_BYTES
+from repro.ndn.packets import Interest
 from repro.sim.flows import FlowAccountant
 from repro.sim.network import Network
 from repro.sim.routing import network_links, network_ranks
@@ -35,16 +38,9 @@ from repro.trace.model import UpdateEvent
 
 __all__ = ["FlowResult", "FlowScenario"]
 
-#: Wire size of a Multicast packet: COPSS framing + CD + payload.
-def _mcast_bytes(cd: Name, payload: int) -> int:
-    return COPSS_HEADER_BYTES + sum(len(c) + 1 for c in cd.components) + 2 + payload
-
-
-#: Extra bytes while tunnelled to the RP inside an Interest.
-_TUNNEL_OVERHEAD = INTEREST_HEADER_BYTES + len("/rp/coreXX") + 2
-
-#: IP+UDP datagram overhead (matches repro.baselines.ip_server).
-_UDP_HEADER = 28
+def _tunnel_overhead(rp: str) -> int:
+    """Bytes the ``/rp/<rp>`` Interest adds around a tunnelled Multicast."""
+    return Interest(name=Name([RP_NAMESPACE, rp])).size
 
 
 @dataclass
@@ -186,6 +182,7 @@ class FlowScenario:
         sampled prefix of the full trace (Table II default mode).
         """
         cal = DEFAULT_CALIBRATION
+        tunnel = {rp: _tunnel_overhead(rp) for rp in rp_table.all_rps()}
         total_bytes = 0
         lat_sum = 0.0
         lat_max = 0.0
@@ -193,10 +190,10 @@ class FlowScenario:
         for event in events:
             rp = rp_table.rp_for(event.cd)
             pub_edge = self.host_edge[event.player]
-            size = _mcast_bytes(event.cd, event.size)
+            size = MulticastPacket.wire_size(event.cd, event.size)
             up_hops = self.flows.hop_count(pub_edge, rp)
             # Host access link + tunnel to the RP.
-            total_bytes += size + (size + _TUNNEL_OVERHEAD) * up_hops
+            total_bytes += size + (size + tunnel[rp]) * up_hops
             up_latency = (
                 cal.backbone_host_edge_delay_ms
                 + self.flows.path_delay(pub_edge, rp)
@@ -206,11 +203,13 @@ class FlowScenario:
             tree_edges, down_sum, down_max, hosts = self._gcopss_down(event.cd, rp)
             if not hosts:
                 continue
+            # Tree + host links; a subscribed publisher's own host gets
+            # its copy too and drops it.
+            total_bytes += (tree_edges + hosts) * size
             count = hosts
             if event.player in self.subscribers[event.cd]:
                 down_sum -= self._gcopss_term(rp, event.player)
                 count -= 1
-            total_bytes += tree_edges * size + count * size  # tree + host links
             deliveries += count
             lat_sum += up_latency * count + down_sum
             lat_max = max(lat_max, up_latency + down_max)
@@ -252,7 +251,7 @@ class FlowScenario:
         delivery_cache: Dict[Tuple[Name, str], Tuple[int, float, float, int, int]] = {}
         for event in events:
             pub_edge = self.host_edge[event.player]
-            size = _mcast_bytes(event.cd, event.size)
+            size = MulticastPacket.wire_size(event.cd, event.size)
             key = (event.cd, pub_edge)
             cached = delivery_cache.get(key)
             if cached is None:
@@ -306,7 +305,7 @@ class FlowScenario:
         for event in events:
             site = server_table.rp_for(event.cd)
             pub_edge = self.host_edge[event.player]
-            size = _UDP_HEADER + event.size
+            size = UDP_HEADER_BYTES + event.size
             up_hops = self.flows.hop_count(pub_edge, site) + 1  # + server link
             total_bytes += size * (up_hops + 1)  # host link + path + server link
             hop_sum, down_sum, down_max, count = self._ip_down(event.cd, site)

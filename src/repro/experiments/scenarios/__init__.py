@@ -24,7 +24,6 @@ from repro.experiments.scenarios.generators import (
 )
 from repro.experiments.scenarios.harness import (
     SCENARIO_NAMES,
-    ScenarioReport,
     get_scenario,
     run_matrix,
     run_scenario,
@@ -37,7 +36,6 @@ __all__ = [
     "ScenarioScript",
     "BUILTIN_SCENARIOS",
     "SCENARIO_NAMES",
-    "ScenarioReport",
     "get_scenario",
     "run_matrix",
     "run_scenario",

@@ -31,13 +31,13 @@ Division of labour with the monitor:
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.balancer import RpLoadBalancer
 from repro.core.federation import relay_safe
 from repro.core.snapshot import QrSnapshotFetcher, SnapshotBroker, snapshot_name
 from repro.experiments.chaos import (
+    ChaosReport,
     DRAIN_MS,
     SUBSCRIBE_MS,
     build_plan,
@@ -52,14 +52,12 @@ from repro.game.map import GameMap
 from repro.names import Name
 from repro.ndn.engine import install_routes
 from repro.obs.session import TelemetrySession
-from repro.parallel.digest import json_digest
 from repro.sim.invariants import SubscriptionLedger, Violation, refresh_budget
 from repro.sim.stats import summarize
 
 __all__ = [
     "SCENARIO_NAMES",
     "get_scenario",
-    "ScenarioReport",
     "run_scenario",
     "run_matrix",
 ]
@@ -93,65 +91,6 @@ def get_scenario(name: str) -> Scenario:
         ) from None
 
 
-@dataclass
-class ScenarioReport:
-    """One (scenario, plan, seed) matrix cell, JSON-serialisable.
-
-    Carries the same headline keys as
-    :class:`~repro.experiments.chaos.ChaosReport` (the chaos CLI prints
-    either interchangeably) plus the scenario block, the invariant
-    verdict and the recovery-SLO numbers.
-    """
-
-    scenario: dict
-    plan: dict
-    seed: int
-    scale: float
-    loss: float
-    check_after_ms: float
-    events_total: int
-    events_checked: int
-    deliveries_expected: int
-    deliveries_got: int
-    #: Same window as ``deliveries_expected``; outside the digest.
-    deliveries_got_checked: int
-    permanent_misses: int
-    missed_sample: List[Tuple[int, str]]
-    invariant_ok: bool
-    split: Optional[Tuple[str, List[str]]]
-    splits: List[Tuple[str, Optional[str]]]
-    fault_stats: dict
-    node_counters: Dict[str, int]
-    latency: dict
-    verdict: dict
-    slo: dict
-    timeline: dict = field(default_factory=dict)
-    snapshot: dict = field(default_factory=dict)
-    #: Telemetry findings when recorded; outside the digest so traced
-    #: and untraced runs stay digest-comparable (same rule as chaos).
-    trace: dict = field(default_factory=dict)
-
-    def digest(self) -> str:
-        """Content hash for cell-level reproducibility checks."""
-        return json_digest(
-            {
-                "script": self.scenario.get("script_digest"),
-                "missed": sorted(self.missed_sample),
-                "expected": self.deliveries_expected,
-                "got": self.deliveries_got,
-                "dropped": self.fault_stats.get("dropped", 0),
-                "counters": self.node_counters,
-            }
-        )
-
-    def as_dict(self) -> dict:
-        """JSON-serialisable report body (CLI output and smoke tests)."""
-        body = asdict(self)
-        body["missed_sample"] = body["missed_sample"][:50]
-        body["digest"] = self.digest()
-        return body
-
-
 def run_scenario(
     scenario: str = "flash-crowd",
     plan_name: str = "none",
@@ -160,7 +99,7 @@ def run_scenario(
     loss: float = 0.05,
     telemetry: Optional[TelemetrySession] = None,
     executor_factory=None,
-) -> ScenarioReport:
+) -> ChaosReport:
     """Replay one scenario script under one fault plan and judge it.
 
     The schedule is the chaos harness's (``SUBSCRIBE_MS``, ``DRAIN_MS``
@@ -415,7 +354,7 @@ def run_scenario(
         new_rp is not None for _router, new_rp in split_results
     )
 
-    return ScenarioReport(
+    return ChaosReport(
         scenario={
             "name": script.name,
             "description": get_scenario(scenario).description,
@@ -471,7 +410,7 @@ def run_matrix(
     scale: float = 1.0,
     loss: float = 0.05,
     executor_factory=None,
-    progress: Optional[Callable[[str, ScenarioReport], None]] = None,
+    progress: Optional[Callable[[str, ChaosReport], None]] = None,
 ) -> dict:
     """Run the scenario × plan × seed matrix; return its JSON body.
 

@@ -1,10 +1,10 @@
 """The Fig. 3b G-COPSS testbed, stood up in exactly one place.
 
 Every experiment that runs G-COPSS on the six-router microbenchmark
-topology — the Fig. 4 stack (``run_gcopss_testbed``), its telemetry twin
-(``run_fig4_traced``), the chaos harness and the scenario matrix —
-builds its world through :func:`build_testbed` and drives it through the
-returned :class:`Testbed`.  The callers keep their own workloads and
+topology — the Fig. 4 replay (``run_fig4_traced``, traced or not), the
+chaos harness and the scenario matrix — builds its world through
+:func:`build_testbed` and drives it through the returned
+:class:`Testbed`.  The callers keep their own workloads and
 judges; the build order, the subscription phase, workload injection and
 the blocks the two fault harnesses used to copy from each other (recovery
 configuration, fault arming, scripted-split balancer, delivery record,

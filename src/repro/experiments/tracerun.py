@@ -12,12 +12,12 @@ Three operations:
   reaching one receiver);
 * **drops** — summarize drop reasons over a recorded log.
 
-The fig4 recorder mirrors
-:func:`repro.experiments.common.run_gcopss_testbed` but publishes through
-:meth:`GCopssHost.publish` so every update carries ``pub_seq`` and emits
-a ``publish`` root event; with ``telemetry=None`` it runs the identical
-schedule untraced, which the transparency tests and the benchmark's
-``obs.tracer.recording_x`` driver lean on.
+:func:`run_fig4_traced` is the one G-COPSS Fig. 4 replay: ``run_fig4``
+takes its G-COPSS arm from it untraced, and the recorder runs it under a
+session.  Every update goes through :meth:`GCopssHost.publish`, so it
+carries ``pub_seq`` and emits a ``publish`` root event when traced; the
+traced and untraced runs share one schedule, which the transparency
+tests and the benchmark's ``obs.tracer.recording_x`` driver lean on.
 """
 
 from __future__ import annotations
@@ -53,18 +53,11 @@ def run_fig4_traced(
     ``executor_factory`` plugs in the sharded execution backend; the
     differential suite compares its outcome against the serial default.
     """
-    from repro.experiments.fig4_microbench import microbenchmark_placement
+    from repro.experiments.fig4_microbench import microbenchmark_workload
     from repro.experiments.testbed import build_testbed
-    from repro.game.map import GameMap
     from repro.sim.stats import LatencyRecorder
-    from repro.trace.generator import CounterStrikeTraceGenerator, microbenchmark_spec
 
-    game_map = GameMap(seed=seed)
-    placement = microbenchmark_placement(game_map)
-    events = CounterStrikeTraceGenerator(
-        game_map, microbenchmark_spec(scale=scale, seed=seed), placement=placement
-    ).generate()
-
+    game_map, placement, events = microbenchmark_workload(scale, seed)
     testbed = build_testbed(
         game_map.hierarchy, placement, executor_factory=executor_factory
     )

@@ -292,11 +292,6 @@ class Node:
         role.attach(self)
         return role
 
-    def detach_role(self, name: str) -> "Role":
-        role = self.roles.pop(name)
-        role.detach(self)
-        return role
-
     def get_role(self, name: str) -> "Role | None":
         return self.roles.get(name)
 

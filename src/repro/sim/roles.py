@@ -2,17 +2,16 @@
 
 The paper's Fig. 2 router is a stack of separable engines; likewise a node
 in this reproduction can *carry* behaviors — serving as an RP, relaying
-relinquished prefixes, brokering snapshots, terminating a hybrid IP edge —
-without each combination needing its own subclass.  A :class:`Role` is a
-small state+behavior unit attached to a :class:`~repro.sim.network.Node`
-under a well-known name; owners (planes, experiment harnesses) look it up
-with ``node.get_role(...)`` or keep a direct reference.
+relinquished prefixes, brokering snapshots — without each combination
+needing its own subclass.  A :class:`Role` is a small state+behavior unit
+attached to a :class:`~repro.sim.network.Node` under a well-known name;
+owners (planes, experiment harnesses) look it up with
+``node.get_role(...)`` or keep a direct reference.
 
 Concrete roles live next to the subsystems they serve:
 :class:`repro.core.roles.RpRole` / :class:`repro.core.roles.RelayRole`
-(router planes), :class:`repro.core.snapshot.BrokerRole` (snapshot
-dissemination), :class:`repro.core.hybrid.HybridEdgeRole` (hybrid
-deployment edges).
+(router planes) and :class:`repro.core.snapshot.BrokerRole` (snapshot
+dissemination).
 """
 
 from __future__ import annotations
@@ -29,9 +28,8 @@ class Role:
     """Base class for attachable node behaviors.
 
     Subclasses set :attr:`ROLE_NAME` (the key in ``node.roles``) and may
-    override :meth:`attach` / :meth:`detach` to wire themselves into the
-    node (hook lists, subscriptions).  A role instance belongs to at most
-    one node at a time.
+    override :meth:`attach` to wire themselves into the node (hook lists,
+    subscriptions).  A role instance belongs to at most one node.
     """
 
     ROLE_NAME = "role"
@@ -51,10 +49,6 @@ class Role:
                 f"role {self.ROLE_NAME!r} already attached to {self.node.name}"
             )
         self.node = node
-
-    def detach(self, node: "Node") -> None:
-        """Called by ``Node.detach_role``; override to remove wiring."""
-        self.node = None
 
     def telemetry(self) -> dict:
         """Role-level gauges for the metrics registry (override freely).

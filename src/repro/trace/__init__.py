@@ -17,26 +17,28 @@ capture is not public, so this package provides:
 * :mod:`repro.trace.stats` — the summary statistics behind Fig. 3c/3d.
 """
 
-from repro.trace.filters import RawPacket, filter_raw_trace
-from repro.trace.generator import (
-    CounterStrikeTraceGenerator,
-    TraceSpec,
-    microbenchmark_spec,
-    full_trace_spec,
-    peak_trace_spec,
-)
-from repro.trace.model import Trace, UpdateEvent
-from repro.trace.stats import TraceStatistics
+import importlib
 
-__all__ = [
-    "Trace",
-    "UpdateEvent",
-    "TraceSpec",
-    "CounterStrikeTraceGenerator",
-    "microbenchmark_spec",
-    "peak_trace_spec",
-    "full_trace_spec",
-    "RawPacket",
-    "filter_raw_trace",
-    "TraceStatistics",
-]
+from repro.trace.model import Trace, UpdateEvent
+
+#: Package-level names of the other submodules, imported on first access
+#: so a consumer of the trace model alone (the live runners) loads none.
+_LAZY = {
+    "TraceSpec": "generator",
+    "CounterStrikeTraceGenerator": "generator",
+    "microbenchmark_spec": "generator",
+    "peak_trace_spec": "generator",
+    "full_trace_spec": "generator",
+    "RawPacket": "filters",
+    "filter_raw_trace": "filters",
+    "TraceStatistics": "stats",
+}
+
+__all__ = ["Trace", "UpdateEvent", *_LAZY]
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"repro.trace.{module}"), name)

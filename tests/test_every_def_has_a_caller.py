@@ -30,6 +30,10 @@ ALLOWED = {
         "seam that lets the sharded differential tests cut a hand-built "
         "network at chosen anchors"
     ),
+    "__getattr__": (
+        "module hook the interpreter calls: repro.trace resolves its "
+        "package-level names on first access"
+    ),
 }
 
 _IDENT = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*\Z")

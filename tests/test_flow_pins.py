@@ -29,7 +29,7 @@ def test_table2_sample_is_pinned():
     assert rows == [
         ("IP server (6 servers)", 949_969_344_000, 177_704,
          "16356725.124000013", "147.498", {}),
-        ("G-COPSS (6 RPs)", 142_634_690_000, 177_704,
+        ("G-COPSS (6 RPs)", 142_996_744_000, 177_704,
          "15213807.434", "144.844", {}),
         ("hybrid-G-COPSS (6 groups)", 148_567_494_000, 177_704,
          "6801486.000999999", "77.71799999999999",

@@ -65,9 +65,10 @@ class TestFlowRunners:
 
 
 class TestDesAgreement:
-    def test_flow_gcopss_load_tracks_des(self):
-        """Flow accounting and DES agree on G-COPSS network load."""
-        game_map, generator, events = make_peak_workload(300, seed=11)
+    @pytest.mark.parametrize("players, seed", [(300, 11), (200, 3), (414, 5)])
+    def test_flow_gcopss_load_tracks_des(self, players, seed):
+        """Flow accounting and DES agree exactly on G-COPSS network load."""
+        game_map, generator, events = make_peak_workload(players, seed=seed)
         des = run_gcopss_backbone(events, game_map, generator.placement, num_rps=3)
 
         built = build_backbone(lambda net, name: GCopssRouter(net, name))
@@ -80,12 +81,10 @@ class TestDesAgreement:
         table = default_rp_assignment(game_map.hierarchy, sites)
         flow_result = flow.run_gcopss(events, table)
         # Same backbone spec and same seed for host attachment => same
-        # routes.  The DES also carries each update down to its own
-        # publisher's host, which drops it; flow mode leaves that copy
-        # out, which puts it 0.25 % below the DES here.
-        assert flow_result.network_bytes == pytest.approx(
-            des.network_bytes, rel=0.01
-        )
+        # routes; both price every packet by its class's size rule and
+        # count the copy a subscribed publisher's host receives and drops.
+        assert flow_result.network_bytes == des.network_bytes
+        assert flow_result.deliveries == des.deliveries
 
     def test_flow_ip_load_tracks_des(self):
         game_map, generator, events = make_peak_workload(300, seed=11)

@@ -32,7 +32,6 @@ from repro.core.roles import RpRole
 from repro.core.snapshot import QrSnapshotFetcher
 from repro.experiments.common import (
     run_gcopss_backbone,
-    run_gcopss_testbed,
     run_ip_server_backbone,
     run_ip_server_testbed,
     run_ndn_testbed,
@@ -91,7 +90,6 @@ FIELDS = {
 NO_CALIBRATION = [
     run_gcopss_backbone,
     run_ip_server_backbone,
-    run_gcopss_testbed,
     run_ip_server_testbed,
     build_testbed,
     chaos.run_chaos,
@@ -123,7 +121,6 @@ REMOVED = {
     RpLoadBalancer: {"min_split_interval_ms"},
     GCopssHost: {"dedup_horizon"},
     RpRole: {"window_size"},
-    run_gcopss_testbed: {"label"},
     run_ip_server_testbed: {"label"},
     run_ndn_testbed: {"label"},
     cd_load_shares: {"depth"},

@@ -7,7 +7,6 @@ from repro.core.planes import ControlPlane, ForwardingPlane
 from repro.core.roles import RelayRole, RpRole
 from repro.names import Name
 from repro.sim.network import Network, Node
-from repro.sim.roles import Role
 
 
 def build_line(rp_name="R2", rp_prefix="/"):
@@ -47,18 +46,6 @@ class TestRoleAttachment:
         router = GCopssRouter(net, "R1")
         with pytest.raises(ValueError):
             router.attach_role(RpRole())
-
-    def test_detach_returns_the_role(self):
-        class Probe(Role):
-            ROLE_NAME = "probe"
-
-        net = Network()
-        router = GCopssRouter(net, "R1")
-        probe = router.attach_role(Probe())
-        assert "probe" in router.roles
-        assert router.detach_role("probe") is probe
-        assert probe.node is None
-        assert "probe" not in router.roles
 
 
 class TestPlaneSplit:

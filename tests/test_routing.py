@@ -168,4 +168,4 @@ def test_runtime_packages_import_no_networkx():
         [sys.executable, "-c", code],
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
-    assert out.stdout.strip() == "142634690000"
+    assert out.stdout.strip() == "142996744000"

@@ -1,8 +1,8 @@
 """AST lint: the Fig. 3b G-COPSS testbed is stood up in exactly one place.
 
-``run_gcopss_testbed``, ``run_fig4_traced``, ``run_chaos`` and
-``run_scenario`` each used to carry their own copy of "topology → RP at R1
-→ builder install → executor".  They now share
+``run_fig4_traced``, ``run_chaos`` and ``run_scenario`` each used to
+carry their own copy of "topology → RP at R1 → builder install →
+executor".  They now share
 :func:`repro.experiments.testbed.build_testbed`; this check keeps the
 copies from growing back: across ``src/repro`` exactly one
 ``build_benchmark_topology(...)`` call passes a router factory that builds

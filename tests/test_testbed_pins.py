@@ -1,8 +1,9 @@
 """Pinned outputs of everything that stands up a world.
 
-The four Fig. 3b callers (``run_chaos``, ``run_fig4_traced``,
-``run_gcopss_testbed``, and — through ``tests/data/scenario_matrix.json``
-— ``run_scenario``) share one testbed builder, and the scale world has one
+The Fig. 3b callers (``run_chaos``, ``run_fig4_traced`` — alone and as
+``run_fig4``'s G-COPSS arm — and, through
+``tests/data/scenario_matrix.json``, ``run_scenario``) share one testbed
+builder, and the scale world has one
 construction loop behind the full build and the slices.  This file holds
 the callers' outputs to the bytes they produced when each still built its
 own world, so a builder change that moves a face id, a rank or a counter
@@ -19,13 +20,10 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.chaos import PLAN_NAMES, run_chaos
-from repro.experiments.common import run_gcopss_testbed
-from repro.experiments.fig4_microbench import microbenchmark_placement
+from repro.experiments.fig4_microbench import run_fig4
 from repro.experiments.tracerun import run_fig4_traced
-from repro.game.map import GameMap
 from repro.parallel.digest import canonical_digest
 from repro.parallel.scale import ScaleSpec, run_scale
-from repro.trace.generator import CounterStrikeTraceGenerator, microbenchmark_spec
 
 PINS = Path(__file__).parent / "data" / "testbed_digests.json"
 
@@ -48,14 +46,7 @@ def fig4_traced_digest() -> str:
 
 
 def gcopss_testbed_digest() -> str:
-    game_map = GameMap(seed=FIG4_SEED)
-    placement = microbenchmark_placement(game_map)
-    events = CounterStrikeTraceGenerator(
-        game_map,
-        microbenchmark_spec(scale=FIG4_SCALE, seed=FIG4_SEED),
-        placement=placement,
-    ).generate()
-    result = run_gcopss_testbed(events, game_map, placement)
+    result = run_fig4(FIG4_SCALE, seed=FIG4_SEED).gcopss
     return canonical_digest(
         {
             "latency_samples": list(result.latency.samples),

@@ -1,5 +1,8 @@
 """Tests for trace generation, filtering, IO and statistics."""
 
+import subprocess
+import sys
+
 import pytest
 
 from repro.game import GameMap
@@ -228,3 +231,25 @@ class TestEventModel:
         a = UpdateEvent(1.0, "p", "/1", 0, 10)
         b = UpdateEvent(2.0, "a", "/1", 0, 10)
         assert a < b
+
+
+class TestPackage:
+    def test_live_runners_load_only_the_trace_model(self):
+        """``repro.trace``'s other submodules load on first use, not with it."""
+        probe = (
+            "import sys, repro.net.runner, repro.net.testbed; "
+            "print(*sorted(m for m in sys.modules if m.startswith('repro.trace.')))"
+        )
+        loaded = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+        ).stdout.split()
+        assert "repro.trace.model" in loaded
+        for module in ("generator", "filters", "stats"):
+            assert f"repro.trace.{module}" not in loaded
+
+    def test_package_names_resolve_on_access(self):
+        import repro.trace
+
+        assert repro.trace.TraceSpec is TraceSpec
+        with pytest.raises(AttributeError):
+            repro.trace.no_such_name  # noqa: B018
