@@ -2,9 +2,11 @@
 
 Every source is read at each tick.  Sources registered together (one
 stats dataclass, one queue snapshot, one role's ``telemetry()``) are
-read by one call per tick and stored as one row of a float64 table; a
-:class:`TimeSeries` is a ring-buffered view of one column (bounded
-memory, oldest points evicted).  Existing counter blocks auto-register:
+read by one call per tick and stored as one block: float64 rows that
+hold only the columns that have moved from zero (most counters of most
+nodes never do, and cost no storage); a :class:`TimeSeries` is a
+ring-buffered view of one column (bounded memory, oldest points
+evicted).  Existing counter blocks auto-register:
 :meth:`MetricsRegistry.register_stats` walks any dataclass
 (``NodeStats``, ``FaultStats``) and turns every numeric field into a
 series for free; :meth:`register_node` additionally picks up the node's
@@ -21,12 +23,14 @@ is preserved).
 
 from __future__ import annotations
 
+import struct
 from array import array
 from dataclasses import fields, is_dataclass
 from functools import partial
 from operator import attrgetter, itemgetter
-from struct import Struct
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import EventHandle, Simulator
@@ -34,20 +38,35 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["TimeSeries", "MetricsRegistry"]
 
+_ONE = struct.Struct("d")
+_ZERO = _ONE.pack(0.0)
+
 
 class _Block:
-    """Sources that are read together, stored as one table of float64.
+    """Sources that are read together, stored as float64 row segments.
 
     ``read()`` returns one value per column in a single call; a tick
-    appends its time to ``times`` and that row to the row-major
-    ``values``.  float64 is exact for every counter below 2**53, costs
-    8 bytes a sample and leaves the garbage collector nothing to walk.
-    The ring is kept by amortised trimming: the arrays run over by up to
-    a quarter, then drop the excess in one ``del``; readers only ever
-    look at the last ``capacity`` rows.
+    appends its time to ``times`` and the row's *live* columns to the
+    newest segment, a row-major ``(start, live, values)`` that holds
+    the rows from ``start`` to the next segment's.  A column is dormant,
+    stored nowhere, while every sample of it has packed to the bytes of
+    +0.0 (a -0.0 or a NaN counts as a move).  The row in which it first
+    moves wakes it: a new segment starts there with the column added,
+    and its earlier rows read as 0.0.  A column wakes at most once, so a
+    block holds at most one segment more than it has columns.  A tick
+    is one pick, pack and ``bytes`` compare of the dormant columns and
+    one pick and packed write of the live ones, all in C; float64 is
+    exact for every counter below 2**53, costs 8 bytes a live sample and
+    leaves the garbage collector nothing to walk.  The ring is kept by
+    amortised trimming: the rows run over by up to a quarter, then the
+    excess goes in one pass over the segments; readers only ever look at
+    the last ``capacity`` rows.
     """
 
-    __slots__ = ("names", "read", "capacity", "times", "values", "_limit", "_pack")
+    __slots__ = (
+        "names", "read", "capacity", "times", "segments", "_limit", "_values",
+        "_pick_live", "_pack_live", "_pick_dormant", "_pack_dormant", "_zeros",
+    )
 
     def __init__(
         self, names: Sequence[str], read: Optional[Callable[[], tuple]], capacity: int
@@ -55,23 +74,74 @@ class _Block:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.names, self.read, self.capacity = tuple(names), read, capacity
-        self.times, self.values = array("d"), array("d")
+        self.times = array("d")
+        self.segments: List[Tuple[int, Tuple[int, ...], array]] = []
         self._limit = capacity + capacity // 4 + 16
-        # One packed write per row costs a third of ``extend`` over boxed
-        # numbers, and a row of the wrong width raises instead of shearing.
-        self._pack = Struct(f"{len(self.names)}d").pack
+        self._store(())
+
+    def _store(self, live: Tuple[int, ...]) -> None:
+        """Store the ``live`` columns from the next row on, and no other."""
+        dormant = tuple(c for c in range(len(self.names)) if c not in live)
+        self._values = array("d")
+        self.segments.append((len(self.times), live, self._values))
+        self._pick_live = _columns(live)
+        self._pack_live = struct.Struct(f"{len(live)}d").pack
+        self._pick_dormant = _columns(dormant)
+        self._pack_dormant = struct.Struct(f"{len(dormant)}d").pack
+        self._zeros = bytes(8 * len(dormant))
 
     def append(self, t: float, row: tuple) -> None:
-        self.values.frombytes(self._pack(*row))
+        if self._pack_dormant(*self._pick_dormant(row)) != self._zeros:
+            live = self.segments[-1][1]
+            self._store(tuple(
+                c for c in range(len(self.names))
+                if c in live or _ONE.pack(row[c]) != _ZERO
+            ))
+        self._values.frombytes(self._pack_live(*self._pick_live(row)))
         self.times.append(t)
         if len(self.times) > self._limit:
-            excess = self.first_row()
-            del self.times[:excess]
-            del self.values[: excess * len(self.names)]
+            self._trim()
+
+    def _trim(self) -> None:
+        cut = self.first_row()
+        kept = []
+        for start, end, live, values in self._spans():
+            if end > cut:
+                del values[: max(0, cut - start) * len(live)]
+                kept.append((max(0, start - cut), live, values))
+        self.segments = kept
+        del self.times[:cut]
+
+    def _spans(self) -> Iterator[Tuple[int, int, Tuple[int, ...], array]]:
+        """Every segment as ``(start, end, live, values)``."""
+        ends = [start for start, _, _ in self.segments[1:]] + [len(self.times)]
+        for (start, live, values), end in zip(self.segments, ends):
+            yield start, end, live, values
 
     def first_row(self) -> int:
         """Index of the oldest row still inside the ring."""
         return max(0, len(self.times) - self.capacity)
+
+    def column(self, column: int) -> array:
+        """One column over the ring's rows, oldest first."""
+        first = self.first_row()
+        out = array("d")
+        for start, end, live, values in self._spans():
+            lo = max(start, first)
+            if end <= lo:
+                continue
+            if column in live:
+                width = len(live)
+                at = (lo - start) * width + live.index(column)
+                out += values[at : (end - start) * width : width]
+            else:
+                out.frombytes(bytes(8 * (end - lo)))
+        return out
+
+    def last(self, column: int) -> float:
+        """The newest row's value of one column."""
+        _, live, values = self.segments[-1]
+        return values[live.index(column) - len(live)] if column in live else 0.0
 
 
 class TimeSeries:
@@ -95,20 +165,21 @@ class TimeSeries:
         self._column = column
 
     def append(self, t: float, value: float) -> None:
-        self._block.append(t, (value,))  # raises on a wider (sampled) block
+        width = len(self._block.names)
+        if width != 1:
+            raise struct.error(f"{self.name!r} is a view of a {width}-column block")
+        self._block.append(t, (value,))
 
     def points(self) -> List[Tuple[float, float]]:
         """The ring's ``(t, value)`` samples, oldest first."""
-        block, width = self._block, len(self._block.names)
-        first = block.first_row()
-        column = block.values[first * width + self._column :: width]
-        return list(zip(block.times[first:], column))
+        block = self._block
+        return list(zip(block.times[block.first_row() :], block.column(self._column)))
 
     def latest(self) -> Optional[Tuple[float, float]]:
         block = self._block
         if not block.times:
             return None
-        return block.times[-1], block.values[self._column - len(block.names)]
+        return block.times[-1], block.last(self._column)
 
     def __len__(self) -> int:
         return min(len(self._block.times), self._block.capacity)
@@ -246,3 +317,11 @@ def _picker(getter: Callable, keys: Sequence[str]) -> Callable[[object], tuple]:
         return getter(*keys)
     picks = [getter(key) for key in keys]
     return lambda source: tuple(pick(source) for pick in picks)
+
+
+def _columns(picked: Sequence[int]) -> Callable[[tuple], tuple]:
+    """``itemgetter`` over ``picked`` that returns a tuple for any count."""
+    if len(picked) > 1:
+        return itemgetter(*picked)
+    first = picked[0] if picked else 0
+    return itemgetter(slice(first, first + len(picked)))

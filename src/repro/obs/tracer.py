@@ -107,8 +107,9 @@ class EventLog:
     ``Name``), so an event allocates nothing and the garbage collector
     walks nothing.  The packet itself is never stored: packets are
     mutable, and a held one keeps its payload alive.  A
-    :class:`TraceEvent` is built only when a row is read.  Readers see
-    the last ``max_events`` rows; the writer trims behind them in bulk.
+    :class:`TraceEvent` is built only when a row is read; a slice reads a
+    list of them.  Readers see the last ``max_events`` rows; the writer
+    trims behind them in bulk.
     """
 
     __slots__ = _COLUMNS + ("max_events", "limit", "_columns", "_rows_by_trace")
@@ -158,8 +159,9 @@ class EventLog:
     def __len__(self) -> int:
         return len(self.t) - self.first_row()
 
-    def __getitem__(self, index: int) -> TraceEvent:
-        return self.row(range(self.first_row(), len(self.t))[index])
+    def __getitem__(self, index):
+        picked = range(self.first_row(), len(self.t))[index]
+        return list(map(self.row, picked)) if isinstance(index, slice) else self.row(picked)
 
     def __iter__(self) -> Iterator[TraceEvent]:
         return map(self.row, range(self.first_row(), len(self.t)))

@@ -1,9 +1,12 @@
 """Tests for the metrics registry and exporters (`repro.obs`)."""
 
 import json
+import math
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs.exporters import (
     chrome_trace,
@@ -322,6 +325,31 @@ class TestStorageBudget:
         assert len(reg.series["b0.f0"]) == self.TICKS
         assert (after - before) / samples <= 12
 
+    def test_only_moving_columns_take_storage(self):
+        """One field in ten moves: 12 B a sample of it at most, 0 B for the rest."""
+        import tracemalloc
+
+        blocks, width, ticks = 10, 40, 2_000
+        reg = MetricsRegistry(capacity=ticks)
+        stats = _stats_blocks(blocks, width)
+        for i, block in enumerate(stats):
+            reg.register_stats(f"m{i}", block)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            for tick in range(ticks):
+                for block in stats:
+                    block.f0 = block.f10 = block.f20 = block.f30 = tick + 1
+                reg.sample(float(tick))
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        moving = blocks * (width // 10) * ticks
+        dormant = blocks * width * ticks - moving
+        assert reg.series["m9.f30"].latest() == (ticks - 1.0, ticks)
+        assert reg.series["m9.f31"].points() == [(float(t), 0.0) for t in range(ticks)]
+        assert after - before <= 12 * moving + 0 * dormant
+
     def test_no_gc_tracked_object_per_sample(self):
         import gc
 
@@ -333,3 +361,52 @@ class TestStorageBudget:
         for tick in range(100, 1100):
             reg.sample(float(tick))
         assert len(gc.get_objects()) - before <= 8
+
+
+def _bits(value):
+    """A sample as its float64 bytes: -0.0 and NaN compare exactly."""
+    return struct.pack("d", value)
+
+
+@st.composite
+def _block_runs(draw):
+    """A block's width, capacity and row stream: columns wake at random rows."""
+    width = draw(st.integers(1, 5))
+    capacity = draw(st.integers(1, 12))
+    ticks = draw(st.integers(0, 3 * capacity + 40))  # past the trim point
+    moved = st.sampled_from([0.0, 0.0, 0.0, -0.0, 1.0, 7, -2.5, math.nan, math.inf])
+    wakes = [draw(st.none() | st.integers(0, ticks)) for _ in range(width)]
+    rows = [
+        tuple(
+            0.0 if wake is None or tick < wake else draw(moved) for wake in wakes
+        )
+        for tick in range(ticks)
+    ]
+    return width, capacity, rows
+
+
+class TestAgainstListOfRows:
+    """Every read of the stored block agrees with a naive list-of-rows model."""
+
+    @settings(max_examples=150)
+    @given(run=_block_runs())
+    def test_points_latest_and_len_match_the_model(self, run):
+        width, capacity, rows = run
+        reg = MetricsRegistry(capacity=capacity)
+        names = [f"c{c}" for c in range(width)]
+        current = []
+        reg._add_block(names, lambda: current[-1])
+        for name in names:
+            assert reg.series[name].latest() is None
+        for tick, row in enumerate(rows):
+            current.append(row)
+            reg.sample(float(tick))
+            kept = list(enumerate(current))[-capacity:]
+            for c, name in enumerate(names):
+                series = reg.series[name]
+                want = [(float(t), _bits(r[c])) for t, r in kept]
+                assert [(t, _bits(v)) for t, v in series.points()] == want
+                t, value = series.latest()
+                assert (t, _bits(value)) == want[-1]
+                assert len(series) == len(kept)
+        assert sorted(reg.as_dict()) == (names if rows else [])

@@ -224,6 +224,19 @@ class TestEventLog:
         assert tracer.events_for(packets[0].uid) == []
         assert tracer.events_for(packets[-1].uid) == [kept[-1]]
 
+    def test_slices_are_lists_of_events_inside_the_ring(self):
+        tracer = PacketTracer(max_events=10)
+        written = [_ev(float(i), i, "n", "deliver") for i in range(37)]
+        tracer.events.extend(written)  # 37 rows: the first trims are behind
+        events, kept = tracer.events, written[-10:]
+        assert events[0:2] == kept[0:2]
+        assert type(events[0:2]) is list
+        for index in (slice(None), slice(-3, None), slice(None, -8), slice(-4, -1),
+                      slice(-100, 3), slice(2, 100), slice(None, None, -3),
+                      slice(5, 5), slice(-1, -5)):
+            assert events[index] == kept[index]
+        assert events[-10:] == list(events)
+
     def test_columns_stay_inside_the_ring_slack(self):
         tracer = PacketTracer(max_events=100)
         for i in range(10_000):

@@ -1,7 +1,7 @@
 """Pinned outputs of everything that stands up a world.
 
-The Fig. 3b callers (``run_chaos``, ``run_fig4_traced`` — alone and as
-``run_fig4``'s G-COPSS arm — and, through
+The Fig. 3b callers (``run_chaos``, ``run_fig4_traced`` — whose outcome
+``run_fig4`` copies into its G-COPSS arm — and, through
 ``tests/data/scenario_matrix.json``, ``run_scenario``) share one testbed
 builder, and the scale world has one
 construction loop behind the full build and the slices.  This file holds
@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.chaos import PLAN_NAMES, run_chaos
-from repro.experiments.fig4_microbench import run_fig4
+from repro.experiments import fig4_microbench
 from repro.experiments.tracerun import run_fig4_traced
 from repro.parallel.digest import canonical_digest
 from repro.parallel.scale import ScaleSpec, run_scale
@@ -37,21 +37,19 @@ def chaos_digest(plan: str) -> str:
     return run_chaos(plan, seed=1, scale=0.02).digest()
 
 
-def fig4_traced_digest() -> str:
-    outcome = run_fig4_traced(FIG4_SCALE, seed=FIG4_SEED)
+def fig4_traced_digest(outcome: dict) -> str:
     # uid_by_seq reads the process-global packet-id counter: it depends on
     # what ran before in this interpreter, not on the run.
-    del outcome["uid_by_seq"]
-    return canonical_digest(outcome)
+    return canonical_digest({k: v for k, v in outcome.items() if k != "uid_by_seq"})
 
 
-def gcopss_testbed_digest() -> str:
-    result = run_fig4(FIG4_SCALE, seed=FIG4_SEED).gcopss
+def gcopss_testbed_digest(outcome: dict) -> str:
+    """The three keys ``run_fig4`` copies into its G-COPSS arm."""
     return canonical_digest(
         {
-            "latency_samples": list(result.latency.samples),
-            "network_bytes": result.network_bytes,
-            "deliveries": result.deliveries,
+            "latency_samples": list(outcome["latency_samples"]),
+            "network_bytes": outcome["network_bytes"],
+            "deliveries": outcome["deliveries"],
         }
     )
 
@@ -64,10 +62,11 @@ def scale_digest(mode: str) -> str:
 
 
 def compute() -> dict:
+    outcome = run_fig4_traced(FIG4_SCALE, seed=FIG4_SEED)
     return {
         "chaos": {plan: chaos_digest(plan) for plan in PLAN_NAMES},
-        "fig4_traced": fig4_traced_digest(),
-        "gcopss_testbed": gcopss_testbed_digest(),
+        "fig4_traced": fig4_traced_digest(outcome),
+        "gcopss_testbed": gcopss_testbed_digest(outcome),
         "scale": {mode: scale_digest(mode) for mode in SCALE_MODES},
     }
 
@@ -87,12 +86,30 @@ def test_chaos_report_digest(pinned, plan):
     assert chaos_digest(plan) == pinned["chaos"][plan]
 
 
-def test_fig4_traced_outcome(pinned):
-    assert fig4_traced_digest() == pinned["fig4_traced"]
+@pytest.fixture(scope="module")
+def traced() -> dict:
+    return run_fig4_traced(FIG4_SCALE, seed=FIG4_SEED)
 
 
-def test_gcopss_testbed_result(pinned):
-    assert gcopss_testbed_digest() == pinned["gcopss_testbed"]
+def test_fig4_traced_outcome(pinned, traced):
+    assert fig4_traced_digest(traced) == pinned["fig4_traced"]
+
+
+def test_gcopss_testbed_result(pinned, traced):
+    assert gcopss_testbed_digest(traced) == pinned["gcopss_testbed"]
+
+
+def test_run_fig4_gcopss_arm_is_the_traced_outcome(traced, monkeypatch):
+    """``run_fig4`` copies the replay's outcome; its other two arms are stubbed."""
+    monkeypatch.setattr(fig4_microbench, "run_ip_server_testbed", lambda *args: "ip")
+    monkeypatch.setattr(fig4_microbench, "run_ndn_testbed", lambda *args: "ndn")
+    result = fig4_microbench.run_fig4(FIG4_SCALE, seed=FIG4_SEED)
+    assert (result.ip_server, result.ndn) == ("ip", "ndn")
+    gcopss = result.gcopss
+    assert list(gcopss.latency.samples) == list(traced["latency_samples"])
+    assert gcopss.network_bytes == traced["network_bytes"]
+    assert gcopss.deliveries == traced["deliveries"]
+    assert gcopss.updates_published == traced["updates_published"]
 
 
 @pytest.mark.parametrize("mode", SCALE_MODES)
