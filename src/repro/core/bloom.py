@@ -13,10 +13,10 @@ runs are reproducible and false-positive behaviour is testable.
 
 Fast-path layout: the filter keeps its set-bit view as a single Python
 ``int`` bitmask, so a membership test is one AND against a precombined
-per-name mask instead of ``k`` per-index probes.  The bit positions (and
-the combined mask) for each name/geometry pair are pinned on the
-:class:`~repro.names.Name` instance via :func:`indexes_for` /
-:func:`mask_for` — computed once per CD for the lifetime of the run.
+per-name mask instead of ``k`` per-index probes.  The bit positions and
+the combined mask of each name text and geometry sit in one bounded
+``lru_cache`` behind :func:`indexes_for` / :func:`mask_for`, so a CD is
+hashed once per geometry for the lifetime of the run.
 """
 
 from __future__ import annotations
@@ -35,41 +35,30 @@ COUNTER_MAX = 0xFFFF
 
 
 @lru_cache(maxsize=1 << 15)
-def _indexes(key: str, num_bits: int, num_hashes: int) -> Tuple[int, ...]:
-    """Deterministic double-hashing index derivation (string-keyed).
+def _derive(text: str, num_bits: int, num_hashes: int) -> Tuple[Tuple[int, ...], int]:
+    """(indexes, combined mask) of one name text for one filter geometry.
 
-    The per-:class:`Name` caches in :func:`indexes_for` are the hot path;
-    this remains the single source of truth for the hash mapping (and the
-    fallback for raw-string callers).
+    Deterministic double hashing over a ``blake2b`` digest; the one
+    memo of the mapping, so each CD is hashed once per geometry.
     """
-    digest = hashlib.blake2b(key.encode(), digest_size=16).digest()
+    digest = hashlib.blake2b(text.encode(), digest_size=16).digest()
     h1 = int.from_bytes(digest[:8], "big")
     h2 = int.from_bytes(digest[8:], "big") | 1  # odd => full period
-    return tuple((h1 + i * h2) % num_bits for i in range(num_hashes))
-
-
-def _derive(name: Name, num_bits: int, num_hashes: int) -> Tuple[Tuple[int, ...], int]:
-    """(indexes, combined mask) for one name/geometry pair, instance-cached."""
-    cache = name.derived_cache()
-    key = (num_bits, num_hashes)
-    entry = cache.get(key)
-    if entry is None:
-        idxs = _indexes(str(name), num_bits, num_hashes)
-        mask = 0
-        for idx in idxs:
-            mask |= 1 << idx
-        entry = cache[key] = (idxs, mask)
-    return entry
+    idxs = tuple((h1 + i * h2) % num_bits for i in range(num_hashes))
+    mask = 0
+    for idx in idxs:
+        mask |= 1 << idx
+    return idxs, mask
 
 
 def indexes_for(cd: "Name | str", num_bits: int, num_hashes: int) -> Tuple[int, ...]:
     """Bloom bit positions of ``cd`` for the given filter geometry."""
-    return _derive(Name.coerce(cd), num_bits, num_hashes)[0]
+    return _derive(str(Name.coerce(cd)), num_bits, num_hashes)[0]
 
 
 def mask_for(cd: "Name | str", num_bits: int, num_hashes: int) -> int:
     """The OR of ``cd``'s bit positions as a single int bitmask."""
-    return _derive(Name.coerce(cd), num_bits, num_hashes)[1]
+    return _derive(str(Name.coerce(cd)), num_bits, num_hashes)[1]
 
 
 class CountingBloomFilter:

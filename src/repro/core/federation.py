@@ -414,14 +414,12 @@ class AutoscalerRole(Role):
 
     def telemetry(self) -> dict:
         """Action counters, sampled as gauges by the metrics registry."""
-        gauges = super().telemetry()
-        gauges.update(
-            actions=len(self.actions),
-            splits=self.splits,
-            merges=self.merges,
-            migrates=self.migrates,
-        )
-        return gauges
+        return {
+            "actions": len(self.actions),
+            "splits": self.splits,
+            "merges": self.merges,
+            "migrates": self.migrates,
+        }
 
     # ------------------------------------------------------------------
     # Control loop

@@ -87,12 +87,10 @@ class RpRole(Role):
 
     def telemetry(self) -> dict:
         """Served-prefix count and decap-window fill, as sampled gauges."""
-        gauges = super().telemetry()
-        gauges.update(
-            prefixes=len(self.prefixes),
-            recent_decaps=len(self.recent_cds),
-        )
-        return gauges
+        return {
+            "prefixes": len(self.prefixes),
+            "recent_decaps": len(self.recent_cds),
+        }
 
 
 class RelayRole(Role):
@@ -107,9 +105,7 @@ class RelayRole(Role):
         self.relinquished: Dict[Name, str] = {}
 
     def telemetry(self) -> dict:
-        gauges = super().telemetry()
-        gauges["relinquished"] = len(self.relinquished)
-        return gauges
+        return {"relinquished": len(self.relinquished)}
 
     def relay_target(self, cd: Name) -> Optional[str]:
         """Longest relinquished prefix covering ``cd``, via dict probes."""

@@ -102,17 +102,16 @@ class Testbed:
         packet = self.hosts[player].publish(cd, size, sequence=sequence)
         self.uid_by_seq[sequence] = packet.uid
 
-    def replay(self, events: Sequence, publish: Optional[Callable] = None) -> None:
-        """Schedule a trace: ``publish(i, event)`` at each event's publisher.
+    def replay(self, events: Sequence) -> None:
+        """Schedule a trace: :meth:`publish` at each event's publisher.
 
-        Default is :meth:`publish` with the event's index as its sequence.
+        The event's index is its sequence.
         """
-        publish = publish or self._publish_event
         for i, event in enumerate(events):
-            self.schedule(event.player, event.time_ms, publish, i, event)
-
-    def _publish_event(self, i: int, event) -> None:
-        self.publish(i, event.player, event.cd, event.size)
+            self.schedule(
+                event.player, event.time_ms, self.publish,
+                i, event.player, event.cd, event.size,
+            )
 
     def record_deliveries(
         self, ledger: SubscriptionLedger, recovery: RecoveryConfig

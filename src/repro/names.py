@@ -43,7 +43,7 @@ class Name:
     data structures deterministic.
     """
 
-    __slots__ = ("_components", "_hash", "_str", "_prefixes", "_derived")
+    __slots__ = ("_components", "_hash", "_str", "_prefixes")
 
     def __init__(self, components: Iterable[str] = ()) -> None:
         comps = tuple(str(c) for c in components)
@@ -59,7 +59,6 @@ class Name:
         # canonical string and the prefix tuple are computed at most once.
         self._str: str | None = None
         self._prefixes: "tuple[Name, ...] | None" = None
-        self._derived: "dict | None" = None
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -74,8 +73,8 @@ class Name:
 
         Parsed names are interned in a bounded cache: packet fields and
         trace events re-parse the same small CD universe constantly, and
-        returning the same instance lets the per-instance caches
-        (:meth:`prefixes`, :meth:`derived_cache`) pay off across packets.
+        returning the same instance lets the per-instance caches (the
+        canonical text, :meth:`prefixes`) pay off across packets.
         """
         if text in ("", "/"):
             return ROOT
@@ -197,19 +196,6 @@ class Name:
                 for length in range(len(self._components))
             ) + (self,)
         return self._prefixes
-
-    def derived_cache(self) -> dict:
-        """Per-instance memo for data derived from this (immutable) name.
-
-        Used by :mod:`repro.core.bloom` to pin each name's Bloom bit
-        positions per ``(num_bits, num_hashes)`` geometry: a CD's indexes
-        are then computed once for the lifetime of the run rather than
-        re-derived (or re-probed through a string-keyed cache) per hop.
-        """
-        cache = self._derived
-        if cache is None:
-            cache = self._derived = {}
-        return cache
 
     def ancestors(self) -> Iterator["Name"]:
         """Yield strict prefixes, shortest first (root included)."""

@@ -4,7 +4,7 @@ This module is the single source of truth for how a G-COPSS packet turns
 into bytes.  The tagged-value and packet encoding started life in
 ``repro.parallel.wire`` (PR 6) serving the multiprocess executor's
 cross-shard exchange; live-wire mode needs the identical encoding on real
-sockets, so the codec lives here and :mod:`repro.parallel.wire` re-exports
+sockets, so the codec lives here and :mod:`repro.parallel.wire` imports
 it — the worker exchange format is bit-for-bit unchanged (the digest gates
 in the parallel test suite prove it).
 

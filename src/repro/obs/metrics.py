@@ -4,10 +4,11 @@ Every source is read at each tick.  Sources registered together (one
 stats dataclass, one queue snapshot, one role's ``telemetry()``) are
 read by one call per tick and stored as one block: float64 rows that
 hold only the columns that have moved from zero (most counters of most
-nodes never do, and cost no storage); a :class:`TimeSeries` is a
-ring-buffered view of one column (bounded memory, oldest points
-evicted).  Existing counter blocks auto-register:
-:meth:`MetricsRegistry.register_stats` walks any dataclass
+nodes never do, and cost no storage).  The registry keeps the one
+column of tick times every block's rows line up with, and the ring
+(bounded memory, oldest rows evicted); a :class:`TimeSeries` is a view
+of one block column against those times.  Existing counter blocks
+auto-register: :meth:`MetricsRegistry.register_stats` walks any dataclass
 (``NodeStats``, ``FaultStats``) and turns every numeric field into a
 series for free; :meth:`register_node` additionally picks up the node's
 service queue and role telemetry, and :meth:`register_network` /
@@ -46,87 +47,73 @@ class _Block:
     """Sources that are read together, stored as float64 row segments.
 
     ``read()`` returns one value per column in a single call; a tick
-    appends its time to ``times`` and the row's *live* columns to the
-    newest segment, a row-major ``(start, live, values)`` that holds
-    the rows from ``start`` to the next segment's.  A column is dormant,
-    stored nowhere, while every sample of it has packed to the bytes of
-    +0.0 (a -0.0 or a NaN counts as a move).  The row in which it first
-    moves wakes it: a new segment starts there with the column added,
-    and its earlier rows read as 0.0.  A column wakes at most once, so a
-    block holds at most one segment more than it has columns.  A tick
-    is one pick, pack and ``bytes`` compare of the dormant columns and
-    one pick and packed write of the live ones, all in C; float64 is
-    exact for every counter below 2**53, costs 8 bytes a live sample and
-    leaves the garbage collector nothing to walk.  The ring is kept by
-    amortised trimming: the rows run over by up to a quarter, then the
-    excess goes in one pass over the segments; readers only ever look at
-    the last ``capacity`` rows.
+    appends the row's *live* columns to the newest segment, a row-major
+    ``(start, live, values)`` that holds the registry rows from ``start``
+    to the next segment's.  The tick times are the registry's; a block
+    holds none.  A column is dormant, stored nowhere, while every sample
+    of it has packed to the bytes of +0.0 (a -0.0 or a NaN counts as a
+    move).  The row in which it first moves wakes it: a new segment
+    starts there with the column added, and its earlier rows read as
+    0.0.  A column wakes at most once, so a block holds at most one
+    segment more than it has columns.  A tick is one pick, pack and
+    ``bytes`` compare of the dormant columns and one pick and packed
+    write of the live ones, all in C; float64 is exact for every counter
+    below 2**53, costs 8 bytes a live sample and leaves the garbage
+    collector nothing to walk.
     """
 
     __slots__ = (
-        "names", "read", "capacity", "times", "segments", "_limit", "_values",
+        "names", "read", "segments", "_values",
         "_pick_live", "_pack_live", "_pick_dormant", "_pack_dormant", "_zeros",
     )
 
     def __init__(
-        self, names: Sequence[str], read: Optional[Callable[[], tuple]], capacity: int
+        self, names: Sequence[str], read: Callable[[], tuple], start: int
     ) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.names, self.read, self.capacity = tuple(names), read, capacity
-        self.times = array("d")
+        self.names, self.read = tuple(names), read
         self.segments: List[Tuple[int, Tuple[int, ...], array]] = []
-        self._limit = capacity + capacity // 4 + 16
-        self._store(())
+        self._store((), start)
 
-    def _store(self, live: Tuple[int, ...]) -> None:
-        """Store the ``live`` columns from the next row on, and no other."""
+    def _store(self, live: Tuple[int, ...], start: int) -> None:
+        """Store the ``live`` columns from row ``start`` on, and no other."""
         dormant = tuple(c for c in range(len(self.names)) if c not in live)
         self._values = array("d")
-        self.segments.append((len(self.times), live, self._values))
+        self.segments.append((start, live, self._values))
         self._pick_live = _columns(live)
         self._pack_live = struct.Struct(f"{len(live)}d").pack
         self._pick_dormant = _columns(dormant)
         self._pack_dormant = struct.Struct(f"{len(dormant)}d").pack
         self._zeros = bytes(8 * len(dormant))
 
-    def append(self, t: float, row: tuple) -> None:
+    def append(self, at: int, row: tuple) -> None:
+        """Store ``row`` as registry row ``at``."""
         if self._pack_dormant(*self._pick_dormant(row)) != self._zeros:
             live = self.segments[-1][1]
             self._store(tuple(
                 c for c in range(len(self.names))
                 if c in live or _ONE.pack(row[c]) != _ZERO
-            ))
+            ), at)
         self._values.frombytes(self._pack_live(*self._pick_live(row)))
-        self.times.append(t)
-        if len(self.times) > self._limit:
-            self._trim()
 
-    def _trim(self) -> None:
-        cut = self.first_row()
+    def cut(self, first: int, rows: int) -> None:
+        """Drop the rows before ``first`` of ``rows``; ``first`` becomes row 0."""
         kept = []
-        for start, end, live, values in self._spans():
-            if end > cut:
-                del values[: max(0, cut - start) * len(live)]
-                kept.append((max(0, start - cut), live, values))
+        for start, end, live, values in self._spans(rows):
+            if end > first:
+                del values[: max(0, first - start) * len(live)]
+                kept.append((max(0, start - first), live, values))
         self.segments = kept
-        del self.times[:cut]
 
-    def _spans(self) -> Iterator[Tuple[int, int, Tuple[int, ...], array]]:
+    def _spans(self, rows: int) -> Iterator[Tuple[int, int, Tuple[int, ...], array]]:
         """Every segment as ``(start, end, live, values)``."""
-        ends = [start for start, _, _ in self.segments[1:]] + [len(self.times)]
+        ends = [start for start, _, _ in self.segments[1:]] + [rows]
         for (start, live, values), end in zip(self.segments, ends):
             yield start, end, live, values
 
-    def first_row(self) -> int:
-        """Index of the oldest row still inside the ring."""
-        return max(0, len(self.times) - self.capacity)
-
-    def column(self, column: int) -> array:
-        """One column over the ring's rows, oldest first."""
-        first = self.first_row()
+    def column(self, column: int, first: int, rows: int) -> array:
+        """One column over rows ``first`` to ``rows``, oldest first."""
         out = array("d")
-        for start, end, live, values in self._spans():
+        for start, end, live, values in self._spans(rows):
             lo = max(start, first)
             if end <= lo:
                 continue
@@ -147,55 +134,62 @@ class _Block:
 class TimeSeries:
     """Ring-buffered ``(t, value)`` samples for one named metric.
 
-    Inside a registry this is a view of one column of a :class:`_Block`;
-    built directly it owns a one-column block and takes :meth:`append`.
+    A view of one column of a registry's :class:`_Block`: the values
+    are the block's, the times the registry's.
     """
 
-    __slots__ = ("name", "_block", "_column")
+    __slots__ = ("_registry", "_block", "_column")
 
-    def __init__(
-        self,
-        name: str,
-        capacity: int = 1024,
-        block: Optional[_Block] = None,
-        column: int = 0,
-    ) -> None:
-        self.name = name
-        self._block = block or _Block((name,), None, capacity)
-        self._column = column
+    def __init__(self, registry: "MetricsRegistry", block: _Block, column: int) -> None:
+        self._registry, self._block, self._column = registry, block, column
 
-    def append(self, t: float, value: float) -> None:
-        width = len(self._block.names)
-        if width != 1:
-            raise struct.error(f"{self.name!r} is a view of a {width}-column block")
-        self._block.append(t, (value,))
+    def _first(self) -> int:
+        """The oldest registry row this series holds inside the ring."""
+        return max(self._registry.first_row(), self._block.segments[0][0])
 
     def points(self) -> List[Tuple[float, float]]:
         """The ring's ``(t, value)`` samples, oldest first."""
-        block = self._block
-        return list(zip(block.times[block.first_row() :], block.column(self._column)))
+        times, first = self._registry.times, self._first()
+        values = self._block.column(self._column, first, len(times))
+        return list(zip(times[first:], values))
 
     def latest(self) -> Optional[Tuple[float, float]]:
-        block = self._block
-        if not block.times:
+        times = self._registry.times
+        if len(times) == self._block.segments[0][0]:
             return None
-        return block.times[-1], block.last(self._column)
+        return times[-1], self._block.last(self._column)
 
     def __len__(self) -> int:
-        return min(len(self._block.times), self._block.capacity)
+        return len(self._registry.times) - self._first()
 
     def __repr__(self) -> str:
-        return f"TimeSeries({self.name!r}, {len(self)} points)"
+        name = self._block.names[self._column]
+        return f"TimeSeries({name!r}, {len(self)} points)"
 
 
 class MetricsRegistry:
-    """Named metric sources and their ring-buffered time series."""
+    """Named metric sources, their ring-buffered series and the tick times.
+
+    One ``times`` array holds every tick; each block's rows line up with
+    it.  The ring is kept by amortised trimming: the rows run over
+    ``capacity`` by up to a quarter, then every block and the times lose
+    the same oldest rows in one pass; readers only ever look at the last
+    ``capacity`` rows.
+    """
 
     def __init__(self, capacity: int = 1024) -> None:
+        if capacity < 1:
+            raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
+        self.times = array("d")
+        self._limit = capacity + capacity // 4 + 16
         self._blocks: List[_Block] = []
         self.series: Dict[str, TimeSeries] = {}
         self._tick_handles: List["EventHandle"] = []
+
+    def first_row(self) -> int:
+        """Index of the oldest row still inside the ring."""
+        return max(0, len(self.times) - self.capacity)
 
     # ------------------------------------------------------------------
     # Registration
@@ -209,10 +203,10 @@ class MetricsRegistry:
         for name in names:
             self._claim(name)
         if names:
-            block = _Block(names, read, self.capacity)
+            block = _Block(names, read, len(self.times))
             self._blocks.append(block)
             for column, name in enumerate(names):
-                self.series[name] = TimeSeries(name, block=block, column=column)
+                self.series[name] = TimeSeries(self, block, column)
         return len(names)
 
     def register_stats(self, prefix: str, stats: object) -> int:
@@ -266,8 +260,15 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     def sample(self, now: float) -> None:
         """Take one sample of every source at sim time ``now``."""
+        at = len(self.times)
         for block in self._blocks:
-            block.append(now, block.read())
+            block.append(at, block.read())
+        self.times.append(now)
+        if len(self.times) > self._limit:
+            first, rows = self.first_row(), len(self.times)
+            for block in self._blocks:
+                block.cut(first, rows)
+            del self.times[:first]
 
     def schedule_ticks(
         self, sim: "Simulator", interval_ms: float, until: float

@@ -252,7 +252,6 @@ class ShardedExecutor:
             network, lambda node: sims[assignment[node.name]], Egress(self._outbox.append)
         )
         network.sim = _NetworkClock(self)
-        plan.annotate_roles(network)
 
     # ------------------------------------------------------------------
     # Executor seam

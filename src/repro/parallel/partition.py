@@ -98,9 +98,9 @@ def min_cut_delay(links: Iterable[LinkRow], assignment: Dict[str, int]) -> float
 class ShardPlan:
     """Fixed node-name → shard-index assignment.
 
-    ``anchors`` records how the plan was derived (anchor i seeds shard i)
-    — informational, but also the hook for shard-aware role placement
-    (:meth:`annotate_roles`).
+    ``anchors`` records how the plan was derived (anchor i seeds shard i).
+    The plan is the one record of which shard a node runs on: nodes and
+    roles carry no copy of it.
     """
 
     assignment: Dict[str, int]
@@ -136,19 +136,6 @@ class ShardPlan:
     def lookahead_ms(self, network: "Network") -> float:
         """:func:`min_cut_delay` of this plan over ``network``'s links."""
         return min_cut_delay(network_links(network), self.assignment)
-
-    def annotate_roles(self, network: "Network") -> None:
-        """Stamp shard ownership onto every attached role.
-
-        Purely informational — forwarding behavior never consults it —
-        but it surfaces in each role's ``telemetry()`` block so operators
-        can see when an RP serves subscribers predominantly outside its
-        own shard (a repartitioning hint).
-        """
-        for node in network.nodes.values():
-            shard = self.assignment[node.name]
-            for role in node.roles.values():
-                role.shard = shard
 
 
 def partition_by_anchors(

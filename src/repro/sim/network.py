@@ -104,39 +104,22 @@ class Face:
     IPC-port-per-face layout of the G-COPSS router in the paper's Fig. 2.
     """
 
-    __slots__ = ("node", "face_id", "link", "_peer", "_peer_face")
+    __slots__ = ("node", "face_id", "link", "peer", "peer_face")
 
     def __init__(self, node: "Node", face_id: int, link: "Link") -> None:
         self.node = node
         self.face_id = face_id
         self.link = link
-        # Filled in by Link once both endpoints exist; topology is static
-        # after construction, so the peer is resolved once instead of per
-        # packet (the router service-cost estimate reads it on every hop).
-        self._peer: "Node | None" = None
-        self._peer_face: "Face | None" = None
-
-    @property
-    def peer(self) -> "Node":
-        """The node at the other end of this face's link."""
-        peer = self._peer
-        if peer is None:
-            peer = self._peer = self.link.peer_of(self.node)
-        return peer
-
-    @property
-    def peer_face(self) -> "Face":
-        peer_face = self._peer_face
-        if peer_face is None:
-            peer_face = self._peer_face = self.link.face_of(self.peer)
-        return peer_face
+        # ``peer`` (the node at the other end) and ``peer_face`` (its
+        # face on this link) are set by the Link that made this face.
+        self.peer: "Node"
+        self.peer_face: "Face"
 
     def send(self, packet: Packet) -> None:
         """Transmit ``packet`` toward the peer node.
 
-        Equivalent to ``link.transmit(self.node, packet)`` but uses the
-        peer resolved at link construction, skipping the per-packet
-        endpoint comparison — this is the per-hop hot path.
+        The per-hop hot path: the peer and its face were wired by the
+        link when it was built.
 
         This is also the single fault-injection point: when a
         :class:`~repro.sim.faults.FaultInjector` has armed the link, its
@@ -166,16 +149,12 @@ class Face:
         tracer = link.trace_hook
         if tracer is not None:
             tracer.on_forward(self, packet, delay)
-        peer = self._peer
-        peer_face = self._peer_face
-        if peer is None or peer_face is None:  # face not wired via Link()
-            peer = self.peer
-            peer_face = self.peer_face
+        peer = self.peer
         # Arrivals tie-break by the *sender's* rank and execute under the
         # *receiver's* — the content-based ordering the sharded executor
         # reproduces (see repro.sim.engine module docs).
         link.sim.schedule_link(
-            delay, self.node.rank, peer.rank, peer.receive, packet, peer_face
+            delay, self.node.rank, peer.rank, peer.receive, packet, self.peer_face
         )
 
     def __repr__(self) -> str:
@@ -213,8 +192,8 @@ class Link:
         face_a = a._attach(self)
         face_b = b._attach(self)
         self._ends: Tuple[Tuple[Node, Face], Tuple[Node, Face]] = ((a, face_a), (b, face_b))
-        face_a._peer, face_a._peer_face = b, face_b
-        face_b._peer, face_b._peer_face = a, face_a
+        face_a.peer, face_a.peer_face = b, face_b
+        face_b.peer, face_b.peer_face = a, face_a
         self.bytes_carried: int = 0
         self.packets_carried: int = 0
         # Per-packet fault decision installed by a FaultInjector:
@@ -224,21 +203,6 @@ class Link:
         # Egress observer installed by a PacketTracer (repro.obs): read-only,
         # same nil-fast-path contract as the fault hook.
         self.trace_hook = None
-
-    def peer_of(self, node: "Node") -> "Node":
-        """The other endpoint of this link."""
-        (a, _), (b, _) = self._ends
-        if node is a:
-            return b
-        if node is b:
-            return a
-        raise ValueError(f"{node} is not an endpoint of {self}")
-
-    def face_of(self, node: "Node") -> Face:
-        for end_node, face in self._ends:
-            if end_node is node:
-                return face
-        raise ValueError(f"{node} is not an endpoint of {self}")
 
     def __repr__(self) -> str:
         return f"Link({self.name}, {self.delay}ms)"

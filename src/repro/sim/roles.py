@@ -36,11 +36,6 @@ class Role:
 
     def __init__(self) -> None:
         self.node: "Node | None" = None
-        # Shard ownership under the sharded executor, stamped by
-        # ShardPlan.annotate_roles; None when running serially.  Purely
-        # observational — behavior must never branch on it (determinism
-        # requires identical decisions in every executor).
-        self.shard: "int | None" = None
 
     def attach(self, node: "Node") -> None:
         """Called by ``Node.attach_role``; override to add wiring."""
@@ -54,12 +49,9 @@ class Role:
         """Role-level gauges for the metrics registry (override freely).
 
         Keys are metric-name suffixes, values numbers; the registry
-        samples them on sim ticks.  The base role exposes its shard
-        ownership when a ShardPlan has annotated it.
+        samples them on sim ticks.  The base role has none.
         """
-        if self.shard is None:
-            return {}
-        return {"shard": self.shard}
+        return {}
 
     def __repr__(self) -> str:
         where = self.node.name if self.node is not None else "unattached"

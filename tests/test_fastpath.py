@@ -236,14 +236,14 @@ class TestNameInterning:
         name = Name.parse("/a/b/c")
         assert name.prefixes()[-1] is name
 
-    def test_derived_cache_is_per_instance_and_per_geometry(self):
-        name = Name.parse("/cache/me")
+    def test_bloom_positions_are_cached_per_text_and_per_geometry(self):
+        name, twin = Name(["cache", "me"]), Name(["cache", "me"])
+        assert name is not twin
         a = indexes_for(name, 1024, 4)
-        b = indexes_for(name, 1024, 4)
-        assert a is b  # memoized on the instance
-        assert indexes_for(name, 2048, 4) != ()  # other geometry coexists
-        assert (1024, 4) in name.derived_cache()
-        assert (2048, 4) in name.derived_cache()
+        assert indexes_for(twin, 1024, 4) is a  # one entry for equal names
+        b = indexes_for(name, 2048, 4)
+        assert indexes_for(twin, 2048, 4) is b  # other geometry coexists
+        assert indexes_for(name, 1024, 4) is a
 
     def test_intern_table_bounded(self):
         from repro import names as names_module

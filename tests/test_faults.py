@@ -113,7 +113,7 @@ class TestArming:
         # leaves no wire trace.
         net, a, b, link = make_pair()
         FaultInjector(net, FaultPlan(links={"a<->b": LinkFaults(loss=1.0)})).install()
-        link.face_of(a).send(Packet(size=10))
+        a.face_toward(b).send(Packet(size=10))
         net.sim.run()
         assert b.inbox == []
         assert link.packets_carried == 0  # dropped at egress: no wire trace

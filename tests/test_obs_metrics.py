@@ -15,7 +15,7 @@ from repro.obs.exporters import (
     write_chrome_trace,
     write_events_jsonl,
 )
-from repro.obs.metrics import MetricsRegistry, TimeSeries
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import TraceEvent
 from repro.sim.engine import Simulator
 from repro.sim.faults import FaultStats
@@ -27,27 +27,38 @@ def gauge(reg, name, fn):
     reg._add_block((name,), lambda: (fn(),))
 
 
+def one_gauge(capacity=1024):
+    """A registry with one gauge ``x`` that reads whatever ``state`` holds."""
+    reg = MetricsRegistry(capacity=capacity)
+    state = {"v": 0.0}
+    gauge(reg, "x", lambda: state["v"])
+    return reg, state, reg.series["x"]
+
+
 class TestTimeSeries:
     def test_append_and_latest(self):
-        series = TimeSeries("x", capacity=8)
-        series.append(1.0, 10.0)
-        series.append(2.0, 20.0)
+        reg, state, series = one_gauge(capacity=8)
+        state["v"] = 10.0
+        reg.sample(1.0)
+        state["v"] = 20.0
+        reg.sample(2.0)
         assert series.points() == [(1.0, 10.0), (2.0, 20.0)]
         assert series.latest() == (2.0, 20.0)
         assert len(series) == 2
 
     def test_ring_buffer_evicts_oldest(self):
-        series = TimeSeries("x", capacity=3)
+        reg, state, series = one_gauge(capacity=3)
         for i in range(10):
-            series.append(float(i), float(i))
+            state["v"] = float(i)
+            reg.sample(float(i))
         assert [t for t, _ in series.points()] == [7.0, 8.0, 9.0]
 
     def test_empty_latest_is_none(self):
-        assert TimeSeries("x").latest() is None
+        assert one_gauge()[2].latest() is None
 
     def test_capacity_validated(self):
         with pytest.raises(ValueError):
-            TimeSeries("x", capacity=0)
+            MetricsRegistry(capacity=0)
 
 
 class TestRegistry:
@@ -205,8 +216,7 @@ class TestBlocks:
         gauge(reg, "g", lambda: 1)
         for tick in range(10_000):
             reg.sample(float(tick))
-        (block,) = reg._blocks
-        assert len(block.times) <= 2 * 100
+        assert len(reg.times) <= 2 * 100
 
     def test_late_source_starts_at_its_first_sample(self):
         reg = MetricsRegistry()
@@ -284,8 +294,7 @@ class TestBlocks:
         reg.sample(0.0)
         series = reg.series["s.f1"]
         assert repr(series) == "TimeSeries('s.f1', 1 points)"
-        with pytest.raises(struct.error):  # a view is not a one-column series
-            series.append(1.0, 1.0)
+        assert not hasattr(series, "append")  # only sample() writes
         assert len(series) == 1
         assert reg.names() == ["s.f0", "s.f1", "s.f2"]
 
@@ -349,6 +358,26 @@ class TestStorageBudget:
         assert reg.series["m9.f30"].latest() == (ticks - 1.0, ticks)
         assert reg.series["m9.f31"].points() == [(float(t), 0.0) for t in range(ticks)]
         assert after - before <= 12 * moving + 0 * dormant
+
+    def test_one_tick_time_column_for_all_blocks(self):
+        """N one-field blocks sampled T ticks keep 8*T bytes of times, not 8*N*T."""
+        import tracemalloc
+
+        blocks, ticks = 50, 2_000
+        reg = MetricsRegistry(capacity=ticks)
+        for i in range(blocks):
+            gauge(reg, f"g{i}", lambda: 0)  # dormant: the values cost nothing
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            for tick in range(ticks):
+                reg.sample(float(tick))
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(reg.series["g49"]) == ticks
+        # array growth over-allocates by at most an eighth, plus slack.
+        assert after - before <= 8 * ticks * 1.25 + 4096
 
     def test_no_gc_tracked_object_per_sample(self):
         import gc

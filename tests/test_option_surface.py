@@ -44,13 +44,14 @@ from repro.experiments.scenarios.harness import run_scenario
 from repro.experiments.table1_rp_count import run_table1
 from repro.experiments.table2_hybrid import run_table2
 from repro.experiments.table3_movement import run_table3, run_table3_all
+from repro.experiments import testbed
 from repro.experiments.testbed import build_testbed
 from repro.game.map import GameMap
 from repro.game.movement import MovementModel
 from repro.names import Name
 from repro.net.testbed import DriverConn, LiveTestbed
 from repro.net.world import make_trace
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, TimeSeries
 from repro.obs.session import TelemetryConfig
 from repro.parallel.scale import FederationSpec, ScaleSpec
 from repro.sim.invariants import InvariantMonitor
@@ -149,6 +150,8 @@ REMOVED = {
     IpClientNode: {"server_for_cd"},
     filter_raw_trace: {"min_packets"},
     synthesize_raw_capture: {"packets_per_player"},
+    testbed.Testbed.replay: {"publish"},
+    TimeSeries: {"capacity"},
 }
 
 

@@ -108,18 +108,6 @@ class TestShardPlan:
         with pytest.raises(ValueError, match="zero delay"):
             plan.lookahead_ms(net)
 
-    def test_annotate_roles_stamps_shards(self):
-        net = _line(1.0, 1.0, 1.0)
-        table = RpTable()
-        table.assign("/1", "R0")
-        GCopssNetworkBuilder(net, table).install()
-        plan = partition_by_anchors(net, ["R0", "R3"])
-        plan.annotate_roles(net)
-        for node in net.nodes.values():
-            for role in node.roles.values():
-                assert role.shard == plan.assignment[node.name]
-                assert role.telemetry().get("shard") == plan.assignment[node.name]
-
 
 class TestDigests:
     def test_canonical_digest_ignores_key_order(self):
