@@ -22,7 +22,7 @@ hashed once per geometry for the lifetime of the run.
 from __future__ import annotations
 
 import hashlib
-from array import array
+from collections import Counter
 from functools import lru_cache
 from typing import Optional, Tuple
 
@@ -68,19 +68,24 @@ class CountingBloomFilter:
     filters cannot delete, so routers keep the counting variant and the
     data plane reads its bit-vector view.
 
-    Counters are a real ``array("H")`` (16 bits each, as the docline has
-    always promised): incrementing a counter at :data:`COUNTER_MAX` raises
-    ``OverflowError`` rather than silently growing or wrapping.  A plain
+    Counters are sparse: ``_counts`` is a :class:`~collections.Counter`
+    holding only the nonzero ones (a missing position reads 0, and a
+    counter that falls to 0 is deleted), so a face costs what it
+    subscribes to rather than ``num_bits`` counters.  Each counter is
+    bounded at :data:`COUNTER_MAX` (16 bits): incrementing one there
+    raises ``OverflowError`` before any counter changes.  A plain
     bit-vector view (:attr:`bit_view`) is maintained in lock-step by
     ``add``/``remove`` so data-plane membership is a single mask AND.
     """
+
+    __slots__ = ("num_bits", "num_hashes", "_counts", "_bitview", "items")
 
     def __init__(self, num_bits: int = 1024, num_hashes: int = 4) -> None:
         if num_bits <= 0 or num_hashes <= 0:
             raise ValueError("num_bits and num_hashes must be positive")
         self.num_bits = num_bits
         self.num_hashes = num_hashes
-        self._counts = array("H", bytes(2 * num_bits))
+        self._counts: "Counter[int]" = Counter()
         self._bitview = 0
         self.items = 0
 
@@ -94,15 +99,16 @@ class CountingBloomFilter:
         if indexes is None:
             indexes = indexes_for(cd, self.num_bits, self.num_hashes)
         counts = self._counts
-        if any(counts[idx] >= COUNTER_MAX for idx in indexes):
+        if any(counts.get(idx, 0) >= COUNTER_MAX for idx in indexes):
             raise OverflowError(
                 f"16-bit Bloom counter overflow adding {cd} "
                 f"(a counter already holds {COUNTER_MAX})"
             )
         for idx in indexes:
-            if counts[idx] == 0:
+            count = counts.get(idx, 0)
+            if count == 0:
                 self._bitview |= 1 << idx
-            counts[idx] += 1
+            counts[idx] = count + 1
         self.items += 1
 
     def remove(self, cd: "Name | str", indexes: Optional[Tuple[int, ...]] = None) -> None:
@@ -115,11 +121,14 @@ class CountingBloomFilter:
         if indexes is None:
             indexes = indexes_for(cd, self.num_bits, self.num_hashes)
         counts = self._counts
-        if any(counts[idx] == 0 for idx in indexes):
+        if not all(idx in counts for idx in indexes):
             raise KeyError(f"removing {cd} which is not present")
         for idx in indexes:
-            counts[idx] -= 1
-            if counts[idx] == 0:
+            count = counts[idx] - 1
+            if count:
+                counts[idx] = count
+            else:
+                del counts[idx]
                 self._bitview &= ~(1 << idx)
         self.items -= 1
 
@@ -133,4 +142,3 @@ class CountingBloomFilter:
     def bit_view(self) -> int:
         """The nonzero-counter positions as one int bitmask."""
         return self._bitview
-

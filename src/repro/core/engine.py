@@ -50,7 +50,7 @@ RP migration (§IV-B) is implemented in three stages (see
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set
 
 from repro.core.dedup import BoundedUidSet
 from repro.core.packets import (
@@ -215,11 +215,12 @@ class GCopssHost(NdnHost):
         self.on_update: List[Callable[["GCopssHost", MulticastPacket], None]] = []
         self._seen = BoundedUidSet()
         # Loss observability: per-CD publish counters stamp pub_seq onto
-        # outgoing updates; per-(publisher, cd) high-water marks detect
-        # gaps on the receive side.  Zero-cost for workloads that build
-        # MulticastPackets directly (pub_seq stays -1, tracking skipped).
+        # outgoing updates; per-cd maps of publisher -> high-water mark
+        # detect gaps on the receive side (one dict slot a mark, no key
+        # tuple).  Zero-cost for workloads that build MulticastPackets
+        # directly (pub_seq stays -1, tracking skipped).
         self._pub_next: Dict[Name, int] = {}
-        self._seq_seen: Dict[Tuple[str, Name], int] = {}
+        self._seq_seen: Dict[Name, Dict[str, int]] = {}
         self._refresh_interval: Optional[float] = None
         self.dispatcher.register(MulticastPacket, self._handle_update)
 
@@ -339,8 +340,10 @@ class GCopssHost(NdnHost):
         if tracer is not None:
             tracer.on_deliver(self, packet)
         if packet.pub_seq >= 0:
-            key = (packet.publisher, packet.cd)
-            last = self._seq_seen.get(key, -1)
+            marks = self._seq_seen.get(packet.cd)
+            if marks is None:
+                marks = self._seq_seen[packet.cd] = {}
+            last = marks.get(packet.publisher, -1)
             if packet.pub_seq > last + 1:
                 self.stats.seq_gaps += 1
                 self.stats.seq_missing += packet.pub_seq - last - 1
@@ -349,7 +352,7 @@ class GCopssHost(NdnHost):
                 # delivery, not new loss; don't regress the mark.
                 self.stats.seq_late += 1
             else:
-                self._seq_seen[key] = packet.pub_seq
+                marks[packet.publisher] = packet.pub_seq
         for callback in self.on_update:
             callback(self, packet)
 

@@ -19,7 +19,12 @@ hashes.  :meth:`DeliveryLog.digest` hashes the same bytes without building
 the list or its JSON string: each row's place in the sort is one integer
 made of three ranks (key by ``str``, receiver by name, latency by
 ``repr``), each distinct 64-bit latency pattern is ``repr``-ed once, and
-the rows go to sha256 a chunk at a time.
+the rows go to sha256 a chunk at a time.  The bit patterns are read
+through a ``memoryview`` of the latency column, never a copy of it.
+
+Across processes a log travels as :meth:`DeliveryLog.columns`: the
+receiver table plus its three arrays, each sent from its own buffer, and
+:meth:`DeliveryLog.from_columns` reads them back with ``frombytes``.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ import json
 from array import array
 from itertools import count, repeat
 from operator import add, floordiv, mod
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 __all__ = ["DeliveryLog", "delivery_digest", "canonical_digest", "json_digest"]
 
@@ -126,7 +131,9 @@ class DeliveryLog:
         rows, and each integer decodes to its row's three JSON fields.
         """
         # Bit patterns, not floats: -0.0 and 0.0 differ in repr but not in ==.
-        bits = array("q", self._latencies.tobytes())
+        # A view of the latency column, not a copy; while it is held the
+        # column cannot grow, so it is released as soon as the codes exist.
+        bits = memoryview(self._latencies).cast("B").cast("q")
         patterns = array("q", set(bits))
         text_of = dict(zip(patterns, map(repr, array("d", patterns.tobytes()))))
         latencies = sorted(text_of, key=text_of.__getitem__)
@@ -142,7 +149,7 @@ class DeliveryLog:
         receiver_part = map(receiver_base.__getitem__, self._receivers)
         latency_part = map(latency_rank.__getitem__, bits)
         codes = list(map(add, map(add, key_part, receiver_part), latency_part))
-        del bits
+        bits.release()
         codes.sort()
         # Each row is ``,["<key>",<name>,"<repr>"]``, the first without its
         # comma.  Only a name can need JSON escaping; an int's str or a
@@ -166,28 +173,37 @@ class DeliveryLog:
     def latencies(self) -> List[float]:
         return sorted(self._latencies)
 
-    def columns(self) -> dict:
-        """Wire form: the columns as ``bytes`` (native order) plus the table."""
-        return {
-            "keys": self._keys.tobytes(),
-            "receivers": self._receivers.tobytes(),
-            "latencies": self._latencies.tobytes(),
-            "names": list(self._table),
-        }
+    def columns(self) -> Tuple[List[str], Tuple[array, array, array]]:
+        """Wire form: the receiver table and the three columns themselves.
+
+        The arrays are returned, not copied: a sender hands their buffers
+        to ``send_bytes`` as they are (native byte order; both ends are
+        forks of one process).
+        """
+        return list(self._table), (self._keys, self._receivers, self._latencies)
 
     @classmethod
     def from_columns(
-        cls, keys: bytes, receivers: bytes, latencies: bytes, names: Sequence[str]
+        cls, rows: int, names: Sequence[str], recv_column: Callable[[], bytes]
     ) -> "DeliveryLog":
-        """Rebuild a log from :meth:`columns`; a ragged one is rejected."""
+        """Rebuild a ``rows``-row log from :meth:`columns`' three frames.
+
+        ``recv_column`` returns the next column's bytes; each is read into
+        its array with ``frombytes`` and dropped before the next is read.
+        A ragged log (a column not ``rows`` items long) or a receiver
+        index outside ``names`` is rejected.
+        """
         log = cls()
         columns = (log._keys, log._receivers, log._latencies)
-        sizes = (len(keys), len(receivers), len(latencies))
-        rows = sizes[0] // log._keys.itemsize
-        if sizes != tuple(rows * column.itemsize for column in columns):
-            raise ValueError(f"ragged delivery columns, bytes per column: {sizes}")
-        for column, raw in zip(columns, (keys, receivers, latencies)):
-            column.frombytes(raw)
+        sizes = []
+        for column in columns:
+            raw = recv_column()
+            sizes.append(len(raw))
+            if len(raw) == rows * column.itemsize:
+                column.frombytes(raw)
+            del raw
+        if sizes != [rows * column.itemsize for column in columns]:
+            raise ValueError(f"ragged delivery columns, bytes per column: {tuple(sizes)}")
         log._table = table = {name: position for position, name in enumerate(names)}
         top = max(log._receivers, default=-1)
         if len(table) != len(names) or top >= len(names):

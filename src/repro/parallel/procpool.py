@@ -43,7 +43,6 @@ from typing import TYPE_CHECKING, List
 
 from repro.packets import use_id_range
 from repro.parallel import wire
-from repro.parallel.digest import DeliveryLog
 from repro.parallel.executor import Egress, inject, run_windows
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -93,9 +92,7 @@ def _serve_shard(conn, spec: "ScaleSpec", shard: int, num_shards: int) -> None:
             conn.send_bytes(wire.encode_done(sim.peek_time(), outbox))
             outbox.clear()
         elif op == wire.OP_FINISH:
-            part = result_part(log, sim.events_processed, network)
-            part["log"] = log.columns()
-            conn.send_bytes(wire.encode_result(part))
+            wire.send_result(conn.send_bytes, result_part(log, sim.events_processed, network))
             return
         else:  # pragma: no cover - protocol guard
             raise RuntimeError(f"unknown op {op!r}")
@@ -162,12 +159,13 @@ def run_scale_proc(spec: "ScaleSpec", workers: int) -> dict:
             advance, peeks, [], plan, lookahead, spec.horizon_ms
         )
 
-        # FINISH to all before the first RESULT is read: workers pack in parallel.
+        # FINISH to all before the first RESULT is read: workers report in parallel.
         for conn in conns:
             conn.send_bytes(wire.encode_finish())
-        parts = [wire.decode_result(recv(shard)) for shard in range(workers)]
-        for part in parts:
-            part["log"] = DeliveryLog.from_columns(**part["log"])
+        parts = [
+            wire.recv_result(recv(shard), conns[shard].recv_bytes)
+            for shard in range(workers)
+        ]
         return scale_result(
             parts,
             {

@@ -18,11 +18,14 @@ Layout (all little-endian):
   on the next window command, halving the old two-RTT protocol;
 * ``DONE``/``READY`` = ``peek (u8 flag + f64), count u32`` plus the
   worker's drained outbox (``READY`` carries no messages);
-* ``RESULT`` = one tagged dict: the worker's counters plus ``log``, its
+* ``RESULT`` = one tagged dict, the header: the worker's counters plus
+  ``names`` (the delivery log's receiver string table) and ``rows``.
+  Three raw frames follow it, the log's
   :meth:`~repro.parallel.digest.DeliveryLog.columns` — ``keys`` (i64),
-  ``receivers`` (u32 positions in ``names``) and ``latencies`` (f64) as
-  ``array.tobytes()`` values in native byte order (both ends are forks of
-  one process) plus ``names``, the receiver string table;
+  ``receivers`` (u32 positions in ``names``) and ``latencies`` (f64) —
+  each sent from its array's own buffer in native byte order (both ends
+  are forks of one process) and read back with ``frombytes``, so neither
+  side copies a column into a frame;
 * ``ERROR`` = the failed worker's traceback as UTF-8 text;
 * **transit message** = ``arrival f64, sender rank i32, send order u32``,
   two length-prefixed node names, then the packet;
@@ -49,9 +52,10 @@ back to pickle would un-fix the exact problem this module exists to fix.
 from __future__ import annotations
 
 import struct
-from typing import Any, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.net.codec import decode_value, encode_value
+from repro.parallel.digest import DeliveryLog
 
 __all__ = [
     "WireMsg",
@@ -70,6 +74,8 @@ __all__ = [
     "encode_finish",
     "encode_result",
     "decode_result",
+    "send_result",
+    "recv_result",
     "encode_error",
     "decode_error",
 ]
@@ -189,17 +195,45 @@ def encode_finish() -> bytes:
 
 
 def encode_result(result: dict) -> bytes:
-    """Worker -> coordinator: the final result dict as tagged values."""
+    """Worker -> coordinator: a RESULT header dict as tagged values."""
     buf = bytearray([OP_RESULT])
     encode_value(buf, result)
     return bytes(buf)
 
 
 def decode_result(buf) -> dict:
-    """Decode a RESULT frame back into the worker's result dict."""
+    """Decode a RESULT frame back into the header dict."""
     _expect(buf, OP_RESULT)
     value, _ = decode_value(buf, 1)
     return value
+
+
+def send_result(send_bytes: Callable[[Any], None], part: dict) -> None:
+    """Worker -> coordinator: ``part`` as a RESULT header, then its log.
+
+    ``part["log"]`` is a :class:`DeliveryLog`; the header carries the
+    other entries plus its receiver names and row count, and each of its
+    three columns follows as one ``send_bytes`` frame of the array itself.
+    """
+    header = dict(part)
+    log = header.pop("log")
+    header["names"], columns = log.columns()
+    header["rows"] = len(log)
+    send_bytes(encode_result(header))
+    for column in columns:
+        send_bytes(column)
+
+
+def recv_result(header: bytes, recv_bytes: Callable[[], bytes]) -> dict:
+    """Decode a RESULT ``header``, then read its log's column frames.
+
+    Returns the worker's part with ``log`` rebuilt; a ragged or
+    out-of-range log raises ``ValueError``
+    (:meth:`DeliveryLog.from_columns`).
+    """
+    part = decode_result(header)
+    part["log"] = DeliveryLog.from_columns(part.pop("rows"), part.pop("names"), recv_bytes)
+    return part
 
 
 def encode_error(text: str) -> bytes:

@@ -1,10 +1,13 @@
 """Tests for Bloom filters backing the Subscription Table."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.bloom import CountingBloomFilter
+from repro.core import bloom as bloom_module
+from repro.core.bloom import CountingBloomFilter, indexes_for
 from repro.names import Name
 
 cd_strategy = st.lists(
@@ -86,11 +89,19 @@ class TestCountingBloomFilter:
         assert bloom.bit_view == 0
 
     def test_counters_are_16_bit(self):
-        from array import array
+        """The 16-bit bound by behaviour: the 65,536th add of one CD raises."""
+        from repro.core.bloom import COUNTER_MAX
 
+        assert COUNTER_MAX == 2**16 - 1
         bloom = CountingBloomFilter(num_bits=64)
-        assert isinstance(bloom._counts, array)
-        assert bloom._counts.typecode == "H"
+        idxs = indexes_for("/x", 64, 4)
+        for _ in range(COUNTER_MAX):
+            bloom.add("/x", idxs)
+        with pytest.raises(OverflowError):
+            bloom.add("/x", idxs)
+        assert bloom.items == COUNTER_MAX
+        bloom.remove("/x", idxs)
+        bloom.add("/x", idxs)  # back below the bound, one more fits
 
     def test_counter_overflow_raises(self):
         from repro.core.bloom import COUNTER_MAX
@@ -114,3 +125,64 @@ class TestCountingBloomFilter:
         with pytest.raises(OverflowError):
             bloom.add("/y", indexes=(2, 5))
         assert bloom._counts[2] == 0  # earlier index untouched by the abort
+
+
+_MODEL_BITS = 64
+_MODEL_OPS = st.lists(
+    st.tuples(st.sampled_from(["add", "remove", "remove_all"]), cd_strategy),
+    max_size=40,
+)
+
+
+class TestSparseCountersMatchDenseModel:
+    """The sparse filter against a list of ``num_bits`` counters.
+
+    The ceiling is lowered so that random sequences reach it: every
+    call must raise exactly when the dense model does, and leave the
+    same bit view and item count behind.
+    """
+
+    @staticmethod
+    def _model_call(model, op, idxs, ceiling):
+        if op == "add":
+            if any(model[idx] >= ceiling for idx in idxs):
+                return OverflowError
+            for idx in idxs:
+                model[idx] += 1
+        else:
+            if any(model[idx] == 0 for idx in idxs):
+                return KeyError
+            for idx in idxs:
+                model[idx] -= 1
+        return None
+
+    @staticmethod
+    def _filter_call(bloom, op, cd, idxs):
+        try:
+            (bloom.add if op == "add" else bloom.remove)(cd, idxs)
+        except (OverflowError, KeyError) as exc:
+            return type(exc)
+        return None
+
+    @settings(max_examples=200)
+    @given(ops=_MODEL_OPS, ceiling=st.integers(1, 4))
+    def test_random_sequences(self, ops, ceiling):
+        bloom = CountingBloomFilter(num_bits=_MODEL_BITS)
+        model = [0] * _MODEL_BITS
+        items = 0
+        added = {}
+        with mock.patch.object(bloom_module, "COUNTER_MAX", ceiling):
+            for op, cd in ops:
+                idxs = indexes_for(cd, _MODEL_BITS, bloom.num_hashes)
+                # remove_all: every occurrence this sequence added, one at a time.
+                calls = ["remove"] * added.get(cd, 0) if op == "remove_all" else [op]
+                for call in calls:
+                    expected = self._model_call(model, call, idxs, ceiling)
+                    assert self._filter_call(bloom, call, cd, idxs) is expected
+                    if expected is None:
+                        items += 1 if call == "add" else -1
+                        added[cd] = added.get(cd, 0) + (1 if call == "add" else -1)
+                    assert bloom.bit_view == sum(1 << i for i, n in enumerate(model) if n)
+                    assert bloom.items == items
+                    assert (cd in bloom) == all(model[idx] for idx in idxs)
+        assert dict(bloom._counts) == {i: n for i, n in enumerate(model) if n}

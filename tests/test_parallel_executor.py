@@ -26,6 +26,7 @@ from repro.parallel import (
     delivery_digest,
     partition_by_anchors,
 )
+from repro.parallel import wire
 from repro.parallel.executor import Egress, window_horizon
 from repro.parallel.scale import FederationSpec, ScaleSpec, run_scale
 from repro.sim.engine import SerialExecutor, Simulator
@@ -195,18 +196,23 @@ class TestDeliveryLogColumns:
             assert merged.merge(part) is merged
         assert merged.digest() == delivery_digest(rows)
         assert sorted(merged.entries) == sorted(rows)
-        assert DeliveryLog.from_columns(**merged.columns()).digest() == merged.digest()
+        frames = []
+        wire.send_result(lambda buf: frames.append(bytes(buf)), {"log": merged})
+        resent = wire.recv_result(frames[0], iter(frames[1:]).__next__)["log"]
+        assert resent.digest() == merged.digest()
 
     @given(rows=_TIED_ROWS)
     def test_tied_and_non_finite_rows_digest_like_tuples(self, rows):
         assert _logged(rows).digest() == delivery_digest(rows)
 
     def test_digest_peaks_below_the_canonical_list(self):
-        log = DeliveryLog.from_columns(
+        columns = iter([
             array("q", (i // 500 for i in range(200_000))).tobytes(),
             array("I", (i % 500 for i in range(200_000))).tobytes(),
             array("d", (4.6 + i % 227 / 7 for i in range(200_000))).tobytes(),
-            [f"p{i:06d}" for i in range(500)],
+        ])
+        log = DeliveryLog.from_columns(
+            200_000, [f"p{i:06d}" for i in range(500)], columns.__next__
         )
         peaks = []
         for digest in (log.digest, lambda: delivery_digest(log.entries)):

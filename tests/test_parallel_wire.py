@@ -226,21 +226,25 @@ class TestFrames:
             log.record(*row)
         return log
 
+    @staticmethod
+    def _sent(part):
+        """The frames :func:`wire.send_result` writes, as a pipe delivers them."""
+        frames = []
+        wire.send_result(lambda buf: frames.append(bytes(buf)), part)
+        return frames
+
     def test_result_roundtrip(self):
         log = self._log()
-        result = {
-            "log": log.columns(),
-            "events_processed": 123,
-            "network_bytes": 4567,
-            "federation": None,
+        counters = {"events_processed": 123, "network_bytes": 4567, "federation": None}
+        frames = self._sent({"log": log, **counters})
+        # A header, then 20 bytes a row in three raw frames, not a tagged tuple each.
+        assert wire.decode_result(frames[0]) == {
+            **counters, "names": ["p000001", "p000002", "p000003"], "rows": 4,
         }
-        decoded = wire.decode_result(wire.encode_result(result))
-        assert decoded == result
-        # 20 bytes a row plus the three-name table, not a tagged tuple each.
-        columns = decoded["log"]
-        assert [len(columns[c]) for c in ("keys", "receivers", "latencies")] == [32, 16, 32]
-        assert columns["names"] == ["p000001", "p000002", "p000003"]
-        rebuilt = DeliveryLog.from_columns(**columns)
+        assert [len(frame) for frame in frames[1:]] == [32, 16, 32]
+        decoded = wire.recv_result(frames[0], iter(frames[1:]).__next__)
+        rebuilt = decoded.pop("log")
+        assert decoded == counters
         assert list(rebuilt.entries) == list(log.entries)
         assert rebuilt.digest() == log.digest()
 
@@ -257,14 +261,18 @@ class TestFrames:
     )
     def test_ragged_result_columns_fail_loudly(self, damage, message):
         """A damaged RESULT names the offending lengths; no ragged log is built."""
-        columns = self._log().columns()
+        head, keys, receivers, latencies = self._sent({"log": self._log()})
+        header = wire.decode_result(head)
+        columns = {"keys": keys, "receivers": receivers, "latencies": latencies,
+                   "names": header["names"]}
         damage(columns)
-        decoded = wire.decode_result(wire.encode_result({"log": columns}))
+        head = wire.encode_result({**header, "names": columns["names"]})
+        frames = iter([columns["keys"], columns["receivers"], columns["latencies"]])
         with pytest.raises(ValueError, match=message):
-            DeliveryLog.from_columns(**decoded["log"])
+            wire.recv_result(head, frames.__next__)
 
     def test_truncated_result_frame_is_a_frame_error(self):
-        frame = wire.encode_result({"log": self._log().columns()})
+        frame = self._sent({"log": self._log()})[0]
         with pytest.raises(codec.FrameError):
             wire.decode_result(frame[:-5])
 
