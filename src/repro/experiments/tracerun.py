@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from repro.obs.session import TelemetryConfig, TelemetrySession
-from repro.obs.tracer import TraceEvent, chain_to, render_chain, summarize_drops
+from repro.obs.tracer import EventLog, TraceEvent, chain_to, render_chain
 
 __all__ = [
     "run_fig4_traced",
@@ -146,19 +146,18 @@ def record_run(
     else:
         raise ValueError(f"unknown workload {workload!r}; choose fig4 or chaos")
 
-    events = list(session.tracer.events)
+    tracer = session.tracer
     stem = workload if scenario is None else f"{workload}-{scenario}"
     paths = session.export(out_dir, stem=stem)
-    example = pick_example_trace(events)
     return {
         "workload": workload if scenario is None else f"{workload}:{scenario}",
         "scale": scale,
         "seed": seed,
         "sample_every": sample_every,
-        "events_recorded": len(events),
-        "trace_ids": len({e.trace_id for e in events}),
-        "drop_reasons": summarize_drops(events),
-        "example_trace_id": example,
+        "events_recorded": len(tracer.events),
+        "trace_ids": len(tracer.trace_ids()),
+        "drop_reasons": tracer.drop_summary(),
+        "example_trace_id": pick_example_trace(tracer.events),
         "paths": paths,
         **extra,
     }
@@ -171,15 +170,24 @@ def load_events(path: "Path | str") -> List[TraceEvent]:
     return read_events_jsonl(path)
 
 
-def pick_example_trace(events: List[TraceEvent]) -> Optional[int]:
-    """A good trace id to show: delivered, and fault-dropped if any was."""
-    delivered = {e.trace_id for e in events if e.kind == "deliver"}
-    dropped = {e.trace_id for e in events if e.kind == "fault_drop"}
+def pick_example_trace(events: "EventLog | List[TraceEvent]") -> Optional[int]:
+    """A good trace id to show: delivered, and fault-dropped if any was.
+
+    A live :class:`EventLog` is read from its columns, building no rows.
+    """
+    if isinstance(events, EventLog):
+        delivered = events.trace_ids_of("deliver")
+        dropped = events.trace_ids_of("fault_drop")
+        every = events.trace_id[events.first_row() :]
+    else:
+        delivered = {e.trace_id for e in events if e.kind == "deliver"}
+        dropped = {e.trace_id for e in events if e.kind == "fault_drop"}
+        every = [e.trace_id for e in events]
     both = delivered & dropped
     for pool in (both, delivered, dropped):
         if pool:
             return min(pool)
-    return min({e.trace_id for e in events}) if events else None
+    return min(every, default=None)
 
 
 def query_chain(

@@ -76,9 +76,11 @@ def chrome_trace(events: Iterable[TraceEvent]) -> dict:
     ``enqueue``/``service`` pairs on the same (node, carrier uid) become
     complete ``"X"`` spans covering the packet's queue wait plus service
     time at that hop; every other kind becomes an instant event on the
-    node's thread.
+    node's thread.  A re-iterable input (a list, a live ``EventLog``) is
+    read twice rather than copied; a one-shot iterator is listed first.
     """
-    events = list(events)
+    if iter(events) is events:
+        events = list(events)
     tids: Dict[str, int] = {}
     rows: List[dict] = []
     for node in sorted({event.node for event in events}):

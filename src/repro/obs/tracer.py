@@ -26,14 +26,18 @@ same events.
 from __future__ import annotations
 
 from array import array
+from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
 from math import inf
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+
+from repro.sim.network import Face
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.packets import Packet
     from repro.sim.faults import FaultStats
-    from repro.sim.network import Face, Network, Node
+    from repro.sim.network import Network, Node
 
 __all__ = ["TraceEvent", "EventLog", "PacketTracer", "trace_id_of", "KINDS"]
 
@@ -48,6 +52,10 @@ KINDS = (
     "drop",
     "fault_drop",
 )
+# Every symbol table starts with the kinds, so their codes are constants.
+_PUBLISH, _FORWARD, _ENQUEUE, _SERVICE, _DECAP, _DELIVER, _DROP, _FAULT_DROP = range(8)
+#: Code of the blank that an absent CD, peer or detail reads as.
+_BLANK = len(KINDS)
 
 
 def trace_id_of(packet: "Packet") -> int:
@@ -62,7 +70,7 @@ def trace_id_of(packet: "Packet") -> int:
     return uid if uid is not None else packet.uid
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceEvent:
     """One hop-level observation of a traced packet."""
 
@@ -96,38 +104,60 @@ class TraceEvent:
 
 #: :class:`TraceEvent` fields = :class:`EventLog` columns, in order.
 _COLUMNS = ("t", "trace_id", "uid", "node", "kind", "ptype", "cd", "peer", "detail")
+#: The columns that hold symbol codes wider than a kind's.
+_CODED = ("node", "ptype", "cd", "peer", "detail")
 
 
 class EventLog:
     """The recorded events as nine parallel columns, read as a sequence.
 
-    A row is nine 8-byte slots: ``array`` columns for the numbers, and
-    reference lists for values that already exist (node and peer names,
-    the kind constant, the packet *class*, the payload's interned
-    ``Name``), so an event allocates nothing and the garbage collector
-    walks nothing.  The packet itself is never stored: packets are
-    mutable, and a held one keeps its payload alive.  A
-    :class:`TraceEvent` is built only when a row is read; a slice reads a
-    list of them.  Readers see the last ``max_events`` rows; the writer
-    trims behind them in bulk.
+    A row is 35 bytes of packed arrays: ``t``, ``trace_id`` and ``uid``
+    as numbers, and every other field as a code into the log's one
+    symbol table — ``codes`` maps a recorded object (a node name, the
+    packet *class*, the payload's interned ``Name``, a drop reason) to
+    its code, ``text`` maps the code to the string a row reads.  The
+    kinds hold codes 0-7 in a one-byte column; the other five columns
+    are two-byte and widen to four the first time the table passes
+    65,535 symbols.  A symbol is rendered once, when first recorded, so
+    an event allocates nothing and the garbage collector walks nothing;
+    the packet itself is never stored (packets are mutable, and a held
+    one keeps its payload alive).  ``None`` reads as the blank.  A
+    :class:`TraceEvent` is built only when a row is read; a slice reads
+    a list of them.  Readers see the last ``max_events`` rows; the
+    writer trims behind them in bulk, and the symbol table keeps every
+    symbol it was ever given.
     """
 
-    __slots__ = _COLUMNS + ("max_events", "limit", "_columns", "_rows_by_trace")
+    __slots__ = _COLUMNS + ("codes", "text", "max_events", "limit", "_rows_by_trace")
 
     def __init__(self, max_events: Optional[int] = None) -> None:
         self.max_events = max_events  # exact for readers; ``limit`` is for the writer
         self.limit = inf if max_events is None else max_events + max_events // 4 + 16
         self.t, self.trace_id, self.uid = array("d"), array("q"), array("q")
-        self.node, self.kind, self.ptype = [], [], []
-        self.cd, self.peer, self.detail = [], [], []
-        self._columns = tuple(getattr(self, name) for name in _COLUMNS)
+        self.kind = array("B")
+        self.node, self.ptype, self.cd = array("H"), array("H"), array("H")
+        self.peer, self.detail = array("H"), array("H")
+        self.codes: Dict[object, int] = {kind: code for code, kind in enumerate(KINDS)}
+        self.codes[None] = self.codes[""] = _BLANK
+        self.text: List[str] = [*KINDS, ""]
         self._rows_by_trace: Tuple[int, Dict[int, List[int]]] = (0, {})
+
+    def code(self, symbol: object) -> int:
+        """The code of ``symbol``, assigned and rendered on first sight."""
+        code = self.codes.get(symbol)
+        if code is None:
+            code = self.codes[symbol] = len(self.text)
+            self.text.append(symbol.__name__ if isinstance(symbol, type) else str(symbol))
+            if code == 0x10000:  # past what two bytes hold
+                for name in _CODED:
+                    setattr(self, name, array("I", getattr(self, name)))
+        return code
 
     def trim(self) -> None:
         """Drop the rows that have fallen behind the ring."""
         excess = self.first_row()
-        for column in self._columns:
-            del column[:excess]
+        for name in _COLUMNS:
+            del getattr(self, name)[:excess]
         self._rows_by_trace = (0, {})
 
     def first_row(self) -> int:
@@ -137,8 +167,16 @@ class EventLog:
 
     def append(self, event: TraceEvent) -> None:
         """Store an already-built event (a re-read log, a test fixture)."""
-        for column, name in zip(self._columns, _COLUMNS):
-            column.append(getattr(event, name))
+        if event.kind not in KINDS:
+            raise ValueError(f"kind must be one of {KINDS}, got {event.kind!r}")
+        code = self.code
+        codes = [code(getattr(event, name)) for name in _CODED]
+        self.t.append(event.t)
+        self.trace_id.append(event.trace_id)
+        self.uid.append(event.uid)
+        self.kind.append(self.codes[event.kind])
+        for name, value in zip(_CODED, codes):
+            getattr(self, name).append(value)
         if len(self.t) > self.limit:
             self.trim()
 
@@ -147,14 +185,19 @@ class EventLog:
             self.append(event)
 
     def row(self, i: int) -> TraceEvent:
-        """Row ``i`` of the columns as an event; names are rendered here."""
-        t, trace_id, uid, node, kind, ptype, cd, peer, detail = (
-            column[i] for column in self._columns
+        """Row ``i`` of the columns as an event."""
+        text = self.text
+        return TraceEvent(
+            self.t[i],
+            self.trace_id[i],
+            self.uid[i],
+            text[self.node[i]],
+            text[self.kind[i]],
+            text[self.ptype[i]],
+            text[self.cd[i]],
+            text[self.peer[i]],
+            text[self.detail[i]],
         )
-        if ptype.__class__ is not str:
-            ptype = ptype.__name__
-        cd = "" if cd is None else str(cd)
-        return TraceEvent(t, trace_id, uid, node, kind, ptype, cd, peer, str(detail))
 
     def __len__(self) -> int:
         return len(self.t) - self.first_row()
@@ -177,6 +220,12 @@ class EventLog:
             self._rows_by_trace = len(self.t), index
         return index.get(trace_id, [])
 
+    def trace_ids_of(self, kind: str) -> Set[int]:
+        """The trace ids with at least one ``kind`` row inside the ring."""
+        first = self.first_row()
+        is_kind = KINDS.index(kind).__eq__
+        return set(compress(self.trace_id[first:], map(is_kind, self.kind[first:])))
+
 
 class PacketTracer:
     """Records :class:`TraceEvent` rows from the fabric's trace hooks.
@@ -191,6 +240,9 @@ class PacketTracer:
             raise ValueError(f"sample_every must be >= 1, got {sample_every}")
         self.sample_every = sample_every
         self.events = EventLog(max_events)
+        # Node -> (its name's code, blank); Face -> (its two ends' codes).
+        # Resolved on first use: a hook may fire on an uninstalled tracer.
+        self._ends: Dict["Node | Face", Tuple[int, int]] = {}
         self._links: List[object] = []
         self._nodes: List["Node"] = []
         self._fault_stats: Optional["FaultStats"] = None
@@ -238,29 +290,50 @@ class PacketTracer:
     # ------------------------------------------------------------------
     # Emit paths (called from the fabric hook sites)
     # ------------------------------------------------------------------
+    def _ends_of(self, where: "Node | Face") -> Tuple[int, int]:
+        """Codes of the node a row is at and of the peer a forward left for."""
+        code = self.events.code
+        if isinstance(where, Face):
+            ends = (code(where.node.name), code(where.peer.name))
+        else:
+            ends = (code(where.name), _BLANK)
+        self._ends[where] = ends
+        return ends
+
     def _emit(
         self,
         sim_now: float,
         packet: "Packet",
-        node: str,
-        kind: str,
-        peer: str = "",
-        detail: str = "",
+        where: "Node | Face",
+        kind: int,
+        detail: int = _BLANK,
     ) -> None:
+        """Append one row at ``where``; ``kind`` and ``detail`` are codes."""
         payload = getattr(packet, "payload", None)
         inner = payload if getattr(payload, "uid", None) is not None else packet
         tid = inner.uid  # == trace_id_of(packet)
         if tid % self.sample_every:
             return
         cd = getattr(inner, "cd", None)
+        if cd is None:
+            cd = getattr(inner, "name", None)
         log = self.events
+        codes = log.codes
+        try:
+            node, peer = self._ends[where]
+            ptype = codes[type(packet)]
+            cd = codes[cd]
+        except KeyError:
+            node, peer = self._ends_of(where)
+            ptype = log.code(type(packet))
+            cd = log.code(cd)
         log.t.append(sim_now)
         log.trace_id.append(tid)
         log.uid.append(packet.uid)
         log.node.append(node)
         log.kind.append(kind)
-        log.ptype.append(type(packet))
-        log.cd.append(cd if cd is not None else getattr(inner, "name", None))
+        log.ptype.append(ptype)
+        log.cd.append(cd)
         log.peer.append(peer)
         log.detail.append(detail)
         if len(log.t) > log.limit:
@@ -268,40 +341,32 @@ class PacketTracer:
 
     def on_forward(self, face: "Face", packet: "Packet", delay: float) -> None:
         """A packet left ``face.node`` toward ``face.peer`` (Face.send)."""
-        self._emit(
-            face.node.sim.now, packet, face.node.name, "forward", peer=face.peer.name
-        )
+        self._emit(face.node.sim.now, packet, face, _FORWARD)
 
     def on_fault_drop(self, face: "Face", packet: "Packet") -> None:
         """The fault hook vetoed this egress; reason from the injector."""
         stats = self._fault_stats
         reason = stats.last_drop_reason if stats is not None else ""
-        self._emit(
-            face.node.sim.now,
-            packet,
-            face.node.name,
-            "fault_drop",
-            peer=face.peer.name,
-            detail=reason or "fault",
-        )
+        detail = self.events.code(reason or "fault")
+        self._emit(face.node.sim.now, packet, face, _FAULT_DROP, detail)
 
     def on_enqueue(self, node: "Node", packet: "Packet") -> None:
-        self._emit(node.sim.now, packet, node.name, "enqueue")
+        self._emit(node.sim.now, packet, node, _ENQUEUE)
 
     def on_service(self, node: "Node", packet: "Packet") -> None:
-        self._emit(node.sim.now, packet, node.name, "service")
+        self._emit(node.sim.now, packet, node, _SERVICE)
 
     def on_decap(self, node: "Node", packet: "Packet", serving) -> None:
-        self._emit(node.sim.now, packet, node.name, "decap", detail=serving)
+        self._emit(node.sim.now, packet, node, _DECAP, self.events.code(serving))
 
     def on_drop(self, node: "Node", packet: "Packet", reason: str) -> None:
-        self._emit(node.sim.now, packet, node.name, "drop", detail=reason)
+        self._emit(node.sim.now, packet, node, _DROP, self.events.code(reason))
 
     def on_publish(self, node: "Node", packet: "Packet") -> None:
-        self._emit(node.sim.now, packet, node.name, "publish")
+        self._emit(node.sim.now, packet, node, _PUBLISH)
 
     def on_deliver(self, node: "Node", packet: "Packet") -> None:
-        self._emit(node.sim.now, packet, node.name, "deliver")
+        self._emit(node.sim.now, packet, node, _DELIVER)
 
     # ------------------------------------------------------------------
     # Queries
@@ -318,7 +383,11 @@ class PacketTracer:
         """Drop reason -> count over every recorded drop event."""
         log = self.events
         first = log.first_row()
-        return _count_drops(zip(log.kind[first:], log.detail[first:]))
+        text = log.text
+        pairs = Counter(zip(log.kind[first:], log.detail[first:]))
+        return _count_drops(
+            ((text[kind], text[detail]), count) for (kind, detail), count in pairs.items()
+        )
 
     def hop_chain(self, trace_id: int, receiver: Optional[str] = None) -> List[TraceEvent]:
         """The per-hop story of one trace id.
@@ -375,15 +444,16 @@ def chain_to(events: Iterable[TraceEvent], receiver: str) -> List[TraceEvent]:
 
 def summarize_drops(events: Iterable[TraceEvent]) -> Dict[str, int]:
     """Drop reason -> count for every drop/fault_drop event."""
-    return _count_drops((event.kind, event.detail) for event in events)
+    return _count_drops(Counter((event.kind, event.detail) for event in events).items())
 
 
-def _count_drops(kinds_and_details: Iterable[Tuple[str, object]]) -> Dict[str, int]:
+def _count_drops(counted: Iterable[Tuple[Tuple[str, str], int]]) -> Dict[str, int]:
+    """Reason -> count from ``((kind, detail), count)`` pairs."""
     out: Dict[str, int] = {}
-    for kind, detail in kinds_and_details:
+    for (kind, detail), count in counted:
         if kind in ("drop", "fault_drop"):
-            reason = str(detail) or kind
-            out[reason] = out.get(reason, 0) + 1
+            reason = detail or kind
+            out[reason] = out.get(reason, 0) + count
     return dict(sorted(out.items()))
 
 

@@ -1,7 +1,13 @@
 """Tests for the causal packet tracer (`repro.obs.tracer`)."""
 
-import pytest
+from dataclasses import dataclass
 
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.experiments.tracerun import pick_example_trace
+from repro.names import Name
 from repro.obs.tracer import (
     KINDS,
     PacketTracer,
@@ -12,7 +18,7 @@ from repro.obs.tracer import (
     trace_id_of,
 )
 from repro.packets import Packet
-from repro.sim.faults import FaultInjector, FaultPlan, LinkFaults
+from repro.sim.faults import FaultInjector, FaultPlan, FaultStats, LinkFaults
 from repro.sim.network import Network, Node
 
 
@@ -257,10 +263,23 @@ class TestEventLog:
         assert (decap.ptype, decap.cd, decap.detail) == ("MulticastPacket", "/cs/a", "/cs")
         assert (drop.ptype, drop.cd, drop.detail) == ("Packet", "", "no_rp")
         assert all(type(v) is str for v in (decap.cd, decap.detail, drop.cd))
-        # The log holds the class and the Name, never the packet.
-        assert tracer.events.ptype == [MulticastPacket, Packet]
-        assert tracer.events.cd == [mcast.cd, None]
+        # The log holds the class and the Name once each, as symbols its
+        # rows point at, and never the packet.
+        log = tracer.events
+        assert log.ptype.tolist() == [log.codes[MulticastPacket], log.codes[Packet]]
+        assert log.cd.tolist() == [log.codes[mcast.cd], log.codes[None]]
+        symbols = len(log.text)
+        tracer.on_decap(a, mcast, Name(["cs"]))
+        assert len(log.text) == symbols
+        assert not any(isinstance(symbol, Packet) for symbol in log.codes)
+        assert all(type(text) is str for text in log.text)
         assert tracer.drop_summary() == summarize_drops(tracer.events) == {"no_rp": 1}
+
+    def test_append_rejects_a_kind_outside_kinds(self):
+        log = PacketTracer().events
+        with pytest.raises(ValueError):
+            log.append(_ev(0.0, 1, "n", "hop"))
+        assert len(log) == len(log.node) == 0
 
     def test_trace_index_follows_later_appends(self):
         tracer = PacketTracer()
@@ -282,7 +301,7 @@ class TestStorageBudget:
         packet = Packet(size=10)
         return tracer, (lambda: tracer.on_forward(face, packet, 1.0))
 
-    def test_at_most_96_bytes_retained_per_event(self):
+    def test_at_most_40_bytes_retained_per_event(self):
         import tracemalloc
 
         tracer, record = self._recording()
@@ -295,7 +314,7 @@ class TestStorageBudget:
         finally:
             tracemalloc.stop()
         assert len(tracer.events) == 100_000
-        assert (after - before) / 100_000 <= 96
+        assert (after - before) / 100_000 <= 40
 
     def test_no_gc_tracked_object_per_event(self):
         import gc
@@ -309,3 +328,164 @@ class TestStorageBudget:
             record()
         assert len(tracer.events) == 10_100
         assert len(gc.get_objects()) - before <= 8
+
+
+@dataclass
+class Tagged(Packet):
+    """A packet whose CD is whatever the test hands it (a Name, a str, None)."""
+
+    cd: object = None
+
+
+def _packet(shape: str, cd):
+    from repro.ndn.packets import Interest
+
+    if shape == "plain":
+        return Packet(size=10)
+    if shape == "tagged":
+        return Tagged(size=10, cd=cd)
+    if shape == "interest":
+        return Interest(name=Name(["ndn", "x"]))
+    return Interest(name=Name(["rp", "R1"]), payload=Tagged(size=10, cd=cd))
+
+
+def _expected(t, packet, node, kind, peer="", detail="") -> TraceEvent:
+    """What a hook's row reads as, from the packet itself."""
+    inner = packet.payload if getattr(packet, "payload", None) is not None else packet
+    cd = getattr(inner, "cd", None)
+    if cd is None:
+        cd = getattr(inner, "name", None)
+    return TraceEvent(
+        t, trace_id_of(packet), packet.uid, node, kind, type(packet).__name__,
+        "" if cd is None else str(cd), peer, detail,
+    )
+
+
+_words = st.sampled_from(["", "a", "b", "/cs", "/cs/a", "R1", "no_rp", "forward"])
+_cds = st.one_of(
+    st.none(), _words, st.sampled_from([Name(["cs"]), Name(["cs", "a"]), Name(["rp", "R1"])])
+)
+_hooks = st.tuples(
+    st.just("hook"),
+    st.sampled_from(KINDS),
+    st.sampled_from(["plain", "tagged", "interest", "tunnel"]),
+    _cds,
+    st.booleans(),  # which face / node
+    st.sampled_from(["random", "burst", "", "duplicate", "no_rp"]),
+)
+_appends = st.tuples(
+    st.just("append"),
+    st.builds(
+        TraceEvent,
+        t=st.floats(min_value=0, max_value=1e6),
+        trace_id=st.integers(0, 2**62),
+        uid=st.integers(0, 2**62),
+        node=_words,
+        kind=st.sampled_from(KINDS),
+        ptype=_words,
+        cd=_words,
+        peer=_words,
+        detail=_words,
+    ),
+    st.integers(1, 25),  # copies: long enough runs to cross the ring's trims
+)
+_reads = st.tuples(st.just("read"), st.integers(-12, 12), st.integers(-12, 12),
+                   st.sampled_from([None, 1, 2, -1, -3]))
+
+
+class TestEventLogModel:
+    """The columns read back exactly what a plain list of events would."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        max_events=st.sampled_from([None, 3, 7]),
+        sample_every=st.sampled_from([1, 2]),
+        ops=st.lists(st.one_of(_hooks, _appends, _reads), max_size=60),
+    )
+    def test_log_matches_a_list_of_events(self, max_events, sample_every, ops):
+        net, a, b, _ = make_pair()
+        stats = FaultStats()
+        tracer = PacketTracer(sample_every=sample_every, max_events=max_events)
+        tracer.install(net, fault_stats=stats)
+        model = []
+        for step, op in enumerate(ops):
+            if op[0] == "hook":
+                _, kind, shape, cd, flip, reason = op
+                net.sim.now = float(step)
+                node, peer = (b, a) if flip else (a, b)
+                face = node.face_toward(peer)
+                packet = _packet(shape, cd)
+                serving = Name(["cs"]) if flip else Name(["rp", "R1"])
+                call, expected = {
+                    "forward": (lambda: tracer.on_forward(face, packet, 1.0),
+                                (peer.name, "")),
+                    "fault_drop": (lambda: tracer.on_fault_drop(face, packet),
+                                   (peer.name, reason or "fault")),
+                    "decap": (lambda: tracer.on_decap(node, packet, serving),
+                              ("", str(serving))),
+                    "drop": (lambda: tracer.on_drop(node, packet, reason or "own_echo"),
+                             ("", reason or "own_echo")),
+                }.get(kind, (lambda: getattr(tracer, f"on_{kind}")(node, packet), ("", "")))
+                stats.last_drop_reason = reason
+                call()
+                if trace_id_of(packet) % sample_every == 0:
+                    model.append(_expected(float(step), packet, node.name, kind, *expected))
+            elif op[0] == "append":
+                _, event, copies = op
+                tracer.events.extend([event] * copies)
+                model.extend([event] * copies)
+            else:
+                self._check(tracer, model[-max_events:] if max_events else model, op)
+        self._check(tracer, model[-max_events:] if max_events else model, ("read", 0, 0, None))
+
+    @staticmethod
+    def _check(tracer, visible, read_op):
+        _, start, stop, step = read_op
+        log = tracer.events
+        n = len(visible)
+        assert len(log) == n
+        assert list(log) == visible
+        assert [log[i] for i in range(-n, n)] == visible + visible
+        for index in (n, -n - 1):
+            with pytest.raises(IndexError):
+                log[index]
+        for index in (slice(start, stop, step), slice(start, None), slice(None, stop)):
+            assert log[index] == visible[index]
+        for trace_id in {e.trace_id for e in visible}:
+            assert tracer.events_for(trace_id) == [
+                e for e in visible if e.trace_id == trace_id
+            ]
+        assert tracer.drop_summary() == summarize_drops(visible)
+        assert tracer.trace_ids() == sorted({e.trace_id for e in visible})
+        assert pick_example_trace(log) == pick_example_trace(visible)
+
+
+class TestSymbolWidening:
+    def test_codes_widen_past_65535_symbols_and_rows_still_read(self):
+        net, a, b, _ = make_pair()
+        tracer = PacketTracer().install(net)
+        face = a.face_toward(b)
+        first = Packet(size=10)
+        tracer.on_forward(face, first, 1.0)  # caches this face's codes
+        log = tracer.events
+        assert {getattr(log, c).typecode for c in ("node", "ptype", "cd", "peer", "detail")} == {"H"}
+        written = [_ev(float(i), i, "n", "deliver") for i in range(3)]
+        written += [
+            TraceEvent(3.0, 3, 3, "n", "drop", "Packet", f"/x/{i}", "", f"r{i}")
+            for i in range(33_000)
+        ]
+        log.extend(written)
+        assert len(log.text) > 0x10000
+        assert {getattr(log, c).typecode for c in ("node", "ptype", "cd", "peer", "detail")} == {"I"}
+        assert log.kind.typecode == "B"
+        last = Packet(size=10)
+        tracer.on_forward(face, last, 1.0)
+        tracer.on_drop(a, last, "after_widening")
+        events = list(log)
+        assert events[0] == _expected(0.0, first, "a", "forward", "b")
+        assert events[1:-2] == written
+        assert events[-2] == _expected(0.0, last, "a", "forward", "b")
+        assert events[-1].detail == "after_widening"
+        assert tracer.drop_summary()["after_widening"] == 1
+        assert len(tracer.drop_summary()) == 33_001
