@@ -47,7 +47,7 @@ from repro.names import Name
 from repro.ndn.fib import Fib
 from repro.ndn.packets import Interest
 from repro.packets import Packet
-from repro.sim.network import Face
+from repro.sim.network import Face, send_all
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.engine import GCopssRouter
@@ -325,12 +325,11 @@ class ForwardingPlane:
             if tracer is not None:
                 tracer.on_drop(self.router, mcast, "duplicate")
             return
-        forwarded = 0
-        for out in self.st.match(mcast.cd):
-            if out is not exclude:
-                forwarded += 1
-                out.send(mcast)  # faces from our own ST; skip the self.send ownership re-check
-        self.stats.multicasts_forwarded += forwarded
+        faces = self.st.match(mcast.cd)  # a fresh list, ours to edit
+        if exclude is not None and exclude in faces:
+            faces.remove(exclude)
+        send_all(self.router, faces, mcast)
+        self.stats.multicasts_forwarded += len(faces)
 
     def crash_reset(self) -> None:
         """Forget volatile data-path state (node crash/restart)."""

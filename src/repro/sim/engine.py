@@ -19,16 +19,36 @@ single-threaded execution.
 Two runs with the same inputs still produce identical schedules; the
 ``origin`` field only changes *which* deterministic order ties resolve
 to.
+
+A **burst** (:meth:`Simulator.schedule_burst`) is one heap entry for a
+run of arrivals one sender puts on the wire at once: a router's ST
+fan-out to faces whose links share an arrival time.  Sent one by one,
+the members would be entries with equal ``(time, origin)`` and
+consecutive ``seq``, so no entry that existed when they were scheduled
+sorts between two of them; a burst takes one ``seq`` at the first
+member's place and delivers the members in send order.  Only an entry
+pushed *while* the burst runs can sort inside it: a callback's
+zero-delay event (or timer) at the same time with a lower ``origin``.
+Its own ``seq`` is larger than every member's, so an equal or higher
+``origin`` sorts after the whole burst, as it would after the last
+member.  After each member the run loop checks the heap top against the
+burst's ``(time, origin)``; if it sorts before, the rest of the burst is
+pushed back under its unchanged ``(time, origin, seq)`` key, so the
+intruder runs next and the remaining members follow it, exactly where
+the per-arrival entries would have put them.  Members count one each in
+:attr:`Simulator.events_processed`, ``max_events`` and
+:meth:`Simulator.pending`, so a burst is invisible to those counters.
 """
 
 from __future__ import annotations
 
 import gc
 from heapq import heappop, heappush
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sim.network import Network
+    from repro.packets import Packet
+    from repro.sim.network import Face, Network
 
 __all__ = ["Simulator", "EventHandle", "SerialExecutor", "EXTERNAL_ORIGIN"]
 
@@ -75,6 +95,29 @@ class EventHandle:
         self.cancelled = True
 
 
+class _Burst:
+    """One heap entry for a fan-out run: ``packet`` arrives over each of
+    ``faces[next:]``, in order, at ``time``.
+
+    ``cancelled`` is a class constant so the run loop's cancelled test,
+    which every plain event already pays, is also the one branch a burst
+    takes; the loop then tells the two apart by class.
+    """
+
+    __slots__ = ("time", "sort_origin", "seq", "packet", "faces", "next")
+    cancelled = True
+
+    def __init__(
+        self, time: float, sort_origin: int, seq: int, packet: "Packet", faces: "List[Face]"
+    ) -> None:
+        self.time = time
+        self.sort_origin = sort_origin
+        self.seq = seq
+        self.packet = packet
+        self.faces = faces
+        self.next = 0
+
+
 class Simulator:
     """A deterministic discrete-event scheduler.
 
@@ -103,9 +146,14 @@ class Simulator:
         #: :meth:`schedule` / :meth:`schedule_at` as the default origin of
         #: new events.  ``EXTERNAL_ORIGIN`` outside any callback.
         self.origin: int = EXTERNAL_ORIGIN
-        # Read by bench/workloads.py; the heap delivers no batches, so 0.
+        #: Burst entries popped and the members they delivered (a burst
+        #: cut short by the order guard or ``max_events`` pops again).
         self.batch_pops: int = 0
         self.batch_members: int = 0
+        # Members waiting in bursts beyond the one heap entry each burst
+        # is, plus the members of the burst being delivered that have not
+        # started: ``pending()`` adds it to the heap's length.
+        self._folded: int = 0
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -190,6 +238,24 @@ class Simulator:
         """
         return self._push(time, sort_origin, exec_origin, callback, args)
 
+    def schedule_burst(
+        self, time: float, sort_origin: int, packet: "Packet", faces: "List[Face]"
+    ) -> None:
+        """Schedule ``packet``'s arrival over each of ``faces`` as one entry.
+
+        Equivalent to one :meth:`schedule_link` per face, in order, with
+        ``time = now + link.delay`` for each — the caller
+        (:func:`repro.sim.network.send_all`) groups only faces whose
+        arrivals are that exact time; each member runs
+        ``face.peer.receive(packet, face.peer_face)`` with
+        :attr:`origin` set to the peer's rank.  See the module docstring
+        for why the order is the same.  Not cancellable.
+        """
+        seq = self._seq
+        self._seq = seq + 1
+        self._folded += len(faces) - 1
+        heappush(self._heap, (time, sort_origin, seq, _Burst(time, sort_origin, seq, packet, faces)))
+
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
@@ -247,6 +313,8 @@ class Simulator:
                     return
                 handle = heappop(heap)[3]
                 if handle.cancelled:
+                    if handle.__class__ is _Burst:
+                        processed += self._deliver(handle, budget - processed)
                     continue
                 self.now = time
                 self.origin = handle.exec_origin
@@ -261,26 +329,66 @@ class Simulator:
             if collecting:
                 gc.enable()
 
+    def _deliver(self, burst: _Burst, budget: float) -> int:
+        """Run the members of a popped burst; return how many ran.
+
+        Stops after ``budget`` members, or as soon as the heap holds an
+        entry that sorts before the burst's ``(time, origin)``; either
+        way the rest goes back on the heap under the burst's own key.
+        """
+        heap = self._heap
+        faces = burst.faces
+        packet = burst.packet
+        first = i = burst.next
+        last = len(faces)
+        key = (burst.time, burst.sort_origin)
+        self.now = burst.time
+        self.batch_pops += 1
+        self._folded += 1  # the entry left the heap; its members wait here
+        try:
+            while i < last:
+                face = faces[i]
+                i += 1
+                self._folded -= 1
+                peer = face.peer
+                self.origin = peer.rank
+                peer.receive(packet, face.peer_face)
+                if i - first >= budget or (heap and heap[0] < key):
+                    break
+        except BaseException:
+            # The raising member is consumed uncounted, like a plain event.
+            self.events_processed += i - 1 - first
+            raise
+        finally:
+            self.batch_members += i - first
+            if i < last:
+                burst.next = i
+                self._folded -= 1
+                heappush(heap, (burst.time, burst.sort_origin, burst.seq, burst))
+        return i - first
+
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     def pending(self) -> int:
-        """Number of events still queued (including lazily cancelled ones)."""
-        return len(self._heap)
+        """Number of events still queued (including lazily cancelled ones);
+        each member of a burst counts as one."""
+        return len(self._heap) + self._folded
 
     def telemetry(self) -> dict:
         """Engine-level gauges for the metrics registry."""
         return {
             "now_ms": self.now,
             "events_processed": self.events_processed,
-            "events_pending": len(self._heap),
+            "events_pending": self.pending(),
         }
 
     def peek_time(self) -> Optional[float]:
         """Time of the next live event, or None when idle."""
-        while self._heap and self._heap[0][3].cancelled:
-            heappop(self._heap)
-        return self._heap[0][0] if self._heap else None
+        heap = self._heap
+        while heap and heap[0][3].cancelled and heap[0][3].__class__ is not _Burst:
+            heappop(heap)
+        return heap[0][0] if heap else None
 
 
 class SerialExecutor:

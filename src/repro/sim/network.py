@@ -9,6 +9,10 @@ the paper's "aggregate network load".
 Nodes are protocol-agnostic: NDN routers, G-COPSS routers, game servers
 and player hosts all subclass :class:`Node` and implement
 :meth:`Node.receive`.
+
+A multicast fan-out sends one packet over a matched face set with
+:func:`send_all`, which puts each run of same-time arrivals on the heap
+as one burst.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from repro.sim.stats import NodeStats
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.roles import Role
 
-__all__ = ["Face", "Link", "Node", "Network", "PacketDispatcher"]
+__all__ = ["Face", "Link", "Node", "Network", "PacketDispatcher", "send_all"]
 
 
 PacketHandler = Callable[[Packet, "Face"], None]
@@ -126,7 +130,8 @@ class Face:
         hook decides per packet whether the transmission is dropped (the
         packet never accrues byte/packet counters — it left no trace on
         the wire) or delayed by extra jitter.  With no plan installed the
-        cost is one attribute load and a ``None`` check.
+        cost is one attribute load and a ``None`` check.  (:func:`send_all`
+        sends every face whose link has a hook through here.)
 
         ``link.trace_hook`` is the telemetry twin of the same slot
         pattern: a :class:`~repro.obs.tracer.PacketTracer` observes every
@@ -159,6 +164,64 @@ class Face:
 
     def __repr__(self) -> str:
         return f"Face({self.node.name}#{self.face_id}->{self.peer.name})"
+
+
+def send_all(node: "Node", faces: List[Face], packet: Packet) -> None:
+    """Transmit ``packet`` over each of ``node``'s ``faces``, in order.
+
+    The same as ``face.send(packet)`` for each face in turn — the same
+    arrivals in the same order, the same link counters and the same
+    tracer rows — in fewer heap entries: each run of two or more
+    consecutive faces whose arrivals fall at the same time (``now +
+    link.delay``) and whose links share one trace hook becomes one
+    :meth:`~repro.sim.engine.Simulator.schedule_burst` entry, traced by
+    one ``on_forward_many`` call.  A face whose link has a fault hook,
+    or whose link is not on the node's own clock (a cross-shard
+    ``Egress``), goes through :meth:`Face.send` at its place in the
+    order, as does a run of one; with a clock that is not a
+    :class:`Simulator` (a ``LiveClock``), every face does.
+    """
+    sim = node.sim
+    last = len(faces)
+    if last < 2 or sim.__class__ is not Simulator:
+        for face in faces:
+            face.send(packet)
+        return
+    now = sim.now
+    size = packet.size
+    i = 0
+    while i < last:
+        face = faces[i]
+        link = face.link
+        if link.fault_hook is not None or link.sim is not sim:
+            face.send(packet)
+            i += 1
+            continue
+        time = now + link.delay
+        tracer = link.trace_hook
+        end = i + 1
+        while end < last:
+            other = faces[end].link
+            if (
+                now + other.delay != time
+                or other.trace_hook is not tracer
+                or other.fault_hook is not None
+                or other.sim is not sim
+            ):
+                break
+            end += 1
+        if end == i + 1:
+            face.send(packet)
+        else:
+            run = faces[i:end]
+            for face in run:
+                link = face.link
+                link.bytes_carried += size
+                link.packets_carried += 1
+            if tracer is not None:
+                tracer.on_forward_many(run, packet)
+            sim.schedule_burst(time, node.rank, packet, run)
+        i = end
 
 
 class Link:

@@ -1,10 +1,13 @@
 """Tests for the discrete-event simulator core."""
 
 import gc
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro.sim.engine import Simulator
+from repro.sim.engine import EXTERNAL_ORIGIN, Simulator
 
 
 class TestScheduling:
@@ -353,3 +356,156 @@ class TestCollectorContract:
         sim.run(max_events=50_000)  # the ticks; the ballast events come after
         assert sim.events_processed == 50_000
         assert inside == [before]
+
+
+class _World:
+    """One simulator and the stand-in receivers a fan-out reaches.
+
+    ``bursts`` picks how a fan-out is scheduled: one
+    :meth:`Simulator.schedule_burst` entry, or the per-arrival
+    :meth:`Simulator.schedule_link` calls it stands for.  Everything
+    that runs appends ``(tag, now, origin)`` to ``log``.
+    """
+
+    def __init__(self, bursts: bool) -> None:
+        self.sim = Simulator()
+        self.bursts = bursts
+        self.log = []
+        self.arrivals = 0
+
+    def fan_out(self, delay, sender, packet, members) -> None:
+        sim = self.sim
+        faces = [
+            SimpleNamespace(peer=_Peer(self, rank, reactions), peer_face=None)
+            for rank, reactions in members
+        ]
+        if self.bursts:
+            sim.schedule_burst(sim.now + delay, sender, packet, faces)
+        else:
+            for face in faces:
+                peer = face.peer
+                sim.schedule_link(delay, sender, peer.rank, peer.receive, packet, face.peer_face)
+
+    def note(self, tag) -> None:
+        self.log.append((tag, self.sim.now, self.sim.origin))
+
+
+class _Peer:
+    """A receiver that logs each arrival, then replays its reactions:
+    zero-delay arrivals from any origin, zero-delay and later timers of
+    its own, or a zero-delay fan-out of its own."""
+
+    def __init__(self, world, rank, reactions) -> None:
+        self.world = world
+        self.rank = rank
+        self.reactions = reactions
+
+    def receive(self, packet, face) -> None:
+        world = self.world
+        sim = world.sim
+        world.arrivals += 1
+        tag = f"{packet}>{self.rank}"
+        world.note(tag)
+        for n, (kind, origin) in enumerate(self.reactions):
+            sub = f"{tag}.{n}"
+            if kind == "arrival":
+                sim.schedule_link(0.0, origin, origin, world.note, sub)
+            elif kind == "timer":
+                sim.schedule(0.0, world.note, sub)
+            elif kind == "later":
+                sim.schedule(0.5, world.note, sub)
+            else:
+                world.fan_out(0.0, self.rank, sub, [(origin, ()), (origin + 1, ())])
+
+
+_RANKS = st.integers(0, 6)
+_REACTIONS = st.lists(
+    st.tuples(st.sampled_from(["arrival", "timer", "later", "fan-out"]), _RANKS), max_size=3
+)
+_MEMBERS = st.lists(st.tuples(_RANKS, _REACTIONS), min_size=1, max_size=5)
+_DELAYS = st.sampled_from([0.0, 0.5, 1.0, 2.0])
+
+
+class BurstsMatchPerArrivalEntries(RuleBasedStateMachine):
+    """A simulator fed bursts behaves as its twin fed one entry per member.
+
+    Reactions put events inside a running burst's ``(time, origin)`` key
+    range — lower, equal and higher origins at the same time — so the
+    order guard and its re-push are exercised; the runs cut bursts by
+    ``max_events`` and by horizons.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.bursts = _World(bursts=True)
+        self.twin = _World(bursts=False)
+        self.fan_outs = 0
+
+    def _both(self, act) -> None:
+        act(self.bursts)
+        act(self.twin)
+
+    @rule(delay=_DELAYS, sender=st.integers(EXTERNAL_ORIGIN, 6), members=_MEMBERS)
+    def fan_out(self, delay, sender, members):
+        self.fan_outs += 1
+        packet = f"f{self.fan_outs}"
+        self._both(lambda world: world.fan_out(delay, sender, packet, members))
+
+    @rule(delay=_DELAYS, origin=st.integers(EXTERNAL_ORIGIN, 6))
+    def arrival(self, delay, origin):
+        tag = f"a{self.fan_outs}.{origin}"
+        self._both(
+            lambda world: world.sim.schedule_link(delay, origin, origin, world.note, tag)
+        )
+
+    @rule(max_events=st.integers(0, 6))
+    def run_some(self, max_events):
+        self._both(lambda world: world.sim.run(max_events=max_events))
+
+    @rule(ahead=_DELAYS, inclusive=st.booleans())
+    def run_until(self, ahead, inclusive):
+        until = self.twin.sim.now + ahead
+        self._both(lambda world: world.sim.run(until=until, inclusive=inclusive))
+
+    @rule()
+    def drain(self):
+        self._both(lambda world: world.sim.run())
+
+    @invariant()
+    def same_history(self):
+        burst_sim, twin_sim = self.bursts.sim, self.twin.sim
+        assert self.bursts.log == self.twin.log
+        assert burst_sim.now == twin_sim.now
+        assert burst_sim.origin == twin_sim.origin
+        assert burst_sim.events_processed == twin_sim.events_processed
+        assert burst_sim.pending() == twin_sim.pending()
+        assert burst_sim.telemetry() == twin_sim.telemetry()
+        assert burst_sim.peek_time() == twin_sim.peek_time()
+        assert burst_sim.batch_members == self.bursts.arrivals
+        assert twin_sim.batch_pops == twin_sim.batch_members == 0
+
+
+TestBurstsMatchPerArrivalEntries = BurstsMatchPerArrivalEntries.TestCase
+
+
+class TestBurstEntry:
+    def test_members_run_in_send_order_under_the_receivers_rank(self):
+        world = _World(bursts=True)
+        world.fan_out(1.0, 5, "p", [(3, ()), (1, ()), (2, ())])
+        assert world.sim.pending() == 3
+        world.sim.run()
+        assert world.log == [("p>3", 1.0, 3), ("p>1", 1.0, 1), ("p>2", 1.0, 2)]
+        assert (world.sim.events_processed, world.sim.batch_pops, world.sim.batch_members) == (3, 1, 3)
+
+    def test_a_raising_member_is_consumed_and_the_rest_stay_queued(self):
+        world = _World(bursts=True)
+        world.fan_out(1.0, 5, "p", [(1, ()), (2, ()), (3, ())])
+        faces = world.sim._heap[0][3].faces
+        faces[1].peer.receive = lambda packet, face: 1 / 0
+        with pytest.raises(ZeroDivisionError):
+            world.sim.run()
+        assert world.sim.events_processed == 1
+        assert world.sim.pending() == 1
+        world.sim.run()
+        assert [tag for tag, _, _ in world.log] == ["p>1", "p>3"]
+        assert world.sim.events_processed == 2

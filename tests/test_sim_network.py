@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.obs.tracer import PacketTracer
 from repro.packets import Packet
-from repro.sim.network import Network, Node
+from repro.parallel.executor import Egress
+from repro.sim.network import Network, Node, send_all
 from repro.sim.routing import network_next_hops
 
 
@@ -177,3 +179,77 @@ class TestPacketBase:
 
     def test_uids_unique(self):
         assert Packet().uid != Packet().uid
+
+
+class Recorder(Node):
+    """Test node appending every arrival to one network-wide list."""
+
+    def receive(self, packet, face):
+        self.network.arrivals.append((self.name, self.sim.now, self.sim.origin, packet.uid, face.peer.name))
+
+
+#: One sender's face set, in send order: (delay, link kind).  Same-time
+#: runs of traced and untraced links, a zero-jitter fault hook inside a
+#: 1 ms run, an egress link, a fault-hook drop and two delays.
+FAN_OUT = [
+    (1.0, "traced"), (1.0, "traced"), (1.0, "jitter"), (1.0, "traced"),
+    (1.0, "plain"), (1.0, "plain"), (2.0, "plain"), (2.0, "plain"),
+    (1.0, "egress"), (2.0, "plain"), (1.0, "drop"), (2.0, "traced"), (2.0, "traced"),
+]
+
+
+def _fan_out_world():
+    net = Network()
+    net.arrivals = []
+    sender = Recorder(net, "s")
+    tracer = PacketTracer()
+    records = []
+    egress = Egress(records.append)
+    faces = []
+    for i, (delay, kind) in enumerate(FAN_OUT):
+        link = net.connect(sender, Recorder(net, f"p{i}"), delay)
+        if kind in ("traced", "drop"):
+            link.trace_hook = tracer
+        if kind == "jitter":
+            link.fault_hook = lambda face, packet: 0.0
+        elif kind == "drop":
+            link.fault_hook = lambda face, packet: None
+        elif kind == "egress":
+            link.sim = egress
+        faces.append(sender.faces[i])
+    return net, sender, faces, tracer, records
+
+
+class TestSendAll:
+    PACKETS = [Packet(size=100), Packet(size=7)]
+
+    def _run(self, send):
+        net, sender, faces, tracer, records = _fan_out_world()
+        for at, packet in enumerate(self.PACKETS):
+            net.sim.schedule_at(float(at), send, sender, faces, packet)
+        net.sim.run()
+        return net, {
+            "counters": [(link.bytes_carried, link.packets_carried) for link in net.links],
+            "rows": list(tracer.events),
+            "arrivals": net.arrivals,
+            "egress": records,
+            "events": net.sim.events_processed,
+        }
+
+    def test_same_as_one_face_send_per_face(self):
+        def one_by_one(sender, faces, packet):
+            for face in faces:
+                face.send(packet)
+
+        bursts, observed = self._run(send_all)
+        _, expected = self._run(one_by_one)
+        assert observed == expected
+        # Four runs per packet fold: traced and plain at 1 ms, plain and traced at 2 ms.
+        assert (bursts.sim.batch_pops, bursts.sim.batch_members) == (8, 16)
+        assert len(expected["rows"]) == 2 * 6 and len(expected["egress"]) == 2
+
+    def test_a_single_face_takes_face_send(self):
+        net, sender, faces, _, _ = _fan_out_world()
+        send_all(sender, faces[4:5], Packet(size=1))
+        net.sim.run()
+        assert net.sim.batch_pops == 0 and len(net.arrivals) == 1
