@@ -11,7 +11,7 @@ Hook points (all single-slot, ``None`` by default):
 
 * ``Link.trace_hook`` — :meth:`Face.send` reports every forward and every
   fault-injected egress drop, and :func:`~repro.sim.network.send_all`
-  each burst's forwards in one call;
+  each forward of a burst;
 * ``Node.trace_hook`` — routers report enqueue (``receive``) and service
   start (``_serve``); the forwarding plane reports decapsulation and
   protocol drops (no-RP, duplicate); hosts report publish, delivery and
@@ -343,38 +343,6 @@ class PacketTracer:
     def on_forward(self, face: "Face", packet: "Packet", delay: float) -> None:
         """A packet left ``face.node`` toward ``face.peer`` (Face.send)."""
         self._emit(face.node.sim.now, packet, face, _FORWARD)
-
-    def on_forward_many(self, faces: List["Face"], packet: "Packet") -> None:
-        """``on_forward`` for each of one node's ``faces``, in order
-        (:func:`~repro.sim.network.send_all`): the trace id, CD and
-        packet-class codes are resolved once for the whole run."""
-        payload = getattr(packet, "payload", None)
-        inner = payload if getattr(payload, "uid", None) is not None else packet
-        tid = inner.uid
-        if tid % self.sample_every:
-            return
-        cd = getattr(inner, "cd", None)
-        if cd is None:
-            cd = getattr(inner, "name", None)
-        log = self.events
-        code = log.code
-        # Codes first: a new symbol can widen the columns appended below.
-        ptype = code(type(packet))
-        cd = code(cd)
-        cached = self._ends
-        nodes, peers = zip(*[cached.get(face) or self._ends_of(face) for face in faces])
-        count = len(faces)
-        log.t.extend([faces[0].node.sim.now] * count)
-        log.trace_id.extend([tid] * count)
-        log.uid.extend([packet.uid] * count)
-        log.node.extend(nodes)
-        log.kind.extend([_FORWARD] * count)
-        log.ptype.extend([ptype] * count)
-        log.cd.extend([cd] * count)
-        log.peer.extend(peers)
-        log.detail.extend([_BLANK] * count)
-        if len(log.t) > log.limit:
-            log.trim()
 
     def on_fault_drop(self, face: "Face", packet: "Packet") -> None:
         """The fault hook vetoed this egress; reason from the injector."""

@@ -172,55 +172,51 @@ def send_all(node: "Node", faces: List[Face], packet: Packet) -> None:
     The same as ``face.send(packet)`` for each face in turn — the same
     arrivals in the same order, the same link counters and the same
     tracer rows — in fewer heap entries: each run of two or more
-    consecutive faces whose arrivals fall at the same time (``now +
-    link.delay``) and whose links share one trace hook becomes one
-    :meth:`~repro.sim.engine.Simulator.schedule_burst` entry, traced by
-    one ``on_forward_many`` call.  A face whose link has a fault hook,
-    or whose link is not on the node's own clock (a cross-shard
-    ``Egress``), goes through :meth:`Face.send` at its place in the
-    order, as does a run of one; with a clock that is not a
-    :class:`Simulator` (a ``LiveClock``), every face does.
+    consecutive faces whose links have the same delay (so the same
+    arrival time) becomes one
+    :meth:`~repro.sim.engine.Simulator.schedule_burst` entry.  A face
+    whose link has a fault hook, or whose link is not on the node's own
+    clock (a cross-shard ``Egress``), goes through :meth:`Face.send` at
+    its place in the order, as does a run of one; with a clock that is
+    not a :class:`Simulator` (a ``LiveClock``), every face does.
     """
     sim = node.sim
-    last = len(faces)
-    if last < 2 or sim.__class__ is not Simulator:
+    last = len(faces) - 1
+    if last < 1 or sim.__class__ is not Simulator:
         for face in faces:
             face.send(packet)
         return
-    now = sim.now
-    size = packet.size
     i = 0
-    while i < last:
+    while i <= last:
         face = faces[i]
         link = face.link
-        if link.fault_hook is not None or link.sim is not sim:
-            face.send(packet)
-            i += 1
-            continue
-        time = now + link.delay
-        tracer = link.trace_hook
+        delay = link.delay
         end = i + 1
-        while end < last:
-            other = faces[end].link
-            if (
-                now + other.delay != time
-                or other.trace_hook is not tracer
-                or other.fault_hook is not None
-                or other.sim is not sim
-            ):
-                break
-            end += 1
+        # Most runs are one face: the next face's delay settles that first.
+        if (
+            end <= last
+            and faces[end].link.delay == delay
+            and link.fault_hook is None
+            and link.sim is sim
+        ):
+            while end <= last:
+                other = faces[end].link
+                if other.delay != delay or other.fault_hook is not None or other.sim is not sim:
+                    break
+                end += 1
         if end == i + 1:
             face.send(packet)
         else:
             run = faces[i:end]
+            size = packet.size
             for face in run:
                 link = face.link
                 link.bytes_carried += size
                 link.packets_carried += 1
-            if tracer is not None:
-                tracer.on_forward_many(run, packet)
-            sim.schedule_burst(time, node.rank, packet, run)
+                tracer = link.trace_hook
+                if tracer is not None:
+                    tracer.on_forward(face, packet, delay)
+            sim.schedule_burst(sim.now + delay, node.rank, packet, run)
         i = end
 
 

@@ -244,8 +244,9 @@ class TestSendAll:
         bursts, observed = self._run(send_all)
         _, expected = self._run(one_by_one)
         assert observed == expected
-        # Four runs per packet fold: traced and plain at 1 ms, plain and traced at 2 ms.
-        assert (bursts.sim.batch_pops, bursts.sim.batch_members) == (8, 16)
+        # Four runs per packet fold: two traced and then traced + plain at
+        # 1 ms, plain and traced at 2 ms (a tracer does not split a run).
+        assert (bursts.sim.batch_pops, bursts.sim.batch_members) == (8, 18)
         assert len(expected["rows"]) == 2 * 6 and len(expected["egress"]) == 2
 
     def test_a_single_face_takes_face_send(self):
